@@ -48,7 +48,6 @@ from .genfun import (
     psi_closed,
     psi_family_moments,
     psi_series,
-    psi_series_auto,
 )
 from .riccati import (
     ClassificationSolution,
@@ -93,7 +92,6 @@ __all__ = [
     "psi_closed",
     "psi_analytic",
     "psi_series",
-    "psi_series_auto",
     "psi_family_moments",
     "coefficients",
     "residual_f",

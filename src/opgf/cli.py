@@ -10,13 +10,11 @@ Subcommands:
     opgf quadrature  export a Gauss rule as CSV (exit 3 on I/O failure).
 
 Reports are deterministic for fixed inputs except the wall_time_ms field;
-numbers are serialized with 17 significant digits.  OPGF_THREADS caps the
-number of worker threads used for grid evaluation (default 1).
+numbers are serialized with 17 significant digits.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -114,41 +112,23 @@ def _check(name: str, points: int, max_residual: float, tolerance: float) -> dic
     }
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("OPGF_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ParameterError(f"OPGF_THREADS must be an integer, got {raw!r}")
-
-
 def _grid_angles(grid: int):
     """Angles k*pi/grid for k = 0..grid-1: covers the upper half circle and
     never touches pi (the branch cut direction)."""
     return [k * math.pi / grid for k in range(grid)]
 
 
-def _series_check(cf, seq, zs, xs, tol, workers) -> dict:
-    def worst_at(z):
-        worst = 0.0
-        for x in xs:
-            closed = genfun.psi_closed(cf, z, x)
-            series = genfun.psi_series_auto(seq, cf.lam, z, x)
-            worst = max(worst, abs(series.value - closed))
-        return worst
-
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            worst = max(pool.map(worst_at, zs))
-    else:
-        worst = max(worst_at(z) for z in zs)
+def _series_check(cf, seq, zs, xs, tol) -> dict:
+    worst = max(
+        abs(genfun.psi_closed(cf, z, x) - genfun.psi_series(seq, cf.lam, z, x).value)
+        for z in zs for x in xs
+    )
     return _check("series-vs-closed", len(zs) * len(xs), worst, tol)
 
 
 def run_family_checks(family: Family, lam, a, b, zmax: float, grid: int,
                       tol: float) -> dict:
     """All checks for one family configuration; returns the report dict."""
-    workers = _max_workers()
     cf = genfun.closed_form(family, lam, a, b)
     if not 0.0 < zmax < cf.domain_radius:
         raise ParameterError(
@@ -164,7 +144,7 @@ def run_family_checks(family: Family, lam, a, b, zmax: float, grid: int,
     zs_circle = [zmax * complex(math.cos(t), math.sin(t)) for t in _grid_angles(grid)]
     zs_real = [s * zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)]
 
-    checks = [_series_check(cf, seq, zs_circle, xs, tol, workers)]
+    checks = [_series_check(cf, seq, zs_circle, xs, tol)]
 
     worst_m = [0.0, 0.0, 0.0]
     for z in zs_real:

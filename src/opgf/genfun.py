@@ -23,23 +23,20 @@ what moment checks at negative real z need.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from . import families, measures
 from .errors import BranchCutError, DomainError, ParameterError, SingularityError
 from .families import Family
-from .identities import pochhammer_over_factorial
-from .recurrence import JacobiSzegoSequence, eval_monic
+from .recurrence import JacobiSzegoSequence, monic_values, quiet_sum
 
-# Ratio rule for adaptive truncation: stop after this many consecutive terms
-# below QUIET_FACTOR * |partial sum|; hard cap on the number of terms.
+# Hard cap on the number of series terms; quiet_sum normally stops well before.
 SERIES_CAP = 200
-_QUIET_FACTOR = 1e-15
-_QUIET_RUN = 3
 _TAIL_WARN_FACTOR = 1e-8
 
 
@@ -170,14 +167,20 @@ def closed_form(family, lam=None, a=None, b=None) -> GenFunClosedForm:
     )
 
 
-def check_in_domain(cf: GenFunClosedForm, z: complex) -> complex:
-    """Validate z against the closed form's domain and return it as complex."""
+def check_radius(cf: GenFunClosedForm, z: complex) -> complex:
+    """Return z as complex; DomainError when |z| reaches the domain radius."""
     z = complex(z)
     if abs(z) >= cf.domain_radius:
         raise DomainError(
             f"|z| = {abs(z):.6g} is outside the domain radius {cf.domain_radius:.6g} "
             f"of {cf.family.value}"
         )
+    return z
+
+
+def check_in_domain(cf: GenFunClosedForm, z: complex) -> complex:
+    """Validate z against the closed form's domain and return it as complex."""
+    z = check_radius(cf, z)
     if cf.excludes_negative_axis and z.imag == 0.0 and z.real <= 0.0:
         raise DomainError(
             f"z = {z} lies on the closed negative real axis, excluded for "
@@ -207,13 +210,9 @@ def psi_analytic(cf: GenFunClosedForm, z: complex, x: float) -> complex:
     tends to 1 as z -> 0, so this continues the series across the negative
     real z axis as long as z f(z) - z x stays off the non-positive reals.
     """
-    z = complex(z)
+    z = check_radius(cf, z)
     if z == 0:
         return 1.0 + 0.0j
-    if abs(z) >= cf.domain_radius:
-        raise DomainError(
-            f"|z| = {abs(z):.6g} is outside the domain radius {cf.domain_radius:.6g}"
-        )
     c0, c1, c2 = cf.zf_coeffs
     w = c0 + (c1 - x) * z + c2 * z * z
     if w == 0:
@@ -234,51 +233,36 @@ class PsiSeriesResult(NamedTuple):
     converged: bool
 
 
-def psi_series(seq: JacobiSzegoSequence, lam: float, z: complex, x: float,
-               n_terms: int) -> PsiSeriesResult:
-    """Partial sum of sum_n (lambda)_n/n! P_n(x) z^n with n_terms terms.
+def pochhammer_over_factorial(lam: float) -> Iterator[float]:
+    """Yield (lam)_n / n! for n = 0, 1, ... by the stable ratio recurrence."""
+    c = 1.0
+    for n in itertools.count():
+        yield c
+        c *= (lam + n) / (n + 1.0)
 
-    The tail field is the magnitude of the last retained term; the result is
-    flagged non-converged when that exceeds 1e-8 * |partial sum|.
+
+def psi_series(seq: JacobiSzegoSequence, lam: float, z: complex, x: float,
+               n_terms: int = SERIES_CAP) -> PsiSeriesResult:
+    """Partial sum of sum_n (lambda)_n/n! P_n(x) z^n.
+
+    Summation stops at recurrence.quiet_sum's rule (three consecutive terms
+    at most 1e-15 * |partial sum|) or after n_terms terms, and evaluates only
+    the degrees it sums.  The tail field is the magnitude of the last term
+    added; the result is flagged non-converged when that exceeds
+    1e-8 * |partial sum|.
     """
     if n_terms < 1:
         raise ParameterError(f"n_terms must be >= 1, got {n_terms}")
-    table = eval_monic(seq, n_terms - 1, x)
-    coefs = pochhammer_over_factorial(lam, n_terms)
     z = complex(z)
-    total = 0.0 + 0.0j
-    zpow = 1.0 + 0.0j
-    term = 0.0 + 0.0j
-    for n in range(n_terms):
-        term = coefs[n] * table.values[n] * zpow
-        total += term
-        zpow *= z
-    tail = abs(term)
-    return PsiSeriesResult(total, tail, tail <= _TAIL_WARN_FACTOR * abs(total))
 
+    def terms():
+        zpow = 1.0 + 0.0j
+        for c, p in zip(pochhammer_over_factorial(lam), monic_values(seq, x)):
+            yield c * p * zpow
+            zpow *= z
 
-def psi_series_auto(seq: JacobiSzegoSequence, lam: float, z: complex, x: float,
-                    cap: int = SERIES_CAP) -> PsiSeriesResult:
-    """Adaptively truncated series: stop after three consecutive terms below
-    1e-15 * |partial sum|, never exceeding cap terms."""
-    table = eval_monic(seq, cap - 1, x)
-    coefs = pochhammer_over_factorial(lam, cap)
-    z = complex(z)
-    total = 0.0 + 0.0j
-    zpow = 1.0 + 0.0j
-    term = 0.0 + 0.0j
-    quiet = 0
-    for n in range(cap):
-        term = coefs[n] * table.values[n] * zpow
-        total += term
-        if abs(term) <= _QUIET_FACTOR * abs(total):
-            quiet += 1
-            if quiet >= _QUIET_RUN:
-                break
-        else:
-            quiet = 0
-        zpow *= z
-    tail = abs(term)
+    total, last = quiet_sum(itertools.islice(terms(), n_terms))
+    tail = abs(last)
     return PsiSeriesResult(total, tail, tail <= _TAIL_WARN_FACTOR * abs(total))
 
 
@@ -290,10 +274,7 @@ def psi_family_moments(measure: measures.MeasureSpec, cf: GenFunClosedForm,
     m2 = lambda(lambda+1)/2 * omega_2 z^2 + lambda*alpha_1 z + 1.
     """
     z = float(z)
-    if abs(z) >= cf.domain_radius:
-        raise DomainError(
-            f"|z| = {abs(z):.6g} is outside the domain radius {cf.domain_radius:.6g}"
-        )
+    check_radius(cf, z)
     if order < 12:
         raise ParameterError(f"quadrature order must be >= 12, got {order}")
     rule = measures.gauss_quadrature(measure, order)

@@ -16,14 +16,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import measures
+from . import genfun, measures
 from .errors import DomainError, ParameterError
 from .families import Family
-from .recurrence import JacobiSzegoSequence, eval_monic
-
-_CAP = 200
+from .recurrence import JacobiSzegoSequence, eval_monic, quiet_sum
 
 
 @dataclass(frozen=True)
@@ -55,19 +51,14 @@ def gauss_2f1(params: HypergeometricParams) -> float:
     u1, u2 = params.upper
     low = params.lower
     arg = params.argument
-    total = 0.0
-    term = 1.0
-    quiet = 0
-    for n in range(2000):
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-        term *= (u1 + n) * (u2 + n) * arg / ((low + n) * (n + 1.0))
-    return total
+
+    def terms():
+        term = 1.0
+        for n in range(2000):
+            yield term
+            term *= (u1 + n) * (u2 + n) * arg / ((low + n) * (n + 1.0))
+
+    return quiet_sum(terms())[0]
 
 
 def pochhammer(lam: float, n: int) -> float:
@@ -77,16 +68,6 @@ def pochhammer(lam: float, n: int) -> float:
     out = 1.0
     for k in range(n):
         out *= lam + k
-    return out
-
-
-def pochhammer_over_factorial(lam: float, count: int) -> np.ndarray:
-    """Coefficients (lam)_n / n! for n < count, by the stable ratio recurrence."""
-    out = np.empty(count)
-    c = 1.0
-    for n in range(count):
-        out[n] = c
-        c *= (lam + n) / (n + 1.0)
     return out
 
 
@@ -100,9 +81,12 @@ def duplication_check(a: float) -> float:
 
 
 def pochhammer_ratio_check(lam: float, n: int) -> float:
-    """Relative residual of (2 lam - 1)_{2n} / (lam - 1/2)_n = 4^n (lam)_n."""
-    if lam <= 0.5:
-        raise ParameterError(f"lambda must be > 1/2, got {lam}")
+    """Relative residual of (2 lam - 1)_{2n} / (lam - 1/2)_n = 4^n (lam)_n.
+
+    Holds for every lambda > 0 except 1/2, where (lam - 1/2)_n vanishes.
+    """
+    if lam <= 0.0 or lam == 0.5:
+        raise ParameterError(f"lambda must be > 0 and != 1/2, got {lam}")
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
     lhs = pochhammer(2.0 * lam - 1.0, 2 * n) / pochhammer(lam - 0.5, n)
@@ -114,19 +98,14 @@ def one_f_zero_reduction(lam: float, y: float) -> float:
     """Residual of the binomial series sum_n (lam)_n y^n / n! = (1-y)^(-lam)."""
     if abs(y) >= 1.0:
         raise DomainError(f"|y| must be < 1, got {y}")
-    total = 0.0
-    term = 1.0
-    quiet = 0
-    for n in range(1000):
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-        term *= (lam + n) * y / (n + 1.0)
-    return abs(total - (1.0 - y) ** (-lam))
+
+    def terms():
+        term = 1.0
+        for n in range(1000):
+            yield term
+            term *= (lam + n) * y / (n + 1.0)
+
+    return abs(quiet_sum(terms())[0] - (1.0 - y) ** (-lam))
 
 
 # ----------------------------------------------------------------------------
@@ -178,20 +157,6 @@ def jacobi_sequence(alf: float, bet: float) -> JacobiSzegoSequence:
     )
 
 
-def _adaptive_sum(terms) -> complex:
-    total = 0.0 + 0.0j
-    quiet = 0
-    for t in terms:
-        total += t
-        if abs(t) <= 1e-15 * abs(total):
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    return total
-
-
 def _principal_power(w: complex, expo: float) -> complex:
     return cmath.exp(expo * cmath.log(w))
 
@@ -207,22 +172,10 @@ def gegenbauer_gf_check(lam: float, z: complex, x: float, n_terms: int) -> float
     z = complex(z)
     if abs(z) > 0.3:
         raise DomainError(f"|z| must be <= 0.3, got {abs(z)}")
-    table = eval_monic(gegenbauer_sequence(lam), n_terms - 1, x)
-    coefs = pochhammer_over_factorial(lam, n_terms)
-    series = _adaptive_sum(
-        coefs[n] * table.values[n] * (2.0 * z) ** n for n in range(n_terms)
-    )
+    seq = gegenbauer_sequence(lam)
+    series = genfun.psi_series(seq, lam, 2.0 * z, x, n_terms).value
     closed = _principal_power(1.0 - 2.0 * z * x + z * z, -lam)
     return abs(series - closed)
-
-
-def _scaled_gegenbauer_series(lam_coeff: float, lam_poly: float, scale: float,
-                              z: complex, x: float) -> complex:
-    """sum_n (lam_coeff)_n/n! * scale^n C_n^{lam_poly}(x/scale) * z^n."""
-    table = eval_monic(gegenbauer_sequence(lam_poly), _CAP - 1, x / scale)
-    coefs = pochhammer_over_factorial(lam_coeff, _CAP)
-    sz = scale * complex(z)
-    return _adaptive_sum(coefs[n] * table.values[n] * sz**n for n in range(_CAP))
 
 
 def tilde_gegenbauer_identity(lam: float, z: complex, x: float) -> float:
@@ -232,8 +185,9 @@ def tilde_gegenbauer_identity(lam: float, z: complex, x: float) -> float:
     closed form is (1 - zx + (1+lam) z^2 / 2)^(-lam).
     """
     scale = math.sqrt(2.0 * (1.0 + lam))
-    series = _scaled_gegenbauer_series(lam, lam, scale, z, x)
     z = complex(z)
+    seq = gegenbauer_sequence(lam)
+    series = genfun.psi_series(seq, lam, scale * z, x / scale).value
     closed = _principal_power(1.0 - z * x + 0.5 * (1.0 + lam) * z * z, -lam)
     return abs(series - closed)
 
@@ -250,8 +204,9 @@ def family2_identity(lam: float, z: complex, x: float) -> float:
     if abs(lam - 1.0) < 1e-9:
         raise ParameterError("lambda = 1 is excluded for the second symmetric family")
     scale = math.sqrt(2.0 * lam)
-    series = _scaled_gegenbauer_series(lam, lam - 1.0, scale, z, x)
     z = complex(z)
+    seq = gegenbauer_sequence(lam - 1.0)
+    series = genfun.psi_series(seq, lam, scale * z, x / scale).value
     closed = (1.0 - 0.5 * lam * z * z) * _principal_power(
         1.0 - z * x + 0.5 * lam * z * z, -lam
     )
@@ -290,11 +245,8 @@ def jacobi_2f1_gf_check(lam: float, t: float, y: float) -> float:
         raise DomainError(f"|t| must be < 0.3, got {t}")
     if abs(y) >= 1.0:
         raise DomainError(f"|y| must be < 1, got {y}")
-    table = eval_monic(jacobi_sequence(lam - 0.5, lam - 1.5), _CAP - 1, y)
-    coefs = pochhammer_over_factorial(lam, _CAP)
-    series = _adaptive_sum(
-        coefs[n] * table.values[n] * (2.0 * t) ** n for n in range(_CAP)
-    )
+    seq = jacobi_sequence(lam - 0.5, lam - 1.5)
+    series = genfun.psi_series(seq, lam, 2.0 * t, y).value
     closed = (1.0 + t) * (1.0 + t * t - 2.0 * t * y) ** (-lam)
     return abs(series - closed)
 
@@ -334,8 +286,6 @@ def gf3_equivalence(lam: float, z: float, x: float) -> float:
     against psi for nonsym-plus, and the analogous minus display against
     psi for nonsym-minus; returns the larger of the two residuals.
     """
-    from . import genfun  # local import; genfun depends on this module
-
     root = math.sqrt(2.0 * lam - 1.0)
     ratio = lam * lam / (2.0 * lam - 1.0)
     out = 0.0

@@ -12,9 +12,10 @@ since omega_0 = 1), by ||P_{n+1}||^2 = omega_{n+1} ||P_n||^2.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .errors import NumericalBreakdownError, ParameterError
 STIELTJES_MAX_DEGREE = 40
 
 _STANDARD_TOL = 1e-12
+
+_QUIET_FACTOR = 1e-15
+_QUIET_RUN = 3
 
 
 @dataclass(frozen=True)
@@ -82,20 +86,48 @@ class PolynomialValueTable:
     max_degree: int
 
 
+def monic_values(seq: JacobiSzegoSequence, x: float) -> Iterator[float]:
+    """Yield P_0(x), P_1(x), ... by running the recurrence upward.
+
+    Each degree is computed only when it is requested, so a consumer that
+    stops early never reads coefficients past the degrees it used.
+    """
+    if not math.isfinite(x):
+        raise ParameterError(f"x must be finite, got {x}")
+    x = float(x)
+    p_prev, p_cur = 0.0, 1.0
+    for n in itertools.count():
+        yield p_cur
+        p_prev, p_cur = p_cur, (x - seq.alpha(n)) * p_cur - seq.omega(n) * p_prev
+
+
 def eval_monic(seq: JacobiSzegoSequence, n_max: int, x: float) -> PolynomialValueTable:
     """Evaluate P_0 .. P_{n_max} at x by running the recurrence upward."""
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
-    if not math.isfinite(x):
-        raise ParameterError(f"x must be finite, got {x}")
-    values = np.empty(n_max + 1, dtype=float)
-    values[0] = 1.0
-    p_prev, p_cur = 0.0, 1.0
-    for n in range(n_max):
-        p_next = (x - seq.alpha(n)) * p_cur - seq.omega(n) * p_prev
-        values[n + 1] = p_next
-        p_prev, p_cur = p_cur, p_next
+    values = np.fromiter(itertools.islice(monic_values(seq, x), n_max + 1),
+                         dtype=float, count=n_max + 1)
     return PolynomialValueTable(values=values, x=float(x), max_degree=n_max)
+
+
+def quiet_sum(terms: Iterable) -> tuple:
+    """Sum terms until three consecutive ones are each at most
+    1e-15 * |partial sum| in magnitude, or until the terms run out.
+
+    Returns (sum, last term added); the caller bounds the number of terms.
+    """
+    total = 0.0
+    term = 0.0
+    quiet = 0
+    for term in terms:
+        total += term
+        if abs(term) <= _QUIET_FACTOR * abs(total):
+            quiet += 1
+            if quiet >= _QUIET_RUN:
+                break
+        else:
+            quiet = 0
+    return total, term
 
 
 def norm_squared(seq: JacobiSzegoSequence, n: int) -> float:

@@ -107,13 +107,9 @@ def _polyval_ascending(coeffs, z: complex) -> complex:
 def residual_f(cf: genfun.GenFunClosedForm, coeffs: RiccatiCoefficients,
                z: complex) -> complex:
     """Q_2(z) f'(z) - f(z)^2 + Q_1(z) f(z) - R_1(z); ~0 on every family."""
-    z = complex(z)
+    z = genfun.check_radius(cf, z)
     if z == 0:
         raise DomainError("z = 0 is a pole of f")
-    if abs(z) >= cf.domain_radius:
-        raise DomainError(
-            f"|z| = {abs(z):.6g} outside domain radius {cf.domain_radius:.6g}"
-        )
     fz = cf.f(z)
     return (
         _polyval_ascending(coeffs.q2, z) * cf.f_prime(z)
@@ -125,13 +121,9 @@ def residual_f(cf: genfun.GenFunClosedForm, coeffs: RiccatiCoefficients,
 
 def residual_u(cf: genfun.GenFunClosedForm, z: complex) -> complex:
     """u'(z)/u(z) - lambda (1 - f'(z)) / (f(z) - lambda z); ~0 on every family."""
-    z = complex(z)
+    z = genfun.check_radius(cf, z)
     if z == 0:
         raise DomainError("z = 0 is a branch point of u")
-    if abs(z) >= cf.domain_radius:
-        raise DomainError(
-            f"|z| = {abs(z):.6g} outside domain radius {cf.domain_radius:.6g}"
-        )
     denom = cf.f(z) - cf.lam * z
     if abs(denom) < 1e-14:
         raise SingularityError(f"f(z) = lambda z at z = {z}")
@@ -261,15 +253,21 @@ def _sym_a0_of(lam: float, w: float) -> float:
     return _linear_solve(lambda t: _coeff_at(lam, 0.0, w, [1.0, 0.0, t], 2))
 
 
-def symmetric_omega2_quadratic(lam: float) -> tuple[float, float, float]:
-    """The quadratic A w^2 + B w + C = 0 satisfied by the symmetric omega_2,
-    normalized so that A = -(lambda+1)(lambda+2); its discriminant is 9."""
+def _symmetric_omega2_fit(lam: float) -> tuple[float, float, float]:
+    """(c2, c1, c0) of the z^4 equation as a quadratic in omega_2, with a0
+    eliminated through the z^2 equation."""
     _guard_lambda(lam, need_half=False)
 
     def phi(w: float) -> float:
         return _coeff_at(lam, 0.0, w, [1.0, 0.0, _sym_a0_of(lam, w)], 4)
 
-    c2, c1, c0 = _quadratic_fit(phi)
+    return _quadratic_fit(phi)
+
+
+def symmetric_omega2_quadratic(lam: float) -> tuple[float, float, float]:
+    """The quadratic A w^2 + B w + C = 0 satisfied by the symmetric omega_2,
+    normalized so that A = -(lambda+1)(lambda+2); its discriminant is 9."""
+    c2, c1, c0 = _symmetric_omega2_fit(lam)
     scale = c2 / (-(lam + 1.0) * (lam + 2.0))
     return c2 / scale, c1 / scale, c0 / scale
 
@@ -282,13 +280,7 @@ def solve_symmetric(lam: float) -> list[ClassificationSolution]:
     (first the Gegenbauer(lambda) branch, then the Gegenbauer(lambda-1) one,
     which is flagged invalid when its omega_2 is not positive).
     """
-    _guard_lambda(lam, need_half=False)
-
-    def phi(w: float) -> float:
-        return _coeff_at(lam, 0.0, w, [1.0, 0.0, _sym_a0_of(lam, w)], 4)
-
-    c2, c1, c0 = _quadratic_fit(phi)
-    roots = sorted(_quadratic_roots(c2, c1, c0), reverse=True)
+    roots = sorted(_quadratic_roots(*_symmetric_omega2_fit(lam)), reverse=True)
     labels = (Family.SYM1.value, Family.SYM2.value)
     out = []
     for w, label in zip(roots, labels):

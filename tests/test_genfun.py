@@ -14,11 +14,12 @@ from opgf import (
     Family,
     ParameterError,
     closed_form,
+    gauss_quadrature,
     psi_analytic,
     psi_closed,
     psi_family_moments,
     psi_series,
-    psi_series_auto,
+    stieltjes_from_quadrature,
 )
 
 # lambda = 1 rows of the identity sweep are carried by the free Meixner family
@@ -176,7 +177,7 @@ class TestPsiAnalytic:
         lo, hi = get_measure(*config).support
         x = lo + xfrac * (hi - lo)
         value = psi_analytic(cf, z, x)
-        series = psi_series_auto(get_sequence(*config), cf.lam, z, x)
+        series = psi_series(get_sequence(*config), cf.lam, z, x)
         assert series.converged
         assert abs(series.value - value) <= 1e-9 * (1.0 + abs(value))
 
@@ -208,6 +209,25 @@ class TestPsiSeries:
         with pytest.raises(ParameterError):
             psi_series(seq, 2.0, 0.1, 0.0, 0)
 
+    @pytest.mark.parametrize("config", [
+        (Family.SYM1, 2.0, None, None),
+        (Family.SYM2, 2.0, None, None),
+        (Family.NONSYM_PLUS, 2.0, None, None),
+        (Family.FREE_MEIXNER, None, 0.5, 0.25),
+    ])
+    def test_reads_only_the_degrees_it_sums(self, config):
+        # a 41-entry coefficient table raises past its end, so the series
+        # must stop on its own well before degree 40 at |z| = 0.1
+        measure = get_measure(*config)
+        seq = stieltjes_from_quadrature(gauss_quadrature(measure, 100), 40)
+        cf = get_closed_form(*config)
+        lo, hi = measure.support
+        for z in circle_points(0.1, 16):
+            for x in np.linspace(lo, hi, 11):
+                series = psi_series(seq, cf.lam, z, float(x))
+                assert series.converged
+                assert abs(series.value - psi_closed(cf, z, float(x))) <= 1e-9
+
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_series_vs_closed_sweep(self, config):
         # max over 16 angles and an 11-point support grid of the identity gap
@@ -218,7 +238,7 @@ class TestPsiSeries:
         for z in circle_points(0.1, 16):
             for x in np.linspace(lo, hi, 11):
                 closed = psi_closed(cf, z, float(x))
-                series = psi_series_auto(seq, cf.lam, z, float(x))
+                series = psi_series(seq, cf.lam, z, float(x))
                 gap = abs(series.value - closed) / (1.0 + abs(closed))
                 worst = max(worst, gap)
         assert worst <= 1e-9

@@ -1,4 +1,5 @@
 """Tests for the special-function identity suite."""
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from opgf import (
     psi_closed,
     stieltjes_from_quadrature,
 )
+from opgf.genfun import pochhammer_over_factorial
 from opgf.identities import (
     HypergeometricParams,
     duplication_check,
@@ -33,7 +35,6 @@ from opgf.identities import (
     jacobi_shift_check,
     one_f_zero_reduction,
     pochhammer,
-    pochhammer_over_factorial,
     pochhammer_ratio_check,
     tilde_gegenbauer_identity,
     two_f_one_collapse_check,
@@ -58,7 +59,7 @@ class TestPochhammer:
         assert pochhammer(lam, n + 1) == (lam + n) * pochhammer(lam, n)
 
     def test_over_factorial_matches(self):
-        coefs = pochhammer_over_factorial(1.7, 21)
+        coefs = list(itertools.islice(pochhammer_over_factorial(1.7), 21))
         for n in range(21):
             assert coefs[n] == pytest.approx(
                 pochhammer(1.7, n) / math.factorial(n), rel=1e-13
