@@ -15,6 +15,7 @@ numbers are serialized with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -119,9 +120,10 @@ def _grid_angles(grid: int):
 
 
 def _series_check(cf, seq, zs, xs, tol) -> dict:
+    series = genfun.psi_series(seq, cf.lam, zs, xs).value
     worst = max(
-        abs(genfun.psi_closed(cf, z, x) - genfun.psi_series(seq, cf.lam, z, x).value)
-        for z in zs for x in xs
+        abs(genfun.psi_closed(cf, z, x) - series[i, j])
+        for i, z in enumerate(zs) for j, x in enumerate(xs)
     )
     return _check("series-vs-closed", len(zs) * len(xs), worst, tol)
 
@@ -142,24 +144,18 @@ def run_family_checks(family: Family, lam, a, b, zmax: float, grid: int,
     lo, hi = measure.support
     xs = list(np.linspace(lo, hi, 11))
     zs_circle = [zmax * complex(math.cos(t), math.sin(t)) for t in _grid_angles(grid)]
-    zs_real = [s * zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)]
+    zs_real = np.array([s * zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)])
 
     checks = [_series_check(cf, seq, zs_circle, xs, tol)]
 
-    worst_m = [0.0, 0.0, 0.0]
-    for z in zs_real:
-        m0, m1, m2 = genfun.psi_family_moments(measure, cf, z, order=24)
-        lam_ = cf.lam
-        worst_m[0] = max(worst_m[0], abs(m0 - 1.0))
-        worst_m[1] = max(worst_m[1], abs(m1 - lam_ * z))
-        worst_m[2] = max(
-            worst_m[2],
-            abs(m2 - (0.5 * lam_ * (lam_ + 1.0) * cf.omega2 * z * z
-                      + lam_ * cf.alpha1 * z + 1.0)),
-        )
-    checks.append(_check("moment-m0", len(zs_real), worst_m[0], TOL_M0))
-    checks.append(_check("moment-m1", len(zs_real), worst_m[1], TOL_M1))
-    checks.append(_check("moment-m2", len(zs_real), worst_m[2], TOL_M2))
+    m0, m1, m2 = genfun.psi_family_moments(measure, cf, zs_real, order=24)
+    lam_ = cf.lam
+    m2_claim = (0.5 * lam_ * (lam_ + 1.0) * cf.omega2 * zs_real * zs_real
+                + lam_ * cf.alpha1 * zs_real + 1.0)
+    checks.append(_check("moment-m0", len(zs_real), np.abs(m0 - 1.0).max(), TOL_M0))
+    checks.append(_check("moment-m1", len(zs_real), np.abs(m1 - lam_ * zs_real).max(),
+                         TOL_M1))
+    checks.append(_check("moment-m2", len(zs_real), np.abs(m2 - m2_claim).max(), TOL_M2))
 
     coeffs = riccati.coefficients(cf.lam, cf.alpha1, cf.omega2)
     worst_f = worst_u = 0.0
@@ -213,19 +209,15 @@ def _family_identity_checks(family: Family, cf, zmax: float, lo: float,
     zs = [zmax, 0.5 * zmax, zmax * 1j, zmax * complex(-0.5, 0.5)]
     out = []
     if family is Family.SYM1:
-        worst = max(
-            identities.gegenbauer_gf_check(lam, z, x, 120)
-            for z in (0.25, 0.1, 0.1j, complex(-0.1, 0.1))
-            for x in (-1.0, -0.5, 0.0, 0.5, 1.0)
-        )
+        worst = identities.gegenbauer_gf_check(
+            lam, [0.25, 0.1, 0.1j, complex(-0.1, 0.1)], [-1.0, -0.5, 0.0, 0.5, 1.0], 120
+        ).max()
         out.append(_check("gegenbauer-gf", 20, worst, TOL_GF_IDENTITY))
-        worst = max(
-            identities.tilde_gegenbauer_identity(lam, z, x) for z in zs for x in xs5
-        )
+        worst = identities.tilde_gegenbauer_identity(lam, zs, xs5).max()
         out.append(_check("scaled-gegenbauer-gf", len(zs) * len(xs5), worst,
                           TOL_GF_IDENTITY))
     elif family is Family.SYM2:
-        worst = max(identities.family2_identity(lam, z, x) for z in zs for x in xs5)
+        worst = identities.family2_identity(lam, zs, xs5).max()
         out.append(_check("shifted-parameter-gf", len(zs) * len(xs5), worst,
                           TOL_GF_IDENTITY))
     elif family.nonsymmetric:
@@ -235,11 +227,9 @@ def _family_identity_checks(family: Family, cf, zmax: float, lo: float,
             for n in range(11) for x in xs5
         )
         out.append(_check("jacobi-shift", 11 * len(xs5), worst, TOL_JACOBI_SHIFT))
-        worst = max(
-            identities.jacobi_2f1_gf_check(lam, t, y)
-            for t in (-0.15, -0.1, 0.1, 0.15)
-            for y in (-0.4, 0.0, 0.4, 0.8)
-        )
+        worst = identities.jacobi_2f1_gf_check(
+            lam, [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
+        ).max()
         out.append(_check("jacobi-2f1-gf", 16, worst, TOL_GF_IDENTITY))
         worst = max(
             identities.two_f_one_collapse_check(lam, t, y)
@@ -248,7 +238,7 @@ def _family_identity_checks(family: Family, cf, zmax: float, lo: float,
         )
         out.append(_check("2f1-collapse", 16, worst, TOL_GF_IDENTITY))
         worst = max(
-            identities.gf3_equivalence(lam, z, x)
+            identities.gf3_equivalence(lam, z, x, sign)
             for z in (-0.5 * zmax, 0.5 * zmax, zmax)
             for x in xs5
         )
@@ -360,7 +350,10 @@ def cmd_quadrature(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by later main() calls
+    (parse_args keeps no state between calls)."""
     parser = argparse.ArgumentParser(
         prog="opgf",
         description="Verify generating-function identities of the classified "

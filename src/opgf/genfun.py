@@ -226,7 +226,8 @@ def psi_analytic(cf: GenFunClosedForm, z: complex, x: float) -> complex:
 
 
 class PsiSeriesResult(NamedTuple):
-    """Partial sum, magnitude of the last retained term, and a convergence flag."""
+    """Partial sum, magnitude of the last retained term, and a convergence
+    flag; scalars for a scalar (z, x), (Z, X) arrays for a grid."""
 
     value: complex
     tail: float
@@ -241,47 +242,73 @@ def pochhammer_over_factorial(lam: float) -> Iterator[float]:
         c *= (lam + n) / (n + 1.0)
 
 
-def psi_series(seq: JacobiSzegoSequence, lam: float, z: complex, x: float,
+def grid_axes(z, x) -> tuple:
+    """z and x as arrays that broadcast to psi_series's (Z, X) grid: z down
+    the first axis, x along the last.  Scalars stay 0-d."""
+    z, x = np.asarray(z), np.asarray(x)
+    return z.reshape(z.shape + (1,) * x.ndim), x
+
+
+def psi_series(seq: JacobiSzegoSequence, lam: float, z, x,
                n_terms: int = SERIES_CAP) -> PsiSeriesResult:
     """Partial sum of sum_n (lambda)_n/n! P_n(x) z^n.
 
-    Summation stops at recurrence.quiet_sum's rule (three consecutive terms
-    at most 1e-15 * |partial sum|) or after n_terms terms, and evaluates only
-    the degrees it sums.  The tail field is the magnitude of the last term
-    added; the result is flagged non-converged when that exceeds
-    1e-8 * |partial sum|.
+    z and x are scalars or 1-D arrays; arrays give the (Z, X) grid of every
+    pair, summed with one recurrence pass over all x.  Summation stops at
+    recurrence.quiet_sum's rule (three consecutive terms at most
+    1e-15 * |partial sum|), applied to each (z, x) on its own, or after
+    n_terms terms, and evaluates only the degrees it sums.  The tail field
+    is the magnitude of the last term added; a value is flagged
+    non-converged when that exceeds 1e-8 * |partial sum|.
     """
     if n_terms < 1:
         raise ParameterError(f"n_terms must be >= 1, got {n_terms}")
-    z = complex(z)
+    zs, xs = grid_axes(np.asarray(z, dtype=complex), np.asarray(x, dtype=float))
+    scalar = zs.ndim == xs.ndim == 0
+    step = complex(zs) if zs.ndim == 0 else zs
 
     def terms():
-        zpow = 1.0 + 0.0j
-        for c, p in zip(pochhammer_over_factorial(lam), monic_values(seq, x)):
+        zpow = 1.0 + 0.0j if zs.ndim == 0 else np.ones_like(zs)
+        for c, p in zip(pochhammer_over_factorial(lam), monic_values(seq, xs)):
             yield c * p * zpow
-            zpow *= z
+            zpow = zpow * step
 
     total, last = quiet_sum(itertools.islice(terms(), n_terms))
-    tail = abs(last)
-    return PsiSeriesResult(total, tail, tail <= _TAIL_WARN_FACTOR * abs(total))
+    tail = np.abs(last)
+    converged = tail <= _TAIL_WARN_FACTOR * np.abs(total)
+    if scalar:
+        return PsiSeriesResult(complex(total), float(tail), bool(converged))
+    return PsiSeriesResult(total, tail, converged)
 
 
 def psi_family_moments(measure: measures.MeasureSpec, cf: GenFunClosedForm,
-                       z: float, order: int) -> tuple[float, float, float]:
+                       z, order: int) -> tuple:
     """Moments m_i = integral of x^i psi(z, x) d(measure), i = 0, 1, 2.
 
     For real z in the domain these satisfy m0 = 1, m1 = lambda*z and
-    m2 = lambda(lambda+1)/2 * omega_2 z^2 + lambda*alpha_1 z + 1.
+    m2 = lambda(lambda+1)/2 * omega_2 z^2 + lambda*alpha_1 z + 1.  z is a
+    float or a 1-D array, which gives three arrays from one Gauss rule.  The
+    rule has `order` nodes, or as many as the measure has support points if
+    that is fewer (free Meixner at b = -1 has two), where it is exact.
     """
-    z = float(z)
-    check_radius(cf, z)
-    if order < 12:
+    zs = np.asarray(z, dtype=float)
+    for zk in zs.flat:
+        check_radius(cf, zk)
+    points = measures.support_size(measure, max(order, 12))
+    if order < min(12, points):
         raise ParameterError(f"quadrature order must be >= 12, got {order}")
-    rule = measures.gauss_quadrature(measure, order)
-    m = [0.0, 0.0, 0.0]
-    for xj, wj in zip(rule.nodes, rule.weights):
-        p = psi_analytic(cf, z, float(xj)).real
-        m[0] += wj * p
-        m[1] += wj * xj * p
-        m[2] += wj * xj * xj * p
-    return m[0], m[1], m[2]
+    rule = measures.gauss_quadrature(measure, min(order, points))
+
+    def moments(zk: float) -> tuple[float, float, float]:
+        m0 = m1 = m2 = 0.0
+        for xj, wj in zip(rule.nodes, rule.weights):
+            p = psi_analytic(cf, zk, float(xj)).real
+            m0 += wj * p
+            m1 += wj * xj * p
+            m2 += wj * xj * xj * p
+        return m0, m1, m2
+
+    if zs.ndim == 0:
+        return moments(float(zs))
+    rows = [moments(zk) for zk in zs.tolist()]
+    return tuple(np.array(column) for column in zip(*rows))

@@ -12,9 +12,10 @@ Stieltjes procedure run on the corresponding Beta densities.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import genfun, measures
 from .errors import DomainError, ParameterError
@@ -83,13 +84,18 @@ def duplication_check(a: float) -> float:
 def pochhammer_ratio_check(lam: float, n: int) -> float:
     """Relative residual of (2 lam - 1)_{2n} / (lam - 1/2)_n = 4^n (lam)_n.
 
-    Holds for every lambda > 0 except 1/2, where (lam - 1/2)_n vanishes.
+    For n >= 1 the left side is taken with the common factor 2 lam - 1 =
+    2 (lam - 1/2) cancelled, as 2 (2 lam)_{2n-1} / (lam + 1/2)_{n-1}, so the
+    check is defined for every lambda > 0, lambda = 1/2 included.
     """
-    if lam <= 0.0 or lam == 0.5:
-        raise ParameterError(f"lambda must be > 0 and != 1/2, got {lam}")
+    if lam <= 0.0:
+        raise ParameterError(f"lambda must be > 0, got {lam}")
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
-    lhs = pochhammer(2.0 * lam - 1.0, 2 * n) / pochhammer(lam - 0.5, n)
+    if n == 0:
+        lhs = 1.0
+    else:
+        lhs = 2.0 * pochhammer(2.0 * lam, 2 * n - 1) / pochhammer(lam + 0.5, n - 1)
     rhs = 4.0**n * pochhammer(lam, n)
     return abs(lhs - rhs) / abs(rhs)
 
@@ -157,42 +163,48 @@ def jacobi_sequence(alf: float, bet: float) -> JacobiSzegoSequence:
     )
 
 
-def _principal_power(w: complex, expo: float) -> complex:
-    return cmath.exp(expo * cmath.log(w))
+def _principal_power(w, expo: float):
+    return np.exp(expo * np.log(np.asarray(w, dtype=complex)))
 
 
 # ----------------------------------------------------------------------------
 # Generating-function identities
+#
+# The series checks take z (or t) and x (or y) as scalars or 1-D arrays;
+# arrays give the residuals on the (Z, X) grid of every pair from one
+# psi_series call.
 
 
-def gegenbauer_gf_check(lam: float, z: complex, x: float, n_terms: int) -> float:
+def gegenbauer_gf_check(lam: float, z, x, n_terms: int):
     """Residual of sum_n 2^n (lam)_n/n! C_n(x) z^n = (1 - 2zx + z^2)^(-lam)."""
-    if abs(x) > 1.0:
+    z, x = np.asarray(z), np.asarray(x)
+    if np.any(np.abs(x) > 1.0):
         raise ParameterError(f"|x| must be <= 1, got {x}")
-    z = complex(z)
-    if abs(z) > 0.3:
-        raise DomainError(f"|z| must be <= 0.3, got {abs(z)}")
+    if np.any(np.abs(z) > 0.3):
+        raise DomainError(f"|z| must be <= 0.3, got {np.abs(z).max()}")
     seq = gegenbauer_sequence(lam)
     series = genfun.psi_series(seq, lam, 2.0 * z, x, n_terms).value
-    closed = _principal_power(1.0 - 2.0 * z * x + z * z, -lam)
-    return abs(series - closed)
+    zg, xg = genfun.grid_axes(z, x)
+    closed = _principal_power(1.0 - 2.0 * zg * xg + zg * zg, -lam)
+    return np.abs(series - closed)
 
 
-def tilde_gegenbauer_identity(lam: float, z: complex, x: float) -> float:
+def tilde_gegenbauer_identity(lam: float, z, x):
     """Residual of the scaled Gegenbauer generating function.
 
     The polynomials are sqrt(2(1+lam))^n C_n(x / sqrt(2(1+lam))) and the
     closed form is (1 - zx + (1+lam) z^2 / 2)^(-lam).
     """
     scale = math.sqrt(2.0 * (1.0 + lam))
-    z = complex(z)
     seq = gegenbauer_sequence(lam)
+    z, x = np.asarray(z), np.asarray(x)
     series = genfun.psi_series(seq, lam, scale * z, x / scale).value
-    closed = _principal_power(1.0 - z * x + 0.5 * (1.0 + lam) * z * z, -lam)
-    return abs(series - closed)
+    zg, xg = genfun.grid_axes(z, x)
+    closed = _principal_power(1.0 - zg * xg + 0.5 * (1.0 + lam) * zg * zg, -lam)
+    return np.abs(series - closed)
 
 
-def family2_identity(lam: float, z: complex, x: float) -> float:
+def family2_identity(lam: float, z, x):
     """Residual of the second symmetric family's generating function.
 
     The polynomials carry Gegenbauer parameter lam - 1 (scale sqrt(2 lam))
@@ -204,13 +216,14 @@ def family2_identity(lam: float, z: complex, x: float) -> float:
     if abs(lam - 1.0) < 1e-9:
         raise ParameterError("lambda = 1 is excluded for the second symmetric family")
     scale = math.sqrt(2.0 * lam)
-    z = complex(z)
     seq = gegenbauer_sequence(lam - 1.0)
+    z, x = np.asarray(z), np.asarray(x)
     series = genfun.psi_series(seq, lam, scale * z, x / scale).value
-    closed = (1.0 - 0.5 * lam * z * z) * _principal_power(
-        1.0 - z * x + 0.5 * lam * z * z, -lam
+    zg, xg = genfun.grid_axes(z, x)
+    closed = (1.0 - 0.5 * lam * zg * zg) * _principal_power(
+        1.0 - zg * xg + 0.5 * lam * zg * zg, -lam
     )
-    return abs(series - closed)
+    return np.abs(series - closed)
 
 
 def jacobi_shift_check(lam: float, n: int, x: float, sign: str) -> float:
@@ -238,17 +251,19 @@ def jacobi_shift_check(lam: float, n: int, x: float, sign: str) -> float:
     return abs(catalog - oracle) / max(1.0, abs(oracle))
 
 
-def jacobi_2f1_gf_check(lam: float, t: float, y: float) -> float:
+def jacobi_2f1_gf_check(lam: float, t, y):
     """Residual of sum_n (lam)_n/n! p_n^{(l-1/2, l-3/2)}(y) (2t)^n
     = (1+t)/(1 + t^2 - 2ty)^lam."""
-    if abs(t) >= 0.3:
+    t, y = np.asarray(t), np.asarray(y)
+    if np.any(np.abs(t) >= 0.3):
         raise DomainError(f"|t| must be < 0.3, got {t}")
-    if abs(y) >= 1.0:
+    if np.any(np.abs(y) >= 1.0):
         raise DomainError(f"|y| must be < 1, got {y}")
     seq = jacobi_sequence(lam - 0.5, lam - 1.5)
     series = genfun.psi_series(seq, lam, 2.0 * t, y).value
-    closed = (1.0 + t) * (1.0 + t * t - 2.0 * t * y) ** (-lam)
-    return abs(series - closed)
+    tg, yg = genfun.grid_axes(t, y)
+    closed = (1.0 + tg) * (1.0 + tg * tg - 2.0 * tg * yg) ** (-lam)
+    return np.abs(series - closed)
 
 
 def two_f_one_collapse_check(lam: float, t: float, y: float) -> float:
@@ -277,21 +292,23 @@ def two_f_one_collapse_check(lam: float, t: float, y: float) -> float:
     return abs(lhs - rhs)
 
 
-def gf3_equivalence(lam: float, z: float, x: float) -> float:
-    """Residual between the rational-prefactor closed forms of the
-    non-symmetric generating function and the product evaluation of psi.
+def gf3_equivalence(lam: float, z: float, x: float, sign: str) -> float:
+    """Residual between the rational-prefactor closed form of one
+    non-symmetric family's generating function and the product evaluation
+    of its psi.
 
-    Checks the plus display
+    For sign "plus" the display is
         (l/r) (z + r/l) [1 - z(x - 1/r) + l^2 z^2 / r^2]^(-l),  r = sqrt(2l-1),
-    against psi for nonsym-plus, and the analogous minus display against
-    psi for nonsym-minus; returns the larger of the two residuals.
+    checked against psi of nonsym-plus; "minus" flips the signs of r in the
+    display and is checked against psi of nonsym-minus.
     """
+    if sign not in ("plus", "minus"):
+        raise ParameterError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    family, sgn = ((Family.NONSYM_PLUS, 1.0) if sign == "plus"
+                   else (Family.NONSYM_MINUS, -1.0))
     root = math.sqrt(2.0 * lam - 1.0)
     ratio = lam * lam / (2.0 * lam - 1.0)
-    out = 0.0
-    for family, sgn in ((Family.NONSYM_PLUS, 1.0), (Family.NONSYM_MINUS, -1.0)):
-        cf = genfun.closed_form(family, lam)
-        w = 1.0 - z * (x - sgn / root) + ratio * z * z
-        closed = sgn * (lam / root) * (z + sgn * root / lam) * _principal_power(w, -lam)
-        out = max(out, abs(closed - genfun.psi_analytic(cf, z, x)))
-    return out
+    cf = genfun.closed_form(family, lam)
+    w = 1.0 - z * (x - sgn / root) + ratio * z * z
+    closed = sgn * (lam / root) * (z + sgn * root / lam) * _principal_power(w, -lam)
+    return abs(closed - genfun.psi_analytic(cf, z, x))

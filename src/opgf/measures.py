@@ -244,6 +244,17 @@ def recurrence_of(measure: MeasureSpec) -> JacobiSzegoSequence:
                            else measure.lam, measure.a, measure.b)
 
 
+def support_size(measure: MeasureSpec, limit: int) -> int:
+    """Number of support points of the measure, or limit if it has at least
+    that many.
+
+    A measure on exactly n points has omega_n = 0, since P_n vanishes on its
+    support, so the count is the first n with omega_n <= 0.
+    """
+    seq = recurrence_of(measure)
+    return next((n for n in range(1, limit) if seq.omega(n) <= 0.0), limit)
+
+
 def gauss_quadrature(measure: MeasureSpec, order: int) -> QuadratureRule:
     """Gauss rule from the eigen-decomposition of the Jacobi matrix.
 

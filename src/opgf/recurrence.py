@@ -13,7 +13,6 @@ since omega_0 = 1), by ||P_{n+1}||^2 = omega_{n+1} ||P_n||^2.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -86,16 +85,21 @@ class PolynomialValueTable:
     max_degree: int
 
 
-def monic_values(seq: JacobiSzegoSequence, x: float) -> Iterator[float]:
+def monic_values(seq: JacobiSzegoSequence, x) -> Iterator:
     """Yield P_0(x), P_1(x), ... by running the recurrence upward.
 
-    Each degree is computed only when it is requested, so a consumer that
-    stops early never reads coefficients past the degrees it used.
+    x is a float or a 1-D array of points; an array yields arrays, one
+    recurrence step per degree for every point at once.  Each degree is
+    computed only when it is requested, so a consumer that stops early never
+    reads coefficients past the degrees it used.
     """
-    if not math.isfinite(x):
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)):
         raise ParameterError(f"x must be finite, got {x}")
-    x = float(x)
-    p_prev, p_cur = 0.0, 1.0
+    if xs.ndim == 0:
+        x, p_prev, p_cur = float(xs), 0.0, 1.0
+    else:
+        x, p_prev, p_cur = xs, np.zeros_like(xs), np.ones_like(xs)
     for n in itertools.count():
         yield p_cur
         p_prev, p_cur = p_cur, (x - seq.alpha(n)) * p_cur - seq.omega(n) * p_prev
@@ -114,20 +118,29 @@ def quiet_sum(terms: Iterable) -> tuple:
     """Sum terms until three consecutive ones are each at most
     1e-15 * |partial sum| in magnitude, or until the terms run out.
 
-    Returns (sum, last term added); the caller bounds the number of terms.
+    Terms may be scalars or arrays of one shape.  For arrays the rule holds
+    element by element: an element that has stopped keeps the sum and last
+    term of its own stopping point, and iteration ends once every element
+    has stopped.  Returns (sum, last term added); the caller bounds the
+    number of terms.
     """
-    total = 0.0
-    term = 0.0
+    total = last = 0.0
     quiet = 0
+    live = True
     for term in terms:
-        total += term
-        if abs(term) <= _QUIET_FACTOR * abs(total):
-            quiet += 1
-            if quiet >= _QUIET_RUN:
-                break
+        if live is True:
+            last = term
         else:
-            quiet = 0
-    return total, term
+            # Array terms: an element that has stopped adds zeros from now
+            # on, which keeps it quiet, and keeps its last term.
+            last = np.where(live, term, last)
+            term = np.where(live, term, 0.0)
+        total = total + term
+        quiet = (quiet + 1) * (abs(term) <= _QUIET_FACTOR * abs(total))
+        live = quiet < _QUIET_RUN
+        if not (live if isinstance(live, bool) else live.any()):
+            break
+    return total, last
 
 
 def norm_squared(seq: JacobiSzegoSequence, n: int) -> float:

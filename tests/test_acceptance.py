@@ -220,9 +220,10 @@ def test_criterion_08_identity_suite():
             for y in (-0.4, 0.0, 0.4, 0.8):
                 worst_gf = max(worst_gf, jacobi_2f1_gf_check(lam, t, y))
     for lam in (0.8, 1.2, 2.0):
-        for z in (-0.05, 0.05, 0.1):
-            for x in (-0.5, 0.0, 0.5, 1.5):
-                worst_gf = max(worst_gf, gf3_equivalence(lam, z, x))
+        for sign in ("plus", "minus"):
+            for z in (-0.05, 0.05, 0.1):
+                for x in (-0.5, 0.0, 0.5, 1.5):
+                    worst_gf = max(worst_gf, gf3_equivalence(lam, z, x, sign))
     worst_shift = max(
         jacobi_shift_check(lam, n, x, sign)
         for lam in (0.8, 1.8, 2.5)

@@ -83,6 +83,32 @@ class TestVerify:
                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["all_passed"] is True
 
+    @pytest.mark.parametrize("args", [
+        ("--family", "free-meixner", "--a", "0", "--b", "-1"),
+        ("--family", "free-meixner", "--a", "0.7", "--b", "-1"),
+        ("--family", "nonsym-plus", "--lambda", "0.51"),
+        ("--family", "nonsym-minus", "--lambda", "0.51"),
+        ("--family", "sym1", "--lambda", "0.5"),
+    ])
+    def test_documented_edge_passes(self, tmp_path, args):
+        # two-point free Meixner law, the 0.51 guard band, lambda = 1/2
+        out = tmp_path / "edge.json"
+        assert run(["verify", *args, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["all_passed"] is True
+
+    def test_parser_shared_between_calls(self, tmp_path):
+        # the parser is built once; a second call must not see the first
+        # call's options
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run(["verify", "--family", "sym2", "--lambda", "1.5", "--grid", "8",
+                    "--out", str(first)]) == 0
+        assert run(["verify", "--family", "sym1", "--lambda", "2",
+                    "--out", str(second)]) == 0
+        report = json.loads(second.read_text())
+        assert (report["family"], report["lambda"]) == ("sym1", 2.0)
+        series = next(c for c in report["checks"] if c["name"] == "series-vs-closed")
+        assert series["points_tested"] == 16 * 11
+
     def test_seventeen_digit_serialization(self, tmp_path):
         out = tmp_path / "digits.json"
         run(["verify", "--family", "sym1", "--lambda", "0.75", "--out", str(out)])

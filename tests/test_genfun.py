@@ -12,6 +12,7 @@ from opgf import (
     BranchCutError,
     DomainError,
     Family,
+    JacobiSzegoSequence,
     ParameterError,
     closed_form,
     gauss_quadrature,
@@ -229,6 +230,57 @@ class TestPsiSeries:
                 assert abs(series.value - psi_closed(cf, z, float(x))) <= 1e-9
 
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
+    def test_grid_matches_pointwise(self, config):
+        # one grid call against one scalar call per (z, x) pair: every
+        # element stops where its scalar call does.  The grid forms z^n with
+        # numpy's array product and a scalar call with Python's complex
+        # product, which may round differently by about an ulp per product;
+        # the last term's z^n is up to ~30 products deep at |z| = 0.1.
+        cf = get_closed_form(*config)
+        seq = get_sequence(*config)
+        lo, hi = get_measure(*config).support
+        zs, xs = circle_points(0.1, 16), np.linspace(lo, hi, 11)
+        grid = psi_series(seq, cf.lam, zs, xs)
+        assert grid.value.shape == grid.tail.shape == grid.converged.shape == (16, 11)
+        for i, z in enumerate(zs):
+            for j, x in enumerate(xs):
+                point = psi_series(seq, cf.lam, z, float(x))
+                assert grid.converged[i, j] == point.converged
+                value_ulp = np.spacing(abs(point.value))
+                assert abs(grid.value[i, j] - point.value) <= 4 * value_ulp
+                assert abs(grid.tail[i, j] - point.tail) <= 64 * np.spacing(point.tail)
+
+    @pytest.mark.parametrize("config", [
+        (Family.SYM1, 2.0, None, None),
+        (Family.NONSYM_MINUS, 0.6, None, None),
+        (Family.FREE_MEIXNER, None, 0.5, 0.25),
+    ])
+    def test_grid_reads_each_coefficient_once(self, config):
+        # one recurrence pass serves the whole 16 x 11 grid
+        seq = get_sequence(*config)
+        reads = []
+
+        def alpha(n):
+            reads.append(n)
+            return seq.alpha(n)
+
+        counting = JacobiSzegoSequence(alpha=alpha, omega=seq.omega)
+        reads.clear()
+        lo, hi = get_measure(*config).support
+        series = psi_series(counting, get_closed_form(*config).lam,
+                            circle_points(0.1, 16), np.linspace(lo, hi, 11))
+        assert series.converged.all()
+        assert sorted(reads) == list(range(len(reads)))
+        assert len(reads) < 40
+
+    def test_mixed_scalar_and_grid_axes(self):
+        seq = get_sequence(Family.SYM2, 1.5, None, None)
+        zs, xs = circle_points(0.1, 4), [-1.0, 0.5]
+        grid = psi_series(seq, 1.5, zs, xs).value
+        assert psi_series(seq, 1.5, zs[1], xs).value.tolist() == grid[1].tolist()
+        assert psi_series(seq, 1.5, zs, xs[0]).value.tolist() == grid[:, 0].tolist()
+
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_series_vs_closed_sweep(self, config):
         # max over 16 angles and an 11-point support grid of the identity gap
         cf = get_closed_form(*config)
@@ -279,6 +331,28 @@ class TestPsiFamilyMoments:
             expected = 0.5 * lam * (lam + 1.0) * cf.omega2 * z * z \
                 + lam * cf.alpha1 * z + 1.0
             assert abs(m2 - expected) <= 1e-9
+
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP[::3])
+    def test_array_z_matches_scalar_calls(self, config):
+        # the grid form builds one Gauss rule for every z
+        measure = get_measure(*config)
+        cf = get_closed_form(*config)
+        zs = [-0.1, -0.02, 0.05, 0.1]
+        moments = psi_family_moments(measure, cf, np.array(zs), 24)
+        for k, z in enumerate(zs):
+            assert tuple(m[k] for m in moments) == psi_family_moments(measure, cf, z, 24)
+
+    @pytest.mark.parametrize("a", [0.0, 0.7, -0.4])
+    def test_two_point_free_meixner(self, a):
+        # b = -1 leaves two support points: the rule shrinks to them and is
+        # exact, where an order-24 rule does not exist
+        measure = get_measure(Family.FREE_MEIXNER, None, a, -1.0)
+        cf = get_closed_form(Family.FREE_MEIXNER, None, a, -1.0)
+        zs = np.array([-0.1, -0.05, 0.05, 0.1])
+        m0, m1, m2 = psi_family_moments(measure, cf, zs, 24)
+        assert np.abs(m0 - 1.0).max() <= 1e-12
+        assert np.abs(m1 - zs).max() <= 1e-12
+        assert np.abs(m2 - (cf.omega2 * zs * zs + a * zs + 1.0)).max() <= 1e-12
 
     def test_order_precondition(self):
         measure = get_measure(Family.SYM1, 2.0, None, None)

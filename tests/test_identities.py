@@ -13,6 +13,7 @@ from opgf import (
     Family,
     ParameterError,
     QuadratureRule,
+    build_measure,
     closed_form,
     psi_analytic,
     psi_closed,
@@ -96,9 +97,16 @@ class TestPochhammerRatio:
             for n in range(21):
                 assert pochhammer_ratio_check(lam, n) <= 1e-12
 
-    def test_requires_lambda_above_half(self):
-        with pytest.raises(ParameterError):
-            pochhammer_ratio_check(0.5, 3)
+    def test_defined_at_lambda_half(self):
+        # (0)_{2n} / (0)_n is 0/0 as written; with the common zero factor
+        # cancelled it is 2 (1)_{2n-1} / (1)_{n-1} = 4^n (1/2)_n
+        for n in range(21):
+            assert pochhammer_ratio_check(0.5, n) <= 1e-12
+
+    def test_rejects_nonpositive_lambda(self):
+        for lam in (0.0, -0.5):
+            with pytest.raises(ParameterError):
+                pochhammer_ratio_check(lam, 3)
 
 
 class TestOneFZero:
@@ -167,6 +175,25 @@ class TestClassicalRecurrences:
                 assert const * monic == pytest.approx(
                     classical, rel=1e-12, abs=1e-13
                 )
+
+
+@pytest.mark.parametrize("check, lam, zs, xs", [
+    (lambda lam, z, x: gegenbauer_gf_check(lam, z, x, 120), 1.7,
+     [0.25, 0.1, 0.1j, complex(-0.1, 0.1)], [-1.0, -0.5, 0.0, 0.5, 1.0]),
+    (tilde_gegenbauer_identity, 0.6, [0.1, 0.05, 0.1j, complex(-0.05, 0.05)],
+     list(np.linspace(-1.7, 1.7, 5))),
+    (family2_identity, 2.5, [0.1, 0.05, 0.1j, complex(-0.05, 0.05)],
+     list(np.linspace(-2.2, 2.2, 5))),
+    (jacobi_2f1_gf_check, 1.6, [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]),
+])
+def test_grid_checks_match_points(check, lam, zs, xs):
+    # one call on the (z, x) grid gives each pair's residual, up to the
+    # rounding of the closed form and of the series (a few 1e-16)
+    grid = check(lam, zs, xs)
+    assert grid.shape == (len(zs), len(xs))
+    for i, z in enumerate(zs):
+        for j, x in enumerate(xs):
+            assert abs(grid[i, j] - check(lam, z, x)) <= 1e-15
 
 
 class TestGegenbauerGf:
@@ -316,21 +343,39 @@ class TestHypergeometric:
 
 class TestGf3:
     def test_lambda2(self):
-        assert gf3_equivalence(2.0, 0.1, 0.0) <= 1e-13
+        for sign in ("plus", "minus"):
+            assert gf3_equivalence(2.0, 0.1, 0.0, sign) <= 1e-13
 
     def test_small_z_tends_to_one(self):
         cf = closed_form(Family.NONSYM_PLUS, 2.0)
         assert abs(psi_analytic(cf, 1e-9, 0.7) - 1.0) <= 1e-8
-        assert gf3_equivalence(2.0, 1e-9, 0.7) <= 1e-13
+        for sign in ("plus", "minus"):
+            assert gf3_equivalence(2.0, 1e-9, 0.7, sign) <= 1e-13
 
     def test_negative_z(self):
-        assert gf3_equivalence(1.2, -0.05, 1.0) <= 1e-13
+        for sign in ("plus", "minus"):
+            assert gf3_equivalence(1.2, -0.05, 1.0, sign) <= 1e-13
 
     def test_grid(self):
         for lam in (0.8, 1.2, 2.0):
-            for z in (-0.05, 0.05, 0.1):
-                for x in (-0.5, 0.0, 0.5, 1.5):
-                    assert gf3_equivalence(lam, z, x) <= 1e-12
+            for sign in ("plus", "minus"):
+                for z in (-0.05, 0.05, 0.1):
+                    for x in (-0.5, 0.0, 0.5, 1.5):
+                        assert gf3_equivalence(lam, z, x, sign) <= 1e-12
+
+    def test_own_support_edge_in_guard_band(self):
+        # at lambda = 0.51 the plus support reaches x = 14.28, where the
+        # minus display has crossed its branch cut; each sign is checked
+        # only on its own family's support
+        families = ((Family.NONSYM_PLUS, "plus"), (Family.NONSYM_MINUS, "minus"))
+        for family, sign in families:
+            lo, hi = build_measure(family, 0.51).support
+            for x in (lo, hi):
+                assert gf3_equivalence(0.51, 0.05, x, sign) <= 1e-12
+
+    def test_rejects_unknown_sign(self):
+        with pytest.raises(ParameterError):
+            gf3_equivalence(2.0, 0.1, 0.0, "both")
 
 
 class TestSubstitutionChain:
