@@ -26,7 +26,6 @@ from .errors import (
 from .families import Family
 from .recurrence import (
     JacobiSzegoSequence,
-    PolynomialValueTable,
     eval_monic,
     norm_squared,
     stieltjes_from_quadrature,
@@ -71,7 +70,6 @@ __all__ = [
     "__version__",
     "Family",
     "JacobiSzegoSequence",
-    "PolynomialValueTable",
     "MeasureSpec",
     "QuadratureRule",
     "GenFunClosedForm",

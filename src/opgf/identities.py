@@ -147,20 +147,16 @@ def jacobi_omega(n: int, alf: float, bet: float) -> float:
     )
 
 
-def gegenbauer_sequence(lam: float) -> JacobiSzegoSequence:
-    return JacobiSzegoSequence(
-        alpha=lambda n: 0.0,
-        omega=lambda n: gegenbauer_omega(n, lam),
-        standardized=False,
-    )
+def gegenbauer_sequence(lam: float, size: int) -> JacobiSzegoSequence:
+    """Monic Gegenbauer coefficients for n = 0 .. size - 1."""
+    return JacobiSzegoSequence(np.zeros(size),
+                               [gegenbauer_omega(n, lam) for n in range(size)])
 
 
-def jacobi_sequence(alf: float, bet: float) -> JacobiSzegoSequence:
-    return JacobiSzegoSequence(
-        alpha=lambda n: jacobi_alpha(n, alf, bet),
-        omega=lambda n: jacobi_omega(n, alf, bet),
-        standardized=False,
-    )
+def jacobi_sequence(alf: float, bet: float, size: int) -> JacobiSzegoSequence:
+    """Monic Jacobi coefficients for n = 0 .. size - 1."""
+    return JacobiSzegoSequence([jacobi_alpha(n, alf, bet) for n in range(size)],
+                               [jacobi_omega(n, alf, bet) for n in range(size)])
 
 
 def _principal_power(w, expo: float):
@@ -182,7 +178,7 @@ def gegenbauer_gf_check(lam: float, z, x, n_terms: int):
         raise ParameterError(f"|x| must be <= 1, got {x}")
     if np.any(np.abs(z) > 0.3):
         raise DomainError(f"|z| must be <= 0.3, got {np.abs(z).max()}")
-    seq = gegenbauer_sequence(lam)
+    seq = gegenbauer_sequence(lam, n_terms)
     series = genfun.psi_series(seq, lam, 2.0 * z, x, n_terms).value
     zg, xg = genfun.grid_axes(z, x)
     closed = _principal_power(1.0 - 2.0 * zg * xg + zg * zg, -lam)
@@ -196,7 +192,7 @@ def tilde_gegenbauer_identity(lam: float, z, x):
     closed form is (1 - zx + (1+lam) z^2 / 2)^(-lam).
     """
     scale = math.sqrt(2.0 * (1.0 + lam))
-    seq = gegenbauer_sequence(lam)
+    seq = gegenbauer_sequence(lam, genfun.SERIES_CAP)
     z, x = np.asarray(z), np.asarray(x)
     series = genfun.psi_series(seq, lam, scale * z, x / scale).value
     zg, xg = genfun.grid_axes(z, x)
@@ -216,7 +212,7 @@ def family2_identity(lam: float, z, x):
     if abs(lam - 1.0) < 1e-9:
         raise ParameterError("lambda = 1 is excluded for the second symmetric family")
     scale = math.sqrt(2.0 * lam)
-    seq = gegenbauer_sequence(lam - 1.0)
+    seq = gegenbauer_sequence(lam - 1.0, genfun.SERIES_CAP)
     z, x = np.asarray(z), np.asarray(x)
     series = genfun.psi_series(seq, lam, scale * z, x / scale).value
     zg, xg = genfun.grid_axes(z, x)
@@ -226,9 +222,10 @@ def family2_identity(lam: float, z, x):
     return np.abs(series - closed)
 
 
-def jacobi_shift_check(lam: float, n: int, x: float, sign: str) -> float:
-    """Relative residual between a catalog non-symmetric polynomial and its
-    scaled-shifted classical monic Jacobi form.
+def jacobi_shift_check(lam: float, n_max: int, x, sign: str) -> np.ndarray:
+    """Relative residuals between the catalog non-symmetric polynomials
+    P_0 .. P_{n_max} and their scaled-shifted classical monic Jacobi forms,
+    as an (n_max + 1, X) grid over the 1-D array of points x.
 
     For sign "plus": P_n(x) = k^n p_n^{(l-1/2, l-3/2)}((sqrt(2l-1) x - 1)/(2l))
     with k = 2l/sqrt(2l-1); for "minus" the parameters swap and the shift
@@ -238,17 +235,19 @@ def jacobi_shift_check(lam: float, n: int, x: float, sign: str) -> float:
         raise ParameterError(f"sign must be 'plus' or 'minus', got {sign!r}")
     root = math.sqrt(2.0 * lam - 1.0)
     k = 2.0 * lam / root
+    xs = np.asarray(x, dtype=float)
     if sign == "plus":
         family = Family.NONSYM_PLUS
         alf, bet = lam - 0.5, lam - 1.5
-        y = (root * x - 1.0) / (2.0 * lam)
+        ys = (root * xs - 1.0) / (2.0 * lam)
     else:
         family = Family.NONSYM_MINUS
         alf, bet = lam - 1.5, lam - 0.5
-        y = (root * x + 1.0) / (2.0 * lam)
-    catalog = eval_monic(measures.family_sequence(family, lam), n, x).values[n]
-    oracle = k**n * eval_monic(jacobi_sequence(alf, bet), n, y).values[n]
-    return abs(catalog - oracle) / max(1.0, abs(oracle))
+        ys = (root * xs + 1.0) / (2.0 * lam)
+    catalog = eval_monic(measures.family_sequence(family, lam, size=n_max), n_max, xs)
+    scale = np.array([k**n for n in range(n_max + 1)])  # the floats a per-point k**n gives
+    oracle = scale[:, None] * eval_monic(jacobi_sequence(alf, bet, n_max), n_max, ys)
+    return np.abs(catalog - oracle) / np.maximum(1.0, np.abs(oracle))
 
 
 def jacobi_2f1_gf_check(lam: float, t, y):
@@ -259,7 +258,7 @@ def jacobi_2f1_gf_check(lam: float, t, y):
         raise DomainError(f"|t| must be < 0.3, got {t}")
     if np.any(np.abs(y) >= 1.0):
         raise DomainError(f"|y| must be < 1, got {y}")
-    seq = jacobi_sequence(lam - 0.5, lam - 1.5)
+    seq = jacobi_sequence(lam - 0.5, lam - 1.5, genfun.SERIES_CAP)
     series = genfun.psi_series(seq, lam, 2.0 * t, y).value
     tg, yg = genfun.grid_axes(t, y)
     closed = (1.0 + tg) * (1.0 + tg * tg - 2.0 * tg * yg) ** (-lam)

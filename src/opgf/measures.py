@@ -182,66 +182,47 @@ def build_measure(family, lam=None, a=None, b=None) -> MeasureSpec:
     )
 
 
-def family_sequence(family, lam=None, a=None, b=None) -> JacobiSzegoSequence:
-    """Closed-form Jacobi-Szego sequence of a family (alpha_0=0, omega_1=1)."""
+def family_sequence(family, lam=None, a=None, b=None, *, size: int) -> JacobiSzegoSequence:
+    """Closed-form Jacobi-Szego sequence of a family (alpha_0=0, omega_1=1),
+    tabulated for n = 0 .. size - 1."""
     family = Family(family)
     lam, a, b = families.validate_params(family, lam, a, b)
-
+    if size < 1:
+        raise ParameterError(f"size must be >= 1, got {size}")
+    n = np.arange(size, dtype=float)
+    # The tail formulas hold for alpha_n, n >= 1, and omega_n, n >= 2, and
+    # some divide by zero below that (sym2 at lambda = 2, n = 0), so they
+    # are evaluated at n1 = max(n, 1) and n2 = max(n, 2) and the standardized
+    # head is written over the result.
+    n1, n2 = np.maximum(n, 1.0), np.maximum(n, 2.0)
+    alphas = np.zeros(size)
     if family is Family.SYM1:
-
-        def alpha(n: int) -> float:
-            return 0.0
-
-        def omega(n: int) -> float:
-            if n <= 1:
-                return 1.0
-            return (1.0 + lam) * n * (n + 2.0 * lam - 1.0) / (
-                2.0 * (n + lam) * (n + lam - 1.0)
-            )
-
+        omegas = (1.0 + lam) * n2 * (n2 + 2.0 * lam - 1.0) / (
+            2.0 * (n2 + lam) * (n2 + lam - 1.0)
+        )
     elif family is Family.SYM2:
-
-        def alpha(n: int) -> float:
-            return 0.0
-
-        def omega(n: int) -> float:
-            if n <= 1:
-                return 1.0
-            return lam * n * (n + 2.0 * lam - 3.0) / (
-                2.0 * (n + lam - 1.0) * (n + lam - 2.0)
-            )
-
+        omegas = lam * n2 * (n2 + 2.0 * lam - 3.0) / (
+            2.0 * (n2 + lam - 1.0) * (n2 + lam - 2.0)
+        )
     elif family.nonsymmetric:
         sign = families.nonsym_sign(family)
         root = math.sqrt(2.0 * lam - 1.0)
-
-        def alpha(n: int) -> float:
-            if n == 0:
-                return 0.0
-            return sign * (1.0 - lam * (lam - 1.0) / ((n + lam - 1.0) * (n + lam))) / root
-
-        def omega(n: int) -> float:
-            if n <= 1:
-                return 1.0
-            return lam * lam * n * (n + 2.0 * lam - 2.0) / (
-                (2.0 * lam - 1.0) * (n + lam - 1.0) ** 2
-            )
-
+        alphas = sign * (1.0 - lam * (lam - 1.0) / ((n1 + lam - 1.0) * (n1 + lam))) / root
+        omegas = lam * lam * n2 * (n2 + 2.0 * lam - 2.0) / (
+            (2.0 * lam - 1.0) * (n2 + lam - 1.0) ** 2
+        )
     else:
-
-        def alpha(n: int) -> float:
-            return 0.0 if n == 0 else a
-
-        def omega(n: int) -> float:
-            return 1.0 if n <= 1 else 1.0 + b
-
-    return JacobiSzegoSequence(alpha=alpha, omega=omega, standardized=True)
+        alphas = np.full(size, a)
+        omegas = np.full(size, 1.0 + b)
+    alphas[:1] = 0.0
+    omegas[:2] = 1.0
+    return JacobiSzegoSequence(alphas, omegas)
 
 
-def recurrence_of(measure: MeasureSpec) -> JacobiSzegoSequence:
-    """Closed-form recurrence sequence of a catalog measure."""
+def recurrence_of(measure: MeasureSpec, size: int) -> JacobiSzegoSequence:
+    """Closed-form recurrence sequence of a catalog measure, n < size."""
     return family_sequence(measure.family, None if measure.family is Family.FREE_MEIXNER
-                           else measure.lam, measure.a, measure.b)
+                           else measure.lam, measure.a, measure.b, size=size)
 
 
 def support_size(measure: MeasureSpec, limit: int) -> int:
@@ -251,8 +232,8 @@ def support_size(measure: MeasureSpec, limit: int) -> int:
     A measure on exactly n points has omega_n = 0, since P_n vanishes on its
     support, so the count is the first n with omega_n <= 0.
     """
-    seq = recurrence_of(measure)
-    return next((n for n in range(1, limit) if seq.omega(n) <= 0.0), limit)
+    hits = np.flatnonzero(recurrence_of(measure, limit).omegas <= 0.0)
+    return int(hits[0]) if hits.size else limit
 
 
 def gauss_quadrature(measure: MeasureSpec, order: int) -> QuadratureRule:
@@ -264,9 +245,8 @@ def gauss_quadrature(measure: MeasureSpec, order: int) -> QuadratureRule:
     """
     if order < 1:
         raise ParameterError(f"order must be >= 1, got {order}")
-    seq = recurrence_of(measure)
-    diag = np.array([seq.alpha(n) for n in range(order)])
-    offs = np.array([seq.omega(n) for n in range(1, order)])
+    seq = recurrence_of(measure, order)
+    diag, offs = seq.alphas, seq.omegas[1:]
     if np.any(offs <= 0.0):
         bad = int(np.argmax(offs <= 0.0)) + 1
         raise NumericalBreakdownError(

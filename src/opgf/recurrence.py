@@ -13,8 +13,9 @@ since omega_0 = 1), by ||P_{n+1}||^2 = omega_{n+1} ||P_n||^2.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -29,69 +30,49 @@ _QUIET_FACTOR = 1e-15
 _QUIET_RUN = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobiSzegoSequence:
-    """Recurrence coefficients (alpha_n, omega_n) of a monic orthogonal system.
+    """Recurrence coefficients alpha_0 .. alpha_{N-1}, omega_0 .. omega_{N-1}
+    of a monic orthogonal system, held as two read-only float arrays of one
+    length N >= 1.
 
-    The coefficients are callables so closed-form families need no
-    precomputation; finite tables (e.g. from the Stieltjes procedure) are
-    wrapped in the same interface and raise ParameterError past their end.
+    N coefficients give P_0 .. P_N; closed-form families are tabulated to the
+    length their caller reads, and tables (e.g. from the Stieltjes procedure)
+    are used as they are.
     """
 
-    alpha: Callable[[int], float]
-    omega: Callable[[int], float]
-    standardized: bool = True
+    alphas: np.ndarray
+    omegas: np.ndarray
 
     def __post_init__(self):
-        if abs(self.omega(0) - 1.0) > _STANDARD_TOL:
-            raise ParameterError("omega(0) must be 1 by convention")
-        if self.standardized:
-            if abs(self.alpha(0)) > _STANDARD_TOL or abs(self.omega(1) - 1.0) > _STANDARD_TOL:
-                raise ParameterError(
-                    "standardized sequence requires alpha(0) = 0 and omega(1) = 1"
-                )
+        for name in ("alphas", "omegas"):
+            table = np.array(getattr(self, name), dtype=float)
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+        shape = self.alphas.shape
+        if len(shape) != 1 or shape[0] == 0 or shape != self.omegas.shape:
+            raise ParameterError(
+                f"alphas and omegas must be 1-D of one length >= 1, got shapes "
+                f"{shape} and {self.omegas.shape}"
+            )
+        if abs(self.omegas[0] - 1.0) > _STANDARD_TOL:
+            raise ParameterError("omega_0 must be 1 by convention")
 
-    @classmethod
-    def from_tables(cls, alphas, omegas) -> "JacobiSzegoSequence":
-        """Wrap finite coefficient tables; indices past the table raise."""
-        alphas = np.asarray(alphas, dtype=float)
-        omegas = np.asarray(omegas, dtype=float)
-
-        def alpha(n: int) -> float:
-            if not 0 <= n < alphas.size:
-                raise ParameterError(f"alpha index {n} outside table of size {alphas.size}")
-            return float(alphas[n])
-
-        def omega(n: int) -> float:
-            if not 0 <= n < omegas.size:
-                raise ParameterError(f"omega index {n} outside table of size {omegas.size}")
-            return float(omegas[n])
-
-        standardized = (
-            alphas.size > 0
-            and omegas.size > 1
-            and abs(alphas[0]) <= _STANDARD_TOL
-            and abs(omegas[1] - 1.0) <= _STANDARD_TOL
-        )
-        return cls(alpha=alpha, omega=omega, standardized=standardized)
-
-
-@dataclass(frozen=True)
-class PolynomialValueTable:
-    """Values P_0(x) .. P_{max_degree}(x) at a fixed point x."""
-
-    values: np.ndarray
-    x: float
-    max_degree: int
+    @property
+    def standardized(self) -> bool:
+        """alpha_0 = 0 and omega_1 = 1: the measure has mean 0, variance 1."""
+        return (self.alphas.size > 1
+                and abs(self.alphas[0]) <= _STANDARD_TOL
+                and abs(self.omegas[1] - 1.0) <= _STANDARD_TOL)
 
 
 def monic_values(seq: JacobiSzegoSequence, x) -> Iterator:
-    """Yield P_0(x), P_1(x), ... by running the recurrence upward.
+    """Yield P_0(x), P_1(x), ..., P_N(x) by running the recurrence upward;
+    asking for P_{N+1} raises ParameterError.
 
     x is a float or a 1-D array of points; an array yields arrays, one
     recurrence step per degree for every point at once.  Each degree is
-    computed only when it is requested, so a consumer that stops early never
-    reads coefficients past the degrees it used.
+    computed only when it is requested.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
@@ -100,18 +81,20 @@ def monic_values(seq: JacobiSzegoSequence, x) -> Iterator:
         x, p_prev, p_cur = float(xs), 0.0, 1.0
     else:
         x, p_prev, p_cur = xs, np.zeros_like(xs), np.ones_like(xs)
-    for n in itertools.count():
+    for alpha, omega in zip(seq.alphas.tolist(), seq.omegas.tolist()):
         yield p_cur
-        p_prev, p_cur = p_cur, (x - seq.alpha(n)) * p_cur - seq.omega(n) * p_prev
+        p_prev, p_cur = p_cur, (x - alpha) * p_cur - omega * p_prev
+    yield p_cur
+    size = seq.alphas.size
+    raise ParameterError(f"{size} coefficients give P_0 .. P_{size} only, not P_{size + 1}")
 
 
-def eval_monic(seq: JacobiSzegoSequence, n_max: int, x: float) -> PolynomialValueTable:
-    """Evaluate P_0 .. P_{n_max} at x by running the recurrence upward."""
+def eval_monic(seq: JacobiSzegoSequence, n_max: int, x) -> np.ndarray:
+    """P_0 .. P_{n_max} at x: shape (n_max + 1,) for a float x, (n_max + 1, X)
+    for a 1-D array of X points."""
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
-    values = np.fromiter(itertools.islice(monic_values(seq, x), n_max + 1),
-                         dtype=float, count=n_max + 1)
-    return PolynomialValueTable(values=values, x=float(x), max_degree=n_max)
+    return np.array(list(itertools.islice(monic_values(seq, x), n_max + 1)))
 
 
 def quiet_sum(terms: Iterable) -> tuple:
@@ -150,12 +133,9 @@ def norm_squared(seq: JacobiSzegoSequence, n: int) -> float:
     unit total mass; with the omega_0 = 1 convention the product can equally
     be written omega_0 ... omega_n.
     """
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
-    out = 1.0
-    for k in range(1, n + 1):
-        out *= seq.omega(k)
-    return out
+    if not 0 <= n < seq.omegas.size:
+        raise ParameterError(f"n must be in 0 .. {seq.omegas.size - 1}, got {n}")
+    return math.prod(seq.omegas[1:n + 1].tolist(), start=1.0)
 
 
 def stieltjes_from_quadrature(rule, n_max: int) -> JacobiSzegoSequence:
@@ -207,4 +187,4 @@ def stieltjes_from_quadrature(rule, n_max: int) -> JacobiSzegoSequence:
             )
         omegas[n + 1] = omega_next
         p_prev, p_cur, norm_cur = p_cur, p_next, norm_next
-    return JacobiSzegoSequence.from_tables(alphas, omegas)
+    return JacobiSzegoSequence(alphas, omegas)

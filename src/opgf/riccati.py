@@ -156,9 +156,8 @@ def residual_moment_ode(cf: genfun.GenFunClosedForm, measure: measures.MeasureSp
             f"z = {z} with stencil width {step} leaves the domain or crosses 0"
         )
     lam = cf.lam
-    seq = measures.recurrence_of(measure)
-    a1 = seq.alpha(1)
-    w2 = seq.omega(2)
+    seq = measures.recurrence_of(measure, 3)
+    a1, w2 = float(seq.alphas[1]), float(seq.omegas[2])
 
     def m2(s: float) -> float:
         return 0.5 * lam * (lam + 1.0) * w2 * s * s + lam * a1 * s + 1.0

@@ -2,6 +2,7 @@
 from functools import lru_cache
 
 from opgf import Family, build_measure, closed_form, recurrence_of
+from opgf.genfun import SERIES_CAP
 
 # The standard verification sweep: every family over its lambda grid, the
 # free Meixner family over three (a, b) pairs.
@@ -27,4 +28,4 @@ def get_closed_form(family, lam, a, b):
 
 @lru_cache(maxsize=None)
 def get_sequence(family, lam, a, b):
-    return recurrence_of(get_measure(family, lam, a, b))
+    return recurrence_of(get_measure(family, lam, a, b), SERIES_CAP)

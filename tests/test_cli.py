@@ -222,3 +222,12 @@ class TestQuadrature:
     def test_bad_parameters_exit_2(self, tmp_path):
         assert run(["quadrature", "--family", "sym2", "--lambda", "0.4",
                     "--order", "4", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_public_names_resolve():
+    # every name the package exports exists, once
+    import opgf
+
+    assert len(set(opgf.__all__)) == len(opgf.__all__)
+    for name in opgf.__all__:
+        assert getattr(opgf, name, None) is not None, name

@@ -8,6 +8,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import LAMBDA_SWEEP
 from opgf import (
     DomainError,
     Family,
@@ -15,6 +16,7 @@ from opgf import (
     QuadratureRule,
     build_measure,
     closed_form,
+    family_sequence,
     psi_analytic,
     psi_closed,
     stieltjes_from_quadrature,
@@ -40,6 +42,7 @@ from opgf.identities import (
     tilde_gegenbauer_identity,
     two_f_one_collapse_check,
 )
+from opgf.recurrence import monic_values
 
 
 class TestPochhammer:
@@ -140,8 +143,8 @@ class TestClassicalRecurrences:
         rule = QuadratureRule(nodes=nodes, weights=weights, order=25)
         seq = stieltjes_from_quadrature(rule, 8)
         for n in range(1, 9):
-            assert seq.omega(n) == pytest.approx(gegenbauer_omega(n, lam), abs=1e-10)
-            assert seq.alpha(n) == pytest.approx(0.0, abs=1e-10)
+            assert seq.omegas[n] == pytest.approx(gegenbauer_omega(n, lam), abs=1e-10)
+            assert seq.alphas[n] == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("ab", [(0.7, -0.3), (1.5, 0.5), (2.3, 1.1)])
     def test_jacobi_vs_stieltjes(self, ab):
@@ -151,13 +154,13 @@ class TestClassicalRecurrences:
         rule = QuadratureRule(nodes=nodes, weights=weights, order=25)
         seq = stieltjes_from_quadrature(rule, 8)
         for n in range(9):
-            assert seq.alpha(n) == pytest.approx(jacobi_alpha(n, alf, bet), abs=1e-10)
+            assert seq.alphas[n] == pytest.approx(jacobi_alpha(n, alf, bet), abs=1e-10)
             if n >= 1:
-                assert seq.omega(n) == pytest.approx(jacobi_omega(n, alf, bet), abs=1e-10)
+                assert seq.omegas[n] == pytest.approx(jacobi_omega(n, alf, bet), abs=1e-10)
 
     def test_sequences_not_standardized(self):
-        assert not gegenbauer_sequence(1.5).standardized
-        assert not jacobi_sequence(0.5, -0.5).standardized
+        assert not gegenbauer_sequence(1.5, 10).standardized
+        assert not jacobi_sequence(0.5, -0.5, 10).standardized
 
     @pytest.mark.parametrize("ab", [(1.5, -0.5), (0.5, 0.5), (2.0, 1.0)])
     def test_monic_to_classical_constant(self, ab):
@@ -170,7 +173,7 @@ class TestClassicalRecurrences:
                 2.0**n * math.factorial(n)
             )
             for y in (-0.6, 0.0, 0.37, 0.9):
-                monic = eval_monic(jacobi_sequence(alf, bet), n, y).values[n]
+                monic = eval_monic(jacobi_sequence(alf, bet, 6), n, y)[n]
                 classical = scipy.special.eval_jacobi(n, alf, bet, y)
                 assert const * monic == pytest.approx(
                     classical, rel=1e-12, abs=1e-13
@@ -266,26 +269,52 @@ class TestFamily2:
 
 class TestJacobiShift:
     def test_degree_zero(self):
-        assert jacobi_shift_check(2.0, 0, 1.3, "plus") == 0.0
+        assert jacobi_shift_check(2.0, 1, [1.3], "plus")[0, 0] == 0.0
 
     def test_degree_one_is_x(self):
         # P_1(x) = x on both sides (standardized mean)
-        assert jacobi_shift_check(2.0, 1, 0.8, "plus") <= 1e-15
-        assert jacobi_shift_check(2.0, 1, 0.8, "minus") <= 1e-15
+        assert jacobi_shift_check(2.0, 1, [0.8], "plus")[1, 0] <= 1e-15
+        assert jacobi_shift_check(2.0, 1, [0.8], "minus")[1, 0] <= 1e-15
 
     def test_degree_five_minus(self):
-        assert jacobi_shift_check(1.8, 5, 0.5, "minus") <= 1e-9
+        assert jacobi_shift_check(1.8, 5, [0.5], "minus")[5, 0] <= 1e-9
 
     def test_sweep(self):
         for lam in (0.8, 1.8, 2.5):
             for sign in ("plus", "minus"):
-                for n in range(11):
-                    for x in (-0.4, 0.2, 0.9):
-                        assert jacobi_shift_check(lam, n, x, sign) <= 1e-9
+                grid = jacobi_shift_check(lam, 10, [-0.4, 0.2, 0.9], sign)
+                assert grid.shape == (11, 3)
+                assert grid.max() <= 1e-9
 
     def test_sign_validation(self):
         with pytest.raises(ParameterError):
-            jacobi_shift_check(2.0, 3, 0.5, "both")
+            jacobi_shift_check(2.0, 3, [0.5], "both")
+
+    def test_needs_a_coefficient(self):
+        with pytest.raises(ParameterError):
+            jacobi_shift_check(2.0, 0, [0.5], "plus")
+
+    @pytest.mark.parametrize("lam", LAMBDA_SWEEP)
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_grid_equals_scalar_evaluation(self, lam, sign):
+        # every (n, x) entry bit-equal to the one-point evaluation: a scalar
+        # recurrence run per x for each side, k^n as a Python float power
+        family = Family.NONSYM_PLUS if sign == "plus" else Family.NONSYM_MINUS
+        lo, hi = build_measure(family, lam).support
+        xs = np.linspace(lo, hi, 5)
+        root = math.sqrt(2.0 * lam - 1.0)
+        k, shift = 2.0 * lam / root, (-1.0 if sign == "plus" else 1.0)
+        alf, bet = (lam - 0.5, lam - 1.5) if sign == "plus" else (lam - 1.5, lam - 0.5)
+        catalog = family_sequence(family, lam, size=10)
+        oracle = jacobi_sequence(alf, bet, 10)
+        grid = jacobi_shift_check(lam, 10, xs, sign)
+        assert grid.shape == (11, 5)
+        for j, x in enumerate(xs.tolist()):
+            y = (root * x + shift) / (2.0 * lam)
+            pairs = zip(monic_values(catalog, x), monic_values(oracle, y))
+            for n, (p, q) in enumerate(itertools.islice(pairs, 11)):
+                expected = abs(p - k**n * q) / max(1.0, abs(k**n * q))
+                assert grid[n, j] == expected
 
 
 class TestJacobi2F1:

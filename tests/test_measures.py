@@ -121,30 +121,30 @@ class TestBuildMeasure:
 
 class TestRecurrenceOf:
     def test_sym1_lambda2_omega2(self):
-        assert get_sequence(Family.SYM1, 2.0, None, None).omega(2) == pytest.approx(1.25)
+        assert get_sequence(Family.SYM1, 2.0, None, None).omegas[2] == pytest.approx(1.25)
 
     def test_sym2_lambda2_omega2(self):
-        assert get_sequence(Family.SYM2, 2.0, None, None).omega(2) == pytest.approx(1.0)
+        assert get_sequence(Family.SYM2, 2.0, None, None).omegas[2] == pytest.approx(1.0)
 
     def test_free_meixner_tail(self):
         seq = get_sequence(Family.FREE_MEIXNER, None, 0.3, 0.2)
-        assert seq.alpha(3) == pytest.approx(0.3)
-        assert seq.omega(3) == pytest.approx(1.2)
+        assert seq.alphas[3] == pytest.approx(0.3)
+        assert seq.omegas[3] == pytest.approx(1.2)
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_standardized(self, config):
         seq = get_sequence(*config)
-        assert seq.alpha(0) == 0.0
-        assert seq.omega(0) == 1.0
-        assert seq.omega(1) == 1.0
+        assert seq.alphas[0] == 0.0
+        assert seq.omegas[0] == 1.0
+        assert seq.omegas[1] == 1.0
 
     def test_nonsym_alpha1_formula(self):
         seq = get_sequence(Family.NONSYM_PLUS, 2.0, None, None)
-        assert seq.alpha(1) == pytest.approx(2.0 / math.sqrt(27.0), rel=1e-14)
+        assert seq.alphas[1] == pytest.approx(2.0 / math.sqrt(27.0), rel=1e-14)
         minus = get_sequence(Family.NONSYM_MINUS, 2.0, None, None)
         for n in range(8):
-            assert minus.alpha(n) == pytest.approx(-seq.alpha(n), abs=0)
-            assert minus.omega(n) == seq.omega(n)
+            assert minus.alphas[n] == pytest.approx(-seq.alphas[n], abs=0)
+            assert minus.omegas[n] == seq.omegas[n]
 
 
 class TestGaussQuadrature:
@@ -221,7 +221,7 @@ class TestMeasureProperties:
         measure = get_measure(*config)
         seq = get_sequence(*config)
         rule = gauss_quadrature(measure, 24)
-        tables = np.array([eval_monic(seq, 10, float(x)).values for x in rule.nodes])
+        tables = eval_monic(seq, 10, rule.nodes).T
         norms = [norm_squared(seq, n) for n in range(11)]
         for m in range(11):
             for n in range(m):

@@ -19,6 +19,7 @@ from opgf import (
     norm_squared,
     stieltjes_from_quadrature,
 )
+from opgf.identities import gegenbauer_sequence, jacobi_sequence
 from opgf.recurrence import monic_values, quiet_sum
 
 
@@ -30,18 +31,18 @@ class TestEvalMonic:
     def test_semicircle_by_hand(self):
         # alpha = 0, omega_1 = 1: P1(0.5) = 0.5, P2(0.5) = 0.25 - 1
         table = eval_monic(free_meixner_seq(0.0, 0.0), 2, 0.5)
-        assert table.values[1] == pytest.approx(0.5, abs=0)
-        assert table.values[2] == pytest.approx(-0.75, abs=0)
+        assert table[1] == pytest.approx(0.5, abs=0)
+        assert table[2] == pytest.approx(-0.75, abs=0)
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_degree_zero_is_one(self, config):
         seq = get_sequence(*config)
-        assert eval_monic(seq, 5, 0.37).values[0] == 1.0
+        assert eval_monic(seq, 5, 0.37)[0] == 1.0
 
     def test_sym1_lambda2_p2_at_zero(self):
         # alpha = 0 so P2(0) = -omega_1 = -1
         seq = get_sequence(Family.SYM1, 2.0, None, None)
-        assert eval_monic(seq, 2, 0.0).values[2] == pytest.approx(-1.0, abs=1e-15)
+        assert eval_monic(seq, 2, 0.0)[2] == pytest.approx(-1.0, abs=1e-15)
 
     def test_rejects_nonfinite_x(self):
         seq = free_meixner_seq(0.0, 0.0)
@@ -49,6 +50,16 @@ class TestEvalMonic:
             eval_monic(seq, 3, math.nan)
         with pytest.raises(ParameterError):
             eval_monic(seq, 3, math.inf)
+
+    @pytest.mark.parametrize("config", SWEEP_CONFIGS[::4])
+    def test_array_equals_stacked_scalar_tables(self, config):
+        seq = get_sequence(*config)
+        xs = np.linspace(-2.0, 2.0, 7)
+        table = eval_monic(seq, 12, xs)
+        assert table.shape == (13, 7)
+        assert eval_monic(seq, 12, 0.3).shape == (13,)
+        stacked = np.stack([eval_monic(seq, 12, float(x)) for x in xs], axis=1)
+        assert np.array_equal(table, stacked)
 
     def test_rejects_negative_n_max(self):
         with pytest.raises(ParameterError):
@@ -60,7 +71,7 @@ class TestEvalMonic:
         seq = get_sequence(*config)
         for n in range(1, 5):
             xs = np.linspace(-1.0, 1.0, n + 1)
-            ys = [eval_monic(seq, n, x).values[n] for x in xs]
+            ys = eval_monic(seq, n, xs)[n]
             coeffs = np.polyfit(xs, ys, n)
             assert coeffs[0] == pytest.approx(1.0, rel=1e-10)
 
@@ -81,14 +92,14 @@ class TestEvalMonic:
         for n in range(n_max):
             shifted = np.concatenate([cur, [0.0]])  # multiply by x
             nxt = shifted.copy()
-            nxt[1:] -= seq.alpha(n) * cur
-            nxt[2:] -= seq.omega(n) * prev
+            nxt[1:] -= seq.alphas[n] * cur
+            nxt[2:] -= seq.omegas[n] * prev
             prev, cur = cur, nxt
             value = np.polyval(cur, x)
             # The oracle itself cancels catastrophically when the monomial
             # terms dwarf the value, so scale by its condition number.
             condition = float(np.polyval(np.abs(cur), abs(x)))
-            assert abs(table.values[n + 1] - value) <= 1e-12 * max(1.0, condition)
+            assert abs(table[n + 1] - value) <= 1e-12 * max(1.0, condition)
 
 
 class TestMonicValues:
@@ -159,7 +170,7 @@ class TestNormSquared:
         # quadrature oracle for the same quantity
         measure = get_measure(Family.FREE_MEIXNER, None, 0.0, 0.5)
         rule = gauss_quadrature(measure, 12)
-        values = np.array([eval_monic(seq, 3, x).values[3] for x in rule.nodes])
+        values = eval_monic(seq, 3, rule.nodes)[3]
         assert float(rule.weights @ values**2) == pytest.approx(2.25, rel=1e-12)
 
     def test_sym1_lambda2(self):
@@ -167,7 +178,7 @@ class TestNormSquared:
         seq = get_sequence(Family.SYM1, 2.0, None, None)
         assert norm_squared(seq, 2) == pytest.approx(1.25)
         rule = gauss_quadrature(get_measure(Family.SYM1, 2.0, None, None), 12)
-        values = np.array([eval_monic(seq, 2, x).values[2] for x in rule.nodes])
+        values = eval_monic(seq, 2, rule.nodes)[2]
         assert float(rule.weights @ values**2) == pytest.approx(1.25, rel=1e-12)
 
     def test_rejects_negative_n(self):
@@ -178,27 +189,61 @@ class TestNormSquared:
 class TestSequenceInvariants:
     def test_omega0_convention_enforced(self):
         with pytest.raises(ParameterError):
-            JacobiSzegoSequence(alpha=lambda n: 0.0, omega=lambda n: 2.0,
-                                standardized=False)
+            JacobiSzegoSequence([0.0, 0.0], [2.0, 1.0])
 
-    def test_standardized_flag_enforced(self):
+    def test_tables_of_one_length(self):
         with pytest.raises(ParameterError):
-            JacobiSzegoSequence(alpha=lambda n: 1.0, omega=lambda n: 1.0,
-                                standardized=True)
+            JacobiSzegoSequence([0.0, 0.0], [1.0])
+        with pytest.raises(ParameterError):
+            JacobiSzegoSequence([[0.0]], [[1.0]])
+        with pytest.raises(ParameterError):
+            JacobiSzegoSequence([], [])
 
-    def test_from_tables_bounds(self):
-        seq = JacobiSzegoSequence.from_tables([0.0, 0.5], [1.0, 1.0])
-        assert seq.alpha(1) == 0.5
+    def test_tables_read_only(self):
+        alphas = np.array([0.0, 0.5])
+        seq = JacobiSzegoSequence(alphas, [1.0, 1.0])
+        alphas[1] = 2.0  # the sequence holds its own copy
+        assert seq.alphas[1] == 0.5
+        with pytest.raises(ValueError):
+            seq.omegas[1] = 2.0
+
+    def test_standardized_derived_from_coefficients(self):
+        # alpha_0 = 0 and omega_1 = 1 for every catalog sequence, the
+        # documented parameter edges included; not for the classical systems
+        edges = ((Family.SYM1, 0.5, None, None),
+                 (Family.NONSYM_PLUS, 0.51, None, None),
+                 (Family.NONSYM_MINUS, 0.51, None, None),
+                 (Family.FREE_MEIXNER, None, 0.0, -1.0),
+                 (Family.FREE_MEIXNER, None, 0.7, -1.0))
+        for config in SWEEP_CONFIGS + edges:
+            assert get_sequence(*config).standardized
+        assert not gegenbauer_sequence(1.5, 10).standardized
+        assert not jacobi_sequence(0.5, -0.5, 10).standardized
+        assert not JacobiSzegoSequence([0.1, 0.0], [1.0, 1.0]).standardized
+        assert not JacobiSzegoSequence([0.0, 0.0], [1.0, 1.1]).standardized
+        assert not JacobiSzegoSequence([0.0], [1.0]).standardized
+
+    def test_end_of_table_raises(self):
+        # two coefficient pairs give P_0 .. P_2; a request past them raises
+        # instead of returning a shorter result
+        seq = JacobiSzegoSequence([0.0, 0.5], [1.0, 1.0])
+        values = monic_values(seq, 0.3)
+        assert [next(values) for _ in range(3)] == [1.0, 0.3, (0.3 - 0.5) * 0.3 - 1.0]
         with pytest.raises(ParameterError):
-            seq.alpha(2)
+            next(values)
+        assert eval_monic(seq, 2, [0.3, 1.0]).shape == (3, 2)
+        for x in (0.3, [0.3, 1.0]):
+            with pytest.raises(ParameterError):
+                eval_monic(seq, 3, x)
+        assert norm_squared(seq, 1) == 1.0
         with pytest.raises(ParameterError):
-            seq.omega(-1)
+            norm_squared(seq, 2)
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_omega_positive(self, config):
         seq = get_sequence(*config)
         for n in range(1, 21):
-            assert seq.omega(n) > 0.0
+            assert seq.omegas[n] > 0.0
 
 
 class TestStieltjes:
@@ -207,17 +252,17 @@ class TestStieltjes:
         rule = gauss_quadrature(get_measure(Family.SYM1, 0.5, None, None), 20)
         seq = stieltjes_from_quadrature(rule, 6)
         for n in range(7):
-            assert abs(seq.alpha(n)) <= 1e-10
+            assert abs(seq.alphas[n]) <= 1e-10
 
     def test_sym1_lambda2_omega2(self):
         rule = gauss_quadrature(get_measure(Family.SYM1, 2.0, None, None), 20)
         seq = stieltjes_from_quadrature(rule, 6)
-        assert seq.omega(2) == pytest.approx(1.25, abs=1e-10)
+        assert seq.omegas[2] == pytest.approx(1.25, abs=1e-10)
 
     def test_nonsym_plus_lambda2_alpha1(self):
         rule = gauss_quadrature(get_measure(Family.NONSYM_PLUS, 2.0, None, None), 20)
         seq = stieltjes_from_quadrature(rule, 6)
-        assert seq.alpha(1) == pytest.approx(2.0 / math.sqrt(27.0), abs=1e-10)
+        assert seq.alphas[1] == pytest.approx(2.0 / math.sqrt(27.0), abs=1e-10)
 
     def test_too_few_nodes(self):
         rule = gauss_quadrature(get_measure(Family.SYM1, 2.0, None, None), 8)
@@ -244,7 +289,7 @@ class TestStieltjes:
         measure = get_measure(Family.NONSYM_MINUS, 1.5, None, None)
         rule = gauss_quadrature(measure, 20)
         seq = stieltjes_from_quadrature(rule, 6)
-        tables = np.array([eval_monic(seq, 6, x).values for x in rule.nodes])
+        tables = eval_monic(seq, 6, rule.nodes).T
         for m in range(7):
             for n in range(m):
                 inner = float(np.sum(rule.weights * tables[:, m] * tables[:, n]))
@@ -259,8 +304,8 @@ class TestStieltjes:
         catalog = get_sequence(*config)
         recovered = stieltjes_from_quadrature(gauss_quadrature(measure, 20), 8)
         for n in range(9):
-            assert recovered.alpha(n) == pytest.approx(catalog.alpha(n), abs=1e-8)
-            assert recovered.omega(n) == pytest.approx(catalog.omega(n), abs=1e-8)
+            assert recovered.alphas[n] == pytest.approx(catalog.alphas[n], abs=1e-8)
+            assert recovered.omegas[n] == pytest.approx(catalog.omegas[n], abs=1e-8)
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS[:10])
     def test_norm_identity_against_quadrature(self, config):
@@ -268,6 +313,6 @@ class TestStieltjes:
         seq = get_sequence(*config)
         rule = gauss_quadrature(measure, 20)
         for n in range(9):
-            values = np.array([eval_monic(seq, n, x).values[n] for x in rule.nodes])
+            values = eval_monic(seq, n, rule.nodes)[n]
             quad_norm = float(np.sum(rule.weights * values * values))
             assert quad_norm == pytest.approx(norm_squared(seq, n), rel=1e-8)

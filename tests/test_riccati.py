@@ -334,8 +334,8 @@ class TestSolutionProperties:
             sol = solve_nonsymmetric(lam)[branch]
         assert sol.omega2 == pytest.approx(omega2_value(family, lam), rel=1e-12)
         assert sol.alpha1 == pytest.approx(alpha1_value(family, lam), abs=1e-12)
-        assert seq.omega(2) == pytest.approx(sol.omega2, abs=1e-8)
-        assert seq.alpha(1) == pytest.approx(sol.alpha1, abs=1e-8)
+        assert seq.omegas[2] == pytest.approx(sol.omega2, abs=1e-8)
+        assert seq.alphas[1] == pytest.approx(sol.alpha1, abs=1e-8)
 
 
 class TestDegreeBound:
