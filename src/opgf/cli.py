@@ -121,10 +121,7 @@ def _grid_angles(grid: int):
 
 def _series_check(cf, seq, zs, xs, tol) -> dict:
     series = genfun.psi_series(seq, cf.lam, zs, xs).value
-    worst = max(
-        abs(genfun.psi_closed(cf, z, x) - series[i, j])
-        for i, z in enumerate(zs) for j, x in enumerate(xs)
-    )
+    worst = np.abs(genfun.psi_closed(cf, zs, xs) - series).max()
     return _check("series-vs-closed", len(zs) * len(xs), worst, tol)
 
 
@@ -158,22 +155,17 @@ def run_family_checks(family: Family, lam, a, b, zmax: float, grid: int,
     checks.append(_check("moment-m2", len(zs_real), np.abs(m2 - m2_claim).max(), TOL_M2))
 
     coeffs = riccati.coefficients(cf.lam, cf.alpha1, cf.omega2)
-    worst_f = worst_u = 0.0
-    pts = 0
-    for radius in (0.5 * zmax, zmax):
-        for t in _grid_angles(grid):
-            z = radius * complex(math.cos(t), math.sin(t))
-            worst_f = max(worst_f, abs(riccati.residual_f(cf, coeffs, z)))
-            worst_u = max(worst_u, abs(riccati.residual_u(cf, z)))
-            pts += 1
+    zs_two_circles = [radius * complex(math.cos(t), math.sin(t))
+                      for radius in (0.5 * zmax, zmax) for t in _grid_angles(grid)]
+    worst_f = np.abs(riccati.residual_f(cf, coeffs, zs_two_circles)).max()
+    worst_u = np.abs(riccati.residual_u(cf, zs_two_circles)).max()
+    pts = len(zs_two_circles)
     checks.append(_check("riccati-residual-f", pts, worst_f, TOL_RICCATI))
     checks.append(_check("riccati-residual-u", pts, worst_u, TOL_RICCATI))
 
-    worst_ode = 0.0
-    ode_zs = [s * zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)]
-    for z in ode_zs:
-        r1, r2 = riccati.residual_moment_ode(cf, measure, z)
-        worst_ode = max(worst_ode, r1, r2)
+    ode_zs = np.array([s * zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
+    r1, r2 = riccati.residual_moment_ode(cf, measure, ode_zs)
+    worst_ode = max(r1.max(), r2.max())
     checks.append(_check("moment-ode", 2 * len(ode_zs), worst_ode, TOL_ODE))
 
     dup_points = [0.25 * k for k in range(1, 21)]
@@ -234,11 +226,9 @@ def _family_identity_checks(family: Family, cf, zmax: float, lo: float,
             for y in (-0.4, 0.0, 0.4, 0.8)
         )
         out.append(_check("2f1-collapse", 16, worst, TOL_GF_IDENTITY))
-        worst = max(
-            identities.gf3_equivalence(lam, z, x, sign)
-            for z in (-0.5 * zmax, 0.5 * zmax, zmax)
-            for x in xs5
-        )
+        worst = identities.gf3_equivalence(
+            lam, [-0.5 * zmax, 0.5 * zmax, zmax], xs5, sign
+        ).max()
         out.append(_check("psi-prefactor-form", 3 * len(xs5), worst, TOL_GF3))
     else:
         series = riccati.free_meixner_uniqueness(cf.a, cf.b, 15)

@@ -22,7 +22,7 @@ what moment checks at negative real z need.
 """
 from __future__ import annotations
 
-import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,7 +46,8 @@ class GenFunClosedForm:
 
     zf_coeffs holds the quadratic z*f(z) = c0 + c1 z + c2 z^2 (c0 = 1), and
     u_reduced is the analytic-at-0 ratio u(z)/z^lambda with value 1 at z = 0.
-    g is f - Q_1/2 with Q_1(z) = (lambda+1) omega_2 z + alpha_1.
+    g is f - Q_1/2 with Q_1(z) = (lambda+1) omega_2 z + alpha_1.  The
+    functions take a scalar or a numpy array of z, elementwise.
     """
 
     family: Family
@@ -90,10 +91,10 @@ def closed_form(family, lam=None, a=None, b=None) -> GenFunClosedForm:
     if family is Family.SYM1:
         c1, c2 = 0.0, 0.5 * (1.0 + lam)
 
-        def u_reduced(z: complex) -> complex:
-            return 1.0 + 0.0j
+        def u_reduced(z):
+            return np.ones(np.shape(z), dtype=complex)
 
-        def u_log_extra(z: complex) -> complex:
+        def u_log_extra(z):
             return 0.0j
 
         radius = 0.9 * math.sqrt(2.0 / (1.0 + lam))
@@ -101,10 +102,10 @@ def closed_form(family, lam=None, a=None, b=None) -> GenFunClosedForm:
     elif family is Family.SYM2:
         c1, c2 = 0.0, 0.5 * lam
 
-        def u_reduced(z: complex) -> complex:
+        def u_reduced(z):
             return 1.0 / (1.0 - 0.5 * lam * z * z)
 
-        def u_log_extra(z: complex) -> complex:
+        def u_log_extra(z):
             return lam * z / (1.0 - 0.5 * lam * z * z)
 
         radius = 0.9 * math.sqrt(2.0 / lam)
@@ -115,10 +116,10 @@ def closed_form(family, lam=None, a=None, b=None) -> GenFunClosedForm:
         c1, c2 = sign / root, lam * lam / (2.0 * lam - 1.0)
         pole = sign * root / lam
 
-        def u_reduced(z: complex) -> complex:
+        def u_reduced(z):
             return pole / (z + pole)
 
-        def u_log_extra(z: complex) -> complex:
+        def u_log_extra(z):
             return -1.0 / (z + pole)
 
         radius = 0.9 * root / lam
@@ -126,10 +127,10 @@ def closed_form(family, lam=None, a=None, b=None) -> GenFunClosedForm:
     else:
         c1, c2 = a, 1.0 + b
 
-        def u_reduced(z: complex) -> complex:
+        def u_reduced(z):
             return 1.0 / (1.0 + a * z + b * z * z)
 
-        def u_log_extra(z: complex) -> complex:
+        def u_log_extra(z):
             return -(a + 2.0 * b * z) / (1.0 + a * z + b * z * z)
 
         candidates = [_min_root_modulus([1.0 + b, a, 1.0]),
@@ -141,22 +142,22 @@ def closed_form(family, lam=None, a=None, b=None) -> GenFunClosedForm:
 
     lam_ = lam
 
-    def f(z: complex) -> complex:
+    def f(z):
         return 1.0 / z + c1 + c2 * z
 
-    def f_prime(z: complex) -> complex:
+    def f_prime(z):
         return c2 - 1.0 / (z * z)
 
-    def u(z: complex) -> complex:
-        return complex(z) ** lam_ * u_reduced(z)
+    def u(z):
+        return np.power(np.asarray(z, dtype=complex), lam_) * u_reduced(z)
 
-    def u_log_deriv(z: complex) -> complex:
+    def u_log_deriv(z):
         return lam_ / z + u_log_extra(z)
 
     half_q1_slope = 0.5 * (lam + 1.0) * omega2
     half_alpha1 = 0.5 * alpha1
 
-    def g(z: complex) -> complex:
+    def g(z):
         return f(z) - half_q1_slope * z - half_alpha1
 
     return GenFunClosedForm(
@@ -167,62 +168,105 @@ def closed_form(family, lam=None, a=None, b=None) -> GenFunClosedForm:
     )
 
 
-def check_radius(cf: GenFunClosedForm, z: complex) -> complex:
-    """Return z as complex; DomainError when |z| reaches the domain radius."""
-    z = complex(z)
-    if abs(z) >= cf.domain_radius:
-        raise DomainError(
-            f"|z| = {abs(z):.6g} is outside the domain radius {cf.domain_radius:.6g} "
+def raise_first(points, checks) -> None:
+    """Raise the error that a per-point loop over the grid, z-major, would
+    raise first.
+
+    points are arrays that broadcast to the grid (the point's z first);
+    checks lists (mask, error) pairs in the order a scalar call tests them,
+    each mask broadcasting to the grid.  At the first point where any mask
+    holds, the first check holding there raises error(*values), the values
+    of points at that point as Python scalars.
+    """
+    bad = functools.reduce(np.logical_or, [mask for mask, _ in checks])
+    if not np.any(bad):
+        return
+    shape = np.broadcast_shapes(np.shape(bad), *(np.shape(p) for p in points))
+    index = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
+    values = [np.broadcast_to(p, shape)[index].item() for p in points]
+    for mask, error in checks:
+        if np.broadcast_to(mask, shape)[index]:
+            raise error(*values)
+
+
+def radius_guard(cf: GenFunClosedForm, z) -> tuple:
+    """(mask, error) check for raise_first: DomainError where |z| reaches the
+    domain radius.  The error takes the point's z first."""
+    def error(zk, *_):
+        return DomainError(
+            f"|z| = {abs(zk):.6g} is outside the domain radius {cf.domain_radius:.6g} "
             f"of {cf.family.value}"
         )
-    return z
+    return np.abs(z) >= cf.domain_radius, error
 
 
-def check_in_domain(cf: GenFunClosedForm, z: complex) -> complex:
-    """Validate z against the closed form's domain and return it as complex."""
-    z = check_radius(cf, z)
-    if cf.excludes_negative_axis and z.imag == 0.0 and z.real <= 0.0:
-        raise DomainError(
-            f"z = {z} lies on the closed negative real axis, excluded for "
-            f"{cf.family.value}"
-        )
-    return z
+def grid_points(z, x) -> tuple:
+    """z (complex) and x (float) as at-least-1-D axes in grid_axes's layout.
+
+    A scalar is evaluated as a length-1 array, so a scalar call rounds
+    exactly like the same point of a grid call; as_shape drops the axis."""
+    return grid_axes(np.atleast_1d(np.asarray(z, dtype=complex)),
+                     np.atleast_1d(np.asarray(x, dtype=float)))
 
 
-def psi_closed(cf: GenFunClosedForm, z: complex, x: float) -> complex:
-    """psi(z, x) = 1 / (u(z) * exp(lambda * Log(f(z) - x))), principal branch."""
-    z = check_in_domain(cf, z)
-    w = cf.f(z) - x
-    if w == 0:
-        raise SingularityError(f"f(z) - x vanishes at z = {z}, x = {x}")
-    if w.imag == 0.0 and w.real < 0.0:
-        raise BranchCutError(
-            f"f(z) - x = {w.real:.6g} lies on the branch cut (z = {z}, x = {x})",
-            z=z, x=x,
-        )
-    return 1.0 / (cf.u(z) * cmath.exp(cf.lam * cmath.log(w)))
+def as_shape(values, shape):
+    """values reshaped to shape, a Python scalar for shape ()."""
+    values = np.reshape(values, shape)
+    return values.item() if values.ndim == 0 else values
 
 
-def psi_analytic(cf: GenFunClosedForm, z: complex, x: float) -> complex:
+def psi_closed(cf: GenFunClosedForm, z, x):
+    """psi(z, x) = 1 / (u(z) * exp(lambda * Log(f(z) - x))), principal branch.
+
+    z and x are scalars or 1-D arrays laid out as in psi_series: arrays give
+    the (Z, X) grid, scalars a complex.  Outside the domain radius, on the
+    closed negative real z axis of a family that excludes it, at z = 0, where
+    f(z) = x and where f(z) - x is on the branch cut the call raises, for the
+    first such point in z-major order, the error a scalar call there raises.
+    """
+    zs, xs = grid_points(z, x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 raises below
+        w = cf.f(zs) - xs
+    negative_axis = cf.excludes_negative_axis & (zs.imag == 0.0) & (zs.real <= 0.0)
+    raise_first((zs, xs, w), [
+        radius_guard(cf, zs),
+        (negative_axis, lambda zk, *_: DomainError(
+            f"z = {zk} lies on the closed negative real axis, excluded for "
+            f"{cf.family.value}")),
+        (zs == 0, lambda *_: DomainError("z = 0 is a pole of f")),
+        (w == 0, lambda zk, xk, _: SingularityError(
+            f"f(z) - x vanishes at z = {zk}, x = {xk}")),
+        ((w.imag == 0.0) & (w.real < 0.0), lambda zk, xk, wk: BranchCutError(
+            f"f(z) - x = {wk.real:.6g} lies on the branch cut (z = {zk}, x = {xk})",
+            z=zk, x=xk)),
+    ])
+    values = 1.0 / (cf.u(zs) * np.exp(cf.lam * np.log(w)))
+    return as_shape(values, np.shape(z) + np.shape(x))
+
+
+def psi_analytic(cf: GenFunClosedForm, z, x):
     """psi via the factorization that is analytic at z = 0.
 
     Evaluates 1 / [u_reduced(z) * (z f(z) - z x)^lambda]; the power argument
     tends to 1 as z -> 0, so this continues the series across the negative
     real z axis as long as z f(z) - z x stays off the non-positive reals.
+    psi(0, x) = 1.  z and x are laid out, and bad points raise, as in
+    psi_closed.
     """
-    z = check_radius(cf, z)
-    if z == 0:
-        return 1.0 + 0.0j
+    zs, xs = grid_points(z, x)
     c0, c1, c2 = cf.zf_coeffs
-    w = c0 + (c1 - x) * z + c2 * z * z
-    if w == 0:
-        raise SingularityError(f"z*(f(z) - x) vanishes at z = {z}, x = {x}")
-    if w.imag == 0.0 and w.real < 0.0:
-        raise BranchCutError(
-            f"z*(f(z) - x) = {w.real:.6g} lies on the branch cut (z = {z}, x = {x})",
-            z=z, x=x,
-        )
-    return 1.0 / (cf.u_reduced(z) * cmath.exp(cf.lam * cmath.log(w)))
+    w = c0 + (c1 - xs) * zs + c2 * zs * zs
+    raise_first((zs, xs, w), [
+        radius_guard(cf, zs),
+        (w == 0, lambda zk, xk, _: SingularityError(
+            f"z*(f(z) - x) vanishes at z = {zk}, x = {xk}")),
+        ((w.imag == 0.0) & (w.real < 0.0), lambda zk, xk, wk: BranchCutError(
+            f"z*(f(z) - x) = {wk.real:.6g} lies on the branch cut (z = {zk}, x = {xk})",
+            z=zk, x=xk)),
+    ])
+    values = np.where(zs == 0, 1.0 + 0.0j,
+                      1.0 / (cf.u_reduced(zs) * np.exp(cf.lam * np.log(w))))
+    return as_shape(values, np.shape(z) + np.shape(x))
 
 
 class PsiSeriesResult(NamedTuple):
@@ -292,23 +336,13 @@ def psi_family_moments(measure: measures.MeasureSpec, cf: GenFunClosedForm,
     that is fewer (free Meixner at b = -1 has two), where it is exact.
     """
     zs = np.asarray(z, dtype=float)
-    for zk in zs.flat:
-        check_radius(cf, zk)
+    raise_first((zs,), [radius_guard(cf, zs)])
     points = measures.support_size(measure, max(order, 12))
     if order < min(12, points):
         raise ParameterError(f"quadrature order must be >= 12, got {order}")
     rule = measures.gauss_quadrature(measure, min(order, points))
-
-    def moments(zk: float) -> tuple[float, float, float]:
-        m0 = m1 = m2 = 0.0
-        for xj, wj in zip(rule.nodes, rule.weights):
-            p = psi_analytic(cf, zk, float(xj)).real
-            m0 += wj * p
-            m1 += wj * xj * p
-            m2 += wj * xj * xj * p
-        return m0, m1, m2
-
-    if zs.ndim == 0:
-        return moments(float(zs))
-    rows = [moments(zk) for zk in zs.tolist()]
-    return tuple(np.array(column) for column in zip(*rows))
+    # a scalar z is the length-1 grid, so it takes the same sums as an array
+    psi = psi_analytic(cf, np.atleast_1d(zs), rule.nodes).real
+    w_x = rule.weights * rule.nodes
+    sums = [(psi * w).sum(axis=-1) for w in (rule.weights, w_x, w_x * rule.nodes)]
+    return tuple(as_shape(m, zs.shape) for m in sums)

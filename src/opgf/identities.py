@@ -147,16 +147,30 @@ def jacobi_omega(n: int, alf: float, bet: float) -> float:
     )
 
 
+# The sequences evaluate the tail formulas above (alpha_n for n >= 1, omega_n
+# for n >= 1 or 2) at n1 = max(n, 1) and n2 = max(n, 2), as
+# measures.family_sequence does, and write the head over the result.
+
+
 def gegenbauer_sequence(lam: float, size: int) -> JacobiSzegoSequence:
     """Monic Gegenbauer coefficients for n = 0 .. size - 1."""
-    return JacobiSzegoSequence(np.zeros(size),
-                               [gegenbauer_omega(n, lam) for n in range(size)])
+    n1 = np.maximum(np.arange(size, dtype=float), 1.0)
+    omegas = n1 * (n1 + 2.0 * lam - 1.0) / (4.0 * (n1 + lam) * (n1 + lam - 1.0))
+    omegas[:1] = 1.0
+    return JacobiSzegoSequence(np.zeros(size), omegas)
 
 
 def jacobi_sequence(alf: float, bet: float, size: int) -> JacobiSzegoSequence:
     """Monic Jacobi coefficients for n = 0 .. size - 1."""
-    return JacobiSzegoSequence([jacobi_alpha(n, alf, bet) for n in range(size)],
-                               [jacobi_omega(n, alf, bet) for n in range(size)])
+    n = np.arange(size, dtype=float)
+    n1, n2 = np.maximum(n, 1.0), np.maximum(n, 2.0)
+    s1, s2 = 2.0 * n1 + alf + bet, 2.0 * n2 + alf + bet
+    alphas = (bet * bet - alf * alf) / (s1 * (s1 + 2.0))
+    omegas = (4.0 * n2 * (n2 + alf) * (n2 + bet) * (n2 + alf + bet)
+              / (s2 * s2 * (s2 + 1.0) * (s2 - 1.0)))
+    alphas[:1] = jacobi_alpha(0, alf, bet)
+    omegas[:2] = [jacobi_omega(n, alf, bet) for n in range(min(size, 2))]
+    return JacobiSzegoSequence(alphas, omegas)
 
 
 def _principal_power(w, expo: float):
@@ -291,10 +305,10 @@ def two_f_one_collapse_check(lam: float, t: float, y: float) -> float:
     return abs(lhs - rhs)
 
 
-def gf3_equivalence(lam: float, z: float, x: float, sign: str) -> float:
+def gf3_equivalence(lam: float, z, x, sign: str):
     """Residual between the rational-prefactor closed form of one
     non-symmetric family's generating function and the product evaluation
-    of its psi.
+    of its psi, on the (Z, X) grid of 1-D z and x (scalars give a scalar).
 
     For sign "plus" the display is
         (l/r) (z + r/l) [1 - z(x - 1/r) + l^2 z^2 / r^2]^(-l),  r = sqrt(2l-1),
@@ -308,6 +322,7 @@ def gf3_equivalence(lam: float, z: float, x: float, sign: str) -> float:
     root = math.sqrt(2.0 * lam - 1.0)
     ratio = lam * lam / (2.0 * lam - 1.0)
     cf = genfun.closed_form(family, lam)
-    w = 1.0 - z * (x - sgn / root) + ratio * z * z
-    closed = sgn * (lam / root) * (z + sgn * root / lam) * _principal_power(w, -lam)
-    return abs(closed - genfun.psi_analytic(cf, z, x))
+    zg, xg = genfun.grid_axes(z, x)
+    w = 1.0 - zg * (xg - sgn / root) + ratio * zg * zg
+    closed = sgn * (lam / root) * (zg + sgn * root / lam) * _principal_power(w, -lam)
+    return np.abs(closed - genfun.psi_analytic(cf, z, x))

@@ -97,46 +97,54 @@ def coefficients(lam: float, alpha1: float, omega2: float) -> RiccatiCoefficient
     )
 
 
-def _polyval_ascending(coeffs, z: complex) -> complex:
+def _polyval_ascending(coeffs, z):
     out = 0.0 + 0.0j
     for c in reversed(coeffs):
         out = out * z + c
     return out
 
 
-def residual_f(cf: genfun.GenFunClosedForm, coeffs: RiccatiCoefficients,
-               z: complex) -> complex:
-    """Q_2(z) f'(z) - f(z)^2 + Q_1(z) f(z) - R_1(z); ~0 on every family."""
-    z = genfun.check_radius(cf, z)
-    if z == 0:
-        raise DomainError("z = 0 is a pole of f")
-    fz = cf.f(z)
-    return (
-        _polyval_ascending(coeffs.q2, z) * cf.f_prime(z)
+def residual_f(cf: genfun.GenFunClosedForm, coeffs: RiccatiCoefficients, z):
+    """Q_2(z) f'(z) - f(z)^2 + Q_1(z) f(z) - R_1(z); ~0 on every family.
+
+    z is a scalar or a 1-D array (residuals of the same shape).  A bad point
+    (outside the domain radius, or z = 0) raises, for the first one, the
+    error a scalar call there raises.
+    """
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    genfun.raise_first((zs,), [
+        genfun.radius_guard(cf, zs),
+        (zs == 0, lambda _: DomainError("z = 0 is a pole of f")),
+    ])
+    fz = cf.f(zs)
+    residual = (
+        _polyval_ascending(coeffs.q2, zs) * cf.f_prime(zs)
         - fz * fz
-        + _polyval_ascending(coeffs.q1, z) * fz
-        - _polyval_ascending(coeffs.r1, z)
+        + _polyval_ascending(coeffs.q1, zs) * fz
+        - _polyval_ascending(coeffs.r1, zs)
     )
+    return genfun.as_shape(residual, np.shape(z))
 
 
-def residual_u(cf: genfun.GenFunClosedForm, z: complex) -> complex:
-    """u'(z)/u(z) - lambda (1 - f'(z)) / (f(z) - lambda z); ~0 on every family."""
-    z = genfun.check_radius(cf, z)
-    if z == 0:
-        raise DomainError("z = 0 is a branch point of u")
-    denom = cf.f(z) - cf.lam * z
-    if abs(denom) < 1e-14:
-        raise SingularityError(f"f(z) = lambda z at z = {z}")
-    return cf.u_log_deriv(z) - cf.lam * (1.0 - cf.f_prime(z)) / denom
+def residual_u(cf: genfun.GenFunClosedForm, z):
+    """u'(z)/u(z) - lambda (1 - f'(z)) / (f(z) - lambda z); ~0 on every family.
 
-
-def _derivative_5pt(fn, z: float, h: float) -> complex:
-    """Fourth-order central difference along the real axis."""
-    return (-fn(z + 2 * h) + 8.0 * fn(z + h) - 8.0 * fn(z - h) + fn(z - 2 * h)) / (12.0 * h)
+    z is a scalar or a 1-D array; bad points raise as in residual_f.
+    """
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 raises below
+        denom = cf.f(zs) - cf.lam * zs
+    genfun.raise_first((zs,), [
+        genfun.radius_guard(cf, zs),
+        (zs == 0, lambda _: DomainError("z = 0 is a branch point of u")),
+        (np.abs(denom) < 1e-14, lambda zk: SingularityError(f"f(z) = lambda z at z = {zk}")),
+    ])
+    residual = cf.u_log_deriv(zs) - cf.lam * (1.0 - cf.f_prime(zs)) / denom
+    return genfun.as_shape(residual, np.shape(z))
 
 
 def residual_moment_ode(cf: genfun.GenFunClosedForm, measure: measures.MeasureSpec,
-                        z: float, step: Optional[float] = None) -> tuple[float, float]:
+                        z, step: Optional[float] = None) -> tuple:
     """Finite-difference residuals of the two first-order moment identities.
 
     First:  d/dz [u (f - lambda z)]            = (1 - lambda) u f'
@@ -144,38 +152,41 @@ def residual_moment_ode(cf: genfun.GenFunClosedForm, measure: measures.MeasureSp
 
     with m2(z) = lambda(lambda+1)/2 omega_2 z^2 + lambda alpha_1 z + 1 taken
     from the measure's recurrence coefficients.  Differentiation uses a
-    five-point central stencil of width ``step`` along the real axis.
+    fourth-order five-point central stencil of width ``step`` along the real
+    axis.  z is a float or a 1-D array of reals: one array evaluation of u
+    and f covers every point and stencil offset, and each residual comes
+    back in z's shape.  A point whose stencil leaves the domain or reaches 0
+    raises, for the first one, the error a scalar call there raises.
     """
-    z = float(z)
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
     if step is None:
         step = 1e-5 * cf.domain_radius
     if step <= 0.0:
         raise ParameterError(f"step must be > 0, got {step}")
-    if abs(z) + 2.0 * step >= cf.domain_radius or abs(z) <= 2.0 * step:
-        raise DomainError(
-            f"z = {z} with stencil width {step} leaves the domain or crosses 0"
-        )
+    genfun.raise_first((zs,), [(
+        (np.abs(zs) + 2.0 * step >= cf.domain_radius) | (np.abs(zs) <= 2.0 * step),
+        lambda zk: DomainError(
+            f"z = {zk} with stencil width {step} leaves the domain or crosses 0"
+        ),
+    )])
     lam = cf.lam
     seq = measures.recurrence_of(measure, 3)
     a1, w2 = float(seq.alphas[1]), float(seq.omegas[2])
 
-    def m2(s: float) -> float:
-        return 0.5 * lam * (lam + 1.0) * w2 * s * s + lam * a1 * s + 1.0
+    s = zs + np.array([2.0 * step, step, -step, -2.0 * step])[:, None]  # stencil rows
+    us, fs = cf.u(s), cf.f(s)
+    m2 = 0.5 * lam * (lam + 1.0) * w2 * s * s + lam * a1 * s + 1.0
+    uz, fpz = cf.u(zs), cf.f_prime(zs)
+    r_first = np.abs(_derivative_5pt(us * (fs - lam * s), step) - (1.0 - lam) * uz * fpz)
+    r_second = np.abs(_derivative_5pt((lam * s * fs - m2) * us, step)
+                      - lam * (1.0 - lam) * zs * uz * fpz)
+    return genfun.as_shape(r_first, np.shape(z)), genfun.as_shape(r_second, np.shape(z))
 
-    def first(s: float) -> complex:
-        return cf.u(s) * (cf.f(s) - lam * s)
 
-    def second(s: float) -> complex:
-        return (lam * s * cf.f(s) - m2(s)) * cf.u(s)
-
-    r_first = abs(
-        _derivative_5pt(first, z, step) - (1.0 - lam) * cf.u(z) * cf.f_prime(z)
-    )
-    r_second = abs(
-        _derivative_5pt(second, z, step)
-        - lam * (1.0 - lam) * z * cf.u(z) * cf.f_prime(z)
-    )
-    return float(r_first), float(r_second)
+def _derivative_5pt(rows, h: float):
+    """Fourth-order central difference from the values at z + 2h, z + h,
+    z - h and z - 2h (rows 0 to 3)."""
+    return (-rows[0] + 8.0 * rows[1] - 8.0 * rows[2] + rows[3]) / (12.0 * h)
 
 
 # ----------------------------------------------------------------------------

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from opgf.cli import main
+from opgf import Family, genfun, riccati
+from opgf.cli import main, run_family_checks
 
 # Ordered (name, points_tested, passed) of every check in the default full
 # sweep; a refactor must leave it unchanged.
@@ -140,6 +141,43 @@ class TestVerify:
             for r in reports
         ]
         assert got == json.loads(SWEEP_STRUCTURE.read_text())
+
+
+@pytest.mark.parametrize("family, lam, a, b", [
+    (Family.SYM1, 2.0, None, None),
+    (Family.SYM2, 1.5, None, None),
+    (Family.NONSYM_PLUS, 2.0, None, None),
+    (Family.NONSYM_MINUS, 0.6, None, None),
+    (Family.FREE_MEIXNER, None, 0.5, 0.25),
+])
+def test_one_array_call_per_check(family, lam, a, b, monkeypatch):
+    # each closed-form check evaluates its whole point set in one call
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("closed_form", "psi_closed", "psi_analytic"):
+        counted(genfun, name)
+    for name in ("residual_f", "residual_u", "residual_moment_ode"):
+        counted(riccati, name)
+    report = run_family_checks(family, lam, a, b, zmax=0.1, grid=16, tol=1e-9)
+    assert report["all_passed"]
+    # psi-prefactor-form builds one more closed form and evaluates one more
+    # psi_analytic grid on the non-symmetric families
+    extra = 1 if family.nonsymmetric else 0
+    assert calls["closed_form"] == 1 + extra
+    assert calls["psi_closed"] == 1
+    assert calls["psi_analytic"] == 1 + extra
+    assert calls["residual_moment_ode"] == 1
+    assert calls["residual_f"] <= 2
+    assert calls["residual_u"] <= 2
 
 
 class TestClassify:

@@ -12,6 +12,7 @@ from opgf import (
     BranchCutError,
     DomainError,
     Family,
+    OpgfError,
     ParameterError,
     closed_form,
     gauss_quadrature,
@@ -30,6 +31,17 @@ IDENTITY_SWEEP = SWEEP_CONFIGS + ((Family.FREE_MEIXNER, None, 0.0, 0.0),)
 
 def circle_points(radius, count=16):
     return [radius * cmath.exp(1j * k * math.pi / count) for k in range(count)]
+
+
+def first_scalar_error(fn, cf, zs, xs):
+    """The error a per-point loop, z-major, meets first (None if none)."""
+    for z in zs:
+        for x in xs:
+            try:
+                fn(cf, z, x)
+            except OpgfError as exc:
+                return exc
+    return None
 
 
 class TestClosedForm:
@@ -139,6 +151,65 @@ class TestPsiClosed:
             left = fn(cf, z.conjugate(), x)
             right = fn(cf, z, x).conjugate()
             assert left == pytest.approx(right, rel=1e-14, abs=1e-15)
+
+
+class TestGridClosedForms:
+    @pytest.mark.parametrize("fn", [psi_closed, psi_analytic])
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
+    def test_grid_matches_pointwise(self, config, fn):
+        # one grid call against one scalar call per (z, x) pair
+        cf = get_closed_form(*config)
+        lo, hi = get_measure(*config).support
+        zs, xs = circle_points(0.1, 16), np.linspace(lo, hi, 11)
+        grid = fn(cf, zs, xs)
+        assert grid.shape == (16, 11)
+        for i, z in enumerate(zs):
+            for j, x in enumerate(xs):
+                point = fn(cf, z, float(x))
+                assert isinstance(point, complex)
+                assert abs(grid[i, j] - point) <= 4 * np.spacing(abs(point))
+
+    def test_mixed_scalar_and_grid_axes(self):
+        cf = get_closed_form(Family.SYM2, 1.5, None, None)
+        zs, xs = circle_points(0.1, 4), [-1.0, 0.5]
+        for fn in (psi_closed, psi_analytic):
+            grid = fn(cf, zs, xs)
+            assert fn(cf, zs[1], xs).tolist() == grid[1].tolist()
+            assert fn(cf, zs, xs[0]).tolist() == grid[:, 0].tolist()
+
+    def test_analytic_is_one_at_zero_in_a_grid(self):
+        cf = get_closed_form(Family.NONSYM_PLUS, 0.6, None, None)
+        grid = psi_analytic(cf, [0.0, -0.05], [0.0, 1.0])
+        assert grid[0].tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("fn, config, zs, xs", [
+        # an excluded negative-axis point before an out-of-radius one
+        (psi_closed, (Family.SYM1, 2.0, None, None), [0.05j, -0.05, 0.9], [0.0, 1.0]),
+        # out of radius before the negative axis
+        (psi_closed, (Family.SYM1, 2.0, None, None), [0.05, 0.9, -0.05], [0.0, 1.0]),
+        # z = 0 is a pole of f where the negative axis is allowed
+        (psi_closed, (Family.FREE_MEIXNER, None, 0.0, 0.0), [0.05, 0.0, 0.95], [0.0]),
+        # branch cut at the second x of the second z, before a radius error
+        (psi_closed, (Family.FREE_MEIXNER, None, 0.0, 0.0), [0.05, -0.1, 0.95],
+         [0.5, 0.0]),
+        # f(0.5) = 2.5 exactly
+        (psi_closed, (Family.FREE_MEIXNER, None, 0.0, 0.0), [0.05, 0.5, -0.1],
+         [0.0, 2.5]),
+        # a (z, x) error at the last x of a z precedes the next z's radius error
+        (psi_analytic, (Family.FREE_MEIXNER, None, 0.0, 0.0), [0.5, 0.95], [0.0, 3.0]),
+        # 1 - 2.5 z + z^2 vanishes at z = 0.5
+        (psi_analytic, (Family.FREE_MEIXNER, None, 0.0, 0.0), [0.1j, 0.5], [0.0, 2.5]),
+        (psi_analytic, (Family.SYM2, 1.5, None, None), [0.05, -0.05, 1.1], [0.0]),
+    ])
+    def test_first_bad_point_raises_as_scalar(self, fn, config, zs, xs):
+        cf = get_closed_form(*config)
+        expected = first_scalar_error(fn, cf, zs, xs)
+        assert expected is not None
+        with pytest.raises(type(expected)) as excinfo:
+            fn(cf, zs, xs)
+        assert str(excinfo.value) == str(expected)
+        if isinstance(expected, BranchCutError):
+            assert (excinfo.value.z, excinfo.value.x) == (expected.z, expected.x)
 
 
 class TestPsiAnalytic:

@@ -21,6 +21,7 @@ from opgf import (
     psi_closed,
     stieltjes_from_quadrature,
 )
+from opgf import genfun
 from opgf.genfun import pochhammer_over_factorial
 from opgf.identities import (
     HypergeometricParams,
@@ -157,6 +158,29 @@ class TestClassicalRecurrences:
             assert seq.alphas[n] == pytest.approx(jacobi_alpha(n, alf, bet), abs=1e-10)
             if n >= 1:
                 assert seq.omegas[n] == pytest.approx(jacobi_omega(n, alf, bet), abs=1e-10)
+
+    @pytest.mark.parametrize("lam", np.linspace(0.05, 40.0, 80))
+    def test_tables_match_per_index_formulas(self, lam):
+        # the arange-built tables against the per-index oracles, bit for bit,
+        # for the Gegenbauer parameter and both Jacobi parameter orders the
+        # identities use
+        lam = float(lam)
+        size = 200
+        geg = gegenbauer_sequence(lam, size)
+        assert geg.alphas.tolist() == [0.0] * size
+        assert geg.omegas.tolist() == [gegenbauer_omega(n, lam) for n in range(size)]
+        for alf, bet in ((lam - 0.5, lam - 1.5), (lam - 1.5, lam - 0.5)):
+            jac = jacobi_sequence(alf, bet, size)
+            assert jac.alphas.tolist() == [jacobi_alpha(n, alf, bet) for n in range(size)]
+            assert jac.omegas.tolist() == [jacobi_omega(n, alf, bet) for n in range(size)]
+
+    def test_short_tables_keep_their_head(self):
+        for size in (1, 2, 3):
+            jac = jacobi_sequence(1.5, 0.5, size)
+            assert jac.alphas.tolist() == [jacobi_alpha(n, 1.5, 0.5) for n in range(size)]
+            assert jac.omegas.tolist() == [jacobi_omega(n, 1.5, 0.5) for n in range(size)]
+            assert gegenbauer_sequence(0.7, size).omegas.tolist() == \
+                [gegenbauer_omega(n, 0.7) for n in range(size)]
 
     def test_sequences_not_standardized(self):
         assert not gegenbauer_sequence(1.5, 10).standardized
@@ -405,6 +429,26 @@ class TestGf3:
     def test_rejects_unknown_sign(self):
         with pytest.raises(ParameterError):
             gf3_equivalence(2.0, 0.1, 0.0, "both")
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_grid_matches_points(self, sign):
+        zs, xs = [-0.05, 0.05, 0.1], [-0.5, 0.0, 0.5, 1.5]
+        grid = gf3_equivalence(1.2, zs, xs, sign)
+        assert grid.shape == (3, 4)
+        for i, z in enumerate(zs):
+            for j, x in enumerate(xs):
+                assert abs(grid[i, j] - gf3_equivalence(1.2, z, x, sign)) <= 1e-15
+
+    def test_one_closed_form_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return closed_form(*args, **kwargs)
+
+        monkeypatch.setattr(genfun, "closed_form", counting)
+        gf3_equivalence(2.0, [-0.05, 0.05, 0.1], np.linspace(-1.0, 2.0, 5), "plus")
+        assert calls == [(Family.NONSYM_PLUS, 2.0)]
 
 
 class TestSubstitutionChain:

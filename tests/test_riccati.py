@@ -10,6 +10,7 @@ from conftest import SWEEP_CONFIGS, get_closed_form, get_measure
 from opgf import (
     DomainError,
     Family,
+    OpgfError,
     ParameterError,
     RedirectToFreeMeixner,
     SingularityError,
@@ -30,6 +31,8 @@ from opgf.families import alpha1_value, omega2_value
 from opgf.measures import gauss_quadrature
 
 LAMBDA_GRID = [v for v in np.linspace(0.56, 3.0, 20)]
+# lambda = 1 rows of the identity sweep are carried by the free Meixner family
+IDENTITY_SWEEP = SWEEP_CONFIGS + ((Family.FREE_MEIXNER, None, 0.0, 0.0),)
 
 
 def polyval_ascending(coeffs, z):
@@ -152,6 +155,96 @@ class TestResidualMomentOde:
             residual_moment_ode(cf, measure, 1e-7)
         with pytest.raises(ParameterError):
             residual_moment_ode(cf, measure, 0.05, step=-1.0)
+
+
+def first_scalar_error(fn, zs):
+    """The error a per-point loop over zs meets first (None if none)."""
+    for z in zs:
+        try:
+            fn(z)
+        except OpgfError as exc:
+            return exc
+    return None
+
+
+def assert_raises_as_scalar(fn, zs):
+    expected = first_scalar_error(fn, zs)
+    assert expected is not None
+    with pytest.raises(type(expected)) as excinfo:
+        fn(np.array(zs))
+    assert str(excinfo.value) == str(expected)
+
+
+class TestGridResiduals:
+    """An array of z gives each point's residual from one call: within a
+    few ulp of the largest term the residual cancels, and a bad point raises
+    the first error a per-point loop would."""
+
+    TWO_CIRCLES = [r * cmath.exp(1j * k * math.pi / 16) for r in (0.05, 0.1)
+                   for k in range(16)]
+    REAL_POINTS = [s * 0.1 for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)]
+
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
+    def test_residual_f_matches_pointwise(self, config):
+        cf = get_closed_form(*config)
+        co = coefficients(cf.lam, cf.alpha1, cf.omega2)
+        grid = residual_f(cf, co, self.TWO_CIRCLES)
+        assert grid.shape == (32,)
+        for z, value in zip(self.TWO_CIRCLES, grid):
+            point = residual_f(cf, co, z)
+            assert isinstance(point, complex)
+            assert abs(value - point) <= 4 * np.spacing(abs(cf.f(z)) ** 2)
+
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
+    def test_residual_u_matches_pointwise(self, config):
+        cf = get_closed_form(*config)
+        grid = residual_u(cf, self.TWO_CIRCLES)
+        assert grid.shape == (32,)
+        for z, value in zip(self.TWO_CIRCLES, grid):
+            point = residual_u(cf, z)
+            assert isinstance(point, complex)
+            assert abs(value - point) <= 4 * np.spacing(abs(cf.u_log_deriv(z)))
+
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
+    def test_moment_ode_matches_pointwise(self, config):
+        # an ulp in one stencil value moves the difference quotient by about
+        # ulp(u f) / step
+        cf = get_closed_form(*config)
+        measure = get_measure(*config)
+        step = 1e-5 * cf.domain_radius
+        r1, r2 = residual_moment_ode(cf, measure, np.array(self.REAL_POINTS))
+        assert r1.shape == r2.shape == (6,)
+        for k, z in enumerate(self.REAL_POINTS):
+            p1, p2 = residual_moment_ode(cf, measure, z)
+            assert isinstance(p1, float) and isinstance(p2, float)
+            scale = 4 * np.spacing(abs(cf.u(z) * cf.f(z))) / step
+            assert abs(r1[k] - p1) <= scale
+            assert abs(r2[k] - p2) <= scale
+
+    @pytest.mark.parametrize("zs", [[0.05, 0.0, 5.0], [0.05j, 5.0, 0.0]])
+    def test_residual_f_first_bad_point(self, zs):
+        cf = get_closed_form(Family.SYM1, 2.0, None, None)
+        co = coefficients(2.0, 0.0, 1.25)
+        assert_raises_as_scalar(lambda z: residual_f(cf, co, z), zs)
+
+    @pytest.mark.parametrize("radius, zs", [
+        (None, [0.05, 0.0, 5.0]),
+        (None, [0.05j, 5.0, 0.0]),
+        # f(z) = lambda z at z = sqrt(2), reachable with a widened radius
+        (3.0, [0.1, math.sqrt(2.0), 0.0]),
+    ])
+    def test_residual_u_first_bad_point(self, radius, zs):
+        cf = get_closed_form(Family.SYM1, 2.0, None, None)
+        if radius is not None:
+            cf = dataclasses.replace(cf, domain_radius=radius)
+        assert_raises_as_scalar(lambda z: residual_u(cf, z), zs)
+
+    def test_moment_ode_first_bad_point(self):
+        cf = get_closed_form(Family.SYM1, 2.0, None, None)
+        measure = get_measure(Family.SYM1, 2.0, None, None)
+        edge = cf.domain_radius - 1e-9
+        for zs in ([0.05, 1e-7, edge], [-0.05, edge, 1e-7]):
+            assert_raises_as_scalar(lambda z: residual_moment_ode(cf, measure, z), zs)
 
 
 class TestSolveSymmetric:
