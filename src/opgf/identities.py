@@ -116,44 +116,15 @@ def one_f_zero_reduction(lam: float, y: float) -> float:
 
 # ----------------------------------------------------------------------------
 # Classical monic recurrences on [-1, 1]
-
-
-def gegenbauer_omega(n: int, lam: float) -> float:
-    """omega_n of the monic Gegenbauer system, weight (1-x^2)^(lam-1/2)."""
-    if n <= 0:
-        return 1.0
-    return n * (n + 2.0 * lam - 1.0) / (4.0 * (n + lam) * (n + lam - 1.0))
-
-
-def jacobi_alpha(n: int, alf: float, bet: float) -> float:
-    """alpha_n of the monic Jacobi system, weight (1-x)^alf (1+x)^bet."""
-    if n == 0:
-        return (bet - alf) / (alf + bet + 2.0)
-    s = 2.0 * n + alf + bet
-    return (bet * bet - alf * alf) / (s * (s + 2.0))
-
-
-def jacobi_omega(n: int, alf: float, bet: float) -> float:
-    """omega_n of the monic Jacobi system (omega_0 = 1 by convention)."""
-    if n <= 0:
-        return 1.0
-    if n == 1:
-        s = alf + bet
-        return 4.0 * (alf + 1.0) * (bet + 1.0) / ((s + 2.0) ** 2 * (s + 3.0))
-    s = 2.0 * n + alf + bet
-    return (
-        4.0 * n * (n + alf) * (n + bet) * (n + alf + bet)
-        / (s * s * (s + 1.0) * (s - 1.0))
-    )
-
-
-# The sequences evaluate the tail formulas above (alpha_n for n >= 1, omega_n
-# for n >= 1 or 2) at n1 = max(n, 1) and n2 = max(n, 2), as
+#
+# The sequences evaluate the standard tail formulas (alpha_n for n >= 1,
+# omega_n for n >= 1 or 2) at n1 = max(n, 1) and n2 = max(n, 2), as
 # measures.family_sequence does, and write the head over the result.
 
 
 def gegenbauer_sequence(lam: float, size: int) -> JacobiSzegoSequence:
-    """Monic Gegenbauer coefficients for n = 0 .. size - 1."""
+    """Monic Gegenbauer coefficients, weight (1-x^2)^(lam-1/2), for
+    n = 0 .. size - 1."""
     n1 = np.maximum(np.arange(size, dtype=float), 1.0)
     omegas = n1 * (n1 + 2.0 * lam - 1.0) / (4.0 * (n1 + lam) * (n1 + lam - 1.0))
     omegas[:1] = 1.0
@@ -161,15 +132,18 @@ def gegenbauer_sequence(lam: float, size: int) -> JacobiSzegoSequence:
 
 
 def jacobi_sequence(alf: float, bet: float, size: int) -> JacobiSzegoSequence:
-    """Monic Jacobi coefficients for n = 0 .. size - 1."""
+    """Monic Jacobi coefficients, weight (1-x)^alf (1+x)^bet, for
+    n = 0 .. size - 1."""
     n = np.arange(size, dtype=float)
     n1, n2 = np.maximum(n, 1.0), np.maximum(n, 2.0)
     s1, s2 = 2.0 * n1 + alf + bet, 2.0 * n2 + alf + bet
     alphas = (bet * bet - alf * alf) / (s1 * (s1 + 2.0))
     omegas = (4.0 * n2 * (n2 + alf) * (n2 + bet) * (n2 + alf + bet)
               / (s2 * s2 * (s2 + 1.0) * (s2 - 1.0)))
-    alphas[:1] = jacobi_alpha(0, alf, bet)
-    omegas[:2] = [jacobi_omega(n, alf, bet) for n in range(min(size, 2))]
+    s = alf + bet
+    alphas[:1] = (bet - alf) / (s + 2.0)
+    omega1 = 4.0 * (alf + 1.0) * (bet + 1.0) / ((s + 2.0) ** 2 * (s + 3.0))
+    omegas[:2] = [1.0, omega1][:size]
     return JacobiSzegoSequence(alphas, omegas)
 
 

@@ -16,31 +16,29 @@ Each family is a standardized (mean-0, variance-1) compactly supported law:
                 recurrence representation is used; no density is stored and
                 possible atoms are flagged.
 
-Every stored density is of the exact form
+Every stored density is a Beta law on its support: it is of the exact form
 
     exp(log_scale) * (hi - x)^e_hi * (x - lo)^e_lo,
 
-which is what the normalization integrator exploits: after the substitution
-x = mid + half*sin(t) and a half-angle fold, the endpoint factors become
-powers of sin(phi) near phi = 0 and are evaluable to full precision
-arbitrarily close to the (possibly singular, always integrable) endpoints.
+so its mass is the Beta integral (DLMF 5.12)
+
+    exp(log_scale) * (hi - lo)^(e_lo + e_hi + 1) * B(e_lo + 1, e_hi + 1),
+
+evaluated in log-gamma form, and the normalization needs no quadrature.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from . import families
 from .errors import NumericalBreakdownError, ParameterError
 from .families import Family
 from .recurrence import JacobiSzegoSequence
-
-_QUAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,8 @@ class MeasureSpec:
 
     edge_exponents holds (e_lo, e_hi) of the density's endpoint factors and
     log_scale its constant log-prefactor; both are None/0 for free-meixner,
-    whose density is not stored.
+    whose density is not stored.  The density is
+    norm_const * exp(log_scale) * (hi - x)^e_hi * (x - lo)^e_lo.
     """
 
     family: Family
@@ -57,7 +56,6 @@ class MeasureSpec:
     a: Optional[float]
     b: Optional[float]
     support: tuple[float, float]
-    log_density: Optional[Callable[[float], float]]
     norm_const: float
     atoms_possible: bool = False
     edge_exponents: Optional[tuple[float, float]] = None
@@ -65,14 +63,17 @@ class MeasureSpec:
 
     def density(self, x: float) -> float:
         """Normalized density at x (0 outside the open support)."""
-        if self.log_density is None:
+        if self.edge_exponents is None:
             raise ParameterError(
                 f"{self.family.value} has no stored density; use its recurrence"
             )
         lo, hi = self.support
         if not lo < x < hi:
             return 0.0
-        return self.norm_const * math.exp(self.log_density(x))
+        e_lo, e_hi = self.edge_exponents
+        return self.norm_const * math.exp(
+            self.log_scale + e_hi * math.log(hi - x) + e_lo * math.log(x - lo)
+        )
 
 
 @dataclass(frozen=True)
@@ -93,51 +94,6 @@ class QuadratureRule:
                 fh.write(f"{x:.17g},{w:.17g}\n")
 
 
-def _edge_weighted_integral(lo: float, hi: float, e_lo: float, e_hi: float,
-                            fn: Callable[[float], float]) -> float:
-    """Integral over (lo, hi) of (hi-x)^e_hi (x-lo)^e_lo fn(x) dx.
-
-    Substituting x = mid + half*sin(t) and folding at the half-angle
-    phi = t/2 + pi/4 turns the two endpoint factors into sin(phi)^(2e+1)
-    singularities at phi = 0, which the adaptive integrator resolves and the
-    sine evaluates exactly; fn only ever sees interior points.
-    """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    a = 2.0 * e_hi + 1.0
-    b = 2.0 * e_lo + 1.0
-    scale = half ** (e_hi + e_lo + 1.0) * 2.0 ** (e_hi + e_lo + 2.0)
-
-    def near_lo(phi: float) -> float:
-        s, c = math.sin(phi), math.cos(phi)
-        x = mid + half * (2.0 * s * s - 1.0)
-        return c**a * s**b * fn(x)
-
-    def near_hi(phi: float) -> float:
-        s, c = math.sin(phi), math.cos(phi)
-        x = mid + half * (1.0 - 2.0 * s * s)
-        return s**a * c**b * fn(x)
-
-    total = 0.0
-    for piece in (near_lo, near_hi):
-        value, _ = scipy.integrate.quad(
-            piece, 0.0, 0.25 * math.pi,
-            epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200,
-        )
-        total += value
-    return scale * total
-
-
-def adaptive_integral(measure: MeasureSpec, fn) -> float:
-    """Adaptive integral of fn against the measure's density (tol 1e-12)."""
-    if measure.edge_exponents is None:
-        raise ParameterError("free-meixner carries no density to integrate against")
-    lo, hi = measure.support
-    e_lo, e_hi = measure.edge_exponents
-    prefactor = measure.norm_const * math.exp(measure.log_scale)
-    return prefactor * _edge_weighted_integral(lo, hi, e_lo, e_hi, fn)
-
-
 def build_measure(family, lam=None, a=None, b=None) -> MeasureSpec:
     """Construct the fully normalized MeasureSpec of a family."""
     family = Family(family)
@@ -152,7 +108,7 @@ def build_measure(family, lam=None, a=None, b=None) -> MeasureSpec:
             atoms = a * a - 4.0 * b >= 0.0
         return MeasureSpec(
             family=family, lam=1.0, a=a, b=b, support=(lo, hi),
-            log_density=None, norm_const=1.0, atoms_possible=atoms,
+            norm_const=1.0, atoms_possible=atoms,
         )
 
     if family is Family.SYM1:
@@ -169,15 +125,14 @@ def build_measure(family, lam=None, a=None, b=None) -> MeasureSpec:
             e_hi, e_lo = lam - 1.5, lam - 0.5
         log_scale = (e_hi + e_lo) * math.log(root / (2.0 * lam))
 
-    def log_density(x: float) -> float:
-        return log_scale + e_hi * math.log(hi - x) + e_lo * math.log(x - lo)
-
-    raw_mass = math.exp(log_scale) * _edge_weighted_integral(
-        lo, hi, e_lo, e_hi, lambda x: 1.0
+    raw_mass = math.exp(
+        log_scale + (e_lo + e_hi + 1.0) * math.log(hi - lo)
+        + math.lgamma(e_lo + 1.0) + math.lgamma(e_hi + 1.0)
+        - math.lgamma(e_lo + e_hi + 2.0)
     )
     return MeasureSpec(
         family=family, lam=lam, a=None, b=None, support=(lo, hi),
-        log_density=log_density, norm_const=1.0 / raw_mass,
+        norm_const=1.0 / raw_mass,
         edge_exponents=(e_lo, e_hi), log_scale=log_scale,
     )
 

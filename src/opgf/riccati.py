@@ -37,6 +37,11 @@ from .errors import (
 from .families import Family
 
 _VALID_OMEGA2_MIN = 1e-9  # below this the measure degenerates to finite support
+# Moment-ODE stencil width over |z|.  Near the z^(lambda-1) behaviour at 0
+# the five-point rule's truncation error, relative to the derivative, is
+# about (h/|z|)^4 and its rounding error about eps |z|/h, so h = c |z| keeps
+# both independent of |z|; c = 3e-4 puts them at ~1e-14 and ~1e-12.
+STENCIL_FRACTION = 3e-4
 
 
 @dataclass(frozen=True)
@@ -144,7 +149,7 @@ def residual_u(cf: genfun.GenFunClosedForm, z):
 
 
 def residual_moment_ode(cf: genfun.GenFunClosedForm, measure: measures.MeasureSpec,
-                        z, step: Optional[float] = None) -> tuple:
+                        z) -> tuple:
     """Finite-difference residuals of the two first-order moment identities.
 
     First:  d/dz [u (f - lambda z)]            = (1 - lambda) u f'
@@ -152,40 +157,40 @@ def residual_moment_ode(cf: genfun.GenFunClosedForm, measure: measures.MeasureSp
 
     with m2(z) = lambda(lambda+1)/2 omega_2 z^2 + lambda alpha_1 z + 1 taken
     from the measure's recurrence coefficients.  Differentiation uses a
-    fourth-order five-point central stencil of width ``step`` along the real
-    axis.  z is a float or a 1-D array of reals: one array evaluation of u
-    and f covers every point and stencil offset, and each residual comes
-    back in z's shape.  A point whose stencil leaves the domain or reaches 0
+    fourth-order five-point central stencil along the real axis, of width
+    h = STENCIL_FRACTION * |z| at each point, so the stencil keeps the same
+    shape relative to the z^(lambda-1) behaviour at 0 at every |z|.  z is a
+    float or a 1-D array of reals: one array evaluation of u and f covers
+    every point and stencil offset, and each residual comes back in z's
+    shape.  A point whose stencil leaves the domain or reaches 0 (z = 0)
     raises, for the first one, the error a scalar call there raises.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=float))
-    if step is None:
-        step = 1e-5 * cf.domain_radius
-    if step <= 0.0:
-        raise ParameterError(f"step must be > 0, got {step}")
+    h = STENCIL_FRACTION * np.abs(zs)
     genfun.raise_first((zs,), [(
-        (np.abs(zs) + 2.0 * step >= cf.domain_radius) | (np.abs(zs) <= 2.0 * step),
+        (np.abs(zs) + 2.0 * h >= cf.domain_radius) | (np.abs(zs) <= 2.0 * h),
         lambda zk: DomainError(
-            f"z = {zk} with stencil width {step} leaves the domain or crosses 0"
+            f"z = {zk} with stencil width {STENCIL_FRACTION * abs(zk)} "
+            "leaves the domain or crosses 0"
         ),
     )])
     lam = cf.lam
     seq = measures.recurrence_of(measure, 3)
     a1, w2 = float(seq.alphas[1]), float(seq.omegas[2])
 
-    s = zs + np.array([2.0 * step, step, -step, -2.0 * step])[:, None]  # stencil rows
+    s = zs + np.array([2.0, 1.0, -1.0, -2.0])[:, None] * h  # stencil rows
     us, fs = cf.u(s), cf.f(s)
     m2 = 0.5 * lam * (lam + 1.0) * w2 * s * s + lam * a1 * s + 1.0
     uz, fpz = cf.u(zs), cf.f_prime(zs)
-    r_first = np.abs(_derivative_5pt(us * (fs - lam * s), step) - (1.0 - lam) * uz * fpz)
-    r_second = np.abs(_derivative_5pt((lam * s * fs - m2) * us, step)
+    r_first = np.abs(_derivative_5pt(us * (fs - lam * s), h) - (1.0 - lam) * uz * fpz)
+    r_second = np.abs(_derivative_5pt((lam * s * fs - m2) * us, h)
                       - lam * (1.0 - lam) * zs * uz * fpz)
     return genfun.as_shape(r_first, np.shape(z)), genfun.as_shape(r_second, np.shape(z))
 
 
-def _derivative_5pt(rows, h: float):
+def _derivative_5pt(rows, h):
     """Fourth-order central difference from the values at z + 2h, z + h,
-    z - h and z - 2h (rows 0 to 3)."""
+    z - h and z - 2h (rows 0 to 3); h holds one width per column."""
     return (-rows[0] + 8.0 * rows[1] - 8.0 * rows[2] + rows[3]) / (12.0 * h)
 
 

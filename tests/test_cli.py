@@ -1,10 +1,14 @@
 """Tests for the command-line front end: exit codes, reports, determinism."""
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import opgf
 from opgf import Family, genfun, riccati
 from opgf.cli import main, run_family_checks
 
@@ -96,6 +100,27 @@ class TestVerify:
         out = tmp_path / "edge.json"
         assert run(["verify", *args, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["all_passed"] is True
+
+    @pytest.mark.parametrize("args", [
+        ("--family", "sym1", "--lambda", "0.1", "--zmax", "0.02", "--grid", "5"),
+        ("--family", "sym2", "--lambda", "0.55", "--zmax", "0.02"),
+        ("--family", "sym1", "--lambda", "0.2", "--zmax", "0.03"),
+    ])
+    def test_small_zmax_moment_ode_passes(self, tmp_path, args):
+        # the moment-ODE stencil scales with |z|, so points near the
+        # z^(lambda-1) behaviour at 0 are differentiated as accurately as far ones
+        out = tmp_path / "small_zmax.json"
+        assert run(["verify", *args, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["all_passed"] is True
+
+    def test_tiny_zmax_gives_a_report(self, tmp_path):
+        # a documented-valid zmax: a report and exit 0 or 1, never exit 2
+        out = tmp_path / "tiny_zmax.json"
+        code = run(["verify", "--family", "sym1", "--lambda", "2", "--zmax", "1e-5",
+                    "--out", str(out)])
+        assert code in (0, 1)
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["moment-ode"]["passed"] is True
 
     def test_parser_shared_between_calls(self, tmp_path):
         # the parser is built once; a second call must not see the first
@@ -260,6 +285,17 @@ class TestQuadrature:
     def test_bad_parameters_exit_2(self, tmp_path):
         assert run(["quadrature", "--family", "sym2", "--lambda", "0.4",
                     "--order", "4", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the catalog is normalized in closed form, so the tool never loads the
+    # numerical integrator
+    code = ("import sys, opgf.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(opgf.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_public_names_resolve():

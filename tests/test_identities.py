@@ -29,12 +29,9 @@ from opgf.identities import (
     family2_identity,
     gauss_2f1,
     gegenbauer_gf_check,
-    gegenbauer_omega,
     gegenbauer_sequence,
     gf3_equivalence,
     jacobi_2f1_gf_check,
-    jacobi_alpha,
-    jacobi_omega,
     jacobi_sequence,
     jacobi_shift_check,
     one_f_zero_reduction,
@@ -44,6 +41,7 @@ from opgf.identities import (
     two_f_one_collapse_check,
 )
 from opgf.recurrence import monic_values
+from reference import gegenbauer_omega, jacobi_alpha, jacobi_omega
 
 
 class TestPochhammer:

@@ -1,6 +1,7 @@
 """Tests for the measure catalog: densities, normalization, quadrature."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +17,7 @@ from opgf import (
     moment,
     norm_squared,
 )
-from opgf.measures import adaptive_integral
+from reference import adaptive_integral
 
 
 def beta_symmetric_mass(scale, expo):
@@ -32,6 +33,41 @@ def beta_jacobi_mass(lam):
     return (2.0 * lam / root) * 2.0 ** (2.0 * lam - 1.0) * math.exp(
         math.lgamma(lam + 0.5) + math.lgamma(lam - 0.5) - math.lgamma(2.0 * lam)
     )
+
+
+def mpmath_edge_integral(p, q):
+    """Integral over (-1, 1) of (1 - y)^p (1 + y)^q dy by tanh-sinh quadrature.
+
+    Each half is mapped by 1 -+ y = u^(1/(e+1)), which absorbs the endpoint
+    factor, so exponents near -1 leave a smooth integrand."""
+    def half(e, other):
+        return mpmath.quad(lambda u: (2 - u ** (1 / (e + 1))) ** other, [0, 1]) / (e + 1)
+    return half(q, p) + half(p, q)
+
+
+def mpmath_mass(family, lam):
+    """Unnormalized mass of a density family at 40 digits, from the family
+    definitions alone: (1 - x^2/s^2)^e on (-s, s) for the symmetric ones, the
+    shifted Jacobi weight (1 - y)^(lam-1/2) (1 + y)^(lam-3/2) in
+    y = (x sqrt(2 lam - 1) - 1) / (2 lam) for the non-symmetric ones."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(lam)
+        if family is Family.SYM1:
+            mass = mpmath.sqrt(2 * (1 + lam)) * mpmath_edge_integral(lam - 0.5, lam - 0.5)
+        elif family is Family.SYM2:
+            mass = mpmath.sqrt(2 * lam) * mpmath_edge_integral(lam - 1.5, lam - 1.5)
+        else:
+            mass = 2 * lam / mpmath.sqrt(2 * lam - 1) * mpmath_edge_integral(
+                lam - 0.5, lam - 1.5)
+        return float(mass)
+
+
+DENSITY_REFEREE_CASES = [
+    (family, lam)
+    for lam in (0.05, 0.5, 0.51, 2.5, 15.0, 20.0, 40.0)
+    for family in (Family.SYM1, Family.SYM2, Family.NONSYM_PLUS, Family.NONSYM_MINUS)
+    if family is Family.SYM1 or lam > 0.5
+]
 
 
 class TestBuildMeasure:
@@ -87,10 +123,15 @@ class TestBuildMeasure:
             m = get_measure(family, lam, None, None)
             assert 1.0 / m.norm_const == pytest.approx(beta_jacobi_mass(lam), rel=1e-12)
 
+    @pytest.mark.parametrize("family, lam", DENSITY_REFEREE_CASES)
+    def test_normalization_against_mpmath(self, family, lam):
+        m = build_measure(family, lam)
+        assert 1.0 / m.norm_const == pytest.approx(mpmath_mass(family, lam), rel=1e-12)
+
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_unit_mass_mean_variance(self, config):
         m = get_measure(*config)
-        if m.log_density is not None:
+        if m.edge_exponents is not None:
             assert adaptive_integral(m, lambda x: 1.0) == pytest.approx(1.0, abs=1e-10)
         assert moment(m, 0, 16) == pytest.approx(1.0, abs=1e-13)
         assert moment(m, 1, 16) == pytest.approx(0.0, abs=1e-12)

@@ -29,6 +29,7 @@ from opgf import (
 )
 from opgf.families import alpha1_value, omega2_value
 from opgf.measures import gauss_quadrature
+from opgf.riccati import STENCIL_FRACTION
 
 LAMBDA_GRID = [v for v in np.linspace(0.56, 3.0, 20)]
 # lambda = 1 rows of the identity sweep are carried by the free Meixner family
@@ -152,9 +153,7 @@ class TestResidualMomentOde:
         with pytest.raises(DomainError):
             residual_moment_ode(cf, measure, cf.domain_radius - 1e-9)
         with pytest.raises(DomainError):
-            residual_moment_ode(cf, measure, 1e-7)
-        with pytest.raises(ParameterError):
-            residual_moment_ode(cf, measure, 0.05, step=-1.0)
+            residual_moment_ode(cf, measure, 0.0)
 
 
 def first_scalar_error(fn, zs):
@@ -208,15 +207,15 @@ class TestGridResiduals:
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_moment_ode_matches_pointwise(self, config):
         # an ulp in one stencil value moves the difference quotient by about
-        # ulp(u f) / step
+        # ulp(u f) / step, with the stencil's width at that point
         cf = get_closed_form(*config)
         measure = get_measure(*config)
-        step = 1e-5 * cf.domain_radius
         r1, r2 = residual_moment_ode(cf, measure, np.array(self.REAL_POINTS))
         assert r1.shape == r2.shape == (6,)
         for k, z in enumerate(self.REAL_POINTS):
             p1, p2 = residual_moment_ode(cf, measure, z)
             assert isinstance(p1, float) and isinstance(p2, float)
+            step = STENCIL_FRACTION * abs(z)
             scale = 4 * np.spacing(abs(cf.u(z) * cf.f(z))) / step
             assert abs(r1[k] - p1) <= scale
             assert abs(r2[k] - p2) <= scale
@@ -243,7 +242,7 @@ class TestGridResiduals:
         cf = get_closed_form(Family.SYM1, 2.0, None, None)
         measure = get_measure(Family.SYM1, 2.0, None, None)
         edge = cf.domain_radius - 1e-9
-        for zs in ([0.05, 1e-7, edge], [-0.05, edge, 1e-7]):
+        for zs in ([0.05, 0.0, edge], [-0.05, edge, 0.0]):
             assert_raises_as_scalar(lambda z: residual_moment_ode(cf, measure, z), zs)
 
 
