@@ -172,11 +172,11 @@ def run_family_checks(family: Family, lam, a, b, zmax: float, grid: int,
     worst = max(identities.duplication_check(av) for av in dup_points)
     checks.append(_check("gamma-duplication", len(dup_points), worst, TOL_DUPLICATION))
 
-    worst = max(identities.pochhammer_ratio_check(cf.lam, n) for n in range(21))
+    worst = identities.pochhammer_ratio_check(cf.lam, np.arange(21)).max()
     checks.append(_check("pochhammer-ratio", 21, worst, TOL_POCH_RATIO))
 
     ys = (-0.5, -0.25, 0.0, 0.25, 0.5)
-    worst = max(identities.one_f_zero_reduction(cf.lam, y) for y in ys)
+    worst = identities.one_f_zero_reduction(cf.lam, ys).max()
     checks.append(_check("binomial-1f0", len(ys), worst, TOL_1F0))
 
     checks.extend(_family_identity_checks(family, cf, zmax, lo, hi))
@@ -220,11 +220,9 @@ def _family_identity_checks(family: Family, cf, zmax: float, lo: float,
             lam, [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
         ).max()
         out.append(_check("jacobi-2f1-gf", 16, worst, TOL_GF_IDENTITY))
-        worst = max(
-            identities.two_f_one_collapse_check(lam, t, y)
-            for t in (-0.15, -0.1, 0.1, 0.15)
-            for y in (-0.4, 0.0, 0.4, 0.8)
-        )
+        worst = identities.two_f_one_collapse_check(
+            lam, [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
+        ).max()
         out.append(_check("2f1-collapse", 16, worst, TOL_GF_IDENTITY))
         worst = identities.gf3_equivalence(
             lam, [-0.5 * zmax, 0.5 * zmax, zmax], xs5, sign

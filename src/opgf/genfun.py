@@ -33,11 +33,15 @@ import numpy as np
 from . import families, measures
 from .errors import BranchCutError, DomainError, ParameterError, SingularityError
 from .families import Family
-from .recurrence import JacobiSzegoSequence, monic_values, quiet_sum
+from .recurrence import JacobiSzegoSequence, majorant_values, monic_values
 
-# Hard cap on the number of series terms; quiet_sum normally stops well before.
+# Hard cap on the number of series terms; the tail bound normally stops the
+# sum well before.
 SERIES_CAP = 200
 _TAIL_WARN_FACTOR = 1e-8
+# The unit roundoff of a double: a series tail below this share of the sum's
+# magnitude is below the rounding of the sum itself.
+UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -270,11 +274,13 @@ def psi_analytic(cf: GenFunClosedForm, z, x):
 
 
 class PsiSeriesResult(NamedTuple):
-    """Partial sum, magnitude of the last retained term, and a convergence
-    flag; scalars for a scalar (z, x), (Z, X) arrays for a grid."""
+    """Partial sum (a complex for a scalar (z, x), a (Z, X) array for a
+    grid), the call's bound on the omitted tail, the number of terms summed
+    and a convergence flag per element (tail_bound <= 1e-8 |value|)."""
 
     value: complex
-    tail: float
+    tail_bound: float
+    n_terms: int
     converged: bool
 
 
@@ -295,34 +301,55 @@ def grid_axes(z, x) -> tuple:
 
 def psi_series(seq: JacobiSzegoSequence, lam: float, z, x,
                n_terms: int = SERIES_CAP) -> PsiSeriesResult:
-    """Partial sum of sum_n (lambda)_n/n! P_n(x) z^n.
+    """Partial sum of sum_n (lambda)_n/n! P_n(x) z^n, truncated where a
+    proved bound on the tail falls below the rounding of the sum itself.
 
     z and x are scalars or 1-D arrays; arrays give the (Z, X) grid of every
-    pair, summed with one recurrence pass over all x.  Summation stops at
-    recurrence.quiet_sum's rule (three consecutive terms at most
-    1e-15 * |partial sum|), applied to each (z, x) on its own, or after
-    n_terms terms, and evaluates only the degrees it sums.  The tail field
-    is the magnitude of the last term added; a value is flagged
-    non-converged when that exceeds 1e-8 * |partial sum|.
+    pair.  The term count N is chosen before any summation, for the whole
+    call, from recurrence.majorant_values: with r = max|z|, c_n =
+    (lambda)_n/n! and M_n >= |P_n(x)| at every x of the call, the terms
+    past K are bounded by the geometric series
+
+        sum_{n>=K} c_n M_n r^n <= c_K A_K r^K / (1 - q_K),
+        A_K = max(M_K, rho_K M_{K-1}),  q_K = max(1, (lambda+K)/(K+1)) rho_K r,
+
+    valid when q_K < 1 and lambda + K > 0 (the ratio c_{n+1}/c_n =
+    (lambda+n)/(n+1) is then at most max(1, its value at K) for n >= K).  N
+    is the first K whose bound is at most 2^-53 sum_{n<K} c_n M_n r^n, and
+    tail_bound is that bound.  If no K <= min(n_terms, table length + 1)
+    qualifies, all those terms are summed and tail_bound is inf.  The bound
+    assumes that past the end of the table the recurrence coefficients stay
+    within the table's suffix maxima.
+
+    The sum is one recurrence pass for P_0 .. P_{N-1} over all x and one
+    matrix product (c_n z^n) @ P, so a grid element equals a call at its
+    own point only within the two calls' bounds and rounding: a narrower x
+    range may give a smaller N.
     """
     if n_terms < 1:
         raise ParameterError(f"n_terms must be >= 1, got {n_terms}")
-    zs, xs = grid_axes(np.asarray(z, dtype=complex), np.asarray(x, dtype=float))
-    scalar = zs.ndim == xs.ndim == 0
-    step = complex(zs) if zs.ndim == 0 else zs
-
-    def terms():
-        zpow = 1.0 + 0.0j if zs.ndim == 0 else np.ones_like(zs)
-        for c, p in zip(pochhammer_over_factorial(lam), monic_values(seq, xs)):
-            yield c * p * zpow
-            zpow = zpow * step
-
-    total, last = quiet_sum(itertools.islice(terms(), n_terms))
-    tail = np.abs(last)
-    converged = tail <= _TAIL_WARN_FACTOR * np.abs(total)
-    if scalar:
-        return PsiSeriesResult(complex(total), float(tail), bool(converged))
-    return PsiSeriesResult(total, tail, converged)
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    r = float(np.abs(zs).max())
+    count, bound = min(n_terms, seq.alphas.size + 1), math.inf
+    majorant_sum = m_prev = 0.0
+    pairs = zip(pochhammer_over_factorial(lam), majorant_values(seq, xs, r))
+    for k, (c, (m, growth)) in enumerate(itertools.islice(pairs, count + 1)):
+        q = max(1.0, (lam + k) / (k + 1.0)) * growth
+        if k and q < 1.0 and lam + k > 0.0:
+            tail = c * max(m, growth * m_prev) / (1.0 - q)
+            if tail <= UNIT_ROUNDOFF * majorant_sum:
+                count, bound = k, tail
+                break
+        majorant_sum += c * m
+        m_prev = m
+    coeffs = np.fromiter(itertools.islice(pochhammer_over_factorial(lam), count),
+                         float, count)
+    p = np.array(list(itertools.islice(monic_values(seq, xs), count)))
+    values = (np.vander(zs, count, increasing=True) * coeffs) @ p
+    shape = np.shape(z) + np.shape(x)
+    return PsiSeriesResult(as_shape(values, shape), bound, count,
+                           as_shape(bound <= _TAIL_WARN_FACTOR * np.abs(values), shape))
 
 
 def psi_family_moments(measure: measures.MeasureSpec, cf: GenFunClosedForm,
@@ -337,10 +364,12 @@ def psi_family_moments(measure: measures.MeasureSpec, cf: GenFunClosedForm,
     """
     zs = np.asarray(z, dtype=float)
     raise_first((zs,), [radius_guard(cf, zs)])
-    points = measures.support_size(measure, max(order, 12))
+    # one coefficient table gives both the support size and the rule
+    seq = measures.recurrence_of(measure, max(order, 12))
+    points = measures._support_points(seq)
     if order < min(12, points):
         raise ParameterError(f"quadrature order must be >= 12, got {order}")
-    rule = measures.gauss_quadrature(measure, min(order, points))
+    rule = measures._gauss_rule(seq, min(order, points))
     # a scalar z is the length-1 grid, so it takes the same sums as an array
     psi = psi_analytic(cf, np.atleast_1d(zs), rule.nodes).real
     w_x = rule.weights * rule.nodes

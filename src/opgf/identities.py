@@ -20,7 +20,13 @@ import numpy as np
 from . import genfun, measures
 from .errors import DomainError, ParameterError
 from .families import Family
-from .recurrence import JacobiSzegoSequence, eval_monic, quiet_sum
+from .recurrence import JacobiSzegoSequence, eval_monic
+
+
+# The hypergeometric sums tabulate at least _HYPER_FIRST terms and double the
+# table, up to _HYPER_CAP terms, until every element has met its tail bound.
+_HYPER_FIRST = 64
+_HYPER_CAP = 2048
 
 
 @dataclass(frozen=True)
@@ -28,8 +34,9 @@ class HypergeometricParams:
     """Parameters of a Gauss 2F1 series evaluation.
 
     upper holds the two numerator parameters, lower the single denominator
-    parameter; the series requires |argument| < 1 and a lower parameter that
-    is not a non-positive integer.
+    parameter; argument is a float or an array of them.  The series
+    requires |argument| < 1 and a lower parameter that is not a
+    non-positive integer.
     """
 
     upper: tuple[float, float]
@@ -37,7 +44,7 @@ class HypergeometricParams:
     argument: float
 
     def __post_init__(self):
-        if abs(self.argument) >= 1.0:
+        if np.any(np.abs(self.argument) >= 1.0):
             raise DomainError(
                 f"2F1 series needs |argument| < 1, got {self.argument}"
             )
@@ -47,29 +54,70 @@ class HypergeometricParams:
             )
 
 
-def gauss_2f1(params: HypergeometricParams) -> float:
-    """Plain 2F1 series sum_n (u1)_n (u2)_n / ((l)_n n!) * argument^n."""
-    u1, u2 = params.upper
-    low = params.lower
-    arg = params.argument
+def _hypergeometric_sum(upper: tuple, lower: tuple, w) -> np.ndarray:
+    """sum_n t_n for each w of a 1-D array, t_0 = 1 and
 
-    def terms():
-        term = 1.0
-        for n in range(2000):
-            yield term
-            term *= (u1 + n) * (u2 + n) * arg / ((low + n) * (n + 1.0))
+        t_{n+1} / t_n = w prod_i (upper_i + n) / (lower_i + n),
 
-    return quiet_sum(terms())[0]
+    upper and lower of one length (lower holds the 1 of n!).
+
+    Each element is truncated at the first K >= 1 whose proved tail bound
+    is at most 2^-53 |sum_{n<K} t_n|, half an ulp of the partial sum, so the
+    omitted tail stays below the rounding of the result even where the
+    terms cancel.  The bound: when b + K > 0 each factor (a + n)/(b + n) is
+    monotone in n >= K and tends to 1, so |t_{n+1} / t_n| <= R_K =
+    |w| prod_i max(1, |upper_i + K| / (lower_i + K)) and the tail is at most
+    |t_K| / (1 - R_K) when R_K < 1.  An element with no such K among the
+    _HYPER_CAP terms sums them all.
+    """
+    w = np.asarray(w, dtype=float)
+    # The terms fall like |w|^n times a power of n: start with a table whose
+    # second half lies past |w|^n = 2^-53 for the largest |w|.
+    length, top = _HYPER_FIRST, float(np.abs(w).max())
+    while length < _HYPER_CAP and top ** (length // 2) > genfun.UNIT_ROUNDOFF:
+        length *= 2
+    while True:
+        n = np.arange(length - 1.0)
+        k = n + 1.0  # t_K for K = 1 .. length - 1
+        ratios = (math.prod([a + n for a in upper]) * w[:, None]
+                  / math.prod([b + n for b in lower]))
+        terms = np.ones((w.size, length))
+        np.cumprod(ratios, axis=1, out=terms[:, 1:])
+        sums = np.cumsum(terms, axis=1)
+        # slack is 1 - R_K; K qualifies only where every b + K > 0
+        factor = math.prod([np.maximum(1.0, np.abs(a + k) / np.abs(b + k))
+                            for a, b in zip(upper, lower)])
+        slack = 1.0 - np.abs(w)[:, None] * factor
+        valid = np.all([b + k > 0.0 for b in lower], axis=0)
+        stop = valid & (np.abs(terms[:, 1:])
+                        <= genfun.UNIT_ROUNDOFF * np.abs(sums[:, :-1]) * slack)
+        found = stop.any(axis=1)
+        if found.all() or length >= _HYPER_CAP:
+            break
+        length *= 2
+    count = np.where(found, np.argmax(stop, axis=1) + 1, length)
+    return sums[np.arange(w.size), count - 1]
+
+
+def gauss_2f1(params: HypergeometricParams):
+    """Plain 2F1 series sum_n (u1)_n (u2)_n / ((l)_n n!) * argument^n,
+    truncated by _hypergeometric_sum's tail bound; a float for a float
+    argument, an array of its shape for an array."""
+    arg = np.asarray(params.argument, dtype=float)
+    total = _hypergeometric_sum(params.upper, (params.lower, 1.0), arg.ravel())
+    return genfun.as_shape(total, arg.shape)
+
+
+def _rising_table(a: float, n: int) -> np.ndarray:
+    """(a)_0 .. (a)_n, each the product of its predecessor and a + k."""
+    return np.concatenate([[1.0], np.cumprod(a + np.arange(n, dtype=float))])
 
 
 def pochhammer(lam: float, n: int) -> float:
     """Rising factorial (lam)_n = lam (lam+1) ... (lam+n-1), with ()_0 = 1."""
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
-    out = 1.0
-    for k in range(n):
-        out *= lam + k
-    return out
+    return float(_rising_table(lam, n)[n])
 
 
 def duplication_check(a: float) -> float:
@@ -81,37 +129,38 @@ def duplication_check(a: float) -> float:
     return abs(lhs - rhs)
 
 
-def pochhammer_ratio_check(lam: float, n: int) -> float:
+def pochhammer_ratio_check(lam: float, n):
     """Relative residual of (2 lam - 1)_{2n} / (lam - 1/2)_n = 4^n (lam)_n.
 
     For n >= 1 the left side is taken with the common factor 2 lam - 1 =
     2 (lam - 1/2) cancelled, as 2 (2 lam)_{2n-1} / (lam + 1/2)_{n-1}, so the
-    check is defined for every lambda > 0, lambda = 1/2 included.
+    check is defined for every lambda > 0, lambda = 1/2 included.  n is an
+    int or a 1-D array of them; the products are read from one table per
+    symbol, so an array gives exactly the residuals of one call per n.
     """
     if lam <= 0.0:
         raise ParameterError(f"lambda must be > 0, got {lam}")
-    if n < 0:
+    ns = np.asarray(n)
+    if np.any(ns < 0):
         raise ParameterError(f"n must be >= 0, got {n}")
-    if n == 0:
-        lhs = 1.0
-    else:
-        lhs = 2.0 * pochhammer(2.0 * lam, 2 * n - 1) / pochhammer(lam + 0.5, n - 1)
-    rhs = 4.0**n * pochhammer(lam, n)
-    return abs(lhs - rhs) / abs(rhs)
+    top = max(int(ns.max()), 1)
+    k = np.maximum(ns, 1)
+    lhs = np.where(ns == 0, 1.0, 2.0 * _rising_table(2.0 * lam, 2 * top)[2 * k - 1]
+                   / _rising_table(lam + 0.5, top)[k - 1])
+    rhs = 4.0**ns * _rising_table(lam, top)[ns]
+    return genfun.as_shape(np.abs(lhs - rhs) / np.abs(rhs), ns.shape)
 
 
-def one_f_zero_reduction(lam: float, y: float) -> float:
-    """Residual of the binomial series sum_n (lam)_n y^n / n! = (1-y)^(-lam)."""
-    if abs(y) >= 1.0:
+def one_f_zero_reduction(lam: float, y):
+    """Residual of the binomial series sum_n (lam)_n y^n / n! = (1-y)^(-lam),
+    for a float y or each element of a 1-D array, truncated by
+    _hypergeometric_sum's tail bound."""
+    ys = np.asarray(y, dtype=float)
+    if np.any(np.abs(ys) >= 1.0):
         raise DomainError(f"|y| must be < 1, got {y}")
-
-    def terms():
-        term = 1.0
-        for n in range(1000):
-            yield term
-            term *= (lam + n) * y / (n + 1.0)
-
-    return abs(quiet_sum(terms())[0] - (1.0 - y) ** (-lam))
+    flat = ys.ravel()
+    residual = np.abs(_hypergeometric_sum((lam,), (1.0,), flat) - (1.0 - flat) ** (-lam))
+    return genfun.as_shape(residual, ys.shape)
 
 
 # ----------------------------------------------------------------------------
@@ -253,7 +302,7 @@ def jacobi_2f1_gf_check(lam: float, t, y):
     return np.abs(series - closed)
 
 
-def two_f_one_collapse_check(lam: float, t: float, y: float) -> float:
+def two_f_one_collapse_check(lam: float, t, y):
     """Residual of the hypergeometric prefactor form against its collapse.
 
     With (alf, bet) = (lam-1/2, lam-3/2) the first numerator parameter
@@ -263,20 +312,25 @@ def two_f_one_collapse_check(lam: float, t: float, y: float) -> float:
 
     with w = 2(y+1)t/(1+t)^2 reduces to (1+t)/(1 + t^2 - 2ty)^lam.  The left
     side is summed as a genuine 2F1 series (no term cancellation assumed).
+    t and y are floats or 1-D arrays; arrays give the (T, Y) grid from one
+    gauss_2f1 call.
     """
-    if abs(t) >= 0.3:
+    if np.any(np.abs(t) >= 0.3):
         raise DomainError(f"|t| must be < 0.3, got {t}")
-    if abs(y) >= 1.0:
+    if np.any(np.abs(y) >= 1.0):
         raise DomainError(f"|y| must be < 1, got {y}")
     alf, bet = lam - 0.5, lam - 1.5
+    # a scalar is the length-1 grid, so it rounds as the same grid point
+    tg, yg = genfun.grid_axes(np.atleast_1d(np.asarray(t, dtype=float)),
+                              np.atleast_1d(np.asarray(y, dtype=float)))
     params = HypergeometricParams(
         upper=(0.5 * (alf + bet + 1.0), 0.5 * (alf + bet + 2.0)),
         lower=bet + 1.0,
-        argument=2.0 * (y + 1.0) * t / (1.0 + t) ** 2,
+        argument=2.0 * (yg + 1.0) * tg / (1.0 + tg) ** 2,
     )
-    lhs = (1.0 + t) ** (-(alf + bet + 1.0)) * gauss_2f1(params)
-    rhs = (1.0 + t) * (1.0 + t * t - 2.0 * t * y) ** (-lam)
-    return abs(lhs - rhs)
+    lhs = (1.0 + tg) ** (-(alf + bet + 1.0)) * gauss_2f1(params)
+    rhs = (1.0 + tg) * (1.0 + tg * tg - 2.0 * tg * yg) ** (-lam)
+    return genfun.as_shape(np.abs(lhs - rhs), np.shape(t) + np.shape(y))
 
 
 def gf3_equivalence(lam: float, z, x, sign: str):

@@ -180,6 +180,13 @@ def recurrence_of(measure: MeasureSpec, size: int) -> JacobiSzegoSequence:
                            else measure.lam, measure.a, measure.b, size=size)
 
 
+def _support_points(seq: JacobiSzegoSequence) -> int:
+    """Support points of the measure of seq, or the table length if it has
+    at least that many: the first n with omega_n <= 0."""
+    hits = np.flatnonzero(seq.omegas <= 0.0)
+    return int(hits[0]) if hits.size else seq.omegas.size
+
+
 def support_size(measure: MeasureSpec, limit: int) -> int:
     """Number of support points of the measure, or limit if it has at least
     that many.
@@ -187,21 +194,13 @@ def support_size(measure: MeasureSpec, limit: int) -> int:
     A measure on exactly n points has omega_n = 0, since P_n vanishes on its
     support, so the count is the first n with omega_n <= 0.
     """
-    hits = np.flatnonzero(recurrence_of(measure, limit).omegas <= 0.0)
-    return int(hits[0]) if hits.size else limit
+    return _support_points(recurrence_of(measure, limit))
 
 
-def gauss_quadrature(measure: MeasureSpec, order: int) -> QuadratureRule:
-    """Gauss rule from the eigen-decomposition of the Jacobi matrix.
-
-    Nodes are the eigenvalues of the order x order symmetric Jacobi matrix;
-    weights are the squared first components of the normalized eigenvectors
-    (total mass omega_0 = 1).
-    """
-    if order < 1:
-        raise ParameterError(f"order must be >= 1, got {order}")
-    seq = recurrence_of(measure, order)
-    diag, offs = seq.alphas, seq.omegas[1:]
+def _gauss_rule(seq: JacobiSzegoSequence, order: int) -> QuadratureRule:
+    """Gauss rule of `order` nodes from the first `order` coefficients of
+    seq; see gauss_quadrature."""
+    diag, offs = seq.alphas[:order], seq.omegas[1:order]
     if np.any(offs <= 0.0):
         bad = int(np.argmax(offs <= 0.0)) + 1
         raise NumericalBreakdownError(
@@ -218,6 +217,18 @@ def gauss_quadrature(measure: MeasureSpec, order: int) -> QuadratureRule:
         ) from exc
     weights = eigvecs[0, :] ** 2
     return QuadratureRule(nodes=eigvals, weights=weights, order=order)
+
+
+def gauss_quadrature(measure: MeasureSpec, order: int) -> QuadratureRule:
+    """Gauss rule from the eigen-decomposition of the Jacobi matrix.
+
+    Nodes are the eigenvalues of the order x order symmetric Jacobi matrix;
+    weights are the squared first components of the normalized eigenvectors
+    (total mass omega_0 = 1).
+    """
+    if order < 1:
+        raise ParameterError(f"order must be >= 1, got {order}")
+    return _gauss_rule(recurrence_of(measure, order), order)
 
 
 def moment(measure: MeasureSpec, k: int, order: int) -> float:

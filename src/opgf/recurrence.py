@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -25,9 +25,6 @@ from .errors import NumericalBreakdownError, ParameterError
 STIELTJES_MAX_DEGREE = 40
 
 _STANDARD_TOL = 1e-12
-
-_QUIET_FACTOR = 1e-15
-_QUIET_RUN = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,19 +68,22 @@ def monic_values(seq: JacobiSzegoSequence, x) -> Iterator:
     asking for P_{N+1} raises ParameterError.
 
     x is a float or a 1-D array of points; an array yields arrays, one
-    recurrence step per degree for every point at once.  Each degree is
-    computed only when it is requested.
+    recurrence step per degree for every point at once, with the shifts
+    x - alpha_n of all degrees formed in one array operation.  Each degree
+    is computed only when it is requested.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ParameterError(f"x must be finite, got {x}")
     if xs.ndim == 0:
         x, p_prev, p_cur = float(xs), 0.0, 1.0
+        shifts = (x - alpha for alpha in seq.alphas.tolist())
     else:
-        x, p_prev, p_cur = xs, np.zeros_like(xs), np.ones_like(xs)
-    for alpha, omega in zip(seq.alphas.tolist(), seq.omegas.tolist()):
+        p_prev, p_cur = np.zeros_like(xs), np.ones_like(xs)
+        shifts = xs - seq.alphas[:, None]
+    for shift, omega in zip(shifts, seq.omegas.tolist()):
         yield p_cur
-        p_prev, p_cur = p_cur, (x - alpha) * p_cur - omega * p_prev
+        p_prev, p_cur = p_cur, shift * p_cur - omega * p_prev
     yield p_cur
     size = seq.alphas.size
     raise ParameterError(f"{size} coefficients give P_0 .. P_{size} only, not P_{size + 1}")
@@ -97,33 +97,33 @@ def eval_monic(seq: JacobiSzegoSequence, n_max: int, x) -> np.ndarray:
     return np.array(list(itertools.islice(monic_values(seq, x), n_max + 1)))
 
 
-def quiet_sum(terms: Iterable) -> tuple:
-    """Sum terms until three consecutive ones are each at most
-    1e-15 * |partial sum| in magnitude, or until the terms run out.
+def majorant_values(seq: JacobiSzegoSequence, x, scale: float) -> Iterator[tuple]:
+    """Yield (M_n s^n, rho_n s) for n = 0, 1, 2, ... without end, s = scale.
 
-    Terms may be scalars or arrays of one shape.  For arrays the rule holds
-    element by element: an element that has stopped keeps the sum and last
-    term of its own stopping point, and iteration ends once every element
-    has stopped.  Returns (sum, last term added); the caller bounds the
-    number of terms.
+    M_0 = 1 and M_{n+1} = D_n M_n + |omega_n| M_{n-1}, where D_n is the
+    largest |x - alpha_n| over the points x (a float or a 1-D array), bound
+    the monic polynomials: |P_n(x)| <= M_n at every point, by the triangle
+    inequality on the recurrence.  rho_n = (Dbar + sqrt(Dbar^2 + 4 Wbar)) / 2,
+    with Dbar and Wbar the maxima of D_m and |omega_m| over the table's
+    indices m >= n, solves rho^2 = Dbar rho + Wbar, so by induction
+
+        M_m <= max(M_n, rho_n M_{n-1}) rho_n^(m - n)   for every m >= n.
+
+    Assumption: past the end of the table the coefficients stay within the
+    table's suffix maxima; its last entry stands in for them.
     """
-    total = last = 0.0
-    quiet = 0
-    live = True
-    for term in terms:
-        if live is True:
-            last = term
-        else:
-            # Array terms: an element that has stopped adds zeros from now
-            # on, which keeps it quiet, and keeps its last term.
-            last = np.where(live, term, last)
-            term = np.where(live, term, 0.0)
-        total = total + term
-        quiet = (quiet + 1) * (abs(term) <= _QUIET_FACTOR * abs(total))
-        live = quiet < _QUIET_RUN
-        if not (live if isinstance(live, bool) else live.any()):
-            break
-    return total, last
+    xs = np.asarray(x, dtype=float)
+    d = np.maximum(xs.max() - seq.alphas, seq.alphas - xs.min())
+    w = np.abs(seq.omegas)
+    d_bar = np.maximum.accumulate(d[::-1])[::-1]
+    w_bar = np.maximum.accumulate(w[::-1])[::-1]
+    rho = (0.5 * scale) * (d_bar + np.sqrt(d_bar * d_bar + 4.0 * w_bar))
+    table = zip(d.tolist(), w.tolist(), rho.tolist())
+    last = (d[-1].item(), w[-1].item(), rho[-1].item())
+    m_prev, m = 0.0, 1.0
+    for d_n, w_n, rho_n in itertools.chain(table, itertools.repeat(last)):
+        yield m, rho_n
+        m_prev, m = m, scale * (d_n * m + scale * w_n * m_prev)
 
 
 def norm_squared(seq: JacobiSzegoSequence, n: int) -> float:

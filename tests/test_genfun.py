@@ -1,7 +1,9 @@
 """Tests for the closed-form and series generating functions and the moments."""
 import cmath
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from opgf import (
     OpgfError,
     ParameterError,
     closed_form,
+    eval_monic,
     gauss_quadrature,
     psi_analytic,
     psi_closed,
@@ -22,8 +25,9 @@ from opgf import (
     psi_series,
     stieltjes_from_quadrature,
 )
-from opgf import genfun
-from opgf.recurrence import monic_values
+from opgf import genfun, measures
+from opgf.genfun import pochhammer_over_factorial
+from opgf.recurrence import majorant_values, monic_values
 
 # lambda = 1 rows of the identity sweep are carried by the free Meixner family
 IDENTITY_SWEEP = SWEEP_CONFIGS + ((Family.FREE_MEIXNER, None, 0.0, 0.0),)
@@ -303,24 +307,24 @@ class TestPsiSeries:
 
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_grid_matches_pointwise(self, config):
-        # one grid call against one scalar call per (z, x) pair: every
-        # element stops where its scalar call does.  The grid forms z^n with
-        # numpy's array product and a scalar call with Python's complex
-        # product, which may round differently by about an ulp per product;
-        # the last term's z^n is up to ~30 products deep at |z| = 0.1.
+        # one grid call against one scalar call per (z, x) pair.  A point
+        # sees a narrower |z| and x range than the grid, so it picks its own
+        # term count: the two sums agree within both tail bounds plus the
+        # rounding of the sums (4 ulp).
         cf = get_closed_form(*config)
         seq = get_sequence(*config)
         lo, hi = get_measure(*config).support
         zs, xs = circle_points(0.1, 16), np.linspace(lo, hi, 11)
         grid = psi_series(seq, cf.lam, zs, xs)
-        assert grid.value.shape == grid.tail.shape == grid.converged.shape == (16, 11)
+        assert grid.value.shape == grid.converged.shape == (16, 11)
+        assert grid.converged.all()
         for i, z in enumerate(zs):
             for j, x in enumerate(xs):
                 point = psi_series(seq, cf.lam, z, float(x))
-                assert grid.converged[i, j] == point.converged
+                assert point.converged
                 value_ulp = np.spacing(abs(point.value))
-                assert abs(grid.value[i, j] - point.value) <= 4 * value_ulp
-                assert abs(grid.tail[i, j] - point.tail) <= 64 * np.spacing(point.tail)
+                assert (abs(grid.value[i, j] - point.value)
+                        <= grid.tail_bound + point.tail_bound + 4 * value_ulp)
 
     @pytest.mark.parametrize("config", [
         (Family.SYM1, 2.0, None, None),
@@ -346,11 +350,16 @@ class TestPsiSeries:
         assert degrees[0] < 40
 
     def test_mixed_scalar_and_grid_axes(self):
+        # a row or a column is a call of its own, with its own term count
         seq = get_sequence(Family.SYM2, 1.5, None, None)
         zs, xs = circle_points(0.1, 4), [-1.0, 0.5]
-        grid = psi_series(seq, 1.5, zs, xs).value
-        assert psi_series(seq, 1.5, zs[1], xs).value.tolist() == grid[1].tolist()
-        assert psi_series(seq, 1.5, zs, xs[0]).value.tolist() == grid[:, 0].tolist()
+        grid = psi_series(seq, 1.5, zs, xs)
+        for part, expected in ((psi_series(seq, 1.5, zs[1], xs), grid.value[1]),
+                               (psi_series(seq, 1.5, zs, xs[0]), grid.value[:, 0])):
+            assert part.value.shape == expected.shape
+            ulp = np.spacing(np.abs(expected))
+            assert np.all(np.abs(part.value - expected)
+                          <= grid.tail_bound + part.tail_bound + 4 * ulp)
 
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_series_vs_closed_sweep(self, config):
@@ -366,6 +375,112 @@ class TestPsiSeries:
                 gap = abs(series.value - closed) / (1.0 + abs(closed))
                 worst = max(worst, gap)
         assert worst <= 1e-9
+
+
+def mp_tail(seq, lam, r, x, start):
+    """sum of |c_n P_n(x)| r^n over start <= n <= the table's last degree,
+    with c_n = (lam)_n / n!, at 40 digits from the table's floats."""
+    with mpmath.workdps(40):
+        x, r, lam = mpmath.mpf(x), mpmath.mpf(r), mpmath.mpf(lam)
+        total, c, rn = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1)
+        p_prev, p = mpmath.mpf(0), mpmath.mpf(1)
+        coefficients = zip(seq.alphas.tolist(), seq.omegas.tolist())
+        for n, (alpha, omega) in enumerate(coefficients):
+            if n >= start:
+                total += c * abs(p) * rn
+            p_prev, p = p, (x - alpha) * p - omega * p_prev
+            c, rn = c * (lam + n) / (n + 1), rn * r
+        return total + c * abs(p) * rn
+
+
+class TestCertifiedTruncation:
+    @pytest.mark.parametrize("radius", [0.1, 0.3])
+    @pytest.mark.parametrize("config", SWEEP_CONFIGS)
+    def test_tail_bound_covers_the_true_tail(self, config, radius):
+        # every omitted term of the 200-entry table, at 40 digits, at the
+        # largest |z| of the call (the tail grows with |z|)
+        cf = get_closed_form(*config)
+        seq = get_sequence(*config)
+        lo, hi = get_measure(*config).support
+        zs, xs = circle_points(radius, 16), np.linspace(lo, hi, 11)
+        series = psi_series(seq, cf.lam, zs, xs)
+        if radius == 0.1:
+            assert series.converged.all()
+        if math.isinf(series.tail_bound):
+            assert series.n_terms == genfun.SERIES_CAP
+            return
+        r = max(abs(z) for z in zs)
+        for x in xs:
+            assert mp_tail(seq, cf.lam, r, float(x), series.n_terms) <= series.tail_bound
+
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
+    def test_majorant_bounds_the_polynomials(self, config):
+        # M_n >= |P_n(x)| for n <= 200 on the support grid; the slack covers
+        # the rounding of the two float recurrences
+        seq = get_sequence(*config)
+        xs = np.linspace(*get_measure(*config).support, 11)
+        majorant = [m for m, _ in itertools.islice(majorant_values(seq, xs, 1.0), 201)]
+        values = np.abs(eval_monic(seq, 200, xs)).max(axis=1)
+        assert np.all(values <= np.array(majorant) * (1.0 + 1e-12))
+
+    def test_majorant_scales_with_z(self):
+        seq = get_sequence(Family.NONSYM_PLUS, 1.5, None, None)
+        xs = np.linspace(*get_measure(Family.NONSYM_PLUS, 1.5, None, None).support, 11)
+        plain = list(itertools.islice(majorant_values(seq, xs, 1.0), 30))
+        scaled = list(itertools.islice(majorant_values(seq, xs, 0.25), 30))
+        for n, ((m, rho), (m_s, rho_s)) in enumerate(zip(plain, scaled)):
+            assert m_s == pytest.approx(m * 0.25**n, rel=1e-13, abs=0.0)
+            assert rho_s == pytest.approx(0.25 * rho, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        re=st.floats(-0.2, 0.2),
+        im=st.floats(-0.2, 0.2),
+        xfrac=st.floats(0.0, 1.0),
+        config=st.sampled_from(IDENTITY_SWEEP),
+    )
+    def test_error_within_tail_bound_and_rounding(self, re, im, xfrac, config):
+        # |series - psi| <= tail_bound + 64 eps sum |t_n| over the summed terms
+        z = complex(re, im)
+        cf = get_closed_form(*config)
+        if abs(z) >= 0.9 * cf.domain_radius:
+            z *= 0.5 * cf.domain_radius / abs(z)
+        seq = get_sequence(*config)
+        lo, hi = get_measure(*config).support
+        x = lo + xfrac * (hi - lo)
+        series = psi_series(seq, cf.lam, z, x)
+        count = series.n_terms
+        coeffs = np.fromiter(itertools.islice(pochhammer_over_factorial(cf.lam), count),
+                             float, count)
+        powers = abs(z) ** np.arange(count)
+        magnitudes = coeffs * np.abs(eval_monic(seq, count - 1, x)) * powers
+        bound = series.tail_bound + 64 * np.finfo(float).eps * magnitudes.sum()
+        assert abs(series.value - psi_analytic(cf, z, x)) <= bound
+
+    def test_bound_is_tight_where_the_majorant_is_exact(self):
+        # free Meixner at b = -1 has omega_n = 0 for n >= 2, and at x = 0.25,
+        # between 0 and a = 0.5, every |P_n(x)| equals M_n: the tail past N
+        # is the geometric series |P_N| r^N / (1 - r |x - a|), which the
+        # bound must reproduce, and N is the first count that meets 2^-53
+        seq = get_sequence(Family.FREE_MEIXNER, None, 0.5, -1.0)
+        r, x = 0.3, 0.25
+        series = psi_series(seq, 1.0, r, x)
+        size = np.abs(eval_monic(seq, 60, x)) * r ** np.arange(61)
+        majorant = [m for m, _ in itertools.islice(majorant_values(seq, x, r), 61)]
+        assert size == pytest.approx(majorant, rel=1e-13, abs=0.0)
+        count = series.n_terms
+        tail = size[count] / (1.0 - r * 0.25)
+        assert series.tail_bound == pytest.approx(tail, rel=1e-12, abs=0.0)
+        assert series.tail_bound <= genfun.UNIT_ROUNDOFF * size[:count].sum()
+        earlier = size[count - 1] / (1.0 - r * 0.25)
+        assert earlier > genfun.UNIT_ROUNDOFF * size[:count - 1].sum()
+
+    def test_sums_only_the_chosen_terms(self):
+        seq = get_sequence(Family.SYM1, 2.0, None, None)
+        assert psi_series(seq, 2.0, 0.0, 1.0) == (1.0 + 0.0j, 0.0, 1, True)
+        capped = psi_series(seq, 2.0, 0.1, 1.0, 5)
+        assert capped.n_terms == 5 and capped.tail_bound == math.inf
+        assert not capped.converged
 
 
 class TestPsiFamilyMoments:
@@ -403,6 +518,19 @@ class TestPsiFamilyMoments:
             expected = 0.5 * lam * (lam + 1.0) * cf.omega2 * z * z \
                 + lam * cf.alpha1 * z + 1.0
             assert abs(m2 - expected) <= 1e-9
+
+    def test_reads_one_coefficient_table(self, monkeypatch):
+        # the support size and the Gauss rule come from the same table
+        tables = []
+
+        def counting(measure, size):
+            tables.append(size)
+            return measures.family_sequence(measure.family, measure.lam, size=size)
+
+        monkeypatch.setattr(measures, "recurrence_of", counting)
+        measure = get_measure(Family.SYM2, 1.5, None, None)
+        psi_family_moments(measure, get_closed_form(Family.SYM2, 1.5, None, None), 0.05, 24)
+        assert tables == [24]
 
     @pytest.mark.parametrize("config", IDENTITY_SWEEP[::3])
     def test_array_z_matches_scalar_calls(self, config):

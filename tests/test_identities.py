@@ -2,6 +2,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -110,6 +111,18 @@ class TestPochhammerRatio:
             with pytest.raises(ParameterError):
                 pochhammer_ratio_check(lam, 3)
 
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 0.6, 1.0, 2.5, 7.3, 40.0])
+    def test_array_equals_scalar_calls(self, lam):
+        ns = np.arange(21)
+        residuals = pochhammer_ratio_check(lam, ns)
+        assert residuals.shape == (21,)
+        assert residuals.tolist() == [pochhammer_ratio_check(lam, int(n)) for n in ns]
+        assert type(pochhammer_ratio_check(lam, 4)) is float
+
+    def test_array_rejects_a_negative_n(self):
+        with pytest.raises(ParameterError):
+            pochhammer_ratio_check(1.0, np.array([3, -1]))
+
 
 class TestOneFZero:
     def test_y_zero(self):
@@ -129,6 +142,18 @@ class TestOneFZero:
     def test_domain(self):
         with pytest.raises(DomainError):
             one_f_zero_reduction(1.0, 1.0)
+        with pytest.raises(DomainError):
+            one_f_zero_reduction(1.0, [0.5, -1.0])
+
+    @pytest.mark.parametrize("lam", [0.05, 0.6, 1.0, 2.5, 6.0])
+    def test_array_matches_binomial(self, lam):
+        # each element is its own series: the array gives the scalar calls
+        ys = np.array([-0.5, -0.25, 0.0, 0.25, 0.5, 0.75])
+        residuals = one_f_zero_reduction(lam, ys)
+        assert residuals.tolist() == [one_f_zero_reduction(lam, float(y)) for y in ys]
+        with mpmath.workdps(40):
+            exact = [(1 - mpmath.mpf(float(y))) ** -mpmath.mpf(lam) for y in ys]
+        assert np.all(residuals <= 1e-14 * np.abs(np.array(exact, dtype=float)))
 
 
 class TestClassicalRecurrences:
@@ -377,6 +402,34 @@ class TestHypergeometric:
             params = HypergeometricParams(upper=upper, lower=lower, argument=arg)
             expected = scipy.special.hyp2f1(upper[0], upper[1], lower, arg)
             assert gauss_2f1(params) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", LAMBDA_SWEEP)
+    def test_array_matches_mpmath(self, lam):
+        # the collapse's own 2F1 at the 16 points verify uses, one call
+        alf, bet = lam - 0.5, lam - 1.5
+        t = np.array([-0.15, -0.1, 0.1, 0.15])[:, None]
+        w = (2.0 * (np.array([-0.4, 0.0, 0.4, 0.8]) + 1.0) * t / (1.0 + t) ** 2).ravel()
+        upper, lower = (0.5 * (alf + bet + 1.0), 0.5 * (alf + bet + 2.0)), bet + 1.0
+        values = gauss_2f1(HypergeometricParams(upper=upper, lower=lower, argument=w))
+        with mpmath.workdps(40):
+            exact = np.array([mpmath.hyp2f1(upper[0], upper[1], lower, float(arg))
+                              for arg in w], dtype=float)
+        assert np.all(np.abs(values - exact) <= 1e-14 * np.abs(exact))
+
+    def test_scalar_argument_gives_a_float(self):
+        params = HypergeometricParams(upper=(0.5, 1.3), lower=2.1, argument=0.4)
+        assert type(gauss_2f1(params)) is float
+        with pytest.raises(DomainError):
+            HypergeometricParams(upper=(1.0, 2.0), lower=1.5,
+                                 argument=np.array([0.2, -1.0]))
+
+    def test_collapse_grid_is_one_call(self):
+        ts, ys = [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
+        grid = two_f_one_collapse_check(1.6, ts, ys)
+        assert grid.shape == (4, 4)
+        for i, t in enumerate(ts):
+            for j, y in enumerate(ys):
+                assert grid[i, j] == two_f_one_collapse_check(1.6, t, y)
 
     def test_collapse_lambda2(self):
         assert two_f_one_collapse_check(2.0, 0.1, 0.5) <= 1e-12

@@ -20,7 +20,7 @@ from opgf import (
     stieltjes_from_quadrature,
 )
 from opgf.identities import gegenbauer_sequence, jacobi_sequence
-from opgf.recurrence import monic_values, quiet_sum
+from opgf.recurrence import monic_values
 
 
 def free_meixner_seq(a, b):
@@ -121,42 +121,6 @@ class TestMonicValues:
         seq = free_meixner_seq(0.0, 0.0)
         with pytest.raises(ParameterError):
             next(monic_values(seq, np.array([0.0, 1.0, math.nan])))
-
-
-def geometric(ratio, count=200):
-    return (ratio**n for n in range(count))
-
-
-class TestQuietSum:
-    def test_scalar_stops_after_three_quiet_terms(self):
-        total, last = quiet_sum(geometric(0.5))
-        # 0.5^n <= 1e-15 * 2 from n = 49 on, so 0.5^51 is the last term
-        assert last == 0.5**51
-        assert total == math.fsum(0.5**n for n in range(52))
-
-    def test_runs_out_of_terms(self):
-        assert quiet_sum(geometric(0.5, 10)) == (math.fsum(geometric(0.5, 10)), 0.5**9)
-        assert quiet_sum([]) == (0.0, 0.0)
-
-    def test_elements_stop_on_their_own(self):
-        # each element keeps the sum and last term of its own stopping
-        # point, as if summed alone
-        ratios = (0.5, 0.1, -0.3, 0.0)
-        total, last = quiet_sum(
-            np.array(terms) for terms in zip(*(geometric(r) for r in ratios)))
-        for k, ratio in enumerate(ratios):
-            assert (total[k], last[k]) == quiet_sum(geometric(ratio))
-
-    def test_stops_when_every_element_has(self):
-        consumed = []
-
-        def terms():
-            for n in range(200):
-                consumed.append(n)
-                yield np.array([0.5**n, 0.1**n])
-
-        quiet_sum(terms())
-        assert consumed[-1] == 51
 
 
 class TestNormSquared:
