@@ -145,7 +145,7 @@ def run_family_checks(family: Family, lam, a, b, zmax: float, grid: int,
 
     checks = [_series_check(cf, seq, zs_circle, xs, tol)]
 
-    m0, m1, m2 = genfun.psi_family_moments(measure, cf, zs_real, order=24)
+    m0, m1, m2 = genfun.psi_family_moments(measure, cf, zs_real)
     lam_ = cf.lam
     m2_claim = (0.5 * lam_ * (lam_ + 1.0) * cf.omega2 * zs_real * zs_real
                 + lam_ * cf.alpha1 * zs_real + 1.0)

@@ -7,14 +7,15 @@ The object of study is
 
 where (lambda)_n is the Pochhammer symbol, P_n are the monic orthogonal
 polynomials of the measure, and powers take the principal branch.  Both
-z*f(z) and u(z)/z^lambda extend analytically to z = 0 with value 1, so psi
+z*f(z) = 1 + c1 z + c2 z^2 and N(z) = z^lambda/u(z) = 1 + d1 z + d2 z^2 are
+quadratics for every family, so psi = N(z) / (1 + (c1 - x) z + c2 z^2)^lambda
 tends to 1 as z -> 0.
 
 Two evaluators are provided.  ``psi_closed`` is the literal product
 u(z) * exp(lambda*Log(f(z)-x)) and refuses the branch cut of either factor.
 ``psi_analytic`` evaluates the equivalent factorization
 
-    1 / [ (u(z)/z^lambda) * (z*f(z) - z*x)^lambda ]
+    N(z) / (z*f(z) - z*x)^lambda
 
 whose power argument stays near 1 for small |z|; it agrees with psi_closed
 off the negative real axis and continues the series across the cut, which is
@@ -22,11 +23,12 @@ what moment checks at negative real z need.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,16 +44,21 @@ _TAIL_WARN_FACTOR = 1e-8
 # The unit roundoff of a double: a series tail below this share of the sum's
 # magnitude is below the rounding of the sum itself.
 UNIT_ROUNDOFF = 2.0**-53
+# Gauss nodes of the moment checks' rule.
+MOMENT_ORDER = 24
 
 
 @dataclass(frozen=True)
 class GenFunClosedForm:
-    """Closed-form data (f, u, g, domain) of one family's generating function.
+    """Closed-form data of one family's generating function.
 
-    zf_coeffs holds the quadratic z*f(z) = c0 + c1 z + c2 z^2 (c0 = 1), and
-    u_reduced is the analytic-at-0 ratio u(z)/z^lambda with value 1 at z = 0.
-    g is f - Q_1/2 with Q_1(z) = (lambda+1) omega_2 z + alpha_1.  The
-    functions take a scalar or a numpy array of z, elementwise.
+    Two quadratics carry the whole family: z f(z) = 1 + c1 z + c2 z^2
+    (zf_coeffs) and N(z) = z^lambda / u(z) = 1 + d1 z + d2 z^2
+    (numerator_coeffs), so psi(z, x) = N(z) / (1 + (c1 - x) z + c2 z^2)^lambda.
+    g is f - Q_1/2 with Q_1(z) = (lambda+1) omega_2 z + alpha_1.  The methods
+    take a scalar or a numpy array of z, elementwise.  excludes_negative_axis
+    marks the families whose u carries the branch cut of z^lambda (all but
+    free Meixner, where lambda = 1).
     """
 
     family: Family
@@ -61,114 +68,67 @@ class GenFunClosedForm:
     alpha1: float
     omega2: float
     zf_coeffs: tuple[float, float, float]
-    f: Callable[[complex], complex]
-    f_prime: Callable[[complex], complex]
-    u: Callable[[complex], complex]
-    u_reduced: Callable[[complex], complex]
-    u_log_deriv: Callable[[complex], complex]
-    g: Callable[[complex], complex]
+    numerator_coeffs: tuple[float, float, float]
     domain_radius: float
     excludes_negative_axis: bool
 
+    def f(self, z):
+        _, c1, c2 = self.zf_coeffs
+        return 1.0 / z + c1 + c2 * z
 
-def _min_root_modulus(coeffs_desc) -> float:
-    """Smallest modulus among the roots of a polynomial (inf if none)."""
-    coeffs = np.array(coeffs_desc, dtype=float)
-    nz = np.nonzero(np.abs(coeffs) > 1e-300)[0]
-    if nz.size == 0:
-        return math.inf
-    coeffs = coeffs[nz[0]:]
-    if coeffs.size < 2:
-        return math.inf
-    roots = np.roots(coeffs)
-    return float(np.abs(roots).min()) if roots.size else math.inf
+    def f_prime(self, z):
+        return self.zf_coeffs[2] - 1.0 / (z * z)
+
+    def numerator(self, z):
+        """N(z) = z^lambda / u(z), analytic at 0 with N(0) = 1."""
+        d0, d1, d2 = self.numerator_coeffs
+        return d0 + d1 * z + d2 * z * z
+
+    def u(self, z):
+        return np.power(np.asarray(z, dtype=complex), self.lam) / self.numerator(z)
+
+    def u_log_deriv(self, z):
+        _, d1, d2 = self.numerator_coeffs
+        return self.lam / z - (d1 + 2.0 * d2 * z) / self.numerator(z)
+
+    def g(self, z):
+        return self.f(z) - 0.5 * (self.lam + 1.0) * self.omega2 * z - 0.5 * self.alpha1
+
+
+def _nearest_zero(c1: float, c2: float) -> float:
+    """Smallest |zero| of 1 + c1 z + c2 z^2 (inf if it has none).
+
+    The zeros are q/c2 and 1/q with q = -(c1 + sign(c1) sqrt(c1^2 - 4 c2))/2,
+    whose sign choice avoids cancellation; c2 = 0 leaves 1/q = -1/c1 alone.
+    """
+    q = -0.5 * (c1 + math.copysign(1.0, c1) * cmath.sqrt(c1 * c1 - 4.0 * c2))
+    return min(abs(q / c2) if c2 else math.inf, 1.0 / abs(q) if q else math.inf)
 
 
 def closed_form(family, lam=None, a=None, b=None) -> GenFunClosedForm:
-    """Closed forms f, u, g and domain data for a family."""
+    """Closed-form data of a family: z f(z) = 1 + c1 z + c2 z^2 and
+    z^lambda / u(z) = 1 + d1 z + d2 z^2.  The domain radius is 0.9 times the
+    smallest |zero| of the two quadratics, the zeros of f and the poles of u
+    nearest 0."""
     family = Family(family)
     lam, a, b = families.validate_params(family, lam, a, b)
-    alpha1 = families.alpha1_value(family, lam, a, b)
-    omega2 = families.omega2_value(family, lam, a, b)
-    excludes = True
-
     if family is Family.SYM1:
-        c1, c2 = 0.0, 0.5 * (1.0 + lam)
-
-        def u_reduced(z):
-            return np.ones(np.shape(z), dtype=complex)
-
-        def u_log_extra(z):
-            return 0.0j
-
-        radius = 0.9 * math.sqrt(2.0 / (1.0 + lam))
-
+        c1, c2, d1, d2 = 0.0, 0.5 * (1.0 + lam), 0.0, 0.0
     elif family is Family.SYM2:
-        c1, c2 = 0.0, 0.5 * lam
-
-        def u_reduced(z):
-            return 1.0 / (1.0 - 0.5 * lam * z * z)
-
-        def u_log_extra(z):
-            return lam * z / (1.0 - 0.5 * lam * z * z)
-
-        radius = 0.9 * math.sqrt(2.0 / lam)
-
+        c1, c2, d1, d2 = 0.0, 0.5 * lam, 0.0, -0.5 * lam
     elif family.nonsymmetric:
         sign = families.nonsym_sign(family)
         root = math.sqrt(2.0 * lam - 1.0)
-        c1, c2 = sign / root, lam * lam / (2.0 * lam - 1.0)
-        pole = sign * root / lam
-
-        def u_reduced(z):
-            return pole / (z + pole)
-
-        def u_log_extra(z):
-            return -1.0 / (z + pole)
-
-        radius = 0.9 * root / lam
-
+        c1, c2, d1, d2 = sign / root, lam * lam / (2.0 * lam - 1.0), sign * lam / root, 0.0
     else:
-        c1, c2 = a, 1.0 + b
-
-        def u_reduced(z):
-            return 1.0 / (1.0 + a * z + b * z * z)
-
-        def u_log_extra(z):
-            return -(a + 2.0 * b * z) / (1.0 + a * z + b * z * z)
-
-        candidates = [_min_root_modulus([1.0 + b, a, 1.0]),
-                      _min_root_modulus([b, a, 1.0])]
-        if b > -1.0:
-            candidates.append(1.0 / math.sqrt(1.0 + b))
-        radius = 0.9 * min(candidates)
-        excludes = False
-
-    lam_ = lam
-
-    def f(z):
-        return 1.0 / z + c1 + c2 * z
-
-    def f_prime(z):
-        return c2 - 1.0 / (z * z)
-
-    def u(z):
-        return np.power(np.asarray(z, dtype=complex), lam_) * u_reduced(z)
-
-    def u_log_deriv(z):
-        return lam_ / z + u_log_extra(z)
-
-    half_q1_slope = 0.5 * (lam + 1.0) * omega2
-    half_alpha1 = 0.5 * alpha1
-
-    def g(z):
-        return f(z) - half_q1_slope * z - half_alpha1
-
+        c1, c2, d1, d2 = a, 1.0 + b, a, b
     return GenFunClosedForm(
-        family=family, lam=lam, a=a, b=b, alpha1=alpha1, omega2=omega2,
-        zf_coeffs=(1.0, c1, c2), f=f, f_prime=f_prime, u=u,
-        u_reduced=u_reduced, u_log_deriv=u_log_deriv, g=g,
-        domain_radius=radius, excludes_negative_axis=excludes,
+        family=family, lam=lam, a=a, b=b,
+        alpha1=families.alpha1_value(family, lam, a, b),
+        omega2=families.omega2_value(family, lam, a, b),
+        zf_coeffs=(1.0, c1, c2), numerator_coeffs=(1.0, d1, d2),
+        domain_radius=0.9 * min(_nearest_zero(c1, c2), _nearest_zero(d1, d2)),
+        excludes_negative_axis=family is not Family.FREE_MEIXNER,
     )
 
 
@@ -251,11 +211,11 @@ def psi_closed(cf: GenFunClosedForm, z, x):
 def psi_analytic(cf: GenFunClosedForm, z, x):
     """psi via the factorization that is analytic at z = 0.
 
-    Evaluates 1 / [u_reduced(z) * (z f(z) - z x)^lambda]; the power argument
-    tends to 1 as z -> 0, so this continues the series across the negative
-    real z axis as long as z f(z) - z x stays off the non-positive reals.
-    psi(0, x) = 1.  z and x are laid out, and bad points raise, as in
-    psi_closed.
+    Evaluates N(z) / (z f(z) - z x)^lambda with N(z) = z^lambda / u(z); the
+    power argument tends to 1 as z -> 0, so this continues the series across
+    the negative real z axis as long as z f(z) - z x stays off the
+    non-positive reals.  psi(0, x) = N(0) = 1.  z and x are laid out, and bad
+    points raise, as in psi_closed.
     """
     zs, xs = grid_points(z, x)
     c0, c1, c2 = cf.zf_coeffs
@@ -268,8 +228,7 @@ def psi_analytic(cf: GenFunClosedForm, z, x):
             f"z*(f(z) - x) = {wk.real:.6g} lies on the branch cut (z = {zk}, x = {xk})",
             z=zk, x=xk)),
     ])
-    values = np.where(zs == 0, 1.0 + 0.0j,
-                      1.0 / (cf.u_reduced(zs) * np.exp(cf.lam * np.log(w))))
+    values = np.where(zs == 0, 1.0 + 0.0j, cf.numerator(zs) / np.exp(cf.lam * np.log(w)))
     return as_shape(values, np.shape(z) + np.shape(x))
 
 
@@ -352,24 +311,20 @@ def psi_series(seq: JacobiSzegoSequence, lam: float, z, x,
                            as_shape(bound <= _TAIL_WARN_FACTOR * np.abs(values), shape))
 
 
-def psi_family_moments(measure: measures.MeasureSpec, cf: GenFunClosedForm,
-                       z, order: int) -> tuple:
+def psi_family_moments(measure: measures.MeasureSpec, cf: GenFunClosedForm, z) -> tuple:
     """Moments m_i = integral of x^i psi(z, x) d(measure), i = 0, 1, 2.
 
     For real z in the domain these satisfy m0 = 1, m1 = lambda*z and
     m2 = lambda(lambda+1)/2 * omega_2 z^2 + lambda*alpha_1 z + 1.  z is a
     float or a 1-D array, which gives three arrays from one Gauss rule.  The
-    rule has `order` nodes, or as many as the measure has support points if
-    that is fewer (free Meixner at b = -1 has two), where it is exact.
+    rule has MOMENT_ORDER nodes, or as many as the measure has support points
+    if that is fewer (free Meixner at b = -1 has two), where it is exact.
     """
     zs = np.asarray(z, dtype=float)
     raise_first((zs,), [radius_guard(cf, zs)])
     # one coefficient table gives both the support size and the rule
-    seq = measures.recurrence_of(measure, max(order, 12))
-    points = measures._support_points(seq)
-    if order < min(12, points):
-        raise ParameterError(f"quadrature order must be >= 12, got {order}")
-    rule = measures._gauss_rule(seq, min(order, points))
+    seq = measures.recurrence_of(measure, MOMENT_ORDER)
+    rule = measures._gauss_rule(seq, min(MOMENT_ORDER, measures._support_points(seq)))
     # a scalar z is the length-1 grid, so it takes the same sums as an array
     psi = psi_analytic(cf, np.atleast_1d(zs), rule.nodes).real
     w_x = rule.weights * rule.nodes

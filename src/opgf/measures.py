@@ -182,19 +182,10 @@ def recurrence_of(measure: MeasureSpec, size: int) -> JacobiSzegoSequence:
 
 def _support_points(seq: JacobiSzegoSequence) -> int:
     """Support points of the measure of seq, or the table length if it has
-    at least that many: the first n with omega_n <= 0."""
+    at least that many: the first n with omega_n <= 0, since P_n vanishes on
+    the support of a measure on exactly n points."""
     hits = np.flatnonzero(seq.omegas <= 0.0)
     return int(hits[0]) if hits.size else seq.omegas.size
-
-
-def support_size(measure: MeasureSpec, limit: int) -> int:
-    """Number of support points of the measure, or limit if it has at least
-    that many.
-
-    A measure on exactly n points has omega_n = 0, since P_n vanishes on its
-    support, so the count is the first n with omega_n <= 0.
-    """
-    return _support_points(recurrence_of(measure, limit))
 
 
 def _gauss_rule(seq: JacobiSzegoSequence, order: int) -> QuadratureRule:

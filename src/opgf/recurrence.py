@@ -74,7 +74,7 @@ def monic_values(seq: JacobiSzegoSequence, x) -> Iterator:
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
-        raise ParameterError(f"x must be finite, got {x}")
+        raise ParameterError(f"x must be finite, got {xs[~np.isfinite(xs)][0]}")
     if xs.ndim == 0:
         x, p_prev, p_cur = float(xs), 0.0, 1.0
         shifts = (x - alpha for alpha in seq.alphas.tolist())

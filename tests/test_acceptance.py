@@ -83,7 +83,7 @@ def test_criterion_02_psi_family_moments():
         measure = get_measure(*config)
         lam = cf.lam
         for z in (-0.1, -0.05, -0.02, 0.02, 0.05, 0.1):
-            m0, m1, m2 = psi_family_moments(measure, cf, z, 24)
+            m0, m1, m2 = psi_family_moments(measure, cf, z)
             m2_expected = 0.5 * lam * (lam + 1.0) * cf.omega2 * z * z \
                 + lam * cf.alpha1 * z + 1.0
             worst = (

@@ -101,6 +101,90 @@ class TestClosedForm:
             assert cf.domain_radius > 0.11  # every sweep uses |z| <= 0.1
 
 
+# Documented edges of the parameter domain, beside the sweep.
+EDGE_CONFIGS = (
+    (Family.SYM1, 0.05, None, None), (Family.SYM1, 0.5, None, None),
+    (Family.SYM1, 40.0, None, None), (Family.SYM2, 0.51, None, None),
+    (Family.SYM2, 40.0, None, None), (Family.NONSYM_PLUS, 0.51, None, None),
+    (Family.NONSYM_MINUS, 40.0, None, None), (Family.FREE_MEIXNER, None, 0.0, -1.0),
+    (Family.FREE_MEIXNER, None, 0.7, -1.0), (Family.FREE_MEIXNER, None, -1.0, 1.0),
+)
+
+
+def three_candidate_fm_radius(a, b):
+    """The free Meixner radius as three candidates: the smallest |root| of
+    z f(z) and of z^lambda/u(z) by np.roots, and 1/sqrt(1 + b) for b > -1."""
+    def nearest(coeffs_desc):
+        coeffs = np.trim_zeros(np.array(coeffs_desc, dtype=float), "f")
+        return float(np.abs(np.roots(coeffs)).min()) if coeffs.size > 1 else math.inf
+    candidates = [nearest([1.0 + b, a, 1.0]), nearest([b, a, 1.0])]
+    if b > -1.0:
+        candidates.append(1.0 / math.sqrt(1.0 + b))
+    return 0.9 * min(candidates)
+
+
+def close_to(value, terms, rel=1e-14):
+    """value == sum(terms) within rel times the larger of |value| and the
+    sum of |terms|, the scale that rounding of the sum reaches."""
+    scale = max(abs(value), sum(abs(t) for t in terms))
+    return abs(value - sum(terms)) <= rel * scale
+
+
+class TestClosedFormData:
+    @pytest.mark.parametrize("config", SWEEP_CONFIGS + EDGE_CONFIGS)
+    def test_quadratics_forced_by_the_recurrence(self, config):
+        # c1, c2 from the z^-1 and z^0 coefficients of the Riccati equation;
+        # d1, d2 from psi's z^1 and z^2 coefficients against P_1 = x and
+        # P_2 = x^2 - alpha_1 x - 1
+        cf = get_closed_form(*config)
+        seq = measures.recurrence_of(get_measure(*config), 3)
+        a1, w2, lam = float(seq.alphas[1]), float(seq.omegas[2]), cf.lam
+        c0, c1, c2 = cf.zf_coeffs
+        d0, d1, d2 = cf.numerator_coeffs
+        assert (c0, d0) == (1.0, 1.0)
+        assert close_to(c1, [0.5 * (lam + 1.0) * a1])
+        assert close_to(c2, [(lam + 1.0) / 3.0 * (lam + 2.0) * w2 / 2.0,
+                             -(lam + 1.0) / 3.0 * (lam - 1.0) * (1.0 + a1 * a1 / 4.0)])
+        assert close_to(d1, [lam * c1])
+        assert close_to(d2, [lam * c2, lam * (lam - 1.0) * c1 * c1 / 2.0,
+                             -lam * (lam + 1.0) / 2.0])
+
+    @pytest.mark.parametrize("family, lam_min, radius", [
+        (Family.SYM1, 0.05, lambda lam: 0.9 * math.sqrt(2.0 / (1.0 + lam))),
+        (Family.SYM2, 0.51, lambda lam: 0.9 * math.sqrt(2.0 / lam)),
+        (Family.NONSYM_PLUS, 0.51, lambda lam: 0.9 * math.sqrt(2.0 * lam - 1.0) / lam),
+        (Family.NONSYM_MINUS, 0.51, lambda lam: 0.9 * math.sqrt(2.0 * lam - 1.0) / lam),
+    ])
+    def test_radius_matches_the_family_formula(self, family, lam_min, radius):
+        for lam in np.geomspace(lam_min, 40.0, 97).tolist():
+            if lam == 1.0:
+                continue
+            expected = radius(lam)
+            got = closed_form(family, lam).domain_radius
+            assert abs(got - expected) <= 4 * np.spacing(expected), lam
+
+    def test_radius_matches_three_candidates_for_free_meixner(self):
+        grid = np.linspace(-1.0, 1.0, 21).tolist()
+        for a, b in itertools.product(grid + [0.7, -0.35], grid):
+            expected = three_candidate_fm_radius(a, b)
+            got = closed_form(Family.FREE_MEIXNER, a=a, b=b).domain_radius
+            assert abs(got - expected) <= 4 * np.spacing(expected), (a, b)
+
+    def test_two_point_free_meixner_radius(self):
+        assert closed_form(Family.FREE_MEIXNER, a=0.0, b=-1.0).domain_radius == 0.9
+        radius = closed_form(Family.FREE_MEIXNER, a=0.7, b=-1.0).domain_radius
+        assert radius == pytest.approx(0.9 * (math.sqrt(4.49) - 0.7) / 2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
+    def test_u_is_z_power_over_numerator(self, config):
+        cf = get_closed_form(*config)
+        zs = np.array([0.05, 0.03 + 0.04j, -0.02 + 0.07j])
+        assert np.array_equal(cf.u(zs), np.power(zs, cf.lam) / cf.numerator(zs))
+        step = 1e-6
+        numeric = (np.log(cf.u(zs + step)) - np.log(cf.u(zs - step))) / (2 * step)
+        assert np.abs(numeric - cf.u_log_deriv(zs)).max() <= 1e-6 * np.abs(numeric).max()
+
+
 class TestPsiClosed:
     def test_tends_to_one(self):
         for config in IDENTITY_SWEEP[:8]:
@@ -285,6 +369,11 @@ class TestPsiSeries:
         seq = get_sequence(Family.SYM1, 2.0, None, None)
         with pytest.raises(ParameterError):
             psi_series(seq, 2.0, 0.1, 0.0, 0)
+
+    def test_names_a_nonfinite_scalar_x(self):
+        seq = get_sequence(Family.SYM1, 2.0, None, None)
+        with pytest.raises(ParameterError, match=r"got nan$"):
+            psi_series(seq, 2.0, 0.1, math.nan)
 
     @pytest.mark.parametrize("config", [
         (Family.SYM1, 2.0, None, None),
@@ -489,19 +578,19 @@ class TestPsiFamilyMoments:
                             (Family.NONSYM_PLUS, 1.5)):
             measure = get_measure(family, lam, None, None)
             cf = get_closed_form(family, lam, None, None)
-            _, m1, _ = psi_family_moments(measure, cf, 0.05, 24)
+            _, m1, _ = psi_family_moments(measure, cf, 0.05)
             assert m1 == pytest.approx(0.075, abs=1e-9)
 
     def test_sym1_lambda2_m2(self):
         measure = get_measure(Family.SYM1, 2.0, None, None)
         cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        _, _, m2 = psi_family_moments(measure, cf, 0.1, 24)
+        _, _, m2 = psi_family_moments(measure, cf, 0.1)
         assert m2 == pytest.approx(1.0375, abs=1e-9)
 
     def test_zero_gives_standardized_moments(self):
         measure = get_measure(Family.NONSYM_MINUS, 2.0, None, None)
         cf = get_closed_form(Family.NONSYM_MINUS, 2.0, None, None)
-        m0, m1, m2 = psi_family_moments(measure, cf, 0.0, 24)
+        m0, m1, m2 = psi_family_moments(measure, cf, 0.0)
         assert m0 == pytest.approx(1.0, abs=1e-12)
         assert m1 == pytest.approx(0.0, abs=1e-12)
         assert m2 == pytest.approx(1.0, abs=1e-10)
@@ -512,7 +601,7 @@ class TestPsiFamilyMoments:
         cf = get_closed_form(*config)
         lam = cf.lam
         for z in (-0.1, -0.05, -0.02, 0.02, 0.05, 0.1):
-            m0, m1, m2 = psi_family_moments(measure, cf, z, 24)
+            m0, m1, m2 = psi_family_moments(measure, cf, z)
             assert abs(m0 - 1.0) <= 1e-10
             assert abs(m1 - lam * z) <= 1e-9
             expected = 0.5 * lam * (lam + 1.0) * cf.omega2 * z * z \
@@ -529,7 +618,7 @@ class TestPsiFamilyMoments:
 
         monkeypatch.setattr(measures, "recurrence_of", counting)
         measure = get_measure(Family.SYM2, 1.5, None, None)
-        psi_family_moments(measure, get_closed_form(Family.SYM2, 1.5, None, None), 0.05, 24)
+        psi_family_moments(measure, get_closed_form(Family.SYM2, 1.5, None, None), 0.05)
         assert tables == [24]
 
     @pytest.mark.parametrize("config", IDENTITY_SWEEP[::3])
@@ -538,9 +627,9 @@ class TestPsiFamilyMoments:
         measure = get_measure(*config)
         cf = get_closed_form(*config)
         zs = [-0.1, -0.02, 0.05, 0.1]
-        moments = psi_family_moments(measure, cf, np.array(zs), 24)
+        moments = psi_family_moments(measure, cf, np.array(zs))
         for k, z in enumerate(zs):
-            assert tuple(m[k] for m in moments) == psi_family_moments(measure, cf, z, 24)
+            assert tuple(m[k] for m in moments) == psi_family_moments(measure, cf, z)
 
     @pytest.mark.parametrize("a", [0.0, 0.7, -0.4])
     def test_two_point_free_meixner(self, a):
@@ -549,19 +638,13 @@ class TestPsiFamilyMoments:
         measure = get_measure(Family.FREE_MEIXNER, None, a, -1.0)
         cf = get_closed_form(Family.FREE_MEIXNER, None, a, -1.0)
         zs = np.array([-0.1, -0.05, 0.05, 0.1])
-        m0, m1, m2 = psi_family_moments(measure, cf, zs, 24)
+        m0, m1, m2 = psi_family_moments(measure, cf, zs)
         assert np.abs(m0 - 1.0).max() <= 1e-12
         assert np.abs(m1 - zs).max() <= 1e-12
         assert np.abs(m2 - (cf.omega2 * zs * zs + a * zs + 1.0)).max() <= 1e-12
-
-    def test_order_precondition(self):
-        measure = get_measure(Family.SYM1, 2.0, None, None)
-        cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        with pytest.raises(ParameterError):
-            psi_family_moments(measure, cf, 0.05, 8)
 
     def test_z_outside_domain(self):
         measure = get_measure(Family.SYM1, 2.0, None, None)
         cf = get_closed_form(Family.SYM1, 2.0, None, None)
         with pytest.raises(DomainError):
-            psi_family_moments(measure, cf, 0.99, 24)
+            psi_family_moments(measure, cf, 0.99)

@@ -119,8 +119,12 @@ class TestMonicValues:
 
     def test_rejects_any_nonfinite_point(self):
         seq = free_meixner_seq(0.0, 0.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"got nan$"):
             next(monic_values(seq, np.array([0.0, 1.0, math.nan])))
+        with pytest.raises(ParameterError, match=r"got -inf$"):
+            next(monic_values(seq, np.array([0.5, -math.inf, math.nan])))
+        with pytest.raises(ParameterError, match=r"got inf$"):
+            next(monic_values(seq, math.inf))
 
 
 class TestNormSquared:
