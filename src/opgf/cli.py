@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from . import __version__, genfun, identities, measures, riccati
+from . import __version__, families, genfun, identities, measures, riccati
 from .errors import OpgfError, ParameterError, RedirectToFreeMeixner
 from .families import Family
 
@@ -136,16 +136,15 @@ def run_family_checks(family: Family, lam, a, b, zmax: float, grid: int,
         )
     if grid < 4:
         raise ParameterError(f"grid must be >= 4, got {grid}")
-    measure = measures.build_measure(family, lam, a, b)
-    seq = measures.recurrence_of(measure, genfun.SERIES_CAP)
-    lo, hi = measure.support
+    seq = measures.family_sequence(family, cf.lam, cf.a, cf.b, size=genfun.SERIES_CAP)
+    lo, hi = families.support_interval(family, cf.lam, cf.a, cf.b)
     xs = list(np.linspace(lo, hi, 11))
     zs_circle = [zmax * complex(math.cos(t), math.sin(t)) for t in _grid_angles(grid)]
     zs_real = np.array([s * zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)])
 
     checks = [_series_check(cf, seq, zs_circle, xs, tol)]
 
-    m0, m1, m2 = genfun.psi_family_moments(measure, cf, zs_real)
+    m0, m1, m2 = genfun.psi_family_moments(seq, cf, zs_real)
     lam_ = cf.lam
     m2_claim = (0.5 * lam_ * (lam_ + 1.0) * cf.omega2 * zs_real * zs_real
                 + lam_ * cf.alpha1 * zs_real + 1.0)
@@ -164,7 +163,7 @@ def run_family_checks(family: Family, lam, a, b, zmax: float, grid: int,
     checks.append(_check("riccati-residual-u", pts, worst_u, TOL_RICCATI))
 
     ode_zs = np.array([s * zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
-    r1, r2 = riccati.residual_moment_ode(cf, measure, ode_zs)
+    r1, r2 = riccati.residual_moment_ode(cf, seq, ode_zs)
     worst_ode = max(r1.max(), r2.max())
     checks.append(_check("moment-ode", 2 * len(ode_zs), worst_ode, TOL_ODE))
 
@@ -179,7 +178,7 @@ def run_family_checks(family: Family, lam, a, b, zmax: float, grid: int,
     worst = identities.one_f_zero_reduction(cf.lam, ys).max()
     checks.append(_check("binomial-1f0", len(ys), worst, TOL_1F0))
 
-    checks.extend(_family_identity_checks(family, cf, zmax, lo, hi))
+    checks.extend(_family_identity_checks(cf, seq, zmax, lo, hi))
 
     all_passed = all(c["passed"] for c in checks)
     return {
@@ -194,9 +193,8 @@ def run_family_checks(family: Family, lam, a, b, zmax: float, grid: int,
     }
 
 
-def _family_identity_checks(family: Family, cf, zmax: float, lo: float,
-                            hi: float) -> list[dict]:
-    lam = cf.lam
+def _family_identity_checks(cf, seq, zmax: float, lo: float, hi: float) -> list[dict]:
+    family, lam = cf.family, cf.lam
     xs5 = list(np.linspace(lo, hi, 5))
     zs = [zmax, 0.5 * zmax, zmax * 1j, zmax * complex(-0.5, 0.5)]
     out = []
@@ -213,8 +211,7 @@ def _family_identity_checks(family: Family, cf, zmax: float, lo: float,
         out.append(_check("shifted-parameter-gf", len(zs) * len(xs5), worst,
                           TOL_GF_IDENTITY))
     elif family.nonsymmetric:
-        sign = "plus" if family is Family.NONSYM_PLUS else "minus"
-        worst = identities.jacobi_shift_check(lam, 10, xs5, sign).max()
+        worst = identities.jacobi_shift_check(cf, seq, 10, xs5).max()
         out.append(_check("jacobi-shift", 11 * len(xs5), worst, TOL_JACOBI_SHIFT))
         worst = identities.jacobi_2f1_gf_check(
             lam, [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
@@ -224,9 +221,7 @@ def _family_identity_checks(family: Family, cf, zmax: float, lo: float,
             lam, [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
         ).max()
         out.append(_check("2f1-collapse", 16, worst, TOL_GF_IDENTITY))
-        worst = identities.gf3_equivalence(
-            lam, [-0.5 * zmax, 0.5 * zmax, zmax], xs5, sign
-        ).max()
+        worst = identities.gf3_equivalence(cf, [-0.5 * zmax, 0.5 * zmax, zmax], xs5).max()
         out.append(_check("psi-prefactor-form", 3 * len(xs5), worst, TOL_GF3))
     else:
         series = riccati.free_meixner_uniqueness(cf.a, cf.b, 15)

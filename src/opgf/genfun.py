@@ -164,6 +164,13 @@ def radius_guard(cf: GenFunClosedForm, z) -> tuple:
     return np.abs(z) >= cf.domain_radius, error
 
 
+def _finite_x_guard(x) -> tuple:
+    """(mask, error) check for raise_first: ParameterError where x is not
+    finite.  The error takes the point's z first and its x second."""
+    return ~np.isfinite(x), lambda zk, xk, *_: ParameterError(
+        f"x must be finite, got {xk}")
+
+
 def grid_points(z, x) -> tuple:
     """z (complex) and x (float) as at-least-1-D axes in grid_axes's layout.
 
@@ -183,16 +190,18 @@ def psi_closed(cf: GenFunClosedForm, z, x):
     """psi(z, x) = 1 / (u(z) * exp(lambda * Log(f(z) - x))), principal branch.
 
     z and x are scalars or 1-D arrays laid out as in psi_series: arrays give
-    the (Z, X) grid, scalars a complex.  Outside the domain radius, on the
-    closed negative real z axis of a family that excludes it, at z = 0, where
-    f(z) = x and where f(z) - x is on the branch cut the call raises, for the
-    first such point in z-major order, the error a scalar call there raises.
+    the (Z, X) grid, scalars a complex.  At a non-finite x, outside the
+    domain radius, on the closed negative real z axis of a family that
+    excludes it, at z = 0, where f(z) = x and where f(z) - x is on the branch
+    cut the call raises, for the first such point in z-major order, the error
+    a scalar call there raises.
     """
     zs, xs = grid_points(z, x)
     with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 raises below
         w = cf.f(zs) - xs
     negative_axis = cf.excludes_negative_axis & (zs.imag == 0.0) & (zs.real <= 0.0)
     raise_first((zs, xs, w), [
+        _finite_x_guard(xs),
         radius_guard(cf, zs),
         (negative_axis, lambda zk, *_: DomainError(
             f"z = {zk} lies on the closed negative real axis, excluded for "
@@ -219,8 +228,10 @@ def psi_analytic(cf: GenFunClosedForm, z, x):
     """
     zs, xs = grid_points(z, x)
     c0, c1, c2 = cf.zf_coeffs
-    w = c0 + (c1 - xs) * zs + c2 * zs * zs
+    with np.errstate(invalid="ignore"):  # a non-finite x raises below
+        w = c0 + (c1 - xs) * zs + c2 * zs * zs
     raise_first((zs, xs, w), [
+        _finite_x_guard(xs),
         radius_guard(cf, zs),
         (w == 0, lambda zk, xk, _: SingularityError(
             f"z*(f(z) - x) vanishes at z = {zk}, x = {xk}")),
@@ -311,19 +322,19 @@ def psi_series(seq: JacobiSzegoSequence, lam: float, z, x,
                            as_shape(bound <= _TAIL_WARN_FACTOR * np.abs(values), shape))
 
 
-def psi_family_moments(measure: measures.MeasureSpec, cf: GenFunClosedForm, z) -> tuple:
-    """Moments m_i = integral of x^i psi(z, x) d(measure), i = 0, 1, 2.
+def psi_family_moments(seq: JacobiSzegoSequence, cf: GenFunClosedForm, z) -> tuple:
+    """Moments m_i = integral of x^i psi(z, x) d(mu), i = 0, 1, 2, for the
+    measure mu of the coefficient table seq.
 
     For real z in the domain these satisfy m0 = 1, m1 = lambda*z and
     m2 = lambda(lambda+1)/2 * omega_2 z^2 + lambda*alpha_1 z + 1.  z is a
     float or a 1-D array, which gives three arrays from one Gauss rule.  The
-    rule has MOMENT_ORDER nodes, or as many as the measure has support points
-    if that is fewer (free Meixner at b = -1 has two), where it is exact.
+    rule is built from the first MOMENT_ORDER coefficients of seq, or from
+    as many as the measure has support points if that is fewer (free
+    Meixner at b = -1 has two), where it is exact.
     """
     zs = np.asarray(z, dtype=float)
     raise_first((zs,), [radius_guard(cf, zs)])
-    # one coefficient table gives both the support size and the rule
-    seq = measures.recurrence_of(measure, MOMENT_ORDER)
     rule = measures._gauss_rule(seq, min(MOMENT_ORDER, measures._support_points(seq)))
     # a scalar z is the length-1 grid, so it takes the same sums as an array
     psi = psi_analytic(cf, np.atleast_1d(zs), rule.nodes).real

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import genfun, measures
+from . import families, genfun
 from .errors import DomainError, ParameterError
-from .families import Family
 from .recurrence import JacobiSzegoSequence, eval_monic
 
 
@@ -259,29 +258,25 @@ def family2_identity(lam: float, z, x):
     return np.abs(series - closed)
 
 
-def jacobi_shift_check(lam: float, n_max: int, x, sign: str) -> np.ndarray:
-    """Relative residuals between the catalog non-symmetric polynomials
-    P_0 .. P_{n_max} and their scaled-shifted classical monic Jacobi forms,
-    as an (n_max + 1, X) grid over the 1-D array of points x.
+def jacobi_shift_check(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence,
+                       n_max: int, x) -> np.ndarray:
+    """Relative residuals between the polynomials P_0 .. P_{n_max} of the
+    first n_max coefficients of seq and the scaled-shifted classical monic
+    Jacobi forms of the non-symmetric family of cf, as an (n_max + 1, X)
+    grid over the 1-D array of points x.
 
-    For sign "plus": P_n(x) = k^n p_n^{(l-1/2, l-3/2)}((sqrt(2l-1) x - 1)/(2l))
-    with k = 2l/sqrt(2l-1); for "minus" the parameters swap and the shift
-    reflects, matching p_n at (sqrt(2l-1) x + 1)/(2l).
+    For nonsym-plus: P_n(x) = k^n p_n^{(l-1/2, l-3/2)}((sqrt(2l-1) x - 1)/(2l))
+    with k = 2l/sqrt(2l-1); for nonsym-minus the parameters swap and the
+    shift reflects, matching p_n at (sqrt(2l-1) x + 1)/(2l).  Another
+    family, or a table shorter than n_max, raises ParameterError.
     """
-    if sign not in ("plus", "minus"):
-        raise ParameterError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    sign, lam = families.nonsym_sign(cf.family), cf.lam
     root = math.sqrt(2.0 * lam - 1.0)
     k = 2.0 * lam / root
     xs = np.asarray(x, dtype=float)
-    if sign == "plus":
-        family = Family.NONSYM_PLUS
-        alf, bet = lam - 0.5, lam - 1.5
-        ys = (root * xs - 1.0) / (2.0 * lam)
-    else:
-        family = Family.NONSYM_MINUS
-        alf, bet = lam - 1.5, lam - 0.5
-        ys = (root * xs + 1.0) / (2.0 * lam)
-    catalog = eval_monic(measures.family_sequence(family, lam, size=n_max), n_max, xs)
+    alf, bet = (lam - 0.5, lam - 1.5) if sign > 0.0 else (lam - 1.5, lam - 0.5)
+    ys = (root * xs - sign) / (2.0 * lam)
+    catalog = eval_monic(seq, n_max, xs)
     scale = np.array([k**n for n in range(n_max + 1)])  # the floats a per-point k**n gives
     oracle = scale[:, None] * eval_monic(jacobi_sequence(alf, bet, n_max), n_max, ys)
     return np.abs(catalog - oracle) / np.maximum(1.0, np.abs(oracle))
@@ -333,23 +328,19 @@ def two_f_one_collapse_check(lam: float, t, y):
     return genfun.as_shape(np.abs(lhs - rhs), np.shape(t) + np.shape(y))
 
 
-def gf3_equivalence(lam: float, z, x, sign: str):
+def gf3_equivalence(cf: genfun.GenFunClosedForm, z, x):
     """Residual between the rational-prefactor closed form of one
     non-symmetric family's generating function and the product evaluation
     of its psi, on the (Z, X) grid of 1-D z and x (scalars give a scalar).
 
-    For sign "plus" the display is
+    For the nonsym-plus closed form cf the display is
         (l/r) (z + r/l) [1 - z(x - 1/r) + l^2 z^2 / r^2]^(-l),  r = sqrt(2l-1),
-    checked against psi of nonsym-plus; "minus" flips the signs of r in the
-    display and is checked against psi of nonsym-minus.
+    checked against psi_analytic(cf, z, x); for nonsym-minus the signs of r
+    in the display flip.  Another family raises ParameterError.
     """
-    if sign not in ("plus", "minus"):
-        raise ParameterError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    family, sgn = ((Family.NONSYM_PLUS, 1.0) if sign == "plus"
-                   else (Family.NONSYM_MINUS, -1.0))
+    sgn, lam = families.nonsym_sign(cf.family), cf.lam
     root = math.sqrt(2.0 * lam - 1.0)
     ratio = lam * lam / (2.0 * lam - 1.0)
-    cf = genfun.closed_form(family, lam)
     zg, xg = genfun.grid_axes(z, x)
     w = 1.0 - zg * (xg - sgn / root) + ratio * zg * zg
     closed = sgn * (lam / root) * (zg + sgn * root / lam) * _principal_power(w, -lam)

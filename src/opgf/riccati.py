@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import families, genfun, measures
+from . import families, genfun
 from .errors import (
     DomainError,
     InconsistencyError,
@@ -35,6 +35,7 @@ from .errors import (
     SingularityError,
 )
 from .families import Family
+from .recurrence import JacobiSzegoSequence
 
 _VALID_OMEGA2_MIN = 1e-9  # below this the measure degenerates to finite support
 # Moment-ODE stencil width over |z|.  Near the z^(lambda-1) behaviour at 0
@@ -148,7 +149,7 @@ def residual_u(cf: genfun.GenFunClosedForm, z):
     return genfun.as_shape(residual, np.shape(z))
 
 
-def residual_moment_ode(cf: genfun.GenFunClosedForm, measure: measures.MeasureSpec,
+def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence,
                         z) -> tuple:
     """Finite-difference residuals of the two first-order moment identities.
 
@@ -156,8 +157,8 @@ def residual_moment_ode(cf: genfun.GenFunClosedForm, measure: measures.MeasureSp
     Second: d/dz [(lambda z f - m2) u]         = lambda (1 - lambda) z u f'
 
     with m2(z) = lambda(lambda+1)/2 omega_2 z^2 + lambda alpha_1 z + 1 taken
-    from the measure's recurrence coefficients.  Differentiation uses a
-    fourth-order five-point central stencil along the real axis, of width
+    from alpha_1 and omega_2 of the coefficient table seq.  Differentiation
+    uses a fourth-order five-point central stencil along the real axis, of width
     h = STENCIL_FRACTION * |z| at each point, so the stencil keeps the same
     shape relative to the z^(lambda-1) behaviour at 0 at every |z|.  z is a
     float or a 1-D array of reals: one array evaluation of u and f covers
@@ -175,7 +176,6 @@ def residual_moment_ode(cf: genfun.GenFunClosedForm, measure: measures.MeasureSp
         ),
     )])
     lam = cf.lam
-    seq = measures.recurrence_of(measure, 3)
     a1, w2 = float(seq.alphas[1]), float(seq.omegas[2])
 
     s = zs + np.array([2.0, 1.0, -1.0, -2.0])[:, None] * h  # stencil rows

@@ -80,10 +80,10 @@ def test_criterion_02_psi_family_moments():
     worst = (0.0, 0.0, 0.0)
     for config in SWEEP_CONFIGS:
         cf = get_closed_form(*config)
-        measure = get_measure(*config)
+        seq = get_sequence(*config)
         lam = cf.lam
         for z in (-0.1, -0.05, -0.02, 0.02, 0.05, 0.1):
-            m0, m1, m2 = psi_family_moments(measure, cf, z)
+            m0, m1, m2 = psi_family_moments(seq, cf, z)
             m2_expected = 0.5 * lam * (lam + 1.0) * cf.omega2 * z * z \
                 + lam * cf.alpha1 * z + 1.0
             worst = (
@@ -101,14 +101,14 @@ def test_criterion_03_riccati_residuals():
     worst_f = worst_u = worst_ode = 0.0
     for config in SWEEP_CONFIGS:
         cf = get_closed_form(*config)
-        measure = get_measure(*config)
+        seq = get_sequence(*config)
         co = coefficients(cf.lam, cf.alpha1, cf.omega2)
         for radius in (0.05, 0.1):
             for z in z_circle(radius):
                 worst_f = max(worst_f, abs(residual_f(cf, co, z)))
                 worst_u = max(worst_u, abs(residual_u(cf, z)))
         for z in (-0.08, -0.05, -0.02, 0.02, 0.05, 0.08):
-            r1, r2 = residual_moment_ode(cf, measure, z)
+            r1, r2 = residual_moment_ode(cf, seq, z)
             worst_ode = max(worst_ode, r1, r2)
     passed = worst_f <= 1e-11 and worst_u <= 1e-11 and worst_ode <= 1e-7
     report(3, "first-order equation residuals", passed,
@@ -219,15 +219,19 @@ def test_criterion_08_identity_suite():
         for t in (-0.15, -0.1, 0.1, 0.15):
             for y in (-0.4, 0.0, 0.4, 0.8):
                 worst_gf = max(worst_gf, jacobi_2f1_gf_check(lam, t, y))
+    nonsymmetric = (Family.NONSYM_PLUS, Family.NONSYM_MINUS)
     for lam in (0.8, 1.2, 2.0):
-        for sign in ("plus", "minus"):
+        for family in nonsymmetric:
+            cf = get_closed_form(family, lam, None, None)
             for z in (-0.05, 0.05, 0.1):
                 for x in (-0.5, 0.0, 0.5, 1.5):
-                    worst_gf = max(worst_gf, gf3_equivalence(lam, z, x, sign))
+                    worst_gf = max(worst_gf, gf3_equivalence(cf, z, x))
     worst_shift = max(
-        jacobi_shift_check(lam, 10, [-0.4, 0.2, 0.9], sign).max()
+        jacobi_shift_check(get_closed_form(family, lam, None, None),
+                           get_sequence(family, lam, None, None), 10,
+                           [-0.4, 0.2, 0.9]).max()
         for lam in (0.8, 1.8, 2.5)
-        for sign in ("plus", "minus")
+        for family in nonsymmetric
     )
     passed = worst_dup <= 1e-12 and worst_poch <= 1e-12 and worst_1f0 <= 1e-11 \
         and worst_gf <= 1e-10 and worst_shift <= 1e-9

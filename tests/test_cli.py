@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import opgf
-from opgf import Family, genfun, riccati
+from opgf import Family, genfun, measures, riccati
 from opgf.cli import main, run_family_checks
 
 # Ordered (name, points_tested, passed) of every check in the default full
@@ -194,15 +194,41 @@ def test_one_array_call_per_check(family, lam, a, b, monkeypatch):
         counted(riccati, name)
     report = run_family_checks(family, lam, a, b, zmax=0.1, grid=16, tol=1e-9)
     assert report["all_passed"]
-    # psi-prefactor-form builds one more closed form and evaluates one more
-    # psi_analytic grid on the non-symmetric families
+    # psi-prefactor-form evaluates one more psi_analytic grid on the
+    # non-symmetric families
     extra = 1 if family.nonsymmetric else 0
-    assert calls["closed_form"] == 1 + extra
+    assert calls["closed_form"] == 1
     assert calls["psi_closed"] == 1
     assert calls["psi_analytic"] == 1 + extra
     assert calls["residual_moment_ode"] == 1
     assert calls["residual_f"] <= 2
     assert calls["residual_u"] <= 2
+
+
+@pytest.mark.parametrize("argv, configs", [
+    (["verify", "--family", "nonsym-plus", "--lambda", "2"], 1),
+    (["verify"], 23),
+], ids=["nonsym-plus", "sweep"])
+def test_one_closed_form_and_one_table_per_configuration(argv, configs, tmp_path,
+                                                         monkeypatch):
+    # every check of a configuration reads the same closed form and table
+    calls = {"family_sequence": 0, "closed_form": 0, "build_measure": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(measures, "family_sequence")
+    counted(measures, "build_measure")
+    counted(genfun, "closed_form")
+    assert run([*argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == {"family_sequence": configs, "closed_form": configs,
+                     "build_measure": 0}
 
 
 class TestClassify:

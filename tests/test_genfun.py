@@ -270,6 +270,24 @@ class TestGridClosedForms:
         grid = psi_analytic(cf, [0.0, -0.05], [0.0, 1.0])
         assert grid[0].tolist() == [1.0, 1.0]
 
+    @pytest.mark.parametrize("fn", [psi_closed, psi_analytic])
+    @pytest.mark.parametrize("zs, xs, named", [
+        (0.1, math.nan, "nan"),
+        (0.1, math.inf, "inf"),
+        # tested before the radius guard at the same point
+        (0.9, math.nan, "nan"),
+        # the grid's first bad point, z-major, before a later z's radius error
+        ([0.1, 0.9], [0.0, -math.inf, math.nan], "-inf"),
+    ])
+    def test_refuses_a_nonfinite_x_as_psi_series(self, fn, zs, xs, named):
+        cf = get_closed_form(Family.SYM1, 2.0, None, None)
+        with pytest.raises(ParameterError) as excinfo:
+            fn(cf, zs, xs)
+        assert str(excinfo.value) == f"x must be finite, got {named}"
+        with pytest.raises(ParameterError) as series_error:
+            psi_series(get_sequence(Family.SYM1, 2.0, None, None), 2.0, 0.1, float(named))
+        assert str(series_error.value) == str(excinfo.value)
+
     @pytest.mark.parametrize("fn, config, zs, xs", [
         # an excluded negative-axis point before an out-of-radius one
         (psi_closed, (Family.SYM1, 2.0, None, None), [0.05j, -0.05, 0.9], [0.0, 1.0]),
@@ -576,32 +594,32 @@ class TestPsiFamilyMoments:
     def test_m1_quarter_lambda(self):
         for family, lam in ((Family.SYM1, 1.5), (Family.SYM2, 1.5),
                             (Family.NONSYM_PLUS, 1.5)):
-            measure = get_measure(family, lam, None, None)
+            seq = get_sequence(family, lam, None, None)
             cf = get_closed_form(family, lam, None, None)
-            _, m1, _ = psi_family_moments(measure, cf, 0.05)
+            _, m1, _ = psi_family_moments(seq, cf, 0.05)
             assert m1 == pytest.approx(0.075, abs=1e-9)
 
     def test_sym1_lambda2_m2(self):
-        measure = get_measure(Family.SYM1, 2.0, None, None)
+        seq = get_sequence(Family.SYM1, 2.0, None, None)
         cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        _, _, m2 = psi_family_moments(measure, cf, 0.1)
+        _, _, m2 = psi_family_moments(seq, cf, 0.1)
         assert m2 == pytest.approx(1.0375, abs=1e-9)
 
     def test_zero_gives_standardized_moments(self):
-        measure = get_measure(Family.NONSYM_MINUS, 2.0, None, None)
+        seq = get_sequence(Family.NONSYM_MINUS, 2.0, None, None)
         cf = get_closed_form(Family.NONSYM_MINUS, 2.0, None, None)
-        m0, m1, m2 = psi_family_moments(measure, cf, 0.0)
+        m0, m1, m2 = psi_family_moments(seq, cf, 0.0)
         assert m0 == pytest.approx(1.0, abs=1e-12)
         assert m1 == pytest.approx(0.0, abs=1e-12)
         assert m2 == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_moment_claim_sweep(self, config):
-        measure = get_measure(*config)
+        seq = get_sequence(*config)
         cf = get_closed_form(*config)
         lam = cf.lam
         for z in (-0.1, -0.05, -0.02, 0.02, 0.05, 0.1):
-            m0, m1, m2 = psi_family_moments(measure, cf, z)
+            m0, m1, m2 = psi_family_moments(seq, cf, z)
             assert abs(m0 - 1.0) <= 1e-10
             assert abs(m1 - lam * z) <= 1e-9
             expected = 0.5 * lam * (lam + 1.0) * cf.omega2 * z * z \
@@ -609,42 +627,46 @@ class TestPsiFamilyMoments:
             assert abs(m2 - expected) <= 1e-9
 
     def test_reads_one_coefficient_table(self, monkeypatch):
-        # the support size and the Gauss rule come from the same table
-        tables = []
+        # the support size and the Gauss rule come from the caller's table,
+        # of which the rule reads the first MOMENT_ORDER entries
+        cf = get_closed_form(Family.SYM2, 1.5, None, None)
+        head = measures.family_sequence(Family.SYM2, 1.5, size=genfun.MOMENT_ORDER)
+        zs = np.array([-0.05, 0.05])
+        expected = psi_family_moments(head, cf, zs)
 
-        def counting(measure, size):
-            tables.append(size)
-            return measures.family_sequence(measure.family, measure.lam, size=size)
+        def refuse(*args, **kwargs):
+            raise AssertionError("psi_family_moments built a coefficient table")
 
-        monkeypatch.setattr(measures, "recurrence_of", counting)
-        measure = get_measure(Family.SYM2, 1.5, None, None)
-        psi_family_moments(measure, get_closed_form(Family.SYM2, 1.5, None, None), 0.05)
-        assert tables == [24]
+        monkeypatch.setattr(measures, "family_sequence", refuse)
+        monkeypatch.setattr(measures, "recurrence_of", refuse)
+        moments = psi_family_moments(get_sequence(Family.SYM2, 1.5, None, None), cf, zs)
+        for got, want in zip(moments, expected):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("config", IDENTITY_SWEEP[::3])
     def test_array_z_matches_scalar_calls(self, config):
         # the grid form builds one Gauss rule for every z
-        measure = get_measure(*config)
+        seq = get_sequence(*config)
         cf = get_closed_form(*config)
         zs = [-0.1, -0.02, 0.05, 0.1]
-        moments = psi_family_moments(measure, cf, np.array(zs))
+        moments = psi_family_moments(seq, cf, np.array(zs))
         for k, z in enumerate(zs):
-            assert tuple(m[k] for m in moments) == psi_family_moments(measure, cf, z)
+            assert tuple(m[k] for m in moments) == psi_family_moments(seq, cf, z)
 
     @pytest.mark.parametrize("a", [0.0, 0.7, -0.4])
     def test_two_point_free_meixner(self, a):
         # b = -1 leaves two support points: the rule shrinks to them and is
         # exact, where an order-24 rule does not exist
-        measure = get_measure(Family.FREE_MEIXNER, None, a, -1.0)
+        seq = get_sequence(Family.FREE_MEIXNER, None, a, -1.0)
         cf = get_closed_form(Family.FREE_MEIXNER, None, a, -1.0)
         zs = np.array([-0.1, -0.05, 0.05, 0.1])
-        m0, m1, m2 = psi_family_moments(measure, cf, zs)
+        m0, m1, m2 = psi_family_moments(seq, cf, zs)
         assert np.abs(m0 - 1.0).max() <= 1e-12
         assert np.abs(m1 - zs).max() <= 1e-12
         assert np.abs(m2 - (cf.omega2 * zs * zs + a * zs + 1.0)).max() <= 1e-12
 
     def test_z_outside_domain(self):
-        measure = get_measure(Family.SYM1, 2.0, None, None)
+        seq = get_sequence(Family.SYM1, 2.0, None, None)
         cf = get_closed_form(Family.SYM1, 2.0, None, None)
         with pytest.raises(DomainError):
-            psi_family_moments(measure, cf, 0.99)
+            psi_family_moments(seq, cf, 0.99)

@@ -9,7 +9,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LAMBDA_SWEEP
+from conftest import LAMBDA_SWEEP, get_closed_form, get_sequence
 from opgf import (
     DomainError,
     Family,
@@ -314,39 +314,62 @@ class TestFamily2:
             family2_identity(0.4, 0.1, 0.0)
 
 
+NONSYM = {"plus": Family.NONSYM_PLUS, "minus": Family.NONSYM_MINUS}
+OTHER_FAMILIES = ((Family.SYM1, 2.0, None, None), (Family.FREE_MEIXNER, None, 0.5, 0.25))
+
+
+def shift_check(sign, lam, n_max, x):
+    """jacobi_shift_check on the closed form and table of a nonsym family."""
+    family = NONSYM[sign]
+    return jacobi_shift_check(get_closed_form(family, lam, None, None),
+                              get_sequence(family, lam, None, None), n_max, x)
+
+
+def gf3(sign, lam, z, x):
+    return gf3_equivalence(get_closed_form(NONSYM[sign], lam, None, None), z, x)
+
+
 class TestJacobiShift:
     def test_degree_zero(self):
-        assert jacobi_shift_check(2.0, 1, [1.3], "plus")[0, 0] == 0.0
+        assert shift_check("plus", 2.0, 1, [1.3])[0, 0] == 0.0
 
     def test_degree_one_is_x(self):
         # P_1(x) = x on both sides (standardized mean)
-        assert jacobi_shift_check(2.0, 1, [0.8], "plus")[1, 0] <= 1e-15
-        assert jacobi_shift_check(2.0, 1, [0.8], "minus")[1, 0] <= 1e-15
+        assert shift_check("plus", 2.0, 1, [0.8])[1, 0] <= 1e-15
+        assert shift_check("minus", 2.0, 1, [0.8])[1, 0] <= 1e-15
 
     def test_degree_five_minus(self):
-        assert jacobi_shift_check(1.8, 5, [0.5], "minus")[5, 0] <= 1e-9
+        assert shift_check("minus", 1.8, 5, [0.5])[5, 0] <= 1e-9
 
     def test_sweep(self):
         for lam in (0.8, 1.8, 2.5):
             for sign in ("plus", "minus"):
-                grid = jacobi_shift_check(lam, 10, [-0.4, 0.2, 0.9], sign)
+                grid = shift_check(sign, lam, 10, [-0.4, 0.2, 0.9])
                 assert grid.shape == (11, 3)
                 assert grid.max() <= 1e-9
 
-    def test_sign_validation(self):
+    @pytest.mark.parametrize("config", OTHER_FAMILIES, ids=["sym1", "free-meixner"])
+    def test_refuses_other_families(self, config):
         with pytest.raises(ParameterError):
-            jacobi_shift_check(2.0, 3, [0.5], "both")
+            jacobi_shift_check(get_closed_form(*config), get_sequence(*config), 3, [0.5])
+
+    def test_short_table(self):
+        cf = get_closed_form(Family.NONSYM_PLUS, 2.0, None, None)
+        seq = family_sequence(Family.NONSYM_PLUS, 2.0, size=5)
+        assert jacobi_shift_check(cf, seq, 5, [0.5]).shape == (6, 1)
+        with pytest.raises(ParameterError):
+            jacobi_shift_check(cf, seq, 10, [0.5])
 
     def test_needs_a_coefficient(self):
         with pytest.raises(ParameterError):
-            jacobi_shift_check(2.0, 0, [0.5], "plus")
+            shift_check("plus", 2.0, 0, [0.5])
 
     @pytest.mark.parametrize("lam", LAMBDA_SWEEP)
     @pytest.mark.parametrize("sign", ["plus", "minus"])
     def test_grid_equals_scalar_evaluation(self, lam, sign):
         # every (n, x) entry bit-equal to the one-point evaluation: a scalar
         # recurrence run per x for each side, k^n as a Python float power
-        family = Family.NONSYM_PLUS if sign == "plus" else Family.NONSYM_MINUS
+        family = NONSYM[sign]
         lo, hi = build_measure(family, lam).support
         xs = np.linspace(lo, hi, 5)
         root = math.sqrt(2.0 * lam - 1.0)
@@ -354,7 +377,7 @@ class TestJacobiShift:
         alf, bet = (lam - 0.5, lam - 1.5) if sign == "plus" else (lam - 1.5, lam - 0.5)
         catalog = family_sequence(family, lam, size=10)
         oracle = jacobi_sequence(alf, bet, 10)
-        grid = jacobi_shift_check(lam, 10, xs, sign)
+        grid = shift_check(sign, lam, 10, xs)
         assert grid.shape == (11, 5)
         for j, x in enumerate(xs.tolist()):
             y = (root * x + shift) / (2.0 * lam)
@@ -448,49 +471,51 @@ class TestHypergeometric:
 class TestGf3:
     def test_lambda2(self):
         for sign in ("plus", "minus"):
-            assert gf3_equivalence(2.0, 0.1, 0.0, sign) <= 1e-13
+            assert gf3(sign, 2.0, 0.1, 0.0) <= 1e-13
 
     def test_small_z_tends_to_one(self):
         cf = closed_form(Family.NONSYM_PLUS, 2.0)
         assert abs(psi_analytic(cf, 1e-9, 0.7) - 1.0) <= 1e-8
         for sign in ("plus", "minus"):
-            assert gf3_equivalence(2.0, 1e-9, 0.7, sign) <= 1e-13
+            assert gf3(sign, 2.0, 1e-9, 0.7) <= 1e-13
 
     def test_negative_z(self):
         for sign in ("plus", "minus"):
-            assert gf3_equivalence(1.2, -0.05, 1.0, sign) <= 1e-13
+            assert gf3(sign, 1.2, -0.05, 1.0) <= 1e-13
 
     def test_grid(self):
         for lam in (0.8, 1.2, 2.0):
             for sign in ("plus", "minus"):
                 for z in (-0.05, 0.05, 0.1):
                     for x in (-0.5, 0.0, 0.5, 1.5):
-                        assert gf3_equivalence(lam, z, x, sign) <= 1e-12
+                        assert gf3(sign, lam, z, x) <= 1e-12
 
     def test_own_support_edge_in_guard_band(self):
         # at lambda = 0.51 the plus support reaches x = 14.28, where the
         # minus display has crossed its branch cut; each sign is checked
         # only on its own family's support
-        families = ((Family.NONSYM_PLUS, "plus"), (Family.NONSYM_MINUS, "minus"))
-        for family, sign in families:
+        for sign, family in NONSYM.items():
             lo, hi = build_measure(family, 0.51).support
             for x in (lo, hi):
-                assert gf3_equivalence(0.51, 0.05, x, sign) <= 1e-12
+                assert gf3(sign, 0.51, 0.05, x) <= 1e-12
 
-    def test_rejects_unknown_sign(self):
+    @pytest.mark.parametrize("config", OTHER_FAMILIES, ids=["sym1", "free-meixner"])
+    def test_refuses_other_families(self, config):
         with pytest.raises(ParameterError):
-            gf3_equivalence(2.0, 0.1, 0.0, "both")
+            gf3_equivalence(get_closed_form(*config), 0.1, 0.0)
 
     @pytest.mark.parametrize("sign", ["plus", "minus"])
     def test_grid_matches_points(self, sign):
         zs, xs = [-0.05, 0.05, 0.1], [-0.5, 0.0, 0.5, 1.5]
-        grid = gf3_equivalence(1.2, zs, xs, sign)
+        grid = gf3(sign, 1.2, zs, xs)
         assert grid.shape == (3, 4)
         for i, z in enumerate(zs):
             for j, x in enumerate(xs):
-                assert abs(grid[i, j] - gf3_equivalence(1.2, z, x, sign)) <= 1e-15
+                assert abs(grid[i, j] - gf3(sign, 1.2, z, x)) <= 1e-15
 
     def test_one_closed_form_per_call(self, monkeypatch):
+        # the caller's closed form is the only one
+        cf = get_closed_form(Family.NONSYM_PLUS, 2.0, None, None)
         calls = []
 
         def counting(*args, **kwargs):
@@ -498,8 +523,8 @@ class TestGf3:
             return closed_form(*args, **kwargs)
 
         monkeypatch.setattr(genfun, "closed_form", counting)
-        gf3_equivalence(2.0, [-0.05, 0.05, 0.1], np.linspace(-1.0, 2.0, 5), "plus")
-        assert calls == [(Family.NONSYM_PLUS, 2.0)]
+        gf3_equivalence(cf, [-0.05, 0.05, 0.1], np.linspace(-1.0, 2.0, 5))
+        assert calls == []
 
 
 class TestSubstitutionChain:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SWEEP_CONFIGS, get_closed_form, get_measure
+from conftest import SWEEP_CONFIGS, get_closed_form, get_measure, get_sequence
 from opgf import (
     DomainError,
     Family,
@@ -134,26 +134,26 @@ class TestResidualMomentOde:
     def test_free_meixner_first_identity_trivial(self):
         # at lambda = 1 the right side vanishes and u (f - z) is constant
         cf = get_closed_form(Family.FREE_MEIXNER, None, 0.5, 0.25)
-        measure = get_measure(Family.FREE_MEIXNER, None, 0.5, 0.25)
-        r1, _ = residual_moment_ode(cf, measure, 0.07)
+        seq = get_sequence(Family.FREE_MEIXNER, None, 0.5, 0.25)
+        r1, _ = residual_moment_ode(cf, seq, 0.07)
         assert r1 <= 1e-10
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_both_residuals_small(self, config):
         cf = get_closed_form(*config)
-        measure = get_measure(*config)
+        seq = get_sequence(*config)
         for z in (-0.1, -0.05, 0.05, 0.1):
-            r1, r2 = residual_moment_ode(cf, measure, z)
+            r1, r2 = residual_moment_ode(cf, seq, z)
             assert r1 <= 1e-7
             assert r2 <= 1e-7
 
     def test_stencil_domain_guard(self):
         cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        measure = get_measure(Family.SYM1, 2.0, None, None)
+        seq = get_sequence(Family.SYM1, 2.0, None, None)
         with pytest.raises(DomainError):
-            residual_moment_ode(cf, measure, cf.domain_radius - 1e-9)
+            residual_moment_ode(cf, seq, cf.domain_radius - 1e-9)
         with pytest.raises(DomainError):
-            residual_moment_ode(cf, measure, 0.0)
+            residual_moment_ode(cf, seq, 0.0)
 
 
 def first_scalar_error(fn, zs):
@@ -209,11 +209,11 @@ class TestGridResiduals:
         # an ulp in one stencil value moves the difference quotient by about
         # ulp(u f) / step, with the stencil's width at that point
         cf = get_closed_form(*config)
-        measure = get_measure(*config)
-        r1, r2 = residual_moment_ode(cf, measure, np.array(self.REAL_POINTS))
+        seq = get_sequence(*config)
+        r1, r2 = residual_moment_ode(cf, seq, np.array(self.REAL_POINTS))
         assert r1.shape == r2.shape == (6,)
         for k, z in enumerate(self.REAL_POINTS):
-            p1, p2 = residual_moment_ode(cf, measure, z)
+            p1, p2 = residual_moment_ode(cf, seq, z)
             assert isinstance(p1, float) and isinstance(p2, float)
             step = STENCIL_FRACTION * abs(z)
             scale = 4 * np.spacing(abs(cf.u(z) * cf.f(z))) / step
@@ -240,10 +240,10 @@ class TestGridResiduals:
 
     def test_moment_ode_first_bad_point(self):
         cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        measure = get_measure(Family.SYM1, 2.0, None, None)
+        seq = get_sequence(Family.SYM1, 2.0, None, None)
         edge = cf.domain_radius - 1e-9
         for zs in ([0.05, 0.0, edge], [-0.05, edge, 0.0]):
-            assert_raises_as_scalar(lambda z: residual_moment_ode(cf, measure, z), zs)
+            assert_raises_as_scalar(lambda z: residual_moment_ode(cf, seq, z), zs)
 
 
 class TestSolveSymmetric:
