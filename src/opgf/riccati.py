@@ -17,11 +17,17 @@ convolution (never by transcribing the solved systems), sample them at a few
 points to extract the exact linear/quadratic dependence on each unknown, and
 solve with the numerically stable quadratic formula.  The solved closed forms
 then act as independent oracles in the test suite.
+
+The matching kernel (coefficients, _poly_mul, _matching_residual) is plain
+arithmetic on short tuples, with no array overhead.  Halvings are written
+x / 2 and constants are integer literals, so the same code runs exactly on
+fractions.Fraction inputs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -47,13 +53,13 @@ STENCIL_FRACTION = 3e-4
 
 @dataclass(frozen=True)
 class RiccatiCoefficients:
-    """Ascending coefficient arrays of Q_2, Q_1, R_1, Q~_2 for given
+    """Ascending coefficient tuples of Q_2, Q_1, R_1, Q~_2 for given
     (lambda, alpha_1, omega_2)."""
 
-    q2: np.ndarray
-    q1: np.ndarray
-    r1: np.ndarray
-    q2_tilde: np.ndarray
+    q2: tuple
+    q1: tuple
+    r1: tuple
+    q2_tilde: tuple
     lam: float
     alpha1: float
     omega2: float
@@ -88,15 +94,26 @@ class SeriesSolution:
     n_terms: int
 
 
+def _poly_mul(a, b) -> list:
+    """Product of two ascending coefficient sequences; each coefficient is
+    summed from 0 in ascending index of a."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def coefficients(lam: float, alpha1: float, omega2: float) -> RiccatiCoefficients:
-    """Exact coefficient arrays of Q_2, Q_1, R_1 and Q~_2 (ascending powers)."""
-    if lam <= 0.0:
+    """Exact coefficients of Q_2, Q_1, R_1 and Q~_2 (ascending powers); floats
+    or Fractions in, the same type out."""
+    if lam <= 0:
         raise ParameterError(f"lambda must be > 0, got {lam}")
-    q2 = np.array([-1.0, -lam * alpha1, lam * (lam - 0.5 * (lam + 1.0) * omega2)])
-    q1 = np.array([alpha1, (lam + 1.0) * omega2])
-    r1 = np.array([-1.0, 0.0, 0.5 * lam * (lam + 1.0) * omega2])
-    q1_sq = np.convolve(q1, q1)
-    q2_tilde = r1 - 0.25 * q1_sq - 0.5 * (lam + 1.0) * omega2 * q2
+    q2 = (-1, -lam * alpha1, lam * (lam - (lam + 1) / 2 * omega2))
+    q1 = (alpha1, (lam + 1) * omega2)
+    r1 = (-1, 0, lam / 2 * (lam + 1) * omega2)
+    q2_tilde = tuple([r - s / 4 - (lam + 1) / 2 * omega2 * q
+                      for r, s, q in zip(r1, _poly_mul(q1, q1), q2)])
     return RiccatiCoefficients(
         q2=q2, q1=q1, r1=r1, q2_tilde=q2_tilde,
         lam=lam, alpha1=alpha1, omega2=omega2,
@@ -164,8 +181,14 @@ def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence,
     float or a 1-D array of reals: one array evaluation of u and f covers
     every point and stencil offset, and each residual comes back in z's
     shape.  A point whose stencil leaves the domain or reaches 0 (z = 0)
-    raises, for the first one, the error a scalar call there raises.
+    raises, for the first one, the error a scalar call there raises; a table
+    of fewer than 3 entries raises ParameterError.
     """
+    if seq.omegas.size < 3:
+        raise ParameterError(
+            f"the moment ODE reads alpha_1 and omega_2, but the table has "
+            f"{seq.omegas.size} entries"
+        )
     zs = np.atleast_1d(np.asarray(z, dtype=float))
     h = STENCIL_FRACTION * np.abs(zs)
     genfun.raise_first((zs,), [(
@@ -198,25 +221,18 @@ def _derivative_5pt(rows, h):
 # Coefficient-matching machinery
 
 
-def _matching_residual(lam: float, alpha1: float, omega2: float, e_asc) -> np.ndarray:
+def _matching_residual(lam: float, alpha1: float, omega2: float, e_asc) -> list:
     """Coefficients (ascending) of Q_2 (z E' - E) - E^2 - z^2 Q~_2."""
     co = coefficients(lam, alpha1, omega2)
-    e = np.asarray(e_asc, dtype=float)
-    ze_minus_e = (np.arange(e.size) - 1.0) * e
-    lhs = np.convolve(co.q2, ze_minus_e)
-    esq = np.convolve(e, e)
-    rhs = np.concatenate([[0.0, 0.0], co.q2_tilde])
-    size = max(lhs.size, esq.size, rhs.size)
-
-    def pad(arr):
-        return np.pad(arr, (0, size - arr.size))
-
-    return pad(lhs) - pad(esq) - pad(rhs)
+    lhs = _poly_mul(co.q2, [(i - 1) * c for i, c in enumerate(e_asc)])
+    esq = _poly_mul(e_asc, e_asc)
+    rhs = (0, 0) + co.q2_tilde
+    return [l - s - r for l, s, r in zip_longest(lhs, esq, rhs, fillvalue=0)]
 
 
 def _coeff_at(lam, alpha1, omega2, e_asc, index) -> float:
     res = _matching_residual(lam, alpha1, omega2, e_asc)
-    return float(res[index]) if index < res.size else 0.0
+    return res[index] if index < len(res) else 0.0
 
 
 def _linear_solve(sample) -> float:
@@ -300,7 +316,7 @@ def solve_symmetric(lam: float) -> list[ClassificationSolution]:
     out = []
     for w, label in zip(roots, labels):
         a0 = _sym_a0_of(lam, w)
-        residual = float(np.abs(_matching_residual(lam, 0.0, w, [1.0, 0.0, a0])).max())
+        residual = max(abs(c) for c in _matching_residual(lam, 0.0, w, [1.0, 0.0, a0]))
         valid = w > _VALID_OMEGA2_MIN
         out.append(
             ClassificationSolution(
@@ -365,9 +381,7 @@ def solve_nonsymmetric(lam: float) -> list[ClassificationSolution]:
                         (-1.0, Family.NONSYM_MINUS.value)):
         alpha1 = sign * math.sqrt(alpha1_sq)
         a1 = alpha1 * a1_trial
-        residual = float(
-            np.abs(_matching_residual(lam, alpha1, w, [1.0, a1, a0])).max()
-        )
+        residual = max(abs(c) for c in _matching_residual(lam, alpha1, w, [1.0, a1, a0]))
         out.append(
             ClassificationSolution(
                 lam=lam, symmetric=False, omega2=w, alpha1=alpha1,

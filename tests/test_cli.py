@@ -15,6 +15,11 @@ from opgf.cli import main, run_family_checks
 # Ordered (name, points_tested, passed) of every check in the default full
 # sweep; a refactor must leave it unchanged.
 SWEEP_STRUCTURE = Path(__file__).with_name("sweep_structure.json")
+# `opgf classify --lambda L` report text for L over 0.05 .. 40 and the
+# lambda = 1/2 and lambda = 1 guard edges; a faster kernel must not move a bit.
+CLASSIFY_REFERENCE = json.loads(
+    Path(__file__).with_name("classify_reference.json").read_text()
+)
 
 
 def run(args):
@@ -265,6 +270,12 @@ class TestClassify:
         assert run(["classify", "--lambda", "-2",
                     "--out", str(tmp_path / "x.json")]) == 2
         assert "lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", list(CLASSIFY_REFERENCE))
+    def test_report_bytes_unchanged(self, lam, tmp_path):
+        out = tmp_path / "c.json"
+        assert run(["classify", "--lambda", lam, "--out", str(out)]) == 0
+        assert out.read_text() == CLASSIFY_REFERENCE[lam]
 
 
 class TestQuadrature:

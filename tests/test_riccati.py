@@ -2,6 +2,7 @@
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from opgf import (
     free_meixner_uniqueness,
     h_lambda_initial,
     nonsymmetric_omega2_roots,
+    riccati,
     residual_f,
     residual_moment_ode,
     residual_u,
@@ -28,8 +30,8 @@ from opgf import (
     symmetric_omega2_quadratic,
 )
 from opgf.families import alpha1_value, omega2_value
-from opgf.measures import gauss_quadrature
-from opgf.riccati import STENCIL_FRACTION
+from opgf.measures import family_sequence, gauss_quadrature
+from opgf.riccati import STENCIL_FRACTION, _matching_residual
 
 LAMBDA_GRID = [v for v in np.linspace(0.56, 3.0, 20)]
 # lambda = 1 rows of the identity sweep are carried by the free Meixner family
@@ -154,6 +156,17 @@ class TestResidualMomentOde:
             residual_moment_ode(cf, seq, cf.domain_radius - 1e-9)
         with pytest.raises(DomainError):
             residual_moment_ode(cf, seq, 0.0)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_refuses_a_short_table(self, size):
+        cf = get_closed_form(Family.SYM1, 2.0, None, None)
+        with pytest.raises(ParameterError, match="omega_2"):
+            residual_moment_ode(cf, family_sequence(Family.SYM1, 2.0, size=size), 0.05)
+
+    def test_three_entries_suffice(self):
+        cf = get_closed_form(Family.SYM1, 2.0, None, None)
+        full = residual_moment_ode(cf, get_sequence(Family.SYM1, 2.0, None, None), 0.05)
+        assert residual_moment_ode(cf, family_sequence(Family.SYM1, 2.0, size=3), 0.05) == full
 
 
 def first_scalar_error(fn, zs):
@@ -448,6 +461,59 @@ class TestDegreeBound:
             degree_bound_check(2.0, 0.0, 1.0, 2)
         with pytest.raises(ParameterError):
             degree_bound_check(2.0, 0.0, 1.0, 7)
+
+
+EXACT_LAMBDAS = [Fraction(1, 3), Fraction(3, 10), Fraction(3, 4), Fraction(5, 2), Fraction(7)]
+
+
+def symmetric_solutions(lam):
+    """(omega_2, a0) of the paper's sym1 and, for lambda > 1/2, sym2 branch."""
+    yield (2 * lam + 1) / (lam + 2), (1 - lam * lam) / (2 * (lam + 2))
+    if lam > Fraction(1, 2):
+        yield (2 * lam - 1) / (lam + 1), (1 - lam) / 2
+
+
+class TestExactMatching:
+    """The matching kernel on Fraction inputs: every coefficient is exact."""
+
+    @pytest.mark.parametrize("lam", EXACT_LAMBDAS, ids=str)
+    def test_symmetric_solutions_match_exactly(self, lam):
+        for omega2, a0 in symmetric_solutions(lam):
+            res = _matching_residual(lam, Fraction(0), omega2, [Fraction(1), Fraction(0), a0])
+            assert res == [0] * 5
+            assert all(type(c) is Fraction for c in res)
+
+    def test_a_wrong_omega2_leaves_a_residual(self):
+        lam = Fraction(5, 2)
+        (omega2, a0), _ = symmetric_solutions(lam)
+        res = _matching_residual(lam, Fraction(0), omega2 + Fraction(1, 10**6),
+                                 [Fraction(1), Fraction(0), a0])
+        assert any(res)
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    @pytest.mark.parametrize("params", [(Fraction(17, 10), Fraction(2, 5), Fraction(6, 5)),
+                                        (Fraction(1, 3), Fraction(0), Fraction(5, 7))],
+                             ids=["nonsym", "sym"])
+    def test_top_equation_is_minus_t_squared(self, params, k):
+        # degree_bound_check's top-equation step, exactly and beyond degree 6
+        lower = [Fraction(1)] + [Fraction((-1) ** j, j + 2) for j in range(1, k)]
+        samples = [_matching_residual(*params, lower + [Fraction(t)])[2 * k] for t in range(3)]
+        assert samples == [0, -1, -4]
+        assert all(type(p) is Fraction for p in samples)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} called on the classification path")
+
+
+def test_classification_path_is_numpy_free(monkeypatch):
+    monkeypatch.setattr(riccati, "np", _NoNumpy())
+    for lam in (0.3, 2.3):
+        assert len(solve_symmetric(lam)) == 2
+    assert len(solve_nonsymmetric(2.3)) == 2
+    assert nonsymmetric_omega2_roots(2.3)[0] == 0.0
+    assert degree_bound_check(1.7, 0.4, 1.2, 6) == 0.0
 
 
 class TestFreeMeixnerUniqueness:
