@@ -20,10 +20,10 @@ from opgf import (
     free_meixner_uniqueness,
     h_lambda_initial,
     nonsymmetric_omega2_roots,
-    riccati,
     residual_f,
     residual_moment_ode,
     residual_u,
+    riccati,
     solve_nonsymmetric,
     solve_symmetric,
     stieltjes_from_quadrature,
