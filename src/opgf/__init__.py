@@ -47,6 +47,7 @@ from .genfun import (
     psi_closed,
     psi_family_moments,
     psi_series,
+    psi_series_stack,
 )
 from .riccati import (
     ClassificationSolution,
@@ -90,6 +91,7 @@ __all__ = [
     "psi_closed",
     "psi_analytic",
     "psi_series",
+    "psi_series_stack",
     "psi_family_moments",
     "coefficients",
     "residual_f",

@@ -9,6 +9,13 @@ Subcommands:
     opgf classify    write all classification branches for a given lambda.
     opgf quadrature  export a Gauss rule as CSV (exit 3 on I/O failure).
 
+A verify command is one campaign (run_campaign): the sweep's 23
+configurations, or the one configuration of --family.  It builds one closed
+form and one coefficient table per configuration and then runs check by
+check: series-vs-closed for all configurations is one psi_series_stack
+pass, and the identities of lambda alone are evaluated once per distinct
+lambda of the campaign.  Nothing is kept from one command to the next.
+
 Reports are deterministic for fixed inputs except the wall_time_ms field;
 numbers are serialized with 17 significant digits.
 """
@@ -16,12 +23,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 import tempfile
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -60,7 +67,7 @@ def _json_dump(obj) -> str:
         elif isinstance(node, bool):
             pieces.append("true" if node else "false")
         elif isinstance(node, str):
-            pieces.append(json.dumps(node))
+            pieces.append(encode_basestring_ascii(node))
         elif isinstance(node, int):
             pieces.append(str(node))
         elif isinstance(node, float):
@@ -79,7 +86,7 @@ def _json_dump(obj) -> str:
             for i, (key, value) in enumerate(node.items()):
                 if i:
                     pieces.append(", ")
-                pieces.append(json.dumps(str(key)))
+                pieces.append(encode_basestring_ascii(str(key)))
                 pieces.append(": ")
                 emit(value)
             pieces.append("}")
@@ -113,89 +120,146 @@ def _check(name: str, points: int, max_residual: float, tolerance: float) -> dic
     }
 
 
-def _grid_angles(grid: int):
-    """Angles k*pi/grid for k = 0..grid-1: covers the upper half circle and
-    never touches pi (the branch cut direction)."""
-    return [k * math.pi / grid for k in range(grid)]
+class _Run:
+    """One configuration of a campaign: the point-set parameters, the closed
+    form and coefficient table that every check reads, the check records so
+    far, and the first error one of its steps raised."""
+
+    def __init__(self, family, lam, a, b):
+        self.params = (family, lam, a, b)
+        self.checks: list[dict] = []
+        self.error: Exception | None = None
+
+    def setup(self, zmax: float, grid: int) -> None:
+        family, lam, a, b = self.params
+        cf = genfun.closed_form(family, lam, a, b)
+        if not 0.0 < zmax < cf.domain_radius:
+            raise ParameterError(
+                f"zmax must lie in (0, {cf.domain_radius:.6g}) for {cf.family.value}, "
+                f"got {zmax}"
+            )
+        if grid < 4:
+            raise ParameterError(f"grid must be >= 4, got {grid}")
+        self.zmax, self.grid, self.cf = zmax, grid, cf
+        self.seq = measures.family_sequence(cf.family, cf.lam, cf.a, cf.b,
+                                            size=genfun.SERIES_CAP)
+        self.lo, self.hi = families.support_interval(cf.family, cf.lam, cf.a, cf.b)
+        self.xs = list(np.linspace(self.lo, self.hi, 11))
+
+    def report(self) -> dict:
+        _, _, a, b = self.params
+        return {
+            "schema": SCHEMA_VERSION,
+            "tool_version": __version__,
+            "family": self.cf.family.value,
+            "lambda": float(self.cf.lam),
+            "a": None if a is None else float(a),
+            "b": None if b is None else float(b),
+            "checks": self.checks,
+            "all_passed": all(c["passed"] for c in self.checks),
+        }
 
 
-def _series_check(cf, seq, zs, xs, tol) -> dict:
-    series = genfun.psi_series(seq, cf.lam, zs, xs).value
-    worst = np.abs(genfun.psi_closed(cf, zs, xs) - series).max()
-    return _check("series-vs-closed", len(zs) * len(xs), worst, tol)
+def _each(runs, step) -> None:
+    """step(run) for every run with no error yet; an error is kept on its run."""
+    for run in runs:
+        if run.error is None:
+            try:
+                step(run)
+            except Exception as exc:
+                run.error = exc
 
 
-def run_family_checks(family: Family, lam, a, b, zmax: float, grid: int,
-                      tol: float) -> dict:
-    """All checks for one family configuration; returns the report dict."""
-    cf = genfun.closed_form(family, lam, a, b)
-    if not 0.0 < zmax < cf.domain_radius:
-        raise ParameterError(
-            f"zmax must lie in (0, {cf.domain_radius:.6g}) for {family.value}, "
-            f"got {zmax}"
-        )
-    if grid < 4:
-        raise ParameterError(f"grid must be >= 4, got {grid}")
-    seq = measures.family_sequence(family, cf.lam, cf.a, cf.b, size=genfun.SERIES_CAP)
-    lo, hi = families.support_interval(family, cf.lam, cf.a, cf.b)
-    xs = list(np.linspace(lo, hi, 11))
-    zs_circle = [zmax * complex(math.cos(t), math.sin(t)) for t in _grid_angles(grid)]
-    zs_real = np.array([s * zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)])
+def _once(shared: dict, key, build) -> dict:
+    """A copy of the record build() returns, built once per key and campaign."""
+    if key not in shared:
+        shared[key] = build()
+    return dict(shared[key])
 
-    checks = [_series_check(cf, seq, zs_circle, xs, tol)]
 
-    m0, m1, m2 = genfun.psi_family_moments(seq, cf, zs_real)
-    lam_ = cf.lam
-    m2_claim = (0.5 * lam_ * (lam_ + 1.0) * cf.omega2 * zs_real * zs_real
-                + lam_ * cf.alpha1 * zs_real + 1.0)
-    checks.append(_check("moment-m0", len(zs_real), np.abs(m0 - 1.0).max(), TOL_M0))
-    checks.append(_check("moment-m1", len(zs_real), np.abs(m1 - lam_ * zs_real).max(),
-                         TOL_M1))
-    checks.append(_check("moment-m2", len(zs_real), np.abs(m2 - m2_claim).max(), TOL_M2))
+def _circle(radius: float, grid: int) -> list:
+    """grid points radius * e^(i k pi / grid), k = 0 .. grid-1: the upper half
+    circle, never touching pi (the branch cut direction)."""
+    return [radius * complex(math.cos(t), math.sin(t))
+            for t in (k * math.pi / grid for k in range(grid))]
 
+
+def _series_checks(runs, tol: float) -> None:
+    """series-vs-closed for every run from one psi_series_stack pass; an
+    error of that pass is kept on every run in it."""
+    live = [run for run in runs if run.error is None]
+    if not live:
+        return
+    zs = _circle(live[0].zmax, live[0].grid)
+    try:
+        stack = genfun.psi_series_stack([run.seq for run in live],
+                                        [run.cf.lam for run in live],
+                                        zs, [run.xs for run in live])
+    except Exception as exc:
+        for run in live:
+            run.error = exc
+        return
+
+    for run, series in zip(live, stack):
+        run.series = series.value
+
+    def check(run):
+        worst = np.abs(genfun.psi_closed(run.cf, zs, run.xs) - run.series).max()
+        run.checks.append(_check("series-vs-closed", len(zs) * len(run.xs), worst, tol))
+
+    _each(live, check)
+
+
+def _moment_checks(run, shared: dict) -> list[dict]:
+    cf = run.cf
+    zs = np.array([s * run.zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)])
+    m0, m1, m2 = genfun.psi_family_moments(run.seq, cf, zs)
+    lam = cf.lam
+    m2_claim = 0.5 * lam * (lam + 1.0) * cf.omega2 * zs * zs + lam * cf.alpha1 * zs + 1.0
+    return [_check("moment-m0", len(zs), np.abs(m0 - 1.0).max(), TOL_M0),
+            _check("moment-m1", len(zs), np.abs(m1 - lam * zs).max(), TOL_M1),
+            _check("moment-m2", len(zs), np.abs(m2 - m2_claim).max(), TOL_M2)]
+
+
+def _riccati_checks(run, shared: dict) -> list[dict]:
+    cf = run.cf
     coeffs = riccati.coefficients(cf.lam, cf.alpha1, cf.omega2)
-    zs_two_circles = [radius * complex(math.cos(t), math.sin(t))
-                      for radius in (0.5 * zmax, zmax) for t in _grid_angles(grid)]
-    worst_f = np.abs(riccati.residual_f(cf, coeffs, zs_two_circles)).max()
-    worst_u = np.abs(riccati.residual_u(cf, zs_two_circles)).max()
-    pts = len(zs_two_circles)
-    checks.append(_check("riccati-residual-f", pts, worst_f, TOL_RICCATI))
-    checks.append(_check("riccati-residual-u", pts, worst_u, TOL_RICCATI))
+    zs = _circle(0.5 * run.zmax, run.grid) + _circle(run.zmax, run.grid)
+    worst_f = np.abs(riccati.residual_f(cf, coeffs, zs)).max()
+    worst_u = np.abs(riccati.residual_u(cf, zs)).max()
+    return [_check("riccati-residual-f", len(zs), worst_f, TOL_RICCATI),
+            _check("riccati-residual-u", len(zs), worst_u, TOL_RICCATI)]
 
-    ode_zs = np.array([s * zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
-    r1, r2 = riccati.residual_moment_ode(cf, seq, ode_zs)
-    worst_ode = max(r1.max(), r2.max())
-    checks.append(_check("moment-ode", 2 * len(ode_zs), worst_ode, TOL_ODE))
 
+def _moment_ode_check(run, shared: dict) -> list[dict]:
+    zs = np.array([s * run.zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
+    r1, r2 = riccati.residual_moment_ode(run.cf, run.seq, zs)
+    return [_check("moment-ode", 2 * len(zs), max(r1.max(), r2.max()), TOL_ODE)]
+
+
+def _special_function_checks(run, shared: dict) -> list[dict]:
+    """The identities of lambda alone: one evaluation per campaign
+    (gamma-duplication reads no parameter) or per distinct lambda."""
+    lam = run.cf.lam
     dup_points = [0.25 * k for k in range(1, 21)]
-    worst = max(identities.duplication_check(av) for av in dup_points)
-    checks.append(_check("gamma-duplication", len(dup_points), worst, TOL_DUPLICATION))
-
-    worst = identities.pochhammer_ratio_check(cf.lam, np.arange(21)).max()
-    checks.append(_check("pochhammer-ratio", 21, worst, TOL_POCH_RATIO))
-
     ys = (-0.5, -0.25, 0.0, 0.25, 0.5)
-    worst = identities.one_f_zero_reduction(cf.lam, ys).max()
-    checks.append(_check("binomial-1f0", len(ys), worst, TOL_1F0))
-
-    checks.extend(_family_identity_checks(cf, seq, zmax, lo, hi))
-
-    all_passed = all(c["passed"] for c in checks)
-    return {
-        "schema": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "family": family.value,
-        "lambda": float(cf.lam),
-        "a": None if a is None else float(a),
-        "b": None if b is None else float(b),
-        "checks": checks,
-        "all_passed": all_passed,
-    }
+    return [
+        _once(shared, "gamma-duplication", lambda: _check(
+            "gamma-duplication", len(dup_points),
+            max(identities.duplication_check(av) for av in dup_points), TOL_DUPLICATION)),
+        _once(shared, ("pochhammer-ratio", lam), lambda: _check(
+            "pochhammer-ratio", 21,
+            identities.pochhammer_ratio_check(lam, np.arange(21)).max(), TOL_POCH_RATIO)),
+        _once(shared, ("binomial-1f0", lam), lambda: _check(
+            "binomial-1f0", len(ys), identities.one_f_zero_reduction(lam, ys).max(),
+            TOL_1F0)),
+    ]
 
 
-def _family_identity_checks(cf, seq, zmax: float, lo: float, hi: float) -> list[dict]:
+def _family_identity_checks(run, shared: dict) -> list[dict]:
+    cf, seq, zmax = run.cf, run.seq, run.zmax
     family, lam = cf.family, cf.lam
-    xs5 = list(np.linspace(lo, hi, 5))
+    xs5 = list(np.linspace(run.lo, run.hi, 5))
     zs = [zmax, 0.5 * zmax, zmax * 1j, zmax * complex(-0.5, 0.5)]
     out = []
     if family is Family.SYM1:
@@ -213,14 +277,13 @@ def _family_identity_checks(cf, seq, zmax: float, lo: float, hi: float) -> list[
     elif family.nonsymmetric:
         worst = identities.jacobi_shift_check(cf, seq, 10, xs5).max()
         out.append(_check("jacobi-shift", 11 * len(xs5), worst, TOL_JACOBI_SHIFT))
-        worst = identities.jacobi_2f1_gf_check(
-            lam, [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
-        ).max()
-        out.append(_check("jacobi-2f1-gf", 16, worst, TOL_GF_IDENTITY))
-        worst = identities.two_f_one_collapse_check(
-            lam, [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
-        ).max()
-        out.append(_check("2f1-collapse", 16, worst, TOL_GF_IDENTITY))
+        ts, ys = [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
+        out.append(_once(shared, ("jacobi-2f1-gf", lam), lambda: _check(
+            "jacobi-2f1-gf", 16, identities.jacobi_2f1_gf_check(lam, ts, ys).max(),
+            TOL_GF_IDENTITY)))
+        out.append(_once(shared, ("2f1-collapse", lam), lambda: _check(
+            "2f1-collapse", 16, identities.two_f_one_collapse_check(lam, ts, ys).max(),
+            TOL_GF_IDENTITY)))
         worst = identities.gf3_equivalence(cf, [-0.5 * zmax, 0.5 * zmax, zmax], xs5).max()
         out.append(_check("psi-prefactor-form", 3 * len(xs5), worst, TOL_GF3))
     else:
@@ -228,6 +291,38 @@ def _family_identity_checks(cf, seq, zmax: float, lo: float, hi: float) -> list[
         worst = float(np.abs(series.c).max())
         out.append(_check("series-uniqueness", series.n_terms, worst, TOL_UNIQUENESS))
     return out
+
+
+def run_campaign(configs, zmax: float, grid: int, tol: float) -> list[dict]:
+    """The reports of the configurations (family, lambda, a, b), evaluated
+    check by check.
+
+    Each configuration builds one closed form and one coefficient table,
+    which all its checks read.  series-vs-closed for every configuration is
+    one psi_series_stack pass; gamma-duplication is evaluated once, and
+    pochhammer-ratio, binomial-1f0, jacobi-2f1-gf and 2f1-collapse once per
+    distinct lambda, each report taking its own copy of the record.  Errors
+    are kept per configuration, and the campaign raises the one that a
+    configuration-by-configuration loop would meet first: that of the first
+    failing configuration, at its first failing step.
+    """
+    runs = [_Run(*config) for config in configs]
+    _each(runs, lambda run: run.setup(zmax, grid))
+    _series_checks(runs, tol)
+    shared: dict = {}
+    for stage in (_moment_checks, _riccati_checks, _moment_ode_check,
+                  _special_function_checks, _family_identity_checks):
+        _each(runs, lambda run: run.checks.extend(stage(run, shared)))
+    for run in runs:
+        if run.error is not None:
+            raise run.error
+    return [run.report() for run in runs]
+
+
+def run_family_checks(family: Family, lam, a, b, zmax: float, grid: int,
+                      tol: float) -> dict:
+    """All checks for one family configuration: the campaign of one."""
+    return run_campaign([(family, lam, a, b)], zmax, grid, tol)[0]
 
 
 def _sweep_configs():
@@ -241,10 +336,7 @@ def _sweep_configs():
 def cmd_verify(args) -> int:
     start = time.perf_counter()
     if args.family is None:
-        reports = [
-            run_family_checks(fam, lam, a, b, args.zmax, args.grid, args.tol)
-            for fam, lam, a, b in _sweep_configs()
-        ]
+        reports = run_campaign(_sweep_configs(), args.zmax, args.grid, args.tol)
         all_passed = all(r["all_passed"] for r in reports)
         payload = {
             "schema": SCHEMA_VERSION,
@@ -281,8 +373,8 @@ def _solution_dict(sol: riccati.ClassificationSolution) -> dict:
 
 def cmd_classify(args) -> int:
     lam = args.lam
-    if lam is None or lam <= 0.0:
-        raise ParameterError(f"classify requires lambda > 0, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ParameterError(f"classify requires a finite lambda > 0, got {lam}")
     payload = {
         "schema": SCHEMA_VERSION,
         "tool_version": __version__,

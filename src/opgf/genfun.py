@@ -20,6 +20,11 @@ u(z) * exp(lambda*Log(f(z)-x)) and refuses the branch cut of either factor.
 whose power argument stays near 1 for small |z|; it agrees with psi_closed
 off the negative real axis and continues the series across the cut, which is
 what moment checks at negative real z need.
+
+The series side is ``psi_series``, a truncation with a proved tail bound.
+``psi_series_stack`` sums it for several configurations at once: each keeps
+its own term count, and one recurrence pass serves them all; psi_series is
+the stack of one.
 """
 from __future__ import annotations
 
@@ -294,13 +299,14 @@ def psi_series(seq: JacobiSzegoSequence, lam: float, z, x,
     The sum is one recurrence pass for P_0 .. P_{N-1} over all x and one
     matrix product (c_n z^n) @ P, so a grid element equals a call at its
     own point only within the two calls' bounds and rounding: a narrower x
-    range may give a smaller N.
+    range may give a smaller N.  This is psi_series_stack with one row.
     """
-    if n_terms < 1:
-        raise ParameterError(f"n_terms must be >= 1, got {n_terms}")
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    r = float(np.abs(zs).max())
+    return psi_series_stack([seq], [lam], z, [x], n_terms)[0]
+
+
+def _term_count(seq: JacobiSzegoSequence, lam: float, xs, r: float,
+                n_terms: int) -> tuple[int, float]:
+    """psi_series's term count N and tail bound for the points xs at |z| <= r."""
     count, bound = min(n_terms, seq.alphas.size + 1), math.inf
     majorant_sum = m_prev = 0.0
     pairs = zip(pochhammer_over_factorial(lam), majorant_values(seq, xs, r))
@@ -309,17 +315,47 @@ def psi_series(seq: JacobiSzegoSequence, lam: float, z, x,
         if k and q < 1.0 and lam + k > 0.0:
             tail = c * max(m, growth * m_prev) / (1.0 - q)
             if tail <= UNIT_ROUNDOFF * majorant_sum:
-                count, bound = k, tail
-                break
+                return k, tail
         majorant_sum += c * m
         m_prev = m
-    coeffs = np.fromiter(itertools.islice(pochhammer_over_factorial(lam), count),
-                         float, count)
-    p = np.array(list(itertools.islice(monic_values(seq, xs), count)))
-    values = (np.vander(zs, count, increasing=True) * coeffs) @ p
-    shape = np.shape(z) + np.shape(x)
-    return PsiSeriesResult(as_shape(values, shape), bound, count,
-                           as_shape(bound <= _TAIL_WARN_FACTOR * np.abs(values), shape))
+    return count, bound
+
+
+def psi_series_stack(seqs, lams, z, x_rows,
+                     n_terms: int = SERIES_CAP) -> list[PsiSeriesResult]:
+    """psi_series for C configurations at the points z, one result per row:
+    row c sums with table seqs[c] and lambda lams[c] at the points x_rows[c].
+
+    The tables share one length, and the rows of x_rows are scalars or 1-D
+    arrays of one length.  Each row keeps psi_series's term count N_c and
+    tail bound, chosen from its own table and points.  The recurrence then
+    runs once over the stacked (C, X) points up to max N_c, and each row
+    sums its own first N_c terms in a product (c_n z^n) @ P of psi_series's
+    shapes, so every row equals its own psi_series call bit for bit.  (A
+    single product over zero-padded rows would not: BLAS may split a longer
+    sum differently.)  Errors are psi_series's: n_terms < 1, and a
+    non-finite x of any row.
+    """
+    if n_terms < 1:
+        raise ParameterError(f"n_terms must be >= 1, got {n_terms}")
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    rows = np.asarray(x_rows, dtype=float)
+    xs = rows.reshape(len(rows), -1)
+    r = float(np.abs(zs).max())
+    terms = [_term_count(seq, lam, row, r, n_terms) for seq, lam, row in zip(seqs, lams, xs)]
+    size = max(count for count, _ in terms)
+    p = np.array(list(itertools.islice(monic_values(list(seqs), xs), size)))
+    powers = np.vander(zs, size, increasing=True)
+    shape = np.shape(z) + rows.shape[1:]
+    results = []
+    for row, (lam, (count, bound)) in enumerate(zip(lams, terms)):
+        coeffs = np.fromiter(itertools.islice(pochhammer_over_factorial(lam), count),
+                             float, count)
+        values = (powers[:, :count] * coeffs) @ p[:count, row]
+        results.append(PsiSeriesResult(
+            as_shape(values, shape), bound, count,
+            as_shape(bound <= _TAIL_WARN_FACTOR * np.abs(values), shape)))
+    return results
 
 
 def psi_family_moments(seq: JacobiSzegoSequence, cf: GenFunClosedForm, z) -> tuple:

@@ -63,29 +63,46 @@ class JacobiSzegoSequence:
                 and abs(self.omegas[1] - 1.0) <= _STANDARD_TOL)
 
 
-def monic_values(seq: JacobiSzegoSequence, x) -> Iterator:
+def monic_values(seq, x) -> Iterator:
     """Yield P_0(x), P_1(x), ..., P_N(x) by running the recurrence upward;
     asking for P_{N+1} raises ParameterError.
 
     x is a float or a 1-D array of points; an array yields arrays, one
     recurrence step per degree for every point at once, with the shifts
-    x - alpha_n of all degrees formed in one array operation.  Each degree
-    is computed only when it is requested.
+    x - alpha_n of all degrees formed in one array operation.  seq may also
+    be a list of C tables of one length N with x a (C, X) array: row c then
+    runs the recurrence of table c, and each step serves every row.  Each
+    degree is computed only when it is requested.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ParameterError(f"x must be finite, got {xs[~np.isfinite(xs)][0]}")
+    if isinstance(seq, JacobiSzegoSequence):
+        alphas, omegas = seq.alphas, seq.omegas
+    else:
+        sizes = [table.alphas.size for table in seq]
+        if len(set(sizes)) != 1 or xs.ndim != 2 or xs.shape[0] != len(seq):
+            raise ParameterError(
+                f"a stack needs tables of one length and a (C, X) x, one row per "
+                f"table; got lengths {sizes} and x of shape {xs.shape}"
+            )
+        alphas = np.array([table.alphas for table in seq]).T
+        omegas = np.array([table.omegas for table in seq]).T
     if xs.ndim == 0:
         x, p_prev, p_cur = float(xs), 0.0, 1.0
-        shifts = (x - alpha for alpha in seq.alphas.tolist())
+        shifts = (x - alpha for alpha in alphas.tolist())
+        omegas = omegas.tolist()
     else:
+        # omega_n spread over the points: a same-shape product is faster
+        # than a broadcast one
         p_prev, p_cur = np.zeros_like(xs), np.ones_like(xs)
-        shifts = xs - seq.alphas[:, None]
-    for shift, omega in zip(shifts, seq.omegas.tolist()):
+        shifts = xs - alphas[..., None]
+        omegas = np.repeat(omegas[..., None], xs.shape[-1], axis=-1)
+    for shift, omega in zip(shifts, omegas):
         yield p_cur
         p_prev, p_cur = p_cur, shift * p_cur - omega * p_prev
     yield p_cur
-    size = seq.alphas.size
+    size = len(alphas)
     raise ParameterError(f"{size} coefficients give P_0 .. P_{size} only, not P_{size + 1}")
 
 

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import opgf
-from opgf import Family, genfun, measures, riccati
-from opgf.cli import main, run_family_checks
+from opgf import Family, ParameterError, genfun, identities, measures, riccati
+from opgf.cli import main, run_campaign, run_family_checks
 
 # Ordered (name, points_tested, passed) of every check in the default full
 # sweep; a refactor must leave it unchanged.
@@ -236,6 +236,89 @@ def test_one_closed_form_and_one_table_per_configuration(argv, configs, tmp_path
                      "build_measure": 0}
 
 
+# Calls per full sweep of the identities that read lambda alone: six distinct
+# lambdas (free Meixner has lambda = 1), five among the non-symmetric
+# configurations, and one 20-point gamma-duplication check for the campaign.
+LAMBDA_ONLY_CALLS = {
+    "duplication_check": 20,
+    "pochhammer_ratio_check": 6,
+    "one_f_zero_reduction": 6,
+    "jacobi_2f1_gf_check": 5,
+    "two_f_one_collapse_check": 5,
+}
+
+
+def test_sweep_evaluates_each_lambda_identity_once(tmp_path, monkeypatch):
+    # one stacked series pass and one evaluation per distinct lambda, and
+    # nothing kept from one sweep to the next
+    calls, stack_rows = {}, []
+
+    def counted(name):
+        fn = getattr(identities, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(identities, name, wrapper)
+
+    for name in LAMBDA_ONLY_CALLS:
+        counted(name)
+    stack = genfun.psi_series_stack
+
+    def counted_stack(seqs, *args, **kwargs):
+        stack_rows.append(len(seqs))
+        return stack(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(genfun, "psi_series_stack", counted_stack)
+    for _ in range(2):
+        calls.clear()
+        stack_rows.clear()
+        assert run(["verify", "--out", str(tmp_path / "sweep.json")]) == 0
+        assert calls == LAMBDA_ONLY_CALLS
+        # the identity checks' own series are stacks of one
+        assert [rows for rows in stack_rows if rows > 1] == [23]
+
+
+def test_sweep_reports_equal_single_family_reports(tmp_path):
+    # the campaign of 23 gives each configuration the report of its own run
+    out = tmp_path / "sweep.json"
+    assert run(["verify", "--zmax", "0.1", "--grid", "16", "--out", str(out)]) == 0
+    for report in json.loads(out.read_text())["reports"]:
+        argv = ["verify", "--family", report["family"], "--zmax", "0.1", "--grid", "16"]
+        if report["family"] == "free-meixner":
+            argv += [f"--a={report['a']!r}", f"--b={report['b']!r}"]
+        else:
+            argv += ["--lambda", repr(report["lambda"])]
+        single = tmp_path / "single.json"
+        assert run([*argv, "--out", str(single)]) == 0
+        expected = json.loads(single.read_text())
+        del expected["wall_time_ms"]
+        assert report == expected
+
+
+@pytest.mark.parametrize("order", ["check-error-first", "setup-error-first"])
+def test_campaign_raises_what_a_per_configuration_loop_meets_first(order, monkeypatch):
+    # a check error of the first configuration beats a set-up error of the
+    # second, as in a loop that runs each configuration to the end in turn
+    moment_ode = riccati.residual_moment_ode
+
+    def failing(cf, *args):
+        if cf.family is Family.SYM1:
+            raise ParameterError("moment-ode of sym1")
+        return moment_ode(cf, *args)
+
+    monkeypatch.setattr(riccati, "residual_moment_ode", failing)
+    configs = [(Family.SYM1, 2.0, None, None), (Family.SYM2, 0.3, None, None)]
+    if order == "setup-error-first":
+        configs.reverse()
+    with pytest.raises(ParameterError) as excinfo:
+        run_campaign(configs, 0.1, 16, 1e-9)
+    expected = ("moment-ode of sym1" if order == "check-error-first"
+                else "sym2 requires lambda > 1/2")
+    assert str(excinfo.value).startswith(expected)
+
+
 class TestClassify:
     def test_lambda2_three_families(self, tmp_path):
         out = tmp_path / "c.json"
@@ -270,6 +353,14 @@ class TestClassify:
         assert run(["classify", "--lambda", "-2",
                     "--out", str(tmp_path / "x.json")]) == 2
         assert "lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda_exits_2(self, lam, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(["classify", f"--lambda={lam}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"opgf classify: classify requires a finite lambda > 0, got {float(lam)}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("lam", list(CLASSIFY_REFERENCE))
     def test_report_bytes_unchanged(self, lam, tmp_path):

@@ -23,9 +23,10 @@ from opgf import (
     psi_closed,
     psi_family_moments,
     psi_series,
+    psi_series_stack,
     stieltjes_from_quadrature,
 )
-from opgf import genfun, measures
+from opgf import families, genfun, measures
 from opgf.genfun import pochhammer_over_factorial
 from opgf.recurrence import majorant_values, monic_values
 
@@ -482,6 +483,91 @@ class TestPsiSeries:
                 gap = abs(series.value - closed) / (1.0 + abs(closed))
                 worst = max(worst, gap)
         assert worst <= 1e-9
+
+
+def assert_same_series(stacked, single):
+    # bit for bit: value, term count, tail bound and convergence flags
+    assert np.asarray(stacked.value).tobytes() == np.asarray(single.value).tobytes()
+    assert np.shape(stacked.value) == np.shape(single.value)
+    assert stacked.n_terms == single.n_terms
+    assert stacked.tail_bound == single.tail_bound
+    assert np.array_equal(stacked.converged, single.converged)
+
+
+@st.composite
+def documented_configs(draw):
+    """A configuration of the documented domain, lambda kept off the
+    lambda = 1 redirect."""
+    family = draw(st.sampled_from(list(Family)))
+    if family is Family.FREE_MEIXNER:
+        return family, None, draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    low = 0.05 if family is Family.SYM1 else 0.51
+    lam = draw(st.floats(low, 0.95) | st.floats(1.05, 4.0))
+    return family, lam, None, None
+
+
+class TestPsiSeriesStack:
+    def test_sweep_stack_matches_one_call_per_configuration(self):
+        # the verify sweep's series pass: 23 configurations, 16 z, 11 x each
+        zs = circle_points(0.1, 16)
+        seqs, lams, rows = [], [], []
+        for config in SWEEP_CONFIGS:
+            cf = get_closed_form(*config)
+            seqs.append(measures.family_sequence(*config, size=genfun.SERIES_CAP))
+            lams.append(cf.lam)
+            rows.append(np.linspace(*get_measure(*config).support, 11))
+        stack = psi_series_stack(seqs, lams, zs, rows)
+        assert len(stack) == len(SWEEP_CONFIGS)
+        for seq, lam, xs, stacked in zip(seqs, lams, rows, stack):
+            assert stacked.converged.all()
+            assert_same_series(stacked, psi_series(seq, lam, zs, xs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        configs=st.lists(documented_configs(), min_size=1, max_size=5),
+        radius=st.floats(0.01, 0.3),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+        n_terms=st.integers(1, 200),
+    )
+    def test_mixed_stack_matches_one_call_per_configuration(self, configs, radius,
+                                                             fractions, n_terms):
+        zs = circle_points(radius, 8)
+        seqs = [measures.family_sequence(*c, size=genfun.SERIES_CAP) for c in configs]
+        lams = [get_closed_form(*c).lam for c in configs]
+        rows = []
+        for family, lam, a, b in configs:
+            lo, hi = families.support_interval(family, lam, a, b)
+            rows.append([lo + f * (hi - lo) for f in fractions])
+        stack = psi_series_stack(seqs, lams, zs, rows, n_terms)
+        for seq, lam, xs, stacked in zip(seqs, lams, rows, stack):
+            assert_same_series(stacked, psi_series(seq, lam, zs, xs, n_terms))
+
+    def test_scalar_rows(self):
+        seqs = [get_sequence(*c) for c in SWEEP_CONFIGS[:3]]
+        stack = psi_series_stack(seqs, [0.6, 0.75, 1.5], 0.05j, [0.1, -0.2, 0.3])
+        for seq, lam, x, stacked in zip(seqs, [0.6, 0.75, 1.5], [0.1, -0.2, 0.3], stack):
+            assert isinstance(stacked.value, complex)
+            assert_same_series(stacked, psi_series(seq, lam, 0.05j, x))
+
+    @pytest.mark.parametrize("x, n_terms, message", [
+        (math.nan, 200, "x must be finite, got nan"),
+        (math.inf, 200, "x must be finite, got inf"),
+        ([0.0, -math.inf], 200, "x must be finite, got -inf"),
+        (0.0, 0, "n_terms must be >= 1, got 0"),
+    ])
+    def test_stack_of_one_raises_as_psi_series(self, x, n_terms, message):
+        seq = get_sequence(Family.SYM1, 2.0, None, None)
+        with pytest.raises(ParameterError) as single:
+            psi_series(seq, 2.0, 0.1, x, n_terms)
+        with pytest.raises(ParameterError) as stacked:
+            psi_series_stack([seq], [2.0], 0.1, [x], n_terms)
+        assert str(single.value) == str(stacked.value) == message
+
+    def test_tables_of_different_lengths_are_refused(self):
+        seqs = [get_sequence(Family.SYM1, 2.0, None, None),
+                measures.family_sequence(Family.SYM1, 2.0, size=50)]
+        with pytest.raises(ParameterError, match="tables of one length"):
+            psi_series_stack(seqs, [2.0, 2.0], 0.1, [[0.0], [0.5]])
 
 
 def mp_tail(seq, lam, r, x, start):
