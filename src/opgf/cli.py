@@ -210,31 +210,29 @@ def _series_checks(runs, tol: float) -> None:
     _each(live, check)
 
 
-def _moment_checks(run, shared: dict) -> list[dict]:
-    cf = run.cf
-    zs = np.array([s * run.zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)])
-    m0, m1, m2 = genfun.psi_family_moments(run.seq, cf, zs)
+def _residual_checks(run, shared: dict) -> list[dict]:
+    """The moment claims, the Riccati residuals and the moment ODE."""
+    cf, zmax = run.cf, run.zmax
     lam = cf.lam
-    m2_claim = 0.5 * lam * (lam + 1.0) * cf.omega2 * zs * zs + lam * cf.alpha1 * zs + 1.0
-    return [_check("moment-m0", len(zs), np.abs(m0 - 1.0).max(), TOL_M0),
-            _check("moment-m1", len(zs), np.abs(m1 - lam * zs).max(), TOL_M1),
-            _check("moment-m2", len(zs), np.abs(m2 - m2_claim).max(), TOL_M2)]
-
-
-def _riccati_checks(run, shared: dict) -> list[dict]:
-    cf = run.cf
+    zs_real = np.array([s * zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)])
+    m0, m1, m2 = genfun.psi_family_moments(run.seq, cf, zs_real)
+    m2_claim = (0.5 * lam * (lam + 1.0) * cf.omega2 * zs_real * zs_real
+                + lam * cf.alpha1 * zs_real + 1.0)
     coeffs = riccati.coefficients(cf.lam, cf.alpha1, cf.omega2)
-    zs = _circle(0.5 * run.zmax, run.grid) + _circle(run.zmax, run.grid)
-    worst_f = np.abs(riccati.residual_f(cf, coeffs, zs)).max()
-    worst_u = np.abs(riccati.residual_u(cf, zs)).max()
-    return [_check("riccati-residual-f", len(zs), worst_f, TOL_RICCATI),
-            _check("riccati-residual-u", len(zs), worst_u, TOL_RICCATI)]
-
-
-def _moment_ode_check(run, shared: dict) -> list[dict]:
-    zs = np.array([s * run.zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
-    r1, r2 = riccati.residual_moment_ode(run.cf, run.seq, zs)
-    return [_check("moment-ode", 2 * len(zs), max(r1.max(), r2.max()), TOL_ODE)]
+    zs_two_circles = _circle(0.5 * zmax, run.grid) + _circle(zmax, run.grid)
+    worst_f = np.abs(riccati.residual_f(cf, coeffs, zs_two_circles)).max()
+    worst_u = np.abs(riccati.residual_u(cf, zs_two_circles)).max()
+    ode_zs = np.array([s * zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
+    r1, r2 = riccati.residual_moment_ode(cf, run.seq, ode_zs)
+    pts = len(zs_two_circles)
+    return [
+        _check("moment-m0", len(zs_real), np.abs(m0 - 1.0).max(), TOL_M0),
+        _check("moment-m1", len(zs_real), np.abs(m1 - lam * zs_real).max(), TOL_M1),
+        _check("moment-m2", len(zs_real), np.abs(m2 - m2_claim).max(), TOL_M2),
+        _check("riccati-residual-f", pts, worst_f, TOL_RICCATI),
+        _check("riccati-residual-u", pts, worst_u, TOL_RICCATI),
+        _check("moment-ode", 2 * len(ode_zs), max(r1.max(), r2.max()), TOL_ODE),
+    ]
 
 
 def _special_function_checks(run, shared: dict) -> list[dict]:
@@ -310,8 +308,7 @@ def run_campaign(configs, zmax: float, grid: int, tol: float) -> list[dict]:
     _each(runs, lambda run: run.setup(zmax, grid))
     _series_checks(runs, tol)
     shared: dict = {}
-    for stage in (_moment_checks, _riccati_checks, _moment_ode_check,
-                  _special_function_checks, _family_identity_checks):
+    for stage in (_residual_checks, _special_function_checks, _family_identity_checks):
         _each(runs, lambda run: run.checks.extend(stage(run, shared)))
     for run in runs:
         if run.error is not None:
