@@ -12,9 +12,12 @@ Subcommands:
 A verify command is one campaign (run_campaign): the sweep's 23
 configurations, or the one configuration of --family.  It builds one closed
 form and one coefficient table per configuration and then runs check by
-check: series-vs-closed for all configurations is one psi_series_stack
-pass, and the identities of lambda alone are evaluated once per distinct
-lambda of the campaign.  Nothing is kept from one command to the next.
+check.  The closed-form checks are one call each for all configurations:
+series-vs-closed is one psi_series_stack pass and one psi_closed call over
+the stack of closed forms, and so are the moments, both Riccati residuals
+and the moment ODE.  The identities of lambda alone are evaluated once per
+distinct lambda of the campaign.  Nothing is kept from one command to the
+next.
 
 Reports are deterministic for fixed inputs except the wall_time_ms field;
 numbers are serialized with 17 significant digits.
@@ -140,7 +143,7 @@ class _Run:
             )
         if grid < 4:
             raise ParameterError(f"grid must be >= 4, got {grid}")
-        self.zmax, self.grid, self.cf = zmax, grid, cf
+        self.zmax, self.cf = zmax, cf
         self.seq = measures.family_sequence(cf.family, cf.lam, cf.a, cf.b,
                                             size=genfun.SERIES_CAP)
         self.lo, self.hi = families.support_interval(cf.family, cf.lam, cf.a, cf.b)
@@ -184,55 +187,99 @@ def _circle(radius: float, grid: int) -> list:
             for t in (k * math.pi / grid for k in range(grid))]
 
 
-def _series_checks(runs, tol: float) -> None:
-    """series-vs-closed for every run from one psi_series_stack pass; an
-    error of that pass is kept on every run in it."""
+def _stacked(runs, evaluate, record) -> None:
+    """record(run, row) for every run with no error yet, row being its row
+    of one call evaluate(runs) over all of them.  If that call raises, each
+    run calls evaluate([run]), the stack of one, so that an error stays with
+    its configuration and the others go on."""
     live = [run for run in runs if run.error is None]
     if not live:
         return
-    zs = _circle(live[0].zmax, live[0].grid)
     try:
-        stack = genfun.psi_series_stack([run.seq for run in live],
-                                        [run.cf.lam for run in live],
-                                        zs, [run.xs for run in live])
+        rows = list(evaluate(live))
     except Exception as exc:
-        for run in live:
-            run.error = exc
+        if len(live) == 1:  # that call was the run's stack of one
+            live[0].error = exc
+        else:
+            _each(live, lambda run: record(run, *evaluate([run])))
         return
-
-    for run, series in zip(live, stack):
-        run.series = series.value
-
-    def check(run):
-        worst = np.abs(genfun.psi_closed(run.cf, zs, run.xs) - run.series).max()
-        run.checks.append(_check("series-vs-closed", len(zs) * len(run.xs), worst, tol))
-
-    _each(live, check)
+    for run, row in zip(live, rows):
+        record(run, row)
 
 
-def _residual_checks(run, shared: dict) -> list[dict]:
-    """The moment claims, the Riccati residuals and the moment ODE."""
-    cf, zmax = run.cf, run.zmax
-    lam = cf.lam
+def _closed_forms(runs):
+    """The runs' closed forms as one stack.  One run keeps its own closed
+    form, the stack of one without the leading axis, whose Python-float
+    fields numpy combines with complex points without casts."""
+    if len(runs) == 1:
+        return runs[0].cf
+    return genfun.stack_closed_forms(run.cf for run in runs)
+
+
+def _rows(runs, values) -> np.ndarray:
+    """values of one call over the stack of runs as one flat row per run."""
+    return np.asarray(values).reshape(len(runs), -1)
+
+
+def _series_checks(runs, zmax: float, grid: int, tol: float) -> None:
+    """series-vs-closed for every run: one psi_series_stack pass and one
+    psi_closed call over the stack of closed forms."""
+    zs = _circle(zmax, grid)
+
+    def worst(live):
+        xs = [run.xs for run in live]
+        series = genfun.psi_series_stack([run.seq for run in live],
+                                         [run.cf.lam for run in live], zs, xs)
+        closed = _rows(live, genfun.psi_closed(_closed_forms(live), zs, xs))
+        return np.abs(closed - _rows(live, [row.value for row in series])).max(axis=1)
+
+    _stacked(runs, worst, lambda run, residual: run.checks.append(
+        _check("series-vs-closed", len(zs) * len(run.xs), residual, tol)))
+
+
+def _residual_checks(runs, zmax: float, grid: int) -> None:
+    """The moment claims, the Riccati residuals and the moment ODE, each one
+    call over the stack of closed forms."""
     zs_real = np.array([s * zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)])
-    m0, m1, m2 = genfun.psi_family_moments(run.seq, cf, zs_real)
-    m2_claim = (0.5 * lam * (lam + 1.0) * cf.omega2 * zs_real * zs_real
-                + lam * cf.alpha1 * zs_real + 1.0)
-    coeffs = riccati.coefficients(cf.lam, cf.alpha1, cf.omega2)
-    zs_two_circles = _circle(0.5 * zmax, run.grid) + _circle(zmax, run.grid)
-    worst_f = np.abs(riccati.residual_f(cf, coeffs, zs_two_circles)).max()
-    worst_u = np.abs(riccati.residual_u(cf, zs_two_circles)).max()
+    zs_two_circles = _circle(0.5 * zmax, grid) + _circle(zmax, grid)
     ode_zs = np.array([s * zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
-    r1, r2 = riccati.residual_moment_ode(cf, run.seq, ode_zs)
+
+    def moments(live):
+        return zip(*(_rows(live, m) for m in genfun.psi_family_moments(
+            [run.seq for run in live], _closed_forms(live), zs_real)))
+
+    def moment_checks(run, row):
+        m0, m1, m2 = row
+        cf, lam = run.cf, run.cf.lam
+        m2_claim = (0.5 * lam * (lam + 1.0) * cf.omega2 * zs_real * zs_real
+                    + lam * cf.alpha1 * zs_real + 1.0)
+        run.checks += [
+            _check("moment-m0", len(zs_real), np.abs(m0 - 1.0).max(), TOL_M0),
+            _check("moment-m1", len(zs_real), np.abs(m1 - lam * zs_real).max(), TOL_M1),
+            _check("moment-m2", len(zs_real), np.abs(m2 - m2_claim).max(), TOL_M2),
+        ]
+
+    def worst_f(live):
+        cf = _closed_forms(live)
+        coeffs = riccati.coefficients(cf.lam, cf.alpha1, cf.omega2)
+        return np.abs(_rows(live, riccati.residual_f(cf, coeffs, zs_two_circles))).max(axis=1)
+
+    def worst_u(live):
+        residual = riccati.residual_u(_closed_forms(live), zs_two_circles)
+        return np.abs(_rows(live, residual)).max(axis=1)
+
+    def moment_ode(live):
+        return zip(*(_rows(live, r) for r in riccati.residual_moment_ode(
+            _closed_forms(live), [run.seq for run in live], ode_zs)))
+
     pts = len(zs_two_circles)
-    return [
-        _check("moment-m0", len(zs_real), np.abs(m0 - 1.0).max(), TOL_M0),
-        _check("moment-m1", len(zs_real), np.abs(m1 - lam * zs_real).max(), TOL_M1),
-        _check("moment-m2", len(zs_real), np.abs(m2 - m2_claim).max(), TOL_M2),
-        _check("riccati-residual-f", pts, worst_f, TOL_RICCATI),
-        _check("riccati-residual-u", pts, worst_u, TOL_RICCATI),
-        _check("moment-ode", 2 * len(ode_zs), max(r1.max(), r2.max()), TOL_ODE),
-    ]
+    _stacked(runs, moments, moment_checks)
+    _stacked(runs, worst_f, lambda run, residual: run.checks.append(
+        _check("riccati-residual-f", pts, residual, TOL_RICCATI)))
+    _stacked(runs, worst_u, lambda run, residual: run.checks.append(
+        _check("riccati-residual-u", pts, residual, TOL_RICCATI)))
+    _stacked(runs, moment_ode, lambda run, row: run.checks.append(
+        _check("moment-ode", 2 * len(ode_zs), max(row[0].max(), row[1].max()), TOL_ODE)))
 
 
 def _special_function_checks(run, shared: dict) -> list[dict]:
@@ -297,18 +344,25 @@ def run_campaign(configs, zmax: float, grid: int, tol: float) -> list[dict]:
 
     Each configuration builds one closed form and one coefficient table,
     which all its checks read.  series-vs-closed for every configuration is
-    one psi_series_stack pass; gamma-duplication is evaluated once, and
-    pochhammer-ratio, binomial-1f0, jacobi-2f1-gf and 2f1-collapse once per
-    distinct lambda, each report taking its own copy of the record.  Errors
-    are kept per configuration, and the campaign raises the one that a
+    one psi_series_stack pass and one psi_closed call over the stack of
+    closed forms (genfun.stack_closed_forms), and the moments, both Riccati
+    residuals and the moment ODE are one call each over that stack;
+    gamma-duplication is evaluated once, and pochhammer-ratio, binomial-1f0,
+    jacobi-2f1-gf and 2f1-collapse once per distinct lambda, each report
+    taking its own copy of the record.  tol must be finite and > 0.  Errors
+    are kept per configuration: a stacked call that raises is made again as
+    each configuration's stack of one.  The campaign raises the error that a
     configuration-by-configuration loop would meet first: that of the first
     failing configuration, at its first failing step.
     """
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be a finite number > 0, got {tol}")
     runs = [_Run(*config) for config in configs]
     _each(runs, lambda run: run.setup(zmax, grid))
-    _series_checks(runs, tol)
+    _series_checks(runs, zmax, grid, tol)
+    _residual_checks(runs, zmax, grid)
     shared: dict = {}
-    for stage in (_residual_checks, _special_function_checks, _family_identity_checks):
+    for stage in (_special_function_checks, _family_identity_checks):
         _each(runs, lambda run: run.checks.extend(stage(run, shared)))
     for run in runs:
         if run.error is not None:

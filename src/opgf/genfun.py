@@ -25,6 +25,14 @@ The series side is ``psi_series``, a truncation with a proved tail bound.
 ``psi_series_stack`` sums it for several configurations at once: each keeps
 its own term count, and one recurrence pass serves them all; psi_series is
 the stack of one.
+
+The closed side stacks the same way.  ``stack_closed_forms`` turns C closed
+forms into one whose fields are (C, 1) columns; psi_closed, psi_analytic,
+psi_family_moments and the residuals of ``riccati`` then evaluate all C
+configurations in one call, with a leading configuration axis, and a closed
+form of its own is evaluated as the stack of one.  Each row equals its own
+configuration's call bit for bit, and a bad point raises the error of the
+first configuration that has one.
 """
 from __future__ import annotations
 
@@ -40,7 +48,7 @@ import numpy as np
 from . import families, measures
 from .errors import BranchCutError, DomainError, ParameterError, SingularityError
 from .families import Family
-from .recurrence import JacobiSzegoSequence, majorant_values, monic_values
+from .recurrence import JacobiSzegoSequence, majorant_stack, monic_values
 
 # Hard cap on the number of series terms; the tail bound normally stops the
 # sum well before.
@@ -63,7 +71,9 @@ class GenFunClosedForm:
     g is f - Q_1/2 with Q_1(z) = (lambda+1) omega_2 z + alpha_1.  The methods
     take a scalar or a numpy array of z, elementwise.  excludes_negative_axis
     marks the families whose u carries the branch cut of z^lambda (all but
-    free Meixner, where lambda = 1).
+    free Meixner, where lambda = 1).  A stack of C closed forms
+    (stack_closed_forms) holds every field as a (C, 1) column, so the
+    methods give a (C, Z) array at a 1-D z.
     """
 
     family: Family
@@ -137,6 +147,74 @@ def closed_form(family, lam=None, a=None, b=None) -> GenFunClosedForm:
     )
 
 
+def _objects(values) -> np.ndarray:
+    """values as a (C, 1) column of Python objects (Family tags stay tags)."""
+    column = np.empty((len(values), 1), dtype=object)
+    column[:, 0] = values
+    return column
+
+
+def stack_closed_forms(cfs) -> GenFunClosedForm:
+    """The closed forms cfs as one stack of C configurations: every field is
+    a (C, 1) column, and each coefficient tuple a tuple of columns.
+
+    psi_closed, psi_analytic, psi_family_moments and the riccati residuals
+    take a stack wherever they take a closed form and give a result with a
+    leading axis of length C whose row c is bit for bit the call with cfs[c].
+    """
+    cfs = list(cfs)
+    columns = np.array([(cf.lam, cf.alpha1, cf.omega2, cf.domain_radius,
+                         *cf.zf_coeffs, *cf.numerator_coeffs) for cf in cfs]).T[..., None]
+    return GenFunClosedForm(
+        family=_objects([cf.family for cf in cfs]),
+        lam=columns[0], a=_objects([cf.a for cf in cfs]), b=_objects([cf.b for cf in cfs]),
+        alpha1=columns[1], omega2=columns[2],
+        zf_coeffs=tuple(columns[4:7]), numerator_coeffs=tuple(columns[7:10]),
+        domain_radius=columns[3],
+        excludes_negative_axis=np.array([[cf.excludes_negative_axis] for cf in cfs]),
+    )
+
+
+def _stack_shape(cf: GenFunClosedForm) -> tuple:
+    """The leading axes a closed form gives its results: (C,) for a stack of
+    C, () for a closed form of its own."""
+    return cf.lam.shape[:-1] if isinstance(cf.lam, np.ndarray) else ()
+
+
+def _stack_tables(seq, cf: GenFunClosedForm) -> list:
+    """seq as one coefficient table per configuration of cf: a table goes
+    with a closed form, a list of C tables with a stack of C."""
+    tables = [seq] if isinstance(seq, JacobiSzegoSequence) else list(seq)
+    if len(tables) != math.prod(_stack_shape(cf)):
+        raise ParameterError(
+            f"{len(tables)} coefficient tables for {math.prod(_stack_shape(cf))} "
+            "closed forms"
+        )
+    return tables
+
+
+def _lift(field):
+    """A stack's (C, 1) column as (C, 1, 1), to meet a (C, Z, X) grid; the
+    field of a closed form of its own stays a Python scalar, which numpy
+    combines with complex arrays without a cast."""
+    return field[..., None] if isinstance(field, np.ndarray) else field
+
+
+def _like_fields(cf: GenFunClosedForm, values: list):
+    """values, one per configuration, laid out as cf's fields: a (C, 1)
+    column for a stack, the one value for a closed form of its own."""
+    return np.reshape(values, (-1, 1)) if _stack_shape(cf) else values[0]
+
+
+def _at_first(mask, field):
+    """A closed-form field at the first point where mask holds, row-major:
+    the field itself for a closed form of its own, the row of that point's
+    configuration for a stack (mask is computed from the field, so the two
+    broadcast)."""
+    first = np.unravel_index(np.argmax(mask), np.shape(mask))
+    return np.broadcast_to(np.asarray(field, dtype=object), np.shape(mask))[first]
+
+
 def raise_first(points, checks) -> None:
     """Raise the error that a per-point loop over the grid, z-major, would
     raise first.
@@ -161,12 +239,14 @@ def raise_first(points, checks) -> None:
 def radius_guard(cf: GenFunClosedForm, z) -> tuple:
     """(mask, error) check for raise_first: DomainError where |z| reaches the
     domain radius.  The error takes the point's z first."""
+    mask = np.abs(z) >= cf.domain_radius
+
     def error(zk, *_):
         return DomainError(
-            f"|z| = {abs(zk):.6g} is outside the domain radius {cf.domain_radius:.6g} "
-            f"of {cf.family.value}"
+            f"|z| = {abs(zk):.6g} is outside the domain radius "
+            f"{_at_first(mask, cf.domain_radius):.6g} of {_at_first(mask, cf.family).value}"
         )
-    return np.abs(z) >= cf.domain_radius, error
+    return mask, error
 
 
 def _finite_x_guard(x) -> tuple:
@@ -176,13 +256,19 @@ def _finite_x_guard(x) -> tuple:
         f"x must be finite, got {xk}")
 
 
-def grid_points(z, x) -> tuple:
-    """z (complex) and x (float) as at-least-1-D axes in grid_axes's layout.
+def _grid(cf: GenFunClosedForm, z, x) -> tuple:
+    """psi_closed's layout: z as a 1-D complex axis, x as (1, X) floats,
+    (C, 1, X) for a stack of C with one row of x per configuration, and the
+    result's shape.
 
-    A scalar is evaluated as a length-1 array, so a scalar call rounds
-    exactly like the same point of a grid call; as_shape drops the axis."""
-    return grid_axes(np.atleast_1d(np.asarray(z, dtype=complex)),
-                     np.atleast_1d(np.asarray(x, dtype=float)))
+    Closed-form values at z, of shape (Z,) or (C, Z), take a trailing axis
+    to meet x.  A scalar is evaluated as a length-1 array, so a scalar call
+    rounds exactly like the same point of a grid call; as_shape drops the
+    axis."""
+    lead = _stack_shape(cf)
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    xs = np.asarray(x, dtype=float).reshape(lead + (1, -1))
+    return zs, xs, lead + np.shape(z) + np.shape(x)[len(lead):]
 
 
 def as_shape(values, shape):
@@ -195,31 +281,35 @@ def psi_closed(cf: GenFunClosedForm, z, x):
     """psi(z, x) = 1 / (u(z) * exp(lambda * Log(f(z) - x))), principal branch.
 
     z and x are scalars or 1-D arrays laid out as in psi_series: arrays give
-    the (Z, X) grid, scalars a complex.  At a non-finite x, outside the
-    domain radius, on the closed negative real z axis of a family that
-    excludes it, at z = 0, where f(z) = x and where f(z) - x is on the branch
-    cut the call raises, for the first such point in z-major order, the error
-    a scalar call there raises.
+    the (Z, X) grid, scalars a complex.  For a stack of C closed forms x has
+    one row per configuration and the result a leading axis of length C.
+    At a non-finite x, outside the domain radius, on the closed negative
+    real z axis of a family that excludes it, at z = 0, where f(z) = x and
+    where f(z) - x is on the branch cut the call raises, for the first such
+    point in z-major order (of the first configuration that has one), the
+    error a scalar call there raises.
     """
-    zs, xs = grid_points(z, x)
+    zs, xs, shape = _grid(cf, z, x)
+    zg = zs[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 raises below
-        w = cf.f(zs) - xs
+        w = cf.f(zs)[..., None] - xs
     negative_axis = cf.excludes_negative_axis & (zs.imag == 0.0) & (zs.real <= 0.0)
-    raise_first((zs, xs, w), [
+    radius, radius_error = radius_guard(cf, zs)
+    raise_first((zg, xs, w), [
         _finite_x_guard(xs),
-        radius_guard(cf, zs),
-        (negative_axis, lambda zk, *_: DomainError(
+        (radius[..., None], radius_error),
+        (negative_axis[..., None], lambda zk, *_: DomainError(
             f"z = {zk} lies on the closed negative real axis, excluded for "
-            f"{cf.family.value}")),
-        (zs == 0, lambda *_: DomainError("z = 0 is a pole of f")),
+            f"{_at_first(negative_axis, cf.family).value}")),
+        (zg == 0, lambda *_: DomainError("z = 0 is a pole of f")),
         (w == 0, lambda zk, xk, _: SingularityError(
             f"f(z) - x vanishes at z = {zk}, x = {xk}")),
         ((w.imag == 0.0) & (w.real < 0.0), lambda zk, xk, wk: BranchCutError(
             f"f(z) - x = {wk.real:.6g} lies on the branch cut (z = {zk}, x = {xk})",
             z=zk, x=xk)),
     ])
-    values = 1.0 / (cf.u(zs) * np.exp(cf.lam * np.log(w)))
-    return as_shape(values, np.shape(z) + np.shape(x))
+    values = 1.0 / (cf.u(zs)[..., None] * np.exp(_lift(cf.lam) * np.log(w)))
+    return as_shape(values, shape)
 
 
 def psi_analytic(cf: GenFunClosedForm, z, x):
@@ -228,24 +318,27 @@ def psi_analytic(cf: GenFunClosedForm, z, x):
     Evaluates N(z) / (z f(z) - z x)^lambda with N(z) = z^lambda / u(z); the
     power argument tends to 1 as z -> 0, so this continues the series across
     the negative real z axis as long as z f(z) - z x stays off the
-    non-positive reals.  psi(0, x) = N(0) = 1.  z and x are laid out, and bad
-    points raise, as in psi_closed.
+    non-positive reals.  psi(0, x) = N(0) = 1.  z and x are laid out, stacks
+    are taken, and bad points raise, as in psi_closed.
     """
-    zs, xs = grid_points(z, x)
-    c0, c1, c2 = cf.zf_coeffs
+    zs, xs, shape = _grid(cf, z, x)
+    zg = zs[:, None]
+    c0, c1, c2 = (_lift(c) for c in cf.zf_coeffs)
     with np.errstate(invalid="ignore"):  # a non-finite x raises below
-        w = c0 + (c1 - xs) * zs + c2 * zs * zs
-    raise_first((zs, xs, w), [
+        w = c0 + (c1 - xs) * zg + c2 * zg * zg
+    radius, radius_error = radius_guard(cf, zs)
+    raise_first((zg, xs, w), [
         _finite_x_guard(xs),
-        radius_guard(cf, zs),
+        (radius[..., None], radius_error),
         (w == 0, lambda zk, xk, _: SingularityError(
             f"z*(f(z) - x) vanishes at z = {zk}, x = {xk}")),
         ((w.imag == 0.0) & (w.real < 0.0), lambda zk, xk, wk: BranchCutError(
             f"z*(f(z) - x) = {wk.real:.6g} lies on the branch cut (z = {zk}, x = {xk})",
             z=zk, x=xk)),
     ])
-    values = np.where(zs == 0, 1.0 + 0.0j, cf.numerator(zs) / np.exp(cf.lam * np.log(w)))
-    return as_shape(values, np.shape(z) + np.shape(x))
+    values = np.where(zg == 0, 1.0 + 0.0j, cf.numerator(zs)[..., None]
+                      / np.exp(_lift(cf.lam) * np.log(w)))
+    return as_shape(values, shape)
 
 
 class PsiSeriesResult(NamedTuple):
@@ -304,12 +397,11 @@ def psi_series(seq: JacobiSzegoSequence, lam: float, z, x,
     return psi_series_stack([seq], [lam], z, [x], n_terms)[0]
 
 
-def _term_count(seq: JacobiSzegoSequence, lam: float, xs, r: float,
-                n_terms: int) -> tuple[int, float]:
-    """psi_series's term count N and tail bound for the points xs at |z| <= r."""
-    count, bound = min(n_terms, seq.alphas.size + 1), math.inf
+def _term_count(lam: float, majorants, count: int) -> tuple[int, float]:
+    """psi_series's term count N and tail bound from the majorant pairs
+    (M_n r^n, rho_n r) of its points, trying K up to count."""
     majorant_sum = m_prev = 0.0
-    pairs = zip(pochhammer_over_factorial(lam), majorant_values(seq, xs, r))
+    pairs = zip(pochhammer_over_factorial(lam), majorants)
     for k, (c, (m, growth)) in enumerate(itertools.islice(pairs, count + 1)):
         q = max(1.0, (lam + k) / (k + 1.0)) * growth
         if k and q < 1.0 and lam + k > 0.0:
@@ -318,7 +410,7 @@ def _term_count(seq: JacobiSzegoSequence, lam: float, xs, r: float,
                 return k, tail
         majorant_sum += c * m
         m_prev = m
-    return count, bound
+    return count, math.inf
 
 
 def psi_series_stack(seqs, lams, z, x_rows,
@@ -328,7 +420,8 @@ def psi_series_stack(seqs, lams, z, x_rows,
 
     The tables share one length, and the rows of x_rows are scalars or 1-D
     arrays of one length.  Each row keeps psi_series's term count N_c and
-    tail bound, chosen from its own table and points.  The recurrence then
+    tail bound, chosen from its own table and points by a scalar loop over
+    its row of recurrence.majorant_stack.  The recurrence then
     runs once over the stacked (C, X) points up to max N_c, and each row
     sums its own first N_c terms in a product (c_n z^n) @ P of psi_series's
     shapes, so every row equals its own psi_series call bit for bit.  (A
@@ -342,7 +435,9 @@ def psi_series_stack(seqs, lams, z, x_rows,
     rows = np.asarray(x_rows, dtype=float)
     xs = rows.reshape(len(rows), -1)
     r = float(np.abs(zs).max())
-    terms = [_term_count(seq, lam, row, r, n_terms) for seq, lam, row in zip(seqs, lams, xs)]
+    count = min(n_terms, seqs[0].alphas.size + 1)
+    terms = [_term_count(lam, majorants, count)
+             for lam, majorants in zip(lams, majorant_stack(seqs, xs, r))]
     size = max(count for count, _ in terms)
     p = np.array(list(itertools.islice(monic_values(list(seqs), xs), size)))
     powers = np.vander(zs, size, increasing=True)
@@ -358,7 +453,7 @@ def psi_series_stack(seqs, lams, z, x_rows,
     return results
 
 
-def psi_family_moments(seq: JacobiSzegoSequence, cf: GenFunClosedForm, z) -> tuple:
+def psi_family_moments(seq, cf: GenFunClosedForm, z) -> tuple:
     """Moments m_i = integral of x^i psi(z, x) d(mu), i = 0, 1, 2, for the
     measure mu of the coefficient table seq.
 
@@ -367,13 +462,25 @@ def psi_family_moments(seq: JacobiSzegoSequence, cf: GenFunClosedForm, z) -> tup
     float or a 1-D array, which gives three arrays from one Gauss rule.  The
     rule is built from the first MOMENT_ORDER coefficients of seq, or from
     as many as the measure has support points if that is fewer (free
-    Meixner at b = -1 has two), where it is exact.
+    Meixner at b = -1 has two), where it is exact.  For a stack of C closed
+    forms seq is a list of C tables whose rules have one order, and each
+    moment has a leading axis of length C.
     """
+    lead = _stack_shape(cf)
+    tables = _stack_tables(seq, cf)
     zs = np.asarray(z, dtype=float)
     raise_first((zs,), [radius_guard(cf, zs)])
-    rule = measures._gauss_rule(seq, min(MOMENT_ORDER, measures._support_points(seq)))
+    rules = [measures._gauss_rule(table, min(MOMENT_ORDER, measures._support_points(table)))
+             for table in tables]
+    orders = sorted({rule.nodes.size for rule in rules})
+    if len(orders) > 1:
+        raise ParameterError(f"a stack needs Gauss rules of one order, got orders {orders}")
+    nodes = np.array([rule.nodes for rule in rules]).reshape(lead + (-1,))
+    weights = np.array([rule.weights for rule in rules]).reshape(nodes.shape)
     # a scalar z is the length-1 grid, so it takes the same sums as an array
-    psi = psi_analytic(cf, np.atleast_1d(zs), rule.nodes).real
-    w_x = rule.weights * rule.nodes
-    sums = [(psi * w).sum(axis=-1) for w in (rule.weights, w_x, w_x * rule.nodes)]
-    return tuple(as_shape(m, zs.shape) for m in sums)
+    psi = psi_analytic(cf, np.atleast_1d(zs), nodes).real
+    if lead:  # one rule per configuration, across that configuration's z
+        nodes, weights = nodes[:, None], weights[:, None]
+    w_x = weights * nodes
+    sums = [(psi * w).sum(axis=-1) for w in (weights, w_x, w_x * nodes)]
+    return tuple(as_shape(m, lead + zs.shape) for m in sums)

@@ -25,6 +25,9 @@ from .errors import NumericalBreakdownError, ParameterError
 STIELTJES_MAX_DEGREE = 40
 
 _STANDARD_TOL = 1e-12
+# Majorant entries turned into Python floats before the rest of a table: a
+# term count usually reads only a few dozen of a 200-entry table.
+_HEAD = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,14 +83,7 @@ def monic_values(seq, x) -> Iterator:
     if isinstance(seq, JacobiSzegoSequence):
         alphas, omegas = seq.alphas, seq.omegas
     else:
-        sizes = [table.alphas.size for table in seq]
-        if len(set(sizes)) != 1 or xs.ndim != 2 or xs.shape[0] != len(seq):
-            raise ParameterError(
-                f"a stack needs tables of one length and a (C, X) x, one row per "
-                f"table; got lengths {sizes} and x of shape {xs.shape}"
-            )
-        alphas = np.array([table.alphas for table in seq]).T
-        omegas = np.array([table.omegas for table in seq]).T
+        alphas, omegas = (table.T for table in _table_stack(seq, xs))
     if xs.ndim == 0:
         x, p_prev, p_cur = float(xs), 0.0, 1.0
         shifts = (x - alpha for alpha in alphas.tolist())
@@ -114,6 +110,19 @@ def eval_monic(seq: JacobiSzegoSequence, n_max: int, x) -> np.ndarray:
     return np.array(list(itertools.islice(monic_values(seq, x), n_max + 1)))
 
 
+def _table_stack(seqs, xs) -> tuple[np.ndarray, np.ndarray]:
+    """alphas and omegas of C tables of one length N as (C, N) arrays, for
+    the (C, X) points xs, one row per table."""
+    sizes = [table.alphas.size for table in seqs]
+    if len(set(sizes)) != 1 or xs.ndim != 2 or xs.shape[0] != len(seqs):
+        raise ParameterError(
+            f"a stack needs tables of one length and a (C, X) x, one row per "
+            f"table; got lengths {sizes} and x of shape {xs.shape}"
+        )
+    return (np.array([table.alphas for table in seqs]),
+            np.array([table.omegas for table in seqs]))
+
+
 def majorant_values(seq: JacobiSzegoSequence, x, scale: float) -> Iterator[tuple]:
     """Yield (M_n s^n, rho_n s) for n = 0, 1, 2, ... without end, s = scale.
 
@@ -127,18 +136,39 @@ def majorant_values(seq: JacobiSzegoSequence, x, scale: float) -> Iterator[tuple
         M_m <= max(M_n, rho_n M_{n-1}) rho_n^(m - n)   for every m >= n.
 
     Assumption: past the end of the table the coefficients stay within the
-    table's suffix maxima; its last entry stands in for them.
+    table's suffix maxima; its last entry stands in for them.  This is
+    majorant_stack with one row.
     """
-    xs = np.asarray(x, dtype=float)
-    d = np.maximum(xs.max() - seq.alphas, seq.alphas - xs.min())
-    w = np.abs(seq.omegas)
-    d_bar = np.maximum.accumulate(d[::-1])[::-1]
-    w_bar = np.maximum.accumulate(w[::-1])[::-1]
+    return majorant_stack([seq], np.reshape(x, (1, -1)), scale)[0]
+
+
+def majorant_stack(seqs, x_rows, scale: float) -> list[Iterator[tuple]]:
+    """majorant_values for C tables of one length, one iterator per row: row
+    c bounds table seqs[c] over the points x_rows[c], a (C, X) array.
+
+    The distances D, the suffix maxima and rho of every row are formed in
+    one pass of (C, N) array operations; each iterator then runs its own
+    scalar recurrence for M_n, so every row equals its own majorant_values
+    bit for bit.
+    """
+    xs = np.asarray(x_rows, dtype=float)
+    alphas, omegas = _table_stack(seqs, xs)
+    d = np.maximum(xs.max(axis=1)[:, None] - alphas, alphas - xs.min(axis=1)[:, None])
+    w = np.abs(omegas)
+    d_bar = np.maximum.accumulate(d[:, ::-1], axis=1)[:, ::-1]
+    w_bar = np.maximum.accumulate(w[:, ::-1], axis=1)[:, ::-1]
     rho = (0.5 * scale) * (d_bar + np.sqrt(d_bar * d_bar + 4.0 * w_bar))
-    table = zip(d.tolist(), w.tolist(), rho.tolist())
+    return [_majorant_row(*row, scale) for row in zip(d, w, rho)]
+
+
+def _majorant_row(d, w, rho, scale: float) -> Iterator[tuple]:
+    """majorant_values from one row's arrays D_n, |omega_n| and rho_n s."""
+    entries = itertools.chain.from_iterable(
+        zip(*(a[part].tolist() for a in (d, w, rho)))
+        for part in (slice(_HEAD), slice(_HEAD, None)))
     last = (d[-1].item(), w[-1].item(), rho[-1].item())
     m_prev, m = 0.0, 1.0
-    for d_n, w_n, rho_n in itertools.chain(table, itertools.repeat(last)):
+    for d_n, w_n, rho_n in itertools.chain(entries, itertools.repeat(last)):
         yield m, rho_n
         m_prev, m = m, scale * (d_n * m + scale * w_n * m_prev)
 

@@ -106,8 +106,10 @@ def _poly_mul(a, b) -> list:
 
 def coefficients(lam: float, alpha1: float, omega2: float) -> RiccatiCoefficients:
     """Exact coefficients of Q_2, Q_1, R_1 and Q~_2 (ascending powers); floats
-    or Fractions in, the same type out."""
-    if lam <= 0:
+    or Fractions in, the same type out.  The (C, 1) columns of a stack of
+    closed forms give columns: the coefficients of C configurations."""
+    # numpy-free for scalars: the classification path runs on plain floats
+    if any(value <= 0 for value in getattr(lam, "flat", (lam,))):
         raise ParameterError(f"lambda must be > 0, got {lam}")
     q2 = (-1, -lam * alpha1, lam * (lam - (lam + 1) / 2 * omega2))
     q1 = (alpha1, (lam + 1) * omega2)
@@ -130,9 +132,11 @@ def _polyval_ascending(coeffs, z):
 def residual_f(cf: genfun.GenFunClosedForm, coeffs: RiccatiCoefficients, z):
     """Q_2(z) f'(z) - f(z)^2 + Q_1(z) f(z) - R_1(z); ~0 on every family.
 
-    z is a scalar or a 1-D array (residuals of the same shape).  A bad point
-    (outside the domain radius, or z = 0) raises, for the first one, the
-    error a scalar call there raises.
+    z is a scalar or a 1-D array (residuals of the same shape).  For a stack
+    of C closed forms, coeffs holds their coefficients as columns and the
+    residuals have a leading axis of length C.  A bad point (outside the
+    domain radius, or z = 0) raises, for the first one (of the first
+    configuration that has one), the error a scalar call there raises.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     genfun.raise_first((zs,), [
@@ -146,13 +150,14 @@ def residual_f(cf: genfun.GenFunClosedForm, coeffs: RiccatiCoefficients, z):
         + _polyval_ascending(coeffs.q1, zs) * fz
         - _polyval_ascending(coeffs.r1, zs)
     )
-    return genfun.as_shape(residual, np.shape(z))
+    return genfun.as_shape(residual, genfun._stack_shape(cf) + np.shape(z))
 
 
 def residual_u(cf: genfun.GenFunClosedForm, z):
     """u'(z)/u(z) - lambda (1 - f'(z)) / (f(z) - lambda z); ~0 on every family.
 
-    z is a scalar or a 1-D array; bad points raise as in residual_f.
+    z is a scalar or a 1-D array; stacks are taken, and bad points raise, as
+    in residual_f.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 raises below
@@ -163,7 +168,7 @@ def residual_u(cf: genfun.GenFunClosedForm, z):
         (np.abs(denom) < 1e-14, lambda zk: SingularityError(f"f(z) = lambda z at z = {zk}")),
     ])
     residual = cf.u_log_deriv(zs) - cf.lam * (1.0 - cf.f_prime(zs)) / denom
-    return genfun.as_shape(residual, np.shape(z))
+    return genfun.as_shape(residual, genfun._stack_shape(cf) + np.shape(z))
 
 
 def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence,
@@ -180,15 +185,19 @@ def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence,
     shape relative to the z^(lambda-1) behaviour at 0 at every |z|.  z is a
     float or a 1-D array of reals: one array evaluation of u and f covers
     every point and stencil offset, and each residual comes back in z's
-    shape.  A point whose stencil leaves the domain or reaches 0 (z = 0)
-    raises, for the first one, the error a scalar call there raises; a table
-    of fewer than 3 entries raises ParameterError.
+    shape.  For a stack of C closed forms seq is a list of C tables and each
+    residual has a leading axis of length C.  A point whose stencil leaves
+    the domain or reaches 0 (z = 0) raises, for the first one (of the first
+    configuration that has one), the error a scalar call there raises; a
+    table of fewer than 3 entries raises ParameterError.
     """
-    if seq.omegas.size < 3:
-        raise ParameterError(
-            f"the moment ODE reads alpha_1 and omega_2, but the table has "
-            f"{seq.omegas.size} entries"
-        )
+    tables = genfun._stack_tables(seq, cf)
+    for table in tables:
+        if table.omegas.size < 3:
+            raise ParameterError(
+                f"the moment ODE reads alpha_1 and omega_2, but the table has "
+                f"{table.omegas.size} entries"
+            )
     zs = np.atleast_1d(np.asarray(z, dtype=float))
     h = STENCIL_FRACTION * np.abs(zs)
     genfun.raise_first((zs,), [(
@@ -198,17 +207,21 @@ def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence,
             "leaves the domain or crosses 0"
         ),
     )])
-    lam = cf.lam
-    a1, w2 = float(seq.alphas[1]), float(seq.omegas[2])
+    lam, lead = cf.lam, genfun._stack_shape(cf)
+    a1 = genfun._like_fields(cf, [float(table.alphas[1]) for table in tables])
+    w2 = genfun._like_fields(cf, [float(table.omegas[2]) for table in tables])
 
     s = zs + np.array([2.0, 1.0, -1.0, -2.0])[:, None] * h  # stencil rows
+    if lead:  # a stack's (C, 1) columns meet (4, 1, Z) points
+        s = s[:, None]
     us, fs = cf.u(s), cf.f(s)
     m2 = 0.5 * lam * (lam + 1.0) * w2 * s * s + lam * a1 * s + 1.0
     uz, fpz = cf.u(zs), cf.f_prime(zs)
     r_first = np.abs(_derivative_5pt(us * (fs - lam * s), h) - (1.0 - lam) * uz * fpz)
     r_second = np.abs(_derivative_5pt((lam * s * fs - m2) * us, h)
                       - lam * (1.0 - lam) * zs * uz * fpz)
-    return genfun.as_shape(r_first, np.shape(z)), genfun.as_shape(r_second, np.shape(z))
+    shape = lead + np.shape(z)
+    return genfun.as_shape(r_first, shape), genfun.as_shape(r_second, shape)
 
 
 def _derivative_5pt(rows, h):

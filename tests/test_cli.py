@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import opgf
@@ -248,10 +249,18 @@ LAMBDA_ONLY_CALLS = {
 }
 
 
+# The closed-form checks, each one call over the stack of the campaign's
+# closed forms.
+STACKED_CHECKS = ((genfun, "psi_closed"), (genfun, "psi_family_moments"),
+                  (riccati, "residual_f"), (riccati, "residual_u"),
+                  (riccati, "residual_moment_ode"))
+
+
 def test_sweep_evaluates_each_lambda_identity_once(tmp_path, monkeypatch):
-    # one stacked series pass and one evaluation per distinct lambda, and
-    # nothing kept from one sweep to the next
-    calls, stack_rows = {}, []
+    # one stacked series pass, one call over the 23 closed forms per
+    # closed-form check and one evaluation per distinct lambda, and nothing
+    # kept from one sweep to the next
+    calls, stack_rows, closed_rows = {}, [], {}
 
     def counted(name):
         fn = getattr(identities, name)
@@ -262,8 +271,20 @@ def test_sweep_evaluates_each_lambda_identity_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(identities, name, wrapper)
 
+    def counted_closed(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            cf = next(arg for arg in args if isinstance(arg, genfun.GenFunClosedForm))
+            closed_rows.setdefault(name, []).append(len(stack_families(cf)))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
     for name in LAMBDA_ONLY_CALLS:
         counted(name)
+    for module, name in STACKED_CHECKS:
+        counted_closed(module, name)
     stack = genfun.psi_series_stack
 
     def counted_stack(seqs, *args, **kwargs):
@@ -274,10 +295,12 @@ def test_sweep_evaluates_each_lambda_identity_once(tmp_path, monkeypatch):
     for _ in range(2):
         calls.clear()
         stack_rows.clear()
+        closed_rows.clear()
         assert run(["verify", "--out", str(tmp_path / "sweep.json")]) == 0
         assert calls == LAMBDA_ONLY_CALLS
         # the identity checks' own series are stacks of one
         assert [rows for rows in stack_rows if rows > 1] == [23]
+        assert closed_rows == {name: [23] for _, name in STACKED_CHECKS}
 
 
 def test_sweep_reports_equal_single_family_reports(tmp_path):
@@ -297,14 +320,21 @@ def test_sweep_reports_equal_single_family_reports(tmp_path):
         assert report == expected
 
 
+def stack_families(cf):
+    """The families of a closed form or of a stack of them."""
+    return np.ravel(np.asarray(cf.family, dtype=object)).tolist()
+
+
 @pytest.mark.parametrize("order", ["check-error-first", "setup-error-first"])
 def test_campaign_raises_what_a_per_configuration_loop_meets_first(order, monkeypatch):
     # a check error of the first configuration beats a set-up error of the
-    # second, as in a loop that runs each configuration to the end in turn
+    # second, as in a loop that runs each configuration to the end in turn;
+    # the moment ODE is one call over the stack of closed forms, which fails
+    # whenever it holds sym1
     moment_ode = riccati.residual_moment_ode
 
     def failing(cf, *args):
-        if cf.family is Family.SYM1:
+        if Family.SYM1 in stack_families(cf):
             raise ParameterError("moment-ode of sym1")
         return moment_ode(cf, *args)
 
@@ -433,3 +463,39 @@ def test_public_names_resolve():
     assert len(set(opgf.__all__)) == len(opgf.__all__)
     for name in opgf.__all__:
         assert getattr(opgf, name, None) is not None, name
+
+
+def test_stacked_step_error_stays_with_its_configuration(monkeypatch):
+    # sym2 makes the stacked residual_f call fail, sym1 fails only later in
+    # the moment ODE: a loop that runs each configuration to the end in turn
+    # meets sym1's error first, and so must the campaign
+    residual_f, moment_ode = riccati.residual_f, riccati.residual_moment_ode
+
+    def failing_f(cf, *args):
+        if Family.SYM2 in stack_families(cf):
+            raise ParameterError("residual-f of sym2")
+        return residual_f(cf, *args)
+
+    def failing_ode(cf, *args):
+        if Family.SYM1 in stack_families(cf):
+            raise ParameterError("moment-ode of sym1")
+        return moment_ode(cf, *args)
+
+    monkeypatch.setattr(riccati, "residual_f", failing_f)
+    monkeypatch.setattr(riccati, "residual_moment_ode", failing_ode)
+    configs = [(Family.SYM1, 2.0, None, None), (Family.SYM2, 1.5, None, None),
+               (Family.NONSYM_PLUS, 2.0, None, None)]
+    with pytest.raises(ParameterError, match="^moment-ode of sym1$"):
+        run_campaign(configs, 0.1, 16, 1e-9)
+    with pytest.raises(ParameterError, match="^residual-f of sym2$"):
+        run_campaign(configs[1:], 0.1, 16, 1e-9)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+@pytest.mark.parametrize("family", [["--family", "sym1", "--lambda", "2"], []],
+                         ids=["sym1", "sweep"])
+def test_non_finite_or_non_positive_tol_exits_2(tol, family, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(["verify", *family, f"--tol={tol}", "--out", str(out)]) == 2
+    assert "tol must be a finite number > 0" in capsys.readouterr().err
+    assert not out.exists()

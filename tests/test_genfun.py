@@ -26,9 +26,9 @@ from opgf import (
     psi_series_stack,
     stieltjes_from_quadrature,
 )
-from opgf import families, genfun, measures
+from opgf import families, genfun, measures, riccati
 from opgf.genfun import pochhammer_over_factorial
-from opgf.recurrence import majorant_values, monic_values
+from opgf.recurrence import majorant_stack, majorant_values, monic_values
 
 # lambda = 1 rows of the identity sweep are carried by the free Meixner family
 IDENTITY_SWEEP = SWEEP_CONFIGS + ((Family.FREE_MEIXNER, None, 0.0, 0.0),)
@@ -756,3 +756,128 @@ class TestPsiFamilyMoments:
         cf = get_closed_form(Family.SYM1, 2.0, None, None)
         with pytest.raises(DomainError):
             psi_family_moments(seq, cf, 0.99)
+
+
+def stacked_checks(cf, seqs, zmax, xs_rows):
+    """The five closed-form checks of a verify campaign, each one call at
+    the campaign's points: cf is one closed form with one table and one x
+    row, or a stack with a list of each."""
+    z_real = np.array([s * zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)])
+    z_circles = circle_points(0.5 * zmax, 8) + circle_points(zmax, 8)
+    ode_z = np.array([s * zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
+    coeffs = riccati.coefficients(cf.lam, cf.alpha1, cf.omega2)
+    return {
+        "psi_closed": [psi_closed(cf, circle_points(zmax, 8), xs_rows)],
+        "psi_family_moments": list(psi_family_moments(seqs, cf, z_real)),
+        "residual_f": [riccati.residual_f(cf, coeffs, z_circles)],
+        "residual_u": [riccati.residual_u(cf, z_circles)],
+        "residual_moment_ode": list(riccati.residual_moment_ode(cf, seqs, ode_z)),
+    }
+
+
+def assert_rows_are_own_calls(cfs, seqs, zmax, xs_rows):
+    # row c of each stacked check is bit for bit the stack of one of
+    # configuration c, and the call with its own closed form
+    stacked = stacked_checks(genfun.stack_closed_forms(cfs), seqs, zmax, xs_rows)
+    for c, (cf, seq, xs) in enumerate(zip(cfs, seqs, xs_rows)):
+        one = stacked_checks(genfun.stack_closed_forms([cf]), [seq], zmax, [xs])
+        own = stacked_checks(cf, seq, zmax, xs)
+        for name, results in stacked.items():
+            for result, of_one, of_own in zip(results, one[name], own[name]):
+                assert result.shape[0] == len(cfs) and of_one.shape[0] == 1, name
+                assert np.array_equal(result[c], of_one[0]), name
+                assert np.array_equal(result[c], of_own), name
+
+
+class TestStackedClosedForms:
+    def test_sweep_rows_are_their_own_calls(self):
+        cfs = [get_closed_form(*c) for c in SWEEP_CONFIGS]
+        seqs = [measures.family_sequence(*c, size=genfun.SERIES_CAP) for c in SWEEP_CONFIGS]
+        rows = [np.linspace(*families.support_interval(*c), 11) for c in SWEEP_CONFIGS]
+        assert_rows_are_own_calls(cfs, seqs, 0.1, rows)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        configs=st.lists(documented_configs(), min_size=1, max_size=5),
+        share=st.floats(0.02, 0.9),
+    )
+    def test_mixed_rows_are_their_own_calls(self, configs, share):
+        # two-point free Meixner laws have rules of another order, so the
+        # moments take configurations whose rules have one order
+        cfs = [get_closed_form(*c) for c in configs]
+        seqs = [measures.family_sequence(*c, size=genfun.SERIES_CAP) for c in configs]
+        orders = {measures._support_points(seq) >= genfun.MOMENT_ORDER for seq in seqs}
+        if orders != {True}:
+            cfs, seqs, configs = cfs[:1], seqs[:1], configs[:1]
+        rows = [np.linspace(*families.support_interval(*c), 5) for c in configs]
+        zmax = share * min(cf.domain_radius for cf in cfs)
+        assert_rows_are_own_calls(cfs, seqs, zmax, rows)
+
+    def test_fields_are_columns(self):
+        cfs = [get_closed_form(*c) for c in SWEEP_CONFIGS[:3]]
+        stack = genfun.stack_closed_forms(cfs)
+        assert stack.lam.shape == stack.domain_radius.shape == (3, 1)
+        assert [c.shape for c in stack.zf_coeffs] == [(3, 1)] * 3
+        assert stack.family[:, 0].tolist() == [cf.family for cf in cfs]
+        assert stack.f(np.array([0.1, 0.05j])).shape == (3, 2)
+
+    @pytest.mark.parametrize("fn", ["psi_closed", "psi_analytic", "residual_f",
+                                    "residual_u", "psi_family_moments"])
+    def test_error_is_the_first_failing_configurations(self, fn):
+        # z = 0.3 lies inside sym1's radius and outside free Meixner's at
+        # a = 4, b = 0 (0.225): the stack raises free Meixner's own error,
+        # naming its radius and family, though it is the second configuration
+        configs = [(Family.SYM1, 0.6, None, None), (Family.FREE_MEIXNER, None, 4.0, 0.0),
+                   (Family.SYM2, 2.5, None, None)]
+        cfs = [get_closed_form(*c) for c in configs]
+        seqs = [get_sequence(*c) for c in configs]
+        z = [0.1, 0.3]
+        calls = {
+            "psi_closed": lambda cf, tables, rows: psi_closed(cf, z, rows),
+            "psi_analytic": lambda cf, tables, rows: psi_analytic(cf, z, rows),
+            "residual_f": lambda cf, tables, rows: riccati.residual_f(
+                cf, riccati.coefficients(cf.lam, cf.alpha1, cf.omega2), z),
+            "residual_u": lambda cf, tables, rows: riccati.residual_u(cf, z),
+            "psi_family_moments": lambda cf, tables, rows: psi_family_moments(
+                tables, cf, [0.1, 0.3]),
+        }
+        call = calls[fn]
+        assert cfs[0].domain_radius > 0.3 > cfs[1].domain_radius
+        call(cfs[0], seqs[0], [0.0])
+        with pytest.raises(DomainError) as own:
+            call(cfs[1], seqs[1], [0.0])
+        with pytest.raises(DomainError) as stacked:
+            call(genfun.stack_closed_forms(cfs), seqs, [[0.0]] * 3)
+        assert str(stacked.value) == str(own.value)
+        assert "free-meixner" in str(own.value)
+
+    def test_negative_axis_error_names_the_excluding_family(self):
+        # free Meixner allows the negative axis, and at x = -30 its f(z) - x
+        # stays off the branch cut; sym2 excludes the axis
+        cfs = [get_closed_form(Family.FREE_MEIXNER, None, 0.0, 0.0),
+               get_closed_form(Family.SYM2, 1.5, None, None)]
+        psi_closed(cfs[0], -0.05, -30.0)
+        with pytest.raises(DomainError) as own:
+            psi_closed(cfs[1], -0.05, 0.0)
+        with pytest.raises(DomainError) as stacked:
+            psi_closed(genfun.stack_closed_forms(cfs), -0.05, [-30.0, 0.0])
+        assert str(stacked.value) == str(own.value)
+        assert str(own.value).endswith("excluded for sym2")
+
+    def test_refuses_mismatched_tables(self):
+        configs = [(Family.SYM1, 2.0, None, None), (Family.FREE_MEIXNER, None, 0.0, -1.0)]
+        stack = genfun.stack_closed_forms(get_closed_form(*c) for c in configs)
+        seqs = [get_sequence(*c) for c in configs]
+        with pytest.raises(ParameterError, match="Gauss rules of one order"):
+            psi_family_moments(seqs, stack, 0.05)
+        with pytest.raises(ParameterError, match="1 coefficient tables for 2 closed forms"):
+            riccati.residual_moment_ode(stack, seqs[:1], 0.05)
+
+
+def test_majorant_stack_rows_are_their_own_majorants():
+    r = 0.1
+    seqs = [measures.family_sequence(*c, size=genfun.SERIES_CAP) for c in SWEEP_CONFIGS]
+    rows = np.array([np.linspace(*families.support_interval(*c), 11) for c in SWEEP_CONFIGS])
+    for seq, xs, stacked in zip(seqs, rows, majorant_stack(seqs, rows, r)):
+        assert (list(itertools.islice(stacked, 203))
+                == list(itertools.islice(majorant_values(seq, xs, r), 203)))
