@@ -197,11 +197,8 @@ def _stacked(runs, evaluate, record) -> None:
         return
     try:
         rows = list(evaluate(live))
-    except Exception as exc:
-        if len(live) == 1:  # that call was the run's stack of one
-            live[0].error = exc
-        else:
-            _each(live, lambda run: record(run, *evaluate([run])))
+    except Exception:
+        _each(live, lambda run: record(run, *evaluate([run])))
         return
     for run, row in zip(live, rows):
         record(run, row)

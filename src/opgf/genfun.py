@@ -147,13 +147,6 @@ def closed_form(family, lam=None, a=None, b=None) -> GenFunClosedForm:
     )
 
 
-def _objects(values) -> np.ndarray:
-    """values as a (C, 1) column of Python objects (Family tags stay tags)."""
-    column = np.empty((len(values), 1), dtype=object)
-    column[:, 0] = values
-    return column
-
-
 def stack_closed_forms(cfs) -> GenFunClosedForm:
     """The closed forms cfs as one stack of C configurations: every field is
     a (C, 1) column, and each coefficient tuple a tuple of columns.
@@ -165,10 +158,10 @@ def stack_closed_forms(cfs) -> GenFunClosedForm:
     cfs = list(cfs)
     columns = np.array([(cf.lam, cf.alpha1, cf.omega2, cf.domain_radius,
                          *cf.zf_coeffs, *cf.numerator_coeffs) for cf in cfs]).T[..., None]
+    # Family tags and the optional a, b stay Python objects
+    family, a, b = np.array([(cf.family, cf.a, cf.b) for cf in cfs], dtype=object).T[..., None]
     return GenFunClosedForm(
-        family=_objects([cf.family for cf in cfs]),
-        lam=columns[0], a=_objects([cf.a for cf in cfs]), b=_objects([cf.b for cf in cfs]),
-        alpha1=columns[1], omega2=columns[2],
+        family=family, lam=columns[0], a=a, b=b, alpha1=columns[1], omega2=columns[2],
         zf_coeffs=tuple(columns[4:7]), numerator_coeffs=tuple(columns[7:10]),
         domain_radius=columns[3],
         excludes_negative_axis=np.array([[cf.excludes_negative_axis] for cf in cfs]),
@@ -200,24 +193,19 @@ def _lift(field):
     return field[..., None] if isinstance(field, np.ndarray) else field
 
 
-def _like_fields(cf: GenFunClosedForm, values: list):
-    """values, one per configuration, laid out as cf's fields: a (C, 1)
-    column for a stack, the one value for a closed form of its own."""
-    return np.reshape(values, (-1, 1)) if _stack_shape(cf) else values[0]
-
-
 def _at_first(mask, field):
     """A closed-form field at the first point where mask holds, row-major:
     the field itself for a closed form of its own, the row of that point's
     configuration for a stack (mask is computed from the field, so the two
-    broadcast)."""
+    broadcast).  raise_first calls a check's error only at the first point
+    where any mask holds, which is then the first point of its own mask."""
     first = np.unravel_index(np.argmax(mask), np.shape(mask))
     return np.broadcast_to(np.asarray(field, dtype=object), np.shape(mask))[first]
 
 
 def raise_first(points, checks) -> None:
-    """Raise the error that a per-point loop over the grid, z-major, would
-    raise first.
+    """Raise the error that a per-point loop over the grid, z-major (and
+    configuration-major for a stack of closed forms), would raise first.
 
     points are arrays that broadcast to the grid (the point's z first);
     checks lists (mask, error) pairs in the order a scalar call tests them,

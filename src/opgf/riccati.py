@@ -208,12 +208,14 @@ def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence,
         ),
     )])
     lam, lead = cf.lam, genfun._stack_shape(cf)
-    a1 = genfun._like_fields(cf, [float(table.alphas[1]) for table in tables])
-    w2 = genfun._like_fields(cf, [float(table.omegas[2]) for table in tables])
+    a1 = np.array([[table.alphas[1]] for table in tables])
+    w2 = np.array([[table.omegas[2]] for table in tables])
 
     s = zs + np.array([2.0, 1.0, -1.0, -2.0])[:, None] * h  # stencil rows
     if lead:  # a stack's (C, 1) columns meet (4, 1, Z) points
         s = s[:, None]
+    else:  # floats, as the fields of a closed form of its own
+        a1, w2 = a1.item(), w2.item()
     us, fs = cf.u(s), cf.f(s)
     m2 = 0.5 * lam * (lam + 1.0) * w2 * s * s + lam * a1 * s + 1.0
     uz, fpz = cf.u(zs), cf.f_prime(zs)
