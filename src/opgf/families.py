@@ -57,6 +57,9 @@ def validate_params(family, lam=None, a=None, b=None):
             raise ParameterError("free-meixner requires both a and b")
         if lam is not None and abs(lam - 1.0) > 1e-12:
             raise ParameterError("free-meixner has lambda = 1; drop the lambda argument")
+        for name, value in (("a", a), ("b", b)):
+            if not math.isfinite(value):
+                raise ParameterError(f"free-meixner requires a finite {name}, got {name}={value}")
         if b < -1.0:
             raise ParameterError(f"free-meixner requires b >= -1, got b={b}")
         return 1.0, float(a), float(b)

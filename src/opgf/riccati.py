@@ -44,11 +44,6 @@ from .families import Family
 from .recurrence import JacobiSzegoSequence
 
 _VALID_OMEGA2_MIN = 1e-9  # below this the measure degenerates to finite support
-# Moment-ODE stencil width over |z|.  Near the z^(lambda-1) behaviour at 0
-# the five-point rule's truncation error, relative to the derivative, is
-# about (h/|z|)^4 and its rounding error about eps |z|/h, so h = c |z| keeps
-# both independent of |z|; c = 3e-4 puts them at ~1e-14 and ~1e-12.
-STENCIL_FRACTION = 3e-4
 
 
 @dataclass(frozen=True)
@@ -173,22 +168,21 @@ def residual_u(cf: genfun.GenFunClosedForm, z):
 
 def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence,
                         z) -> tuple:
-    """Finite-difference residuals of the two first-order moment identities.
+    """Residuals of the two first-order moment identities.
 
     First:  d/dz [u (f - lambda z)]            = (1 - lambda) u f'
     Second: d/dz [(lambda z f - m2) u]         = lambda (1 - lambda) z u f'
 
     with m2(z) = lambda(lambda+1)/2 omega_2 z^2 + lambda alpha_1 z + 1 taken
-    from alpha_1 and omega_2 of the coefficient table seq.  Differentiation
-    uses a fourth-order five-point central stencil along the real axis, of width
-    h = STENCIL_FRACTION * |z| at each point, so the stencil keeps the same
-    shape relative to the z^(lambda-1) behaviour at 0 at every |z|.  z is a
-    float or a 1-D array of reals: one array evaluation of u and f covers
-    every point and stencil offset, and each residual comes back in z's
-    shape.  For a stack of C closed forms seq is a list of C tables and each
-    residual has a leading axis of length C.  A point whose stencil leaves
-    the domain or reaches 0 (z = 0) raises, for the first one (of the first
-    configuration that has one), the error a scalar call there raises; a
+    from alpha_1 and omega_2 of the coefficient table seq.  Each left side
+    is differentiated in closed form by the product rule
+    (u h)' = u (h u'/u + h'), with u'/u = u_log_deriv and f' = f_prime; the
+    residuals are absolute.  z is a float or a 1-D array of reals, and each
+    residual comes back in z's shape (a scalar is evaluated as the length-1
+    array).  For a stack of C closed forms seq is a list of C tables and
+    each residual has a leading axis of length C.  A point outside the
+    domain radius, or z = 0, raises for the first one (of the first
+    configuration that has one) the error a scalar call there raises; a
     table of fewer than 3 entries raises ParameterError.
     """
     tables = genfun._stack_tables(seq, cf)
@@ -199,37 +193,23 @@ def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence,
                 f"{table.omegas.size} entries"
             )
     zs = np.atleast_1d(np.asarray(z, dtype=float))
-    h = STENCIL_FRACTION * np.abs(zs)
-    genfun.raise_first((zs,), [(
-        (np.abs(zs) + 2.0 * h >= cf.domain_radius) | (np.abs(zs) <= 2.0 * h),
-        lambda zk: DomainError(
-            f"z = {zk} with stencil width {STENCIL_FRACTION * abs(zk)} "
-            "leaves the domain or crosses 0"
-        ),
-    )])
+    genfun.raise_first((zs,), [
+        genfun.radius_guard(cf, zs),
+        (zs == 0, lambda _: DomainError("z = 0 is a branch point of u")),
+    ])
     lam, lead = cf.lam, genfun._stack_shape(cf)
-    a1 = np.array([[table.alphas[1]] for table in tables])
-    w2 = np.array([[table.omegas[2]] for table in tables])
-
-    s = zs + np.array([2.0, 1.0, -1.0, -2.0])[:, None] * h  # stencil rows
-    if lead:  # a stack's (C, 1) columns meet (4, 1, Z) points
-        s = s[:, None]
-    else:  # floats, as the fields of a closed form of its own
-        a1, w2 = a1.item(), w2.item()
-    us, fs = cf.u(s), cf.f(s)
-    m2 = 0.5 * lam * (lam + 1.0) * w2 * s * s + lam * a1 * s + 1.0
-    uz, fpz = cf.u(zs), cf.f_prime(zs)
-    r_first = np.abs(_derivative_5pt(us * (fs - lam * s), h) - (1.0 - lam) * uz * fpz)
-    r_second = np.abs(_derivative_5pt((lam * s * fs - m2) * us, h)
-                      - lam * (1.0 - lam) * zs * uz * fpz)
+    a1 = np.array([table.alphas[1] for table in tables]).reshape(lead + (1,))
+    w2 = np.array([table.omegas[2] for table in tables]).reshape(lead + (1,))
+    u, log_deriv = cf.u(zs), cf.u_log_deriv(zs)
+    fz, fpz = cf.f(zs), cf.f_prime(zs)
+    m2 = 0.5 * lam * (lam + 1.0) * w2 * zs * zs + lam * a1 * zs + 1.0
+    m2_prime = lam * (lam + 1.0) * w2 * zs + lam * a1
+    h1, h1_prime = fz - lam * zs, fpz - lam
+    h2, h2_prime = lam * zs * fz - m2, lam * fz + lam * zs * fpz - m2_prime
+    r_first = np.abs(u * (h1 * log_deriv + h1_prime) - (1.0 - lam) * u * fpz)
+    r_second = np.abs(u * (h2 * log_deriv + h2_prime) - lam * (1.0 - lam) * zs * u * fpz)
     shape = lead + np.shape(z)
     return genfun.as_shape(r_first, shape), genfun.as_shape(r_second, shape)
-
-
-def _derivative_5pt(rows, h):
-    """Fourth-order central difference from the values at z + 2h, z + h,
-    z - h and z - 2h (rows 0 to 3); h holds one width per column."""
-    return (-rows[0] + 8.0 * rows[1] - 8.0 * rows[2] + rows[3]) / (12.0 * h)
 
 
 # ----------------------------------------------------------------------------
@@ -460,8 +440,8 @@ def h_lambda_initial(lam: float, alpha1: float, omega2: float) -> float:
     """h(0) = lambda alpha_1 / 2, verified against the closed form.
 
     The parameters must come from a valid classification solution; the value
-    is cross-checked against lim_{z->0} (g(z) - 1/z) computed from that
-    family's closed form by Richardson extrapolation at z = 1e-5, 1e-6.
+    is cross-checked against lim_{z->0} (g(z) - 1/z) = c1 - alpha_1/2, read
+    exactly from that family's closed form (z f(z) = 1 + c1 z + c2 z^2).
     """
     match_tol = 1e-9
     if abs(lam - 1.0) <= match_tol:
@@ -490,14 +470,10 @@ def h_lambda_initial(lam: float, alpha1: float, omega2: float) -> float:
                 f"alpha1 = {alpha1} matches neither sign of the non-symmetric branch"
             )
 
-    def h(z: float) -> float:
-        return complex(cf.g(z) - 1.0 / z).real
-
-    z1, z2 = 1e-5, 1e-6
-    extrapolated = (z1 * h(z2) - z2 * h(z1)) / (z1 - z2)
+    limit = cf.zf_coeffs[1] - 0.5 * cf.alpha1
     expected = 0.5 * lam * alpha1
-    if abs(extrapolated - expected) > 1e-6:
+    if abs(limit - expected) > 1e-6:
         raise InconsistencyError(
-            f"h(0) from the closed form is {extrapolated:.9g}, expected {expected:.9g}"
+            f"h(0) from the closed form is {limit:.9g}, expected {expected:.9g}"
         )
     return expected

@@ -113,8 +113,8 @@ class TestVerify:
         ("--family", "sym1", "--lambda", "0.2", "--zmax", "0.03"),
     ])
     def test_small_zmax_moment_ode_passes(self, tmp_path, args):
-        # the moment-ODE stencil scales with |z|, so points near the
-        # z^(lambda-1) behaviour at 0 are differentiated as accurately as far ones
+        # the moment ODE is differentiated in closed form, so points near the
+        # z^(lambda-1) behaviour at 0 are checked as accurately as far ones
         out = tmp_path / "small_zmax.json"
         assert run(["verify", *args, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["all_passed"] is True
@@ -498,4 +498,19 @@ def test_non_finite_or_non_positive_tol_exits_2(tol, family, tmp_path, capsys):
     out = tmp_path / "x.json"
     assert run(["verify", *family, f"--tol={tol}", "--out", str(out)]) == 2
     assert "tol must be a finite number > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["a", "b"])
+@pytest.mark.parametrize("command", [["verify"], ["quadrature", "--order", "3"]],
+                         ids=["verify", "quadrature"])
+def test_non_finite_free_meixner_parameter_exits_2(command, name, value, tmp_path, capsys):
+    params = {"a": "0", "b": "0", name: value}
+    out = tmp_path / "x.out"
+    assert run([*command, "--family", "free-meixner", f"--a={params['a']}",
+                f"--b={params['b']}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"opgf {command[0]}: free-meixner requires a finite {name}, "
+        f"got {name}={float(value)}\n")
     assert not out.exists()

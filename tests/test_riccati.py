@@ -31,7 +31,8 @@ from opgf import (
 )
 from opgf.families import alpha1_value, omega2_value
 from opgf.measures import family_sequence, gauss_quadrature
-from opgf.riccati import STENCIL_FRACTION, _matching_residual
+from opgf.recurrence import JacobiSzegoSequence
+from opgf.riccati import _matching_residual
 
 LAMBDA_GRID = [v for v in np.linspace(0.56, 3.0, 20)]
 # lambda = 1 rows of the identity sweep are carried by the free Meixner family
@@ -149,13 +150,44 @@ class TestResidualMomentOde:
             assert r1 <= 1e-7
             assert r2 <= 1e-7
 
-    def test_stencil_domain_guard(self):
+    def test_radius_domain_guard(self):
+        # every point inside the domain radius evaluates, up to its edge
         cf = get_closed_form(Family.SYM1, 2.0, None, None)
         seq = get_sequence(Family.SYM1, 2.0, None, None)
-        with pytest.raises(DomainError):
-            residual_moment_ode(cf, seq, cf.domain_radius - 1e-9)
-        with pytest.raises(DomainError):
+        r1, r2 = residual_moment_ode(cf, seq, cf.domain_radius - 1e-9)
+        assert math.isfinite(r1) and math.isfinite(r2)
+        for z in (cf.domain_radius, -cf.domain_radius):
+            with pytest.raises(DomainError, match="outside the domain radius"):
+                residual_moment_ode(cf, seq, z)
+        with pytest.raises(DomainError, match="z = 0"):
             residual_moment_ode(cf, seq, 0.0)
+
+    ODE_ZS = [s * 0.1 for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)]  # verify's at --zmax 0.1
+
+    @pytest.mark.parametrize("config", SWEEP_CONFIGS)
+    def test_sweep_residuals_at_rounding(self, config):
+        # differentiated in closed form, only the rounding of u and f remains
+        r1, r2 = residual_moment_ode(get_closed_form(*config), get_sequence(*config),
+                                     np.array(self.ODE_ZS))
+        assert r1.max() <= 1e-12
+        assert r2.max() <= 1e-12
+
+    @pytest.mark.parametrize("entry", ["alpha_1", "omega_2"])
+    @pytest.mark.parametrize("config", SWEEP_CONFIGS)
+    def test_second_identity_sees_a_wrong_table(self, config, entry):
+        # m2 reads alpha_1 and omega_2 from the table; the first identity
+        # reads neither
+        seq = get_sequence(*config)
+        alphas, omegas = seq.alphas.copy(), seq.omegas.copy()
+        if entry == "alpha_1":
+            alphas[1] += 1e-6
+        else:
+            omegas[2] += 1e-6
+        r1, r2 = residual_moment_ode(get_closed_form(*config),
+                                     JacobiSzegoSequence(alphas, omegas),
+                                     np.array(self.ODE_ZS))
+        assert r1.max() <= 1e-12
+        assert r2.max() > 1e-10
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_refuses_a_short_table(self, size):
@@ -219,8 +251,7 @@ class TestGridResiduals:
 
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_moment_ode_matches_pointwise(self, config):
-        # an ulp in one stencil value moves the difference quotient by about
-        # ulp(u f) / step, with the stencil's width at that point
+        # a scalar is evaluated as the length-1 grid, elementwise
         cf = get_closed_form(*config)
         seq = get_sequence(*config)
         r1, r2 = residual_moment_ode(cf, seq, np.array(self.REAL_POINTS))
@@ -228,10 +259,8 @@ class TestGridResiduals:
         for k, z in enumerate(self.REAL_POINTS):
             p1, p2 = residual_moment_ode(cf, seq, z)
             assert isinstance(p1, float) and isinstance(p2, float)
-            step = STENCIL_FRACTION * abs(z)
-            scale = 4 * np.spacing(abs(cf.u(z) * cf.f(z))) / step
-            assert abs(r1[k] - p1) <= scale
-            assert abs(r2[k] - p2) <= scale
+            assert r1[k] == p1
+            assert r2[k] == p2
 
     @pytest.mark.parametrize("zs", [[0.05, 0.0, 5.0], [0.05j, 5.0, 0.0]])
     def test_residual_f_first_bad_point(self, zs):
@@ -254,7 +283,7 @@ class TestGridResiduals:
     def test_moment_ode_first_bad_point(self):
         cf = get_closed_form(Family.SYM1, 2.0, None, None)
         seq = get_sequence(Family.SYM1, 2.0, None, None)
-        edge = cf.domain_radius - 1e-9
+        edge = cf.domain_radius
         for zs in ([0.05, 0.0, edge], [-0.05, edge, 0.0]):
             assert_raises_as_scalar(lambda z: residual_moment_ode(cf, seq, z), zs)
 
