@@ -15,9 +15,9 @@ form and one coefficient table per configuration and then runs check by
 check.  The closed-form checks are one call each for all configurations:
 series-vs-closed is one psi_series_stack pass and one psi_closed call over
 the stack of closed forms, and so are the moments, both Riccati residuals
-and the moment ODE.  The identities of lambda alone are evaluated once per
-distinct lambda of the campaign.  Nothing is kept from one command to the
-next.
+and the moment ODE.  Each identity is one call over the configurations of
+its family, and those of lambda alone one call over the campaign's
+distinct lambdas.  Nothing is kept from one command to the next.
 
 Reports are deterministic for fixed inputs except the wall_time_ms field;
 numbers are serialized with 17 significant digits.
@@ -143,11 +143,12 @@ class _Run:
             )
         if grid < 4:
             raise ParameterError(f"grid must be >= 4, got {grid}")
-        self.zmax, self.cf = zmax, cf
+        self.cf = cf
         self.seq = measures.family_sequence(cf.family, cf.lam, cf.a, cf.b,
                                             size=genfun.SERIES_CAP)
         self.lo, self.hi = families.support_interval(cf.family, cf.lam, cf.a, cf.b)
         self.xs = list(np.linspace(self.lo, self.hi, 11))
+        self.xs5 = np.linspace(self.lo, self.hi, 5)
 
     def report(self) -> dict:
         _, _, a, b = self.params
@@ -173,13 +174,6 @@ def _each(runs, step) -> None:
                 run.error = exc
 
 
-def _once(shared: dict, key, build) -> dict:
-    """A copy of the record build() returns, built once per key and campaign."""
-    if key not in shared:
-        shared[key] = build()
-    return dict(shared[key])
-
-
 def _circle(radius: float, grid: int) -> list:
     """grid points radius * e^(i k pi / grid), k = 0 .. grid-1: the upper half
     circle, never touching pi (the branch cut direction)."""
@@ -202,6 +196,11 @@ def _stacked(runs, evaluate, record) -> None:
         return
     for run, row in zip(live, rows):
         record(run, row)
+
+
+def _append(name: str, points: int, tolerance: float):
+    """record for _stacked: the check name of a row's worst residual."""
+    return lambda run, residual: run.checks.append(_check(name, points, residual, tolerance))
 
 
 def _closed_forms(runs):
@@ -230,8 +229,7 @@ def _series_checks(runs, zmax: float, grid: int, tol: float) -> None:
         closed = _rows(live, genfun.psi_closed(_closed_forms(live), zs, xs))
         return np.abs(closed - _rows(live, [row.value for row in series])).max(axis=1)
 
-    _stacked(runs, worst, lambda run, residual: run.checks.append(
-        _check("series-vs-closed", len(zs) * len(run.xs), residual, tol)))
+    _stacked(runs, worst, _append("series-vs-closed", len(zs) * 11, tol))
 
 
 def _residual_checks(runs, zmax: float, grid: int) -> None:
@@ -271,68 +269,88 @@ def _residual_checks(runs, zmax: float, grid: int) -> None:
 
     pts = len(zs_two_circles)
     _stacked(runs, moments, moment_checks)
-    _stacked(runs, worst_f, lambda run, residual: run.checks.append(
-        _check("riccati-residual-f", pts, residual, TOL_RICCATI)))
-    _stacked(runs, worst_u, lambda run, residual: run.checks.append(
-        _check("riccati-residual-u", pts, residual, TOL_RICCATI)))
+    _stacked(runs, worst_f, _append("riccati-residual-f", pts, TOL_RICCATI))
+    _stacked(runs, worst_u, _append("riccati-residual-u", pts, TOL_RICCATI))
     _stacked(runs, moment_ode, lambda run, row: run.checks.append(
         _check("moment-ode", 2 * len(ode_zs), max(row[0].max(), row[1].max()), TOL_ODE)))
 
 
-def _special_function_checks(run, shared: dict) -> list[dict]:
-    """The identities of lambda alone: one evaluation per campaign
-    (gamma-duplication reads no parameter) or per distinct lambda."""
-    lam = run.cf.lam
+def _of(runs, family_test):
+    """The runs with no error yet whose family passes family_test."""
+    return [run for run in runs if run.error is None and family_test(run.cf.family)]
+
+
+def _per_lambda(identity):
+    """evaluate for _stacked: each run's worst residual of identity, called
+    once over the distinct lambdas of the runs."""
+    def worst(live):
+        lams = list(dict.fromkeys(run.cf.lam for run in live))
+        residuals = dict(zip(lams, _rows(lams, identity(lams)).max(axis=1)))
+        return [residuals[run.cf.lam] for run in live]
+    return worst
+
+
+def _special_function_checks(runs) -> None:
+    """The identities of lambda alone: gamma-duplication reads no parameter
+    and is evaluated once per campaign, pochhammer-ratio and binomial-1f0
+    are one call each over the campaign's distinct lambdas."""
     dup_points = [0.25 * k for k in range(1, 21)]
     ys = (-0.5, -0.25, 0.0, 0.25, 0.5)
-    return [
-        _once(shared, "gamma-duplication", lambda: _check(
-            "gamma-duplication", len(dup_points),
-            max(identities.duplication_check(av) for av in dup_points), TOL_DUPLICATION)),
-        _once(shared, ("pochhammer-ratio", lam), lambda: _check(
-            "pochhammer-ratio", 21,
-            identities.pochhammer_ratio_check(lam, np.arange(21)).max(), TOL_POCH_RATIO)),
-        _once(shared, ("binomial-1f0", lam), lambda: _check(
-            "binomial-1f0", len(ys), identities.one_f_zero_reduction(lam, ys).max(),
-            TOL_1F0)),
-    ]
+    worst_dup = max(identities.duplication_check(av) for av in dup_points)
+    record = _append("gamma-duplication", len(dup_points), TOL_DUPLICATION)
+    _each(runs, lambda run: record(run, worst_dup))
+    _stacked(runs, _per_lambda(lambda lams: identities.pochhammer_ratio_check(
+        lams, np.arange(21))), _append("pochhammer-ratio", 21, TOL_POCH_RATIO))
+    _stacked(runs, _per_lambda(lambda lams: identities.one_f_zero_reduction(lams, ys)),
+             _append("binomial-1f0", len(ys), TOL_1F0))
 
 
-def _family_identity_checks(run, shared: dict) -> list[dict]:
-    cf, seq, zmax = run.cf, run.seq, run.zmax
-    family, lam = cf.family, cf.lam
-    xs5 = list(np.linspace(run.lo, run.hi, 5))
+def _family_identity_checks(runs, zmax: float) -> None:
+    """The identities of each family, each one call over the campaign's
+    configurations of that family (jacobi-2f1-gf and 2f1-collapse over
+    their distinct lambdas)."""
     zs = [zmax, 0.5 * zmax, zmax * 1j, zmax * complex(-0.5, 0.5)]
-    out = []
-    if family is Family.SYM1:
-        worst = identities.gegenbauer_gf_check(
-            lam, [0.25, 0.1, 0.1j, complex(-0.1, 0.1)], [-1.0, -0.5, 0.0, 0.5, 1.0], 120
-        ).max()
-        out.append(_check("gegenbauer-gf", 20, worst, TOL_GF_IDENTITY))
-        worst = identities.tilde_gegenbauer_identity(lam, zs, xs5).max()
-        out.append(_check("scaled-gegenbauer-gf", len(zs) * len(xs5), worst,
-                          TOL_GF_IDENTITY))
-    elif family is Family.SYM2:
-        worst = identities.family2_identity(lam, zs, xs5).max()
-        out.append(_check("shifted-parameter-gf", len(zs) * len(xs5), worst,
-                          TOL_GF_IDENTITY))
-    elif family.nonsymmetric:
-        worst = identities.jacobi_shift_check(cf, seq, 10, xs5).max()
-        out.append(_check("jacobi-shift", 11 * len(xs5), worst, TOL_JACOBI_SHIFT))
-        ts, ys = [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
-        out.append(_once(shared, ("jacobi-2f1-gf", lam), lambda: _check(
-            "jacobi-2f1-gf", 16, identities.jacobi_2f1_gf_check(lam, ts, ys).max(),
-            TOL_GF_IDENTITY)))
-        out.append(_once(shared, ("2f1-collapse", lam), lambda: _check(
-            "2f1-collapse", 16, identities.two_f_one_collapse_check(lam, ts, ys).max(),
-            TOL_GF_IDENTITY)))
-        worst = identities.gf3_equivalence(cf, [-0.5 * zmax, 0.5 * zmax, zmax], xs5).max()
-        out.append(_check("psi-prefactor-form", 3 * len(xs5), worst, TOL_GF3))
-    else:
-        series = riccati.free_meixner_uniqueness(cf.a, cf.b, 15)
-        worst = float(np.abs(series.c).max())
-        out.append(_check("series-uniqueness", series.n_terms, worst, TOL_UNIQUENESS))
-    return out
+    geg_zs, geg_xs = [0.25, 0.1, 0.1j, complex(-0.1, 0.1)], [-1.0, -0.5, 0.0, 0.5, 1.0]
+    ts, ys = [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
+    gf3_zs = [-0.5 * zmax, 0.5 * zmax, zmax]
+
+    def lams(live):
+        return [run.cf.lam for run in live]
+
+    def xs5(live):
+        return [run.xs5 for run in live]
+
+    def worst(identity):
+        return lambda live: _rows(live, identity(live)).max(axis=1)
+
+    sym1 = _of(runs, lambda family: family is Family.SYM1)
+    _stacked(sym1, worst(lambda live: identities.gegenbauer_gf_check(
+        lams(live), geg_zs, geg_xs, 120)), _append("gegenbauer-gf", 20, TOL_GF_IDENTITY))
+    _stacked(sym1, worst(lambda live: identities.tilde_gegenbauer_identity(
+        lams(live), zs, xs5(live))),
+        _append("scaled-gegenbauer-gf", len(zs) * 5, TOL_GF_IDENTITY))
+    _stacked(_of(runs, lambda family: family is Family.SYM2),
+             worst(lambda live: identities.family2_identity(lams(live), zs, xs5(live))),
+             _append("shifted-parameter-gf", len(zs) * 5, TOL_GF_IDENTITY))
+    nonsym = _of(runs, lambda family: family.nonsymmetric)
+    _stacked(nonsym, worst(lambda live: identities.jacobi_shift_check(
+        _closed_forms(live), [run.seq for run in live], 10, xs5(live))),
+        _append("jacobi-shift", 11 * 5, TOL_JACOBI_SHIFT))
+    _stacked(nonsym, _per_lambda(lambda lams: identities.jacobi_2f1_gf_check(lams, ts, ys)),
+             _append("jacobi-2f1-gf", 16, TOL_GF_IDENTITY))
+    _stacked(nonsym, _per_lambda(
+        lambda lams: identities.two_f_one_collapse_check(lams, ts, ys)),
+        _append("2f1-collapse", 16, TOL_GF_IDENTITY))
+    _stacked(nonsym, worst(lambda live: identities.gf3_equivalence(
+        _closed_forms(live), gf3_zs, xs5(live))),
+        _append("psi-prefactor-form", len(gf3_zs) * 5, TOL_GF3))
+
+    def uniqueness(run):
+        series = riccati.free_meixner_uniqueness(run.cf.a, run.cf.b, 15)
+        run.checks.append(_check("series-uniqueness", series.n_terms,
+                                 float(np.abs(series.c).max()), TOL_UNIQUENESS))
+
+    _each(_of(runs, lambda family: family is Family.FREE_MEIXNER), uniqueness)
 
 
 def run_campaign(configs, zmax: float, grid: int, tol: float) -> list[dict]:
@@ -343,10 +361,13 @@ def run_campaign(configs, zmax: float, grid: int, tol: float) -> list[dict]:
     which all its checks read.  series-vs-closed for every configuration is
     one psi_series_stack pass and one psi_closed call over the stack of
     closed forms (genfun.stack_closed_forms), and the moments, both Riccati
-    residuals and the moment ODE are one call each over that stack;
-    gamma-duplication is evaluated once, and pochhammer-ratio, binomial-1f0,
-    jacobi-2f1-gf and 2f1-collapse once per distinct lambda, each report
-    taking its own copy of the record.  tol must be finite and > 0.  Errors
+    residuals and the moment ODE are one call each over that stack.  Each
+    identity is one call over the configurations of its family (the
+    non-symmetric ones over the stack of their closed forms);
+    pochhammer-ratio and binomial-1f0 are one call over the distinct
+    lambdas, jacobi-2f1-gf and 2f1-collapse over the distinct non-symmetric
+    lambdas, and gamma-duplication is evaluated once, each report taking its
+    own copy of the record.  tol must be finite and > 0.  Errors
     are kept per configuration: a stacked call that raises is made again as
     each configuration's stack of one.  The campaign raises the error that a
     configuration-by-configuration loop would meet first: that of the first
@@ -358,9 +379,8 @@ def run_campaign(configs, zmax: float, grid: int, tol: float) -> list[dict]:
     _each(runs, lambda run: run.setup(zmax, grid))
     _series_checks(runs, zmax, grid, tol)
     _residual_checks(runs, zmax, grid)
-    shared: dict = {}
-    for stage in (_special_function_checks, _family_identity_checks):
-        _each(runs, lambda run: run.checks.extend(stage(run, shared)))
+    _special_function_checks(runs)
+    _family_identity_checks(runs, zmax)
     for run in runs:
         if run.error is not None:
             raise run.error

@@ -115,9 +115,15 @@ def _nearest_zero(c1: float, c2: float) -> float:
 
     The zeros are q/c2 and 1/q with q = -(c1 + sign(c1) sqrt(c1^2 - 4 c2))/2,
     whose sign choice avoids cancellation; c2 = 0 leaves 1/q = -1/c1 alone.
+    They are found for the polynomial in w = 2^e z, with coefficients
+    c1 / 2^e and c2 / 4^e, e chosen so that the larger of |c1| and sqrt|c2|
+    is near 1: the discriminant cannot overflow, and scaling by powers of
+    two is exact while the numbers stay clear of the subnormals.
     """
+    e = max(math.frexp(c1)[1], (math.frexp(c2)[1] + 1) // 2)
+    c1, c2 = math.ldexp(c1, -e), math.ldexp(c2, -2 * e)
     q = -0.5 * (c1 + math.copysign(1.0, c1) * cmath.sqrt(c1 * c1 - 4.0 * c2))
-    return min(abs(q / c2) if c2 else math.inf, 1.0 / abs(q) if q else math.inf)
+    return math.ldexp(min(abs(q / c2) if c2 else math.inf, 1.0 / abs(q) if q else math.inf), -e)
 
 
 def closed_form(family, lam=None, a=None, b=None) -> GenFunClosedForm:
@@ -403,14 +409,17 @@ def _term_count(lam: float, majorants, count: int) -> tuple[int, float]:
 
 def psi_series_stack(seqs, lams, z, x_rows,
                      n_terms: int = SERIES_CAP) -> list[PsiSeriesResult]:
-    """psi_series for C configurations at the points z, one result per row:
-    row c sums with table seqs[c] and lambda lams[c] at the points x_rows[c].
+    """psi_series for C configurations, one result per row: row c sums with
+    table seqs[c] and lambda lams[c] at the points z, or its own row z[c],
+    and x_rows[c].
 
-    The tables share one length, and the rows of x_rows are scalars or 1-D
+    The tables share one length.  z is a scalar or 1-D array shared by every
+    row, or a (C, Z) array with one row of points per configuration (a
+    (1, Z) array is shared too); the rows of x_rows are scalars or 1-D
     arrays of one length.  Each row keeps psi_series's term count N_c and
-    tail bound, chosen from its own table and points by a scalar loop over
-    its row of recurrence.majorant_stack.  The recurrence then
-    runs once over the stacked (C, X) points up to max N_c, and each row
+    tail bound, chosen from its own table, points and r_c = max|z_c| by a
+    scalar loop over its row of recurrence.majorant_stack.  The recurrence
+    then runs once over the stacked (C, X) points up to max N_c, and each row
     sums its own first N_c terms in a product (c_n z^n) @ P of psi_series's
     shapes, so every row equals its own psi_series call bit for bit.  (A
     single product over zero-padded rows would not: BLAS may split a longer
@@ -419,22 +428,25 @@ def psi_series_stack(seqs, lams, z, x_rows,
     """
     if n_terms < 1:
         raise ParameterError(f"n_terms must be >= 1, got {n_terms}")
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    zs = np.asarray(z, dtype=complex)
+    z_row = zs.shape[1:] if zs.ndim == 2 else zs.shape
+    # one row of z per configuration, a shared row repeated
+    z_rows = np.full((len(seqs), math.prod(z_row)), zs.reshape(-1, math.prod(z_row)))
     rows = np.asarray(x_rows, dtype=float)
     xs = rows.reshape(len(rows), -1)
-    r = float(np.abs(zs).max())
+    r = np.abs(z_rows).max(axis=1)
     count = min(n_terms, seqs[0].alphas.size + 1)
     terms = [_term_count(lam, majorants, count)
              for lam, majorants in zip(lams, majorant_stack(seqs, xs, r))]
     size = max(count for count, _ in terms)
     p = np.array(list(itertools.islice(monic_values(list(seqs), xs), size)))
-    powers = np.vander(zs, size, increasing=True)
-    shape = np.shape(z) + rows.shape[1:]
+    powers = np.vander(z_rows.ravel(), size, increasing=True).reshape(z_rows.shape + (size,))
+    shape = z_row + rows.shape[1:]
     results = []
     for row, (lam, (count, bound)) in enumerate(zip(lams, terms)):
         coeffs = np.fromiter(itertools.islice(pochhammer_over_factorial(lam), count),
                              float, count)
-        values = (powers[:, :count] * coeffs) @ p[:count, row]
+        values = (powers[row, :, :count] * coeffs) @ p[:count, row]
         results.append(PsiSeriesResult(
             as_shape(values, shape), bound, count,
             as_shape(bound <= _TAIL_WARN_FACTOR * np.abs(values), shape)))

@@ -6,12 +6,21 @@ generating-function identities that tie scaled Gegenbauer and shifted Jacobi
 polynomials to their closed forms.  Each check returns a residual magnitude;
 the caller compares it against the documented tolerance.
 
+Every check but the duplication formula takes a stack of configurations: a
+1-D sequence of C lambdas, or a stack of C closed forms
+(genfun.stack_closed_forms), gives a result with a leading axis of length C
+from one evaluation, whose row c is bit for bit the call with the c-th
+lambda or closed form alone.  A float lambda or a closed form of its own is
+the stack of one and gives no leading axis.
+
 Classical monic recurrence coefficients on [-1, 1] are implemented here from
 the standard formulas and are cross-validated in the test suite against the
 Stieltjes procedure run on the corresponding Beta densities.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +28,7 @@ import numpy as np
 
 from . import families, genfun
 from .errors import DomainError, ParameterError
-from .recurrence import JacobiSzegoSequence, eval_monic
+from .recurrence import JacobiSzegoSequence, monic_values
 
 
 # The hypergeometric sums tabulate at least _HYPER_FIRST terms and double the
@@ -33,9 +42,9 @@ class HypergeometricParams:
     """Parameters of a Gauss 2F1 series evaluation.
 
     upper holds the two numerator parameters, lower the single denominator
-    parameter; argument is a float or an array of them.  The series
-    requires |argument| < 1 and a lower parameter that is not a
-    non-positive integer.
+    parameter, each a float, or a 1-D array of R values for R parameter sets
+    at once; argument is a float or an array of them.  The series requires
+    |argument| < 1 and a lower parameter that is not a non-positive integer.
     """
 
     upper: tuple[float, float]
@@ -47,18 +56,21 @@ class HypergeometricParams:
             raise DomainError(
                 f"2F1 series needs |argument| < 1, got {self.argument}"
             )
-        if self.lower <= 0.0 and float(self.lower).is_integer():
+        if np.any((np.asarray(self.lower) <= 0.0) & (np.floor(self.lower) == self.lower)):
             raise ParameterError(
                 f"lower parameter {self.lower} is a non-positive integer"
             )
 
 
 def _hypergeometric_sum(upper: tuple, lower: tuple, w) -> np.ndarray:
-    """sum_n t_n for each w of a 1-D array, t_0 = 1 and
+    """sum_n t_n for each element of w, t_0 = 1 and
 
         t_{n+1} / t_n = w prod_i (upper_i + n) / (lower_i + n),
 
-    upper and lower of one length (lower holds the 1 of n!).
+    upper and lower of one length (lower holds the 1 of n!).  A 1-D w with
+    float parameters gives one sum per element.  Parameters may also be 1-D
+    arrays of R values, one per row of parameters: w is then shared by
+    every row, or an (R, W) array, and the sums an (R, W) array.
 
     Each element is truncated at the first K >= 1 whose proved tail bound
     is at most 2^-53 |sum_{n<K} t_n|, half an ulp of the partial sum, so the
@@ -67,9 +79,14 @@ def _hypergeometric_sum(upper: tuple, lower: tuple, w) -> np.ndarray:
     monotone in n >= K and tends to 1, so |t_{n+1} / t_n| <= R_K =
     |w| prod_i max(1, |upper_i + K| / (lower_i + K)) and the tail is at most
     |t_K| / (1 - R_K) when R_K < 1.  An element with no such K among the
-    _HYPER_CAP terms sums them all.
+    _HYPER_CAP terms sums them all.  Every element is its own series, so
+    its sum does not depend on the other elements of the call.
     """
     w = np.asarray(w, dtype=float)
+    # a row of parameters as an (R, 1, 1) column beside the element and
+    # index axes
+    upper, lower = ([np.reshape(p, (-1, 1, 1)) if np.ndim(p) else p for p in params]
+                    for params in (upper, lower))
     # The terms fall like |w|^n times a power of n: start with a table whose
     # second half lies past |w|^n = 2^-53 for the largest |w|.
     length, top = _HYPER_FIRST, float(np.abs(w).max())
@@ -78,38 +95,60 @@ def _hypergeometric_sum(upper: tuple, lower: tuple, w) -> np.ndarray:
     while True:
         n = np.arange(length - 1.0)
         k = n + 1.0  # t_K for K = 1 .. length - 1
-        ratios = (math.prod([a + n for a in upper]) * w[:, None]
+        ratios = (math.prod([a + n for a in upper]) * w[..., None]
                   / math.prod([b + n for b in lower]))
-        terms = np.ones((w.size, length))
-        np.cumprod(ratios, axis=1, out=terms[:, 1:])
-        sums = np.cumsum(terms, axis=1)
+        terms = np.ones(ratios.shape[:-1] + (length,))
+        np.cumprod(ratios, axis=-1, out=terms[..., 1:])
+        sums = np.cumsum(terms, axis=-1)
         # slack is 1 - R_K; K qualifies only where every b + K > 0
         factor = math.prod([np.maximum(1.0, np.abs(a + k) / np.abs(b + k))
                             for a, b in zip(upper, lower)])
-        slack = 1.0 - np.abs(w)[:, None] * factor
-        valid = np.all([b + k > 0.0 for b in lower], axis=0)
-        stop = valid & (np.abs(terms[:, 1:])
-                        <= genfun.UNIT_ROUNDOFF * np.abs(sums[:, :-1]) * slack)
-        found = stop.any(axis=1)
+        slack = 1.0 - np.abs(w)[..., None] * factor
+        valid = functools.reduce(np.logical_and, [b + k > 0.0 for b in lower])
+        stop = valid & (np.abs(terms[..., 1:])
+                        <= genfun.UNIT_ROUNDOFF * np.abs(sums[..., :-1]) * slack)
+        found = stop.any(axis=-1)
         if found.all() or length >= _HYPER_CAP:
             break
         length *= 2
-    count = np.where(found, np.argmax(stop, axis=1) + 1, length)
-    return sums[np.arange(w.size), count - 1]
+    count = np.where(found, np.argmax(stop, axis=-1) + 1, length)
+    flat = sums.reshape(-1, length)
+    return flat[np.arange(len(flat)), count.ravel() - 1].reshape(count.shape)
 
 
 def gauss_2f1(params: HypergeometricParams):
     """Plain 2F1 series sum_n (u1)_n (u2)_n / ((l)_n n!) * argument^n,
     truncated by _hypergeometric_sum's tail bound; a float for a float
-    argument, an array of its shape for an array."""
+    argument, an array of its shape for an array, behind a leading axis of
+    length R for parameters given as arrays of R values."""
     arg = np.asarray(params.argument, dtype=float)
     total = _hypergeometric_sum(params.upper, (params.lower, 1.0), arg.ravel())
-    return genfun.as_shape(total, arg.shape)
+    return genfun.as_shape(total, total.shape[:-1] + arg.shape)
 
 
-def _rising_table(a: float, n: int) -> np.ndarray:
-    """(a)_0 .. (a)_n, each the product of its predecessor and a + k."""
-    return np.concatenate([[1.0], np.cumprod(a + np.arange(n, dtype=float))])
+def _rising_table(a, n: int) -> np.ndarray:
+    """(a)_0 .. (a)_n along the last axis, for a float a or each element of
+    a 1-D array; each is the product of its predecessor and a + k."""
+    a = np.asarray(a, dtype=float)
+    table = np.ones(a.shape + (n + 1,))
+    np.cumprod(a[..., None] + np.arange(n, dtype=float), axis=-1, out=table[..., 1:])
+    return table
+
+
+def _lambdas(lam) -> tuple[np.ndarray, tuple]:
+    """A float lambda or a 1-D sequence of them as a 1-D array, and the
+    leading axes the stack gives a result: () for a float, (C,) for C."""
+    lams = np.asarray(lam, dtype=float)
+    return lams.ravel(), lams.shape
+
+
+def _point_rows(lead: tuple, x) -> tuple[np.ndarray, tuple]:
+    """Points x as one row per configuration of a stack with leading axes
+    lead, shape (C, X), and the shape of one row: a scalar or 1-D x is
+    shared by every row, a 2-D x holds one row per configuration."""
+    xs = np.asarray(x, dtype=float)
+    row = xs.shape[len(lead):] if xs.ndim > 1 else xs.shape
+    return np.full((math.prod(lead), math.prod(row)), xs.reshape(-1, math.prod(row))), row
 
 
 def pochhammer(lam: float, n: int) -> float:
@@ -128,54 +167,59 @@ def duplication_check(a: float) -> float:
     return abs(lhs - rhs)
 
 
-def pochhammer_ratio_check(lam: float, n):
+def pochhammer_ratio_check(lam, n):
     """Relative residual of (2 lam - 1)_{2n} / (lam - 1/2)_n = 4^n (lam)_n.
 
     For n >= 1 the left side is taken with the common factor 2 lam - 1 =
     2 (lam - 1/2) cancelled, as 2 (2 lam)_{2n-1} / (lam + 1/2)_{n-1}, so the
     check is defined for every lambda > 0, lambda = 1/2 included.  n is an
-    int or a 1-D array of them; the products are read from one table per
-    symbol, so an array gives exactly the residuals of one call per n.
+    int or a 1-D array of them, shared by every lambda of a stack; the
+    products are read from one table per symbol and lambda, so an array
+    gives exactly the residuals of one call per n.
     """
-    if lam <= 0.0:
+    lams, lead = _lambdas(lam)
+    if (lams <= 0.0).any():
         raise ParameterError(f"lambda must be > 0, got {lam}")
     ns = np.asarray(n)
     if np.any(ns < 0):
         raise ParameterError(f"n must be >= 0, got {n}")
     top = max(int(ns.max()), 1)
     k = np.maximum(ns, 1)
-    lhs = np.where(ns == 0, 1.0, 2.0 * _rising_table(2.0 * lam, 2 * top)[2 * k - 1]
-                   / _rising_table(lam + 0.5, top)[k - 1])
-    rhs = 4.0**ns * _rising_table(lam, top)[ns]
-    return genfun.as_shape(np.abs(lhs - rhs) / np.abs(rhs), ns.shape)
+    lhs = np.where(ns == 0, 1.0, 2.0 * _rising_table(2.0 * lams, 2 * top)[:, 2 * k - 1]
+                   / _rising_table(lams + 0.5, top)[:, k - 1])
+    rhs = 4.0**ns * _rising_table(lams, top)[:, ns]
+    return genfun.as_shape(np.abs(lhs - rhs) / np.abs(rhs), lead + ns.shape)
 
 
-def one_f_zero_reduction(lam: float, y):
+def one_f_zero_reduction(lam, y):
     """Residual of the binomial series sum_n (lam)_n y^n / n! = (1-y)^(-lam),
-    for a float y or each element of a 1-D array, truncated by
-    _hypergeometric_sum's tail bound."""
+    for a float y or each element of a 1-D array, shared by every lambda of
+    a stack, truncated by _hypergeometric_sum's tail bound."""
+    lams, lead = _lambdas(lam)
     ys = np.asarray(y, dtype=float)
     if np.any(np.abs(ys) >= 1.0):
         raise DomainError(f"|y| must be < 1, got {y}")
     flat = ys.ravel()
-    residual = np.abs(_hypergeometric_sum((lam,), (1.0,), flat) - (1.0 - flat) ** (-lam))
-    return genfun.as_shape(residual, ys.shape)
+    residual = np.abs(_hypergeometric_sum((lams,), (1.0,), flat)
+                      - (1.0 - flat) ** (-lams[:, None]))
+    return genfun.as_shape(residual, lead + ys.shape)
 
 
 # ----------------------------------------------------------------------------
 # Classical monic recurrences on [-1, 1]
 #
 # The sequences evaluate the standard tail formulas (alpha_n for n >= 1,
-# omega_n for n >= 1 or 2) at n1 = max(n, 1) and n2 = max(n, 2), as
+# omega_n for n >= 2) at n1 = max(n, 1) and n2 = max(n, 2), as
 # measures.family_sequence does, and write the head over the result.
 
 
 def gegenbauer_sequence(lam: float, size: int) -> JacobiSzegoSequence:
     """Monic Gegenbauer coefficients, weight (1-x^2)^(lam-1/2), for
-    n = 0 .. size - 1."""
-    n1 = np.maximum(np.arange(size, dtype=float), 1.0)
-    omegas = n1 * (n1 + 2.0 * lam - 1.0) / (4.0 * (n1 + lam) * (n1 + lam - 1.0))
-    omegas[:1] = 1.0
+    n = 0 .. size - 1.  omega_1 = 1 / (2 (1 + lam)) is the tail formula at
+    n = 1 with the factor lam cancelled, so it stays finite as lam -> 0."""
+    n2 = np.maximum(np.arange(size, dtype=float), 2.0)
+    omegas = n2 * (n2 + 2.0 * lam - 1.0) / (4.0 * (n2 + lam) * (n2 + lam - 1.0))
+    omegas[:2] = [1.0, 1.0 / (2.0 * (1.0 + lam))][:size]
     return JacobiSzegoSequence(np.zeros(size), omegas)
 
 
@@ -195,109 +239,137 @@ def jacobi_sequence(alf: float, bet: float, size: int) -> JacobiSzegoSequence:
     return JacobiSzegoSequence(alphas, omegas)
 
 
-def _principal_power(w, expo: float):
+def _principal_power(w, expo):
     return np.exp(expo * np.log(np.asarray(w, dtype=complex)))
 
 
 # ----------------------------------------------------------------------------
 # Generating-function identities
 #
-# The series checks take z (or t) and x (or y) as scalars or 1-D arrays;
-# arrays give the residuals on the (Z, X) grid of every pair from one
-# psi_series call.
+# The series checks take z (or t) as a scalar or 1-D array shared by every
+# configuration, and x (or y) as a scalar or 1-D array shared too, or with
+# one row per configuration of a stack; they give the residuals on the
+# (Z, X) grid of every pair, behind the stack's axis, from one
+# psi_series_stack call.
 
 
-def gegenbauer_gf_check(lam: float, z, x, n_terms: int):
+def _series_check(lam, seqs, z, x, z_scale, x_scale, closed, n_terms=genfun.SERIES_CAP):
+    """|series - closed| on the (C, Z, X) grid of a series identity.
+
+    The series sums (lam)_n/n! P_n(x / x_scale) (z_scale z)^n with the
+    tables seqs, one per lambda; z_scale and x_scale are floats or one value
+    per lambda.  closed(lam, z, x) is the closed side on arrays that
+    broadcast to the grid.
+    """
+    lams, lead = _lambdas(lam)
+    zs = np.asarray(z)
+    rows, row = _point_rows(lead, x)
+    z_scale, x_scale = (np.asarray(s).reshape(-1, 1) for s in (z_scale, x_scale))
+    series = genfun.psi_series_stack(seqs, lams.tolist(), z_scale * zs.ravel(),
+                                     rows / x_scale, n_terms)
+    grid = (lams[:, None, None], zs.reshape(-1, 1), rows[:, None, :])
+    values = np.array([result.value for result in series]).reshape(lams.size, zs.size, -1)
+    return genfun.as_shape(np.abs(values - closed(*grid)), lead + zs.shape + row)
+
+
+def gegenbauer_gf_check(lam, z, x, n_terms: int):
     """Residual of sum_n 2^n (lam)_n/n! C_n(x) z^n = (1 - 2zx + z^2)^(-lam)."""
-    z, x = np.asarray(z), np.asarray(x)
-    if np.any(np.abs(x) > 1.0):
+    if np.any(np.abs(np.asarray(x)) > 1.0):
         raise ParameterError(f"|x| must be <= 1, got {x}")
-    if np.any(np.abs(z) > 0.3):
+    if np.any(np.abs(np.asarray(z)) > 0.3):
         raise DomainError(f"|z| must be <= 0.3, got {np.abs(z).max()}")
-    seq = gegenbauer_sequence(lam, n_terms)
-    series = genfun.psi_series(seq, lam, 2.0 * z, x, n_terms).value
-    zg, xg = genfun.grid_axes(z, x)
-    closed = _principal_power(1.0 - 2.0 * zg * xg + zg * zg, -lam)
-    return np.abs(series - closed)
+    seqs = [gegenbauer_sequence(value, n_terms) for value in _lambdas(lam)[0].tolist()]
+    return _series_check(lam, seqs, z, x, 2.0, 1.0, lambda lam, zg, xg: _principal_power(
+        1.0 - 2.0 * zg * xg + zg * zg, -lam), n_terms)
 
 
-def tilde_gegenbauer_identity(lam: float, z, x):
+def tilde_gegenbauer_identity(lam, z, x):
     """Residual of the scaled Gegenbauer generating function.
 
     The polynomials are sqrt(2(1+lam))^n C_n(x / sqrt(2(1+lam))) and the
     closed form is (1 - zx + (1+lam) z^2 / 2)^(-lam).
     """
-    scale = math.sqrt(2.0 * (1.0 + lam))
-    seq = gegenbauer_sequence(lam, genfun.SERIES_CAP)
-    z, x = np.asarray(z), np.asarray(x)
-    series = genfun.psi_series(seq, lam, scale * z, x / scale).value
-    zg, xg = genfun.grid_axes(z, x)
-    closed = _principal_power(1.0 - zg * xg + 0.5 * (1.0 + lam) * zg * zg, -lam)
-    return np.abs(series - closed)
+    lams = _lambdas(lam)[0]
+    seqs = [gegenbauer_sequence(value, genfun.SERIES_CAP) for value in lams.tolist()]
+    scale = np.sqrt(2.0 * (1.0 + lams))
+    return _series_check(lam, seqs, z, x, scale, scale, lambda lam, zg, xg: _principal_power(
+        1.0 - zg * xg + 0.5 * (1.0 + lam) * zg * zg, -lam))
 
 
-def family2_identity(lam: float, z, x):
+def family2_identity(lam, z, x):
     """Residual of the second symmetric family's generating function.
 
     The polynomials carry Gegenbauer parameter lam - 1 (scale sqrt(2 lam))
     while the series coefficient keeps (lam)_n; the closed form is
     (1 - lam z^2/2) / (1 - zx + lam z^2/2)^lam.
     """
-    if lam <= 0.5:
+    lams = _lambdas(lam)[0]
+    if (lams <= 0.5).any():
         raise ParameterError(f"lambda must be > 1/2, got {lam}")
-    if abs(lam - 1.0) < 1e-9:
+    if (np.abs(lams - 1.0) < 1e-9).any():
         raise ParameterError("lambda = 1 is excluded for the second symmetric family")
-    scale = math.sqrt(2.0 * lam)
-    seq = gegenbauer_sequence(lam - 1.0, genfun.SERIES_CAP)
-    z, x = np.asarray(z), np.asarray(x)
-    series = genfun.psi_series(seq, lam, scale * z, x / scale).value
-    zg, xg = genfun.grid_axes(z, x)
-    closed = (1.0 - 0.5 * lam * zg * zg) * _principal_power(
-        1.0 - zg * xg + 0.5 * lam * zg * zg, -lam
-    )
-    return np.abs(series - closed)
+    seqs = [gegenbauer_sequence(value - 1.0, genfun.SERIES_CAP) for value in lams.tolist()]
+    scale = np.sqrt(2.0 * lams)
+    return _series_check(lam, seqs, z, x, scale, scale, lambda lam, zg, xg: (
+        1.0 - 0.5 * lam * zg * zg) * _principal_power(1.0 - zg * xg + 0.5 * lam * zg * zg, -lam))
 
 
-def jacobi_shift_check(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence,
-                       n_max: int, x) -> np.ndarray:
+def _nonsym_signs(cf: genfun.GenFunClosedForm):
+    """nonsym_sign of cf's family, laid out as cf.lam: a float for a closed
+    form of its own, a (C, 1) column for a stack of C; another family raises
+    ParameterError."""
+    if not genfun._stack_shape(cf):
+        return families.nonsym_sign(cf.family)
+    return np.array([[families.nonsym_sign(family)] for family in cf.family.ravel()])
+
+
+def jacobi_shift_check(cf: genfun.GenFunClosedForm, seq, n_max: int, x) -> np.ndarray:
     """Relative residuals between the polynomials P_0 .. P_{n_max} of the
     first n_max coefficients of seq and the scaled-shifted classical monic
     Jacobi forms of the non-symmetric family of cf, as an (n_max + 1, X)
-    grid over the 1-D array of points x.
+    grid over the 1-D array of points x.  For a stack of C closed forms seq
+    is a list of C tables, x has one row per configuration and the grid a
+    leading axis of length C; one recurrence pass serves every row.
 
     For nonsym-plus: P_n(x) = k^n p_n^{(l-1/2, l-3/2)}((sqrt(2l-1) x - 1)/(2l))
     with k = 2l/sqrt(2l-1); for nonsym-minus the parameters swap and the
     shift reflects, matching p_n at (sqrt(2l-1) x + 1)/(2l).  Another
     family, or a table shorter than n_max, raises ParameterError.
     """
-    sign, lam = families.nonsym_sign(cf.family), cf.lam
-    root = math.sqrt(2.0 * lam - 1.0)
-    k = 2.0 * lam / root
-    xs = np.asarray(x, dtype=float)
-    alf, bet = (lam - 0.5, lam - 1.5) if sign > 0.0 else (lam - 1.5, lam - 0.5)
+    sign, lam = _nonsym_signs(cf), cf.lam
+    if n_max < 0:
+        raise ParameterError(f"n_max must be >= 0, got {n_max}")
+    tables = genfun._stack_tables(seq, cf)
+    xs = np.asarray(x, dtype=float).reshape(len(tables), -1)
+    root = np.sqrt(2.0 * lam - 1.0)
     ys = (root * xs - sign) / (2.0 * lam)
-    catalog = eval_monic(seq, n_max, xs)
-    scale = np.array([k**n for n in range(n_max + 1)])  # the floats a per-point k**n gives
-    oracle = scale[:, None] * eval_monic(jacobi_sequence(alf, bet, n_max), n_max, ys)
-    return np.abs(catalog - oracle) / np.maximum(1.0, np.abs(oracle))
+    oracles = [jacobi_sequence(*((value - 0.5, value - 1.5) if s > 0.0
+                                 else (value - 1.5, value - 0.5)), n_max)
+               for s, value in zip(np.ravel(sign).tolist(), np.ravel(lam).tolist())]
+    catalog, oracle = (np.array(list(itertools.islice(monic_values(stack, points), n_max + 1)))
+                       for stack, points in ((tables, xs), (oracles, ys)))
+    # the floats a per-point k**n gives
+    ks = np.ravel(2.0 * lam / root).tolist()
+    scale = np.array([[k**n for k in ks] for n in range(n_max + 1)])
+    oracle = scale[..., None] * oracle
+    residual = np.abs(catalog - oracle) / np.maximum(1.0, np.abs(oracle))
+    return residual.swapaxes(0, 1).reshape(genfun._stack_shape(cf) + (n_max + 1, -1))
 
 
-def jacobi_2f1_gf_check(lam: float, t, y):
+def jacobi_2f1_gf_check(lam, t, y):
     """Residual of sum_n (lam)_n/n! p_n^{(l-1/2, l-3/2)}(y) (2t)^n
     = (1+t)/(1 + t^2 - 2ty)^lam."""
-    t, y = np.asarray(t), np.asarray(y)
-    if np.any(np.abs(t) >= 0.3):
+    if np.any(np.abs(np.asarray(t)) >= 0.3):
         raise DomainError(f"|t| must be < 0.3, got {t}")
-    if np.any(np.abs(y) >= 1.0):
+    if np.any(np.abs(np.asarray(y)) >= 1.0):
         raise DomainError(f"|y| must be < 1, got {y}")
-    seq = jacobi_sequence(lam - 0.5, lam - 1.5, genfun.SERIES_CAP)
-    series = genfun.psi_series(seq, lam, 2.0 * t, y).value
-    tg, yg = genfun.grid_axes(t, y)
-    closed = (1.0 + tg) * (1.0 + tg * tg - 2.0 * tg * yg) ** (-lam)
-    return np.abs(series - closed)
+    seqs = [jacobi_sequence(value - 0.5, value - 1.5, genfun.SERIES_CAP)
+            for value in _lambdas(lam)[0].tolist()]
+    return _series_check(lam, seqs, t, y, 2.0, 1.0, lambda lam, tg, yg: (
+        1.0 + tg) * (1.0 + tg * tg - 2.0 * tg * yg) ** (-lam))
 
 
-def two_f_one_collapse_check(lam: float, t, y):
+def two_f_one_collapse_check(lam, t, y):
     """Residual of the hypergeometric prefactor form against its collapse.
 
     With (alf, bet) = (lam-1/2, lam-3/2) the first numerator parameter
@@ -307,14 +379,16 @@ def two_f_one_collapse_check(lam: float, t, y):
 
     with w = 2(y+1)t/(1+t)^2 reduces to (1+t)/(1 + t^2 - 2ty)^lam.  The left
     side is summed as a genuine 2F1 series (no term cancellation assumed).
-    t and y are floats or 1-D arrays; arrays give the (T, Y) grid from one
+    t and y are floats or 1-D arrays, shared by every lambda of a stack;
+    arrays give the (T, Y) grid, and a stack all its grids, from one
     gauss_2f1 call.
     """
     if np.any(np.abs(t) >= 0.3):
         raise DomainError(f"|t| must be < 0.3, got {t}")
     if np.any(np.abs(y) >= 1.0):
         raise DomainError(f"|y| must be < 1, got {y}")
-    alf, bet = lam - 0.5, lam - 1.5
+    lams, lead = _lambdas(lam)
+    alf, bet = lams - 0.5, lams - 1.5
     # a scalar is the length-1 grid, so it rounds as the same grid point
     tg, yg = genfun.grid_axes(np.atleast_1d(np.asarray(t, dtype=float)),
                               np.atleast_1d(np.asarray(y, dtype=float)))
@@ -323,25 +397,30 @@ def two_f_one_collapse_check(lam: float, t, y):
         lower=bet + 1.0,
         argument=2.0 * (yg + 1.0) * tg / (1.0 + tg) ** 2,
     )
-    lhs = (1.0 + tg) ** (-(alf + bet + 1.0)) * gauss_2f1(params)
-    rhs = (1.0 + tg) * (1.0 + tg * tg - 2.0 * tg * yg) ** (-lam)
-    return genfun.as_shape(np.abs(lhs - rhs), np.shape(t) + np.shape(y))
+    column = (-1, 1, 1)  # one lambda per row of the (C, T, Y) grid
+    lhs = (1.0 + tg) ** np.reshape(-(alf + bet + 1.0), column) * gauss_2f1(params)
+    rhs = (1.0 + tg) * (1.0 + tg * tg - 2.0 * tg * yg) ** np.reshape(-lams, column)
+    return genfun.as_shape(np.abs(lhs - rhs), lead + np.shape(t) + np.shape(y))
 
 
 def gf3_equivalence(cf: genfun.GenFunClosedForm, z, x):
     """Residual between the rational-prefactor closed form of one
     non-symmetric family's generating function and the product evaluation
     of its psi, on the (Z, X) grid of 1-D z and x (scalars give a scalar).
+    For a stack of C closed forms x has one row per configuration and the
+    grid a leading axis of length C, from one psi_analytic call.
 
     For the nonsym-plus closed form cf the display is
         (l/r) (z + r/l) [1 - z(x - 1/r) + l^2 z^2 / r^2]^(-l),  r = sqrt(2l-1),
     checked against psi_analytic(cf, z, x); for nonsym-minus the signs of r
     in the display flip.  Another family raises ParameterError.
     """
-    sgn, lam = families.nonsym_sign(cf.family), cf.lam
-    root = math.sqrt(2.0 * lam - 1.0)
+    # z keeps its own dtype: the display is formed in reals for a real z
+    _, xs, shape = genfun._grid(cf, z, x)
+    zg = np.atleast_1d(z)[:, None]
+    sgn, lam = genfun._lift(_nonsym_signs(cf)), genfun._lift(cf.lam)
+    root = np.sqrt(2.0 * lam - 1.0)
     ratio = lam * lam / (2.0 * lam - 1.0)
-    zg, xg = genfun.grid_axes(z, x)
-    w = 1.0 - zg * (xg - sgn / root) + ratio * zg * zg
+    w = 1.0 - zg * (xs - sgn / root) + ratio * zg * zg
     closed = sgn * (lam / root) * (zg + sgn * root / lam) * _principal_power(w, -lam)
-    return np.abs(closed - genfun.psi_analytic(cf, z, x))
+    return np.abs(genfun.as_shape(closed, shape) - genfun.psi_analytic(cf, z, x))

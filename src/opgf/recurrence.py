@@ -142,9 +142,10 @@ def majorant_values(seq: JacobiSzegoSequence, x, scale: float) -> Iterator[tuple
     return majorant_stack([seq], np.reshape(x, (1, -1)), scale)[0]
 
 
-def majorant_stack(seqs, x_rows, scale: float) -> list[Iterator[tuple]]:
+def majorant_stack(seqs, x_rows, scale) -> list[Iterator[tuple]]:
     """majorant_values for C tables of one length, one iterator per row: row
-    c bounds table seqs[c] over the points x_rows[c], a (C, X) array.
+    c bounds table seqs[c] over the points x_rows[c], a (C, X) array, with
+    one scale for every row or scale[c], a 1-D array of one per row.
 
     The distances D, the suffix maxima and rho of every row are formed in
     one pass of (C, N) array operations; each iterator then runs its own
@@ -153,12 +154,13 @@ def majorant_stack(seqs, x_rows, scale: float) -> list[Iterator[tuple]]:
     """
     xs = np.asarray(x_rows, dtype=float)
     alphas, omegas = _table_stack(seqs, xs)
+    scales = np.full(len(seqs), scale, dtype=float)
     d = np.maximum(xs.max(axis=1)[:, None] - alphas, alphas - xs.min(axis=1)[:, None])
     w = np.abs(omegas)
     d_bar = np.maximum.accumulate(d[:, ::-1], axis=1)[:, ::-1]
     w_bar = np.maximum.accumulate(w[:, ::-1], axis=1)[:, ::-1]
-    rho = (0.5 * scale) * (d_bar + np.sqrt(d_bar * d_bar + 4.0 * w_bar))
-    return [_majorant_row(*row, scale) for row in zip(d, w, rho)]
+    rho = (0.5 * scales[:, None]) * (d_bar + np.sqrt(d_bar * d_bar + 4.0 * w_bar))
+    return [_majorant_row(*row, s) for *row, s in zip(d, w, rho, scales.tolist())]
 
 
 def _majorant_row(d, w, rho, scale: float) -> Iterator[tuple]:

@@ -68,6 +68,9 @@ def gegenbauer_omega(n: int, lam: float) -> float:
     """omega_n of the monic Gegenbauer system, weight (1-x^2)^(lam-1/2)."""
     if n <= 0:
         return 1.0
+    if n == 1:
+        # the general formula with the common factor lam cancelled
+        return 1.0 / (2.0 * (1.0 + lam))
     return n * (n + 2.0 * lam - 1.0) / (4.0 * (n + lam) * (n + lam - 1.0))
 
 

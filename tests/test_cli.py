@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import opgf
-from opgf import Family, ParameterError, genfun, identities, measures, riccati
+from opgf import Family, ParameterError, cli, genfun, identities, measures, riccati
 from opgf.cli import main, run_campaign, run_family_checks
 
 # Ordered (name, points_tested, passed) of every check in the default full
@@ -237,16 +238,29 @@ def test_one_closed_form_and_one_table_per_configuration(argv, configs, tmp_path
                      "build_measure": 0}
 
 
-# Calls per full sweep of the identities that read lambda alone: six distinct
-# lambdas (free Meixner has lambda = 1), five among the non-symmetric
-# configurations, and one 20-point gamma-duplication check for the campaign.
-LAMBDA_ONLY_CALLS = {
-    "duplication_check": 20,
-    "pochhammer_ratio_check": 6,
-    "one_f_zero_reduction": 6,
-    "jacobi_2f1_gf_check": 5,
-    "two_f_one_collapse_check": 5,
+# The configurations each identity call of a full sweep stacks: one call per
+# identity over the campaign's configurations of its family (ten
+# non-symmetric, five each of sym1 and sym2), or over its distinct lambdas
+# for the identities of lambda alone (six in the sweep, free Meixner having
+# lambda = 1, and five among the non-symmetric configurations); the 20-point
+# gamma-duplication check reads no parameter and is made once per campaign,
+# one call per point.
+IDENTITY_STACKS = {
+    "duplication_check": [None] * 20,
+    "pochhammer_ratio_check": [6],
+    "one_f_zero_reduction": [6],
+    "gegenbauer_gf_check": [5],
+    "tilde_gegenbauer_identity": [5],
+    "family2_identity": [5],
+    "jacobi_shift_check": [10],
+    "jacobi_2f1_gf_check": [5],
+    "two_f_one_collapse_check": [5],
+    "gf3_equivalence": [10],
 }
+# psi_series_stack rows per sweep: series-vs-closed over the 23
+# configurations, then gegenbauer-gf, scaled-gegenbauer-gf,
+# shifted-parameter-gf and jacobi-2f1-gf over five each.
+SERIES_STACKS = [23, 5, 5, 5, 5]
 
 
 # The closed-form checks, each one call over the stack of the campaign's
@@ -256,17 +270,26 @@ STACKED_CHECKS = ((genfun, "psi_closed"), (genfun, "psi_family_moments"),
                   (riccati, "residual_moment_ode"))
 
 
+def stack_size(arg):
+    """The configurations a stacked identity call holds: the closed forms of
+    a (stack of) closed form(s), the lambdas of a 1-D sequence, None for a
+    float."""
+    if isinstance(arg, genfun.GenFunClosedForm):
+        return len(stack_families(arg))
+    return len(arg) if np.ndim(arg) == 1 else None
+
+
 def test_sweep_evaluates_each_lambda_identity_once(tmp_path, monkeypatch):
     # one stacked series pass, one call over the 23 closed forms per
-    # closed-form check and one evaluation per distinct lambda, and nothing
-    # kept from one sweep to the next
+    # closed-form check, one call per identity over the configurations (or
+    # distinct lambdas) it checks, and nothing kept from one sweep to the next
     calls, stack_rows, closed_rows = {}, [], {}
 
     def counted(name):
         fn = getattr(identities, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            calls.setdefault(name, []).append(stack_size(args[0]))
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(identities, name, wrapper)
@@ -281,7 +304,7 @@ def test_sweep_evaluates_each_lambda_identity_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in LAMBDA_ONLY_CALLS:
+    for name in IDENTITY_STACKS:
         counted(name)
     for module, name in STACKED_CHECKS:
         counted_closed(module, name)
@@ -297,9 +320,8 @@ def test_sweep_evaluates_each_lambda_identity_once(tmp_path, monkeypatch):
         stack_rows.clear()
         closed_rows.clear()
         assert run(["verify", "--out", str(tmp_path / "sweep.json")]) == 0
-        assert calls == LAMBDA_ONLY_CALLS
-        # the identity checks' own series are stacks of one
-        assert [rows for rows in stack_rows if rows > 1] == [23]
+        assert calls == IDENTITY_STACKS
+        assert stack_rows == SERIES_STACKS
         assert closed_rows == {name: [23] for _, name in STACKED_CHECKS}
 
 
@@ -489,6 +511,68 @@ def test_stacked_step_error_stays_with_its_configuration(monkeypatch):
         run_campaign(configs, 0.1, 16, 1e-9)
     with pytest.raises(ParameterError, match="^residual-f of sym2$"):
         run_campaign(configs[1:], 0.1, 16, 1e-9)
+
+
+IDENTITY_STEP_CONFIGS = [(Family.SYM1, 0.6, None, None), (Family.SYM1, 1.5, None, None),
+                         (Family.NONSYM_PLUS, 1.5, None, None),
+                         (Family.NONSYM_MINUS, 2.0, None, None),
+                         (Family.NONSYM_PLUS, 2.0, None, None), (Family.SYM1, 2.0, None, None)]
+
+
+@pytest.mark.parametrize("name, bad_lam, failing", [
+    # one call over the sym1 configurations
+    ("tilde_gegenbauer_identity", 1.5, [1]),
+    # one call over the distinct non-symmetric lambdas
+    ("jacobi_2f1_gf_check", 2.0, [3, 4]),
+    # one call over the stack of non-symmetric closed forms
+    ("gf3_equivalence", 1.5, [2]),
+    # one call over the campaign's distinct lambdas
+    ("pochhammer_ratio_check", 2.0, [3, 4, 5]),
+])
+def test_identity_error_stays_with_its_configuration(name, bad_lam, failing, monkeypatch):
+    # an identity that raises at one lambda fails the configurations of that
+    # lambda only; every other configuration keeps the records its own
+    # campaign of one gives
+    identity = getattr(identities, name)
+
+    def failing_identity(stack, *args):
+        lams = stack.lam if isinstance(stack, genfun.GenFunClosedForm) else stack
+        if bad_lam in np.ravel(lams):
+            raise ParameterError(f"{name} at {bad_lam}")
+        return identity(stack, *args)
+
+    monkeypatch.setattr(identities, name, failing_identity)
+    runs = [cli._Run(*config) for config in IDENTITY_STEP_CONFIGS]
+    cli._each(runs, lambda run: run.setup(0.1, 16))
+    cli._special_function_checks(runs)
+    cli._family_identity_checks(runs, 0.1)
+    for index, (config, run) in enumerate(zip(IDENTITY_STEP_CONFIGS, runs)):
+        if index in failing:
+            assert str(run.error) == f"{name} at {bad_lam}"
+            continue
+        assert run.error is None
+        checks = run_campaign([config], 0.1, 16, 1e-9)[0]["checks"]
+        assert run.checks == checks[-len(run.checks):]
+
+
+@pytest.mark.parametrize("lam", ["1e-300", "1e-20", "0.05"])
+def test_tiny_sym1_lambda_gives_a_passing_report(lam, tmp_path):
+    # omega_1 of the Gegenbauer tables is 1 / (2 (1 + lambda)), finite and
+    # free of a 0/0 however small lambda is
+    out = tmp_path / "tiny_lambda.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["verify", "--family", "sym1", "--lambda", lam, "--zmax", "0.02",
+                    "--grid", "4", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["all_passed"] is True
+
+
+def test_huge_free_meixner_a_names_a_finite_radius(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(["verify", "--family", "free-meixner", "--a", "1e160", "--b", "0",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "opgf verify: zmax must lie in (0, 9e-161) for free-meixner, got 0.1\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])

@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SWEEP_CONFIGS, get_closed_form, get_measure, get_sequence
@@ -175,6 +175,28 @@ class TestClosedFormData:
         assert closed_form(Family.FREE_MEIXNER, a=0.0, b=-1.0).domain_radius == 0.9
         radius = closed_form(Family.FREE_MEIXNER, a=0.7, b=-1.0).domain_radius
         assert radius == pytest.approx(0.9 * (math.sqrt(4.49) - 0.7) / 2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("a", [1e150, 1.4e154, 1e160])
+    def test_huge_free_meixner_a_gives_a_finite_radius(self, a):
+        # c1^2 - 4 c2 overflows past |c1| = 1.34e154 unless the coefficients
+        # are scaled first; the nearest zero of 1 + a z + z^2 is -1/a to
+        # within 1/a^3
+        for sign in (1.0, -1.0):
+            radius = closed_form(Family.FREE_MEIXNER, a=sign * a, b=0.0).domain_radius
+            assert radius == pytest.approx(0.9 / a, rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c1=st.floats(-1e150, 1e150), c2=st.floats(-1e150, 1e150))
+    def test_nearest_zero_keeps_the_unscaled_bits(self, c1, c2):
+        # where the unscaled discriminant stays finite and normal, scaling by
+        # powers of two changes no bit
+        disc = c1 * c1 - 4.0 * c2
+        assume(disc == 0.0 or abs(disc) >= 2.0**-1000)
+        assume(c1 == 0.0 or abs(c1) >= 2.0**-500)
+        assume(c2 == 0.0 or abs(c2) >= 2.0**-1000)
+        q = -0.5 * (c1 + math.copysign(1.0, c1) * cmath.sqrt(disc))
+        unscaled = min(abs(q / c2) if c2 else math.inf, 1.0 / abs(q) if q else math.inf)
+        assert genfun._nearest_zero(c1, c2) == unscaled
 
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_u_is_z_power_over_numerator(self, config):
@@ -563,6 +585,32 @@ class TestPsiSeriesStack:
             psi_series_stack([seq], [2.0], 0.1, [x], n_terms)
         assert str(single.value) == str(stacked.value) == message
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        configs=st.lists(documented_configs(), min_size=1, max_size=5),
+        scales=st.lists(st.floats(0.1, 3.0), min_size=5, max_size=5),
+        radius=st.floats(0.01, 0.1),
+    )
+    def test_per_row_z_matches_one_call_per_configuration(self, configs, scales, radius):
+        # one row of z per configuration, as the scaled identities sum them:
+        # each row keeps its own r = max|z| and equals its own psi_series
+        zs = np.array(circle_points(radius, 8))
+        seqs = [measures.family_sequence(*c, size=genfun.SERIES_CAP) for c in configs]
+        lams = [get_closed_form(*c).lam for c in configs]
+        z_rows = np.array(scales[:len(configs)])[:, None] * zs
+        x_rows = [np.linspace(*families.support_interval(*c), 5) for c in configs]
+        stack = psi_series_stack(seqs, lams, z_rows, x_rows)
+        for seq, lam, z_row, xs, stacked in zip(seqs, lams, z_rows, x_rows, stack):
+            assert_same_series(stacked, psi_series(seq, lam, z_row, xs))
+
+    def test_one_shared_z_row_equals_a_1d_z(self):
+        seqs = [get_sequence(*c) for c in SWEEP_CONFIGS[:3]]
+        rows = [[0.1, -0.2], [0.0, 0.3], [0.2, 0.4]]
+        zs = circle_points(0.05, 4)
+        shared = psi_series_stack(seqs, [0.6, 0.75, 1.5], zs, rows)
+        for one, row in zip(shared, psi_series_stack(seqs, [0.6, 0.75, 1.5], [zs], rows)):
+            assert_same_series(row, one)
+
     def test_tables_of_different_lengths_are_refused(self):
         seqs = [get_sequence(Family.SYM1, 2.0, None, None),
                 measures.family_sequence(Family.SYM1, 2.0, size=50)]
@@ -881,3 +929,8 @@ def test_majorant_stack_rows_are_their_own_majorants():
     for seq, xs, stacked in zip(seqs, rows, majorant_stack(seqs, rows, r)):
         assert (list(itertools.islice(stacked, 203))
                 == list(itertools.islice(majorant_values(seq, xs, r), 203)))
+    # one scale per row
+    scales = np.linspace(0.05, 0.3, len(seqs))
+    for seq, xs, r, stacked in zip(seqs, rows, scales, majorant_stack(seqs, rows, scales)):
+        assert (list(itertools.islice(stacked, 203))
+                == list(itertools.islice(majorant_values(seq, xs, float(r)), 203)))

@@ -41,6 +41,7 @@ from opgf.identities import (
     tilde_gegenbauer_identity,
     two_f_one_collapse_check,
 )
+from opgf.families import support_interval
 from opgf.recurrence import monic_values
 from reference import gegenbauer_omega, jacobi_alpha, jacobi_omega
 
@@ -542,3 +543,155 @@ class TestSubstitutionChain:
                 assert abs(closed - psi_analytic(cf, z, x)) <= 1e-10
                 # and the series representation agrees with that closed form
                 assert jacobi_2f1_gf_check(lam, t, y) <= 1e-10
+
+
+class TestTinyLambdaGegenbauer:
+    @pytest.mark.parametrize("lam", [1e-300, 1e-20, 1e-9])
+    def test_table_is_finite_without_warnings(self, lam):
+        # the tail formula at n = 1 is 0/0 once lambda is below the rounding
+        # of 1 + 2 lambda; omega_1 is written as 1 / (2 (1 + lambda))
+        with np.errstate(all="raise"):
+            seq = gegenbauer_sequence(lam, 200)
+        assert np.all(np.isfinite(seq.omegas))
+        assert seq.omegas[1] == 0.5 / (1.0 + lam)
+        # omega_n -> 1/4 for the Chebyshev limit lambda -> 0
+        assert seq.omegas[2:].tolist() == pytest.approx([0.25] * 198, abs=1e-8)
+
+    @pytest.mark.parametrize("lam", [1e-300, 0.05])
+    def test_identities_hold_at_tiny_lambda(self, lam):
+        assert gegenbauer_gf_check(lam, [0.25, 0.1j], [-1.0, 0.0, 1.0], 120).max() <= 1e-10
+        xs = np.linspace(-1.0, 1.0, 5) * math.sqrt(2.0 * (1.0 + lam))
+        assert tilde_gegenbauer_identity(lam, [0.02, 0.02j], xs).max() <= 1e-10
+
+
+def sym_rows(family, lams, count=5):
+    """count support points of each configuration of one symmetric family."""
+    return [np.linspace(*support_interval(family, lam), count) for lam in lams]
+
+
+def assert_rows_are_single_calls(stacked, singles):
+    # bit for bit, shape included
+    assert len(stacked) == len(singles)
+    for row, single in zip(stacked, singles):
+        assert np.asarray(row).tobytes() == np.asarray(single).tobytes()
+        assert np.shape(row) == np.shape(single)
+
+
+SYM1_STACK = [0.05, 1e-300, 0.6, 2.5, 0.75]
+SYM2_STACK = [0.51, 0.6, 1.5, 2.0, 2.5]
+NONSYM_STACK = [(Family.NONSYM_PLUS, 0.51), (Family.NONSYM_MINUS, 0.51),
+                (Family.NONSYM_PLUS, 2.0), (Family.NONSYM_MINUS, 0.6),
+                (Family.NONSYM_PLUS, 1.5)]
+LAMBDA_STACK = [1e-300, 0.05, 0.5, 0.51, 1.0, 2.5, 7.3]
+
+
+class TestStackedIdentities:
+    """Every row of a mixed stack equals its own stack-of-one call."""
+
+    ZS = [0.1, 0.05, 0.1j, complex(-0.05, 0.05)]
+
+    def test_gegenbauer_gf(self):
+        zs, xs = [0.25, 0.1, 0.1j, complex(-0.1, 0.1)], [-1.0, -0.5, 0.0, 0.5, 1.0]
+        stacked = gegenbauer_gf_check(SYM1_STACK, zs, xs, 120)
+        assert stacked.shape == (5, 4, 5)
+        assert_rows_are_single_calls(
+            stacked, [gegenbauer_gf_check(lam, zs, xs, 120) for lam in SYM1_STACK])
+        # one row of x per configuration
+        rows = [np.linspace(-1.0, 1.0, 5) * (0.5 + 0.1 * c) for c in range(5)]
+        assert_rows_are_single_calls(
+            gegenbauer_gf_check(SYM1_STACK, zs, rows, 120),
+            [gegenbauer_gf_check(lam, zs, x, 120) for lam, x in zip(SYM1_STACK, rows)])
+
+    def test_scaled_gegenbauer_gf(self):
+        rows = sym_rows(Family.SYM1, SYM1_STACK)
+        stacked = tilde_gegenbauer_identity(SYM1_STACK, self.ZS, rows)
+        assert stacked.shape == (5, 4, 5)
+        assert_rows_are_single_calls(stacked, [
+            tilde_gegenbauer_identity(lam, self.ZS, x) for lam, x in zip(SYM1_STACK, rows)])
+        assert stacked.max() <= 1e-10
+
+    def test_shifted_parameter_gf(self):
+        rows = sym_rows(Family.SYM2, SYM2_STACK)
+        stacked = family2_identity(SYM2_STACK, self.ZS, rows)
+        assert stacked.shape == (5, 4, 5)
+        assert_rows_are_single_calls(stacked, [
+            family2_identity(lam, self.ZS, x) for lam, x in zip(SYM2_STACK, rows)])
+        assert stacked.max() <= 1e-10
+
+    def test_shifted_parameter_gf_refuses_any_bad_lambda(self):
+        with pytest.raises(ParameterError):
+            family2_identity([2.0, 1.0], 0.1, [[0.0], [0.0]])
+        with pytest.raises(ParameterError):
+            family2_identity([0.4, 2.0], 0.1, [[0.0], [0.0]])
+
+    def nonsym_stack(self):
+        configs = [(family, lam, None, None) for family, lam in NONSYM_STACK]
+        cfs = [get_closed_form(*config) for config in configs]
+        seqs = [get_sequence(*config) for config in configs]
+        rows = [np.linspace(*support_interval(*config), 5) for config in configs]
+        return cfs, seqs, rows
+
+    def test_jacobi_shift(self):
+        cfs, seqs, rows = self.nonsym_stack()
+        stacked = jacobi_shift_check(genfun.stack_closed_forms(cfs), seqs, 10, rows)
+        assert stacked.shape == (5, 11, 5)
+        assert_rows_are_single_calls(stacked, [
+            jacobi_shift_check(cf, seq, 10, x) for cf, seq, x in zip(cfs, seqs, rows)])
+        assert stacked.max() <= 1e-9
+
+    def test_psi_prefactor_form(self):
+        cfs, _, rows = self.nonsym_stack()
+        zs = [-0.05, 0.05, 0.1]
+        stacked = gf3_equivalence(genfun.stack_closed_forms(cfs), zs, rows)
+        assert stacked.shape == (5, 3, 5)
+        assert_rows_are_single_calls(
+            stacked, [gf3_equivalence(cf, zs, x) for cf, x in zip(cfs, rows)])
+        assert stacked.max() <= 1e-12
+
+    @pytest.mark.parametrize("check", [jacobi_2f1_gf_check, two_f_one_collapse_check])
+    def test_jacobi_2f1_and_its_collapse(self, check):
+        lams = [lam for _, lam in NONSYM_STACK] + [0.75]
+        ts, ys = [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
+        stacked = check(lams, ts, ys)
+        assert stacked.shape == (6, 4, 4)
+        assert_rows_are_single_calls(stacked, [check(lam, ts, ys) for lam in lams])
+        assert stacked.max() <= 1e-10
+
+    def test_pochhammer_ratio(self):
+        ns = np.arange(21)
+        stacked = pochhammer_ratio_check(LAMBDA_STACK, ns)
+        assert stacked.shape == (7, 21)
+        assert_rows_are_single_calls(
+            stacked, [pochhammer_ratio_check(lam, ns) for lam in LAMBDA_STACK])
+        assert pochhammer_ratio_check([0.6, 2.5], 4).tolist() == [
+            pochhammer_ratio_check(0.6, 4), pochhammer_ratio_check(2.5, 4)]
+        with pytest.raises(ParameterError):
+            pochhammer_ratio_check([1.0, 0.0], ns)
+
+    def test_binomial_1f0(self):
+        ys = [-0.5, -0.25, 0.0, 0.25, 0.5]
+        stacked = one_f_zero_reduction(LAMBDA_STACK, ys)
+        assert stacked.shape == (7, 5)
+        assert_rows_are_single_calls(
+            stacked, [one_f_zero_reduction(lam, ys) for lam in LAMBDA_STACK])
+        assert stacked.max() <= 1e-11
+
+    def test_stack_of_one_keeps_the_axis(self):
+        assert gegenbauer_gf_check([1.5], 0.1, 0.5, 40).shape == (1,)
+        assert type(gegenbauer_gf_check(1.5, 0.1, 0.5, 40)) is float
+        assert_rows_are_single_calls(two_f_one_collapse_check([1.6], 0.1, [0.2, 0.4]),
+                                     [two_f_one_collapse_check(1.6, 0.1, [0.2, 0.4])])
+
+    def test_2f1_rows_of_parameters(self):
+        # R parameter sets at once: row r equals the call with set r alone
+        lower = np.array([2.1, 0.7, 1.9])
+        args = np.array([[0.4, -0.6], [0.25, 0.1]])
+        params = HypergeometricParams(upper=(np.array([0.5, 1.0, 2.5]), 1.3),
+                                      lower=lower, argument=args)
+        values = gauss_2f1(params)
+        assert values.shape == (3, 2, 2)
+        for row, a, low in zip(values, [0.5, 1.0, 2.5], lower.tolist()):
+            single = HypergeometricParams(upper=(a, 1.3), lower=low, argument=args)
+            assert row.tobytes() == gauss_2f1(single).tobytes()
+        with pytest.raises(ParameterError):
+            HypergeometricParams(upper=(1.0, 2.0), lower=np.array([1.5, -2.0]), argument=0.3)
