@@ -7,7 +7,9 @@ Subcommands:
                      report; exit 0 iff every check passed, 1 on check
                      failure (report still written), 2 on bad parameters.
     opgf classify    write all classification branches for a given lambda.
-    opgf quadrature  export a Gauss rule as CSV (exit 3 on I/O failure).
+    opgf quadrature  export a Gauss rule as CSV.
+
+Every command exits 3 when it cannot write its output file.
 
 A verify command is one campaign (run_campaign): the sweep's 23
 configurations, or the one configuration of --family.  It builds one closed
@@ -325,7 +327,7 @@ def _family_identity_checks(runs, zmax: float) -> None:
 
     sym1 = _of(runs, lambda family: family is Family.SYM1)
     _stacked(sym1, worst(lambda live: identities.gegenbauer_gf_check(
-        lams(live), geg_zs, geg_xs, 120)), _append("gegenbauer-gf", 20, TOL_GF_IDENTITY))
+        lams(live), geg_zs, geg_xs)), _append("gegenbauer-gf", 20, TOL_GF_IDENTITY))
     _stacked(sym1, worst(lambda live: identities.tilde_gegenbauer_identity(
         lams(live), zs, xs5(live))),
         _append("scaled-gegenbauer-gf", len(zs) * 5, TOL_GF_IDENTITY))
@@ -481,11 +483,7 @@ def cmd_quadrature(args) -> int:
     header = f"family={family.value} lambda={measure.lam:.17g} order={args.order}"
     if family is Family.FREE_MEIXNER:
         header += f" a={measure.a:.17g} b={measure.b:.17g}"
-    try:
-        rule.to_csv(args.out, header_comment=header)
-    except OSError as exc:
-        print(f"opgf quadrature: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 3
+    rule.to_csv(args.out, header_comment=header)
     print(f"opgf quadrature: {args.order} nodes written to {args.out}")
     return 0
 
@@ -539,6 +537,11 @@ def main(argv=None) -> int:
     except OpgfError as exc:
         print(f"opgf {args.command}: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # strerror, not the exception text, which names the temporary file
+        print(f"opgf {args.command}: cannot write {args.out}: {exc.strerror}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

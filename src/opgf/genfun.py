@@ -48,10 +48,11 @@ import numpy as np
 from . import families, measures
 from .errors import BranchCutError, DomainError, ParameterError, SingularityError
 from .families import Family
-from .recurrence import JacobiSzegoSequence, majorant_stack, monic_values
+from .recurrence import JacobiSzegoSequence, eval_monic, majorant_stack
 
-# Hard cap on the number of series terms; the tail bound normally stops the
-# sum well before.
+# Cap on the number of series terms, and the length of the coefficient tables
+# that verify and the identities sum (a table of N coefficients caps a series
+# at N + 1 terms); the tail bound normally stops the sum well before.
 SERIES_CAP = 200
 _TAIL_WARN_FACTOR = 1e-8
 # The unit roundoff of a double: a series tail below this share of the sum's
@@ -354,15 +355,7 @@ def pochhammer_over_factorial(lam: float) -> Iterator[float]:
         c *= (lam + n) / (n + 1.0)
 
 
-def grid_axes(z, x) -> tuple:
-    """z and x as arrays that broadcast to psi_series's (Z, X) grid: z down
-    the first axis, x along the last.  Scalars stay 0-d."""
-    z, x = np.asarray(z), np.asarray(x)
-    return z.reshape(z.shape + (1,) * x.ndim), x
-
-
-def psi_series(seq: JacobiSzegoSequence, lam: float, z, x,
-               n_terms: int = SERIES_CAP) -> PsiSeriesResult:
+def psi_series(seq: JacobiSzegoSequence, lam: float, z, x) -> PsiSeriesResult:
     """Partial sum of sum_n (lambda)_n/n! P_n(x) z^n, truncated where a
     proved bound on the tail falls below the rounding of the sum itself.
 
@@ -378,7 +371,7 @@ def psi_series(seq: JacobiSzegoSequence, lam: float, z, x,
     valid when q_K < 1 and lambda + K > 0 (the ratio c_{n+1}/c_n =
     (lambda+n)/(n+1) is then at most max(1, its value at K) for n >= K).  N
     is the first K whose bound is at most 2^-53 sum_{n<K} c_n M_n r^n, and
-    tail_bound is that bound.  If no K <= min(n_terms, table length + 1)
+    tail_bound is that bound.  If no K <= min(SERIES_CAP, table length + 1)
     qualifies, all those terms are summed and tail_bound is inf.  The bound
     assumes that past the end of the table the recurrence coefficients stay
     within the table's suffix maxima.
@@ -388,7 +381,7 @@ def psi_series(seq: JacobiSzegoSequence, lam: float, z, x,
     own point only within the two calls' bounds and rounding: a narrower x
     range may give a smaller N.  This is psi_series_stack with one row.
     """
-    return psi_series_stack([seq], [lam], z, [x], n_terms)[0]
+    return psi_series_stack([seq], [lam], z, [x])[0]
 
 
 def _term_count(lam: float, majorants, count: int) -> tuple[int, float]:
@@ -407,8 +400,7 @@ def _term_count(lam: float, majorants, count: int) -> tuple[int, float]:
     return count, math.inf
 
 
-def psi_series_stack(seqs, lams, z, x_rows,
-                     n_terms: int = SERIES_CAP) -> list[PsiSeriesResult]:
+def psi_series_stack(seqs, lams, z, x_rows) -> list[PsiSeriesResult]:
     """psi_series for C configurations, one result per row: row c sums with
     table seqs[c] and lambda lams[c] at the points z, or its own row z[c],
     and x_rows[c].
@@ -418,16 +410,14 @@ def psi_series_stack(seqs, lams, z, x_rows,
     (1, Z) array is shared too); the rows of x_rows are scalars or 1-D
     arrays of one length.  Each row keeps psi_series's term count N_c and
     tail bound, chosen from its own table, points and r_c = max|z_c| by a
-    scalar loop over its row of recurrence.majorant_stack.  The recurrence
-    then runs once over the stacked (C, X) points up to max N_c, and each row
-    sums its own first N_c terms in a product (c_n z^n) @ P of psi_series's
-    shapes, so every row equals its own psi_series call bit for bit.  (A
-    single product over zero-padded rows would not: BLAS may split a longer
-    sum differently.)  Errors are psi_series's: n_terms < 1, and a
-    non-finite x of any row.
+    scalar loop over its row of recurrence.majorant_stack.  One eval_monic
+    call then runs the recurrence over the stacked (C, X) points up to
+    max N_c, and each row sums its own first N_c terms in a product
+    (c_n z^n) @ P of psi_series's shapes, so every row equals its own
+    psi_series call bit for bit.  (A single product over zero-padded rows
+    would not: BLAS may split a longer sum differently.)  A non-finite x of
+    any row raises eval_monic's ParameterError.
     """
-    if n_terms < 1:
-        raise ParameterError(f"n_terms must be >= 1, got {n_terms}")
     zs = np.asarray(z, dtype=complex)
     z_row = zs.shape[1:] if zs.ndim == 2 else zs.shape
     # one row of z per configuration, a shared row repeated
@@ -435,11 +425,11 @@ def psi_series_stack(seqs, lams, z, x_rows,
     rows = np.asarray(x_rows, dtype=float)
     xs = rows.reshape(len(rows), -1)
     r = np.abs(z_rows).max(axis=1)
-    count = min(n_terms, seqs[0].alphas.size + 1)
+    count = min(SERIES_CAP, seqs[0].alphas.size + 1)
     terms = [_term_count(lam, majorants, count)
              for lam, majorants in zip(lams, majorant_stack(seqs, xs, r))]
     size = max(count for count, _ in terms)
-    p = np.array(list(itertools.islice(monic_values(list(seqs), xs), size)))
+    p = eval_monic(list(seqs), size - 1, xs)
     powers = np.vander(z_rows.ravel(), size, increasing=True).reshape(z_rows.shape + (size,))
     shape = z_row + rows.shape[1:]
     results = []

@@ -20,7 +20,6 @@ Stieltjes procedure run on the corresponding Beta densities.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import families, genfun
 from .errors import DomainError, ParameterError
-from .recurrence import JacobiSzegoSequence, monic_values
+from .recurrence import JacobiSzegoSequence, eval_monic
 
 
 # The hypergeometric sums tabulate at least _HYPER_FIRST terms and double the
@@ -253,7 +252,7 @@ def _principal_power(w, expo):
 # psi_series_stack call.
 
 
-def _series_check(lam, seqs, z, x, z_scale, x_scale, closed, n_terms=genfun.SERIES_CAP):
+def _series_check(lam, seqs, z, x, z_scale, x_scale, closed):
     """|series - closed| on the (C, Z, X) grid of a series identity.
 
     The series sums (lam)_n/n! P_n(x / x_scale) (z_scale z)^n with the
@@ -266,21 +265,21 @@ def _series_check(lam, seqs, z, x, z_scale, x_scale, closed, n_terms=genfun.SERI
     rows, row = _point_rows(lead, x)
     z_scale, x_scale = (np.asarray(s).reshape(-1, 1) for s in (z_scale, x_scale))
     series = genfun.psi_series_stack(seqs, lams.tolist(), z_scale * zs.ravel(),
-                                     rows / x_scale, n_terms)
+                                     rows / x_scale)
     grid = (lams[:, None, None], zs.reshape(-1, 1), rows[:, None, :])
     values = np.array([result.value for result in series]).reshape(lams.size, zs.size, -1)
     return genfun.as_shape(np.abs(values - closed(*grid)), lead + zs.shape + row)
 
 
-def gegenbauer_gf_check(lam, z, x, n_terms: int):
+def gegenbauer_gf_check(lam, z, x):
     """Residual of sum_n 2^n (lam)_n/n! C_n(x) z^n = (1 - 2zx + z^2)^(-lam)."""
     if np.any(np.abs(np.asarray(x)) > 1.0):
         raise ParameterError(f"|x| must be <= 1, got {x}")
     if np.any(np.abs(np.asarray(z)) > 0.3):
         raise DomainError(f"|z| must be <= 0.3, got {np.abs(z).max()}")
-    seqs = [gegenbauer_sequence(value, n_terms) for value in _lambdas(lam)[0].tolist()]
+    seqs = [gegenbauer_sequence(value, genfun.SERIES_CAP) for value in _lambdas(lam)[0].tolist()]
     return _series_check(lam, seqs, z, x, 2.0, 1.0, lambda lam, zg, xg: _principal_power(
-        1.0 - 2.0 * zg * xg + zg * zg, -lam), n_terms)
+        1.0 - 2.0 * zg * xg + zg * zg, -lam))
 
 
 def tilde_gegenbauer_identity(lam, z, x):
@@ -346,8 +345,7 @@ def jacobi_shift_check(cf: genfun.GenFunClosedForm, seq, n_max: int, x) -> np.nd
     oracles = [jacobi_sequence(*((value - 0.5, value - 1.5) if s > 0.0
                                  else (value - 1.5, value - 0.5)), n_max)
                for s, value in zip(np.ravel(sign).tolist(), np.ravel(lam).tolist())]
-    catalog, oracle = (np.array(list(itertools.islice(monic_values(stack, points), n_max + 1)))
-                       for stack, points in ((tables, xs), (oracles, ys)))
+    catalog, oracle = eval_monic(tables, n_max, xs), eval_monic(oracles, n_max, ys)
     # the floats a per-point k**n gives
     ks = np.ravel(2.0 * lam / root).tolist()
     scale = np.array([[k**n for k in ks] for n in range(n_max + 1)])
@@ -390,8 +388,8 @@ def two_f_one_collapse_check(lam, t, y):
     lams, lead = _lambdas(lam)
     alf, bet = lams - 0.5, lams - 1.5
     # a scalar is the length-1 grid, so it rounds as the same grid point
-    tg, yg = genfun.grid_axes(np.atleast_1d(np.asarray(t, dtype=float)),
-                              np.atleast_1d(np.asarray(y, dtype=float)))
+    tg = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
+    yg = np.atleast_1d(np.asarray(y, dtype=float))
     params = HypergeometricParams(
         upper=(0.5 * (alf + bet + 1.0), 0.5 * (alf + bet + 2.0)),
         lower=bet + 1.0,

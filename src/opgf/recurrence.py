@@ -9,6 +9,11 @@ and a *standardized* sequence (mean-0, variance-1 measure) additionally has
 alpha_0 = 0 and omega_1 = 1.  The squared norm of P_n under the orthogonality
 measure is the product omega_1 ... omega_n (equivalently omega_0 ... omega_n,
 since omega_0 = 1), by ||P_{n+1}||^2 = omega_{n+1} ||P_n||^2.
+
+eval_monic is the one evaluator of P_0 .. P_n, for a table or for a stack of
+tables of one length, one recurrence step per degree on arrays.  The
+majorants (majorant_values, majorant_stack) bound |P_n| from the same tables
+for the series truncation, lazily, one degree at a time.
 """
 from __future__ import annotations
 
@@ -66,48 +71,37 @@ class JacobiSzegoSequence:
                 and abs(self.omegas[1] - 1.0) <= _STANDARD_TOL)
 
 
-def monic_values(seq, x) -> Iterator:
-    """Yield P_0(x), P_1(x), ..., P_N(x) by running the recurrence upward;
-    asking for P_{N+1} raises ParameterError.
+def eval_monic(seq, n_max: int, x) -> np.ndarray:
+    """P_0 .. P_{n_max} at x by running the recurrence upward: shape
+    (n_max + 1,) for a float x, (n_max + 1, X) for a 1-D array of X points.
 
-    x is a float or a 1-D array of points; an array yields arrays, one
-    recurrence step per degree for every point at once, with the shifts
-    x - alpha_n of all degrees formed in one array operation.  seq may also
-    be a list of C tables of one length N with x a (C, X) array: row c then
-    runs the recurrence of table c, and each step serves every row.  Each
-    degree is computed only when it is requested.
+    seq may also be a list of C tables of one length with x a (C, X) array,
+    which gives (n_max + 1, C, X): row c runs the recurrence of table c, and
+    each step serves every row.  A table of its own is the stack of one.  N
+    coefficients give P_0 .. P_N; a degree past them raises ParameterError.
     """
+    if n_max < 0:
+        raise ParameterError(f"n_max must be >= 0, got {n_max}")
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ParameterError(f"x must be finite, got {xs[~np.isfinite(xs)][0]}")
-    if isinstance(seq, JacobiSzegoSequence):
-        alphas, omegas = seq.alphas, seq.omegas
-    else:
-        alphas, omegas = (table.T for table in _table_stack(seq, xs))
-    if xs.ndim == 0:
-        x, p_prev, p_cur = float(xs), 0.0, 1.0
-        shifts = (x - alpha for alpha in alphas.tolist())
-        omegas = omegas.tolist()
-    else:
-        # omega_n spread over the points: a same-shape product is faster
-        # than a broadcast one
-        p_prev, p_cur = np.zeros_like(xs), np.ones_like(xs)
-        shifts = xs - alphas[..., None]
-        omegas = np.repeat(omegas[..., None], xs.shape[-1], axis=-1)
-    for shift, omega in zip(shifts, omegas):
-        yield p_cur
-        p_prev, p_cur = p_cur, shift * p_cur - omega * p_prev
-    yield p_cur
-    size = len(alphas)
-    raise ParameterError(f"{size} coefficients give P_0 .. P_{size} only, not P_{size + 1}")
-
-
-def eval_monic(seq: JacobiSzegoSequence, n_max: int, x) -> np.ndarray:
-    """P_0 .. P_{n_max} at x: shape (n_max + 1,) for a float x, (n_max + 1, X)
-    for a 1-D array of X points."""
-    if n_max < 0:
-        raise ParameterError(f"n_max must be >= 0, got {n_max}")
-    return np.array(list(itertools.islice(monic_values(seq, x), n_max + 1)))
+    single = isinstance(seq, JacobiSzegoSequence)
+    points = xs.reshape(1, -1) if single else xs
+    alphas, omegas = _table_stack([seq] if single else seq, points)
+    size = alphas.shape[1]
+    if n_max > size:
+        raise ParameterError(f"{size} coefficients give P_0 .. P_{size} only, not P_{size + 1}")
+    # the shifts x - alpha_n of all degrees in one array operation, and
+    # omega_n spread over the points: a same-shape product is faster than a
+    # broadcast one
+    shifts = points - alphas.T[:n_max, :, None]
+    omegas = np.repeat(omegas.T[:n_max, :, None], points.shape[1], axis=-1)
+    values = np.empty((n_max + 1,) + points.shape)
+    values[0], p_prev = 1.0, np.zeros_like(points)
+    for n in range(n_max):
+        values[n + 1] = shifts[n] * values[n] - omegas[n] * p_prev
+        p_prev = values[n]
+    return values.reshape((n_max + 1,) + xs.shape) if single else values
 
 
 def _table_stack(seqs, xs) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ import pytest
 import opgf
 from opgf import Family, ParameterError, cli, genfun, identities, measures, riccati
 from opgf.cli import main, run_campaign, run_family_checks
+from opgf.recurrence import eval_monic
 
 # Ordered (name, points_tested, passed) of every check in the default full
 # sweep; a refactor must leave it unchanged.
@@ -261,6 +262,9 @@ IDENTITY_STACKS = {
 # configurations, then gegenbauer-gf, scaled-gegenbauer-gf,
 # shifted-parameter-gf and jacobi-2f1-gf over five each.
 SERIES_STACKS = [23, 5, 5, 5, 5]
+# eval_monic tables per sweep: each series pass above, then jacobi-shift's
+# catalog and oracle sides over the ten non-symmetric configurations.
+MONIC_STACKS = [23, 5, 5, 5, 10, 10, 5]
 
 
 # The closed-form checks, each one call over the stack of the campaign's
@@ -315,13 +319,23 @@ def test_sweep_evaluates_each_lambda_identity_once(tmp_path, monkeypatch):
         return stack(seqs, *args, **kwargs)
 
     monkeypatch.setattr(genfun, "psi_series_stack", counted_stack)
+    monic_rows = []
+
+    def counted_monic(seqs, n_max, x):
+        monic_rows.append(len(seqs))
+        return eval_monic(seqs, n_max, x)
+
+    for module in (genfun, identities):
+        monkeypatch.setattr(module, "eval_monic", counted_monic)
     for _ in range(2):
         calls.clear()
         stack_rows.clear()
         closed_rows.clear()
+        monic_rows.clear()
         assert run(["verify", "--out", str(tmp_path / "sweep.json")]) == 0
         assert calls == IDENTITY_STACKS
         assert stack_rows == SERIES_STACKS
+        assert monic_rows == MONIC_STACKS
         assert closed_rows == {name: [23] for _, name in STACKED_CHECKS}
 
 
@@ -598,3 +612,24 @@ def test_non_finite_free_meixner_parameter_exits_2(command, name, value, tmp_pat
         f"opgf {command[0]}: free-meixner requires a finite {name}, "
         f"got {name}={float(value)}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["verify"],
+    ["verify", "--family", "sym1", "--lambda", "2"],
+    ["classify", "--lambda", "2"],
+    ["quadrature", "--family", "sym1", "--lambda", "2", "--order", "4"],
+], ids=["sweep", "verify", "classify", "quadrature"])
+@pytest.mark.parametrize("target, reason", [
+    ("missing-dir/out", "No such file or directory"),
+    ("a-dir", "Is a directory"),
+])
+def test_unwritable_output_exits_3(command, target, reason, tmp_path, capsys):
+    # every command maps a failed write to exit 3 with the OS reason, and
+    # the atomic write leaves no temporary file behind
+    (tmp_path / "a-dir").mkdir()
+    out = tmp_path / target
+    assert run([*command, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"opgf {command[0]}: cannot write {out}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-dir"]
+

@@ -28,10 +28,16 @@ from opgf import (
 )
 from opgf import families, genfun, measures, riccati
 from opgf.genfun import pochhammer_over_factorial
-from opgf.recurrence import majorant_stack, majorant_values, monic_values
+from opgf.recurrence import majorant_stack, majorant_values
 
 # lambda = 1 rows of the identity sweep are carried by the free Meixner family
 IDENTITY_SWEEP = SWEEP_CONFIGS + ((Family.FREE_MEIXNER, None, 0.0, 0.0),)
+
+
+def capped_sequence(config, terms):
+    """The table of config with terms - 1 coefficients: the series sums at
+    most min(SERIES_CAP, table length + 1) = terms terms."""
+    return measures.recurrence_of(get_measure(*config), terms - 1)
 
 
 def circle_points(radius, count=16):
@@ -386,30 +392,27 @@ class TestPsiAnalytic:
 
 class TestPsiSeries:
     def test_single_term_is_one(self):
+        # at z = 0 the series stops after P_0 at every x of the grid
         seq = get_sequence(Family.SYM1, 2.0, None, None)
-        assert psi_series(seq, 2.0, 0.3 + 0.1j, 1.7, 1).value == 1.0 + 0.0j
+        series = psi_series(seq, 2.0, 0.0, np.linspace(-1.7, 1.7, 5))
+        assert series.n_terms == 1 and np.all(series.value == 1.0 + 0.0j)
 
     def test_sym1_matches_closed(self):
-        seq = get_sequence(Family.SYM1, 2.0, None, None)
+        seq = capped_sequence((Family.SYM1, 2.0, None, None), 40)
         cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        result = psi_series(seq, 2.0, 0.1, 0.0, 40)
+        result = psi_series(seq, 2.0, 0.1, 0.0)
         assert result.converged
         assert abs(result.value - psi_closed(cf, 0.1, 0.0)) <= 1e-12
 
     def test_free_meixner_chebyshev_tail(self):
-        seq = get_sequence(Family.FREE_MEIXNER, None, 0.0, 0.0)
-        result = psi_series(seq, 1.0, 0.1, 1.0, 60)
+        seq = capped_sequence((Family.FREE_MEIXNER, None, 0.0, 0.0), 60)
+        result = psi_series(seq, 1.0, 0.1, 1.0)
         assert result.value.real == pytest.approx(1.0 / 0.91, abs=1e-9)
 
     def test_nonconvergence_flagged(self):
-        seq = get_sequence(Family.FREE_MEIXNER, None, 0.0, 0.0)
-        result = psi_series(seq, 1.0, 0.95, 1.9, 25)
+        seq = capped_sequence((Family.FREE_MEIXNER, None, 0.0, 0.0), 25)
+        result = psi_series(seq, 1.0, 0.95, 1.9)
         assert not result.converged
-
-    def test_requires_positive_terms(self):
-        seq = get_sequence(Family.SYM1, 2.0, None, None)
-        with pytest.raises(ParameterError):
-            psi_series(seq, 2.0, 0.1, 0.0, 0)
 
     def test_names_a_nonfinite_scalar_x(self):
         seq = get_sequence(Family.SYM1, 2.0, None, None)
@@ -465,13 +468,11 @@ class TestPsiSeries:
         # one recurrence pass serves the whole 16 x 11 grid
         degrees = []
 
-        def counting(seq, x):
-            degrees.append(0)
-            for p in monic_values(seq, x):
-                degrees[-1] += 1
-                yield p
+        def counting(seq, n_max, x):
+            degrees.append(n_max)
+            return eval_monic(seq, n_max, x)
 
-        monkeypatch.setattr(genfun, "monic_values", counting)
+        monkeypatch.setattr(genfun, "eval_monic", counting)
         lo, hi = get_measure(*config).support
         series = psi_series(get_sequence(*config), get_closed_form(*config).lam,
                             circle_points(0.1, 16), np.linspace(lo, hi, 11))
@@ -549,20 +550,21 @@ class TestPsiSeriesStack:
         configs=st.lists(documented_configs(), min_size=1, max_size=5),
         radius=st.floats(0.01, 0.3),
         fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
-        n_terms=st.integers(1, 200),
+        size=st.integers(1, 200),
     )
     def test_mixed_stack_matches_one_call_per_configuration(self, configs, radius,
-                                                             fractions, n_terms):
+                                                             fractions, size):
+        # tables of size coefficients cap every row at min(200, size + 1) terms
         zs = circle_points(radius, 8)
-        seqs = [measures.family_sequence(*c, size=genfun.SERIES_CAP) for c in configs]
+        seqs = [measures.family_sequence(*c, size=size) for c in configs]
         lams = [get_closed_form(*c).lam for c in configs]
         rows = []
         for family, lam, a, b in configs:
             lo, hi = families.support_interval(family, lam, a, b)
             rows.append([lo + f * (hi - lo) for f in fractions])
-        stack = psi_series_stack(seqs, lams, zs, rows, n_terms)
+        stack = psi_series_stack(seqs, lams, zs, rows)
         for seq, lam, xs, stacked in zip(seqs, lams, rows, stack):
-            assert_same_series(stacked, psi_series(seq, lam, zs, xs, n_terms))
+            assert_same_series(stacked, psi_series(seq, lam, zs, xs))
 
     def test_scalar_rows(self):
         seqs = [get_sequence(*c) for c in SWEEP_CONFIGS[:3]]
@@ -571,18 +573,17 @@ class TestPsiSeriesStack:
             assert isinstance(stacked.value, complex)
             assert_same_series(stacked, psi_series(seq, lam, 0.05j, x))
 
-    @pytest.mark.parametrize("x, n_terms, message", [
+    @pytest.mark.parametrize("x, size, message", [
         (math.nan, 200, "x must be finite, got nan"),
         (math.inf, 200, "x must be finite, got inf"),
         ([0.0, -math.inf], 200, "x must be finite, got -inf"),
-        (0.0, 0, "n_terms must be >= 1, got 0"),
     ])
-    def test_stack_of_one_raises_as_psi_series(self, x, n_terms, message):
-        seq = get_sequence(Family.SYM1, 2.0, None, None)
+    def test_stack_of_one_raises_as_psi_series(self, x, size, message):
+        seq = measures.family_sequence(Family.SYM1, 2.0, size=size)
         with pytest.raises(ParameterError) as single:
-            psi_series(seq, 2.0, 0.1, x, n_terms)
+            psi_series(seq, 2.0, 0.1, x)
         with pytest.raises(ParameterError) as stacked:
-            psi_series_stack([seq], [2.0], 0.1, [x], n_terms)
+            psi_series_stack([seq], [2.0], 0.1, [x])
         assert str(single.value) == str(stacked.value) == message
 
     @settings(max_examples=40, deadline=None)
@@ -719,7 +720,7 @@ class TestCertifiedTruncation:
     def test_sums_only_the_chosen_terms(self):
         seq = get_sequence(Family.SYM1, 2.0, None, None)
         assert psi_series(seq, 2.0, 0.0, 1.0) == (1.0 + 0.0j, 0.0, 1, True)
-        capped = psi_series(seq, 2.0, 0.1, 1.0, 5)
+        capped = psi_series(capped_sequence((Family.SYM1, 2.0, None, None), 5), 2.0, 0.1, 1.0)
         assert capped.n_terms == 5 and capped.tail_bound == math.inf
         assert not capped.converged
 

@@ -1,5 +1,4 @@
 """Tests for monic polynomial evaluation, norms, and the Stieltjes procedure."""
-import itertools
 import math
 
 import numpy as np
@@ -20,7 +19,6 @@ from opgf import (
     stieltjes_from_quadrature,
 )
 from opgf.identities import gegenbauer_sequence, jacobi_sequence
-from opgf.recurrence import monic_values
 
 
 def free_meixner_seq(a, b):
@@ -108,23 +106,38 @@ class TestMonicValues:
         # one recurrence step per degree for all points, same arithmetic
         seq = get_sequence(*config)
         xs = np.linspace(-2.0, 2.0, 7)
-        rows = list(itertools.islice(monic_values(seq, xs), 15))
+        table = eval_monic(seq, 14, xs)
         for j, x in enumerate(xs):
-            scalar = list(itertools.islice(monic_values(seq, float(x)), 15))
-            assert [row[j] for row in rows] == scalar
-
-    def test_scalar_yields_floats(self):
-        values = itertools.islice(monic_values(free_meixner_seq(0.0, 0.0), 0.5), 4)
-        assert all(type(v) is float for v in values)
+            scalar = eval_monic(seq, 14, float(x))
+            assert scalar.shape == (15,)
+            assert table[:, j].tobytes() == scalar.tobytes()
 
     def test_rejects_any_nonfinite_point(self):
         seq = free_meixner_seq(0.0, 0.0)
         with pytest.raises(ParameterError, match=r"got nan$"):
-            next(monic_values(seq, np.array([0.0, 1.0, math.nan])))
+            eval_monic(seq, 3, np.array([0.0, 1.0, math.nan]))
         with pytest.raises(ParameterError, match=r"got -inf$"):
-            next(monic_values(seq, np.array([0.5, -math.inf, math.nan])))
+            eval_monic(seq, 3, np.array([0.5, -math.inf, math.nan]))
         with pytest.raises(ParameterError, match=r"got inf$"):
-            next(monic_values(seq, math.inf))
+            eval_monic(seq, 3, math.inf)
+
+    def test_stack_rows_equal_their_own_tables(self):
+        # the 23 sweep tables in one call: row c is table c's own call
+        seqs = [get_sequence(*config) for config in SWEEP_CONFIGS]
+        rows = np.array([np.linspace(*get_measure(*config).support, 11)
+                         for config in SWEEP_CONFIGS])
+        stacked = eval_monic(seqs, 60, rows)
+        assert stacked.shape == (61, len(seqs), 11)
+        for c, (seq, xs) in enumerate(zip(seqs, rows)):
+            assert np.array_equal(stacked[:, c], eval_monic(seq, 60, xs))
+
+    def test_stack_needs_one_length_and_a_row_per_table(self):
+        seqs = [get_sequence(Family.SYM1, 2.0, None, None),
+                gegenbauer_sequence(1.5, 50)]
+        with pytest.raises(ParameterError, match="tables of one length"):
+            eval_monic(seqs, 3, np.zeros((2, 4)))
+        with pytest.raises(ParameterError, match="one row per table"):
+            eval_monic(seqs[:1], 3, np.zeros((2, 4)))
 
 
 class TestNormSquared:
@@ -195,14 +208,13 @@ class TestSequenceInvariants:
         # two coefficient pairs give P_0 .. P_2; a request past them raises
         # instead of returning a shorter result
         seq = JacobiSzegoSequence([0.0, 0.5], [1.0, 1.0])
-        values = monic_values(seq, 0.3)
-        assert [next(values) for _ in range(3)] == [1.0, 0.3, (0.3 - 0.5) * 0.3 - 1.0]
-        with pytest.raises(ParameterError):
-            next(values)
+        assert eval_monic(seq, 2, 0.3).tolist() == [1.0, 0.3, (0.3 - 0.5) * 0.3 - 1.0]
         assert eval_monic(seq, 2, [0.3, 1.0]).shape == (3, 2)
         for x in (0.3, [0.3, 1.0]):
-            with pytest.raises(ParameterError):
+            with pytest.raises(ParameterError, match=r"^2 coefficients give P_0 \.\. P_2 only"):
                 eval_monic(seq, 3, x)
+        with pytest.raises(ParameterError, match="give P_0 .. P_2 only"):
+            eval_monic([seq, seq], 3, np.zeros((2, 1)))
         assert norm_squared(seq, 1) == 1.0
         with pytest.raises(ParameterError):
             norm_squared(seq, 2)
