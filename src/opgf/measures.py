@@ -33,12 +33,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import families
 from .errors import NumericalBreakdownError, ParameterError
 from .families import Family
 from .recurrence import JacobiSzegoSequence
+
+# Largest Gauss order built by numpy's dense eigh, so that verify, classify
+# and small exports never import scipy.  Both run LAPACK's divide and conquer
+# on the Jacobi matrix; the dense O(n^3) one is faster up to about 30 nodes.
+DENSE_EIGH_MAX_ORDER = 30
 
 
 @dataclass(frozen=True)
@@ -125,14 +129,23 @@ def build_measure(family, lam=None, a=None, b=None) -> MeasureSpec:
             e_hi, e_lo = lam - 1.5, lam - 0.5
         log_scale = (e_hi + e_lo) * math.log(root / (2.0 * lam))
 
-    raw_mass = math.exp(
+    log_mass = (
         log_scale + (e_lo + e_hi + 1.0) * math.log(hi - lo)
         + math.lgamma(e_lo + 1.0) + math.lgamma(e_hi + 1.0)
         - math.lgamma(e_lo + e_hi + 2.0)
     )
+    try:
+        norm_const = 1.0 / math.exp(log_mass)
+    except (OverflowError, ZeroDivisionError):
+        norm_const = math.inf
+    if norm_const == math.inf:  # the mass or its reciprocal leaves the double range
+        raise ParameterError(
+            f"lambda = {lam!r}: the Beta normalization of {family.value} "
+            "overflows double precision"
+        )
     return MeasureSpec(
         family=family, lam=lam, a=None, b=None, support=(lo, hi),
-        norm_const=1.0 / raw_mass,
+        norm_const=norm_const,
         edge_exponents=(e_lo, e_hi), log_scale=log_scale,
     )
 
@@ -191,20 +204,37 @@ def _support_points(seq: JacobiSzegoSequence) -> int:
 def _gauss_rule(seq: JacobiSzegoSequence, order: int) -> QuadratureRule:
     """Gauss rule of `order` nodes from the first `order` coefficients of
     seq; see gauss_quadrature."""
-    diag, offs = seq.alphas[:order], seq.omegas[1:order]
+    diag, omegas = seq.alphas[:order], seq.omegas[:order]
+    finite = np.isfinite(diag) & np.isfinite(omegas)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        name, value = ("alpha", diag[n]) if not np.isfinite(diag[n]) else ("omega", omegas[n])
+        raise NumericalBreakdownError(
+            f"{name}_{n} = {value} is not finite: no Gauss rule of order {order}",
+            index=n,
+        )
+    offs = omegas[1:]
     if np.any(offs <= 0.0):
         bad = int(np.argmax(offs <= 0.0)) + 1
         raise NumericalBreakdownError(
             f"omega_{bad} <= 0: the measure has fewer than {order} support points",
             index=bad,
         )
+    offdiag = np.sqrt(offs)
     try:
-        eigvals, eigvecs = scipy.linalg.eigh_tridiagonal(diag, np.sqrt(offs))
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        if order <= DENSE_EIGH_MAX_ORDER:
+            jacobi = np.diag(diag)
+            jacobi[np.arange(1, order), np.arange(order - 1)] = offdiag
+            eigvals, eigvecs = np.linalg.eigh(jacobi, UPLO="L")
+        else:
+            import scipy.linalg
+
+            eigvals, eigvecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
+    except np.linalg.LinAlgError as exc:  # scipy.linalg raises the same class
         raise NumericalBreakdownError(
             "eigen-solver failed on the Jacobi matrix "
             f"(order={order}, |diag|_max={np.abs(diag).max():.3e}, "
-            f"|offdiag|_max={np.sqrt(offs).max():.3e})"
+            f"|offdiag|_max={offdiag.max():.3e})"
         ) from exc
     weights = eigvecs[0, :] ** 2
     return QuadratureRule(nodes=eigvals, weights=weights, order=order)

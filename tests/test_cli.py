@@ -481,15 +481,74 @@ class TestQuadrature:
                     "--order", "4", "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # the catalog is normalized in closed form, so the tool never loads the
-    # numerical integrator
-    code = ("import sys, opgf.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+# Commands that build no Gauss rule above measures.DENSE_EIGH_MAX_ORDER nodes.
+SMALL_COMMANDS = [
+    ["verify"],
+    ["verify", "--family", "sym1", "--lambda", "2"],
+    ["verify", "--family", "sym2", "--lambda", "0.75"],
+    ["verify", "--family", "nonsym-plus", "--lambda", "0.6"],
+    ["verify", "--family", "nonsym-minus", "--lambda", "2.5"],
+    ["verify", "--family", "free-meixner", "--a", "0.5", "--b=-1"],
+    ["classify", "--lambda", "2"],
+    ["quadrature", "--family", "sym1", "--lambda", "2",
+     "--order", str(measures.DENSE_EIGH_MAX_ORDER)],
+]
+
+
+def test_small_commands_leave_out_scipy(tmp_path):
+    # numpy builds the small Gauss rules, so verify, classify and small
+    # exports never load scipy; a larger export imports its tridiagonal solver
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from opgf.cli import main\n"
+        "loaded = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    loaded.append([code, sorted(m for m in sys.modules if m.startswith('scipy'))])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    large = ["quadrature", "--family", "sym1", "--lambda", "2",
+             "--order", str(measures.DENSE_EIGH_MAX_ORDER + 1)]
+    commands = [argv + ["--out", str(tmp_path / f"out{k}")]
+                for k, argv in enumerate(SMALL_COMMANDS + [large])]
     env = dict(os.environ, PYTHONPATH=str(Path(opgf.__file__).resolve().parents[1]))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                            capture_output=True, text=True, check=True)
+    loaded = json.loads(result.stdout)
+    assert loaded[:-1] == [[0, []]] * len(SMALL_COMMANDS)
+    assert loaded[-1][0] == 0 and "scipy.linalg" in loaded[-1][1]
+
+
+OVERFLOW = "lambda = {}: the Beta normalization of sym1 overflows double precision"
+
+
+@pytest.mark.parametrize("lam, order, message", [
+    ("1e18", 24, OVERFLOW.format("1e+18")),
+    ("1e100", 24, OVERFLOW.format("1e+100")),
+    ("1e150", 24, OVERFLOW.format("1e+150")),
+    ("1e200", 24, "omega_2 = nan is not finite: no Gauss rule of order 24"),
+    ("1e200", 100, "omega_2 = nan is not finite: no Gauss rule of order 100"),
+], ids=["1e18", "1e100", "1e150", "1e200-order24", "1e200-order100"])
+def test_quadrature_at_huge_lambda_exits_2_with_a_message(lam, order, message, tmp_path):
+    # documented (sym1 takes any lambda > 0) but beyond double precision
+    env = dict(os.environ, PYTHONPATH=str(Path(opgf.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "opgf", "quadrature", "--family", "sym1", "--lambda", lam,
+         "--order", str(order), "--out", str(tmp_path / "rule.csv")],
+        env=env, capture_output=True, text=True)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1] == f"opgf quadrature: {message}"
+
+
+@pytest.mark.parametrize("lam", ["1e16", "1e20", "1e80"])
+def test_quadrature_at_large_lambda_still_exports(lam, tmp_path):
+    # the rule needs only the recurrence, which stays finite here
+    out = tmp_path / "rule.csv"
+    assert run(["quadrature", "--family", "sym1", "--lambda", lam, "--order", "24",
+                "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2 + 24
 
 
 def test_public_names_resolve():

@@ -1,13 +1,16 @@
 """Tests for the measure catalog: densities, normalization, quadrature."""
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import LAMBDA_SWEEP, SWEEP_CONFIGS, get_measure, get_sequence
 from opgf import (
     Family,
+    JacobiSzegoSequence,
     NumericalBreakdownError,
     ParameterError,
     RedirectToFreeMeixner,
@@ -17,6 +20,7 @@ from opgf import (
     moment,
     norm_squared,
 )
+from opgf.measures import DENSE_EIGH_MAX_ORDER, _gauss_rule, family_sequence
 from reference import adaptive_integral
 
 
@@ -159,6 +163,15 @@ class TestBuildMeasure:
         with pytest.raises(ParameterError):
             get_measure(Family.FREE_MEIXNER, None, 0.0, 0.0).density(0.0)
 
+    @pytest.mark.parametrize("family", [Family.SYM1, Family.SYM2, Family.NONSYM_PLUS,
+                                        Family.NONSYM_MINUS])
+    @pytest.mark.parametrize("lam", [1e18, 1e100, 1e150])
+    def test_normalization_out_of_range_is_a_parameter_error(self, family, lam):
+        message = (f"lambda = {lam!r}: the Beta normalization of {family.value} "
+                   "overflows double precision")
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            build_measure(family, lam)
+
 
 class TestRecurrenceOf:
     def test_sym1_lambda2_omega2(self):
@@ -245,6 +258,41 @@ class TestGaussQuadrature:
     def test_order_validation(self):
         with pytest.raises(ParameterError):
             gauss_quadrature(get_measure(Family.SYM1, 2.0, None, None), 0)
+
+    @pytest.mark.parametrize("config", SWEEP_CONFIGS)
+    def test_both_solvers_match_scipy_tridiagonal(self, config):
+        # numpy's dense eigh below the constant and scipy's tridiagonal solver
+        # above it give one rule; the tolerance, relative to the largest entry
+        # as well, leaves room for another LAPACK build
+        family, lam, a, b = config
+        top = 2 * DENSE_EIGH_MAX_ORDER
+        seq = family_sequence(family, lam, a, b, size=top)
+        for order in range(1, top + 1):
+            rule = _gauss_rule(seq, order)
+            nodes, vecs = scipy.linalg.eigh_tridiagonal(
+                seq.alphas[:order], np.sqrt(seq.omegas[1:order]))
+            np.testing.assert_allclose(rule.nodes, nodes, rtol=1e-13,
+                                       atol=1e-13 * np.abs(nodes).max())
+            np.testing.assert_allclose(rule.weights, vecs[0] ** 2, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("order", [DENSE_EIGH_MAX_ORDER, DENSE_EIGH_MAX_ORDER + 1])
+    @pytest.mark.parametrize("alphas, omegas, name, index", [
+        ([0.0, np.nan, 0.0], [1.0, 1.0, np.nan], "alpha_1 = nan", 1),
+        ([0.0, 0.0, 0.0], [1.0, 1.0, np.inf], "omega_2 = inf", 2),
+        ([0.0, -np.inf, 0.0], [1.0, np.nan, -1.0], "alpha_1 = -inf", 1),
+    ])
+    def test_non_finite_coefficient_is_named_by_both_solvers(self, order, alphas, omegas,
+                                                             name, index):
+        pad = order - len(alphas)
+        seq = JacobiSzegoSequence(alphas + [0.0] * pad, omegas + [1.0] * pad)
+        with pytest.raises(NumericalBreakdownError, match=f"^{name} is not finite: no "
+                           f"Gauss rule of order {order}$") as excinfo:
+            _gauss_rule(seq, order)
+        assert excinfo.value.index == index
+
+    def test_non_finite_coefficient_past_the_order_is_not_read(self):
+        seq = JacobiSzegoSequence([0.0, 0.0, np.nan], [1.0, 1.0, np.nan])
+        assert _gauss_rule(seq, 2).nodes == pytest.approx([-1.0, 1.0])
 
 
 class TestMoment:
