@@ -13,8 +13,8 @@ Every command exits 3 when it cannot write its output file.
 
 A verify command is one campaign (run_campaign): the sweep's 23
 configurations, or the one configuration of --family.  It builds one closed
-form and one coefficient table per configuration and then runs check by
-check.  The closed-form checks are one call each for all configurations:
+form and one coefficient table per configuration and then runs the rows
+of _checks, one check at a time.  The closed-form checks are one call each for all configurations:
 series-vs-closed is one psi_series_stack pass and one psi_closed call over
 the stack of closed forms, and so are the moments, both Riccati residuals
 and the moment ODE.  Each identity is one call over the configurations of
@@ -45,21 +45,6 @@ SCHEMA_VERSION = 1
 
 SWEEP_LAMBDAS = (0.6, 0.75, 1.5, 2.0, 2.5)
 SWEEP_MEIXNER = ((0.0, 0.0), (0.5, 0.25), (-1.0, -0.5))
-
-# Pinned tolerances for the non-series checks (the --tol flag only moves the
-# series-vs-closed-form tolerance).
-TOL_M0 = 1e-10
-TOL_M1 = 1e-9
-TOL_M2 = 1e-9
-TOL_RICCATI = 1e-11
-TOL_ODE = 1e-7
-TOL_DUPLICATION = 1e-12
-TOL_POCH_RATIO = 1e-12
-TOL_1F0 = 1e-11
-TOL_GF_IDENTITY = 1e-10
-TOL_JACOBI_SHIFT = 1e-9
-TOL_GF3 = 1e-12
-TOL_UNIQUENESS = 1e-12
 
 
 def _json_dump(obj) -> str:
@@ -113,16 +98,6 @@ def _write_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _check(name: str, points: int, max_residual: float, tolerance: float) -> dict:
-    return {
-        "name": name,
-        "points_tested": points,
-        "max_residual": float(max_residual),
-        "tolerance": float(tolerance),
-        "passed": bool(max_residual <= tolerance),
-    }
 
 
 class _Run:
@@ -183,26 +158,34 @@ def _circle(radius: float, grid: int) -> list:
             for t in (k * math.pi / grid for k in range(grid))]
 
 
-def _stacked(runs, evaluate, record) -> None:
-    """record(run, row) for every run with no error yet, row being its row
-    of one call evaluate(runs) over all of them.  If that call raises, each
-    run calls evaluate([run]), the stack of one, so that an error stays with
-    its configuration and the others go on."""
-    live = [run for run in runs if run.error is None]
+def _stacked(runs, records, families_checked, evaluate) -> None:
+    """The check records of one row of _checks for every run with no error
+    yet whose family is in families_checked: their worst residuals are the
+    run's row of one call evaluate(live) over all of those runs.  If that call raises,
+    each run calls evaluate([run]), the stack of one, so that an error stays
+    with its configuration and the others go on."""
+    live = [run for run in runs
+            if run.error is None and run.cf.family in families_checked]
     if not live:
         return
+
+    def record(run, residuals):
+        for (name, points, tolerance), residual in zip(records, residuals, strict=True):
+            run.checks.append({
+                "name": name,
+                "points_tested": points,
+                "max_residual": float(residual),
+                "tolerance": float(tolerance),
+                "passed": bool(residual <= tolerance),
+            })
+
     try:
-        rows = list(evaluate(live))
+        rows = _rows(live, evaluate(live))
     except Exception:
-        _each(live, lambda run: record(run, *evaluate([run])))
+        _each(live, lambda run: record(run, *_rows([run], evaluate([run]))))
         return
     for run, row in zip(live, rows):
         record(run, row)
-
-
-def _append(name: str, points: int, tolerance: float):
-    """record for _stacked: the check name of a row's worst residual."""
-    return lambda run, residual: run.checks.append(_check(name, points, residual, tolerance))
 
 
 def _closed_forms(runs):
@@ -219,67 +202,9 @@ def _rows(runs, values) -> np.ndarray:
     return np.asarray(values).reshape(len(runs), -1)
 
 
-def _series_checks(runs, zmax: float, grid: int, tol: float) -> None:
-    """series-vs-closed for every run: one psi_series_stack pass and one
-    psi_closed call over the stack of closed forms."""
-    zs = _circle(zmax, grid)
-
-    def worst(live):
-        xs = [run.xs for run in live]
-        series = genfun.psi_series_stack([run.seq for run in live],
-                                         [run.cf.lam for run in live], zs, xs)
-        closed = _rows(live, genfun.psi_closed(_closed_forms(live), zs, xs))
-        return np.abs(closed - _rows(live, [row.value for row in series])).max(axis=1)
-
-    _stacked(runs, worst, _append("series-vs-closed", len(zs) * 11, tol))
-
-
-def _residual_checks(runs, zmax: float, grid: int) -> None:
-    """The moment claims, the Riccati residuals and the moment ODE, each one
-    call over the stack of closed forms."""
-    zs_real = np.array([s * zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)])
-    zs_two_circles = _circle(0.5 * zmax, grid) + _circle(zmax, grid)
-    ode_zs = np.array([s * zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
-
-    def moments(live):
-        return zip(*(_rows(live, m) for m in genfun.psi_family_moments(
-            [run.seq for run in live], _closed_forms(live), zs_real)))
-
-    def moment_checks(run, row):
-        m0, m1, m2 = row
-        cf, lam = run.cf, run.cf.lam
-        m2_claim = (0.5 * lam * (lam + 1.0) * cf.omega2 * zs_real * zs_real
-                    + lam * cf.alpha1 * zs_real + 1.0)
-        run.checks += [
-            _check("moment-m0", len(zs_real), np.abs(m0 - 1.0).max(), TOL_M0),
-            _check("moment-m1", len(zs_real), np.abs(m1 - lam * zs_real).max(), TOL_M1),
-            _check("moment-m2", len(zs_real), np.abs(m2 - m2_claim).max(), TOL_M2),
-        ]
-
-    def worst_f(live):
-        cf = _closed_forms(live)
-        coeffs = riccati.coefficients(cf.lam, cf.alpha1, cf.omega2)
-        return np.abs(_rows(live, riccati.residual_f(cf, coeffs, zs_two_circles))).max(axis=1)
-
-    def worst_u(live):
-        residual = riccati.residual_u(_closed_forms(live), zs_two_circles)
-        return np.abs(_rows(live, residual)).max(axis=1)
-
-    def moment_ode(live):
-        return zip(*(_rows(live, r) for r in riccati.residual_moment_ode(
-            _closed_forms(live), [run.seq for run in live], ode_zs)))
-
-    pts = len(zs_two_circles)
-    _stacked(runs, moments, moment_checks)
-    _stacked(runs, worst_f, _append("riccati-residual-f", pts, TOL_RICCATI))
-    _stacked(runs, worst_u, _append("riccati-residual-u", pts, TOL_RICCATI))
-    _stacked(runs, moment_ode, lambda run, row: run.checks.append(
-        _check("moment-ode", 2 * len(ode_zs), max(row[0].max(), row[1].max()), TOL_ODE)))
-
-
-def _of(runs, family_test):
-    """The runs with no error yet whose family passes family_test."""
-    return [run for run in runs if run.error is None and family_test(run.cf.family)]
+def _worst(runs, values) -> np.ndarray:
+    """Each run's worst |value| of one call over the stack of runs."""
+    return np.abs(_rows(runs, values)).max(axis=1)
 
 
 def _per_lambda(identity):
@@ -292,29 +217,36 @@ def _per_lambda(identity):
     return worst
 
 
-def _special_function_checks(runs) -> None:
-    """The identities of lambda alone: gamma-duplication reads no parameter
-    and is evaluated once per campaign, pochhammer-ratio and binomial-1f0
-    are one call each over the campaign's distinct lambdas."""
+def _checks(zmax: float, grid: int, tol: float) -> list:
+    """The campaign's checks in report order, one row (records, families,
+    evaluate) per check.  records lists the (name, points, tolerance) of
+    the row's check records, three for the moments and one for every other
+    check; the row checks the runs whose family is in families; evaluate(live)
+    is one call over those runs that gives each run one worst residual per
+    record.  tol is the tolerance of series-vs-closed, the others are pinned.
+
+    series-vs-closed is one psi_series_stack pass and one psi_closed call
+    over the stack of closed forms, and the moments, both Riccati residuals
+    and the moment ODE are one call each over that stack.  Each identity is
+    one call over the runs of its family (jacobi-shift and psi-prefactor-form
+    over the stack of their closed forms), and those of lambda alone one call
+    over the runs' distinct lambdas.  gamma-duplication reads no parameter
+    and is evaluated once, each run taking its own copy of the record.
+    """
+    zs = _circle(zmax, grid)
+    zs_real = np.array([s * zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)])
+    zs_two_circles = _circle(0.5 * zmax, grid) + _circle(zmax, grid)
+    ode_zs = np.array([s * zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
     dup_points = [0.25 * k for k in range(1, 21)]
-    ys = (-0.5, -0.25, 0.0, 0.25, 0.5)
-    worst_dup = max(identities.duplication_check(av) for av in dup_points)
-    record = _append("gamma-duplication", len(dup_points), TOL_DUPLICATION)
-    _each(runs, lambda run: record(run, worst_dup))
-    _stacked(runs, _per_lambda(lambda lams: identities.pochhammer_ratio_check(
-        lams, np.arange(21))), _append("pochhammer-ratio", 21, TOL_POCH_RATIO))
-    _stacked(runs, _per_lambda(lambda lams: identities.one_f_zero_reduction(lams, ys)),
-             _append("binomial-1f0", len(ys), TOL_1F0))
-
-
-def _family_identity_checks(runs, zmax: float) -> None:
-    """The identities of each family, each one call over the campaign's
-    configurations of that family (jacobi-2f1-gf and 2f1-collapse over
-    their distinct lambdas)."""
-    zs = [zmax, 0.5 * zmax, zmax * 1j, zmax * complex(-0.5, 0.5)]
+    ns, ys_1f0 = np.arange(21), (-0.5, -0.25, 0.0, 0.25, 0.5)
+    id_zs = [zmax, 0.5 * zmax, zmax * 1j, zmax * complex(-0.5, 0.5)]
     geg_zs, geg_xs = [0.25, 0.1, 0.1j, complex(-0.1, 0.1)], [-1.0, -0.5, 0.0, 0.5, 1.0]
     ts, ys = [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
     gf3_zs = [-0.5 * zmax, 0.5 * zmax, zmax]
+    uniqueness_terms = 15
+
+    def seqs(live):
+        return [run.seq for run in live]
 
     def lams(live):
         return [run.cf.lam for run in live]
@@ -322,56 +254,80 @@ def _family_identity_checks(runs, zmax: float) -> None:
     def xs5(live):
         return [run.xs5 for run in live]
 
-    def worst(identity):
-        return lambda live: _rows(live, identity(live)).max(axis=1)
+    def series(live):
+        xs = [run.xs for run in live]
+        values = genfun.psi_series_stack(seqs(live), lams(live), zs, xs)
+        closed = _rows(live, genfun.psi_closed(_closed_forms(live), zs, xs))
+        return _worst(live, closed - _rows(live, [row.value for row in values]))
 
-    sym1 = _of(runs, lambda family: family is Family.SYM1)
-    _stacked(sym1, worst(lambda live: identities.gegenbauer_gf_check(
-        lams(live), geg_zs, geg_xs)), _append("gegenbauer-gf", 20, TOL_GF_IDENTITY))
-    _stacked(sym1, worst(lambda live: identities.tilde_gegenbauer_identity(
-        lams(live), zs, xs5(live))),
-        _append("scaled-gegenbauer-gf", len(zs) * 5, TOL_GF_IDENTITY))
-    _stacked(_of(runs, lambda family: family is Family.SYM2),
-             worst(lambda live: identities.family2_identity(lams(live), zs, xs5(live))),
-             _append("shifted-parameter-gf", len(zs) * 5, TOL_GF_IDENTITY))
-    nonsym = _of(runs, lambda family: family.nonsymmetric)
-    _stacked(nonsym, worst(lambda live: identities.jacobi_shift_check(
-        _closed_forms(live), [run.seq for run in live], 10, xs5(live))),
-        _append("jacobi-shift", 11 * 5, TOL_JACOBI_SHIFT))
-    _stacked(nonsym, _per_lambda(lambda lams: identities.jacobi_2f1_gf_check(lams, ts, ys)),
-             _append("jacobi-2f1-gf", 16, TOL_GF_IDENTITY))
-    _stacked(nonsym, _per_lambda(
-        lambda lams: identities.two_f_one_collapse_check(lams, ts, ys)),
-        _append("2f1-collapse", 16, TOL_GF_IDENTITY))
-    _stacked(nonsym, worst(lambda live: identities.gf3_equivalence(
-        _closed_forms(live), gf3_zs, xs5(live))),
-        _append("psi-prefactor-form", len(gf3_zs) * 5, TOL_GF3))
+    def moments(live):
+        cf = _closed_forms(live)
+        m0, m1, m2 = (_rows(live, m) for m in genfun.psi_family_moments(
+            seqs(live), cf, zs_real))
+        m2_claim = (0.5 * cf.lam * (cf.lam + 1.0) * cf.omega2 * zs_real * zs_real
+                    + cf.lam * cf.alpha1 * zs_real + 1.0)
+        return np.stack([_worst(live, m0 - 1.0), _worst(live, m1 - cf.lam * zs_real),
+                         _worst(live, m2 - m2_claim)], axis=1)
 
-    def uniqueness(run):
-        series = riccati.free_meixner_uniqueness(run.cf.a, run.cf.b, 15)
-        run.checks.append(_check("series-uniqueness", series.n_terms,
-                                 float(np.abs(series.c).max()), TOL_UNIQUENESS))
+    def riccati_f(live):
+        cf = _closed_forms(live)
+        coeffs = riccati.coefficients(cf.lam, cf.alpha1, cf.omega2)
+        return _worst(live, riccati.residual_f(cf, coeffs, zs_two_circles))
 
-    _each(_of(runs, lambda family: family is Family.FREE_MEIXNER), uniqueness)
+    def moment_ode(live):
+        first, second = (_rows(live, r) for r in riccati.residual_moment_ode(
+            _closed_forms(live), seqs(live), ode_zs))
+        return [max(r1.max(), r2.max()) for r1, r2 in zip(first, second)]
+
+    def duplication(live):
+        worst = max(identities.duplication_check(av) for av in dup_points)
+        return [worst] * len(live)
+
+    def uniqueness(live):
+        return [np.abs(riccati.free_meixner_uniqueness(
+            run.cf.a, run.cf.b, uniqueness_terms).c).max() for run in live]
+
+    every, nonsym = tuple(Family), (Family.NONSYM_PLUS, Family.NONSYM_MINUS)
+    return [
+        ([("series-vs-closed", len(zs) * 11, tol)], every, series),
+        ([("moment-m0", len(zs_real), 1e-10), ("moment-m1", len(zs_real), 1e-9),
+          ("moment-m2", len(zs_real), 1e-9)], every, moments),
+        ([("riccati-residual-f", len(zs_two_circles), 1e-11)], every, riccati_f),
+        ([("riccati-residual-u", len(zs_two_circles), 1e-11)], every, lambda live: _worst(
+            live, riccati.residual_u(_closed_forms(live), zs_two_circles))),
+        ([("moment-ode", 2 * len(ode_zs), 1e-7)], every, moment_ode),
+        ([("gamma-duplication", len(dup_points), 1e-12)], every, duplication),
+        ([("pochhammer-ratio", len(ns), 1e-12)], every, _per_lambda(
+            lambda distinct: identities.pochhammer_ratio_check(distinct, ns))),
+        ([("binomial-1f0", len(ys_1f0), 1e-11)], every, _per_lambda(
+            lambda distinct: identities.one_f_zero_reduction(distinct, ys_1f0))),
+        ([("gegenbauer-gf", len(geg_zs) * len(geg_xs), 1e-10)], (Family.SYM1,),
+         lambda live: _worst(live, identities.gegenbauer_gf_check(lams(live), geg_zs, geg_xs))),
+        ([("scaled-gegenbauer-gf", len(id_zs) * 5, 1e-10)], (Family.SYM1,),
+         lambda live: _worst(live, identities.tilde_gegenbauer_identity(
+             lams(live), id_zs, xs5(live)))),
+        ([("shifted-parameter-gf", len(id_zs) * 5, 1e-10)], (Family.SYM2,),
+         lambda live: _worst(live, identities.family2_identity(lams(live), id_zs, xs5(live)))),
+        ([("jacobi-shift", 11 * 5, 1e-9)], nonsym, lambda live: _worst(
+            live, identities.jacobi_shift_check(_closed_forms(live), seqs(live), 10, xs5(live)))),
+        ([("jacobi-2f1-gf", len(ts) * len(ys), 1e-10)], nonsym, _per_lambda(
+            lambda distinct: identities.jacobi_2f1_gf_check(distinct, ts, ys))),
+        ([("2f1-collapse", len(ts) * len(ys), 1e-10)], nonsym, _per_lambda(
+            lambda distinct: identities.two_f_one_collapse_check(distinct, ts, ys))),
+        ([("psi-prefactor-form", len(gf3_zs) * 5, 1e-12)], nonsym, lambda live: _worst(
+            live, identities.gf3_equivalence(_closed_forms(live), gf3_zs, xs5(live)))),
+        ([("series-uniqueness", uniqueness_terms, 1e-12)], (Family.FREE_MEIXNER,), uniqueness),
+    ]
 
 
 def run_campaign(configs, zmax: float, grid: int, tol: float) -> list[dict]:
     """The reports of the configurations (family, lambda, a, b), evaluated
-    check by check.
+    check by check, one row of _checks at a time.
 
     Each configuration builds one closed form and one coefficient table,
-    which all its checks read.  series-vs-closed for every configuration is
-    one psi_series_stack pass and one psi_closed call over the stack of
-    closed forms (genfun.stack_closed_forms), and the moments, both Riccati
-    residuals and the moment ODE are one call each over that stack.  Each
-    identity is one call over the configurations of its family (the
-    non-symmetric ones over the stack of their closed forms);
-    pochhammer-ratio and binomial-1f0 are one call over the distinct
-    lambdas, jacobi-2f1-gf and 2f1-collapse over the distinct non-symmetric
-    lambdas, and gamma-duplication is evaluated once, each report taking its
-    own copy of the record.  tol must be finite and > 0.  Errors
-    are kept per configuration: a stacked call that raises is made again as
-    each configuration's stack of one.  The campaign raises the error that a
+    which all its checks read.  tol must be finite and > 0.  Errors are
+    kept per configuration: a stacked call that raises is made again as each
+    configuration's stack of one.  The campaign raises the error that a
     configuration-by-configuration loop would meet first: that of the first
     failing configuration, at its first failing step.
     """
@@ -379,20 +335,12 @@ def run_campaign(configs, zmax: float, grid: int, tol: float) -> list[dict]:
         raise ParameterError(f"tol must be a finite number > 0, got {tol}")
     runs = [_Run(*config) for config in configs]
     _each(runs, lambda run: run.setup(zmax, grid))
-    _series_checks(runs, zmax, grid, tol)
-    _residual_checks(runs, zmax, grid)
-    _special_function_checks(runs)
-    _family_identity_checks(runs, zmax)
+    for check in _checks(zmax, grid, tol):
+        _stacked(runs, *check)
     for run in runs:
         if run.error is not None:
             raise run.error
     return [run.report() for run in runs]
-
-
-def run_family_checks(family: Family, lam, a, b, zmax: float, grid: int,
-                      tol: float) -> dict:
-    """All checks for one family configuration: the campaign of one."""
-    return run_campaign([(family, lam, a, b)], zmax, grid, tol)[0]
 
 
 def _sweep_configs():
@@ -417,10 +365,8 @@ def cmd_verify(args) -> int:
             "wall_time_ms": int(1000 * (time.perf_counter() - start)),
         }
     else:
-        family = Family(args.family)
-        payload = run_family_checks(
-            family, args.lam, args.a, args.b, args.zmax, args.grid, args.tol
-        )
+        payload = run_campaign([(Family(args.family), args.lam, args.a, args.b)],
+                               args.zmax, args.grid, args.tol)[0]
         all_passed = payload["all_passed"]
         payload["wall_time_ms"] = int(1000 * (time.perf_counter() - start))
     _write_atomic(args.out, _json_dump(payload) + "\n")
@@ -464,10 +410,8 @@ def cmd_classify(args) -> int:
         )
     if payload["note"] is None:
         try:
-            degenerate, _ = riccati.nonsymmetric_omega2_roots(lam)
-            payload["nonsymmetric"] = [
-                _solution_dict(s) for s in riccati.solve_nonsymmetric(lam)
-            ]
+            degenerate, solutions = riccati._nonsymmetric_classification(lam)
+            payload["nonsymmetric"] = [_solution_dict(s) for s in solutions]
             payload["rejected_degenerate_omega2"] = float(degenerate)
         except ParameterError as exc:
             payload["nonsymmetric_excluded"] = str(exc)

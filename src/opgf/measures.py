@@ -161,27 +161,29 @@ def family_sequence(family, lam=None, a=None, b=None, *, size: int) -> JacobiSze
     # The tail formulas hold for alpha_n, n >= 1, and omega_n, n >= 2, and
     # some divide by zero below that (sym2 at lambda = 2, n = 0), so they
     # are evaluated at n1 = max(n, 1) and n2 = max(n, 2) and the standardized
-    # head is written over the result.
+    # head is written over the result.  At huge lambda they overflow to inf
+    # and nan, silently: the callers' guards report the non-finite entries.
     n1, n2 = np.maximum(n, 1.0), np.maximum(n, 2.0)
     alphas = np.zeros(size)
-    if family is Family.SYM1:
-        omegas = (1.0 + lam) * n2 * (n2 + 2.0 * lam - 1.0) / (
-            2.0 * (n2 + lam) * (n2 + lam - 1.0)
-        )
-    elif family is Family.SYM2:
-        omegas = lam * n2 * (n2 + 2.0 * lam - 3.0) / (
-            2.0 * (n2 + lam - 1.0) * (n2 + lam - 2.0)
-        )
-    elif family.nonsymmetric:
-        sign = families.nonsym_sign(family)
-        root = math.sqrt(2.0 * lam - 1.0)
-        alphas = sign * (1.0 - lam * (lam - 1.0) / ((n1 + lam - 1.0) * (n1 + lam))) / root
-        omegas = lam * lam * n2 * (n2 + 2.0 * lam - 2.0) / (
-            (2.0 * lam - 1.0) * (n2 + lam - 1.0) ** 2
-        )
-    else:
-        alphas = np.full(size, a)
-        omegas = np.full(size, 1.0 + b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if family is Family.SYM1:
+            omegas = (1.0 + lam) * n2 * (n2 + 2.0 * lam - 1.0) / (
+                2.0 * (n2 + lam) * (n2 + lam - 1.0)
+            )
+        elif family is Family.SYM2:
+            omegas = lam * n2 * (n2 + 2.0 * lam - 3.0) / (
+                2.0 * (n2 + lam - 1.0) * (n2 + lam - 2.0)
+            )
+        elif family.nonsymmetric:
+            sign = families.nonsym_sign(family)
+            root = math.sqrt(2.0 * lam - 1.0)
+            alphas = sign * (1.0 - lam * (lam - 1.0) / ((n1 + lam - 1.0) * (n1 + lam))) / root
+            omegas = lam * lam * n2 * (n2 + 2.0 * lam - 2.0) / (
+                (2.0 * lam - 1.0) * (n2 + lam - 1.0) ** 2
+            )
+        else:
+            alphas = np.full(size, a)
+            omegas = np.full(size, 1.0 + b)
     alphas[:1] = 0.0
     omegas[:2] = 1.0
     return JacobiSzegoSequence(alphas, omegas)

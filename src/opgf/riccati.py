@@ -356,8 +356,13 @@ def solve_nonsymmetric(lam: float) -> list[ClassificationSolution]:
     omega_2 solves a quadratic whose 0 root is rejected as degenerate, and
     alpha_1^2 follows from the z^2 equation.
     """
-    _guard_lambda(lam, need_half=True)
-    _, w = nonsymmetric_omega2_roots(lam)
+    return _nonsymmetric_classification(lam)[1]
+
+
+def _nonsymmetric_classification(lam: float) -> tuple[float, list[ClassificationSolution]]:
+    """The rejected degenerate omega_2 root and solve_nonsymmetric(lam),
+    from one solve of the omega_2 equation."""
+    degenerate, w = nonsymmetric_omega2_roots(lam)
     a1_trial = _linear_solve(lambda t: _coeff_at(lam, 1.0, w, [1.0, t, 0.0], 1))
     a0 = _linear_solve(lambda t: _coeff_at(lam, 1.0, w, [1.0, a1_trial, t], 3))
 
@@ -384,7 +389,7 @@ def solve_nonsymmetric(lam: float) -> list[ClassificationSolution]:
                 max_residual=residual, valid=True,
             )
         )
-    return out
+    return degenerate, out
 
 
 def degree_bound_check(lam: float, alpha1: float, omega2: float, degree: int) -> float:

@@ -1,4 +1,5 @@
 """Tests for the command-line front end: exit codes, reports, determinism."""
+import itertools
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 
 import opgf
 from opgf import Family, ParameterError, cli, genfun, identities, measures, riccati
-from opgf.cli import main, run_campaign, run_family_checks
+from opgf.cli import main, run_campaign
 from opgf.recurrence import eval_monic
 
 # Ordered (name, points_tested, passed) of every check in the default full
@@ -200,7 +201,7 @@ def test_one_array_call_per_check(family, lam, a, b, monkeypatch):
         counted(genfun, name)
     for name in ("residual_f", "residual_u", "residual_moment_ode"):
         counted(riccati, name)
-    report = run_family_checks(family, lam, a, b, zmax=0.1, grid=16, tol=1e-9)
+    report = run_campaign([(family, lam, a, b)], zmax=0.1, grid=16, tol=1e-9)[0]
     assert report["all_passed"]
     # psi-prefactor-form evaluates one more psi_analytic grid on the
     # non-symmetric families
@@ -434,6 +435,22 @@ class TestClassify:
         assert run(["classify", "--lambda", lam, "--out", str(out)]) == 0
         assert out.read_text() == CLASSIFY_REFERENCE[lam]
 
+    def test_nonsymmetric_roots_solved_once(self, tmp_path, monkeypatch):
+        # at lambda = 2: 15 coefficient-matching evaluations for the two
+        # symmetric branches, 11 for the non-symmetric omega_2 roots, which
+        # the report's degenerate root and the solutions share, and 8 more
+        # for the non-symmetric solutions
+        calls = []
+        matching_residual = riccati._matching_residual
+
+        def counted(*args):
+            calls.append(args)
+            return matching_residual(*args)
+
+        monkeypatch.setattr(riccati, "_matching_residual", counted)
+        assert run(["classify", "--lambda", "2", "--out", str(tmp_path / "c.json")]) == 0
+        assert len(calls) == 15 + 11 + 8
+
 
 class TestQuadrature:
     def test_uniform_two_point(self, tmp_path):
@@ -527,19 +544,22 @@ OVERFLOW = "lambda = {}: the Beta normalization of sym1 overflows double precisi
     ("1e18", 24, OVERFLOW.format("1e+18")),
     ("1e100", 24, OVERFLOW.format("1e+100")),
     ("1e150", 24, OVERFLOW.format("1e+150")),
+    ("1e154", 24, "omega_2 = nan is not finite: no Gauss rule of order 24"),
     ("1e200", 24, "omega_2 = nan is not finite: no Gauss rule of order 24"),
     ("1e200", 100, "omega_2 = nan is not finite: no Gauss rule of order 100"),
-], ids=["1e18", "1e100", "1e150", "1e200-order24", "1e200-order100"])
+], ids=["1e18", "1e100", "1e150", "1e154", "1e200-order24", "1e200-order100"])
 def test_quadrature_at_huge_lambda_exits_2_with_a_message(lam, order, message, tmp_path):
-    # documented (sym1 takes any lambda > 0) but beyond double precision
+    # documented (sym1 takes any lambda > 0) but beyond double precision:
+    # one line on stderr, with no RuntimeWarning before it even when
+    # warnings are errors
     env = dict(os.environ, PYTHONPATH=str(Path(opgf.__file__).resolve().parents[1]))
     result = subprocess.run(
-        [sys.executable, "-m", "opgf", "quadrature", "--family", "sym1", "--lambda", lam,
-         "--order", str(order), "--out", str(tmp_path / "rule.csv")],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "opgf", "quadrature",
+         "--family", "sym1", "--lambda", lam, "--order", str(order),
+         "--out", str(tmp_path / "rule.csv")],
         env=env, capture_output=True, text=True)
     assert result.returncode == 2
-    assert "Traceback" not in result.stderr
-    assert result.stderr.splitlines()[-1] == f"opgf quadrature: {message}"
+    assert result.stderr == f"opgf quadrature: {message}\n"
 
 
 @pytest.mark.parametrize("lam", ["1e16", "1e20", "1e80"])
@@ -549,6 +569,30 @@ def test_quadrature_at_large_lambda_still_exports(lam, tmp_path):
     assert run(["quadrature", "--family", "sym1", "--lambda", lam, "--order", "24",
                 "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 2 + 24
+
+
+def readme_checks_table():
+    """(name, families, points, tolerance) of each row of the README's
+    table of verify checks; "all" names every family."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| check | families | points | tolerance | compares |") + 2
+    rows = []
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        name, families, points, tolerance = (
+            cell.strip().strip("`") for cell in line.strip("|").split("|")[:4])
+        rows.append((name, set(Family) if families == "all"
+                     else {Family(value) for value in families.split(", ")},
+                     int(points), float(tolerance.split()[0])))
+    return rows
+
+
+def test_readme_checks_table_matches_the_campaign():
+    # the README's table of verify checks is the campaign's table at the
+    # defaults --zmax 0.1 --grid 16 --tol 1e-9, row for row
+    assert readme_checks_table() == [
+        (name, set(families), points, tolerance)
+        for records, families, _ in cli._checks(0.1, 16, 1e-9)
+        for name, points, tolerance in records]
 
 
 def test_public_names_resolve():
@@ -617,15 +661,14 @@ def test_identity_error_stays_with_its_configuration(name, bad_lam, failing, mon
     monkeypatch.setattr(identities, name, failing_identity)
     runs = [cli._Run(*config) for config in IDENTITY_STEP_CONFIGS]
     cli._each(runs, lambda run: run.setup(0.1, 16))
-    cli._special_function_checks(runs)
-    cli._family_identity_checks(runs, 0.1)
+    for check in cli._checks(0.1, 16, 1e-9):
+        cli._stacked(runs, *check)
     for index, (config, run) in enumerate(zip(IDENTITY_STEP_CONFIGS, runs)):
         if index in failing:
             assert str(run.error) == f"{name} at {bad_lam}"
             continue
         assert run.error is None
-        checks = run_campaign([config], 0.1, 16, 1e-9)[0]["checks"]
-        assert run.checks == checks[-len(run.checks):]
+        assert run.checks == run_campaign([config], 0.1, 16, 1e-9)[0]["checks"]
 
 
 @pytest.mark.parametrize("lam", ["1e-300", "1e-20", "0.05"])
