@@ -24,19 +24,13 @@ from .errors import (
     SingularityError,
 )
 from .families import Family
-from .recurrence import (
-    JacobiSzegoSequence,
-    eval_monic,
-    norm_squared,
-    stieltjes_from_quadrature,
-)
+from .recurrence import JacobiSzegoSequence, eval_monic
 from .measures import (
     MeasureSpec,
     QuadratureRule,
     build_measure,
     family_sequence,
     gauss_quadrature,
-    moment,
     recurrence_of,
 )
 from .genfun import (
@@ -46,7 +40,6 @@ from .genfun import (
     psi_analytic,
     psi_closed,
     psi_family_moments,
-    psi_series,
     psi_series_stack,
 )
 from .riccati import (
@@ -54,16 +47,13 @@ from .riccati import (
     RiccatiCoefficients,
     SeriesSolution,
     coefficients,
-    degree_bound_check,
     free_meixner_uniqueness,
-    h_lambda_initial,
     nonsymmetric_omega2_roots,
     residual_f,
     residual_moment_ode,
     residual_u,
     solve_nonsymmetric,
     solve_symmetric,
-    symmetric_omega2_quadratic,
 )
 from . import identities
 
@@ -80,17 +70,13 @@ __all__ = [
     "SeriesSolution",
     "identities",
     "eval_monic",
-    "norm_squared",
-    "stieltjes_from_quadrature",
     "build_measure",
     "family_sequence",
     "gauss_quadrature",
-    "moment",
     "recurrence_of",
     "closed_form",
     "psi_closed",
     "psi_analytic",
-    "psi_series",
     "psi_series_stack",
     "psi_family_moments",
     "coefficients",
@@ -99,11 +85,8 @@ __all__ = [
     "residual_moment_ode",
     "solve_symmetric",
     "solve_nonsymmetric",
-    "symmetric_omega2_quadratic",
     "nonsymmetric_omega2_roots",
-    "degree_bound_check",
     "free_meixner_uniqueness",
-    "h_lambda_initial",
     "OpgfError",
     "ParameterError",
     "RedirectToFreeMeixner",

@@ -13,13 +13,14 @@ Every command exits 3 when it cannot write its output file.
 
 A verify command is one campaign (run_campaign): the sweep's 23
 configurations, or the one configuration of --family.  It builds one closed
-form and one coefficient table per configuration and then runs the rows
-of _checks, one check at a time.  The closed-form checks are one call each for all configurations:
-series-vs-closed is one psi_series_stack pass and one psi_closed call over
-the stack of closed forms, and so are the moments, both Riccati residuals
-and the moment ODE.  Each identity is one call over the configurations of
-its family, and those of lambda alone one call over the campaign's
-distinct lambdas.  Nothing is kept from one command to the next.
+form and one coefficient table per configuration and then runs the rows of
+_checks, one check at a time.  The closed-form checks are one call each for
+all configurations: series-vs-closed is one psi_series_stack pass and one
+psi_closed call over the stack of closed forms, and so are the moments,
+both Riccati residuals and the moment ODE.  Each identity is one call over
+the configurations of its family, and those of lambda alone one call over
+the campaign's distinct lambdas.  Nothing is kept from one command to the
+next.
 
 Reports are deterministic for fixed inputs except the wall_time_ms field;
 numbers are serialized with 17 significant digits.
@@ -88,9 +89,16 @@ def _json_dump(obj) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temporary file in its directory, which
+    replaces path only once it is written in full.  The file takes the mode
+    open(path, "w") gives a new file under the current umask; mkstemp's is
+    owner-only."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -410,7 +418,7 @@ def cmd_classify(args) -> int:
         )
     if payload["note"] is None:
         try:
-            degenerate, solutions = riccati._nonsymmetric_classification(lam)
+            degenerate, solutions = riccati.solve_nonsymmetric(lam)
             payload["nonsymmetric"] = [_solution_dict(s) for s in solutions]
             payload["rejected_degenerate_omega2"] = float(degenerate)
         except ParameterError as exc:
@@ -427,7 +435,7 @@ def cmd_quadrature(args) -> int:
     header = f"family={family.value} lambda={measure.lam:.17g} order={args.order}"
     if family is Family.FREE_MEIXNER:
         header += f" a={measure.a:.17g} b={measure.b:.17g}"
-    rule.to_csv(args.out, header_comment=header)
+    _write_atomic(args.out, rule.csv_text(header))
     print(f"opgf quadrature: {args.order} nodes written to {args.out}")
     return 0
 

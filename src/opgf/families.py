@@ -55,7 +55,7 @@ def validate_params(family, lam=None, a=None, b=None):
     if family is Family.FREE_MEIXNER:
         if a is None or b is None:
             raise ParameterError("free-meixner requires both a and b")
-        if lam is not None and abs(lam - 1.0) > 1e-12:
+        if lam is not None and lam != 1.0:
             raise ParameterError("free-meixner has lambda = 1; drop the lambda argument")
         for name, value in (("a", a), ("b", b)):
             if not math.isfinite(value):

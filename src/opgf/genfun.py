@@ -21,10 +21,10 @@ whose power argument stays near 1 for small |z|; it agrees with psi_closed
 off the negative real axis and continues the series across the cut, which is
 what moment checks at negative real z need.
 
-The series side is ``psi_series``, a truncation with a proved tail bound.
-``psi_series_stack`` sums it for several configurations at once: each keeps
-its own term count, and one recurrence pass serves them all; psi_series is
-the stack of one.
+The series side is ``psi_series_stack``, a truncation with a proved tail
+bound, for several configurations at once: each keeps its own term count,
+and one recurrence pass serves them all.  A single configuration is the
+stack of one.
 
 The closed side stacks the same way.  ``stack_closed_forms`` turns C closed
 forms into one whose fields are (C, 1) columns; psi_closed, psi_analytic,
@@ -69,12 +69,11 @@ class GenFunClosedForm:
     Two quadratics carry the whole family: z f(z) = 1 + c1 z + c2 z^2
     (zf_coeffs) and N(z) = z^lambda / u(z) = 1 + d1 z + d2 z^2
     (numerator_coeffs), so psi(z, x) = N(z) / (1 + (c1 - x) z + c2 z^2)^lambda.
-    g is f - Q_1/2 with Q_1(z) = (lambda+1) omega_2 z + alpha_1.  The methods
-    take a scalar or a numpy array of z, elementwise.  excludes_negative_axis
-    marks the families whose u carries the branch cut of z^lambda (all but
-    free Meixner, where lambda = 1).  A stack of C closed forms
-    (stack_closed_forms) holds every field as a (C, 1) column, so the
-    methods give a (C, Z) array at a 1-D z.
+    The methods take a scalar or a numpy array of z, elementwise.
+    excludes_negative_axis marks the families whose u carries the branch cut
+    of z^lambda (all but free Meixner, where lambda = 1).  A stack of C
+    closed forms (stack_closed_forms) holds every field as a (C, 1) column,
+    so the methods give a (C, Z) array at a 1-D z.
     """
 
     family: Family
@@ -106,9 +105,6 @@ class GenFunClosedForm:
     def u_log_deriv(self, z):
         _, d1, d2 = self.numerator_coeffs
         return self.lam / z - (d1 + 2.0 * d2 * z) / self.numerator(z)
-
-    def g(self, z):
-        return self.f(z) - 0.5 * (self.lam + 1.0) * self.omega2 * z - 0.5 * self.alpha1
 
 
 def _nearest_zero(c1: float, c2: float) -> float:
@@ -275,14 +271,14 @@ def as_shape(values, shape):
 def psi_closed(cf: GenFunClosedForm, z, x):
     """psi(z, x) = 1 / (u(z) * exp(lambda * Log(f(z) - x))), principal branch.
 
-    z and x are scalars or 1-D arrays laid out as in psi_series: arrays give
-    the (Z, X) grid, scalars a complex.  For a stack of C closed forms x has
-    one row per configuration and the result a leading axis of length C.
-    At a non-finite x, outside the domain radius, on the closed negative
-    real z axis of a family that excludes it, at z = 0, where f(z) = x and
-    where f(z) - x is on the branch cut the call raises, for the first such
-    point in z-major order (of the first configuration that has one), the
-    error a scalar call there raises.
+    z and x are scalars or 1-D arrays laid out as in a row of
+    psi_series_stack: arrays give the (Z, X) grid, scalars a complex.  For a
+    stack of C closed forms x has one row per configuration and the result
+    a leading axis of length C.  At a non-finite x, outside the domain
+    radius, on the closed negative real z axis of a family that excludes it,
+    at z = 0, where f(z) = x and where f(z) - x is on the branch cut the call
+    raises, for the first such point in z-major order (of the first
+    configuration that has one), the error a scalar call there raises.
     """
     zs, xs, shape = _grid(cf, z, x)
     zg = zs[:, None]
@@ -338,7 +334,7 @@ def psi_analytic(cf: GenFunClosedForm, z, x):
 
 class PsiSeriesResult(NamedTuple):
     """Partial sum (a complex for a scalar (z, x), a (Z, X) array for a
-    grid), the call's bound on the omitted tail, the number of terms summed
+    grid), the row's bound on the omitted tail, the number of terms summed
     and a convergence flag per element (tail_bound <= 1e-8 |value|)."""
 
     value: complex
@@ -355,38 +351,9 @@ def pochhammer_over_factorial(lam: float) -> Iterator[float]:
         c *= (lam + n) / (n + 1.0)
 
 
-def psi_series(seq: JacobiSzegoSequence, lam: float, z, x) -> PsiSeriesResult:
-    """Partial sum of sum_n (lambda)_n/n! P_n(x) z^n, truncated where a
-    proved bound on the tail falls below the rounding of the sum itself.
-
-    z and x are scalars or 1-D arrays; arrays give the (Z, X) grid of every
-    pair.  The term count N is chosen before any summation, for the whole
-    call, from recurrence.majorant_values: with r = max|z|, c_n =
-    (lambda)_n/n! and M_n >= |P_n(x)| at every x of the call, the terms
-    past K are bounded by the geometric series
-
-        sum_{n>=K} c_n M_n r^n <= c_K A_K r^K / (1 - q_K),
-        A_K = max(M_K, rho_K M_{K-1}),  q_K = max(1, (lambda+K)/(K+1)) rho_K r,
-
-    valid when q_K < 1 and lambda + K > 0 (the ratio c_{n+1}/c_n =
-    (lambda+n)/(n+1) is then at most max(1, its value at K) for n >= K).  N
-    is the first K whose bound is at most 2^-53 sum_{n<K} c_n M_n r^n, and
-    tail_bound is that bound.  If no K <= min(SERIES_CAP, table length + 1)
-    qualifies, all those terms are summed and tail_bound is inf.  The bound
-    assumes that past the end of the table the recurrence coefficients stay
-    within the table's suffix maxima.
-
-    The sum is one recurrence pass for P_0 .. P_{N-1} over all x and one
-    matrix product (c_n z^n) @ P, so a grid element equals a call at its
-    own point only within the two calls' bounds and rounding: a narrower x
-    range may give a smaller N.  This is psi_series_stack with one row.
-    """
-    return psi_series_stack([seq], [lam], z, [x])[0]
-
-
 def _term_count(lam: float, majorants, count: int) -> tuple[int, float]:
-    """psi_series's term count N and tail bound from the majorant pairs
-    (M_n r^n, rho_n r) of its points, trying K up to count."""
+    """psi_series_stack's term count N and tail bound of one row from the
+    majorant pairs (M_n r^n, rho_n r) of its points, trying K up to count."""
     majorant_sum = m_prev = 0.0
     pairs = zip(pochhammer_over_factorial(lam), majorants)
     for k, (c, (m, growth)) in enumerate(itertools.islice(pairs, count + 1)):
@@ -401,22 +368,42 @@ def _term_count(lam: float, majorants, count: int) -> tuple[int, float]:
 
 
 def psi_series_stack(seqs, lams, z, x_rows) -> list[PsiSeriesResult]:
-    """psi_series for C configurations, one result per row: row c sums with
-    table seqs[c] and lambda lams[c] at the points z, or its own row z[c],
-    and x_rows[c].
+    """Partial sums of sum_n (lambda)_n/n! P_n(x) z^n for C configurations,
+    each truncated where a proved bound on its tail falls below the rounding
+    of the sum itself: one result per row, and a single configuration is
+    the stack of one.  Row c sums with table seqs[c] and lambda lams[c] at
+    the points z, or its own row z[c], and x_rows[c].
 
     The tables share one length.  z is a scalar or 1-D array shared by every
     row, or a (C, Z) array with one row of points per configuration (a
     (1, Z) array is shared too); the rows of x_rows are scalars or 1-D
-    arrays of one length.  Each row keeps psi_series's term count N_c and
-    tail bound, chosen from its own table, points and r_c = max|z_c| by a
-    scalar loop over its row of recurrence.majorant_stack.  One eval_monic
-    call then runs the recurrence over the stacked (C, X) points up to
-    max N_c, and each row sums its own first N_c terms in a product
-    (c_n z^n) @ P of psi_series's shapes, so every row equals its own
-    psi_series call bit for bit.  (A single product over zero-padded rows
-    would not: BLAS may split a longer sum differently.)  A non-finite x of
-    any row raises eval_monic's ParameterError.
+    arrays of one length.  Arrays give a row the (Z, X) grid of every pair.
+
+    Each row's term count N is chosen before any summation, from its own
+    table and points by a scalar loop over its row of
+    recurrence.majorant_stack: with r = max|z| over the row, c_n =
+    (lambda)_n/n! and M_n >= |P_n(x)| at every x of the row, the terms past
+    K are bounded by the geometric series
+
+        sum_{n>=K} c_n M_n r^n <= c_K A_K r^K / (1 - q_K),
+        A_K = max(M_K, rho_K M_{K-1}),  q_K = max(1, (lambda+K)/(K+1)) rho_K r,
+
+    valid when q_K < 1 and lambda + K > 0 (the ratio c_{n+1}/c_n =
+    (lambda+n)/(n+1) is then at most max(1, its value at K) for n >= K).  N
+    is the first K whose bound is at most 2^-53 sum_{n<K} c_n M_n r^n, and
+    tail_bound is that bound.  If no K <= min(SERIES_CAP, table length + 1)
+    qualifies, all those terms are summed and tail_bound is inf.  The bound
+    assumes that past the end of the table the recurrence coefficients stay
+    within the table's suffix maxima.
+
+    One eval_monic call then runs the recurrence over the stacked (C, X)
+    points up to the largest N, and each row sums its own first N terms in
+    a product (c_n z^n) @ P, so every row equals its own stack of one bit
+    for bit.  (A single product over zero-padded rows would not: BLAS may
+    split a longer sum differently.)  Within a row, a grid element equals a
+    call at its own point only within the two calls' bounds and rounding: a
+    narrower x range may give a smaller N.  A non-finite x of any row raises
+    eval_monic's ParameterError.
     """
     zs = np.asarray(z, dtype=complex)
     z_row = zs.shape[1:] if zs.ndim == 2 else zs.shape

@@ -150,13 +150,6 @@ def _point_rows(lead: tuple, x) -> tuple[np.ndarray, tuple]:
     return np.full((math.prod(lead), math.prod(row)), xs.reshape(-1, math.prod(row))), row
 
 
-def pochhammer(lam: float, n: int) -> float:
-    """Rising factorial (lam)_n = lam (lam+1) ... (lam+n-1), with ()_0 = 1."""
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
-    return float(_rising_table(lam, n)[n])
-
-
 def duplication_check(a: float) -> float:
     """Log-scale residual of sqrt(pi) Gamma(2a) = 2^(2a-1) Gamma(a) Gamma(a+1/2)."""
     if a <= 0.0:

@@ -65,20 +65,6 @@ class MeasureSpec:
     edge_exponents: Optional[tuple[float, float]] = None
     log_scale: float = 0.0
 
-    def density(self, x: float) -> float:
-        """Normalized density at x (0 outside the open support)."""
-        if self.edge_exponents is None:
-            raise ParameterError(
-                f"{self.family.value} has no stored density; use its recurrence"
-            )
-        lo, hi = self.support
-        if not lo < x < hi:
-            return 0.0
-        e_lo, e_hi = self.edge_exponents
-        return self.norm_const * math.exp(
-            self.log_scale + e_hi * math.log(hi - x) + e_lo * math.log(x - lo)
-        )
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -88,14 +74,11 @@ class QuadratureRule:
     weights: np.ndarray
     order: int
 
-    def to_csv(self, path, header_comment: Optional[str] = None) -> None:
-        """Write `node,weight` rows with 17 significant digits."""
-        with open(path, "w", encoding="ascii") as fh:
-            if header_comment is not None:
-                fh.write(f"# {header_comment}\n")
-            fh.write("node,weight\n")
-            for x, w in zip(self.nodes, self.weights):
-                fh.write(f"{x:.17g},{w:.17g}\n")
+    def csv_text(self, header_comment: str) -> str:
+        """The rule as CSV: a `# header_comment` line, then `node,weight`
+        rows with 17 significant digits."""
+        rows = "".join(f"{x:.17g},{w:.17g}\n" for x, w in zip(self.nodes, self.weights))
+        return f"# {header_comment}\nnode,weight\n{rows}"
 
 
 def build_measure(family, lam=None, a=None, b=None) -> MeasureSpec:
@@ -252,15 +235,3 @@ def gauss_quadrature(measure: MeasureSpec, order: int) -> QuadratureRule:
     if order < 1:
         raise ParameterError(f"order must be >= 1, got {order}")
     return _gauss_rule(recurrence_of(measure, order), order)
-
-
-def moment(measure: MeasureSpec, k: int, order: int) -> float:
-    """k-th raw moment of the measure via its Gauss rule."""
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
-    if 2 * order - 1 < k:
-        raise ParameterError(
-            f"order {order} is exact only to degree {2 * order - 1} < k = {k}"
-        )
-    rule = gauss_quadrature(measure, order)
-    return float(rule.weights @ rule.nodes**k)

@@ -290,14 +290,6 @@ def _symmetric_omega2_fit(lam: float) -> tuple[float, float, float]:
     return _quadratic_fit(phi)
 
 
-def symmetric_omega2_quadratic(lam: float) -> tuple[float, float, float]:
-    """The quadratic A w^2 + B w + C = 0 satisfied by the symmetric omega_2,
-    normalized so that A = -(lambda+1)(lambda+2); its discriminant is 9."""
-    c2, c1, c0 = _symmetric_omega2_fit(lam)
-    scale = c2 / (-(lam + 1.0) * (lam + 2.0))
-    return c2 / scale, c1 / scale, c0 / scale
-
-
 def solve_symmetric(lam: float) -> list[ClassificationSolution]:
     """Both symmetric branches (alpha_1 = 0, E = a0 z^2 + 1).
 
@@ -348,20 +340,16 @@ def nonsymmetric_omega2_roots(lam: float) -> tuple[float, float]:
     return degenerate, solution
 
 
-def solve_nonsymmetric(lam: float) -> list[ClassificationSolution]:
-    """The two non-symmetric solutions (the sign choices of alpha_1).
+def solve_nonsymmetric(lam: float) -> tuple[float, list[ClassificationSolution]]:
+    """The rejected degenerate omega_2 root and the two non-symmetric
+    solutions (the sign choices of alpha_1), from one solve of the omega_2
+    equation.
 
     Solves the five coefficient equations of the degree-2 ansatz with
     alpha_1 != 0: a1 is linear in alpha_1, a0 is fixed by the z^3 equation,
     omega_2 solves a quadratic whose 0 root is rejected as degenerate, and
     alpha_1^2 follows from the z^2 equation.
     """
-    return _nonsymmetric_classification(lam)[1]
-
-
-def _nonsymmetric_classification(lam: float) -> tuple[float, list[ClassificationSolution]]:
-    """The rejected degenerate omega_2 root and solve_nonsymmetric(lam),
-    from one solve of the omega_2 equation."""
     degenerate, w = nonsymmetric_omega2_roots(lam)
     a1_trial = _linear_solve(lambda t: _coeff_at(lam, 1.0, w, [1.0, t, 0.0], 1))
     a0 = _linear_solve(lambda t: _coeff_at(lam, 1.0, w, [1.0, a1_trial, t], 3))
@@ -392,35 +380,6 @@ def _nonsymmetric_classification(lam: float) -> tuple[float, list[Classification
     return degenerate, out
 
 
-def degree_bound_check(lam: float, alpha1: float, omega2: float, degree: int) -> float:
-    """Magnitude of the leading E coefficient forced by the top equations.
-
-    For an ansatz of degree d >= 3 the z^(2d) coefficient of the matching
-    identity is -t^2 where t is the leading coefficient, independently of all
-    lower-order coefficients; so t is forced to 0, and the argument cascades
-    down to degree 2.  Returns the largest forced |t| over the cascade
-    (contract: 0).
-    """
-    if degree not in (3, 4, 5, 6):
-        raise ParameterError(f"degree must be in 3..6, got {degree}")
-    forced = 0.0
-    for k in range(degree, 2, -1):
-        # Arbitrary fixed lower-order coefficients; the top equation must not
-        # involve them.
-        lower = [1.0] + [(-1.0) ** j / (j + 2.0) for j in range(1, k)]
-
-        def phi(t: float) -> float:
-            return _coeff_at(lam, alpha1, omega2, lower + [t], 2 * k)
-
-        c2, c1, c0 = _quadratic_fit(phi)
-        if abs(c2 + 1.0) > 1e-9:
-            raise InconsistencyError(
-                f"top equation at degree {k} is not -t^2 (leading {c2})"
-            )
-        forced = max(forced, max(abs(r) for r in _quadratic_roots(c2, c1, c0)))
-    return forced
-
-
 def free_meixner_uniqueness(a: float, b: float, n_terms: int) -> SeriesSolution:
     """Series solution of the lambda = 1 reduced equation; every c_n is 0.
 
@@ -439,46 +398,3 @@ def free_meixner_uniqueness(a: float, b: float, n_terms: int) -> SeriesSolution:
         prev = c[m - 1] if m >= 1 else 0.0
         c[m + 1] = (-a * (m + 1.0) * c[m] - b * (m - 1.0) * prev - conv) / (m + 3.0)
     return SeriesSolution(c=c[1:], h0=0.5 * a, n_terms=n_terms)
-
-
-def h_lambda_initial(lam: float, alpha1: float, omega2: float) -> float:
-    """h(0) = lambda alpha_1 / 2, verified against the closed form.
-
-    The parameters must come from a valid classification solution; the value
-    is cross-checked against lim_{z->0} (g(z) - 1/z) = c1 - alpha_1/2, read
-    exactly from that family's closed form (z f(z) = 1 + c1 z + c2 z^2).
-    """
-    match_tol = 1e-9
-    if abs(lam - 1.0) <= match_tol:
-        cf = genfun.closed_form(Family.FREE_MEIXNER, a=alpha1, b=omega2 - 1.0)
-    elif abs(alpha1) <= 1e-12:
-        if abs(omega2 - families.omega2_value(Family.SYM1, lam)) <= match_tol:
-            cf = genfun.closed_form(Family.SYM1, lam)
-        elif lam > 0.5 and abs(omega2 - families.omega2_value(Family.SYM2, lam)) <= match_tol:
-            cf = genfun.closed_form(Family.SYM2, lam)
-        else:
-            raise ParameterError(
-                f"(lambda={lam}, alpha1=0, omega2={omega2}) matches no symmetric branch"
-            )
-    else:
-        if lam <= 0.5 or abs(omega2 - families.omega2_value(Family.NONSYM_PLUS, lam)) > match_tol:
-            raise ParameterError(
-                f"(lambda={lam}, omega2={omega2}) matches no non-symmetric branch"
-            )
-        expected_a1 = families.alpha1_value(Family.NONSYM_PLUS, lam)
-        if abs(alpha1 - expected_a1) <= match_tol:
-            cf = genfun.closed_form(Family.NONSYM_PLUS, lam)
-        elif abs(alpha1 + expected_a1) <= match_tol:
-            cf = genfun.closed_form(Family.NONSYM_MINUS, lam)
-        else:
-            raise ParameterError(
-                f"alpha1 = {alpha1} matches neither sign of the non-symmetric branch"
-            )
-
-    limit = cf.zf_coeffs[1] - 0.5 * cf.alpha1
-    expected = 0.5 * lam * alpha1
-    if abs(limit - expected) > 1e-6:
-        raise InconsistencyError(
-            f"h(0) from the closed form is {limit:.9g}, expected {expected:.9g}"
-        )
-    return expected

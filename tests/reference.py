@@ -2,19 +2,34 @@
 
 They compute the same quantities as the package by an independent route:
 adaptive Gauss-Kronrod integration against a catalog density (the package
-normalizes in closed form), and the classical monic Gegenbauer and Jacobi
+normalizes in closed form), the classical monic Gegenbauer and Jacobi
 recurrence coefficients one index at a time (the package tabulates them as
-arrays).
+arrays), and recurrence coefficients recovered from a Gauss rule by the
+discrete Stieltjes procedure (the package writes them in closed form).
+
+The classification oracles sample the package's coefficient-matching
+identity where the commands never do: the symmetric omega_2 quadratic with
+its normalized coefficients, and the degree argument that forces an E of
+degree 3 to 6 down to degree 2.  A few small helpers give quantities that
+several tests read: norms, moments and the standardization of a table.
 """
 from __future__ import annotations
 
 import math
 from typing import Callable
 
+import numpy as np
 import scipy.integrate
 
-from opgf import ParameterError
+from opgf import (
+    InconsistencyError,
+    JacobiSzegoSequence,
+    NumericalBreakdownError,
+    ParameterError,
+    gauss_quadrature,
+)
 from opgf.measures import MeasureSpec
+from opgf.riccati import _coeff_at, _quadratic_fit, _quadratic_roots, _symmetric_omega2_fit
 
 _QUAD_TOL = 1e-12
 
@@ -62,6 +77,133 @@ def adaptive_integral(measure: MeasureSpec, fn) -> float:
     e_lo, e_hi = measure.edge_exponents
     prefactor = measure.norm_const * math.exp(measure.log_scale)
     return prefactor * _edge_weighted_integral(lo, hi, e_lo, e_hi, fn)
+
+
+def density(measure: MeasureSpec, x: float) -> float:
+    """Normalized density of the measure at x (0 outside the open support)."""
+    if measure.edge_exponents is None:
+        raise ParameterError(
+            f"{measure.family.value} has no stored density; use its recurrence"
+        )
+    lo, hi = measure.support
+    if not lo < x < hi:
+        return 0.0
+    e_lo, e_hi = measure.edge_exponents
+    return measure.norm_const * math.exp(
+        measure.log_scale + e_hi * math.log(hi - x) + e_lo * math.log(x - lo)
+    )
+
+
+def moment(measure: MeasureSpec, k: int, order: int) -> float:
+    """k-th raw moment of the measure by its Gauss rule of the given order,
+    exact for k <= 2 order - 1."""
+    rule = gauss_quadrature(measure, order)
+    return float(rule.weights @ rule.nodes**k)
+
+
+def norm_squared(seq: JacobiSzegoSequence, n: int) -> float:
+    """||P_n||^2 = omega_1 omega_2 ... omega_n (1 for n = 0), from
+    ||P_{n+1}||^2 = omega_{n+1} ||P_n||^2 and unit total mass."""
+    return math.prod(seq.omegas[1:n + 1].tolist(), start=1.0)
+
+
+def standardized(seq: JacobiSzegoSequence) -> bool:
+    """alpha_0 = 0 and omega_1 = 1: the measure has mean 0, variance 1."""
+    return (seq.alphas.size > 1 and abs(seq.alphas[0]) <= 1e-12
+            and abs(seq.omegas[1] - 1.0) <= 1e-12)
+
+
+# Naive discrete Stieltjes is unstable in doubles past this degree.
+STIELTJES_MAX_DEGREE = 40
+
+
+def stieltjes_from_quadrature(rule, n_max: int) -> JacobiSzegoSequence:
+    """Recover (alpha_n, omega_n), n <= n_max, from a quadrature rule.
+
+    Discrete Stieltjes procedure with the long recurrence: orthogonalize the
+    monomial basis against the discrete inner product <f, g> = sum w_j f_j g_j.
+    The rule must carry at least 2*n_max + 1 nodes with positive weights
+    summing to 1.
+    """
+    if n_max < 0:
+        raise ParameterError(f"n_max must be >= 0, got {n_max}")
+    if n_max > STIELTJES_MAX_DEGREE:
+        raise ParameterError(
+            f"n_max = {n_max} exceeds the supported degree {STIELTJES_MAX_DEGREE} "
+            "(double-precision instability of the naive Stieltjes procedure)"
+        )
+    nodes = np.asarray(rule.nodes, dtype=float)
+    weights = np.asarray(rule.weights, dtype=float)
+    if nodes.size < 2 * n_max + 1:
+        raise ParameterError(
+            f"rule has {nodes.size} nodes; need at least {2 * n_max + 1} for n_max={n_max}"
+        )
+    if np.any(weights <= 0.0):
+        raise ParameterError("quadrature weights must be positive")
+    if abs(weights.sum() - 1.0) > 1e-12:
+        raise ParameterError("quadrature weights must sum to 1 within 1e-12")
+
+    alphas = np.empty(n_max + 1)
+    omegas = np.empty(n_max + 1)
+    omegas[0] = 1.0
+    p_prev = np.zeros_like(nodes)
+    p_cur = np.ones_like(nodes)
+    norm_cur = 1.0
+    for n in range(n_max + 1):
+        alphas[n] = float(weights @ (nodes * p_cur * p_cur)) / norm_cur
+        if n == n_max:
+            break
+        p_next = (nodes - alphas[n]) * p_cur - (omegas[n] if n > 0 else 0.0) * p_prev
+        norm_next = float(weights @ (p_next * p_next))
+        omega_next = norm_next / norm_cur
+        # Rank loss of the discrete measure shows up as an omega at rounding
+        # scale (~eps^2), not as an exact zero.
+        if omega_next <= 1e-16 * max(1.0, omegas[n]):
+            raise NumericalBreakdownError(
+                f"computed omega_{n + 1} = {omega_next} lost positivity "
+                "(discrete measure has too few distinct support points)",
+                index=n + 1,
+            )
+        omegas[n + 1] = omega_next
+        p_prev, p_cur, norm_cur = p_cur, p_next, norm_next
+    return JacobiSzegoSequence(alphas, omegas)
+
+
+def symmetric_omega2_quadratic(lam: float) -> tuple[float, float, float]:
+    """The quadratic A w^2 + B w + C = 0 satisfied by the symmetric omega_2,
+    normalized so that A = -(lambda+1)(lambda+2); its discriminant is 9."""
+    c2, c1, c0 = _symmetric_omega2_fit(lam)
+    scale = c2 / (-(lam + 1.0) * (lam + 2.0))
+    return c2 / scale, c1 / scale, c0 / scale
+
+
+def degree_bound_check(lam: float, alpha1: float, omega2: float, degree: int) -> float:
+    """Magnitude of the leading E coefficient forced by the top equations.
+
+    For an ansatz of degree d >= 3 the z^(2d) coefficient of the matching
+    identity is -t^2 where t is the leading coefficient, independently of all
+    lower-order coefficients; so t is forced to 0, and the argument cascades
+    down to degree 2.  Returns the largest forced |t| over the cascade
+    (contract: 0).
+    """
+    if degree not in (3, 4, 5, 6):
+        raise ParameterError(f"degree must be in 3..6, got {degree}")
+    forced = 0.0
+    for k in range(degree, 2, -1):
+        # Arbitrary fixed lower-order coefficients; the top equation must not
+        # involve them.
+        lower = [1.0] + [(-1.0) ** j / (j + 2.0) for j in range(1, k)]
+
+        def phi(t: float) -> float:
+            return _coeff_at(lam, alpha1, omega2, lower + [t], 2 * k)
+
+        c2, c1, c0 = _quadratic_fit(phi)
+        if abs(c2 + 1.0) > 1e-9:
+            raise InconsistencyError(
+                f"top equation at degree {k} is not -t^2 (leading {c2})"
+            )
+        forced = max(forced, max(abs(r) for r in _quadratic_roots(c2, c1, c0)))
+    return forced
 
 
 def gegenbauer_omega(n: int, lam: float) -> float:

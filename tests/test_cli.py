@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -714,6 +715,33 @@ def test_non_finite_free_meixner_parameter_exits_2(command, name, value, tmp_pat
         f"opgf {command[0]}: free-meixner requires a finite {name}, "
         f"got {name}={float(value)}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "2", "0.9", "1.0000000000001"])
+@pytest.mark.parametrize("command", [["verify"], ["quadrature", "--order", "4"]],
+                         ids=["verify", "quadrature"])
+def test_free_meixner_lambda_other_than_one_exits_2(command, lam, tmp_path, capsys):
+    out = tmp_path / "x.out"
+    assert run([*command, "--family", "free-meixner", f"--lambda={lam}", "--a", "0",
+                "--b", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"opgf {command[0]}: free-meixner has lambda = 1; drop the lambda argument\n")
+    assert not out.exists()
+
+
+def test_every_output_takes_the_mode_of_a_plain_write(tmp_path):
+    # under umask 022 a plain open(path, "w") makes -rw-r--r--; the atomic
+    # write's temporary file must not keep mkstemp's owner-only mode
+    commands = [["verify", "--family", "sym1", "--lambda", "2"], ["classify", "--lambda", "2"],
+                ["quadrature", "--family", "sym1", "--lambda", "2", "--order", "4"]]
+    outs = [tmp_path / f"out{k}" for k in range(len(commands))]
+    previous = os.umask(0o022)
+    try:
+        for command, out in zip(commands, outs):
+            assert run([*command, "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert [stat.S_IMODE(out.stat().st_mode) for out in outs] == [0o644] * 3
 
 
 @pytest.mark.parametrize("command", [

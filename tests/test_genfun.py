@@ -22,13 +22,12 @@ from opgf import (
     psi_analytic,
     psi_closed,
     psi_family_moments,
-    psi_series,
     psi_series_stack,
-    stieltjes_from_quadrature,
 )
 from opgf import families, genfun, measures, riccati
 from opgf.genfun import pochhammer_over_factorial
-from opgf.recurrence import majorant_stack, majorant_values
+from opgf.recurrence import majorant_stack
+from reference import stieltjes_from_quadrature
 
 # lambda = 1 rows of the identity sweep are carried by the free Meixner family
 IDENTITY_SWEEP = SWEEP_CONFIGS + ((Family.FREE_MEIXNER, None, 0.0, 0.0),)
@@ -38,6 +37,16 @@ def capped_sequence(config, terms):
     """The table of config with terms - 1 coefficients: the series sums at
     most min(SERIES_CAP, table length + 1) = terms terms."""
     return measures.recurrence_of(get_measure(*config), terms - 1)
+
+
+def psi_series(seq, lam, z, x):
+    """The series of one configuration: psi_series_stack's stack of one."""
+    return psi_series_stack([seq], [lam], z, [x])[0]
+
+
+def majorants(seq, x, scale):
+    """majorant_stack's stack of one: the majorants of seq over the points x."""
+    return majorant_stack([seq], np.reshape(x, (1, -1)), scale)[0]
 
 
 def circle_points(radius, count=16):
@@ -86,8 +95,12 @@ class TestClosedForm:
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_g_minus_pole_extends_continuously(self, config):
         cf = get_closed_form(*config)
-        h5 = complex(cf.g(1e-5) - 1e5)
-        h6 = complex(cf.g(1e-6) - 1e6)
+
+        def g(z):  # f - Q_1/2, Q_1(z) = (lambda+1) omega_2 z + alpha_1
+            return cf.f(z) - 0.5 * (cf.lam + 1.0) * cf.omega2 * z - 0.5 * cf.alpha1
+
+        h5 = complex(g(1e-5) - 1e5)
+        h6 = complex(g(1e-6) - 1e6)
         assert abs(h5 - h6) <= 1e-4 * (1.0 + abs(h6))
 
     def test_sym2_u_reduced_limit(self):
@@ -661,15 +674,15 @@ class TestCertifiedTruncation:
         # the rounding of the two float recurrences
         seq = get_sequence(*config)
         xs = np.linspace(*get_measure(*config).support, 11)
-        majorant = [m for m, _ in itertools.islice(majorant_values(seq, xs, 1.0), 201)]
+        majorant = [m for m, _ in itertools.islice(majorants(seq, xs, 1.0), 201)]
         values = np.abs(eval_monic(seq, 200, xs)).max(axis=1)
         assert np.all(values <= np.array(majorant) * (1.0 + 1e-12))
 
     def test_majorant_scales_with_z(self):
         seq = get_sequence(Family.NONSYM_PLUS, 1.5, None, None)
         xs = np.linspace(*get_measure(Family.NONSYM_PLUS, 1.5, None, None).support, 11)
-        plain = list(itertools.islice(majorant_values(seq, xs, 1.0), 30))
-        scaled = list(itertools.islice(majorant_values(seq, xs, 0.25), 30))
+        plain = list(itertools.islice(majorants(seq, xs, 1.0), 30))
+        scaled = list(itertools.islice(majorants(seq, xs, 0.25), 30))
         for n, ((m, rho), (m_s, rho_s)) in enumerate(zip(plain, scaled)):
             assert m_s == pytest.approx(m * 0.25**n, rel=1e-13, abs=0.0)
             assert rho_s == pytest.approx(0.25 * rho, rel=1e-15, abs=0.0)
@@ -708,7 +721,7 @@ class TestCertifiedTruncation:
         r, x = 0.3, 0.25
         series = psi_series(seq, 1.0, r, x)
         size = np.abs(eval_monic(seq, 60, x)) * r ** np.arange(61)
-        majorant = [m for m, _ in itertools.islice(majorant_values(seq, x, r), 61)]
+        majorant = [m for m, _ in itertools.islice(majorants(seq, x, r), 61)]
         assert size == pytest.approx(majorant, rel=1e-13, abs=0.0)
         count = series.n_terms
         tail = size[count] / (1.0 - r * 0.25)
@@ -929,9 +942,9 @@ def test_majorant_stack_rows_are_their_own_majorants():
     rows = np.array([np.linspace(*families.support_interval(*c), 11) for c in SWEEP_CONFIGS])
     for seq, xs, stacked in zip(seqs, rows, majorant_stack(seqs, rows, r)):
         assert (list(itertools.islice(stacked, 203))
-                == list(itertools.islice(majorant_values(seq, xs, r), 203)))
+                == list(itertools.islice(majorants(seq, xs, r), 203)))
     # one scale per row
     scales = np.linspace(0.05, 0.3, len(seqs))
     for seq, xs, r, stacked in zip(seqs, rows, scales, majorant_stack(seqs, rows, scales)):
         assert (list(itertools.islice(stacked, 203))
-                == list(itertools.islice(majorant_values(seq, xs, float(r)), 203)))
+                == list(itertools.islice(majorants(seq, xs, float(r)), 203)))

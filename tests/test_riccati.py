@@ -16,9 +16,7 @@ from opgf import (
     RedirectToFreeMeixner,
     SingularityError,
     coefficients,
-    degree_bound_check,
     free_meixner_uniqueness,
-    h_lambda_initial,
     nonsymmetric_omega2_roots,
     residual_f,
     residual_moment_ode,
@@ -26,13 +24,12 @@ from opgf import (
     riccati,
     solve_nonsymmetric,
     solve_symmetric,
-    stieltjes_from_quadrature,
-    symmetric_omega2_quadratic,
 )
 from opgf.families import alpha1_value, omega2_value
 from opgf.measures import family_sequence, gauss_quadrature
 from opgf.recurrence import JacobiSzegoSequence
 from opgf.riccati import _matching_residual
+from reference import degree_bound_check, stieltjes_from_quadrature, symmetric_omega2_quadratic
 
 LAMBDA_GRID = [v for v in np.linspace(0.56, 3.0, 20)]
 # lambda = 1 rows of the identity sweep are carried by the free Meixner family
@@ -338,7 +335,7 @@ class TestSolveSymmetric:
 
 class TestSolveNonsymmetric:
     def test_lambda2_values(self):
-        plus, minus = solve_nonsymmetric(2.0)
+        _, (plus, minus) = solve_nonsymmetric(2.0)
         assert plus.omega2 == pytest.approx(32.0 / 27.0, abs=1e-13)
         assert plus.alpha1**2 == pytest.approx(4.0 / 27.0, abs=1e-13)
         assert plus.alpha1 > 0 > minus.alpha1
@@ -348,7 +345,7 @@ class TestSolveNonsymmetric:
 
     @pytest.mark.parametrize("lam", LAMBDA_GRID)
     def test_formulas_and_consistency(self, lam):
-        plus, minus = solve_nonsymmetric(lam)
+        _, (plus, minus) = solve_nonsymmetric(lam)
         w_expected = 2.0 * lam**3 / ((lam + 1.0) ** 2 * (lam - 0.5))
         a1sq_expected = 2.0 / ((lam + 1.0) ** 2 * (lam - 0.5))
         assert plus.omega2 == pytest.approx(w_expected, rel=1e-12)
@@ -393,7 +390,7 @@ class TestSolveNonsymmetric:
 
     def test_f_display_lambda2(self):
         # f(z) = [ (4/3) z^2 + z/sqrt(3) + 1 ] / z for the plus sign
-        plus = solve_nonsymmetric(2.0)[0]
+        plus = solve_nonsymmetric(2.0)[1][0]
         a0, a1, a2 = plus.e_coeffs
         lam, w = 2.0, plus.omega2
 
@@ -417,7 +414,7 @@ class TestSolutionProperties:
     def test_residual_f_from_solution_g(self, lam):
         # rebuild f = g + Q1/2 from each solution's E and check the Riccati
         # residual on two circles
-        solutions = list(solve_symmetric(lam)) + list(solve_nonsymmetric(lam))
+        solutions = list(solve_symmetric(lam)) + solve_nonsymmetric(lam)[1]
         for sol in solutions:
             if not sol.valid:
                 continue
@@ -448,7 +445,7 @@ class TestSolutionProperties:
     def test_equation_system_residuals(self, lam):
         for sol in solve_symmetric(lam):
             assert sol.max_residual <= 1e-12
-        for sol in solve_nonsymmetric(lam):
+        for sol in solve_nonsymmetric(lam)[1]:
             assert sol.max_residual <= 1e-12
 
     @pytest.mark.parametrize(
@@ -465,7 +462,7 @@ class TestSolutionProperties:
             sol = solve_symmetric(lam)[branch]
         else:
             branch = 0 if family is Family.NONSYM_PLUS else 1
-            sol = solve_nonsymmetric(lam)[branch]
+            sol = solve_nonsymmetric(lam)[1][branch]
         assert sol.omega2 == pytest.approx(omega2_value(family, lam), rel=1e-12)
         assert sol.alpha1 == pytest.approx(alpha1_value(family, lam), abs=1e-12)
         assert seq.omegas[2] == pytest.approx(sol.omega2, abs=1e-8)
@@ -540,7 +537,7 @@ def test_classification_path_is_numpy_free(monkeypatch):
     monkeypatch.setattr(riccati, "np", _NoNumpy())
     for lam in (0.3, 2.3):
         assert len(solve_symmetric(lam)) == 2
-    assert len(solve_nonsymmetric(2.3)) == 2
+    assert len(solve_nonsymmetric(2.3)[1]) == 2
     assert nonsymmetric_omega2_roots(2.3)[0] == 0.0
     assert degree_bound_check(1.7, 0.4, 1.2, 6) == 0.0
 
@@ -579,27 +576,33 @@ class TestFreeMeixnerUniqueness:
             free_meixner_uniqueness(0.0, 0.0, 31)
 
 
+def h_initial(config):
+    """h(0) = lim_{z->0} (g(z) - 1/z) = c1 - alpha_1/2, g = f - Q_1/2, read
+    exactly from the closed form z f(z) = 1 + c1 z + c2 z^2."""
+    cf = get_closed_form(*config)
+    return cf.zf_coeffs[1] - 0.5 * cf.alpha1
+
+
 class TestHLambdaInitial:
+    @pytest.mark.parametrize("config", SWEEP_CONFIGS)
+    def test_h0_is_half_lambda_alpha1(self, config):
+        # the paper's h(0) = lambda alpha_1 / 2 on every sweep closed form
+        cf = get_closed_form(*config)
+        assert h_initial(config) == pytest.approx(0.5 * cf.lam * cf.alpha1, rel=1e-12,
+                                                  abs=1e-15)
+
     def test_symmetric_families_zero(self):
-        assert h_lambda_initial(2.0, 0.0, 1.25) == 0.0
-        assert h_lambda_initial(1.5, 0.0, 2.0 / 2.5) == 0.0
+        assert h_initial((Family.SYM1, 2.0, None, None)) == 0.0
+        assert h_initial((Family.SYM2, 1.5, None, None)) == 0.0
 
     def test_nonsym_plus_lambda2(self):
-        alpha1 = 2.0 / math.sqrt(27.0)
-        value = h_lambda_initial(2.0, alpha1, 32.0 / 27.0)
+        value = h_initial((Family.NONSYM_PLUS, 2.0, None, None))
         assert value == pytest.approx(2.0 / math.sqrt(27.0), rel=1e-12)
 
     def test_nonsym_minus(self):
-        alpha1 = -2.0 / math.sqrt(27.0)
-        assert h_lambda_initial(2.0, alpha1, 32.0 / 27.0) == pytest.approx(
+        assert h_initial((Family.NONSYM_MINUS, 2.0, None, None)) == pytest.approx(
             -2.0 / math.sqrt(27.0), rel=1e-12
         )
 
     def test_free_meixner_half_a(self):
-        assert h_lambda_initial(1.0, 0.5, 1.25) == pytest.approx(0.25)
-
-    def test_unrecognized_parameters(self):
-        with pytest.raises(ParameterError):
-            h_lambda_initial(2.0, 0.0, 0.77)
-        with pytest.raises(ParameterError):
-            h_lambda_initial(2.0, 1.0, 32.0 / 27.0)
+        assert h_initial((Family.FREE_MEIXNER, None, 0.5, 0.25)) == pytest.approx(0.25)
