@@ -25,14 +25,7 @@ from .errors import (
 )
 from .families import Family
 from .recurrence import JacobiSzegoSequence, eval_monic
-from .measures import (
-    MeasureSpec,
-    QuadratureRule,
-    build_measure,
-    family_sequence,
-    gauss_quadrature,
-    recurrence_of,
-)
+from .measures import QuadratureRule, family_sequence, gauss_quadrature
 from .genfun import (
     GenFunClosedForm,
     PsiSeriesResult,
@@ -61,7 +54,6 @@ __all__ = [
     "__version__",
     "Family",
     "JacobiSzegoSequence",
-    "MeasureSpec",
     "QuadratureRule",
     "GenFunClosedForm",
     "PsiSeriesResult",
@@ -70,10 +62,8 @@ __all__ = [
     "SeriesSolution",
     "identities",
     "eval_monic",
-    "build_measure",
     "family_sequence",
     "gauss_quadrature",
-    "recurrence_of",
     "closed_form",
     "psi_closed",
     "psi_analytic",

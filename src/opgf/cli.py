@@ -92,8 +92,10 @@ def _write_atomic(path: str, text: str) -> None:
     """Write text to path through a temporary file in its directory, which
     replaces path only once it is written in full.  The file takes the mode
     open(path, "w") gives a new file under the current umask; mkstemp's is
-    owner-only."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    owner-only.  As with open(path, "w"), a symlinked path keeps its link
+    and the link's target gets the text."""
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         umask = os.umask(0)
@@ -430,11 +432,14 @@ def cmd_classify(args) -> int:
 
 def cmd_quadrature(args) -> int:
     family = Family(args.family)
-    measure = measures.build_measure(family, args.lam, args.a, args.b)
-    rule = measures.gauss_quadrature(measure, args.order)
-    header = f"family={family.value} lambda={measure.lam:.17g} order={args.order}"
+    # a table of at least one entry, so that a bad --order meets
+    # gauss_quadrature's message after any parameter error
+    seq = measures.family_sequence(family, args.lam, args.a, args.b, size=max(args.order, 1))
+    rule = measures.gauss_quadrature(seq, args.order)
+    lam = 1.0 if family is Family.FREE_MEIXNER else args.lam
+    header = f"family={family.value} lambda={lam:.17g} order={args.order}"
     if family is Family.FREE_MEIXNER:
-        header += f" a={measure.a:.17g} b={measure.b:.17g}"
+        header += f" a={args.a:.17g} b={args.b:.17g}"
     _write_atomic(args.out, rule.csv_text(header))
     print(f"opgf quadrature: {args.order} nodes written to {args.out}")
     return 0

@@ -447,7 +447,7 @@ def psi_family_moments(seq, cf: GenFunClosedForm, z) -> tuple:
     tables = _stack_tables(seq, cf)
     zs = np.asarray(z, dtype=float)
     raise_first((zs,), [radius_guard(cf, zs)])
-    rules = [measures._gauss_rule(table, min(MOMENT_ORDER, measures._support_points(table)))
+    rules = [measures.gauss_quadrature(table, min(MOMENT_ORDER, measures._support_points(table)))
              for table in tables]
     orders = sorted({rule.nodes.size for rule in rules})
     if len(orders) > 1:

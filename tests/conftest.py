@@ -1,7 +1,7 @@
 """Shared sweep definitions and cached constructors for the test suite."""
 from functools import lru_cache
 
-from opgf import Family, build_measure, closed_form, recurrence_of
+from opgf import Family, closed_form, family_sequence
 from opgf.genfun import SERIES_CAP
 
 # The standard verification sweep: every family over its lambda grid, the
@@ -17,15 +17,10 @@ SWEEP_CONFIGS = tuple(
 
 
 @lru_cache(maxsize=None)
-def get_measure(family, lam, a, b):
-    return build_measure(family, lam, a, b)
-
-
-@lru_cache(maxsize=None)
 def get_closed_form(family, lam, a, b):
     return closed_form(family, lam, a, b)
 
 
 @lru_cache(maxsize=None)
 def get_sequence(family, lam, a, b):
-    return recurrence_of(get_measure(family, lam, a, b), SERIES_CAP)
+    return family_sequence(family, lam, a, b, size=SERIES_CAP)

@@ -1,17 +1,20 @@
 """Reference implementations the tests compare the package against.
 
 They compute the same quantities as the package by an independent route:
-adaptive Gauss-Kronrod integration against a catalog density (the package
-normalizes in closed form), the classical monic Gegenbauer and Jacobi
-recurrence coefficients one index at a time (the package tabulates them as
-arrays), and recurrence coefficients recovered from a Gauss rule by the
-discrete Stieltjes procedure (the package writes them in closed form).
+adaptive Gauss-Kronrod integration against each family's Beta density,
+normalized in log-gamma form (the package stores no density and builds its
+Gauss rules from the recurrence alone), the classical monic Gegenbauer and
+Jacobi recurrence coefficients one index at a time (the package tabulates
+them as arrays), and recurrence coefficients recovered from a Gauss rule by
+the discrete Stieltjes procedure (the package writes them in closed form).
 
 The classification oracles sample the package's coefficient-matching
 identity where the commands never do: the symmetric omega_2 quadratic with
 its normalized coefficients, and the degree argument that forces an E of
 degree 3 to 6 down to degree 2.  A few small helpers give quantities that
 several tests read: norms, moments and the standardization of a table.
+
+A configuration is a tuple (family, lambda, a, b), as in conftest.
 """
 from __future__ import annotations
 
@@ -22,13 +25,15 @@ import numpy as np
 import scipy.integrate
 
 from opgf import (
+    Family,
     InconsistencyError,
     JacobiSzegoSequence,
     NumericalBreakdownError,
     ParameterError,
+    family_sequence,
     gauss_quadrature,
 )
-from opgf.measures import MeasureSpec
+from opgf.families import support_interval, validate_params
 from opgf.riccati import _coeff_at, _quadratic_fit, _quadratic_roots, _symmetric_omega2_fit
 
 _QUAD_TOL = 1e-12
@@ -69,35 +74,72 @@ def _edge_weighted_integral(lo: float, hi: float, e_lo: float, e_hi: float,
     return scale * total
 
 
-def adaptive_integral(measure: MeasureSpec, fn) -> float:
-    """Adaptive integral of fn against the measure's density (tol 1e-12)."""
-    if measure.edge_exponents is None:
-        raise ParameterError("free-meixner carries no density to integrate against")
-    lo, hi = measure.support
-    e_lo, e_hi = measure.edge_exponents
-    prefactor = measure.norm_const * math.exp(measure.log_scale)
-    return prefactor * _edge_weighted_integral(lo, hi, e_lo, e_hi, fn)
+def beta_law(family, lam) -> tuple[tuple[float, float], float, float]:
+    """((e_lo, e_hi), log_scale, log_mass) of the density of a non-Meixner
+    family, exp(log_scale - log_mass) (hi - x)^e_hi (x - lo)^e_lo on its
+    support [lo, hi].
+
+    The unnormalized density's mass is the Beta integral (DLMF 5.12)
+    exp(log_scale) (hi - lo)^(e_lo + e_hi + 1) B(e_lo + 1, e_hi + 1), whose
+    logarithm log_mass is summed in log-gamma form.  Its terms grow like
+    lambda log lambda and cancel, so it loses accuracy from about
+    lambda = 1e12; the tests read it up to lambda = 40.
+    """
+    family = Family(family)
+    if family is Family.FREE_MEIXNER:
+        raise ParameterError("free-meixner has no stored density; use its recurrence")
+    lam, _, _ = validate_params(family, lam)
+    lo, hi = support_interval(family, lam)
+    if family is Family.SYM1:
+        e_lo = e_hi = lam - 0.5
+        log_scale = -2.0 * e_hi * math.log(hi)
+    elif family is Family.SYM2:
+        e_lo = e_hi = lam - 1.5
+        log_scale = -2.0 * e_hi * math.log(hi)
+    else:
+        root = math.sqrt(2.0 * lam - 1.0)
+        if family is Family.NONSYM_PLUS:
+            e_hi, e_lo = lam - 0.5, lam - 1.5
+        else:
+            e_hi, e_lo = lam - 1.5, lam - 0.5
+        log_scale = (e_hi + e_lo) * math.log(root / (2.0 * lam))
+    log_mass = (
+        log_scale + (e_lo + e_hi + 1.0) * math.log(hi - lo)
+        + math.lgamma(e_lo + 1.0) + math.lgamma(e_hi + 1.0)
+        - math.lgamma(e_lo + e_hi + 2.0)
+    )
+    return (e_lo, e_hi), log_scale, log_mass
 
 
-def density(measure: MeasureSpec, x: float) -> float:
-    """Normalized density of the measure at x (0 outside the open support)."""
-    if measure.edge_exponents is None:
-        raise ParameterError(
-            f"{measure.family.value} has no stored density; use its recurrence"
-        )
-    lo, hi = measure.support
+def adaptive_integral(config, fn) -> float:
+    """Adaptive integral of fn against the configuration's normalized
+    density (tol 1e-12)."""
+    family, lam, _, _ = config
+    (e_lo, e_hi), log_scale, log_mass = beta_law(family, lam)
+    lo, hi = support_interval(family, lam)
+    return math.exp(log_scale - log_mass) * _edge_weighted_integral(lo, hi, e_lo, e_hi, fn)
+
+
+def density(config, x: float) -> float:
+    """Normalized density of the configuration at x (0 outside the open
+    support)."""
+    family, lam, _, _ = config
+    (e_lo, e_hi), log_scale, log_mass = beta_law(family, lam)
+    lo, hi = support_interval(family, lam)
     if not lo < x < hi:
         return 0.0
-    e_lo, e_hi = measure.edge_exponents
-    return measure.norm_const * math.exp(
-        measure.log_scale + e_hi * math.log(hi - x) + e_lo * math.log(x - lo)
-    )
+    return math.exp(log_scale - log_mass + e_hi * math.log(hi - x) + e_lo * math.log(x - lo))
 
 
-def moment(measure: MeasureSpec, k: int, order: int) -> float:
-    """k-th raw moment of the measure by its Gauss rule of the given order,
-    exact for k <= 2 order - 1."""
-    rule = gauss_quadrature(measure, order)
+def gauss_rule(config, order: int):
+    """The configuration's Gauss rule of the given order."""
+    return gauss_quadrature(family_sequence(*config, size=order), order)
+
+
+def moment(config, k: int, order: int) -> float:
+    """k-th raw moment of the configuration's measure by its Gauss rule of
+    the given order, exact for k <= 2 order - 1."""
+    rule = gauss_rule(config, order)
     return float(rule.weights @ rule.nodes**k)
 
 

@@ -9,18 +9,16 @@ import time
 
 import numpy as np
 
-from conftest import LAMBDA_SWEEP, SWEEP_CONFIGS, get_closed_form, \
-    get_measure, get_sequence
+from conftest import LAMBDA_SWEEP, SWEEP_CONFIGS, get_closed_form, get_sequence
 from opgf import (
     Family,
     coefficients,
     eval_monic,
+    family_sequence,
     free_meixner_uniqueness,
-    gauss_quadrature,
     psi_closed,
     psi_family_moments,
     psi_series_stack,
-    recurrence_of,
     residual_f,
     residual_moment_ode,
     residual_u,
@@ -28,6 +26,7 @@ from opgf import (
     solve_symmetric,
 )
 from opgf import cli
+from opgf.families import support_interval
 from opgf.identities import (
     duplication_check,
     family2_identity,
@@ -41,6 +40,7 @@ from opgf.identities import (
 )
 from reference import (
     degree_bound_check,
+    gauss_rule,
     norm_squared,
     stieltjes_from_quadrature,
     symmetric_omega2_quadratic,
@@ -55,7 +55,7 @@ def report(number, name, passed, detail):
 
 
 def support_grid(config, count=11):
-    lo, hi = get_measure(*config).support
+    lo, hi = support_interval(*config)
     return [float(x) for x in np.linspace(lo, hi, count)]
 
 
@@ -69,7 +69,7 @@ def test_criterion_01_generating_function_identity():
     for config in SWEEP_CONFIGS:
         cf = get_closed_form(*config)
         # 59 coefficients: at most 60 terms
-        seq = recurrence_of(get_measure(*config), 59)
+        seq = family_sequence(*config, size=59)
         for z in z_circle(0.1):
             for x in support_grid(config):
                 closed = psi_closed(cf, z, x)
@@ -154,9 +154,7 @@ def test_criterion_05_recurrence_cross_validation():
     for config in SWEEP_CONFIGS:
         family = config[0]
         catalog = get_sequence(*config)
-        recovered = stieltjes_from_quadrature(
-            gauss_quadrature(get_measure(*config), 20), 8
-        )
+        recovered = stieltjes_from_quadrature(gauss_rule(config, 20), 8)
         for n in range(9):
             worst = max(worst, abs(recovered.alphas[n] - catalog.alphas[n]),
                         abs(recovered.omegas[n] - catalog.omegas[n]))
@@ -249,7 +247,7 @@ def test_criterion_09_orthogonality():
     worst_cross = worst_norm = 0.0
     for config in SWEEP_CONFIGS:
         seq = get_sequence(*config)
-        rule = gauss_quadrature(get_measure(*config), 24)
+        rule = gauss_rule(config, 24)
         tables = eval_monic(seq, 10, rule.nodes).T
         norms = [norm_squared(seq, n) for n in range(11)]
         for m in range(11):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import SWEEP_CONFIGS, get_closed_form, get_measure, get_sequence
+from conftest import SWEEP_CONFIGS, get_closed_form, get_sequence
 from opgf import (
     BranchCutError,
     DomainError,
@@ -18,7 +18,6 @@ from opgf import (
     ParameterError,
     closed_form,
     eval_monic,
-    gauss_quadrature,
     psi_analytic,
     psi_closed,
     psi_family_moments,
@@ -27,7 +26,7 @@ from opgf import (
 from opgf import families, genfun, measures, riccati
 from opgf.genfun import pochhammer_over_factorial
 from opgf.recurrence import majorant_stack
-from reference import stieltjes_from_quadrature
+from reference import gauss_rule, stieltjes_from_quadrature
 
 # lambda = 1 rows of the identity sweep are carried by the free Meixner family
 IDENTITY_SWEEP = SWEEP_CONFIGS + ((Family.FREE_MEIXNER, None, 0.0, 0.0),)
@@ -36,7 +35,7 @@ IDENTITY_SWEEP = SWEEP_CONFIGS + ((Family.FREE_MEIXNER, None, 0.0, 0.0),)
 def capped_sequence(config, terms):
     """The table of config with terms - 1 coefficients: the series sums at
     most min(SERIES_CAP, table length + 1) = terms terms."""
-    return measures.recurrence_of(get_measure(*config), terms - 1)
+    return measures.family_sequence(*config, size=terms - 1)
 
 
 def psi_series(seq, lam, z, x):
@@ -157,7 +156,7 @@ class TestClosedFormData:
         # d1, d2 from psi's z^1 and z^2 coefficients against P_1 = x and
         # P_2 = x^2 - alpha_1 x - 1
         cf = get_closed_form(*config)
-        seq = measures.recurrence_of(get_measure(*config), 3)
+        seq = measures.family_sequence(*config, size=3)
         a1, w2, lam = float(seq.alphas[1]), float(seq.omegas[2]), cf.lam
         c0, c1, c2 = cf.zf_coeffs
         d0, d1, d2 = cf.numerator_coeffs
@@ -274,7 +273,7 @@ class TestPsiClosed:
     )
     def test_conjugate_symmetry(self, angle, radius, xfrac, config):
         cf = get_closed_form(*config)
-        lo, hi = get_measure(*config).support
+        lo, hi = families.support_interval(*config)
         x = lo + xfrac * (hi - lo)
         z = radius * cmath.exp(1j * angle)
         for fn in (psi_closed, psi_analytic):
@@ -289,7 +288,7 @@ class TestGridClosedForms:
     def test_grid_matches_pointwise(self, config, fn):
         # one grid call against one scalar call per (z, x) pair
         cf = get_closed_form(*config)
-        lo, hi = get_measure(*config).support
+        lo, hi = families.support_interval(*config)
         zs, xs = circle_points(0.1, 16), np.linspace(lo, hi, 11)
         grid = fn(cf, zs, xs)
         assert grid.shape == (16, 11)
@@ -364,7 +363,7 @@ class TestPsiAnalytic:
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_matches_psi_closed_off_axis(self, config):
         cf = get_closed_form(*config)
-        lo, hi = get_measure(*config).support
+        lo, hi = families.support_interval(*config)
         for z in circle_points(0.1, 8):
             for x in np.linspace(lo, hi, 5):
                 a = psi_analytic(cf, z, float(x))
@@ -395,7 +394,7 @@ class TestPsiAnalytic:
         if abs(z) < 1e-3:
             z += 0.01
         cf = get_closed_form(*config)
-        lo, hi = get_measure(*config).support
+        lo, hi = families.support_interval(*config)
         x = lo + xfrac * (hi - lo)
         value = psi_analytic(cf, z, x)
         series = psi_series(get_sequence(*config), cf.lam, z, x)
@@ -441,10 +440,9 @@ class TestPsiSeries:
     def test_reads_only_the_degrees_it_sums(self, config):
         # a 41-entry coefficient table raises past its end, so the series
         # must stop on its own well before degree 40 at |z| = 0.1
-        measure = get_measure(*config)
-        seq = stieltjes_from_quadrature(gauss_quadrature(measure, 100), 40)
+        seq = stieltjes_from_quadrature(gauss_rule(config, 100), 40)
         cf = get_closed_form(*config)
-        lo, hi = measure.support
+        lo, hi = families.support_interval(*config)
         for z in circle_points(0.1, 16):
             for x in np.linspace(lo, hi, 11):
                 series = psi_series(seq, cf.lam, z, float(x))
@@ -459,7 +457,7 @@ class TestPsiSeries:
         # rounding of the sums (4 ulp).
         cf = get_closed_form(*config)
         seq = get_sequence(*config)
-        lo, hi = get_measure(*config).support
+        lo, hi = families.support_interval(*config)
         zs, xs = circle_points(0.1, 16), np.linspace(lo, hi, 11)
         grid = psi_series(seq, cf.lam, zs, xs)
         assert grid.value.shape == grid.converged.shape == (16, 11)
@@ -486,7 +484,7 @@ class TestPsiSeries:
             return eval_monic(seq, n_max, x)
 
         monkeypatch.setattr(genfun, "eval_monic", counting)
-        lo, hi = get_measure(*config).support
+        lo, hi = families.support_interval(*config)
         series = psi_series(get_sequence(*config), get_closed_form(*config).lam,
                             circle_points(0.1, 16), np.linspace(lo, hi, 11))
         assert series.converged.all()
@@ -510,7 +508,7 @@ class TestPsiSeries:
         # max over 16 angles and an 11-point support grid of the identity gap
         cf = get_closed_form(*config)
         seq = get_sequence(*config)
-        lo, hi = get_measure(*config).support
+        lo, hi = families.support_interval(*config)
         worst = 0.0
         for z in circle_points(0.1, 16):
             for x in np.linspace(lo, hi, 11):
@@ -551,7 +549,7 @@ class TestPsiSeriesStack:
             cf = get_closed_form(*config)
             seqs.append(measures.family_sequence(*config, size=genfun.SERIES_CAP))
             lams.append(cf.lam)
-            rows.append(np.linspace(*get_measure(*config).support, 11))
+            rows.append(np.linspace(*families.support_interval(*config), 11))
         stack = psi_series_stack(seqs, lams, zs, rows)
         assert len(stack) == len(SWEEP_CONFIGS)
         for seq, lam, xs, stacked in zip(seqs, lams, rows, stack):
@@ -656,7 +654,7 @@ class TestCertifiedTruncation:
         # largest |z| of the call (the tail grows with |z|)
         cf = get_closed_form(*config)
         seq = get_sequence(*config)
-        lo, hi = get_measure(*config).support
+        lo, hi = families.support_interval(*config)
         zs, xs = circle_points(radius, 16), np.linspace(lo, hi, 11)
         series = psi_series(seq, cf.lam, zs, xs)
         if radius == 0.1:
@@ -673,14 +671,14 @@ class TestCertifiedTruncation:
         # M_n >= |P_n(x)| for n <= 200 on the support grid; the slack covers
         # the rounding of the two float recurrences
         seq = get_sequence(*config)
-        xs = np.linspace(*get_measure(*config).support, 11)
+        xs = np.linspace(*families.support_interval(*config), 11)
         majorant = [m for m, _ in itertools.islice(majorants(seq, xs, 1.0), 201)]
         values = np.abs(eval_monic(seq, 200, xs)).max(axis=1)
         assert np.all(values <= np.array(majorant) * (1.0 + 1e-12))
 
     def test_majorant_scales_with_z(self):
         seq = get_sequence(Family.NONSYM_PLUS, 1.5, None, None)
-        xs = np.linspace(*get_measure(Family.NONSYM_PLUS, 1.5, None, None).support, 11)
+        xs = np.linspace(*families.support_interval(Family.NONSYM_PLUS, 1.5, None, None), 11)
         plain = list(itertools.islice(majorants(seq, xs, 1.0), 30))
         scaled = list(itertools.islice(majorants(seq, xs, 0.25), 30))
         for n, ((m, rho), (m_s, rho_s)) in enumerate(zip(plain, scaled)):
@@ -701,7 +699,7 @@ class TestCertifiedTruncation:
         if abs(z) >= 0.9 * cf.domain_radius:
             z *= 0.5 * cf.domain_radius / abs(z)
         seq = get_sequence(*config)
-        lo, hi = get_measure(*config).support
+        lo, hi = families.support_interval(*config)
         x = lo + xfrac * (hi - lo)
         series = psi_series(seq, cf.lam, z, x)
         count = series.n_terms
@@ -786,7 +784,6 @@ class TestPsiFamilyMoments:
             raise AssertionError("psi_family_moments built a coefficient table")
 
         monkeypatch.setattr(measures, "family_sequence", refuse)
-        monkeypatch.setattr(measures, "recurrence_of", refuse)
         moments = psi_family_moments(get_sequence(Family.SYM2, 1.5, None, None), cf, zs)
         for got, want in zip(moments, expected):
             assert np.array_equal(got, want)

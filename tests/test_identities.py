@@ -15,13 +15,13 @@ from opgf import (
     Family,
     ParameterError,
     QuadratureRule,
-    build_measure,
     closed_form,
     family_sequence,
     psi_analytic,
     psi_closed,
 )
 from opgf import genfun
+from opgf.families import support_interval
 from opgf.genfun import pochhammer_over_factorial
 from opgf.identities import (
     HypergeometricParams,
@@ -171,7 +171,7 @@ class TestClassicalRecurrences:
     def test_gegenbauer_vs_stieltjes(self, lam):
         nodes, weights = scipy.special.roots_jacobi(25, lam - 0.5, lam - 0.5)
         weights = weights / weights.sum()
-        rule = QuadratureRule(nodes=nodes, weights=weights, order=25)
+        rule = QuadratureRule(nodes=nodes, weights=weights)
         seq = stieltjes_from_quadrature(rule, 8)
         for n in range(1, 9):
             assert seq.omegas[n] == pytest.approx(gegenbauer_omega(n, lam), abs=1e-10)
@@ -182,7 +182,7 @@ class TestClassicalRecurrences:
         alf, bet = ab
         nodes, weights = scipy.special.roots_jacobi(25, alf, bet)
         weights = weights / weights.sum()
-        rule = QuadratureRule(nodes=nodes, weights=weights, order=25)
+        rule = QuadratureRule(nodes=nodes, weights=weights)
         seq = stieltjes_from_quadrature(rule, 8)
         for n in range(9):
             assert seq.alphas[n] == pytest.approx(jacobi_alpha(n, alf, bet), abs=1e-10)
@@ -375,7 +375,7 @@ class TestJacobiShift:
         # every (n, x) entry bit-equal to the one-point evaluation: a scalar
         # recurrence run per x for each side, k^n as a Python float power
         family = NONSYM[sign]
-        lo, hi = build_measure(family, lam).support
+        lo, hi = support_interval(family, lam)
         xs = np.linspace(lo, hi, 5)
         root = math.sqrt(2.0 * lam - 1.0)
         k, shift = 2.0 * lam / root, (-1.0 if sign == "plus" else 1.0)
@@ -500,7 +500,7 @@ class TestGf3:
         # minus display has crossed its branch cut; each sign is checked
         # only on its own family's support
         for sign, family in NONSYM.items():
-            lo, hi = build_measure(family, 0.51).support
+            lo, hi = support_interval(family, 0.51)
             for x in (lo, hi):
                 assert gf3(sign, 0.51, 0.05, x) <= 1e-12
 

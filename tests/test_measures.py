@@ -1,25 +1,26 @@
-"""Tests for the measure catalog: densities, normalization, quadrature."""
+"""Tests for the measure catalog: supports, coefficient tables, Gauss rules,
+and the Beta density oracle of tests/reference.py with its normalization."""
 import math
-import re
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import LAMBDA_SWEEP, SWEEP_CONFIGS, get_measure, get_sequence
+from conftest import LAMBDA_SWEEP, SWEEP_CONFIGS, get_sequence
 from opgf import (
     Family,
     JacobiSzegoSequence,
     NumericalBreakdownError,
     ParameterError,
     RedirectToFreeMeixner,
-    build_measure,
     eval_monic,
+    family_sequence,
     gauss_quadrature,
 )
-from opgf.measures import DENSE_EIGH_MAX_ORDER, _gauss_rule, family_sequence
-from reference import adaptive_integral, density, moment, norm_squared
+from opgf.families import support_interval
+from opgf.measures import DENSE_EIGH_MAX_ORDER
+from reference import adaptive_integral, beta_law, density, gauss_rule, moment, norm_squared
 
 
 def beta_symmetric_mass(scale, expo):
@@ -74,101 +75,95 @@ DENSITY_REFEREE_CASES = [
 
 class TestBuildMeasure:
     def test_sym1_half_is_uniform(self):
-        m = get_measure(Family.SYM1, 0.5, None, None)
+        config = (Family.SYM1, 0.5, None, None)
         s = math.sqrt(3.0)
-        assert m.support == pytest.approx((-s, s))
+        assert support_interval(*config) == pytest.approx((-s, s))
         flat = 1.0 / (2.0 * s)
         for x in (-1.5, -0.2, 0.0, 1.0):
-            assert density(m, x) == pytest.approx(flat, rel=1e-12)
-        assert moment(m, 2, 16) == pytest.approx(1.0, abs=1e-12)
+            assert density(config, x) == pytest.approx(flat, rel=1e-12)
+        assert moment(config, 2, 16) == pytest.approx(1.0, abs=1e-12)
 
     def test_sym2_three_halves_is_uniform(self):
-        m = get_measure(Family.SYM2, 1.5, None, None)
+        config = (Family.SYM2, 1.5, None, None)
         s = math.sqrt(3.0)
-        assert m.support == pytest.approx((-s, s))
+        assert support_interval(*config) == pytest.approx((-s, s))
         for x in (-1.0, 0.3):
-            assert density(m, x) == pytest.approx(1.0 / (2.0 * s), rel=1e-12)
-        assert moment(m, 2, 16) == pytest.approx(1.0, abs=1e-10)
+            assert density(config, x) == pytest.approx(1.0 / (2.0 * s), rel=1e-12)
+        assert moment(config, 2, 16) == pytest.approx(1.0, abs=1e-10)
 
     def test_nonsym_plus_lambda2_support(self):
         # (1 - 2*lambda)/sqrt(2*lambda - 1) = -3/sqrt(3) at lambda = 2
-        m = get_measure(Family.NONSYM_PLUS, 2.0, None, None)
-        assert m.support[0] == pytest.approx(-3.0 / math.sqrt(3.0))
-        assert m.support[1] == pytest.approx(5.0 / math.sqrt(3.0))
+        lo, hi = support_interval(Family.NONSYM_PLUS, 2.0)
+        assert lo == pytest.approx(-3.0 / math.sqrt(3.0))
+        assert hi == pytest.approx(5.0 / math.sqrt(3.0))
 
     @pytest.mark.parametrize("lam", LAMBDA_SWEEP)
     def test_supports_match_formulas(self, lam):
-        s1 = get_measure(Family.SYM1, lam, None, None)
-        assert s1.support == pytest.approx(
+        assert support_interval(Family.SYM1, lam) == pytest.approx(
             (-math.sqrt(2.0 * (1.0 + lam)), math.sqrt(2.0 * (1.0 + lam)))
         )
-        s2 = get_measure(Family.SYM2, lam, None, None)
-        assert s2.support == pytest.approx((-math.sqrt(2.0 * lam), math.sqrt(2.0 * lam)))
+        assert support_interval(Family.SYM2, lam) == pytest.approx(
+            (-math.sqrt(2.0 * lam), math.sqrt(2.0 * lam)))
         root = math.sqrt(2.0 * lam - 1.0)
-        plus = get_measure(Family.NONSYM_PLUS, lam, None, None)
-        assert plus.support == pytest.approx(
-            ((1.0 - 2.0 * lam) / root, (1.0 + 2.0 * lam) / root)
-        )
-        minus = get_measure(Family.NONSYM_MINUS, lam, None, None)
-        assert minus.support == pytest.approx((-plus.support[1], -plus.support[0]))
+        lo, hi = support_interval(Family.NONSYM_PLUS, lam)
+        assert (lo, hi) == pytest.approx(((1.0 - 2.0 * lam) / root, (1.0 + 2.0 * lam) / root))
+        assert support_interval(Family.NONSYM_MINUS, lam) == pytest.approx((-hi, -lo))
 
     @pytest.mark.parametrize("lam", LAMBDA_SWEEP)
     def test_normalization_against_closed_form(self, lam):
         # Independent oracle: the Beta-function value of the unnormalized mass.
-        m1 = get_measure(Family.SYM1, lam, None, None)
+        def mass(family):
+            return math.exp(beta_law(family, lam)[2])
+
         exact = beta_symmetric_mass(math.sqrt(2.0 * (1.0 + lam)), lam - 0.5)
-        assert 1.0 / m1.norm_const == pytest.approx(exact, rel=1e-12)
-        m2 = get_measure(Family.SYM2, lam, None, None)
+        assert mass(Family.SYM1) == pytest.approx(exact, rel=1e-12)
         exact = beta_symmetric_mass(math.sqrt(2.0 * lam), lam - 1.5)
-        assert 1.0 / m2.norm_const == pytest.approx(exact, rel=1e-12)
+        assert mass(Family.SYM2) == pytest.approx(exact, rel=1e-12)
         for family in (Family.NONSYM_PLUS, Family.NONSYM_MINUS):
-            m = get_measure(family, lam, None, None)
-            assert 1.0 / m.norm_const == pytest.approx(beta_jacobi_mass(lam), rel=1e-12)
+            assert mass(family) == pytest.approx(beta_jacobi_mass(lam), rel=1e-12)
 
     @pytest.mark.parametrize("family, lam", DENSITY_REFEREE_CASES)
     def test_normalization_against_mpmath(self, family, lam):
-        m = build_measure(family, lam)
-        assert 1.0 / m.norm_const == pytest.approx(mpmath_mass(family, lam), rel=1e-12)
+        mass = math.exp(beta_law(family, lam)[2])
+        assert mass == pytest.approx(mpmath_mass(family, lam), rel=1e-12)
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_unit_mass_mean_variance(self, config):
-        m = get_measure(*config)
-        if m.edge_exponents is not None:
-            assert adaptive_integral(m, lambda x: 1.0) == pytest.approx(1.0, abs=1e-10)
-        assert moment(m, 0, 16) == pytest.approx(1.0, abs=1e-13)
-        assert moment(m, 1, 16) == pytest.approx(0.0, abs=1e-12)
-        assert moment(m, 2, 16) == pytest.approx(1.0, abs=1e-10)
+        if config[0] is not Family.FREE_MEIXNER:
+            assert adaptive_integral(config, lambda x: 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert moment(config, 0, 16) == pytest.approx(1.0, abs=1e-13)
+        assert moment(config, 1, 16) == pytest.approx(0.0, abs=1e-12)
+        assert moment(config, 2, 16) == pytest.approx(1.0, abs=1e-10)
 
     def test_lambda_range_errors(self):
         with pytest.raises(ParameterError, match="lambda"):
-            build_measure(Family.SYM1, -1.0)
+            family_sequence(Family.SYM1, -1.0, size=24)
         with pytest.raises(ParameterError, match="1/2"):
-            build_measure(Family.SYM2, 0.4)
+            family_sequence(Family.SYM2, 0.4, size=24)
         with pytest.raises(ParameterError, match="1/2"):
-            build_measure(Family.NONSYM_PLUS, 0.3)
+            family_sequence(Family.NONSYM_PLUS, 0.3, size=24)
         with pytest.raises(ParameterError, match="b >= -1"):
-            build_measure(Family.FREE_MEIXNER, a=0.0, b=-1.5)
+            family_sequence(Family.FREE_MEIXNER, a=0.0, b=-1.5, size=24)
 
     @pytest.mark.parametrize("family", [Family.SYM1, Family.SYM2, Family.NONSYM_PLUS])
     def test_lambda_one_redirects(self, family):
         with pytest.raises(RedirectToFreeMeixner, match="free-meixner"):
-            build_measure(family, 1.0)
+            family_sequence(family, 1.0, size=24)
 
     def test_free_meixner_flags(self):
-        assert not get_measure(Family.FREE_MEIXNER, None, 0.0, 0.0).atoms_possible
-        assert not get_measure(Family.FREE_MEIXNER, None, 0.5, 0.25).atoms_possible
-        assert get_measure(Family.FREE_MEIXNER, None, -1.0, -0.5).atoms_possible
+        # free Meixner has no density, and a Gauss node leaves the band only
+        # at an atom, a real zero of 1 + a x + b x^2: of the sweep's pairs,
+        # only (-1, -0.5) has such zeros, and its rule puts a node at one
+        for a, b in ((0.0, 0.0), (0.5, 0.25), (-1.0, -0.5)):
+            config = (Family.FREE_MEIXNER, None, a, b)
+            lo, hi = support_interval(*config)
+            nodes = gauss_rule(config, 24).nodes
+            outside = nodes[(nodes < lo) | (nodes > hi)]
+            real_zeros = a != 0.0 if b == 0.0 else a * a - 4.0 * b >= 0.0
+            assert outside.size == (1 if real_zeros else 0)
+            assert np.abs(b * outside**2 + a * outside + 1.0).max(initial=0.0) < 1e-10
         with pytest.raises(ParameterError):
-            density(get_measure(Family.FREE_MEIXNER, None, 0.0, 0.0), 0.0)
-
-    @pytest.mark.parametrize("family", [Family.SYM1, Family.SYM2, Family.NONSYM_PLUS,
-                                        Family.NONSYM_MINUS])
-    @pytest.mark.parametrize("lam", [1e18, 1e100, 1e150])
-    def test_normalization_out_of_range_is_a_parameter_error(self, family, lam):
-        message = (f"lambda = {lam!r}: the Beta normalization of {family.value} "
-                   "overflows double precision")
-        with pytest.raises(ParameterError, match=re.escape(message)):
-            build_measure(family, lam)
+            density((Family.FREE_MEIXNER, None, 0.0, 0.0), 0.0)
 
 
 class TestRecurrenceOf:
@@ -202,60 +197,88 @@ class TestRecurrenceOf:
 class TestGaussQuadrature:
     def test_order_one_single_node_at_mean(self):
         for config in SWEEP_CONFIGS[:6]:
-            rule = gauss_quadrature(get_measure(*config), 1)
+            rule = gauss_rule(config, 1)
             assert rule.nodes[0] == pytest.approx(0.0, abs=1e-15)
             assert rule.weights[0] == pytest.approx(1.0)
 
     def test_uniform_order_two(self):
-        rule = gauss_quadrature(get_measure(Family.SYM1, 0.5, None, None), 2)
+        rule = gauss_rule((Family.SYM1, 0.5, None, None), 2)
         assert rule.nodes == pytest.approx([-1.0, 1.0])
         assert rule.weights == pytest.approx([0.5, 0.5])
 
     def test_nonsym_order12_unit_variance(self):
-        rule = gauss_quadrature(get_measure(Family.NONSYM_PLUS, 2.0, None, None), 12)
+        rule = gauss_rule((Family.NONSYM_PLUS, 2.0, None, None), 12)
         assert float(rule.weights @ rule.nodes**2) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_weights_positive_sum_one(self, config):
-        rule = gauss_quadrature(get_measure(*config), 24)
+        rule = gauss_rule(config, 24)
         assert np.all(rule.weights > 0.0)
         assert float(rule.weights.sum()) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS[:10])
     def test_exactness_against_adaptive_integration(self, config):
-        measure = get_measure(*config)
-        rule = gauss_quadrature(measure, 8)
+        rule = gauss_rule(config, 8)
         for k in range(7):
-            adaptive = adaptive_integral(measure, lambda x: x**k)
+            adaptive = adaptive_integral(config, lambda x: x**k)
             discrete = float(rule.weights @ rule.nodes**k)
             assert discrete == pytest.approx(adaptive, rel=1e-10, abs=1e-12)
 
     def test_nodes_inside_support(self):
         for config in SWEEP_CONFIGS:
-            measure = get_measure(*config)
-            rule = gauss_quadrature(measure, 24)
-            lo, hi = measure.support
+            family, _, a, b = config
+            rule = gauss_rule(config, 24)
+            lo, hi = support_interval(*config)
             pad = 1e-9 * (hi - lo)
             outside = rule.nodes[(rule.nodes < lo - pad) | (rule.nodes > hi + pad)]
-            if measure.family is Family.FREE_MEIXNER and measure.atoms_possible:
+            if family is Family.FREE_MEIXNER and (
+                    a != 0.0 if b == 0.0 else a * a - 4.0 * b >= 0.0):
                 # Nodes may escape the a.c. band only at atoms, which sit at
                 # the real zeros of b x^2 + a x + 1.
-                a, b = measure.a, measure.b
                 for x in outside:
                     assert abs(b * x * x + a * x + 1.0) < 1e-10
             else:
                 assert outside.size == 0
 
     def test_finite_support_breakdown(self):
-        two_atoms = build_measure(Family.FREE_MEIXNER, a=0.0, b=-1.0)
+        two_atoms = family_sequence(Family.FREE_MEIXNER, a=0.0, b=-1.0, size=3)
         assert gauss_quadrature(two_atoms, 2).nodes == pytest.approx([-1.0, 1.0])
         with pytest.raises(NumericalBreakdownError) as excinfo:
             gauss_quadrature(two_atoms, 3)
         assert excinfo.value.index == 2
 
     def test_order_validation(self):
-        with pytest.raises(ParameterError):
-            gauss_quadrature(get_measure(Family.SYM1, 2.0, None, None), 0)
+        seq = family_sequence(Family.SYM1, 2.0, size=24)
+        for order in (0, -3):
+            with pytest.raises(ParameterError, match=f"^order must be >= 1, got {order}$"):
+                gauss_quadrature(seq, order)
+        # past the table on either solver: no numpy error, no short rule
+        for order in (25, DENSE_EIGH_MAX_ORDER, DENSE_EIGH_MAX_ORDER + 10):
+            with pytest.raises(ParameterError, match=f"^order {order} exceeds the 24 "
+                               "coefficients of the table$"):
+                gauss_quadrature(seq, order)
+
+    @pytest.mark.parametrize("family, last", [
+        (Family.SYM1, 153), (Family.SYM2, 153),
+        (Family.NONSYM_PLUS, 102), (Family.NONSYM_MINUS, 102),
+    ])
+    def test_rule_at_huge_lambda_is_the_gauss_hermite_limit(self, family, last):
+        # at lambda = 1e1 .. 1e170 the order-24 rule exists exactly while the
+        # table is finite, up to 1e<last>, and from 1e18 on it is the
+        # lambda -> infinity limit, the standard normal's Gauss-Hermite rule
+        x, w = np.polynomial.hermite.hermgauss(24)
+        nodes, weights = math.sqrt(2.0) * x, w / math.sqrt(math.pi)
+        exported = []
+        for k in range(1, 171):
+            try:
+                rule = gauss_quadrature(family_sequence(family, float(f"1e{k}"), size=24), 24)
+            except NumericalBreakdownError:
+                continue
+            exported.append(k)
+            if k >= 18:
+                np.testing.assert_allclose(rule.nodes, nodes, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(rule.weights, weights, rtol=0, atol=1e-13)
+        assert exported == list(range(1, last + 1))
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_both_solvers_match_scipy_tridiagonal(self, config):
@@ -266,7 +289,7 @@ class TestGaussQuadrature:
         top = 2 * DENSE_EIGH_MAX_ORDER
         seq = family_sequence(family, lam, a, b, size=top)
         for order in range(1, top + 1):
-            rule = _gauss_rule(seq, order)
+            rule = gauss_quadrature(seq, order)
             nodes, vecs = scipy.linalg.eigh_tridiagonal(
                 seq.alphas[:order], np.sqrt(seq.omegas[1:order]))
             np.testing.assert_allclose(rule.nodes, nodes, rtol=1e-13,
@@ -285,20 +308,19 @@ class TestGaussQuadrature:
         seq = JacobiSzegoSequence(alphas + [0.0] * pad, omegas + [1.0] * pad)
         with pytest.raises(NumericalBreakdownError, match=f"^{name} is not finite: no "
                            f"Gauss rule of order {order}$") as excinfo:
-            _gauss_rule(seq, order)
+            gauss_quadrature(seq, order)
         assert excinfo.value.index == index
 
     def test_non_finite_coefficient_past_the_order_is_not_read(self):
         seq = JacobiSzegoSequence([0.0, 0.0, np.nan], [1.0, 1.0, np.nan])
-        assert _gauss_rule(seq, 2).nodes == pytest.approx([-1.0, 1.0])
+        assert gauss_quadrature(seq, 2).nodes == pytest.approx([-1.0, 1.0])
 
 
 class TestMeasureProperties:
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_orthogonality(self, config):
-        measure = get_measure(*config)
         seq = get_sequence(*config)
-        rule = gauss_quadrature(measure, 24)
+        rule = gauss_rule(config, 24)
         tables = eval_monic(seq, 10, rule.nodes).T
         norms = [norm_squared(seq, n) for n in range(11)]
         for m in range(11):
@@ -310,25 +332,25 @@ class TestMeasureProperties:
 
     @pytest.mark.parametrize("lam", LAMBDA_SWEEP)
     def test_reflection(self, lam):
-        plus = get_measure(Family.NONSYM_PLUS, lam, None, None)
-        minus = get_measure(Family.NONSYM_MINUS, lam, None, None)
-        lo, hi = plus.support
+        plus = (Family.NONSYM_PLUS, lam, None, None)
+        minus = (Family.NONSYM_MINUS, lam, None, None)
+        lo, hi = support_interval(*plus)
         for x in np.linspace(lo + 1e-3, hi - 1e-3, 9):
             assert density(minus, -x) == pytest.approx(density(plus, x), rel=1e-12)
 
     def test_endpoint_behavior(self):
         # positive exponent: density vanishes at the endpoint
-        m = get_measure(Family.SYM1, 2.0, None, None)
-        hi = m.support[1]
-        assert density(m, hi - 1e-8) < 1e-9
+        config = (Family.SYM1, 2.0, None, None)
+        hi = support_interval(*config)[1]
+        assert density(config, hi - 1e-8) < 1e-9
         # exponent in (-1, 0): integrable blow-up
-        m = get_measure(Family.SYM2, 0.6, None, None)
-        hi = m.support[1]
-        assert density(m, hi - 1e-8) > 1e3
-        assert adaptive_integral(m, lambda x: 1.0) == pytest.approx(1.0, abs=1e-10)
+        config = (Family.SYM2, 0.6, None, None)
+        hi = support_interval(*config)[1]
+        assert density(config, hi - 1e-8) > 1e3
+        assert adaptive_integral(config, lambda x: 1.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_csv_export(self):
-        rule = gauss_quadrature(get_measure(Family.SYM1, 0.5, None, None), 2)
+        rule = gauss_rule((Family.SYM1, 0.5, None, None), 2)
         lines = rule.csv_text("family=sym1 lambda=0.5 order=2").splitlines()
         assert lines[0] == "# family=sym1 lambda=0.5 order=2"
         assert lines[1] == "node,weight"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SWEEP_CONFIGS, get_measure, get_sequence
+from conftest import SWEEP_CONFIGS, get_sequence
 from opgf import (
     Family,
     JacobiSzegoSequence,
@@ -14,10 +14,10 @@ from opgf import (
     ParameterError,
     QuadratureRule,
     eval_monic,
-    gauss_quadrature,
 )
+from opgf.families import support_interval
 from opgf.identities import gegenbauer_sequence, jacobi_sequence
-from reference import norm_squared, standardized, stieltjes_from_quadrature
+from reference import gauss_rule, norm_squared, standardized, stieltjes_from_quadrature
 
 
 def free_meixner_seq(a, b):
@@ -123,7 +123,7 @@ class TestMonicValues:
     def test_stack_rows_equal_their_own_tables(self):
         # the 23 sweep tables in one call: row c is table c's own call
         seqs = [get_sequence(*config) for config in SWEEP_CONFIGS]
-        rows = np.array([np.linspace(*get_measure(*config).support, 11)
+        rows = np.array([np.linspace(*support_interval(*config), 11)
                          for config in SWEEP_CONFIGS])
         stacked = eval_monic(seqs, 60, rows)
         assert stacked.shape == (61, len(seqs), 11)
@@ -148,8 +148,7 @@ class TestNormSquared:
         seq = free_meixner_seq(0.0, 0.5)
         assert norm_squared(seq, 3) == pytest.approx(2.25)
         # quadrature oracle for the same quantity
-        measure = get_measure(Family.FREE_MEIXNER, None, 0.0, 0.5)
-        rule = gauss_quadrature(measure, 12)
+        rule = gauss_rule((Family.FREE_MEIXNER, None, 0.0, 0.5), 12)
         values = eval_monic(seq, 3, rule.nodes)[3]
         assert float(rule.weights @ values**2) == pytest.approx(2.25, rel=1e-12)
 
@@ -157,7 +156,7 @@ class TestNormSquared:
         # ||P_2||^2 = omega_1 omega_2 = 1.25; cross-checked by quadrature
         seq = get_sequence(Family.SYM1, 2.0, None, None)
         assert norm_squared(seq, 2) == pytest.approx(1.25)
-        rule = gauss_quadrature(get_measure(Family.SYM1, 2.0, None, None), 12)
+        rule = gauss_rule((Family.SYM1, 2.0, None, None), 12)
         values = eval_monic(seq, 2, rule.nodes)[2]
         assert float(rule.weights @ values**2) == pytest.approx(1.25, rel=1e-12)
 
@@ -221,28 +220,28 @@ class TestSequenceInvariants:
 class TestStieltjes:
     def test_uniform_alphas_vanish(self):
         # Uniform on [-sqrt(3), sqrt(3)] is sym1 at lambda = 1/2.
-        rule = gauss_quadrature(get_measure(Family.SYM1, 0.5, None, None), 20)
+        rule = gauss_rule((Family.SYM1, 0.5, None, None), 20)
         seq = stieltjes_from_quadrature(rule, 6)
         for n in range(7):
             assert abs(seq.alphas[n]) <= 1e-10
 
     def test_sym1_lambda2_omega2(self):
-        rule = gauss_quadrature(get_measure(Family.SYM1, 2.0, None, None), 20)
+        rule = gauss_rule((Family.SYM1, 2.0, None, None), 20)
         seq = stieltjes_from_quadrature(rule, 6)
         assert seq.omegas[2] == pytest.approx(1.25, abs=1e-10)
 
     def test_nonsym_plus_lambda2_alpha1(self):
-        rule = gauss_quadrature(get_measure(Family.NONSYM_PLUS, 2.0, None, None), 20)
+        rule = gauss_rule((Family.NONSYM_PLUS, 2.0, None, None), 20)
         seq = stieltjes_from_quadrature(rule, 6)
         assert seq.alphas[1] == pytest.approx(2.0 / math.sqrt(27.0), abs=1e-10)
 
     def test_too_few_nodes(self):
-        rule = gauss_quadrature(get_measure(Family.SYM1, 2.0, None, None), 8)
+        rule = gauss_rule((Family.SYM1, 2.0, None, None), 8)
         with pytest.raises(ParameterError):
             stieltjes_from_quadrature(rule, 4)
 
     def test_degree_cap(self):
-        rule = gauss_quadrature(get_measure(Family.SYM1, 2.0, None, None), 30)
+        rule = gauss_rule((Family.SYM1, 2.0, None, None), 30)
         with pytest.raises(ParameterError):
             stieltjes_from_quadrature(rule, 41)
 
@@ -251,15 +250,14 @@ class TestStieltjes:
         base = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         nodes = np.concatenate([base, base, base[:1]])
         weights = np.full(nodes.size, 1.0 / nodes.size)
-        rule = QuadratureRule(nodes=nodes, weights=weights, order=5)
+        rule = QuadratureRule(nodes=nodes, weights=weights)
         with pytest.raises(NumericalBreakdownError) as excinfo:
             stieltjes_from_quadrature(rule, 5)
         assert excinfo.value.index == 5
 
     def test_orthogonality_of_recovered_sequence(self):
         # The recovered coefficients reproduce discretely orthogonal P_n.
-        measure = get_measure(Family.NONSYM_MINUS, 1.5, None, None)
-        rule = gauss_quadrature(measure, 20)
+        rule = gauss_rule((Family.NONSYM_MINUS, 1.5, None, None), 20)
         seq = stieltjes_from_quadrature(rule, 6)
         tables = eval_monic(seq, 6, rule.nodes).T
         for m in range(7):
@@ -272,18 +270,16 @@ class TestStieltjes:
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_round_trip_matches_catalog(self, config):
-        measure = get_measure(*config)
         catalog = get_sequence(*config)
-        recovered = stieltjes_from_quadrature(gauss_quadrature(measure, 20), 8)
+        recovered = stieltjes_from_quadrature(gauss_rule(config, 20), 8)
         for n in range(9):
             assert recovered.alphas[n] == pytest.approx(catalog.alphas[n], abs=1e-8)
             assert recovered.omegas[n] == pytest.approx(catalog.omegas[n], abs=1e-8)
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS[:10])
     def test_norm_identity_against_quadrature(self, config):
-        measure = get_measure(*config)
         seq = get_sequence(*config)
-        rule = gauss_quadrature(measure, 20)
+        rule = gauss_rule(config, 20)
         for n in range(9):
             values = eval_monic(seq, n, rule.nodes)[n]
             quad_norm = float(np.sum(rule.weights * values * values))

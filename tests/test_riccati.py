@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import SWEEP_CONFIGS, get_closed_form, get_measure, get_sequence
+from conftest import SWEEP_CONFIGS, get_closed_form, get_sequence
 from opgf import (
     DomainError,
     Family,
@@ -26,10 +26,15 @@ from opgf import (
     solve_symmetric,
 )
 from opgf.families import alpha1_value, omega2_value
-from opgf.measures import family_sequence, gauss_quadrature
+from opgf.measures import family_sequence
 from opgf.recurrence import JacobiSzegoSequence
 from opgf.riccati import _matching_residual
-from reference import degree_bound_check, stieltjes_from_quadrature, symmetric_omega2_quadratic
+from reference import (
+    degree_bound_check,
+    gauss_rule,
+    stieltjes_from_quadrature,
+    symmetric_omega2_quadratic,
+)
 
 LAMBDA_GRID = [v for v in np.linspace(0.56, 3.0, 20)]
 # lambda = 1 rows of the identity sweep are carried by the free Meixner family
@@ -455,8 +460,7 @@ class TestSolutionProperties:
     )
     def test_solver_catalog_stieltjes_agreement(self, family, lam):
         # three routes to (alpha_1, omega_2) agree to 1e-8
-        measure = get_measure(family, lam, None, None)
-        seq = stieltjes_from_quadrature(gauss_quadrature(measure, 20), 4)
+        seq = stieltjes_from_quadrature(gauss_rule((family, lam, None, None), 20), 4)
         if family.symmetric:
             branch = 0 if family is Family.SYM1 else 1
             sol = solve_symmetric(lam)[branch]
