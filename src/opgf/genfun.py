@@ -22,9 +22,9 @@ off the negative real axis and continues the series across the cut, which is
 what moment checks at negative real z need.
 
 The series side is ``psi_series_stack``, a truncation with a proved tail
-bound, for several configurations at once: each keeps its own term count,
-and one recurrence pass serves them all.  A single configuration is the
-stack of one.
+bound, for several configurations at once: one array step counts every
+row's terms, and one recurrence pass serves them all.  A single
+configuration is the stack of one.
 
 The closed side stacks the same way.  ``stack_closed_forms`` turns C closed
 forms into one whose fields are (C, 1) columns; psi_closed, psi_analytic,
@@ -38,17 +38,16 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import families, measures
 from .errors import BranchCutError, DomainError, ParameterError, SingularityError
 from .families import Family
-from .recurrence import JacobiSzegoSequence, eval_monic, majorant_stack
+from .recurrence import JacobiSzegoSequence, _table_stack, eval_monic
 
 # Cap on the number of series terms, and the length of the coefficient tables
 # that verify and the identities sum (a table of N coefficients caps a series
@@ -343,28 +342,63 @@ class PsiSeriesResult(NamedTuple):
     converged: bool
 
 
-def pochhammer_over_factorial(lam: float) -> Iterator[float]:
-    """Yield (lam)_n / n! for n = 0, 1, ... by the stable ratio recurrence."""
-    c = 1.0
-    for n in itertools.count():
-        yield c
-        c *= (lam + n) / (n + 1.0)
+def _first_stop(terms, slack, valid) -> tuple:
+    """The package's one series stopping rule, along the last axis: for
+    terms t_0 .. t_{L-1} and, for K = 1 .. L-1, valid_K where the tail past
+    K is at most |t_K| / slack_K, the first valid K with |t_K| <= 2^-53
+    slack_K |sum_{n<K} t_n|.  Gives the running sums, whether each series
+    has such a K, and the first one (1 where none does)."""
+    sums = np.cumsum(terms, axis=-1)
+    stop = valid & (np.abs(terms[..., 1:]) <= UNIT_ROUNDOFF * np.abs(sums[..., :-1]) * slack)
+    return sums, stop.any(axis=-1), np.argmax(stop, axis=-1) + 1
 
 
-def _term_count(lam: float, majorants, count: int) -> tuple[int, float]:
-    """psi_series_stack's term count N and tail bound of one row from the
-    majorant pairs (M_n r^n, rho_n r) of its points, trying K up to count."""
-    majorant_sum = m_prev = 0.0
-    pairs = zip(pochhammer_over_factorial(lam), majorants)
-    for k, (c, (m, growth)) in enumerate(itertools.islice(pairs, count + 1)):
-        q = max(1.0, (lam + k) / (k + 1.0)) * growth
-        if k and q < 1.0 and lam + k > 0.0:
-            tail = c * max(m, growth * m_prev) / (1.0 - q)
-            if tail <= UNIT_ROUNDOFF * majorant_sum:
-                return k, tail
-        majorant_sum += c * m
-        m_prev = m
-    return count, math.inf
+def _truncation(seqs, lams, xs, r) -> tuple:
+    """Term counts N, tail bounds and coefficient rows c_n = (lambda)_n/n!,
+    n <= count = min(SERIES_CAP, table length + 1), of every row of
+    psi_series_stack at once (row c: seqs[c], lams[c], points xs[c] of a
+    (C, X) array, r[c] >= |z|).  c_n is one cumprod of the ratios.
+
+    With D_n = max |x - alpha_n| over the row, M_0 = 1 and M_{n+1} = D_n M_n
+    + |omega_n| M_{n-1} bound |P_n(x)| (triangle inequality).  With Dbar_n,
+    Wbar_n the maxima of D_m, |omega_m| over m >= n, rho_n = (Dbar_n +
+    sqrt(Dbar_n^2 + 4 Wbar_n)) / 2 solves rho^2 = Dbar rho + Wbar and does
+    not grow with n, so M_n <= prod_{k<n} rho_k by induction: M_1 = D_0 <=
+    rho_0, and the step needs |omega_n| <= rho_{n-1} (rho_n - D_n), where
+
+        rho_{n-1} (rho_n - D_n) >= rho_n (rho_n - Dbar_n) = Wbar_n >= |omega_n|.
+
+    So with g_k = rho_k r the n-th term is at most b_n = prod_{k<n}
+    ((lambda+k)/(k+1)) g_k, one cumprod.  Where lambda + K > 0 the ratio
+    (lambda+n)/(n+1) moves monotonically towards 1, so b_{n+1}/b_n <= q_K =
+    max(1, (lambda+K)/(K+1)) g_K for n >= K, and where q_K < 1 the tail past
+    K is at most b_K / (1 - q_K).  N is the first such K >= 1 with b_K <=
+    2^-53 (1 - q_K) sum_{n<K} b_n (_first_stop) and its bound the tail
+    bound; with none, N = count and the bound is inf.  Past the table its
+    last g stands in: the coefficients are assumed to stay within the
+    table's suffix maxima.  Rows do not mix, so each equals its stack of
+    one bit for bit.  A non-finite x is refused before any arithmetic.
+    """
+    alphas, omegas = _table_stack(seqs, xs)
+    count = min(SERIES_CAP, alphas.shape[1] + 1)
+    d = np.maximum(xs.max(axis=1)[:, None] - alphas, alphas - xs.min(axis=1)[:, None])
+    d_bar, w_bar = (np.maximum.accumulate(a[:, ::-1], axis=1)[:, ::-1] for a in (d, abs(omegas)))
+    rho = (0.5 * r[:, None]) * (d_bar + np.sqrt(d_bar * d_bar + 4.0 * w_bar))
+    # g_0 .. g_count, the table's last entry standing in past its end
+    g = np.take(rho, np.arange(count + 1), axis=1, mode="clip")
+    k = np.arange(count + 1.0)
+    lam = np.asarray(lams, dtype=float)[:, None]
+    ratios = (lam + k) / (k + 1.0)
+    coeffs, b = np.ones((2,) + ratios.shape)
+    # an overflowed b_N gives the bound inf; a NaN or 1 - q = 0 stops no row
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.cumprod(ratios[:, :-1], axis=1, out=coeffs[:, 1:])
+        np.cumprod(ratios[:, :-1] * g[:, :-1], axis=1, out=b[:, 1:])
+        q = np.maximum(1.0, ratios[:, 1:]) * g[:, 1:]
+        _, found, first = _first_stop(b, 1.0 - q, (q < 1.0) & (lam + k[1:] > 0.0))
+        rows = np.arange(len(first))
+        tails = b[rows, first] / (1.0 - q[rows, first - 1])
+    return np.where(found, first, count), np.where(found, tails, math.inf), coeffs
 
 
 def psi_series_stack(seqs, lams, z, x_rows) -> list[PsiSeriesResult]:
@@ -379,31 +413,18 @@ def psi_series_stack(seqs, lams, z, x_rows) -> list[PsiSeriesResult]:
     (1, Z) array is shared too); the rows of x_rows are scalars or 1-D
     arrays of one length.  Arrays give a row the (Z, X) grid of every pair.
 
-    Each row's term count N is chosen before any summation, from its own
-    table and points by a scalar loop over its row of
-    recurrence.majorant_stack: with r = max|z| over the row, c_n =
-    (lambda)_n/n! and M_n >= |P_n(x)| at every x of the row, the terms past
-    K are bounded by the geometric series
-
-        sum_{n>=K} c_n M_n r^n <= c_K A_K r^K / (1 - q_K),
-        A_K = max(M_K, rho_K M_{K-1}),  q_K = max(1, (lambda+K)/(K+1)) rho_K r,
-
-    valid when q_K < 1 and lambda + K > 0 (the ratio c_{n+1}/c_n =
-    (lambda+n)/(n+1) is then at most max(1, its value at K) for n >= K).  N
-    is the first K whose bound is at most 2^-53 sum_{n<K} c_n M_n r^n, and
-    tail_bound is that bound.  If no K <= min(SERIES_CAP, table length + 1)
-    qualifies, all those terms are summed and tail_bound is inf.  The bound
-    assumes that past the end of the table the recurrence coefficients stay
-    within the table's suffix maxima.
-
-    One eval_monic call then runs the recurrence over the stacked (C, X)
-    points up to the largest N, and each row sums its own first N terms in
-    a product (c_n z^n) @ P, so every row equals its own stack of one bit
-    for bit.  (A single product over zero-padded rows would not: BLAS may
-    split a longer sum differently.)  Within a row, a grid element equals a
-    call at its own point only within the two calls' bounds and rounding: a
-    narrower x range may give a smaller N.  A non-finite x of any row raises
-    eval_monic's ParameterError.
+    Each row's term count N is fixed before any summation, with r = max|z|
+    over the row: the first count whose proved tail bound is at most 2^-53
+    of a bound on the sum (see _truncation), tail_bound being that
+    bound; if no count up to min(SERIES_CAP, table length + 1) qualifies,
+    all are summed and tail_bound is inf.  One eval_monic call then runs
+    the recurrence over the stacked (C, X) points up to the largest N, and
+    each row sums its own first N terms in a product (c_n z^n) @ P, so
+    every row equals its own stack of one bit for bit (one product over
+    zero-padded rows would not: BLAS may split a longer sum differently).
+    Within a row, a grid element equals a call at its own point only
+    within the two calls' bounds and rounding: a narrower x range may give
+    a smaller N.  A non-finite x of any row raises ParameterError first.
     """
     zs = np.asarray(z, dtype=complex)
     z_row = zs.shape[1:] if zs.ndim == 2 else zs.shape
@@ -411,19 +432,14 @@ def psi_series_stack(seqs, lams, z, x_rows) -> list[PsiSeriesResult]:
     z_rows = np.full((len(seqs), math.prod(z_row)), zs.reshape(-1, math.prod(z_row)))
     rows = np.asarray(x_rows, dtype=float)
     xs = rows.reshape(len(rows), -1)
-    r = np.abs(z_rows).max(axis=1)
-    count = min(SERIES_CAP, seqs[0].alphas.size + 1)
-    terms = [_term_count(lam, majorants, count)
-             for lam, majorants in zip(lams, majorant_stack(seqs, xs, r))]
-    size = max(count for count, _ in terms)
+    counts, bounds, coeffs = _truncation(seqs, lams, xs, np.abs(z_rows).max(axis=1))
+    size = int(counts.max())
     p = eval_monic(list(seqs), size - 1, xs)
     powers = np.vander(z_rows.ravel(), size, increasing=True).reshape(z_rows.shape + (size,))
     shape = z_row + rows.shape[1:]
     results = []
-    for row, (lam, (count, bound)) in enumerate(zip(lams, terms)):
-        coeffs = np.fromiter(itertools.islice(pochhammer_over_factorial(lam), count),
-                             float, count)
-        values = (powers[row, :, :count] * coeffs) @ p[:count, row]
+    for row, (count, bound) in enumerate(zip(counts.tolist(), bounds.tolist())):
+        values = (powers[row, :, :count] * coeffs[row, :count]) @ p[:count, row]
         results.append(PsiSeriesResult(
             as_shape(values, shape), bound, count,
             as_shape(bound <= _TAIL_WARN_FACTOR * np.abs(values), shape)))

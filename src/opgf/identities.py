@@ -71,15 +71,14 @@ def _hypergeometric_sum(upper: tuple, lower: tuple, w) -> np.ndarray:
     arrays of R values, one per row of parameters: w is then shared by
     every row, or an (R, W) array, and the sums an (R, W) array.
 
-    Each element is truncated at the first K >= 1 whose proved tail bound
-    is at most 2^-53 |sum_{n<K} t_n|, half an ulp of the partial sum, so the
-    omitted tail stays below the rounding of the result even where the
-    terms cancel.  The bound: when b + K > 0 each factor (a + n)/(b + n) is
-    monotone in n >= K and tends to 1, so |t_{n+1} / t_n| <= R_K =
-    |w| prod_i max(1, |upper_i + K| / (lower_i + K)) and the tail is at most
-    |t_K| / (1 - R_K) when R_K < 1.  An element with no such K among the
-    _HYPER_CAP terms sums them all.  Every element is its own series, so
-    its sum does not depend on the other elements of the call.
+    Each element stops by genfun._first_stop, at the first K >= 1 whose
+    tail bound is at most 2^-53 |sum_{n<K} t_n|, below the rounding of the
+    result even where the terms cancel: when b + K > 0 each factor
+    (a + n)/(b + n) is monotone in n >= K and tends to 1, so |t_{n+1}/t_n|
+    <= R_K = |w| prod_i max(1, |upper_i + K| / (lower_i + K)) and the tail
+    is at most |t_K| / (1 - R_K) where R_K < 1.  An element with no such K
+    among the _HYPER_CAP terms sums them all.  Every element is its own
+    series, so its sum does not depend on the other elements of the call.
     """
     w = np.asarray(w, dtype=float)
     # a row of parameters as an (R, 1, 1) column beside the element and
@@ -98,21 +97,17 @@ def _hypergeometric_sum(upper: tuple, lower: tuple, w) -> np.ndarray:
                   / math.prod([b + n for b in lower]))
         terms = np.ones(ratios.shape[:-1] + (length,))
         np.cumprod(ratios, axis=-1, out=terms[..., 1:])
-        sums = np.cumsum(terms, axis=-1)
         # slack is 1 - R_K; K qualifies only where every b + K > 0
         factor = math.prod([np.maximum(1.0, np.abs(a + k) / np.abs(b + k))
                             for a, b in zip(upper, lower)])
         slack = 1.0 - np.abs(w)[..., None] * factor
         valid = functools.reduce(np.logical_and, [b + k > 0.0 for b in lower])
-        stop = valid & (np.abs(terms[..., 1:])
-                        <= genfun.UNIT_ROUNDOFF * np.abs(sums[..., :-1]) * slack)
-        found = stop.any(axis=-1)
+        sums, found, first = genfun._first_stop(terms, slack, valid)
         if found.all() or length >= _HYPER_CAP:
             break
         length *= 2
-    count = np.where(found, np.argmax(stop, axis=-1) + 1, length)
-    flat = sums.reshape(-1, length)
-    return flat[np.arange(len(flat)), count.ravel() - 1].reshape(count.shape)
+    count = np.where(found, first, length)
+    return np.take_along_axis(sums, count[..., None] - 1, axis=-1)[..., 0]
 
 
 def gauss_2f1(params: HypergeometricParams):

@@ -12,23 +12,16 @@ since omega_0 = 1), by ||P_{n+1}||^2 = omega_{n+1} ||P_n||^2.
 
 eval_monic is the one evaluator of P_0 .. P_n, for a table or for a stack of
 tables of one length, one recurrence step per degree on arrays.
-majorant_stack bounds |P_n| from the same tables for the series truncation,
-lazily, one degree at a time.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .errors import ParameterError
 
 _STANDARD_TOL = 1e-12
-# Majorant entries turned into Python floats before the rest of a table: a
-# term count usually reads only a few dozen of a 200-entry table.
-_HEAD = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +64,6 @@ def eval_monic(seq, n_max: int, x) -> np.ndarray:
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
     xs = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xs)):
-        raise ParameterError(f"x must be finite, got {xs[~np.isfinite(xs)][0]}")
     single = isinstance(seq, JacobiSzegoSequence)
     points = xs.reshape(1, -1) if single else xs
     alphas, omegas = _table_stack([seq] if single else seq, points)
@@ -94,7 +85,10 @@ def eval_monic(seq, n_max: int, x) -> np.ndarray:
 
 def _table_stack(seqs, xs) -> tuple[np.ndarray, np.ndarray]:
     """alphas and omegas of C tables of one length N as (C, N) arrays, for
-    the (C, X) points xs, one row per table."""
+    the (C, X) points xs, one row per table.  A non-finite point is refused
+    first."""
+    if not np.all(np.isfinite(xs)):
+        raise ParameterError(f"x must be finite, got {xs[~np.isfinite(xs)][0]}")
     sizes = [table.alphas.size for table in seqs]
     if len(set(sizes)) != 1 or xs.ndim != 2 or xs.shape[0] != len(seqs):
         raise ParameterError(
@@ -103,49 +97,3 @@ def _table_stack(seqs, xs) -> tuple[np.ndarray, np.ndarray]:
         )
     return (np.array([table.alphas for table in seqs]),
             np.array([table.omegas for table in seqs]))
-
-
-def majorant_stack(seqs, x_rows, scale) -> list[Iterator[tuple]]:
-    """Majorants of C tables of one length, one endless iterator per row:
-    row c yields (M_n s^n, rho_n s) for n = 0, 1, 2, ... for table seqs[c]
-    over the points x_rows[c], a (C, X) array, with s = scale, one scale for
-    every row or scale[c], a 1-D array of one per row.
-
-    M_0 = 1 and M_{n+1} = D_n M_n + |omega_n| M_{n-1}, where D_n is the
-    largest |x - alpha_n| over the row's points, bound the monic
-    polynomials: |P_n(x)| <= M_n at every point, by the triangle inequality
-    on the recurrence.  rho_n = (Dbar + sqrt(Dbar^2 + 4 Wbar)) / 2, with
-    Dbar and Wbar the maxima of D_m and |omega_m| over the table's indices
-    m >= n, solves rho^2 = Dbar rho + Wbar, so by induction
-
-        M_m <= max(M_n, rho_n M_{n-1}) rho_n^(m - n)   for every m >= n.
-
-    Assumption: past the end of the table the coefficients stay within the
-    table's suffix maxima; its last entry stands in for them.
-
-    The distances D, the suffix maxima and rho of every row are formed in
-    one pass of (C, N) array operations; each iterator then runs its own
-    scalar recurrence for M_n, so every row equals the stack of one of its
-    table bit for bit.
-    """
-    xs = np.asarray(x_rows, dtype=float)
-    alphas, omegas = _table_stack(seqs, xs)
-    scales = np.full(len(seqs), scale, dtype=float)
-    d = np.maximum(xs.max(axis=1)[:, None] - alphas, alphas - xs.min(axis=1)[:, None])
-    w = np.abs(omegas)
-    d_bar = np.maximum.accumulate(d[:, ::-1], axis=1)[:, ::-1]
-    w_bar = np.maximum.accumulate(w[:, ::-1], axis=1)[:, ::-1]
-    rho = (0.5 * scales[:, None]) * (d_bar + np.sqrt(d_bar * d_bar + 4.0 * w_bar))
-    return [_majorant_row(*row, s) for *row, s in zip(d, w, rho, scales.tolist())]
-
-
-def _majorant_row(d, w, rho, scale: float) -> Iterator[tuple]:
-    """One row of majorant_stack from its arrays D_n, |omega_n| and rho_n s."""
-    entries = itertools.chain.from_iterable(
-        zip(*(a[part].tolist() for a in (d, w, rho)))
-        for part in (slice(_HEAD), slice(_HEAD, None)))
-    last = (d[-1].item(), w[-1].item(), rho[-1].item())
-    m_prev, m = 0.0, 1.0
-    for d_n, w_n, rho_n in itertools.chain(entries, itertools.repeat(last)):
-        yield m, rho_n
-        m_prev, m = m, scale * (d_n * m + scale * w_n * m_prev)

@@ -14,12 +14,19 @@ its normalized coefficients, and the degree argument that forces an E of
 degree 3 to 6 down to degree 2.  A few small helpers give quantities that
 several tests read: norms, moments and the standardization of a table.
 
+The series oracles run one term at a time where the package uses arrays:
+the coefficients (lambda)_n / n! by their ratio recurrence, the growth
+factors rho_n of the series bound, and the term count of psi's series
+under the recurrence majorant M_n itself, the bound the package's product
+majorant replaces.
+
 A configuration is a tuple (family, lambda, a, b), as in conftest.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.integrate
@@ -278,3 +285,47 @@ def jacobi_omega(n: int, alf: float, bet: float) -> float:
         4.0 * n * (n + alf) * (n + bet) * (n + alf + bet)
         / (s * s * (s + 1.0) * (s - 1.0))
     )
+
+
+def pochhammer_over_factorial(lam: float) -> Iterator[float]:
+    """Yield (lam)_n / n! for n = 0, 1, ... by the ratio recurrence."""
+    c = 1.0
+    for n in itertools.count():
+        yield c
+        c *= (lam + n) / (n + 1.0)
+
+
+def growth_factors(seq, xs, count: int) -> list[float]:
+    """rho_0 .. rho_{count-1} over the points xs, in plain Python floats:
+    rho_n = (Dbar_n + sqrt(Dbar_n^2 + 4 Wbar_n)) / 2 from the suffix maxima
+    of D_n = max |x - alpha_n| and |omega_n|, the table's last entry
+    standing in past its end."""
+    lo, hi = min(xs), max(xs)
+    d = [max(hi - a, a - lo) for a in seq.alphas.tolist()]
+    d_bar = list(itertools.accumulate(d[::-1], max))[::-1]
+    w_bar = list(itertools.accumulate([abs(w) for w in seq.omegas.tolist()][::-1], max))[::-1]
+    rho = [0.5 * (db + math.sqrt(db * db + 4.0 * wb)) for db, wb in zip(d_bar, w_bar)]
+    return [rho[min(k, len(rho) - 1)] for k in range(count)]
+
+
+def recurrence_term_count(seq, lam: float, xs, r: float, count: int) -> tuple[int, float]:
+    """Term count and tail bound of psi's series at |z| <= r over the points
+    xs under the recurrence majorant M_0 = 1, M_{n+1} = D_n M_n + |omega_n|
+    M_{n-1}: the first K >= 1 with q_K < 1, lam + K > 0 and
+    c_K max(M_K, rho_K M_{K-1}) r^K / (1 - q_K) <= 2^-53 sum_{n<K} c_n M_n r^n,
+    or (count, inf), with q_K = max(1, (lam+K)/(K+1)) rho_K r."""
+    lo, hi = min(xs), max(xs)
+    d = [max(hi - a, a - lo) for a in seq.alphas.tolist()]
+    w = [abs(o) for o in seq.omegas.tolist()]
+    rho = growth_factors(seq, xs, count + 1)
+    total, m_prev, m = 0.0, 0.0, 1.0
+    for k, c in zip(range(count + 1), pochhammer_over_factorial(lam)):
+        j, g = min(k, len(d) - 1), rho[k] * r
+        q = max(1.0, (lam + k) / (k + 1.0)) * g
+        if k and q < 1.0 and lam + k > 0.0:
+            tail = c * max(m, g * m_prev) / (1.0 - q)
+            if tail <= 2.0**-53 * total:
+                return k, tail
+        total += c * m
+        m_prev, m = m, r * (d[j] * m + r * w[j] * m_prev)
+    return count, math.inf

@@ -2,6 +2,7 @@
 import cmath
 import itertools
 import math
+import operator
 
 import mpmath
 import numpy as np
@@ -23,10 +24,14 @@ from opgf import (
     psi_family_moments,
     psi_series_stack,
 )
-from opgf import families, genfun, measures, riccati
-from opgf.genfun import pochhammer_over_factorial
-from opgf.recurrence import majorant_stack
-from reference import gauss_rule, stieltjes_from_quadrature
+from opgf import cli, families, genfun, measures, riccati
+from reference import (
+    gauss_rule,
+    growth_factors,
+    pochhammer_over_factorial,
+    recurrence_term_count,
+    stieltjes_from_quadrature,
+)
 
 # lambda = 1 rows of the identity sweep are carried by the free Meixner family
 IDENTITY_SWEEP = SWEEP_CONFIGS + ((Family.FREE_MEIXNER, None, 0.0, 0.0),)
@@ -43,9 +48,9 @@ def psi_series(seq, lam, z, x):
     return psi_series_stack([seq], [lam], z, [x])[0]
 
 
-def majorants(seq, x, scale):
-    """majorant_stack's stack of one: the majorants of seq over the points x."""
-    return majorant_stack([seq], np.reshape(x, (1, -1)), scale)[0]
+def products(factors):
+    """The running products 1, f_0, f_0 f_1, ... of factors."""
+    return list(itertools.accumulate(factors, operator.mul, initial=1.0))
 
 
 def circle_points(radius, count=16):
@@ -668,22 +673,13 @@ class TestCertifiedTruncation:
 
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_majorant_bounds_the_polynomials(self, config):
-        # M_n >= |P_n(x)| for n <= 200 on the support grid; the slack covers
-        # the rounding of the two float recurrences
+        # prod_{k<n} rho_k >= |P_n(x)| for n <= 200 on the support grid; the
+        # slack covers the rounding of the two float computations
         seq = get_sequence(*config)
         xs = np.linspace(*families.support_interval(*config), 11)
-        majorant = [m for m, _ in itertools.islice(majorants(seq, xs, 1.0), 201)]
+        majorant = products(growth_factors(seq, xs.tolist(), 200))
         values = np.abs(eval_monic(seq, 200, xs)).max(axis=1)
         assert np.all(values <= np.array(majorant) * (1.0 + 1e-12))
-
-    def test_majorant_scales_with_z(self):
-        seq = get_sequence(Family.NONSYM_PLUS, 1.5, None, None)
-        xs = np.linspace(*families.support_interval(Family.NONSYM_PLUS, 1.5, None, None), 11)
-        plain = list(itertools.islice(majorants(seq, xs, 1.0), 30))
-        scaled = list(itertools.islice(majorants(seq, xs, 0.25), 30))
-        for n, ((m, rho), (m_s, rho_s)) in enumerate(zip(plain, scaled)):
-            assert m_s == pytest.approx(m * 0.25**n, rel=1e-13, abs=0.0)
-            assert rho_s == pytest.approx(0.25 * rho, rel=1e-15, abs=0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -710,23 +706,80 @@ class TestCertifiedTruncation:
         bound = series.tail_bound + 64 * np.finfo(float).eps * magnitudes.sum()
         assert abs(series.value - psi_analytic(cf, z, x)) <= bound
 
-    def test_bound_is_tight_where_the_majorant_is_exact(self):
-        # free Meixner at b = -1 has omega_n = 0 for n >= 2, and at x = 0.25,
-        # between 0 and a = 0.5, every |P_n(x)| equals M_n: the tail past N
-        # is the geometric series |P_N| r^N / (1 - r |x - a|), which the
-        # bound must reproduce, and N is the first count that meets 2^-53
-        seq = get_sequence(Family.FREE_MEIXNER, None, 0.5, -1.0)
-        r, x = 0.3, 0.25
-        series = psi_series(seq, 1.0, r, x)
-        size = np.abs(eval_monic(seq, 60, x)) * r ** np.arange(61)
-        majorant = [m for m, _ in itertools.islice(majorants(seq, x, r), 61)]
-        assert size == pytest.approx(majorant, rel=1e-13, abs=0.0)
+    @pytest.mark.parametrize("config, xs, r", [
+        ((Family.FREE_MEIXNER, None, 0.5, -1.0), [0.25], 0.3),
+        # lambda < 1: q_N takes the max(1, ...) factor
+        ((Family.SYM1, 0.6, None, None),
+         np.linspace(*families.support_interval(Family.SYM1, 0.6, None, None), 11).tolist(), 0.1),
+    ], ids=["free_meixner_b_minus_1", "sym1_lambda_0.6"])
+    def test_bound_is_the_written_out_product(self, config, xs, r):
+        # the terms' majorant b_n = prod_{k<n} ((lambda+k)/(k+1)) rho_k r,
+        # its geometric tail b_N / (1 - q_N) and the first N that meets
+        # 2^-53 of sum_{n<N} b_n, in Python floats, give the series' count
+        # and bound; N - 1 fails the rule
+        seq = get_sequence(*config)
+        lam = get_closed_form(*config).lam
+        series = psi_series(seq, lam, r, xs)
+        rho = growth_factors(seq, xs, 201)
+        b = products((lam + k) / (k + 1.0) * rho[k] * r for k in range(200))
+
+        def tail(n):
+            q = max(1.0, (lam + n) / (n + 1.0)) * rho[n] * r
+            return b[n] / (1.0 - q) if q < 1.0 else math.inf
+
         count = series.n_terms
-        tail = size[count] / (1.0 - r * 0.25)
-        assert series.tail_bound == pytest.approx(tail, rel=1e-12, abs=0.0)
-        assert series.tail_bound <= genfun.UNIT_ROUNDOFF * size[:count].sum()
-        earlier = size[count - 1] / (1.0 - r * 0.25)
-        assert earlier > genfun.UNIT_ROUNDOFF * size[:count - 1].sum()
+        assert count < genfun.SERIES_CAP
+        assert series.tail_bound == pytest.approx(tail(count), rel=1e-12, abs=0.0)
+        assert series.tail_bound <= genfun.UNIT_ROUNDOFF * sum(b[:count])
+        assert tail(count - 1) > genfun.UNIT_ROUNDOFF * sum(b[:count - 1])
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared_r", "r_per_row"])
+    def test_stacked_rows_truncate_as_their_own_stack(self, per_row):
+        # n_terms, tail_bound and value of each row of the sweep stack equal
+        # its stack of one, with one shared r and with one r per row
+        seqs = [measures.family_sequence(*c, size=genfun.SERIES_CAP) for c in SWEEP_CONFIGS]
+        lams = [get_closed_form(*c).lam for c in SWEEP_CONFIGS]
+        rows = [np.linspace(*families.support_interval(*c), 11) for c in SWEEP_CONFIGS]
+        zs = np.array(circle_points(0.1, 8))
+        if per_row:
+            zs = np.linspace(0.5, 3.0, len(seqs))[:, None] * zs
+        stack = psi_series_stack(seqs, lams, zs, rows)
+        for c, stacked in enumerate(stack):
+            z = zs[c] if per_row else zs
+            assert_same_series(stacked, psi_series(seqs[c], lams[c], z, rows[c]))
+
+    @pytest.mark.parametrize("lam", [1e-300, 0.6, 2.5, 40.0])
+    def test_coefficients_are_the_ratio_recurrence(self, lam):
+        # the summation coefficients c_0 .. c_200 of one cumprod equal the
+        # products (lambda)_n / n! taken one ratio at a time, bit for bit
+        seq = get_sequence(Family.SYM1, 2.0, None, None)
+        _, _, coeffs = genfun._truncation([seq], [lam], np.zeros((1, 1)), np.array([0.1]))
+        expected = list(itertools.islice(pochhammer_over_factorial(lam), 201))
+        assert coeffs.shape == (1, 201)
+        assert coeffs[0].tolist() == expected
+
+    def test_counts_follow_the_recurrence_majorant(self, tmp_path, monkeypatch):
+        # every series row of the sweep at |z| = 0.1 and 0.3, identity rows
+        # included, takes the count of the recurrence majorant M_n or one
+        # more, and is capped exactly when that rule caps it
+        rows = []
+
+        def recording(seqs, lams, z, x_rows):
+            results = psi_series_stack(seqs, lams, z, x_rows)
+            # r = max|z| over the shared z, or over each row of a (C, Z) z
+            r = np.abs(z).max(axis=-1) if np.ndim(z) == 2 else np.abs(z).max()
+            rows.extend(zip(seqs, lams, np.broadcast_to(r, len(seqs)).tolist(),
+                            np.reshape(x_rows, (len(seqs), -1)).tolist(), results))
+            return results
+
+        monkeypatch.setattr(genfun, "psi_series_stack", recording)
+        for zmax in ("0.1", "0.3"):
+            assert cli.main(["verify", "--zmax", zmax, "--out", str(tmp_path / "r.json")]) == 0
+        assert len(rows) == 2 * 43
+        for seq, lam, r, xs, series in rows:
+            count, bound = recurrence_term_count(seq, lam, xs, r, genfun.SERIES_CAP)
+            assert series.n_terms in (count, count + 1)
+            assert math.isinf(series.tail_bound) == math.isinf(bound)
 
     def test_sums_only_the_chosen_terms(self):
         seq = get_sequence(Family.SYM1, 2.0, None, None)
@@ -932,16 +985,3 @@ class TestStackedClosedForms:
         with pytest.raises(ParameterError, match="1 coefficient tables for 2 closed forms"):
             riccati.residual_moment_ode(stack, seqs[:1], 0.05)
 
-
-def test_majorant_stack_rows_are_their_own_majorants():
-    r = 0.1
-    seqs = [measures.family_sequence(*c, size=genfun.SERIES_CAP) for c in SWEEP_CONFIGS]
-    rows = np.array([np.linspace(*families.support_interval(*c), 11) for c in SWEEP_CONFIGS])
-    for seq, xs, stacked in zip(seqs, rows, majorant_stack(seqs, rows, r)):
-        assert (list(itertools.islice(stacked, 203))
-                == list(itertools.islice(majorants(seq, xs, r), 203)))
-    # one scale per row
-    scales = np.linspace(0.05, 0.3, len(seqs))
-    for seq, xs, r, stacked in zip(seqs, rows, scales, majorant_stack(seqs, rows, scales)):
-        assert (list(itertools.islice(stacked, 203))
-                == list(itertools.islice(majorants(seq, xs, float(r)), 203)))

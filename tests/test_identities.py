@@ -22,7 +22,6 @@ from opgf import (
 )
 from opgf import genfun
 from opgf.families import support_interval
-from opgf.genfun import pochhammer_over_factorial
 from opgf.identities import (
     HypergeometricParams,
     _rising_table,
@@ -46,6 +45,7 @@ from reference import (
     gegenbauer_omega,
     jacobi_alpha,
     jacobi_omega,
+    pochhammer_over_factorial,
     standardized,
     stieltjes_from_quadrature,
 )
