@@ -13,14 +13,14 @@ Every command exits 3 when it cannot write its output file.
 
 A verify command is one campaign (run_campaign): the sweep's 23
 configurations, or the one configuration of --family.  It builds one closed
-form and one coefficient table per configuration and then runs the rows of
-_checks, one check at a time.  The closed-form checks are one call each for
-all configurations: series-vs-closed is one psi_series_stack pass and one
-psi_closed call over the stack of closed forms, and so are the moments,
-both Riccati residuals and the moment ODE.  Each identity is one call over
-the configurations of its family, and those of lambda alone one call over
-the campaign's distinct lambdas.  Nothing is kept from one command to the
-next.
+form and one coefficient table per configuration, stacks the tables once,
+and then runs the rows of _checks, one check at a time.  The closed-form
+checks are one call each for all configurations: series-vs-closed is one
+psi_series_stack pass and one psi_closed call over the stack of closed
+forms, and so are the moments (one batched Gauss rule), both Riccati
+residuals and the moment ODE.  Each identity is one call over the
+configurations of its family, and those of lambda alone one call over the
+campaign's distinct lambdas.  Nothing is kept from one command to the next.
 
 Reports are deterministic for fixed inputs except the wall_time_ms field;
 numbers are serialized with 17 significant digits.
@@ -41,6 +41,7 @@ import numpy as np
 from . import __version__, families, genfun, identities, measures, riccati
 from .errors import OpgfError, ParameterError, RedirectToFreeMeixner
 from .families import Family
+from .recurrence import JacobiSzegoSequence
 
 SCHEMA_VERSION = 1
 
@@ -227,13 +228,15 @@ def _per_lambda(identity):
     return worst
 
 
-def _checks(zmax: float, grid: int, tol: float) -> list:
+def _checks(zmax: float, grid: int, tol: float, runs) -> list:
     """The campaign's checks in report order, one row (records, families,
     evaluate) per check.  records lists the (name, points, tolerance) of
     the row's check records, three for the moments and one for every other
     check; the row checks the runs whose family is in families; evaluate(live)
     is one call over those runs that gives each run one worst residual per
     record.  tol is the tolerance of series-vs-closed, the others are pinned.
+    The tables of the runs (after setup) with no error are stacked once, here:
+    a check over several of them reads their rows, over one its own table.
 
     series-vs-closed is one psi_series_stack pass and one psi_closed call
     over the stack of closed forms, and the moments, both Riccati residuals
@@ -255,8 +258,11 @@ def _checks(zmax: float, grid: int, tol: float) -> list:
     gf3_zs = [-0.5 * zmax, 0.5 * zmax, zmax]
     uniqueness_terms = 15
 
-    def seqs(live):
-        return [run.seq for run in live]
+    ready = [run for run in runs if run.error is None]
+    tables = JacobiSzegoSequence.stack([run.seq for run in ready]) if len(ready) > 1 else None
+
+    def seqs(live):  # laid out as _closed_forms lays out the closed forms
+        return live[0].seq if len(live) == 1 else tables.rows([ready.index(r) for r in live])
 
     def lams(live):
         return [run.cf.lam for run in live]
@@ -335,17 +341,17 @@ def run_campaign(configs, zmax: float, grid: int, tol: float) -> list[dict]:
     check by check, one row of _checks at a time.
 
     Each configuration builds one closed form and one coefficient table,
-    which all its checks read.  tol must be finite and > 0.  Errors are
-    kept per configuration: a stacked call that raises is made again as each
-    configuration's stack of one.  The campaign raises the error that a
-    configuration-by-configuration loop would meet first: that of the first
-    failing configuration, at its first failing step.
+    which all its checks read (stacked once).  tol must be finite and > 0.
+    Errors are kept per configuration: a stacked call that raises is made
+    again as each configuration's stack of one.  The campaign raises the
+    error that a configuration-by-configuration loop would meet first: that
+    of the first failing configuration, at its first failing step.
     """
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"tol must be a finite number > 0, got {tol}")
     runs = [_Run(*config) for config in configs]
     _each(runs, lambda run: run.setup(zmax, grid))
-    for check in _checks(zmax, grid, tol):
+    for check in _checks(zmax, grid, tol, runs):
         _stacked(runs, *check)
     for run in runs:
         if run.error is not None:

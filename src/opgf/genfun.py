@@ -22,15 +22,16 @@ off the negative real axis and continues the series across the cut, which is
 what moment checks at negative real z need.
 
 The series side is ``psi_series_stack``, a truncation with a proved tail
-bound, for several configurations at once: one array step counts every
-row's terms, and one recurrence pass serves them all.  A single
+bound, for a stack of coefficient tables at once: one array step counts
+every row's terms, and one recurrence pass serves them all.  A single
 configuration is the stack of one.
 
 The closed side stacks the same way.  ``stack_closed_forms`` turns C closed
 forms into one whose fields are (C, 1) columns; psi_closed, psi_analytic,
 psi_family_moments and the residuals of ``riccati`` then evaluate all C
 configurations in one call, with a leading configuration axis, and a closed
-form of its own is evaluated as the stack of one.  Each row equals its own
+form of its own is evaluated as the stack of one; where a check also reads
+tables, their layout follows the closed forms'.  Each row equals its own
 configuration's call bit for bit, and a bad point raises the error of the
 first configuration that has one.
 """
@@ -47,7 +48,7 @@ import numpy as np
 from . import families, measures
 from .errors import BranchCutError, DomainError, ParameterError, SingularityError
 from .families import Family
-from .recurrence import JacobiSzegoSequence, _table_stack, eval_monic
+from .recurrence import JacobiSzegoSequence, _points, eval_monic
 
 # Cap on the number of series terms, and the length of the coefficient tables
 # that verify and the identities sum (a table of N coefficients caps a series
@@ -176,16 +177,14 @@ def _stack_shape(cf: GenFunClosedForm) -> tuple:
     return cf.lam.shape[:-1] if isinstance(cf.lam, np.ndarray) else ()
 
 
-def _stack_tables(seq, cf: GenFunClosedForm) -> list:
-    """seq as one coefficient table per configuration of cf: a table goes
-    with a closed form, a list of C tables with a stack of C."""
-    tables = [seq] if isinstance(seq, JacobiSzegoSequence) else list(seq)
-    if len(tables) != math.prod(_stack_shape(cf)):
-        raise ParameterError(
-            f"{len(tables)} coefficient tables for {math.prod(_stack_shape(cf))} "
-            "closed forms"
-        )
-    return tables
+def _table_lead(seq: JacobiSzegoSequence, cf: GenFunClosedForm) -> tuple:
+    """_stack_shape(cf), refusing a table seq laid out otherwise: a table
+    goes with a closed form of its own, a stack of C with a stack of C."""
+    lead = _stack_shape(cf)
+    if seq.alphas.shape[:-1] != lead:
+        raise ParameterError(f"coefficient tables of leading shape {seq.alphas.shape[:-1]} "
+                             f"for closed forms of leading shape {lead}")
+    return lead
 
 
 def _lift(field):
@@ -353,11 +352,11 @@ def _first_stop(terms, slack, valid) -> tuple:
     return sums, stop.any(axis=-1), np.argmax(stop, axis=-1) + 1
 
 
-def _truncation(seqs, lams, xs, r) -> tuple:
+def _truncation(seq, lams, xs, r) -> tuple:
     """Term counts N, tail bounds and coefficient rows c_n = (lambda)_n/n!,
     n <= count = min(SERIES_CAP, table length + 1), of every row of
-    psi_series_stack at once (row c: seqs[c], lams[c], points xs[c] of a
-    (C, X) array, r[c] >= |z|).  c_n is one cumprod of the ratios.
+    psi_series_stack at once (row c: table c of seq, lams[c], finite points
+    xs[c] of a (C, X) array, r[c] >= |z|).  c_n is one cumprod of ratios.
 
     With D_n = max |x - alpha_n| over the row, M_0 = 1 and M_{n+1} = D_n M_n
     + |omega_n| M_{n-1} bound |P_n(x)| (triangle inequality).  With Dbar_n,
@@ -377,9 +376,9 @@ def _truncation(seqs, lams, xs, r) -> tuple:
     bound; with none, N = count and the bound is inf.  Past the table its
     last g stands in: the coefficients are assumed to stay within the
     table's suffix maxima.  Rows do not mix, so each equals its stack of
-    one bit for bit.  A non-finite x is refused before any arithmetic.
+    one bit for bit.
     """
-    alphas, omegas = _table_stack(seqs, xs)
+    alphas, omegas = (table.reshape(len(xs), -1) for table in (seq.alphas, seq.omegas))
     count = min(SERIES_CAP, alphas.shape[1] + 1)
     d = np.maximum(xs.max(axis=1)[:, None] - alphas, alphas - xs.min(axis=1)[:, None])
     d_bar, w_bar = (np.maximum.accumulate(a[:, ::-1], axis=1)[:, ::-1] for a in (d, abs(omegas)))
@@ -401,17 +400,17 @@ def _truncation(seqs, lams, xs, r) -> tuple:
     return np.where(found, first, count), np.where(found, tails, math.inf), coeffs
 
 
-def psi_series_stack(seqs, lams, z, x_rows) -> list[PsiSeriesResult]:
+def psi_series_stack(seq, lams, z, x_rows) -> list[PsiSeriesResult]:
     """Partial sums of sum_n (lambda)_n/n! P_n(x) z^n for C configurations,
     each truncated where a proved bound on its tail falls below the rounding
-    of the sum itself: one result per row, and a single configuration is
-    the stack of one.  Row c sums with table seqs[c] and lambda lams[c] at
-    the points z, or its own row z[c], and x_rows[c].
+    of the sum itself: one result per row.  Row c sums with table c of the
+    stack seq and lambda lams[c] at the points z, or its own row z[c], and
+    x_rows[c]; a table of its own is the stack of one, with one row.
 
-    The tables share one length.  z is a scalar or 1-D array shared by every
-    row, or a (C, Z) array with one row of points per configuration (a
-    (1, Z) array is shared too); the rows of x_rows are scalars or 1-D
-    arrays of one length.  Arrays give a row the (Z, X) grid of every pair.
+    z is a scalar or 1-D array shared by every row, or a (C, Z) array with
+    one row of points per configuration (a (1, Z) array is shared too); the
+    rows of x_rows are scalars or 1-D arrays of one length.  Arrays give a
+    row the (Z, X) grid of every pair.
 
     Each row's term count N is fixed before any summation, with r = max|z|
     over the row: the first count whose proved tail bound is at most 2^-53
@@ -426,15 +425,17 @@ def psi_series_stack(seqs, lams, z, x_rows) -> list[PsiSeriesResult]:
     within the two calls' bounds and rounding: a narrower x range may give
     a smaller N.  A non-finite x of any row raises ParameterError first.
     """
+    rows = np.asarray(x_rows, dtype=float)
+    xs = _points(seq, rows.reshape(len(rows), -1))
+    if len(xs) != len(rows):
+        raise ParameterError(f"a table of its own takes one row of x, got {len(rows)}")
     zs = np.asarray(z, dtype=complex)
     z_row = zs.shape[1:] if zs.ndim == 2 else zs.shape
     # one row of z per configuration, a shared row repeated
-    z_rows = np.full((len(seqs), math.prod(z_row)), zs.reshape(-1, math.prod(z_row)))
-    rows = np.asarray(x_rows, dtype=float)
-    xs = rows.reshape(len(rows), -1)
-    counts, bounds, coeffs = _truncation(seqs, lams, xs, np.abs(z_rows).max(axis=1))
+    z_rows = np.full((len(xs), math.prod(z_row)), zs.reshape(-1, math.prod(z_row)))
+    counts, bounds, coeffs = _truncation(seq, lams, xs, np.abs(z_rows).max(axis=1))
     size = int(counts.max())
-    p = eval_monic(list(seqs), size - 1, xs)
+    p = eval_monic(seq, size - 1, xs)
     powers = np.vander(z_rows.ravel(), size, increasing=True).reshape(z_rows.shape + (size,))
     shape = z_row + rows.shape[1:]
     results = []
@@ -456,24 +457,18 @@ def psi_family_moments(seq, cf: GenFunClosedForm, z) -> tuple:
     rule is built from the first MOMENT_ORDER coefficients of seq, or from
     as many as the measure has support points if that is fewer (free
     Meixner at b = -1 has two), where it is exact.  For a stack of C closed
-    forms seq is a list of C tables whose rules have one order, and each
-    moment has a leading axis of length C.
+    forms seq is a stack of C tables, each moment has a leading axis of
+    length C, and one rule order serves every row: a row with fewer support
+    points than another raises its rule's error.
     """
-    lead = _stack_shape(cf)
-    tables = _stack_tables(seq, cf)
+    lead = _table_lead(seq, cf)
     zs = np.asarray(z, dtype=float)
     raise_first((zs,), [radius_guard(cf, zs)])
-    rules = [measures.gauss_quadrature(table, min(MOMENT_ORDER, measures._support_points(table)))
-             for table in tables]
-    orders = sorted({rule.nodes.size for rule in rules})
-    if len(orders) > 1:
-        raise ParameterError(f"a stack needs Gauss rules of one order, got orders {orders}")
-    nodes = np.array([rule.nodes for rule in rules]).reshape(lead + (-1,))
-    weights = np.array([rule.weights for rule in rules]).reshape(nodes.shape)
+    rule = measures.gauss_quadrature(seq, min(MOMENT_ORDER, measures._support_points(seq)))
     # a scalar z is the length-1 grid, so it takes the same sums as an array
-    psi = psi_analytic(cf, np.atleast_1d(zs), nodes).real
-    if lead:  # one rule per configuration, across that configuration's z
-        nodes, weights = nodes[:, None], weights[:, None]
+    psi = psi_analytic(cf, np.atleast_1d(zs), rule.nodes).real
+    # a rule per configuration, across that configuration's z
+    nodes, weights = rule.nodes[..., None, :], rule.weights[..., None, :]
     w_x = weights * nodes
     sums = [(psi * w).sum(axis=-1) for w in (weights, w_x, w_x * nodes)]
     return tuple(as_shape(m, lead + zs.shape) for m in sums)

@@ -14,8 +14,9 @@ lambda or closed form alone.  A float lambda or a closed form of its own is
 the stack of one and gives no leading axis.
 
 Classical monic recurrence coefficients on [-1, 1] are implemented here from
-the standard formulas and are cross-validated in the test suite against the
-Stieltjes procedure run on the corresponding Beta densities.
+the standard formulas, a table for float parameters and the stack of C
+tables for 1-D arrays of C, and are cross-validated in the test suite
+against the Stieltjes procedure run on the corresponding Beta densities.
 """
 from __future__ import annotations
 
@@ -136,15 +137,6 @@ def _lambdas(lam) -> tuple[np.ndarray, tuple]:
     return lams.ravel(), lams.shape
 
 
-def _point_rows(lead: tuple, x) -> tuple[np.ndarray, tuple]:
-    """Points x as one row per configuration of a stack with leading axes
-    lead, shape (C, X), and the shape of one row: a scalar or 1-D x is
-    shared by every row, a 2-D x holds one row per configuration."""
-    xs = np.asarray(x, dtype=float)
-    row = xs.shape[len(lead):] if xs.ndim > 1 else xs.shape
-    return np.full((math.prod(lead), math.prod(row)), xs.reshape(-1, math.prod(row))), row
-
-
 def duplication_check(a: float) -> float:
     """Log-scale residual of sqrt(pi) Gamma(2a) = 2^(2a-1) Gamma(a) Gamma(a+1/2)."""
     if a <= 0.0:
@@ -197,22 +189,26 @@ def one_f_zero_reduction(lam, y):
 #
 # The sequences evaluate the standard tail formulas (alpha_n for n >= 1,
 # omega_n for n >= 2) at n1 = max(n, 1) and n2 = max(n, 2), as
-# measures.family_sequence does, and write the head over the result.
+# measures.family_sequence does, and write the head over the result; the
+# parameters enter as a length-1 array or a (C, 1) column beside n.
 
 
-def gegenbauer_sequence(lam: float, size: int) -> JacobiSzegoSequence:
+def gegenbauer_sequence(lam, size: int) -> JacobiSzegoSequence:
     """Monic Gegenbauer coefficients, weight (1-x^2)^(lam-1/2), for
     n = 0 .. size - 1.  omega_1 = 1 / (2 (1 + lam)) is the tail formula at
     n = 1 with the factor lam cancelled, so it stays finite as lam -> 0."""
+    lam = np.asarray(lam, dtype=float)[..., None]
     n2 = np.maximum(np.arange(size, dtype=float), 2.0)
     omegas = n2 * (n2 + 2.0 * lam - 1.0) / (4.0 * (n2 + lam) * (n2 + lam - 1.0))
-    omegas[:2] = [1.0, 1.0 / (2.0 * (1.0 + lam))][:size]
-    return JacobiSzegoSequence(np.zeros(size), omegas)
+    omegas[..., :1] = 1.0
+    omegas[..., 1:2] = 1.0 / (2.0 * (1.0 + lam))
+    return JacobiSzegoSequence(np.zeros(omegas.shape), omegas)
 
 
-def jacobi_sequence(alf: float, bet: float, size: int) -> JacobiSzegoSequence:
+def jacobi_sequence(alf, bet, size: int) -> JacobiSzegoSequence:
     """Monic Jacobi coefficients, weight (1-x)^alf (1+x)^bet, for
     n = 0 .. size - 1."""
+    alf, bet = (np.asarray(p, dtype=float)[..., None] for p in (alf, bet))
     n = np.arange(size, dtype=float)
     n1, n2 = np.maximum(n, 1.0), np.maximum(n, 2.0)
     s1, s2 = 2.0 * n1 + alf + bet, 2.0 * n2 + alf + bet
@@ -220,9 +216,11 @@ def jacobi_sequence(alf: float, bet: float, size: int) -> JacobiSzegoSequence:
     omegas = (4.0 * n2 * (n2 + alf) * (n2 + bet) * (n2 + alf + bet)
               / (s2 * s2 * (s2 + 1.0) * (s2 - 1.0)))
     s = alf + bet
-    alphas[:1] = (bet - alf) / (s + 2.0)
-    omega1 = 4.0 * (alf + 1.0) * (bet + 1.0) / ((s + 2.0) ** 2 * (s + 3.0))
-    omegas[:2] = [1.0, omega1][:size]
+    alphas[..., :1] = (bet - alf) / (s + 2.0)
+    # (s + 2) ** 2 by a float's pow, as the scalar formula: numpy's square can differ by an ulp
+    square = ((s + 2.0).astype(object) ** 2).astype(float)
+    omegas[..., :1] = 1.0
+    omegas[..., 1:2] = 4.0 * (alf + 1.0) * (bet + 1.0) / (square * (s + 3.0))
     return JacobiSzegoSequence(alphas, omegas)
 
 
@@ -240,19 +238,20 @@ def _principal_power(w, expo):
 # psi_series_stack call.
 
 
-def _series_check(lam, seqs, z, x, z_scale, x_scale, closed):
+def _series_check(lam, seq, z, x, z_scale, x_scale, closed):
     """|series - closed| on the (C, Z, X) grid of a series identity.
 
     The series sums (lam)_n/n! P_n(x / x_scale) (z_scale z)^n with the
-    tables seqs, one per lambda; z_scale and x_scale are floats or one value
-    per lambda.  closed(lam, z, x) is the closed side on arrays that
+    stack of tables seq, one per lambda; z_scale and x_scale are floats or
+    one value per lambda.  closed(lam, z, x) is the closed side on arrays that
     broadcast to the grid.
     """
     lams, lead = _lambdas(lam)
-    zs = np.asarray(z)
-    rows, row = _point_rows(lead, x)
+    zs, xs = np.asarray(z), np.asarray(x, dtype=float)
+    row = xs.shape[len(lead):] if xs.ndim > 1 else xs.shape
+    rows = np.full((lams.size, math.prod(row)), xs.reshape(-1, math.prod(row)))
     z_scale, x_scale = (np.asarray(s).reshape(-1, 1) for s in (z_scale, x_scale))
-    series = genfun.psi_series_stack(seqs, lams.tolist(), z_scale * zs.ravel(),
+    series = genfun.psi_series_stack(seq, lams.tolist(), z_scale * zs.ravel(),
                                      rows / x_scale)
     grid = (lams[:, None, None], zs.reshape(-1, 1), rows[:, None, :])
     values = np.array([result.value for result in series]).reshape(lams.size, zs.size, -1)
@@ -265,8 +264,8 @@ def gegenbauer_gf_check(lam, z, x):
         raise ParameterError(f"|x| must be <= 1, got {x}")
     if np.any(np.abs(np.asarray(z)) > 0.3):
         raise DomainError(f"|z| must be <= 0.3, got {np.abs(z).max()}")
-    seqs = [gegenbauer_sequence(value, genfun.SERIES_CAP) for value in _lambdas(lam)[0].tolist()]
-    return _series_check(lam, seqs, z, x, 2.0, 1.0, lambda lam, zg, xg: _principal_power(
+    seq = gegenbauer_sequence(_lambdas(lam)[0], genfun.SERIES_CAP)
+    return _series_check(lam, seq, z, x, 2.0, 1.0, lambda lam, zg, xg: _principal_power(
         1.0 - 2.0 * zg * xg + zg * zg, -lam))
 
 
@@ -277,9 +276,8 @@ def tilde_gegenbauer_identity(lam, z, x):
     closed form is (1 - zx + (1+lam) z^2 / 2)^(-lam).
     """
     lams = _lambdas(lam)[0]
-    seqs = [gegenbauer_sequence(value, genfun.SERIES_CAP) for value in lams.tolist()]
-    scale = np.sqrt(2.0 * (1.0 + lams))
-    return _series_check(lam, seqs, z, x, scale, scale, lambda lam, zg, xg: _principal_power(
+    seq, scale = gegenbauer_sequence(lams, genfun.SERIES_CAP), np.sqrt(2.0 * (1.0 + lams))
+    return _series_check(lam, seq, z, x, scale, scale, lambda lam, zg, xg: _principal_power(
         1.0 - zg * xg + 0.5 * (1.0 + lam) * zg * zg, -lam))
 
 
@@ -295,19 +293,16 @@ def family2_identity(lam, z, x):
         raise ParameterError(f"lambda must be > 1/2, got {lam}")
     if (np.abs(lams - 1.0) < 1e-9).any():
         raise ParameterError("lambda = 1 is excluded for the second symmetric family")
-    seqs = [gegenbauer_sequence(value - 1.0, genfun.SERIES_CAP) for value in lams.tolist()]
-    scale = np.sqrt(2.0 * lams)
-    return _series_check(lam, seqs, z, x, scale, scale, lambda lam, zg, xg: (
+    seq, scale = gegenbauer_sequence(lams - 1.0, genfun.SERIES_CAP), np.sqrt(2.0 * lams)
+    return _series_check(lam, seq, z, x, scale, scale, lambda lam, zg, xg: (
         1.0 - 0.5 * lam * zg * zg) * _principal_power(1.0 - zg * xg + 0.5 * lam * zg * zg, -lam))
 
 
-def _nonsym_signs(cf: genfun.GenFunClosedForm):
-    """nonsym_sign of cf's family, laid out as cf.lam: a float for a closed
-    form of its own, a (C, 1) column for a stack of C; another family raises
-    ParameterError."""
-    if not genfun._stack_shape(cf):
-        return families.nonsym_sign(cf.family)
-    return np.array([[families.nonsym_sign(family)] for family in cf.family.ravel()])
+def _nonsym_signs(cf: genfun.GenFunClosedForm) -> np.ndarray:
+    """nonsym_sign of cf's families, laid out as cf.lam; another family
+    raises ParameterError."""
+    tags = np.ravel(np.asarray(cf.family, dtype=object))
+    return np.reshape([families.nonsym_sign(tag) for tag in tags], np.shape(cf.lam))
 
 
 def jacobi_shift_check(cf: genfun.GenFunClosedForm, seq, n_max: int, x) -> np.ndarray:
@@ -315,7 +310,7 @@ def jacobi_shift_check(cf: genfun.GenFunClosedForm, seq, n_max: int, x) -> np.nd
     first n_max coefficients of seq and the scaled-shifted classical monic
     Jacobi forms of the non-symmetric family of cf, as an (n_max + 1, X)
     grid over the 1-D array of points x.  For a stack of C closed forms seq
-    is a list of C tables, x has one row per configuration and the grid a
+    is a stack of C tables, x has one row per configuration and the grid a
     leading axis of length C; one recurrence pass serves every row.
 
     For nonsym-plus: P_n(x) = k^n p_n^{(l-1/2, l-3/2)}((sqrt(2l-1) x - 1)/(2l))
@@ -326,20 +321,20 @@ def jacobi_shift_check(cf: genfun.GenFunClosedForm, seq, n_max: int, x) -> np.nd
     sign, lam = _nonsym_signs(cf), cf.lam
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
-    tables = genfun._stack_tables(seq, cf)
-    xs = np.asarray(x, dtype=float).reshape(len(tables), -1)
+    lead = genfun._table_lead(seq, cf)
+    xs = np.asarray(x, dtype=float).reshape(lead + (-1,))
     root = np.sqrt(2.0 * lam - 1.0)
     ys = (root * xs - sign) / (2.0 * lam)
-    oracles = [jacobi_sequence(*((value - 0.5, value - 1.5) if s > 0.0
-                                 else (value - 1.5, value - 0.5)), n_max)
-               for s, value in zip(np.ravel(sign).tolist(), np.ravel(lam).tolist())]
-    catalog, oracle = eval_monic(tables, n_max, xs), eval_monic(oracles, n_max, ys)
+    shift = np.where(sign > 0.0, 0.5, 1.5)  # alf = lam - 1/2 for nonsym-plus
+    alf, bet = (np.reshape(lam - s, lead) for s in (shift, 2.0 - shift))
+    catalog = eval_monic(seq, n_max, xs)
+    oracle = eval_monic(jacobi_sequence(alf, bet, n_max), n_max, ys)
     # the floats a per-point k**n gives
     ks = np.ravel(2.0 * lam / root).tolist()
-    scale = np.array([[k**n for k in ks] for n in range(n_max + 1)])
+    scale = np.array([[k**n for k in ks] for n in range(n_max + 1)]).reshape((-1,) + lead)
     oracle = scale[..., None] * oracle
     residual = np.abs(catalog - oracle) / np.maximum(1.0, np.abs(oracle))
-    return residual.swapaxes(0, 1).reshape(genfun._stack_shape(cf) + (n_max + 1, -1))
+    return np.moveaxis(residual, 0, len(lead))
 
 
 def jacobi_2f1_gf_check(lam, t, y):
@@ -349,9 +344,9 @@ def jacobi_2f1_gf_check(lam, t, y):
         raise DomainError(f"|t| must be < 0.3, got {t}")
     if np.any(np.abs(np.asarray(y)) >= 1.0):
         raise DomainError(f"|y| must be < 1, got {y}")
-    seqs = [jacobi_sequence(value - 0.5, value - 1.5, genfun.SERIES_CAP)
-            for value in _lambdas(lam)[0].tolist()]
-    return _series_check(lam, seqs, t, y, 2.0, 1.0, lambda lam, tg, yg: (
+    lams = _lambdas(lam)[0]
+    seq = jacobi_sequence(lams - 0.5, lams - 1.5, genfun.SERIES_CAP)
+    return _series_check(lam, seq, t, y, 2.0, 1.0, lambda lam, tg, yg: (
         1.0 + tg) * (1.0 + tg * tg - 2.0 * tg * yg) ** (-lam))
 
 

@@ -16,10 +16,10 @@ Each family is a standardized (mean-0, variance-1) compactly supported law:
                 atoms at the real zeros of 1 + a x + b x^2.
 
 A law is represented by its Jacobi-Szego coefficient table (family_sequence)
-alone, and gauss_quadrature is the one route from a table to a Gauss rule
-(Golub and Welsch, 1969).  No density or normalization constant is stored:
-the rule needs only the recurrence, so it exists wherever the table is
-finite.
+alone, and gauss_quadrature is the one route from a table, or a stack of
+them, to Gauss rules (Golub and Welsch, 1969).  No density or normalization
+constant is stored: the rule needs only the recurrence, so it exists
+wherever the table is finite.
 """
 from __future__ import annotations
 
@@ -93,58 +93,64 @@ def family_sequence(family, lam=None, a=None, b=None, *, size: int) -> JacobiSze
 
 
 def _support_points(seq: JacobiSzegoSequence) -> int:
-    """Support points of the measure of seq, or the table length if it has
-    at least that many: the first n with omega_n <= 0, since P_n vanishes on
-    the support of a measure on exactly n points."""
-    hits = np.flatnonzero(seq.omegas <= 0.0)
-    return int(hits[0]) if hits.size else seq.omegas.size
+    """Support points of the measure of seq (the most of a stack's rows), or
+    the table length if it has at least that many: the first n with omega_n
+    <= 0, as P_n vanishes on the support of a measure of exactly n points."""
+    bad = seq.omegas <= 0.0
+    return int(np.where(bad.any(axis=-1), bad.argmax(axis=-1), bad.shape[-1]).max())
 
 
 def gauss_quadrature(seq: JacobiSzegoSequence, order: int) -> QuadratureRule:
-    """Gauss rule of `order` nodes from the first `order` coefficients of seq.
+    """Gauss rule of `order` nodes from the first `order` coefficients of
+    seq, one rule per row of a stack (nodes and weights of shape (C, order)).
 
     Nodes are the eigenvalues of the order x order symmetric Jacobi matrix;
     weights are the squared first components of the normalized eigenvectors
-    (total mass omega_0 = 1).  order must lie in 1 .. len(seq); a non-finite
-    coefficient among the first `order` is named before either solver runs.
+    (total mass omega_0 = 1).  Up to DENSE_EIGH_MAX_ORDER one batched dense
+    eigh serves every row, bit for bit each row's own rule; larger orders
+    solve row by row.  order must lie in 1 .. N; a non-finite coefficient
+    among the first `order`, or an omega <= 0, raises the error of the first
+    row that has one before either solver runs.
     """
     if order < 1:
         raise ParameterError(f"order must be >= 1, got {order}")
-    if order > seq.alphas.size:
-        raise ParameterError(
-            f"order {order} exceeds the {seq.alphas.size} coefficients of the table")
-    diag, omegas = seq.alphas[:order], seq.omegas[:order]
+    size = seq.alphas.shape[-1]
+    if order > size:
+        raise ParameterError(f"order {order} exceeds the {size} coefficients of the table")
+    diag, omegas = seq.alphas[..., :order], seq.omegas[..., :order]
     finite = np.isfinite(diag) & np.isfinite(omegas)
-    if not finite.all():
-        n = int(np.argmin(finite))
-        name, value = ("alpha", diag[n]) if not np.isfinite(diag[n]) else ("omega", omegas[n])
+    bad = ~finite.all(axis=-1) | (omegas[..., 1:] <= 0.0).any(axis=-1)
+    # the first row with a bad entry (else row 0) is checked as a table
+    row = np.unravel_index(np.argmax(bad), bad.shape)
+    d, w = diag[row], omegas[row]
+    if not finite[row].all():
+        n = int(np.argmin(finite[row]))
+        name, value = ("alpha", d[n]) if not np.isfinite(d[n]) else ("omega", w[n])
         raise NumericalBreakdownError(
-            f"{name}_{n} = {value} is not finite: no Gauss rule of order {order}",
-            index=n,
-        )
-    offs = omegas[1:]
-    if np.any(offs <= 0.0):
-        bad = int(np.argmax(offs <= 0.0)) + 1
+            f"{name}_{n} = {value} is not finite: no Gauss rule of order {order}", index=n)
+    if bad.any():
+        n = int(np.argmax(w[1:] <= 0.0)) + 1
         raise NumericalBreakdownError(
-            f"omega_{bad} <= 0: the measure has fewer than {order} support points",
-            index=bad,
-        )
-    offdiag = np.sqrt(offs)
+            f"omega_{n} <= 0: the measure has fewer than {order} support points", index=n)
+    offdiag = np.sqrt(omegas[..., 1:])
     try:
         if order <= DENSE_EIGH_MAX_ORDER:
-            jacobi = np.diag(diag)
-            jacobi[np.arange(1, order), np.arange(order - 1)] = offdiag
-            eigvals, eigvecs = np.linalg.eigh(jacobi, UPLO="L")
+            # eigh reads the lower triangle: diag and the subdiagonal
+            jacobi = diag[..., None] * np.eye(order)
+            jacobi[..., range(1, order), range(order - 1)] = offdiag
+            nodes, eigvecs = np.linalg.eigh(jacobi, UPLO="L")
+            weights = eigvecs[..., 0, :] ** 2
         else:
             import scipy.linalg
 
-            eigvals, eigvecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
+            rules = [(values, vectors[0] ** 2) for values, vectors in (
+                scipy.linalg.eigh_tridiagonal(d, e) for d, e in
+                zip(diag.reshape(-1, order), offdiag.reshape(-1, order - 1)))]
+            nodes, weights = (np.reshape(part, diag.shape) for part in zip(*rules))
     except np.linalg.LinAlgError as exc:  # scipy.linalg raises the same class
         raise NumericalBreakdownError(
             "eigen-solver failed on the Jacobi matrix "
             f"(order={order}, |diag|_max={np.abs(diag).max():.3e}, "
             f"|offdiag|_max={offdiag.max():.3e})"
         ) from exc
-    weights = eigvecs[0, :] ** 2
-    return QuadratureRule(nodes=eigvals, weights=weights)
-
+    return QuadratureRule(nodes=nodes, weights=weights)

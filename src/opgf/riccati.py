@@ -179,27 +179,22 @@ def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence,
     (u h)' = u (h u'/u + h'), with u'/u = u_log_deriv and f' = f_prime; the
     residuals are absolute.  z is a float or a 1-D array of reals, and each
     residual comes back in z's shape (a scalar is evaluated as the length-1
-    array).  For a stack of C closed forms seq is a list of C tables and
+    array).  For a stack of C closed forms seq is a stack of C tables and
     each residual has a leading axis of length C.  A point outside the
     domain radius, or z = 0, raises for the first one (of the first
     configuration that has one) the error a scalar call there raises; a
     table of fewer than 3 entries raises ParameterError.
     """
-    tables = genfun._stack_tables(seq, cf)
-    for table in tables:
-        if table.omegas.size < 3:
-            raise ParameterError(
-                f"the moment ODE reads alpha_1 and omega_2, but the table has "
-                f"{table.omegas.size} entries"
-            )
+    lead = genfun._table_lead(seq, cf)
+    if seq.omegas.shape[-1] < 3:
+        raise ParameterError(f"the moment ODE reads alpha_1 and omega_2, but the table has "
+                             f"{seq.omegas.shape[-1]} entries")
     zs = np.atleast_1d(np.asarray(z, dtype=float))
     genfun.raise_first((zs,), [
         genfun.radius_guard(cf, zs),
         (zs == 0, lambda _: DomainError("z = 0 is a branch point of u")),
     ])
-    lam, lead = cf.lam, genfun._stack_shape(cf)
-    a1 = np.array([table.alphas[1] for table in tables]).reshape(lead + (1,))
-    w2 = np.array([table.omegas[2] for table in tables]).reshape(lead + (1,))
+    lam, a1, w2 = cf.lam, seq.alphas[..., 1:2], seq.omegas[..., 2:3]
     u, log_deriv = cf.u(zs), cf.u_log_deriv(zs)
     fz, fpz = cf.f(zs), cf.f_prime(zs)
     m2 = 0.5 * lam * (lam + 1.0) * w2 * zs * zs + lam * a1 * zs + 1.0

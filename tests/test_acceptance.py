@@ -73,7 +73,7 @@ def test_criterion_01_generating_function_identity():
         for z in z_circle(0.1):
             for x in support_grid(config):
                 closed = psi_closed(cf, z, x)
-                series = psi_series_stack([seq], [cf.lam], z, [x])[0]
+                series = psi_series_stack(seq, [cf.lam], z, [x])[0]
                 worst = max(worst, abs(series.value - closed))
     elapsed = time.perf_counter() - start
     report(1, "generating-function identity", worst <= 1e-9 and elapsed < 10.0,

@@ -315,14 +315,14 @@ def test_sweep_evaluates_each_lambda_identity_once(tmp_path, monkeypatch):
     stack = genfun.psi_series_stack
 
     def counted_stack(seqs, *args, **kwargs):
-        stack_rows.append(len(seqs))
+        stack_rows.append(len(seqs.alphas))
         return stack(seqs, *args, **kwargs)
 
     monkeypatch.setattr(genfun, "psi_series_stack", counted_stack)
     monic_rows = []
 
     def counted_monic(seqs, n_max, x):
-        monic_rows.append(len(seqs))
+        monic_rows.append(len(seqs.alphas))
         return eval_monic(seqs, n_max, x)
 
     for module in (genfun, identities):
@@ -584,7 +584,7 @@ def test_readme_checks_table_matches_the_campaign():
     # defaults --zmax 0.1 --grid 16 --tol 1e-9, row for row
     assert readme_checks_table() == [
         (name, set(families), points, tolerance)
-        for records, families, _ in cli._checks(0.1, 16, 1e-9)
+        for records, families, _ in cli._checks(0.1, 16, 1e-9, [])
         for name, points, tolerance in records]
 
 
@@ -654,7 +654,7 @@ def test_identity_error_stays_with_its_configuration(name, bad_lam, failing, mon
     monkeypatch.setattr(identities, name, failing_identity)
     runs = [cli._Run(*config) for config in IDENTITY_STEP_CONFIGS]
     cli._each(runs, lambda run: run.setup(0.1, 16))
-    for check in cli._checks(0.1, 16, 1e-9):
+    for check in cli._checks(0.1, 16, 1e-9, runs):
         cli._stacked(runs, *check)
     for index, (config, run) in enumerate(zip(IDENTITY_STEP_CONFIGS, runs)):
         if index in failing:

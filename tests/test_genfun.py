@@ -15,6 +15,8 @@ from opgf import (
     BranchCutError,
     DomainError,
     Family,
+    JacobiSzegoSequence,
+    NumericalBreakdownError,
     OpgfError,
     ParameterError,
     closed_form,
@@ -45,7 +47,7 @@ def capped_sequence(config, terms):
 
 def psi_series(seq, lam, z, x):
     """The series of one configuration: psi_series_stack's stack of one."""
-    return psi_series_stack([seq], [lam], z, [x])[0]
+    return psi_series_stack(seq, [lam], z, [x])[0]
 
 
 def products(factors):
@@ -555,7 +557,7 @@ class TestPsiSeriesStack:
             seqs.append(measures.family_sequence(*config, size=genfun.SERIES_CAP))
             lams.append(cf.lam)
             rows.append(np.linspace(*families.support_interval(*config), 11))
-        stack = psi_series_stack(seqs, lams, zs, rows)
+        stack = psi_series_stack(JacobiSzegoSequence.stack(seqs), lams, zs, rows)
         assert len(stack) == len(SWEEP_CONFIGS)
         for seq, lam, xs, stacked in zip(seqs, lams, rows, stack):
             assert stacked.converged.all()
@@ -578,13 +580,14 @@ class TestPsiSeriesStack:
         for family, lam, a, b in configs:
             lo, hi = families.support_interval(family, lam, a, b)
             rows.append([lo + f * (hi - lo) for f in fractions])
-        stack = psi_series_stack(seqs, lams, zs, rows)
+        stack = psi_series_stack(JacobiSzegoSequence.stack(seqs), lams, zs, rows)
         for seq, lam, xs, stacked in zip(seqs, lams, rows, stack):
             assert_same_series(stacked, psi_series(seq, lam, zs, xs))
 
     def test_scalar_rows(self):
         seqs = [get_sequence(*c) for c in SWEEP_CONFIGS[:3]]
-        stack = psi_series_stack(seqs, [0.6, 0.75, 1.5], 0.05j, [0.1, -0.2, 0.3])
+        stack = psi_series_stack(JacobiSzegoSequence.stack(seqs), [0.6, 0.75, 1.5], 0.05j,
+                                 [0.1, -0.2, 0.3])
         for seq, lam, x, stacked in zip(seqs, [0.6, 0.75, 1.5], [0.1, -0.2, 0.3], stack):
             assert isinstance(stacked.value, complex)
             assert_same_series(stacked, psi_series(seq, lam, 0.05j, x))
@@ -599,7 +602,7 @@ class TestPsiSeriesStack:
         with pytest.raises(ParameterError) as single:
             psi_series(seq, 2.0, 0.1, x)
         with pytest.raises(ParameterError) as stacked:
-            psi_series_stack([seq], [2.0], 0.1, [x])
+            psi_series_stack(seq, [2.0], 0.1, [x])
         assert str(single.value) == str(stacked.value) == message
 
     @settings(max_examples=40, deadline=None)
@@ -616,7 +619,7 @@ class TestPsiSeriesStack:
         lams = [get_closed_form(*c).lam for c in configs]
         z_rows = np.array(scales[:len(configs)])[:, None] * zs
         x_rows = [np.linspace(*families.support_interval(*c), 5) for c in configs]
-        stack = psi_series_stack(seqs, lams, z_rows, x_rows)
+        stack = psi_series_stack(JacobiSzegoSequence.stack(seqs), lams, z_rows, x_rows)
         for seq, lam, z_row, xs, stacked in zip(seqs, lams, z_rows, x_rows, stack):
             assert_same_series(stacked, psi_series(seq, lam, z_row, xs))
 
@@ -624,15 +627,23 @@ class TestPsiSeriesStack:
         seqs = [get_sequence(*c) for c in SWEEP_CONFIGS[:3]]
         rows = [[0.1, -0.2], [0.0, 0.3], [0.2, 0.4]]
         zs = circle_points(0.05, 4)
-        shared = psi_series_stack(seqs, [0.6, 0.75, 1.5], zs, rows)
-        for one, row in zip(shared, psi_series_stack(seqs, [0.6, 0.75, 1.5], [zs], rows)):
+        stack = JacobiSzegoSequence.stack(seqs)
+        shared = psi_series_stack(stack, [0.6, 0.75, 1.5], zs, rows)
+        for one, row in zip(shared, psi_series_stack(stack, [0.6, 0.75, 1.5], [zs], rows)):
             assert_same_series(row, one)
 
     def test_tables_of_different_lengths_are_refused(self):
         seqs = [get_sequence(Family.SYM1, 2.0, None, None),
                 measures.family_sequence(Family.SYM1, 2.0, size=50)]
-        with pytest.raises(ParameterError, match="tables of one length"):
-            psi_series_stack(seqs, [2.0, 2.0], 0.1, [[0.0], [0.5]])
+        with pytest.raises(ValueError):
+            JacobiSzegoSequence.stack(seqs)
+
+    def test_rows_of_x_must_be_the_tables(self):
+        seq = get_sequence(Family.SYM1, 2.0, None, None)
+        with pytest.raises(ParameterError, match="a table of its own takes one row of x, got 2"):
+            psi_series_stack(seq, [2.0, 2.0], 0.1, [[0.0], [0.5]])
+        with pytest.raises(ParameterError, match="a stack of 2 tables needs x with one row"):
+            psi_series_stack(JacobiSzegoSequence.stack([seq, seq]), [2.0], 0.1, [[0.0]])
 
 
 def mp_tail(seq, lam, r, x, start):
@@ -743,7 +754,7 @@ class TestCertifiedTruncation:
         zs = np.array(circle_points(0.1, 8))
         if per_row:
             zs = np.linspace(0.5, 3.0, len(seqs))[:, None] * zs
-        stack = psi_series_stack(seqs, lams, zs, rows)
+        stack = psi_series_stack(JacobiSzegoSequence.stack(seqs), lams, zs, rows)
         for c, stacked in enumerate(stack):
             z = zs[c] if per_row else zs
             assert_same_series(stacked, psi_series(seqs[c], lams[c], z, rows[c]))
@@ -753,7 +764,7 @@ class TestCertifiedTruncation:
         # the summation coefficients c_0 .. c_200 of one cumprod equal the
         # products (lambda)_n / n! taken one ratio at a time, bit for bit
         seq = get_sequence(Family.SYM1, 2.0, None, None)
-        _, _, coeffs = genfun._truncation([seq], [lam], np.zeros((1, 1)), np.array([0.1]))
+        _, _, coeffs = genfun._truncation(seq, [lam], np.zeros((1, 1)), np.array([0.1]))
         expected = list(itertools.islice(pochhammer_over_factorial(lam), 201))
         assert coeffs.shape == (1, 201)
         assert coeffs[0].tolist() == expected
@@ -764,10 +775,11 @@ class TestCertifiedTruncation:
         # more, and is capped exactly when that rule caps it
         rows = []
 
-        def recording(seqs, lams, z, x_rows):
-            results = psi_series_stack(seqs, lams, z, x_rows)
+        def recording(stack, lams, z, x_rows):
+            results = psi_series_stack(stack, lams, z, x_rows)
             # r = max|z| over the shared z, or over each row of a (C, Z) z
             r = np.abs(z).max(axis=-1) if np.ndim(z) == 2 else np.abs(z).max()
+            seqs = [stack.rows(c) for c in range(len(stack.alphas))]
             rows.extend(zip(seqs, lams, np.broadcast_to(r, len(seqs)).tolist(),
                             np.reshape(x_rows, (len(seqs), -1)).tolist(), results))
             return results
@@ -890,9 +902,11 @@ def stacked_checks(cf, seqs, zmax, xs_rows):
 def assert_rows_are_own_calls(cfs, seqs, zmax, xs_rows):
     # row c of each stacked check is bit for bit the stack of one of
     # configuration c, and the call with its own closed form
-    stacked = stacked_checks(genfun.stack_closed_forms(cfs), seqs, zmax, xs_rows)
+    stacked = stacked_checks(genfun.stack_closed_forms(cfs), JacobiSzegoSequence.stack(seqs),
+                             zmax, xs_rows)
     for c, (cf, seq, xs) in enumerate(zip(cfs, seqs, xs_rows)):
-        one = stacked_checks(genfun.stack_closed_forms([cf]), [seq], zmax, [xs])
+        one = stacked_checks(genfun.stack_closed_forms([cf]), JacobiSzegoSequence.stack([seq]),
+                             zmax, [xs])
         own = stacked_checks(cf, seq, zmax, xs)
         for name, results in stacked.items():
             for result, of_one, of_own in zip(results, one[name], own[name]):
@@ -959,7 +973,7 @@ class TestStackedClosedForms:
         with pytest.raises(DomainError) as own:
             call(cfs[1], seqs[1], [0.0])
         with pytest.raises(DomainError) as stacked:
-            call(genfun.stack_closed_forms(cfs), seqs, [[0.0]] * 3)
+            call(genfun.stack_closed_forms(cfs), JacobiSzegoSequence.stack(seqs), [[0.0]] * 3)
         assert str(stacked.value) == str(own.value)
         assert "free-meixner" in str(own.value)
 
@@ -980,8 +994,17 @@ class TestStackedClosedForms:
         configs = [(Family.SYM1, 2.0, None, None), (Family.FREE_MEIXNER, None, 0.0, -1.0)]
         stack = genfun.stack_closed_forms(get_closed_form(*c) for c in configs)
         seqs = [get_sequence(*c) for c in configs]
-        with pytest.raises(ParameterError, match="Gauss rules of one order"):
-            psi_family_moments(seqs, stack, 0.05)
-        with pytest.raises(ParameterError, match="1 coefficient tables for 2 closed forms"):
-            riccati.residual_moment_ode(stack, seqs[:1], 0.05)
+        # one Gauss rule order for the stack: the two-point law has no
+        # order-24 rule, and the stack raises its error
+        with pytest.raises(NumericalBreakdownError,
+                           match=r"^omega_2 <= 0: the measure has fewer than 24 support points"):
+            psi_family_moments(JacobiSzegoSequence.stack(seqs), stack, 0.05)
+        with pytest.raises(ParameterError, match=r"leading shape \(1,\) for closed forms of "
+                                                 r"leading shape \(2,\)"):
+            riccati.residual_moment_ode(stack, JacobiSzegoSequence.stack(seqs[:1]), 0.05)
+        # a table of its own goes with a closed form of its own only
+        with pytest.raises(ParameterError, match=r"leading shape \(\) for closed forms of "
+                                                 r"leading shape \(1,\)"):
+            psi_family_moments(seqs[0], genfun.stack_closed_forms(
+                [get_closed_form(*configs[0])]), 0.05)
 

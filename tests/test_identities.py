@@ -40,7 +40,7 @@ from opgf.identities import (
     two_f_one_collapse_check,
 )
 from opgf.families import support_interval
-from opgf.recurrence import eval_monic
+from opgf.recurrence import JacobiSzegoSequence, eval_monic
 from reference import (
     gegenbauer_omega,
     jacobi_alpha,
@@ -589,6 +589,41 @@ NONSYM_STACK = [(Family.NONSYM_PLUS, 0.51), (Family.NONSYM_MINUS, 0.51),
 LAMBDA_STACK = [1e-300, 0.05, 0.5, 0.51, 1.0, 2.5, 7.3]
 
 
+class TestStackedSequences:
+    LAMS = np.array(LAMBDA_SWEEP + (0.51, 0.9411396126919265, 20.0, 1e6))
+
+    def test_gegenbauer_stack_rows_are_the_tables_of_each_lambda(self):
+        # the parameters of the two symmetric identities: lambda (sym1, at any
+        # lambda > 0) and lambda - 1 (sym2, lambda > 1/2)
+        for lams in (np.concatenate([self.LAMS, [1e-300, 0.05]]), self.LAMS - 1.0):
+            stack = gegenbauer_sequence(lams, 200)
+            assert stack.omegas.shape == (lams.size, 200)
+            for c, lam in enumerate(lams.tolist()):
+                own = gegenbauer_sequence(lam, 200)
+                assert np.array_equal(stack.alphas[c], own.alphas)
+                assert np.array_equal(stack.omegas[c], own.omegas)
+
+    def test_jacobi_stack_rows_are_the_tables_of_each_pair(self):
+        for alf, bet in ((self.LAMS - 0.5, self.LAMS - 1.5), (self.LAMS - 1.5, self.LAMS - 0.5)):
+            stack = jacobi_sequence(alf, bet, 200)
+            assert stack.omegas.shape == (self.LAMS.size, 200)
+            for c, pair in enumerate(zip(alf.tolist(), bet.tolist())):
+                own = jacobi_sequence(*pair, 200)
+                assert np.array_equal(stack.alphas[c], own.alphas)
+                assert np.array_equal(stack.omegas[c], own.omegas)
+
+    def test_jacobi_omega1_rounds_as_float_arithmetic(self):
+        # nonsym-minus at this lambda: numpy's square of (s + 2) differs in
+        # the last bit from a float's ** 2, which the table keeps
+        lam = 0.9411396126919265
+        alf, bet = lam - 1.5, lam - 0.5
+        s = alf + bet
+        assert (np.array([s + 2.0]) ** 2)[0] != (s + 2.0) ** 2
+        expected = 4.0 * (alf + 1.0) * (bet + 1.0) / ((s + 2.0) ** 2 * (s + 3.0))
+        assert jacobi_sequence(alf, bet, 3).omegas[1] == expected
+        assert jacobi_sequence(np.array([alf]), np.array([bet]), 3).omegas[0, 1] == expected
+
+
 class TestStackedIdentities:
     """Every row of a mixed stack equals its own stack-of-one call."""
 
@@ -637,7 +672,8 @@ class TestStackedIdentities:
 
     def test_jacobi_shift(self):
         cfs, seqs, rows = self.nonsym_stack()
-        stacked = jacobi_shift_check(genfun.stack_closed_forms(cfs), seqs, 10, rows)
+        stacked = jacobi_shift_check(genfun.stack_closed_forms(cfs),
+                                     JacobiSzegoSequence.stack(seqs), 10, rows)
         assert stacked.shape == (5, 11, 5)
         assert_rows_are_single_calls(stacked, [
             jacobi_shift_check(cf, seq, 10, x) for cf, seq, x in zip(cfs, seqs, rows)])

@@ -18,6 +18,7 @@ from opgf import (
     family_sequence,
     gauss_quadrature,
 )
+from opgf import measures
 from opgf.families import support_interval
 from opgf.measures import DENSE_EIGH_MAX_ORDER
 from reference import adaptive_integral, beta_law, density, gauss_rule, moment, norm_squared
@@ -314,6 +315,58 @@ class TestGaussQuadrature:
     def test_non_finite_coefficient_past_the_order_is_not_read(self):
         seq = JacobiSzegoSequence([0.0, 0.0, np.nan], [1.0, 1.0, np.nan])
         assert gauss_quadrature(seq, 2).nodes == pytest.approx([-1.0, 1.0])
+
+
+class TestStackedRules:
+    @pytest.mark.parametrize("order", list(range(1, DENSE_EIGH_MAX_ORDER + 1)) + [31, 40])
+    def test_stack_rows_are_their_own_rules(self, order):
+        # one batched dense eigh up to DENSE_EIGH_MAX_ORDER, row by row above
+        # it: row c of the sweep stack is bit for bit table c's own rule
+        seqs = [get_sequence(*config) for config in SWEEP_CONFIGS]
+        rules = gauss_quadrature(JacobiSzegoSequence.stack(seqs), order)
+        assert rules.nodes.shape == rules.weights.shape == (len(seqs), order)
+        for c, seq in enumerate(seqs):
+            own = gauss_quadrature(seq, order)
+            assert np.array_equal(rules.nodes[c], own.nodes)
+            assert np.array_equal(rules.weights[c], own.weights)
+
+    @staticmethod
+    def with_entry(config, name, n, value):
+        """The sweep table of config with entry n of alphas or omegas set."""
+        seq = get_sequence(*config)
+        tables = {"alphas": seq.alphas.copy(), "omegas": seq.omegas.copy()}
+        tables[name][n] = value
+        return JacobiSzegoSequence(tables["alphas"], tables["omegas"])
+
+    @pytest.mark.parametrize("order", [24, 40])
+    def test_stack_raises_the_first_bad_rows_error(self, order):
+        # the third row's non-finite omega_7 is named as its own call names
+        # it, though the fifth row has a worse entry; a bad row before it
+        # raises its own error instead, whatever its kind
+        configs = SWEEP_CONFIGS[:5]
+        third = self.with_entry(configs[2], "omegas", 7, np.nan)
+        fifth = self.with_entry(configs[4], "alphas", 1, np.inf)
+        with pytest.raises(NumericalBreakdownError) as own:
+            gauss_quadrature(third, order)
+        assert str(own.value) == f"omega_7 = nan is not finite: no Gauss rule of order {order}"
+        seqs = [get_sequence(*c) for c in configs]
+        stack = JacobiSzegoSequence.stack(seqs[:2] + [third, seqs[3], fifth])
+        with pytest.raises(NumericalBreakdownError) as stacked:
+            gauss_quadrature(stack, order)
+        assert str(stacked.value) == str(own.value) and stacked.value.index == 7
+        second = self.with_entry(configs[1], "omegas", 9, -1.0)
+        stack = JacobiSzegoSequence.stack([seqs[0], second, third, seqs[3], fifth])
+        with pytest.raises(NumericalBreakdownError, match=f"^omega_9 <= 0: the measure has "
+                           f"fewer than {order} support points$") as stacked:
+            gauss_quadrature(stack, order)
+        assert stacked.value.index == 9
+
+    def test_support_points_of_a_stack_are_the_most_of_any_row(self):
+        two_atoms = family_sequence(Family.FREE_MEIXNER, a=0.0, b=-1.0, size=30)
+        full = family_sequence(Family.SYM1, 2.0, size=30)
+        assert measures._support_points(two_atoms) == 2
+        assert measures._support_points(JacobiSzegoSequence.stack([two_atoms] * 3)) == 2
+        assert measures._support_points(JacobiSzegoSequence.stack([two_atoms, full])) == 30
 
 
 class TestMeasureProperties:

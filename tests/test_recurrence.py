@@ -125,7 +125,7 @@ class TestMonicValues:
         seqs = [get_sequence(*config) for config in SWEEP_CONFIGS]
         rows = np.array([np.linspace(*support_interval(*config), 11)
                          for config in SWEEP_CONFIGS])
-        stacked = eval_monic(seqs, 60, rows)
+        stacked = eval_monic(JacobiSzegoSequence.stack(seqs), 60, rows)
         assert stacked.shape == (61, len(seqs), 11)
         for c, (seq, xs) in enumerate(zip(seqs, rows)):
             assert np.array_equal(stacked[:, c], eval_monic(seq, 60, xs))
@@ -133,10 +133,14 @@ class TestMonicValues:
     def test_stack_needs_one_length_and_a_row_per_table(self):
         seqs = [get_sequence(Family.SYM1, 2.0, None, None),
                 gegenbauer_sequence(1.5, 50)]
-        with pytest.raises(ParameterError, match="tables of one length"):
-            eval_monic(seqs, 3, np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            JacobiSzegoSequence.stack(seqs)
+        with pytest.raises(ParameterError, match=r"of one shape \(N,\) or \(C, N\) with N >= 1"):
+            JacobiSzegoSequence.stack([])
         with pytest.raises(ParameterError, match="one row per table"):
-            eval_monic(seqs[:1], 3, np.zeros((2, 4)))
+            eval_monic(JacobiSzegoSequence.stack(seqs[:1]), 3, np.zeros((2, 4)))
+        with pytest.raises(ParameterError, match="one row per table"):
+            eval_monic(JacobiSzegoSequence.stack(seqs[:1]), 3, np.zeros(4))
 
 
 class TestNormSquared:
@@ -170,7 +174,13 @@ class TestSequenceInvariants:
         with pytest.raises(ParameterError):
             JacobiSzegoSequence([0.0, 0.0], [1.0])
         with pytest.raises(ParameterError):
-            JacobiSzegoSequence([[0.0]], [[1.0]])
+            JacobiSzegoSequence([[[0.0]]], [[[1.0]]])
+        with pytest.raises(ParameterError):
+            JacobiSzegoSequence([[0.0], [0.0]], [[1.0]])
+        with pytest.raises(ParameterError):
+            JacobiSzegoSequence(np.zeros((2, 0)), np.ones((2, 0)))
+        # a (C, N) pair is a stack of C tables
+        assert JacobiSzegoSequence([[0.0]], [[1.0]]).alphas.shape == (1, 1)
         with pytest.raises(ParameterError):
             JacobiSzegoSequence([], [])
 
@@ -208,7 +218,7 @@ class TestSequenceInvariants:
             with pytest.raises(ParameterError, match=r"^2 coefficients give P_0 \.\. P_2 only"):
                 eval_monic(seq, 3, x)
         with pytest.raises(ParameterError, match="give P_0 .. P_2 only"):
-            eval_monic([seq, seq], 3, np.zeros((2, 1)))
+            eval_monic(JacobiSzegoSequence.stack([seq, seq]), 3, np.zeros((2, 1)))
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_omega_positive(self, config):
