@@ -38,9 +38,7 @@ from .genfun import (
 from .riccati import (
     ClassificationSolution,
     RiccatiCoefficients,
-    SeriesSolution,
     coefficients,
-    free_meixner_uniqueness,
     nonsymmetric_omega2_roots,
     residual_f,
     residual_moment_ode,
@@ -59,7 +57,6 @@ __all__ = [
     "PsiSeriesResult",
     "RiccatiCoefficients",
     "ClassificationSolution",
-    "SeriesSolution",
     "identities",
     "eval_monic",
     "family_sequence",
@@ -76,7 +73,6 @@ __all__ = [
     "solve_symmetric",
     "solve_nonsymmetric",
     "nonsymmetric_omega2_roots",
-    "free_meixner_uniqueness",
     "OpgfError",
     "ParameterError",
     "RedirectToFreeMeixner",

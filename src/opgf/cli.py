@@ -243,20 +243,17 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
     and the moment ODE are one call each over that stack.  Each identity is
     one call over the runs of its family (jacobi-shift and psi-prefactor-form
     over the stack of their closed forms), and those of lambda alone one call
-    over the runs' distinct lambdas.  gamma-duplication reads no parameter
-    and is evaluated once, each run taking its own copy of the record.
+    over the runs' distinct lambdas.
     """
     zs = _circle(zmax, grid)
     zs_real = np.array([s * zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)])
     zs_two_circles = _circle(0.5 * zmax, grid) + _circle(zmax, grid)
     ode_zs = np.array([s * zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
-    dup_points = [0.25 * k for k in range(1, 21)]
     ns, ys_1f0 = np.arange(21), (-0.5, -0.25, 0.0, 0.25, 0.5)
     id_zs = [zmax, 0.5 * zmax, zmax * 1j, zmax * complex(-0.5, 0.5)]
     geg_zs, geg_xs = [0.25, 0.1, 0.1j, complex(-0.1, 0.1)], [-1.0, -0.5, 0.0, 0.5, 1.0]
     ts, ys = [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
     gf3_zs = [-0.5 * zmax, 0.5 * zmax, zmax]
-    uniqueness_terms = 15
 
     ready = [run for run in runs if run.error is None]
     tables = JacobiSzegoSequence.stack([run.seq for run in ready]) if len(ready) > 1 else None
@@ -295,14 +292,6 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
             _closed_forms(live), seqs(live), ode_zs))
         return [max(r1.max(), r2.max()) for r1, r2 in zip(first, second)]
 
-    def duplication(live):
-        worst = max(identities.duplication_check(av) for av in dup_points)
-        return [worst] * len(live)
-
-    def uniqueness(live):
-        return [np.abs(riccati.free_meixner_uniqueness(
-            run.cf.a, run.cf.b, uniqueness_terms).c).max() for run in live]
-
     every, nonsym = tuple(Family), (Family.NONSYM_PLUS, Family.NONSYM_MINUS)
     return [
         ([("series-vs-closed", len(zs) * 11, tol)], every, series),
@@ -312,7 +301,6 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
         ([("riccati-residual-u", len(zs_two_circles), 1e-11)], every, lambda live: _worst(
             live, riccati.residual_u(_closed_forms(live), zs_two_circles))),
         ([("moment-ode", 2 * len(ode_zs), 1e-7)], every, moment_ode),
-        ([("gamma-duplication", len(dup_points), 1e-12)], every, duplication),
         ([("pochhammer-ratio", len(ns), 1e-12)], every, _per_lambda(
             lambda distinct: identities.pochhammer_ratio_check(distinct, ns))),
         ([("binomial-1f0", len(ys_1f0), 1e-11)], every, _per_lambda(
@@ -332,7 +320,6 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
             lambda distinct: identities.two_f_one_collapse_check(distinct, ts, ys))),
         ([("psi-prefactor-form", len(gf3_zs) * 5, 1e-12)], nonsym, lambda live: _worst(
             live, identities.gf3_equivalence(_closed_forms(live), gf3_zs, xs5(live)))),
-        ([("series-uniqueness", uniqueness_terms, 1e-12)], (Family.FREE_MEIXNER,), uniqueness),
     ]
 
 

@@ -1,17 +1,16 @@
 """Special-function identities behind the symmetric and non-symmetric families.
 
-Covers Pochhammer symbols, the Gauss duplication formula, the collapse of the
-Jacobi 2F1 generating function to a binomial (1F0) series, and the four
-generating-function identities that tie scaled Gegenbauer and shifted Jacobi
-polynomials to their closed forms.  Each check returns a residual magnitude;
-the caller compares it against the documented tolerance.
+Covers the Pochhammer ratio (Gauss duplication in Pochhammer form), the
+collapse of the Jacobi 2F1 generating function to a binomial (1F0) series,
+and the four generating-function identities that tie scaled Gegenbauer and
+shifted Jacobi polynomials to their closed forms.  Each check returns a
+residual magnitude; the caller compares it against the documented tolerance.
 
-Every check but the duplication formula takes a stack of configurations: a
-1-D sequence of C lambdas, or a stack of C closed forms
-(genfun.stack_closed_forms), gives a result with a leading axis of length C
-from one evaluation, whose row c is bit for bit the call with the c-th
-lambda or closed form alone.  A float lambda or a closed form of its own is
-the stack of one and gives no leading axis.
+Every check takes a stack of configurations: a 1-D sequence of C lambdas, or
+a stack of C closed forms (genfun.stack_closed_forms), gives a result with a
+leading axis of length C from one evaluation, whose row c is bit for bit the
+call with the c-th lambda or closed form alone.  A float lambda or a closed
+form of its own is the stack of one and gives no leading axis.
 
 Classical monic recurrence coefficients on [-1, 1] are implemented here from
 the standard formulas, a table for float parameters and the stack of C
@@ -135,15 +134,6 @@ def _lambdas(lam) -> tuple[np.ndarray, tuple]:
     leading axes the stack gives a result: () for a float, (C,) for C."""
     lams = np.asarray(lam, dtype=float)
     return lams.ravel(), lams.shape
-
-
-def duplication_check(a: float) -> float:
-    """Log-scale residual of sqrt(pi) Gamma(2a) = 2^(2a-1) Gamma(a) Gamma(a+1/2)."""
-    if a <= 0.0:
-        raise ParameterError(f"a must be > 0, got {a}")
-    lhs = 0.5 * math.log(math.pi) + math.lgamma(2.0 * a)
-    rhs = (2.0 * a - 1.0) * math.log(2.0) + math.lgamma(a) + math.lgamma(a + 0.5)
-    return abs(lhs - rhs)
 
 
 def pochhammer_ratio_check(lam, n):

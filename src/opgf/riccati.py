@@ -79,16 +79,6 @@ class ClassificationSolution:
     invalid_reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class SeriesSolution:
-    """Power-series solution h(z) = h0 + sum_{n>=1} c_n z^n of the free
-    Meixner uniqueness recursion."""
-
-    c: np.ndarray
-    h0: float
-    n_terms: int
-
-
 def _poly_mul(a, b) -> list:
     """Product of two ascending coefficient sequences; each coefficient is
     summed from 0 in ascending index of a."""
@@ -263,8 +253,7 @@ def _guard_lambda(lam: float, need_half: bool) -> None:
         raise ParameterError(f"lambda must be > 0, got {lam}")
     if abs(lam - 1.0) < families.LAMBDA_ONE_GUARD:
         raise RedirectToFreeMeixner(
-            "lambda = 1 is degenerate here; the free Meixner recursion "
-            "(free_meixner_uniqueness) handles it"
+            "lambda = 1 is degenerate here; the free-meixner family covers it"
         )
     if need_half and lam - 0.5 < families.LAMBDA_ONE_GUARD:
         raise ParameterError(f"lambda must exceed 1/2, got {lam}")
@@ -373,23 +362,3 @@ def solve_nonsymmetric(lam: float) -> tuple[float, list[ClassificationSolution]]
             )
         )
     return degenerate, out
-
-
-def free_meixner_uniqueness(a: float, b: float, n_terms: int) -> SeriesSolution:
-    """Series solution of the lambda = 1 reduced equation; every c_n is 0.
-
-    With h(z) = h0 + sum c_n z^n and h0 = a/2 forced by the 1/z singularity,
-    the equation -(b z^2 + a z + 1) h' = h^2 - a^2/4 + (2/z)(h - a/2) gives
-    the recursion (m+3) c_{m+1} = -a(m+1) c_m - b(m-1) c_{m-1} - conv_m,
-    whose right side vanishes inductively.
-    """
-    if n_terms < 1 or n_terms > 30:
-        raise ParameterError(f"n_terms must be in 1..30, got {n_terms}")
-    if b < -1.0:
-        raise ParameterError(f"b must be >= -1, got {b}")
-    c = np.zeros(n_terms + 1)  # c[0] is the (empty) constant slot
-    for m in range(n_terms):
-        conv = float(np.dot(c[1:m], c[m - 1:0:-1])) if m >= 2 else 0.0
-        prev = c[m - 1] if m >= 1 else 0.0
-        c[m + 1] = (-a * (m + 1.0) * c[m] - b * (m - 1.0) * prev - conv) / (m + 3.0)
-    return SeriesSolution(c=c[1:], h0=0.5 * a, n_terms=n_terms)

@@ -14,6 +14,10 @@ its normalized coefficients, and the degree argument that forces an E of
 degree 3 to 6 down to degree 2.  A few small helpers give quantities that
 several tests read: norms, moments and the standardization of a table.
 
+The Gauss duplication formula in log-gamma form checks libm's lgamma and
+reads no configuration; the package checks duplication in its Pochhammer
+form (identities.pochhammer_ratio_check) at each configuration's lambda.
+
 The series oracles run one term at a time where the package uses arrays:
 the coefficients (lambda)_n / n! by their ratio recurrence, the growth
 factors rho_n of the series bound, and the term count of psi's series
@@ -285,6 +289,15 @@ def jacobi_omega(n: int, alf: float, bet: float) -> float:
         4.0 * n * (n + alf) * (n + bet) * (n + alf + bet)
         / (s * s * (s + 1.0) * (s - 1.0))
     )
+
+
+def duplication_check(a: float) -> float:
+    """Log-scale residual of sqrt(pi) Gamma(2a) = 2^(2a-1) Gamma(a) Gamma(a+1/2)."""
+    if a <= 0.0:
+        raise ParameterError(f"a must be > 0, got {a}")
+    lhs = 0.5 * math.log(math.pi) + math.lgamma(2.0 * a)
+    rhs = (2.0 * a - 1.0) * math.log(2.0) + math.lgamma(a) + math.lgamma(a + 0.5)
+    return abs(lhs - rhs)
 
 
 def pochhammer_over_factorial(lam: float) -> Iterator[float]:

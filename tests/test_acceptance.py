@@ -2,6 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Every tolerance is pinned here; nothing is calibrated at run time.
+
+Criterion 07, free Meixner series uniqueness, is retired: its recursion
+starts from zeros and gives c_n = 0 whatever its coefficients are, so it
+could not fail.  The other criteria keep their numbers.
 """
 import cmath
 import math
@@ -15,7 +19,6 @@ from opgf import (
     coefficients,
     eval_monic,
     family_sequence,
-    free_meixner_uniqueness,
     psi_closed,
     psi_family_moments,
     psi_series_stack,
@@ -28,7 +31,6 @@ from opgf import (
 from opgf import cli
 from opgf.families import support_interval
 from opgf.identities import (
-    duplication_check,
     family2_identity,
     gegenbauer_gf_check,
     gf3_equivalence,
@@ -40,6 +42,7 @@ from opgf.identities import (
 )
 from reference import (
     degree_bound_check,
+    duplication_check,
     gauss_rule,
     norm_squared,
     stieltjes_from_quadrature,
@@ -183,17 +186,6 @@ def test_criterion_06_degree_bound():
             worst = max(worst, degree_bound_check(lam, alpha1, omega2, degree))
     report(6, "polynomial degree bound", worst <= 1e-13,
            f"max forced leading coefficient {worst:.2e} over 10 triples x degrees 3-6")
-
-
-def test_criterion_07_free_meixner_uniqueness():
-    pairs = [(0.0, 0.0), (0.5, 0.25), (-1.0, -0.5), (2.0, 1.0), (-0.3, -1.0),
-             (1.5, 0.0), (0.1, 3.0), (-2.0, 0.5), (0.7, 0.3), (0.25, -0.75)]
-    worst = 0.0
-    for a, b in pairs:
-        sol = free_meixner_uniqueness(a, b, 15)
-        worst = max(worst, float(np.abs(sol.c).max()))
-    report(7, "free Meixner series uniqueness", worst <= 1e-12,
-           f"max |c_n| = {worst:.2e} over 10 (a,b) pairs, n <= 15, tol 1e-12")
 
 
 def test_criterion_08_identity_suite():

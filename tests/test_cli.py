@@ -45,19 +45,21 @@ class TestVerify:
         names = {c["name"] for c in report["checks"]}
         assert {"series-vs-closed", "moment-m0", "moment-m1", "moment-m2",
                 "riccati-residual-f", "riccati-residual-u", "moment-ode",
-                "gamma-duplication"} <= names
+                "pochhammer-ratio"} <= names
         for check in report["checks"]:
             assert check["passed"] == (check["max_residual"] <= check["tolerance"])
             assert check["points_tested"] >= 1
 
-    def test_free_meixner_includes_uniqueness(self, tmp_path):
+    def test_free_meixner_check_names(self, tmp_path):
         out = tmp_path / "fm.json"
         code = run(["verify", "--family", "free-meixner", "--a", "0.5", "--b", "0.25",
                     "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         names = [c["name"] for c in report["checks"]]
-        assert "series-uniqueness" in names
+        assert names == ["series-vs-closed", "moment-m0", "moment-m1", "moment-m2",
+                         "riccati-residual-f", "riccati-residual-u", "moment-ode",
+                         "pochhammer-ratio", "binomial-1f0"]
 
     def test_invalid_lambda_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -243,11 +245,8 @@ def test_one_closed_form_and_one_table_per_configuration(argv, configs, tmp_path
 # identity over the campaign's configurations of its family (ten
 # non-symmetric, five each of sym1 and sym2), or over its distinct lambdas
 # for the identities of lambda alone (six in the sweep, free Meixner having
-# lambda = 1, and five among the non-symmetric configurations); the 20-point
-# gamma-duplication check reads no parameter and is made once per campaign,
-# one call per point.
+# lambda = 1, and five among the non-symmetric configurations).
 IDENTITY_STACKS = {
-    "duplication_check": [None] * 20,
     "pochhammer_ratio_check": [6],
     "one_f_zero_reduction": [6],
     "gegenbauer_gf_check": [5],

@@ -25,7 +25,6 @@ from opgf.families import support_interval
 from opgf.identities import (
     HypergeometricParams,
     _rising_table,
-    duplication_check,
     family2_identity,
     gauss_2f1,
     gegenbauer_gf_check,
@@ -42,6 +41,7 @@ from opgf.identities import (
 from opgf.families import support_interval
 from opgf.recurrence import JacobiSzegoSequence, eval_monic
 from reference import (
+    duplication_check,
     gegenbauer_omega,
     jacobi_alpha,
     jacobi_omega,

@@ -15,15 +15,13 @@ Rewrite the fixture after a deliberate change with
 """
 import dataclasses
 import json
-import math
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opgf import Family, cli, genfun, identities, measures, riccati
+from opgf import Family, cli, genfun, identities, measures
 from opgf.recurrence import JacobiSzegoSequence
 
 MATRIX = Path(__file__).with_name("mutation_matrix.json")
@@ -94,6 +92,7 @@ def arguments(owner, name, change):
 
 
 def constant(owner, name, value):
+    """owner.<name> set to value."""
     return owner, name, lambda _: value
 
 
@@ -118,16 +117,6 @@ def rising_off(symbols):
     symbols = symbols.copy()
     symbols[..., 1:] *= 1.0 + 1e-10
     return symbols
-
-
-def uniqueness_recursion(a, b, n_terms):
-    """The free Meixner uniqueness recursion with every coefficient changed."""
-    c = np.zeros(n_terms + 1)
-    for m in range(n_terms):
-        conv = float(np.dot(c[1:m], c[m - 1:0:-1])) if m >= 2 else 0.0
-        prev = c[m - 1] if m >= 1 else 0.0
-        c[m + 1] = (-1.1 * a * (m + 2.0) * c[m] - 0.9 * b * m * prev - 2.0 * conv) / (m + 2.5)
-    return riccati.SeriesSolution(c=c[1:], h0=0.5 * a, n_terms=n_terms)
 
 
 def loose_stop(original):
@@ -160,11 +149,7 @@ MUTATIONS = {
     "hypergeometric-8-terms": [constant(identities, "_HYPER_FIRST", 8),
                                constant(identities, "_HYPER_CAP", 8)],
     "rising-table": [results(identities, "_rising_table", rising_off)],
-    "lgamma": [constant(identities, "math", types.SimpleNamespace(
-        **{**vars(math), "lgamma": lambda x: math.lgamma(x) * (1.0 + 1e-10)}))],
     "gauss-weight": [results(measures, "gauss_quadrature", scaled_weight)],
-    "uniqueness-recursion": [constant(riccati, "free_meixner_uniqueness",
-                                      uniqueness_recursion)],
 }
 
 
@@ -182,17 +167,14 @@ def caught(changes=()) -> str | list:
                    if not check["passed"]})
 
 
-def check_names() -> list:
-    return sorted({name for report in json.loads(SWEEP_STRUCTURE.read_text())
-                   for name, _, _ in report["checks"]})
-
-
 def findings(matrix) -> dict:
-    """The checks that no mutation of matrix fails, and its mutations that
-    no check catches."""
+    """The checks of the sweep that no mutation of matrix fails, and its
+    mutations that no check catches."""
+    checks = {name for report in json.loads(SWEEP_STRUCTURE.read_text())
+              for name, _, _ in report["checks"]}
     failed = {name for row in matrix.values() if isinstance(row, list) for name in row}
     return {
-        "checks_no_mutation_fails": sorted(set(check_names()) - failed),
+        "checks_no_mutation_fails": sorted(checks - failed),
         "mutations_no_check_catches": sorted(name for name, row in matrix.items() if not row),
     }
 
@@ -205,8 +187,10 @@ def test_unmutated_sweep_passes():
     assert caught() == []
 
 
-def test_fixture_lists_every_mutation():
-    assert list(fixture()["matrix"]) == list(MUTATIONS)
+def test_fixture_lists_every_mutation_of_this_campaign():
+    expected = fixture()
+    assert expected["campaign"] == {"zmax": ZMAX, "grid": GRID, "tol": TOL}
+    assert list(expected["matrix"]) == list(MUTATIONS)
 
 
 @pytest.mark.parametrize("name", MUTATIONS)

@@ -16,7 +16,6 @@ from opgf import (
     RedirectToFreeMeixner,
     SingularityError,
     coefficients,
-    free_meixner_uniqueness,
     nonsymmetric_omega2_roots,
     residual_f,
     residual_moment_ode,
@@ -547,37 +546,41 @@ def test_classification_path_is_numpy_free(monkeypatch):
 
 
 class TestFreeMeixnerUniqueness:
+    # At lambda = 1, g = f - Q_1/2 solves Q_2 g' = g^2 + Q~_2.  Its solution
+    # g = 1/z + h with h = h0 + sum_{n>=1} c_n z^n has h0 = a/2, and the
+    # recursion (m+3) c_{m+1} = -a(m+1) c_m - b(m-1) c_{m-1} - conv_m, whose
+    # factor m + 3 never vanishes, makes every c_n zero: g = 1/z + a/2 is
+    # the only solution.  The free Meixner closed form must be it.
+    ZS = (0.05, -0.08, 0.1 + 0.04j, -0.03j)
+
+    @staticmethod
+    def h(a, b, z):
+        cf = get_closed_form(Family.FREE_MEIXNER, None, a, b)
+        return cf.f(z) - 0.5 * polyval_ascending(coefficients(1.0, a, 1.0 + b).q1, z) - 1.0 / z
+
     def test_semicircle_all_zero(self):
-        sol = free_meixner_uniqueness(0.0, 0.0, 15)
-        assert np.all(sol.c == 0.0)
-        assert sol.h0 == 0.0
+        assert max(abs(self.h(0.0, 0.0, z)) for z in self.ZS) <= 1e-14
 
     @pytest.mark.parametrize("a,b", [(0.7, 0.3), (-1.0, -0.5), (2.0, 1.0),
                                      (0.1, -1.0)])
     def test_coefficients_vanish(self, a, b):
-        sol = free_meixner_uniqueness(a, b, 15)
-        assert np.abs(sol.c).max() <= 1e-13
-        assert sol.h0 == pytest.approx(a / 2.0)
+        # h - a/2 vanishes at every point, so every c_n does
+        assert max(abs(self.h(a, b, z) - 0.5 * a) for z in self.ZS) <= 1e-13
 
     def test_resulting_g_solves_riccati(self):
-        # h == a/2 means g = a/2 + 1/z, i.e. f is the free Meixner closed form
+        # g = 1/z + a/2 solves the reduced equation, and f = g + Q_1/2 is
+        # the free Meixner closed form
         a, b = -1.0, -0.5
         cf = get_closed_form(Family.FREE_MEIXNER, None, a, b)
         co = coefficients(1.0, a, 1.0 + b)
-        sol = free_meixner_uniqueness(a, b, 15)
-        for z in (0.05, 0.1 + 0.04j):
-            g = sol.h0 + 1.0 / z + polyval_ascending(
-                np.concatenate([[0.0], sol.c]), z
-            )
+        for z in self.ZS:
+            g, g_prime = 1.0 / z + 0.5 * a, -1.0 / (z * z)
+            reduced = (polyval_ascending(co.q2, z) * g_prime - g * g
+                       - polyval_ascending(co.q2_tilde, z))
+            assert abs(reduced) <= 1e-12 * abs(g * g)
             f = g + 0.5 * polyval_ascending(co.q1, z)
             assert f == pytest.approx(cf.f(z), rel=1e-13)
         assert abs(residual_f(cf, co, 0.1)) <= 1e-12
-
-    def test_parameter_validation(self):
-        with pytest.raises(ParameterError):
-            free_meixner_uniqueness(0.0, -1.5, 10)
-        with pytest.raises(ParameterError):
-            free_meixner_uniqueness(0.0, 0.0, 31)
 
 
 def h_initial(config):
