@@ -22,19 +22,24 @@ residuals and the moment ODE.  Each identity is one call over the
 configurations of its family, and those of lambda alone one call over the
 campaign's distinct lambdas.  Nothing is kept from one command to the next.
 
+If a campaign of several configurations raises, it is run again
+configuration by configuration, and so raises the error that such a loop
+meets first.
+
 Reports are deterministic for fixed inputs except the wall_time_ms field;
-numbers are serialized with 17 significant digits.
+json.dumps writes each number by its shortest round-trip repr, and refuses
+a non-finite one.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
 import sys
 import tempfile
 import time
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -43,50 +48,10 @@ from .errors import OpgfError, ParameterError, RedirectToFreeMeixner
 from .families import Family
 from .recurrence import JacobiSzegoSequence
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 SWEEP_LAMBDAS = (0.6, 0.75, 1.5, 2.0, 2.5)
 SWEEP_MEIXNER = ((0.0, 0.0), (0.5, 0.25), (-1.0, -0.5))
-
-
-def _json_dump(obj) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
-    pieces = []
-
-    def emit(node):
-        if node is None:
-            pieces.append("null")
-        elif isinstance(node, bool):
-            pieces.append("true" if node else "false")
-        elif isinstance(node, str):
-            pieces.append(encode_basestring_ascii(node))
-        elif isinstance(node, int):
-            pieces.append(str(node))
-        elif isinstance(node, float):
-            if not math.isfinite(node):
-                raise ValueError(f"non-finite value {node} in report")
-            pieces.append(format(node + 0.0, ".17g"))  # folds -0.0 into 0
-        elif isinstance(node, (list, tuple)):
-            pieces.append("[")
-            for i, item in enumerate(node):
-                if i:
-                    pieces.append(", ")
-                emit(item)
-            pieces.append("]")
-        elif isinstance(node, dict):
-            pieces.append("{")
-            for i, (key, value) in enumerate(node.items()):
-                if i:
-                    pieces.append(", ")
-                pieces.append(encode_basestring_ascii(str(key)))
-                pieces.append(": ")
-                emit(value)
-            pieces.append("}")
-        else:
-            raise TypeError(f"cannot serialize {type(node)!r}")
-
-    emit(obj)
-    return "".join(pieces)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -113,16 +78,12 @@ def _write_atomic(path: str, text: str) -> None:
 
 class _Run:
     """One configuration of a campaign: the point-set parameters, the closed
-    form and coefficient table that every check reads, the check records so
-    far, and the first error one of its steps raised."""
+    form and coefficient table that every check reads, and the check records
+    so far."""
 
-    def __init__(self, family, lam, a, b):
+    def __init__(self, family, lam, a, b, zmax: float, grid: int):
         self.params = (family, lam, a, b)
         self.checks: list[dict] = []
-        self.error: Exception | None = None
-
-    def setup(self, zmax: float, grid: int) -> None:
-        family, lam, a, b = self.params
         cf = genfun.closed_form(family, lam, a, b)
         if not 0.0 < zmax < cf.domain_radius:
             raise ParameterError(
@@ -145,21 +106,11 @@ class _Run:
             "tool_version": __version__,
             "family": self.cf.family.value,
             "lambda": float(self.cf.lam),
-            "a": None if a is None else float(a),
-            "b": None if b is None else float(b),
+            "a": None if a is None else float(a) + 0.0,  # + 0.0 folds -0.0 into 0.0
+            "b": None if b is None else float(b) + 0.0,
             "checks": self.checks,
             "all_passed": all(c["passed"] for c in self.checks),
         }
-
-
-def _each(runs, step) -> None:
-    """step(run) for every run with no error yet; an error is kept on its run."""
-    for run in runs:
-        if run.error is None:
-            try:
-                step(run)
-            except Exception as exc:
-                run.error = exc
 
 
 def _circle(radius: float, grid: int) -> list:
@@ -170,18 +121,14 @@ def _circle(radius: float, grid: int) -> list:
 
 
 def _stacked(runs, records, families_checked, evaluate) -> None:
-    """The check records of one row of _checks for every run with no error
-    yet whose family is in families_checked: their worst residuals are the
-    run's row of one call evaluate(live) over all of those runs.  If that call raises,
-    each run calls evaluate([run]), the stack of one, so that an error stays
-    with its configuration and the others go on."""
-    live = [run for run in runs
-            if run.error is None and run.cf.family in families_checked]
+    """The check records of one row of _checks for every run whose family is
+    in families_checked: their worst residuals are the run's row of one call
+    evaluate(live) over all of those runs."""
+    live = [run for run in runs if run.cf.family in families_checked]
     if not live:
         return
-
-    def record(run, residuals):
-        for (name, points, tolerance), residual in zip(records, residuals, strict=True):
+    for run, row in zip(live, _rows(live, evaluate(live))):
+        for (name, points, tolerance), residual in zip(records, row, strict=True):
             run.checks.append({
                 "name": name,
                 "points_tested": points,
@@ -189,14 +136,6 @@ def _stacked(runs, records, families_checked, evaluate) -> None:
                 "tolerance": float(tolerance),
                 "passed": bool(residual <= tolerance),
             })
-
-    try:
-        rows = _rows(live, evaluate(live))
-    except Exception:
-        _each(live, lambda run: record(run, *_rows([run], evaluate([run]))))
-        return
-    for run, row in zip(live, rows):
-        record(run, row)
 
 
 def _closed_forms(runs):
@@ -235,8 +174,8 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
     check; the row checks the runs whose family is in families; evaluate(live)
     is one call over those runs that gives each run one worst residual per
     record.  tol is the tolerance of series-vs-closed, the others are pinned.
-    The tables of the runs (after setup) with no error are stacked once, here:
-    a check over several of them reads their rows, over one its own table.
+    The tables of the runs are stacked once, here: a check over several of
+    them reads their rows, over one its own table.
 
     series-vs-closed is one psi_series_stack pass and one psi_closed call
     over the stack of closed forms, and the moments, both Riccati residuals
@@ -255,11 +194,10 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
     ts, ys = [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
     gf3_zs = [-0.5 * zmax, 0.5 * zmax, zmax]
 
-    ready = [run for run in runs if run.error is None]
-    tables = JacobiSzegoSequence.stack([run.seq for run in ready]) if len(ready) > 1 else None
+    tables = JacobiSzegoSequence.stack([run.seq for run in runs]) if len(runs) > 1 else None
 
     def seqs(live):  # laid out as _closed_forms lays out the closed forms
-        return live[0].seq if len(live) == 1 else tables.rows([ready.index(r) for r in live])
+        return live[0].seq if len(live) == 1 else tables.rows([runs.index(r) for r in live])
 
     def lams(live):
         return [run.cf.lam for run in live]
@@ -329,20 +267,22 @@ def run_campaign(configs, zmax: float, grid: int, tol: float) -> list[dict]:
 
     Each configuration builds one closed form and one coefficient table,
     which all its checks read (stacked once).  tol must be finite and > 0.
-    Errors are kept per configuration: a stacked call that raises is made
-    again as each configuration's stack of one.  The campaign raises the
-    error that a configuration-by-configuration loop would meet first: that
-    of the first failing configuration, at its first failing step.
+    If anything raises in a campaign of several configurations, each
+    configuration is run again as a campaign of its own, in order: that
+    loop raises the first failing configuration's first error, and gives
+    the stacked reports otherwise.  A campaign of one raises its error.
     """
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"tol must be a finite number > 0, got {tol}")
-    runs = [_Run(*config) for config in configs]
-    _each(runs, lambda run: run.setup(zmax, grid))
-    for check in _checks(zmax, grid, tol, runs):
-        _stacked(runs, *check)
-    for run in runs:
-        if run.error is not None:
-            raise run.error
+    configs = list(configs)
+    try:
+        runs = [_Run(*config, zmax, grid) for config in configs]
+        for check in _checks(zmax, grid, tol, runs):
+            _stacked(runs, *check)
+    except Exception:
+        if len(configs) == 1:
+            raise
+        return [run_campaign([config], zmax, grid, tol)[0] for config in configs]
     return [run.report() for run in runs]
 
 
@@ -372,7 +312,7 @@ def cmd_verify(args) -> int:
                                args.zmax, args.grid, args.tol)[0]
         all_passed = payload["all_passed"]
         payload["wall_time_ms"] = int(1000 * (time.perf_counter() - start))
-    _write_atomic(args.out, _json_dump(payload) + "\n")
+    _write_atomic(args.out, json.dumps(payload, allow_nan=False) + "\n")
     status = "all checks passed" if all_passed else "CHECK FAILURES (see report)"
     print(f"opgf verify: {status}; report written to {args.out}")
     return 0 if all_passed else 1
@@ -381,9 +321,9 @@ def cmd_verify(args) -> int:
 def _solution_dict(sol: riccati.ClassificationSolution) -> dict:
     return {
         "branch": sol.branch_label,
-        "omega2": float(sol.omega2),
-        "alpha1": float(sol.alpha1),
-        "e_coeffs": [float(c) for c in sol.e_coeffs],
+        "omega2": float(sol.omega2) + 0.0,  # + 0.0 folds -0.0 into 0.0
+        "alpha1": float(sol.alpha1) + 0.0,
+        "e_coeffs": [float(c) + 0.0 for c in sol.e_coeffs],
         "max_residual": float(sol.max_residual),
         "valid": sol.valid,
         "invalid_reason": sol.invalid_reason,
@@ -415,10 +355,10 @@ def cmd_classify(args) -> int:
         try:
             degenerate, solutions = riccati.solve_nonsymmetric(lam)
             payload["nonsymmetric"] = [_solution_dict(s) for s in solutions]
-            payload["rejected_degenerate_omega2"] = float(degenerate)
+            payload["rejected_degenerate_omega2"] = float(degenerate) + 0.0
         except ParameterError as exc:
             payload["nonsymmetric_excluded"] = str(exc)
-    _write_atomic(args.out, _json_dump(payload) + "\n")
+    _write_atomic(args.out, json.dumps(payload, allow_nan=False) + "\n")
     print(f"opgf classify: report written to {args.out}")
     return 0
 

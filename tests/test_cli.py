@@ -1,6 +1,7 @@
 """Tests for the command-line front end: exit codes, reports, determinism."""
 import itertools
 import json
+import math
 import os
 import re
 import stat
@@ -38,7 +39,7 @@ class TestVerify:
                     "--grid", "16", "--tol", "1e-9", "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["family"] == "sym1"
         assert report["lambda"] == 2.0
         assert report["all_passed"] is True
@@ -147,11 +148,40 @@ class TestVerify:
         series = next(c for c in report["checks"] if c["name"] == "series-vs-closed")
         assert series["points_tested"] == 16 * 11
 
-    def test_seventeen_digit_serialization(self, tmp_path):
-        out = tmp_path / "digits.json"
-        run(["verify", "--family", "sym1", "--lambda", "0.75", "--out", str(out)])
-        # lambda must round-trip exactly
-        assert json.loads(out.read_text())["lambda"] == 0.75
+    def test_report_numbers_are_floats_and_never_negative_zero(self, tmp_path):
+        # every report number but the counts is written as a JSON float that
+        # round-trips exactly, and -0.0 (classify's rejected_degenerate_omega2
+        # at lambda = 2, a verify --a=-0.0) is folded into 0.0
+        counts = {"schema", "points_tested", "wall_time_ms"}
+
+        def numbers(node, key=None):
+            if isinstance(node, dict):
+                for name, value in node.items():
+                    yield from numbers(value, name)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from numbers(value, key)
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                yield key, node
+
+        reports = {}
+        for name, argv in [
+            ("sweep", ["verify"]),
+            ("classify", ["classify", "--lambda", "2"]),
+            ("free-meixner", ["verify", "--family", "free-meixner", "--a=-0.0", "--b", "0"]),
+        ]:
+            out = tmp_path / f"{name}.json"
+            assert run([*argv, "--out", str(out)]) == 0
+            reports[name] = json.loads(out.read_text())
+        assert [r["lambda"] for r in reports["sweep"]["reports"]] == [
+            1.0 if lam is None else lam for _, lam, _, _ in cli._sweep_configs()]
+        assert reports["classify"]["rejected_degenerate_omega2"] == 0.0
+        for name, report in reports.items():
+            found = list(numbers(report))
+            assert "schema" in {key for key, _ in found}, name
+            for key, value in found:
+                assert isinstance(value, int if key in counts else float), (name, key, value)
+                assert value != 0 or math.copysign(1.0, value) == 1.0, (name, key)
 
     def test_full_sweep_deterministic(self, tmp_path):
         texts = []
@@ -639,9 +669,9 @@ IDENTITY_STEP_CONFIGS = [(Family.SYM1, 0.6, None, None), (Family.SYM1, 1.5, None
     ("pochhammer_ratio_check", 2.0, [3, 4, 5]),
 ])
 def test_identity_error_stays_with_its_configuration(name, bad_lam, failing, monkeypatch):
-    # an identity that raises at one lambda fails the configurations of that
-    # lambda only; every other configuration keeps the records its own
-    # campaign of one gives
+    # an identity that raises at one lambda makes the campaign raise that
+    # error; the configurations of other lambdas still give, stacked, the
+    # reports of their own campaigns of one
     identity = getattr(identities, name)
 
     def failing_identity(stack, *args):
@@ -651,16 +681,39 @@ def test_identity_error_stays_with_its_configuration(name, bad_lam, failing, mon
         return identity(stack, *args)
 
     monkeypatch.setattr(identities, name, failing_identity)
-    runs = [cli._Run(*config) for config in IDENTITY_STEP_CONFIGS]
-    cli._each(runs, lambda run: run.setup(0.1, 16))
-    for check in cli._checks(0.1, 16, 1e-9, runs):
-        cli._stacked(runs, *check)
-    for index, (config, run) in enumerate(zip(IDENTITY_STEP_CONFIGS, runs)):
-        if index in failing:
-            assert str(run.error) == f"{name} at {bad_lam}"
+    with pytest.raises(ParameterError, match=f"^{name} at {bad_lam}$"):
+        run_campaign(IDENTITY_STEP_CONFIGS, 0.1, 16, 1e-9)
+    passing = []
+    for index, config in enumerate(IDENTITY_STEP_CONFIGS):
+        if index not in failing:
+            passing.append(config)
             continue
-        assert run.error is None
-        assert run.checks == run_campaign([config], 0.1, 16, 1e-9)[0]["checks"]
+        with pytest.raises(ParameterError, match=f"^{name} at {bad_lam}$"):
+            run_campaign([config], 0.1, 16, 1e-9)
+    assert run_campaign(passing, 0.1, 16, 1e-9) == [
+        run_campaign([config], 0.1, 16, 1e-9)[0] for config in passing]
+
+
+def test_stack_only_error_gives_the_reports_of_campaigns_of_one(monkeypatch):
+    # a stacked step that raises only on stacks of more than one row sends
+    # the sweep through its campaigns of one, whose reports equal the
+    # stacked ones record for record
+    configs = list(cli._sweep_configs())
+    stacked = run_campaign(configs, 0.1, 16, 1e-9)
+    residual_u, raised = riccati.residual_u, []
+
+    def stack_only_failure(cf, *args):
+        if np.size(cf.lam) > 1:
+            raised.append(np.size(cf.lam))
+            raise ParameterError("residual-u of a stack")
+        return residual_u(cf, *args)
+
+    monkeypatch.setattr(riccati, "residual_u", stack_only_failure)
+    reports = run_campaign(configs, 0.1, 16, 1e-9)
+    assert raised == [len(configs)]
+    assert len(reports) == len(configs) == 23
+    for report, config, expected in zip(reports, configs, stacked, strict=True):
+        assert report == run_campaign([config], 0.1, 16, 1e-9)[0] == expected
 
 
 @pytest.mark.parametrize("lam", ["1e-300", "1e-20", "0.05"])
