@@ -17,9 +17,10 @@ Each family is a standardized (mean-0, variance-1) compactly supported law:
 
 A law is represented by its Jacobi-Szego coefficient table (family_sequence)
 alone, and gauss_quadrature is the one route from a table, or a stack of
-them, to Gauss rules (Golub and Welsch, 1969).  No density or normalization
-constant is stored: the rule needs only the recurrence, so it exists
-wherever the table is finite.
+them, to Gauss rules (Golub and Welsch, 1969); a symmetric table's rule of
+more than DENSE_EIGH_MAX_ORDER nodes comes from a matrix of half its order.
+No density or normalization constant is stored: the rule needs only the
+recurrence, so it exists wherever the table is finite.
 """
 from __future__ import annotations
 
@@ -33,9 +34,9 @@ from .errors import NumericalBreakdownError, ParameterError
 from .families import Family
 from .recurrence import JacobiSzegoSequence
 
-# Largest Gauss order built by numpy's dense eigh, so that verify, classify
-# and small exports never import scipy.  Both run LAPACK's divide and conquer
-# on the Jacobi matrix; the dense O(n^3) one is faster up to about 30 nodes.
+# Largest order of a matrix numpy's dense eigh solves (a Gauss order, or half
+# a symmetric one), so that verify, classify and small exports never import
+# scipy: the dense O(n^3) solver is the faster one up to about 30 nodes.
 DENSE_EIGH_MAX_ORDER = 30
 
 
@@ -100,6 +101,42 @@ def _support_points(seq: JacobiSzegoSequence) -> int:
     return int(np.where(bad.any(axis=-1), bad.argmax(axis=-1), bad.shape[-1]).max())
 
 
+def _eigh(diag, offdiag):
+    """Eigenvalues and eigenvector columns of symmetric tridiagonal matrices:
+    a batched dense eigh up to DENSE_EIGH_MAX_ORDER, else eigh_tridiagonal."""
+    order = diag.shape[-1]
+    if order > DENSE_EIGH_MAX_ORDER:
+        import scipy.linalg
+
+        return scipy.linalg.eigh_tridiagonal(diag, offdiag)
+    # eigh reads the lower triangle: diag and the subdiagonal
+    matrix = diag[..., None] * np.eye(order)
+    matrix[..., range(1, order), range(order - 1)] = offdiag
+    return np.linalg.eigh(matrix, UPLO="L")
+
+
+def _rule(alphas, omegas):
+    """Nodes and weights of Jacobi matrices: a stack up to DENSE_EIGH_MAX_ORDER,
+    one table above it.  There a table with every alpha 0 permutes (even/odd)
+    to [[0, B], [B^T, 0]], B bidiagonal (Golub and Kahan, 1965); each eigenpair
+    (theta, u) of T = B B^T / 4^k, of order ceil(order / 2), gives the nodes
+    +-2^k ||B^T u|| (sqrt(theta) loses the small ones) of weight u_0^2 / 2, and
+    an odd order's zero mode the node 0.0 of weight u_0^2."""
+    order = alphas.shape[-1]
+    if order <= DENSE_EIGH_MAX_ORDER or alphas.any():
+        nodes, vectors = _eigh(alphas, np.sqrt(omegas[..., 1:]))
+        return nodes, vectors[..., 0, :] ** 2
+    odd, k = order % 2, np.frexp(omegas.max())[1] // 2  # w = omega / 4^k: T cannot overflow
+    w = np.ldexp(np.concatenate(([0.0], omegas[1:], [0.0] * (1 + odd))), -2 * k)
+    root = np.sqrt(w)
+    u = _eigh(w[0:-1:2] + w[1::2], root[1:-2:2] * root[2:-1:2])[1]
+    v = np.vstack((u, np.zeros_like(u[0])))  # u_m = 0
+    sigma = np.linalg.norm(root[1::2, None] * v[:-1] + root[2::2, None] * v[1:], axis=0)
+    sigma, half = np.ldexp(sigma[odd:], k), u[0, odd:] ** 2 / 2
+    return (np.concatenate((-sigma[::-1], [0.0] * odd, sigma)),
+            np.concatenate((half[::-1], u[0, :odd] ** 2, half)))
+
+
 def gauss_quadrature(seq: JacobiSzegoSequence, order: int) -> QuadratureRule:
     """Gauss rule of `order` nodes from the first `order` coefficients of
     seq, one rule per row of a stack (nodes and weights of shape (C, order)).
@@ -108,7 +145,8 @@ def gauss_quadrature(seq: JacobiSzegoSequence, order: int) -> QuadratureRule:
     weights are the squared first components of the normalized eigenvectors
     (total mass omega_0 = 1).  Up to DENSE_EIGH_MAX_ORDER one batched dense
     eigh serves every row, bit for bit each row's own rule; larger orders
-    solve row by row.  order must lie in 1 .. N; a non-finite coefficient
+    solve row by row, a row with every alpha 0 from a matrix of half the
+    order (see _rule).  order must lie in 1 .. N; a non-finite coefficient
     among the first `order`, or an omega <= 0, raises the error of the first
     row that has one before either solver runs.
     """
@@ -132,25 +170,17 @@ def gauss_quadrature(seq: JacobiSzegoSequence, order: int) -> QuadratureRule:
         n = int(np.argmax(w[1:] <= 0.0)) + 1
         raise NumericalBreakdownError(
             f"omega_{n} <= 0: the measure has fewer than {order} support points", index=n)
-    offdiag = np.sqrt(omegas[..., 1:])
     try:
         if order <= DENSE_EIGH_MAX_ORDER:
-            # eigh reads the lower triangle: diag and the subdiagonal
-            jacobi = diag[..., None] * np.eye(order)
-            jacobi[..., range(1, order), range(order - 1)] = offdiag
-            nodes, eigvecs = np.linalg.eigh(jacobi, UPLO="L")
-            weights = eigvecs[..., 0, :] ** 2
+            nodes, weights = _rule(diag, omegas)
         else:
-            import scipy.linalg
-
-            rules = [(values, vectors[0] ** 2) for values, vectors in (
-                scipy.linalg.eigh_tridiagonal(d, e) for d, e in
-                zip(diag.reshape(-1, order), offdiag.reshape(-1, order - 1)))]
+            rules = [_rule(d, w) for d, w in
+                     zip(diag.reshape(-1, order), omegas.reshape(-1, order))]
             nodes, weights = (np.reshape(part, diag.shape) for part in zip(*rules))
     except np.linalg.LinAlgError as exc:  # scipy.linalg raises the same class
         raise NumericalBreakdownError(
             "eigen-solver failed on the Jacobi matrix "
             f"(order={order}, |diag|_max={np.abs(diag).max():.3e}, "
-            f"|offdiag|_max={offdiag.max():.3e})"
+            f"|offdiag|_max={np.sqrt(omegas[..., 1:].max()):.3e})"
         ) from exc
     return QuadratureRule(nodes=nodes, weights=weights)

@@ -7,6 +7,8 @@ Gauss rules from the recurrence alone), the classical monic Gegenbauer and
 Jacobi recurrence coefficients one index at a time (the package tabulates
 them as arrays), and recurrence coefficients recovered from a Gauss rule by
 the discrete Stieltjes procedure (the package writes them in closed form).
+A Gauss rule is also refined in np.longdouble by Newton's method on the
+recurrence, with Christoffel weights (the package takes eigenvectors).
 
 The classification oracles sample the package's coefficient-matching
 identity where the commands never do: the symmetric omega_2 quadratic with
@@ -158,6 +160,27 @@ def norm_squared(seq: JacobiSzegoSequence, n: int) -> float:
     """||P_n||^2 = omega_1 omega_2 ... omega_n (1 for n = 0), from
     ||P_{n+1}||^2 = omega_{n+1} ||P_n||^2 and unit total mass."""
     return math.prod(seq.omegas[1:n + 1].tolist(), start=1.0)
+
+
+def newton_gauss_rule(seq: JacobiSzegoSequence, order: int, start) -> tuple:
+    """Gauss rule of `order` nodes in np.longdouble: Newton's method on the
+    orthonormal recurrence from the nodes `start`, and Christoffel weights
+    1 / sum_{j < order} p_j(x)^2.  Its accuracy is that of np.longdouble
+    only where that type is wider than a double."""
+    alphas = seq.alphas[:order].astype(np.longdouble)
+    root = np.sqrt(seq.omegas[:order + 1].astype(np.longdouble))
+    x = np.asarray(start, dtype=np.longdouble)
+    for _ in range(4):
+        p_prev, p, d_prev, d = 0.0, np.ones_like(x), 0.0, np.zeros_like(x)
+        total = np.zeros_like(x)
+        for j in range(order):
+            total += p * p
+            b = root[j] if j else 0.0
+            t = x - alphas[j]
+            p_prev, p, d_prev, d = (p, (t * p - b * p_prev) / root[j + 1],
+                                    d, (p + t * d - b * d_prev) / root[j + 1])
+        x = x - p / d
+    return x, 1.0 / total
 
 
 def standardized(seq: JacobiSzegoSequence) -> bool:

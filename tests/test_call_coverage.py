@@ -16,7 +16,8 @@ TESTS = Path(__file__).resolve().parent
 
 # The sweep, one verify per family and free Meixner at b = -1, classify on
 # both sides of lambda = 1 and below 1/2, a dense and a tridiagonal Gauss
-# export, two inputs that exit 2 and one unwritable output that exits 3.
+# export and a symmetric one past the dense order, two inputs that exit 2 and
+# one unwritable output that exits 3.
 COMMANDS = [
     ["verify"],
     ["verify", "--family", "sym1", "--lambda", "2"],
@@ -31,10 +32,11 @@ COMMANDS = [
     ["quadrature", "--family", "nonsym-minus", "--lambda", "1.5", "--order", "8"],
     ["quadrature", "--family", "free-meixner", "--a", "0.5", "--b", "0.25",
      "--order", "40"],
+    ["quadrature", "--family", "sym2", "--lambda", "2", "--order", "40"],
     ["verify", "--family", "sym2", "--lambda", "0.4"],
     ["quadrature", "--family", "sym1", "--lambda", "1e200", "--order", "24"],
 ]
-EXITS = [0] * 12 + [2, 2]
+EXITS = [0] * 13 + [2, 2]
 
 # Defs that no command enters, each with a test that calls it.
 NOT_RUN_BY_COMMANDS = {

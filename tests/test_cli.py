@@ -526,7 +526,8 @@ class TestQuadrature:
                     "--order", "4", "--out", str(tmp_path / "x.csv")]) == 2
 
 
-# Commands that build no Gauss rule above measures.DENSE_EIGH_MAX_ORDER nodes.
+# Commands that build no Gauss rule above measures.DENSE_EIGH_MAX_ORDER nodes,
+# nor a symmetric one above twice that: its half-size matrix is dense too.
 SMALL_COMMANDS = [
     ["verify"],
     ["verify", "--family", "sym1", "--lambda", "2"],
@@ -537,12 +538,15 @@ SMALL_COMMANDS = [
     ["classify", "--lambda", "2"],
     ["quadrature", "--family", "sym1", "--lambda", "2",
      "--order", str(measures.DENSE_EIGH_MAX_ORDER)],
+    ["quadrature", "--family", "sym2", "--lambda", "2",
+     "--order", str(2 * measures.DENSE_EIGH_MAX_ORDER)],
 ]
 
 
 def test_small_commands_leave_out_scipy(tmp_path):
     # numpy builds the small Gauss rules, so verify, classify and small
-    # exports never load scipy; a larger export imports its tridiagonal solver
+    # exports never load scipy; a larger export imports its tridiagonal
+    # solver, each control in a fresh process after the small commands
     code = (
         "import contextlib, io, json, sys\n"
         "from opgf.cli import main\n"
@@ -553,16 +557,18 @@ def test_small_commands_leave_out_scipy(tmp_path):
         "    loaded.append([code, sorted(m for m in sys.modules if m.startswith('scipy'))])\n"
         "print(json.dumps(loaded))\n"
     )
-    large = ["quadrature", "--family", "sym1", "--lambda", "2",
-             "--order", str(measures.DENSE_EIGH_MAX_ORDER + 1)]
-    commands = [argv + ["--out", str(tmp_path / f"out{k}")]
-                for k, argv in enumerate(SMALL_COMMANDS + [large])]
     env = dict(os.environ, PYTHONPATH=str(Path(opgf.__file__).resolve().parents[1]))
-    result = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
-                            capture_output=True, text=True, check=True)
-    loaded = json.loads(result.stdout)
-    assert loaded[:-1] == [[0, []]] * len(SMALL_COMMANDS)
-    assert loaded[-1][0] == 0 and "scipy.linalg" in loaded[-1][1]
+    for large in (["quadrature", "--family", "nonsym-plus", "--lambda", "2",
+                   "--order", str(measures.DENSE_EIGH_MAX_ORDER + 1)],
+                  ["quadrature", "--family", "sym1", "--lambda", "2",
+                   "--order", str(2 * measures.DENSE_EIGH_MAX_ORDER + 1)]):
+        commands = [argv + ["--out", str(tmp_path / f"out{k}")]
+                    for k, argv in enumerate(SMALL_COMMANDS + [large])]
+        result = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                                capture_output=True, text=True, check=True)
+        loaded = json.loads(result.stdout)
+        assert loaded[:-1] == [[0, []]] * len(SMALL_COMMANDS)
+        assert loaded[-1][0] == 0 and "scipy.linalg" in loaded[-1][1]
 
 
 @pytest.mark.parametrize("lam, order, message", [

@@ -21,7 +21,15 @@ from opgf import (
 from opgf import measures
 from opgf.families import support_interval
 from opgf.measures import DENSE_EIGH_MAX_ORDER
-from reference import adaptive_integral, beta_law, density, gauss_rule, moment, norm_squared
+from reference import (
+    adaptive_integral,
+    beta_law,
+    density,
+    gauss_rule,
+    moment,
+    newton_gauss_rule,
+    norm_squared,
+)
 
 
 def beta_symmetric_mass(scale, expo):
@@ -283,9 +291,10 @@ class TestGaussQuadrature:
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_both_solvers_match_scipy_tridiagonal(self, config):
-        # numpy's dense eigh below the constant and scipy's tridiagonal solver
-        # above it give one rule; the tolerance, relative to the largest entry
-        # as well, leaves room for another LAPACK build
+        # numpy's dense eigh below the constant, scipy's tridiagonal solver
+        # above it and, for a symmetric table above it, the half-size matrix
+        # give one rule; the tolerance, relative to the largest entry as well,
+        # leaves room for another LAPACK build
         family, lam, a, b = config
         top = 2 * DENSE_EIGH_MAX_ORDER
         seq = family_sequence(family, lam, a, b, size=top)
@@ -318,10 +327,12 @@ class TestGaussQuadrature:
 
 
 class TestStackedRules:
-    @pytest.mark.parametrize("order", list(range(1, DENSE_EIGH_MAX_ORDER + 1)) + [31, 40])
+    @pytest.mark.parametrize("order", list(range(1, DENSE_EIGH_MAX_ORDER + 1)) + [31, 40, 60, 61, 62])
     def test_stack_rows_are_their_own_rules(self, order):
         # one batched dense eigh up to DENSE_EIGH_MAX_ORDER, row by row above
-        # it: row c of the sweep stack is bit for bit table c's own rule
+        # it: row c of the sweep stack is bit for bit table c's own rule; above
+        # it, a row with alpha_n != 0 is scipy's tridiagonal rule, bit for bit,
+        # and the symmetric rows' half-size matrices change solver past 60
         seqs = [get_sequence(*config) for config in SWEEP_CONFIGS]
         rules = gauss_quadrature(JacobiSzegoSequence.stack(seqs), order)
         assert rules.nodes.shape == rules.weights.shape == (len(seqs), order)
@@ -329,6 +340,11 @@ class TestStackedRules:
             own = gauss_quadrature(seq, order)
             assert np.array_equal(rules.nodes[c], own.nodes)
             assert np.array_equal(rules.weights[c], own.weights)
+            if order > DENSE_EIGH_MAX_ORDER and seq.alphas[:order].any():
+                nodes, vecs = scipy.linalg.eigh_tridiagonal(
+                    seq.alphas[:order], np.sqrt(seq.omegas[1:order]))
+                assert np.array_equal(own.nodes, nodes)
+                assert np.array_equal(own.weights, vecs[0] ** 2)
 
     @staticmethod
     def with_entry(config, name, n, value):
@@ -367,6 +383,60 @@ class TestStackedRules:
         assert measures._support_points(two_atoms) == 2
         assert measures._support_points(JacobiSzegoSequence.stack([two_atoms] * 3)) == 2
         assert measures._support_points(JacobiSzegoSequence.stack([two_atoms, full])) == 30
+
+
+SYMMETRIC_CONFIGS = (
+    (Family.SYM1, 2.0, None, None),
+    (Family.SYM2, 0.75, None, None),
+    (Family.FREE_MEIXNER, None, 0.0, 0.5),
+    (Family.FREE_MEIXNER, None, -0.0, 0.0),
+)
+SYMMETRIC_ORDERS = list(range(DENSE_EIGH_MAX_ORDER + 1, 65)) + [101, 999, 1000]
+
+
+class TestSymmetricRules:
+    """Above DENSE_EIGH_MAX_ORDER a table with every alpha_n = 0 takes its
+    rule from the half-size matrix B B^T."""
+
+    @pytest.mark.parametrize("order", SYMMETRIC_ORDERS)
+    @pytest.mark.parametrize("config", SYMMETRIC_CONFIGS)
+    def test_rule_is_antisymmetric_and_increasing(self, config, order):
+        rule = gauss_quadrature(family_sequence(*config, size=order), order)
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.array_equal(rule.weights, rule.weights[::-1])
+        assert (np.diff(rule.nodes) > 0.0).all()
+        # an odd order has the node 0.0, never -0.0, and no CSV row reads -0
+        assert np.signbit(rule.nodes).sum() == order // 2
+        assert (rule.nodes == 0.0).sum() == order % 2
+        rows = rule.csv_text("symmetric").splitlines()[2:]
+        assert not [row for row in rows if row.startswith("-0,")]
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+                        reason="np.longdouble is a plain double here")
+    @pytest.mark.parametrize("order", SYMMETRIC_ORDERS)
+    @pytest.mark.parametrize("config", SYMMETRIC_CONFIGS)
+    def test_rule_matches_extended_precision(self, config, order):
+        # nodes taken as sqrt(theta), theta an eigenvalue of B B^T, err by up
+        # to 2e-14 of max|x| at orders 999 and 1000 and fail the node bound
+        seq = family_sequence(*config, size=order + 1)
+        rule = gauss_quadrature(seq, order)
+        nodes, weights = newton_gauss_rule(seq, order, rule.nodes)
+        scale = float(np.abs(nodes).max())
+        assert float(np.abs(rule.nodes - nodes).max()) <= 3e-15 * scale
+        assert float(np.abs(rule.weights / weights - 1.0).max()) <= 1e-10
+
+    @pytest.mark.parametrize("order", [40, 101])
+    @pytest.mark.parametrize("b", [8e307, 1.7e308])
+    def test_huge_omegas_do_not_overflow(self, b, order):
+        # B B^T has the square of the table's scale, past the largest double
+        # here, so it is solved scaled by a power of 4
+        seq = family_sequence(Family.FREE_MEIXNER, a=0.0, b=b, size=order)
+        with np.errstate(over="raise", invalid="raise"):
+            rule = gauss_quadrature(seq, order)
+        nodes = scipy.linalg.eigh_tridiagonal(seq.alphas, np.sqrt(seq.omegas[1:]),
+                                              eigvals_only=True)
+        np.testing.assert_allclose(rule.nodes, nodes, rtol=0, atol=1e-14 * np.abs(nodes).max())
+        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 class TestMeasureProperties:
