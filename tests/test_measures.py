@@ -327,7 +327,8 @@ class TestGaussQuadrature:
 
 
 class TestStackedRules:
-    @pytest.mark.parametrize("order", list(range(1, DENSE_EIGH_MAX_ORDER + 1)) + [31, 40, 60, 61, 62])
+    @pytest.mark.parametrize("order",
+                             list(range(1, DENSE_EIGH_MAX_ORDER + 1)) + [31, 40, 60, 61, 62])
     def test_stack_rows_are_their_own_rules(self, order):
         # one batched dense eigh up to DENSE_EIGH_MAX_ORDER, row by row above
         # it: row c of the sweep stack is bit for bit table c's own rule; above
