@@ -17,10 +17,13 @@ Each family is a standardized (mean-0, variance-1) compactly supported law:
 
 A law is represented by its Jacobi-Szego coefficient table (family_sequence)
 alone, and gauss_quadrature is the one route from a table, or a stack of
-them, to Gauss rules (Golub and Welsch, 1969); a symmetric table's rule of
-more than DENSE_EIGH_MAX_ORDER nodes comes from a matrix of half its order.
-No density or normalization constant is stored: the rule needs only the
-recurrence, so it exists wherever the table is finite.
+them, to Gauss rules (Golub and Welsch, 1969).  Above DENSE_EIGH_MAX_ORDER
+nodes the table picks the solver: a symmetric table's rule comes from a
+matrix of half its order, a table constant from alpha_1 and omega_2 on (free
+Meixner at a != 0) has its rule in closed form, in O(n), and any other table
+takes LAPACK's eigenvectors.  No density or normalization constant is
+stored: the rule needs only the recurrence, so it exists wherever the table
+is finite.
 """
 from __future__ import annotations
 
@@ -49,9 +52,9 @@ class QuadratureRule:
 
     def csv_text(self, header_comment: str) -> str:
         """The rule as CSV: a `# header_comment` line, then `node,weight`
-        rows with 17 significant digits."""
-        rows = "".join(f"{x:.17g},{w:.17g}\n" for x, w in zip(self.nodes, self.weights))
-        return f"# {header_comment}\nnode,weight\n{rows}"
+        rows with 17 significant digits, formatted in one % operation."""
+        pairs = np.column_stack((self.nodes, self.weights)).ravel().tolist()
+        return f"# {header_comment}\nnode,weight\n" + "%.17g,%.17g\n" * self.nodes.size % tuple(pairs)
 
 
 def family_sequence(family, lam=None, a=None, b=None, *, size: int) -> JacobiSzegoSequence:
@@ -115,14 +118,169 @@ def _eigh(diag, offdiag):
     return np.linalg.eigh(matrix, UPLO="L")
 
 
+# A table whose omega_2 exceeds this multiple of omega_1 keeps eigh_tridiagonal:
+# _constant_tail_rule places a node near the band's centre only to about eps c,
+# where the weights change on the scale of sqrt(omega_1) and |alpha - alpha_0|,
+# so past it the closed form's weights fall behind LAPACK's (against a
+# long-double reference: 1.2e-10 against 3e-11 relative at omega_2 = 1e10
+# omega_1, order 32).
+CLOSED_FORM_MAX_OMEGA_RATIO = 1e8
+
+
+def _band_weights(sin_n, sin_m, u, sums, r, scale):
+    """Christoffel weights 1 / (1 + r sums / sin^2 nt) of band nodes, where
+    sin_m = sin (n-1)t and sums = sum_{i<n} sin^2 it.  Where the node is so
+    near a pole that sin nt is the less accurate factor (its error over its
+    size against that of u = shift + 2 cos t, |shift| + 2 = scale, and of
+    sin (n-1)t), sin nt = r sin (n-1)t / u, exact at a node, replaces it."""
+    swap = np.abs(sin_m * u) > np.abs(sin_n) * (np.abs(u) + scale * np.abs(sin_m))
+    ratio = np.divide(sin_m, u, out=np.zeros_like(u), where=swap)
+    return np.where(swap, r * ratio**2 / (r * ratio**2 + sums), sin_n**2 / (sin_n**2 + r * sums))
+
+
+def _edge_node(shift, r, n):
+    """(y, weight) of the node of _constant_tail_rule nearest the band edge
+    y = 2, at x = alpha + c y with y = 2 - w.  w is the root of g(w) = shift +
+    2 - w - r R(w), where R = sin (n-1)t / sin nt with w = 4 sin^2(t/2) > 0,
+    R = sinh (n-1)e / sinh ne with w = -4 sinh^2(e/2) < 0, and R = (n-1)/n at
+    w = 0: g is analytic in w and decreases from g(min(0, shift + 2 - r)) > 0
+    to -inf at the pole w = 4 sin^2(pi/(2n)), so a bracketed search finds
+    it, through the band edge at the threshold g(0) = 0 too."""
+    def g(w):
+        if w > 0.0:
+            t = 2.0 * math.asin(math.sqrt(w) / 2.0)
+            sin_n = math.sin(n * t)
+            ratio = math.sin((n - 1) * t) / sin_n if sin_n > 0.0 else math.inf
+        else:
+            e = 2.0 * math.asinh(math.sqrt(-w) / 2.0)
+            ratio = (math.exp(-e) * math.expm1(-2.0 * (n - 1) * e) / math.expm1(-2.0 * n * e)
+                     if e else (n - 1) / n)
+        return shift + 2.0 - w - r * ratio
+
+    # regula falsi with the Illinois halving, bisecting while g(hi) = -inf
+    pole = 4.0 * math.sin(math.pi / (2 * n)) ** 2
+    lo, hi = min(0.0, shift + 2.0 - r), pole
+    g_lo, g_hi, moved = g(lo), -math.inf, 0
+    while hi - lo > 2.0**-52 * max(-lo, hi, pole):
+        mid = (lo * g_hi - hi * g_lo) / (g_hi - g_lo) if g_hi > -math.inf else lo
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+        value = g(mid)
+        if value > 0.0:
+            lo, g_lo, g_hi = mid, value, g_hi / 2.0 if moved > 0 else g_hi
+            moved = 1
+        else:
+            hi, g_hi, g_lo = mid, value, g_lo / 2.0 if moved < 0 else g_lo
+            moved = -1
+    i = np.arange(1.0, n)
+    if hi > 0.0:
+        t = 2.0 * math.asin(math.sqrt(hi) / 2.0)
+        weight = _band_weights(np.sin(n * t), np.sin((n - 1) * t), np.asarray(shift + 2.0 - hi),
+                               (np.sin(i * t) ** 2).sum(), r, abs(shift) + 2.0)
+        return 2.0 - hi, float(weight)
+    # outside the band: sinh(ie) / sinh(ne), scaled by e^(-ne); i / n at e = 0
+    e = 2.0 * math.asinh(math.sqrt(-hi) / 2.0)
+    ratio = np.exp((i - n) * e) * np.expm1(-2.0 * i * e) / math.expm1(-2.0 * n * e) if e else i / n
+    return 2.0 - hi, 1.0 / (1.0 + r * (ratio * ratio).sum())
+
+
+def _constant_tail_rule(alpha0, alpha, omega1, omega2, n):
+    """Gauss rule of n > 2 nodes of a table whose alpha_1 .. alpha_{n-1} all
+    equal alpha and omega_2 .. omega_{n-1} all equal c^2 = omega2, in O(n)
+    and without eigenvectors.
+
+    With x = alpha + 2c cos t, the monic P_m = c^(m-2) G_m(t) / sin t for
+    m >= 1, G_m = c (x - alpha0) sin mt - omega1 sin (m-1)t: P_1 and P_2 are
+    of this form, and so is every Chebyshev-U combination obeying P_{m+1} =
+    (x - alpha) P_m - c^2 P_{m-1}.  Over c^2, G_n = 0 reads u sin nt =
+    r sin (n-1)t with u = s + 2 cos t, s = (alpha - alpha0) / c and r =
+    omega1 / c^2: a node solves L(t) = u / r = sin (n-1)t / sin nt = R(t),
+    and L decreases in t.
+
+    Every node is bracketed.  Between consecutive poles j pi / n, R increases:
+    the numerator of its derivative is [(2n-1) sin t - sin (2n-1)t] / 2 >= 0.
+    So each of the n - 2 inner intervals holds exactly one node.  The interval
+    (0, pi/n) holds one iff L(0) > (n-1)/n = R(0+); otherwise one node lies
+    right of the band, at x = alpha + 2c cosh e, where L = S(e) =
+    sinh (n-1)e / sinh ne has exactly one root (L increases in e, and S
+    decreases from (n-1)/n to 0).  Mirrored, ((n-1)pi/n, pi) holds a node iff
+    L(pi) < -(n-1)/n, and otherwise one lies at x = alpha - 2c cosh e, where
+    L = -S(e).  So there are always exactly n nodes, and the nodes outside
+    the band are the atoms' nodes.  _edge_node finds either edge node.
+
+    Weights: at a node G_{n-1} = omega1 sin^2 t / sin nt, so the Christoffel-
+    Darboux form lambda = ||P_{n-1}||^2 / (P_n' P_{n-1}) becomes lambda =
+    1 / (1 + r sum_{i<n} sin^2 it / sin^2 nt), with no power of c left; the
+    sum is [(2n-1) - sin (2n-1)t / sin t] / 4 (summed term by term at the
+    edge, where that cancels), and outside the band the sinh analogue.
+
+    The left half is solved mirrored (s -> -s, t -> pi - t), never from a
+    rounded t.  An inner node of interval j is found in its phase p = nt - j pi
+    in (0, pi), where f(p) = u sin p - r sin (p - t) falls from r sin(j pi/n)
+    > 0 to -r sin((j+1) pi/n) < 0: Newton's method from the atan2 fixed point
+    of f = (u - r cos t) sin p + r sin t cos p, kept in the bracket by
+    bisection."""
+    c = math.sqrt(omega2)
+    s, r = (alpha - alpha0) / c, omega1 / omega2
+    half = n // 2
+    # inner intervals j = 1 .. half - 1 right of the centre, 1 .. n - half - 1 mirrored
+    shift = np.repeat([s, -s], [half - 1, n - half - 1])
+    j_pi = np.concatenate((np.arange(1, half), np.arange(1, n - half))) * math.pi
+
+    def terms(phase):
+        t = (j_pi + phase) / n
+        fold = np.minimum(phase, math.pi - phase)  # sin p is 0 at p = pi exactly
+        cos_p = np.where(phase > 0.5 * math.pi, -1.0, 1.0) * np.cos(fold)
+        return t, shift + 2.0 * np.cos(t), np.sin(fold), cos_p
+
+    t = (j_pi + 0.5 * math.pi) / n
+    phase = np.arctan2(r * np.sin(t), r * np.cos(t) - shift - 2.0 * np.cos(t))
+    lo, hi = np.zeros_like(phase), np.full_like(phase, math.pi)
+    for _ in range(100):
+        t, u, sin_p, cos_p = terms(phase)
+        f = u * sin_p - r * np.sin(phase - t)
+        df = u * cos_p - r * (1.0 - 1.0 / n) * np.cos(phase - t) - 2.0 * np.sin(t) * sin_p / n
+        lo, hi = np.where(f > 0.0, phase, lo), np.where(f > 0.0, hi, phase)
+        new = phase - np.divide(f, df, out=np.full_like(f, np.inf), where=df < 0.0)
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        # converged: a step below 1e-14, or f at its rounding floor
+        done = ((np.abs(new - phase) <= 1e-14) | (np.abs(f) <= 2.0**-49 * (np.abs(u) + r))).all()
+        phase = new
+        if done:
+            break
+    t, u, sin_p, _ = terms(phase)
+    sums = ((2 * n - 1) - np.sin(2.0 * phase - t) / np.sin(t)) / 4.0
+    inner_y = 2.0 * np.cos(t)
+    inner_w = _band_weights(sin_p, np.sin(phase - t), u, sums, r, abs(s) + 2.0)
+    (right_y, right_w), (left_y, left_w) = _edge_node(s, r, n), _edge_node(-s, r, n)
+    right, left = slice(half - 2, None, -1), slice(half - 1, None)
+    y = np.concatenate(([-left_y], -inner_y[left], inner_y[right], [right_y]))
+    return alpha + c * y, np.concatenate(([left_w], inner_w[left], inner_w[right], [right_w]))
+
+
+def _closed_form_table(alphas, omegas):
+    """A table for _constant_tail_rule: constant from alpha_1 and omega_2 on,
+    not every alpha 0 (that takes the half-size route, exactly antisymmetric)
+    and omega_2 at most CLOSED_FORM_MAX_OMEGA_RATIO omega_1."""
+    return bool(alphas.any() and (alphas[2:] == alphas[1]).all()
+                and (omegas[3:] == omegas[2]).all()
+                and omegas[2] <= CLOSED_FORM_MAX_OMEGA_RATIO * omegas[1])
+
+
 def _rule(alphas, omegas):
     """Nodes and weights of Jacobi matrices: a stack up to DENSE_EIGH_MAX_ORDER,
-    one table above it.  There a table with every alpha 0 permutes (even/odd)
-    to [[0, B], [B^T, 0]], B bidiagonal (Golub and Kahan, 1965); each eigenpair
-    (theta, u) of T = B B^T / 4^k, of order ceil(order / 2), gives the nodes
-    +-2^k ||B^T u|| (sqrt(theta) loses the small ones) of weight u_0^2 / 2, and
-    an odd order's zero mode the node 0.0 of weight u_0^2."""
+    one table above it.  There a constant-tail table (_closed_form_table) has
+    its rule in closed form (_constant_tail_rule), and a table with every
+    alpha 0 permutes (even/odd) to [[0, B], [B^T, 0]], B bidiagonal (Golub and
+    Kahan, 1965); each eigenpair (theta, u) of T = B B^T / 4^k, of order
+    ceil(order / 2), gives the nodes +-2^k ||B^T u|| (sqrt(theta) loses the
+    small ones) of weight u_0^2 / 2, and an odd order's zero mode the node 0.0
+    of weight u_0^2."""
     order = alphas.shape[-1]
+    if order > DENSE_EIGH_MAX_ORDER and _closed_form_table(alphas, omegas):
+        return _constant_tail_rule(alphas[0], alphas[1], omegas[1], omegas[2], order)
     if order <= DENSE_EIGH_MAX_ORDER or alphas.any():
         nodes, vectors = _eigh(alphas, np.sqrt(omegas[..., 1:]))
         return nodes, vectors[..., 0, :] ** 2
@@ -146,7 +304,8 @@ def gauss_quadrature(seq: JacobiSzegoSequence, order: int) -> QuadratureRule:
     (total mass omega_0 = 1).  Up to DENSE_EIGH_MAX_ORDER one batched dense
     eigh serves every row, bit for bit each row's own rule; larger orders
     solve row by row, a row with every alpha 0 from a matrix of half the
-    order (see _rule).  order must lie in 1 .. N; a non-finite coefficient
+    order and a constant-tail row in closed form (see _rule).  order must
+    lie in 1 .. N; a non-finite coefficient
     among the first `order`, or an omega <= 0, raises the error of the first
     row that has one before either solver runs.
     """

@@ -527,7 +527,8 @@ class TestQuadrature:
 
 
 # Commands that build no Gauss rule above measures.DENSE_EIGH_MAX_ORDER nodes,
-# nor a symmetric one above twice that: its half-size matrix is dense too.
+# nor a symmetric one above twice that (its half-size matrix is dense too),
+# except free Meixner rules at a != 0, which are in closed form.
 SMALL_COMMANDS = [
     ["verify"],
     ["verify", "--family", "sym1", "--lambda", "2"],
@@ -540,6 +541,8 @@ SMALL_COMMANDS = [
      "--order", str(measures.DENSE_EIGH_MAX_ORDER)],
     ["quadrature", "--family", "sym2", "--lambda", "2",
      "--order", str(2 * measures.DENSE_EIGH_MAX_ORDER)],
+    ["quadrature", "--family", "free-meixner", "--a", "0.5", "--b", "0.25", "--order", "1000"],
+    ["quadrature", "--family", "free-meixner", "--a", "0.9", "--b=-0.5", "--order", "1000"],
 ]
 
 

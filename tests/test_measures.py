@@ -24,7 +24,10 @@ from opgf.measures import DENSE_EIGH_MAX_ORDER
 from reference import (
     adaptive_integral,
     beta_law,
+    csv_rows,
     density,
+    free_meixner_atoms,
+    free_meixner_moments,
     gauss_rule,
     moment,
     newton_gauss_rule,
@@ -332,19 +335,29 @@ class TestStackedRules:
     def test_stack_rows_are_their_own_rules(self, order):
         # one batched dense eigh up to DENSE_EIGH_MAX_ORDER, row by row above
         # it: row c of the sweep stack is bit for bit table c's own rule; above
-        # it, a row with alpha_n != 0 is scipy's tridiagonal rule, bit for bit,
-        # and the symmetric rows' half-size matrices change solver past 60
+        # it, a non-symmetric row is scipy's tridiagonal rule, bit for bit,
+        # except free Meixner at a != 0, whose closed form matches the
+        # long-double reference, and the symmetric rows' half-size matrices
+        # change solver past 60
         seqs = [get_sequence(*config) for config in SWEEP_CONFIGS]
         rules = gauss_quadrature(JacobiSzegoSequence.stack(seqs), order)
         assert rules.nodes.shape == rules.weights.shape == (len(seqs), order)
-        for c, seq in enumerate(seqs):
+        for (family, _, a, _), seq, nodes, weights in zip(SWEEP_CONFIGS, seqs, rules.nodes,
+                                                          rules.weights):
             own = gauss_quadrature(seq, order)
-            assert np.array_equal(rules.nodes[c], own.nodes)
-            assert np.array_equal(rules.weights[c], own.weights)
-            if order > DENSE_EIGH_MAX_ORDER and seq.alphas[:order].any():
-                nodes, vecs = scipy.linalg.eigh_tridiagonal(
+            assert np.array_equal(nodes, own.nodes)
+            assert np.array_equal(weights, own.weights)
+            if order <= DENSE_EIGH_MAX_ORDER or not seq.alphas[:order].any():
+                continue
+            if family is Family.FREE_MEIXNER:
+                ref_nodes, ref_weights = newton_gauss_rule(seq, order, own.nodes)
+                scale = float(np.abs(ref_nodes).max())
+                assert float(np.abs(own.nodes - ref_nodes).max()) <= 3e-15 * scale
+                assert float(np.abs(own.weights / ref_weights - 1.0).max()) <= 1e-11
+            else:
+                ref_nodes, vecs = scipy.linalg.eigh_tridiagonal(
                     seq.alphas[:order], np.sqrt(seq.omegas[1:order]))
-                assert np.array_equal(own.nodes, nodes)
+                assert np.array_equal(own.nodes, ref_nodes)
                 assert np.array_equal(own.weights, vecs[0] ** 2)
 
     @staticmethod
@@ -438,6 +451,96 @@ class TestSymmetricRules:
                                               eigvals_only=True)
         np.testing.assert_allclose(rule.nodes, nodes, rtol=0, atol=1e-14 * np.abs(nodes).max())
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+def edge_threshold(b, side, order):
+    """The a at which a free Meixner law's extreme Gauss node of the given
+    order sits on the band edge a + side 2c: L(0) = (n-1)/n on the right,
+    L(pi) = -(n-1)/n on the left, with L = c (x - alpha_0) / omega_1."""
+    c = math.sqrt(1.0 + b)
+    return side * ((order - 1) / (order * c) - 2.0 * c)
+
+
+# free Meixner (a, b) with 0, 1 and 2 atoms, a band of width 6e-5 (b = -1 +
+# 1e-9), a tail 1e6 times omega_1 and |a| far beyond the band; and (b, side)
+# of the edge thresholds, where a is solved from b and the order
+CONSTANT_TAIL_LAWS = [(0.5, 0.25), (0.9, 0.1), (-0.7, 0.9), (0.3, -0.5), (0.9, -0.5),
+                      (-0.95, -0.85), (0.5, -1.0 + 1e-9), (0.5, 1e6), (30.0, 0.5), (-1e3, -0.5)]
+CONSTANT_TAIL_THRESHOLDS = [(-0.5, 1), (0.25, -1), (3.0, 1)]
+CONSTANT_TAIL_ORDERS = [31, 32, 64, 101, 999, 1000]
+
+
+def constant_tail_cases():
+    for order in CONSTANT_TAIL_ORDERS:
+        for a, b in CONSTANT_TAIL_LAWS:
+            yield pytest.param(a, b, order, 0, id=f"{a}_{b}_{order}")
+        for b, side in CONSTANT_TAIL_THRESHOLDS:
+            yield pytest.param(edge_threshold(b, side, order), b, order, side,
+                               id=f"threshold{side:+d}_{b}_{order}")
+
+
+class TestConstantTailRules:
+    """Above DENSE_EIGH_MAX_ORDER a table constant from alpha_1 and omega_2 on,
+    with some alpha != 0, takes its rule in closed form (free Meixner at a !=
+    0, b <= 1e8 - 1)."""
+
+    @pytest.mark.parametrize("a, b, order, edge", constant_tail_cases())
+    def test_rule_matches_extended_precision(self, a, b, order, edge):
+        seq = family_sequence(Family.FREE_MEIXNER, a=a, b=b, size=order + 1)
+        assert measures._closed_form_table(seq.alphas[:order], seq.omegas[:order])
+        rule = gauss_quadrature(seq, order)
+        assert rule.nodes.shape == (order,) and (np.diff(rule.nodes) > 0.0).all()
+        lo, hi = support_interval(Family.FREE_MEIXNER, None, a, b)
+        if edge:
+            # at the threshold the extreme node is the band edge itself
+            extreme = rule.nodes[-1] if edge > 0 else rule.nodes[0]
+            assert extreme == pytest.approx(hi if edge > 0 else lo, rel=1e-14, abs=1e-14)
+        else:
+            # a node leaves the band only at an atom
+            outside = rule.nodes[(rule.nodes < lo) | (rule.nodes > hi)]
+            assert outside.size == len(free_meixner_atoms(a, b))
+        nodes, weights = newton_gauss_rule(seq, order, rule.nodes)
+        scale = float(np.abs(nodes).max())
+        assert float(np.abs(rule.nodes - nodes).max()) <= 3e-15 * scale
+        # b = -1 + 1e-9: long double resolves the 6e-5 wide band's edge nodes
+        # to about 1e-15 of their spacing, and their weights to about 1e-11
+        tol = 1e-11 if max(abs(a), abs(b)) <= 1.0 and b > -0.99 else 1e-10
+        assert float(np.abs(rule.weights / weights - 1.0).max()) <= tol
+
+    @pytest.mark.parametrize("order", [31, 48, 64, 101, 400, 1000])
+    @pytest.mark.parametrize("a, b", CONSTANT_TAIL_LAWS[:6])
+    def test_moments_are_the_free_meixner_laws(self, a, b, order):
+        # the first 48 moments against the law's density and atoms, to 1e-13
+        # of the absolute moment (the odd ones may vanish)
+        rule = gauss_quadrature(family_sequence(Family.FREE_MEIXNER, a=a, b=b, size=order),
+                                order)
+        raw, absolute = free_meixner_moments(a, b, 48)
+        ours = (rule.nodes[None, :] ** np.arange(48)[:, None]) @ rule.weights
+        assert (np.abs(ours - raw) <= 1e-13 * absolute).all()
+
+    @pytest.mark.parametrize("b", [1e8 - 1.0, 1e300, 1.7e308])
+    def test_tail_beyond_the_ratio_keeps_the_tridiagonal_solver(self, b):
+        # omega_2 > CLOSED_FORM_MAX_OMEGA_RATIO omega_1 keeps eigh_tridiagonal,
+        # bit for bit, and 1e8 - 1 is the largest b below it
+        seq = family_sequence(Family.FREE_MEIXNER, a=0.5, b=b, size=64)
+        rule = gauss_quadrature(seq, 64)
+        closed = measures._closed_form_table(seq.alphas, seq.omegas)
+        assert closed is (b < 1e8)
+        nodes, vecs = scipy.linalg.eigh_tridiagonal(seq.alphas, np.sqrt(seq.omegas[1:]))
+        assert np.array_equal(rule.nodes, nodes) is not closed
+        assert np.array_equal(rule.weights, vecs[0] ** 2) is not closed
+
+    def test_csv_rows_match_the_per_row_format(self):
+        # one % operation over the rows gives the per-row f-string's bytes on
+        # the node 0.0, negative nodes and exponent-form values
+        for config, order in [((Family.FREE_MEIXNER, None, 0.5, 1e300), 24),
+                              ((Family.NONSYM_PLUS, 1e100, None, None), 24),
+                              ((Family.SYM1, 2.0, None, None), 31),
+                              ((Family.FREE_MEIXNER, None, 0.5, 0.25), 1000)]:
+            rule = gauss_rule(config, order)
+            header, columns, rows = rule.csv_text("h").split("\n", 2)
+            assert (header, columns) == ("# h", "node,weight")
+            assert rows == csv_rows(rule)
 
 
 class TestMeasureProperties:
