@@ -21,9 +21,12 @@ them, to Gauss rules (Golub and Welsch, 1969).  Above DENSE_EIGH_MAX_ORDER
 nodes the table picks the solver: a symmetric table's rule comes from a
 matrix of half its order, a table constant from alpha_1 and omega_2 on (free
 Meixner at a != 0) has its rule in closed form, in O(n), and any other table
-takes LAPACK's eigenvectors.  No density or normalization constant is
-stored: the rule needs only the recurrence, so it exists wherever the table
-is finite.
+takes LAPACK's eigenvectors, or from NEWTON_RULE_MIN_ORDER nodes on its
+eigenvalues, one Newton step and Christoffel weights (nonsym+-, and free
+Meixner past the closed form's ratio guard), if that rule passes a moment
+check.  On every route an extreme weight below the smallest double is 0.
+No density or normalization constant is stored: the rule needs only the
+recurrence, so it exists wherever the table is finite.
 """
 from __future__ import annotations
 
@@ -45,7 +48,8 @@ DENSE_EIGH_MAX_ORDER = 30
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss rule: nodes in the support, positive weights summing to 1."""
+    """Gauss rule: nodes in the support, weights summing to 1, positive but
+    for extreme ones below the smallest double, which are 0."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -118,7 +122,7 @@ def _eigh(diag, offdiag):
     return np.linalg.eigh(matrix, UPLO="L")
 
 
-# A table whose omega_2 exceeds this multiple of omega_1 keeps eigh_tridiagonal:
+# A table whose omega_2 exceeds this multiple of omega_1 skips the closed form:
 # _constant_tail_rule places a node near the band's centre only to about eps c,
 # where the weights change on the scale of sqrt(omega_1) and |alpha - alpha_0|,
 # so past it the closed form's weights fall behind LAPACK's (against a
@@ -269,6 +273,69 @@ def _closed_form_table(alphas, omegas):
                 and omegas[2] <= CLOSED_FORM_MAX_OMEGA_RATIO * omegas[1])
 
 
+# Lowest order at which a table with some alpha != 0 and no closed form tries
+# _newton_rule before eigh_tridiagonal: below it LAPACK's eigenvectors are the
+# faster route (crossover 320-360 nodes on nonsym-plus, one BLAS thread).
+NEWTON_RULE_MIN_ORDER = 350
+# _newton_rule accepts its rule when the sums of w, w x and w x^2 match omega_0
+# = 1, alpha_0 and alpha_0^2 + omega_1 to this multiple of the sums of w, w |x|
+# and w x^2, the scale of their rounding.  nonsym+- reach 7.1e-13 (lambda <=
+# 0.55, order 1000); free Meixner tables with atoms missed by 0.3 to 7e9.
+NEWTON_RULE_MOMENT_TOL = 1e-10
+# _newton_rule rescales its recurrence every this many degrees: p would have to
+# grow by 2^31 a degree to overflow in between, and then the rule fails its
+# moment check.
+RESCALE_DEGREES = 16
+
+
+def _newton_rule(alphas, omegas):
+    """Gauss rule of a table from its eigenvalues alone, in O(n) memory, or
+    None when the rule fails its moment check (a table with atoms, where the
+    forward recurrence follows the solution that grows away from them).
+
+    The eigenvalues x of eigvalsh_tridiagonal are polished by one Newton step
+    e = q / q' on the orthonormal recurrence b_{j+1} p_{j+1} = (x - alpha_j)
+    p_j - b_j p_{j-1}, q = b_n p_n, and the weight is the Christoffel number
+    1 / S(x - e), S = sum_{j<n} p_j^2 (Gautschi, 2004), to first order (1 +
+    2 e T / S) / S with T = sum_{j<n} p_j p_j' = S' / 2, all in one pass over
+    the degrees.  Every RESCALE_DEGREES degrees a node's p, p', S and T are
+    divided by a power of 2 that brings max(|p|, |p'|) below 1, so the extreme
+    nodes get their Newton step too, and a weight below the smallest double
+    underflows to 0 with no overflow on the way."""
+    import scipy.linalg
+
+    offdiag = np.sqrt(omegas[1:])
+    x = scipy.linalg.eigvalsh_tridiagonal(alphas, offdiag)
+    # b_j with b_0 = 0, and 1 / b_{j+1} with 1 for b_n, as q = b_n p_n
+    root, inverse = [0.0, *offdiag.tolist()], [*(1.0 / offdiag).tolist(), 1.0]
+    # rows (p_j, p_j') in cur, (p_{j-1}, p_{j-1}') in prev, and (S, T) in sums
+    prev, cur, sums = np.zeros((3, 2, x.size))
+    cur[0] = 1.0
+    exponent = np.zeros(x.size, dtype=int)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j, shift in enumerate(alphas.tolist()):
+            if j % RESCALE_DEGREES == 0:
+                k = np.maximum(np.frexp(np.abs(cur).max(axis=0))[1], 0)
+                prev, cur, sums = np.ldexp(prev, -k), np.ldexp(cur, -k), np.ldexp(sums, -2 * k)
+                exponent += k
+            sums += cur * cur[0]
+            new = cur * (x - shift)
+            new[1] += cur[0]
+            new -= root[j] * prev
+            new *= inverse[j]
+            prev, cur = cur, new
+        (q, dq), (s, t) = cur, sums
+        step = q / dq
+        nodes = x - step
+        weights = np.ldexp((1.0 + 2.0 * step * t / s) / s, -2 * exponent)
+        powers = np.vander(nodes, 3, increasing=True)
+        moments, absolute = powers.T @ weights, np.abs(powers).T @ weights
+    exact = [1.0, alphas[0], alphas[0] ** 2 + omegas[1]]
+    if weights.min() >= 0.0 and (np.abs(moments - exact) <= NEWTON_RULE_MOMENT_TOL * absolute).all():
+        return nodes, weights
+    return None
+
+
 def _rule(alphas, omegas):
     """Nodes and weights of Jacobi matrices: a stack up to DENSE_EIGH_MAX_ORDER,
     one table above it.  There a constant-tail table (_closed_form_table) has
@@ -277,10 +344,16 @@ def _rule(alphas, omegas):
     Kahan, 1965); each eigenpair (theta, u) of T = B B^T / 4^k, of order
     ceil(order / 2), gives the nodes +-2^k ||B^T u|| (sqrt(theta) loses the
     small ones) of weight u_0^2 / 2, and an odd order's zero mode the node 0.0
-    of weight u_0^2."""
+    of weight u_0^2.  Any other table takes eigh_tridiagonal's eigenvectors,
+    but from NEWTON_RULE_MIN_ORDER on it tries _newton_rule first, and only a
+    rule that fails its moment check (a table with atoms) falls back."""
     order = alphas.shape[-1]
     if order > DENSE_EIGH_MAX_ORDER and _closed_form_table(alphas, omegas):
         return _constant_tail_rule(alphas[0], alphas[1], omegas[1], omegas[2], order)
+    if order >= NEWTON_RULE_MIN_ORDER and alphas.any():
+        rule = _newton_rule(alphas, omegas)
+        if rule is not None:
+            return rule
     if order <= DENSE_EIGH_MAX_ORDER or alphas.any():
         nodes, vectors = _eigh(alphas, np.sqrt(omegas[..., 1:]))
         return nodes, vectors[..., 0, :] ** 2
@@ -304,10 +377,12 @@ def gauss_quadrature(seq: JacobiSzegoSequence, order: int) -> QuadratureRule:
     (total mass omega_0 = 1).  Up to DENSE_EIGH_MAX_ORDER one batched dense
     eigh serves every row, bit for bit each row's own rule; larger orders
     solve row by row, a row with every alpha 0 from a matrix of half the
-    order and a constant-tail row in closed form (see _rule).  order must
-    lie in 1 .. N; a non-finite coefficient
-    among the first `order`, or an omega <= 0, raises the error of the first
-    row that has one before either solver runs.
+    order, a constant-tail row in closed form, and from NEWTON_RULE_MIN_ORDER
+    on any other row from its eigenvalues and Christoffel weights unless that
+    rule fails its moment check (see _rule).  On every route an extreme
+    weight below the smallest double is 0.  order must lie in 1 .. N; a
+    non-finite coefficient among the first `order`, or an omega <= 0, raises
+    the error of the first row that has one before either solver runs.
     """
     if order < 1:
         raise ParameterError(f"order must be >= 1, got {order}")

@@ -10,14 +10,17 @@ from pathlib import Path
 
 import opgf
 from opgf import cli
+from opgf.measures import NEWTON_RULE_MIN_ORDER
 
 PACKAGE = Path(opgf.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 
 # The sweep, one verify per family and free Meixner at b = -1, classify on
 # both sides of lambda = 1 and below 1/2, a dense and a tridiagonal Gauss
-# export and a symmetric one past the dense order, two inputs that exit 2 and
-# one unwritable output that exits 3.
+# export and a symmetric one past the dense order, a non-symmetric export at
+# the Newton rule's order and one with atoms above it, which falls back to
+# the tridiagonal solver, two inputs that exit 2 and one unwritable output
+# that exits 3.
 COMMANDS = [
     ["verify"],
     ["verify", "--family", "sym1", "--lambda", "2"],
@@ -33,10 +36,14 @@ COMMANDS = [
     ["quadrature", "--family", "free-meixner", "--a", "0.5", "--b", "0.25",
      "--order", "40"],
     ["quadrature", "--family", "sym2", "--lambda", "2", "--order", "40"],
+    ["quadrature", "--family", "nonsym-plus", "--lambda", "1.5",
+     "--order", str(NEWTON_RULE_MIN_ORDER)],
+    ["quadrature", "--family", "free-meixner", "--a", "1e5", "--b", "1e9",
+     "--order", "400"],
     ["verify", "--family", "sym2", "--lambda", "0.4"],
     ["quadrature", "--family", "sym1", "--lambda", "1e200", "--order", "24"],
 ]
-EXITS = [0] * 13 + [2, 2]
+EXITS = [0] * 15 + [2, 2]
 
 # Defs that no command enters, each with a test that calls it.
 NOT_RUN_BY_COMMANDS = {

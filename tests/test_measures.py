@@ -1,6 +1,7 @@
 """Tests for the measure catalog: supports, coefficient tables, Gauss rules,
 and the Beta density oracle of tests/reference.py with its normalization."""
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,7 +21,7 @@ from opgf import (
 )
 from opgf import measures
 from opgf.families import support_interval
-from opgf.measures import DENSE_EIGH_MAX_ORDER
+from opgf.measures import DENSE_EIGH_MAX_ORDER, NEWTON_RULE_MIN_ORDER
 from reference import (
     adaptive_integral,
     beta_law,
@@ -541,6 +542,109 @@ class TestConstantTailRules:
             header, columns, rows = rule.csv_text("h").split("\n", 2)
             assert (header, columns) == ("# h", "node,weight")
             assert rows == csv_rows(rule)
+
+
+NEWTON_LAMBDAS = [0.51, 0.55, 0.75, 1.5, 3.0, 6.0, 20.0, 100.0, 1e4]
+NEWTON_ORDERS = [NEWTON_RULE_MIN_ORDER, 401, 641, 999, 1000]
+
+
+def tridiagonal_rule(seq, order):
+    """eigh_tridiagonal's rule of the first `order` coefficients of seq."""
+    nodes, vecs = scipy.linalg.eigh_tridiagonal(seq.alphas[:order],
+                                                np.sqrt(seq.omegas[1:order]))
+    return nodes, vecs[0] ** 2
+
+
+class TestNewtonRules:
+    """From NEWTON_RULE_MIN_ORDER on, a table with some alpha != 0 and no
+    closed form takes its nodes from eigvalsh_tridiagonal and one Newton
+    step, and its weights from corrected Christoffel sums, unless that rule
+    fails its moment check."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+                        reason="np.longdouble is a plain double here")
+    @pytest.mark.parametrize("order", NEWTON_ORDERS)
+    @pytest.mark.parametrize("lam", NEWTON_LAMBDAS)
+    def test_rule_matches_extended_precision_no_worse_than_lapack(self, lam, order):
+        # nonsym-minus's table is nonsym-plus's with every alpha negated, so
+        # one reference serves both, reflected.  Nodes are no worse than
+        # eigh_tridiagonal's, or within one ulp of max|x|; weights of at least
+        # 1e-7 no worse, or within 1.5e-11 relative: the forward recurrence's
+        # rounding near the endpoint of exponent lambda - 3/2 bounds them at
+        # 1.3e-11 at lambda = 0.51, order 999, where eigh_tridiagonal reads
+        # 5.1e-12 on nonsym-minus and 1.7e-11 on nonsym-plus
+        plus = family_sequence(Family.NONSYM_PLUS, lam, size=order + 1)
+        ref_nodes, ref_weights = newton_gauss_rule(plus, order, gauss_quadrature(plus, order).nodes)
+        for family, nodes, weights in [
+                (Family.NONSYM_PLUS, ref_nodes, ref_weights),
+                (Family.NONSYM_MINUS, -ref_nodes[::-1], ref_weights[::-1])]:
+            seq = family_sequence(family, lam, size=order)
+            rule = gauss_quadrature(seq, order)
+            assert (np.diff(rule.nodes) > 0.0).all()
+            lapack_nodes, lapack_weights = tridiagonal_rule(seq, order)
+            scale = float(np.abs(nodes).max())
+            node_error = float(np.abs(rule.nodes - nodes).max())
+            assert node_error <= max(float(np.abs(lapack_nodes - nodes).max()),
+                                     float(np.spacing(scale)))
+            big = weights >= 1e-7
+            weight_error = float(np.abs(rule.weights[big] / weights[big] - 1.0).max())
+            assert weight_error <= max(float(np.abs(lapack_weights[big] / weights[big] - 1.0).max()),
+                                       1.5e-11)
+
+    @pytest.mark.parametrize("family", [Family.NONSYM_PLUS, Family.NONSYM_MINUS])
+    def test_route_starts_at_the_threshold(self, family):
+        # one order below it the rule is eigh_tridiagonal's bit for bit, and
+        # at it the Newton rule's
+        seq = family_sequence(family, 1.5, size=NEWTON_RULE_MIN_ORDER)
+        below = gauss_quadrature(seq, NEWTON_RULE_MIN_ORDER - 1)
+        nodes, weights = tridiagonal_rule(seq, NEWTON_RULE_MIN_ORDER - 1)
+        assert np.array_equal(below.nodes, nodes) and np.array_equal(below.weights, weights)
+        at = gauss_quadrature(seq, NEWTON_RULE_MIN_ORDER)
+        nodes, weights = measures._newton_rule(seq.alphas, seq.omegas)
+        assert np.array_equal(at.nodes, nodes) and np.array_equal(at.weights, weights)
+        assert not np.array_equal(at.weights, tridiagonal_rule(seq, NEWTON_RULE_MIN_ORDER)[1])
+
+    @pytest.mark.parametrize("a, b", [(0.9, -0.5), (1e5, 1e9), (30.0, 0.5)])
+    def test_tables_with_atoms_fail_the_moment_check(self, a, b):
+        # the forward recurrence cannot give an atom's weight; (1e5, 1e9) is
+        # past the closed form's ratio guard, so its export falls back to
+        # eigh_tridiagonal, bit for bit
+        seq = family_sequence(Family.FREE_MEIXNER, a=a, b=b, size=400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert measures._newton_rule(seq.alphas, seq.omegas) is None
+            rule = gauss_quadrature(seq, 400)
+        if not measures._closed_form_table(seq.alphas, seq.omegas):
+            nodes, weights = tridiagonal_rule(seq, 400)
+            assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+
+    def test_overflowing_extreme_weights_are_zero_without_a_warning(self):
+        # at lambda = 1e4 the extreme weights are below 1e-500: the rescaled
+        # recurrence underflows them to 0, as eigh_tridiagonal gives 0
+        seq = family_sequence(Family.NONSYM_MINUS, 1e4, size=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rule = gauss_quadrature(seq, 1000)
+        nodes, weights = measures._newton_rule(seq.alphas, seq.omegas)
+        assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+        lapack_weights = tridiagonal_rule(seq, 1000)[1]
+        assert rule.weights[0] == rule.weights[-1] == 0.0
+        assert lapack_weights[0] == lapack_weights[-1] == 0.0
+        assert (np.diff(rule.nodes) > 0.0).all() and rule.weights.min() == 0.0
+
+    @pytest.mark.parametrize("b, newton", [(1e300, True), (1.7e308, False)])
+    def test_huge_tail_past_the_ratio_guard(self, b, newton):
+        # free Meixner at a = 0.5, b = 1e300 has nodes 1e-150 of the scale
+        # apart: eigh_tridiagonal's rule reads sum w x^2 = 3 at order 400,
+        # the Newton rule 1; at b = 1.7e308 x^2 overflows, the moment check
+        # fails and eigh_tridiagonal's rule stays, bit for bit
+        seq = family_sequence(Family.FREE_MEIXNER, a=0.5, b=b, size=400)
+        rule = gauss_quadrature(seq, 400)
+        nodes, weights = tridiagonal_rule(seq, 400)
+        assert np.array_equal(rule.weights, weights) is not newton
+        if newton:
+            assert float(rule.weights @ rule.nodes**2) == pytest.approx(1.0, abs=1e-13)
+            assert float(weights @ nodes**2) == pytest.approx(3.0, abs=1e-13)
 
 
 class TestMeasureProperties:
