@@ -8,7 +8,10 @@ probability measures, the generating function
 
 both as a truncated series and in closed form, re-derives the families by
 polynomial coefficient matching in the underlying Riccati equation, and
-validates the supporting special-function identities at desk scale.
+checks each configuration's closed form and coefficient table against the
+identities that read them (moments, Riccati and moment ODEs, and the
+shifted Jacobi and rational-prefactor forms of the non-symmetric families)
+at desk scale.
 """
 
 __version__ = "0.1.0"

@@ -18,9 +18,9 @@ and then runs the rows of _checks, one check at a time.  The closed-form
 checks are one call each for all configurations: series-vs-closed is one
 psi_series_stack pass and one psi_closed call over the stack of closed
 forms, and so are the moments (one batched Gauss rule), both Riccati
-residuals and the moment ODE.  Each identity is one call over the
-configurations of its family, and those of lambda alone one call over the
-campaign's distinct lambdas.  Nothing is kept from one command to the next.
+residuals and the moment ODE.  The two identities of the non-symmetric
+families are one call each over their configurations.  Nothing is kept
+from one command to the next.
 
 If a campaign of several configurations raises, it is run again
 configuration by configuration, and so raises the error that such a loop
@@ -157,16 +157,6 @@ def _worst(runs, values) -> np.ndarray:
     return np.abs(_rows(runs, values)).max(axis=1)
 
 
-def _per_lambda(identity):
-    """evaluate for _stacked: each run's worst residual of identity, called
-    once over the distinct lambdas of the runs."""
-    def worst(live):
-        lams = list(dict.fromkeys(run.cf.lam for run in live))
-        residuals = dict(zip(lams, _rows(lams, identity(lams)).max(axis=1)))
-        return [residuals[run.cf.lam] for run in live]
-    return worst
-
-
 def _checks(zmax: float, grid: int, tol: float, runs) -> list:
     """The campaign's checks in report order, one row (records, families,
     evaluate) per check.  records lists the (name, points, tolerance) of
@@ -179,19 +169,16 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
 
     series-vs-closed is one psi_series_stack pass and one psi_closed call
     over the stack of closed forms, and the moments, both Riccati residuals
-    and the moment ODE are one call each over that stack.  Each identity is
-    one call over the runs of its family (jacobi-shift and psi-prefactor-form
-    over the stack of their closed forms), and those of lambda alone one call
-    over the runs' distinct lambdas.
+    and the moment ODE are one call each over that stack.  The two identities,
+    jacobi-shift and psi-prefactor-form, are one call each over the stack of
+    the non-symmetric closed forms.  Every check reads its configuration's
+    closed form or table: an identity of lambda alone could certify nothing
+    about the configuration, and none is a row.
     """
     zs = _circle(zmax, grid)
     zs_real = np.array([s * zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)])
     zs_two_circles = _circle(0.5 * zmax, grid) + _circle(zmax, grid)
     ode_zs = np.array([s * zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
-    ns, ys_1f0 = np.arange(21), (-0.5, -0.25, 0.0, 0.25, 0.5)
-    id_zs = [zmax, 0.5 * zmax, zmax * 1j, zmax * complex(-0.5, 0.5)]
-    geg_zs, geg_xs = [0.25, 0.1, 0.1j, complex(-0.1, 0.1)], [-1.0, -0.5, 0.0, 0.5, 1.0]
-    ts, ys = [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
     gf3_zs = [-0.5 * zmax, 0.5 * zmax, zmax]
 
     tables = JacobiSzegoSequence.stack([run.seq for run in runs]) if len(runs) > 1 else None
@@ -199,15 +186,12 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
     def seqs(live):  # laid out as _closed_forms lays out the closed forms
         return live[0].seq if len(live) == 1 else tables.rows([runs.index(r) for r in live])
 
-    def lams(live):
-        return [run.cf.lam for run in live]
-
     def xs5(live):
         return [run.xs5 for run in live]
 
     def series(live):
         xs = [run.xs for run in live]
-        values = genfun.psi_series_stack(seqs(live), lams(live), zs, xs)
+        values = genfun.psi_series_stack(seqs(live), [run.cf.lam for run in live], zs, xs)
         closed = _rows(live, genfun.psi_closed(_closed_forms(live), zs, xs))
         return _worst(live, closed - _rows(live, [row.value for row in values]))
 
@@ -239,23 +223,8 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
         ([("riccati-residual-u", len(zs_two_circles), 1e-11)], every, lambda live: _worst(
             live, riccati.residual_u(_closed_forms(live), zs_two_circles))),
         ([("moment-ode", 2 * len(ode_zs), 1e-7)], every, moment_ode),
-        ([("pochhammer-ratio", len(ns), 1e-12)], every, _per_lambda(
-            lambda distinct: identities.pochhammer_ratio_check(distinct, ns))),
-        ([("binomial-1f0", len(ys_1f0), 1e-11)], every, _per_lambda(
-            lambda distinct: identities.one_f_zero_reduction(distinct, ys_1f0))),
-        ([("gegenbauer-gf", len(geg_zs) * len(geg_xs), 1e-10)], (Family.SYM1,),
-         lambda live: _worst(live, identities.gegenbauer_gf_check(lams(live), geg_zs, geg_xs))),
-        ([("scaled-gegenbauer-gf", len(id_zs) * 5, 1e-10)], (Family.SYM1,),
-         lambda live: _worst(live, identities.tilde_gegenbauer_identity(
-             lams(live), id_zs, xs5(live)))),
-        ([("shifted-parameter-gf", len(id_zs) * 5, 1e-10)], (Family.SYM2,),
-         lambda live: _worst(live, identities.family2_identity(lams(live), id_zs, xs5(live)))),
         ([("jacobi-shift", 11 * 5, 1e-9)], nonsym, lambda live: _worst(
             live, identities.jacobi_shift_check(_closed_forms(live), seqs(live), 10, xs5(live)))),
-        ([("jacobi-2f1-gf", len(ts) * len(ys), 1e-10)], nonsym, _per_lambda(
-            lambda distinct: identities.jacobi_2f1_gf_check(distinct, ts, ys))),
-        ([("2f1-collapse", len(ts) * len(ys), 1e-10)], nonsym, _per_lambda(
-            lambda distinct: identities.two_f_one_collapse_check(distinct, ts, ys))),
         ([("psi-prefactor-form", len(gf3_zs) * 5, 1e-12)], nonsym, lambda live: _worst(
             live, identities.gf3_equivalence(_closed_forms(live), gf3_zs, xs5(live)))),
     ]

@@ -51,8 +51,8 @@ from .families import Family
 from .recurrence import JacobiSzegoSequence, _points, eval_monic
 
 # Cap on the number of series terms, and the length of the coefficient tables
-# that verify and the identities sum (a table of N coefficients caps a series
-# at N + 1 terms); the tail bound normally stops the sum well before.
+# that verify sums (a table of N coefficients caps a series at N + 1 terms);
+# the tail bound normally stops the sum well before.
 SERIES_CAP = 200
 _TAIL_WARN_FACTOR = 1e-8
 # The unit roundoff of a double: a series tail below this share of the sum's
@@ -345,11 +345,11 @@ def _first_stop(terms, slack, valid) -> tuple:
     """The package's one series stopping rule, along the last axis: for
     terms t_0 .. t_{L-1} and, for K = 1 .. L-1, valid_K where the tail past
     K is at most |t_K| / slack_K, the first valid K with |t_K| <= 2^-53
-    slack_K |sum_{n<K} t_n|.  Gives the running sums, whether each series
-    has such a K, and the first one (1 where none does)."""
-    sums = np.cumsum(terms, axis=-1)
-    stop = valid & (np.abs(terms[..., 1:]) <= UNIT_ROUNDOFF * np.abs(sums[..., :-1]) * slack)
-    return sums, stop.any(axis=-1), np.argmax(stop, axis=-1) + 1
+    slack_K |sum_{n<K} t_n|.  Gives whether each series has such a K, and
+    the first one (1 where none does)."""
+    sums = np.cumsum(terms[..., :-1], axis=-1)
+    stop = valid & (np.abs(terms[..., 1:]) <= UNIT_ROUNDOFF * np.abs(sums) * slack)
+    return stop.any(axis=-1), np.argmax(stop, axis=-1) + 1
 
 
 def _truncation(seq, lams, xs, r) -> tuple:
@@ -394,7 +394,7 @@ def _truncation(seq, lams, xs, r) -> tuple:
         np.cumprod(ratios[:, :-1], axis=1, out=coeffs[:, 1:])
         np.cumprod(ratios[:, :-1] * g[:, :-1], axis=1, out=b[:, 1:])
         q = np.maximum(1.0, ratios[:, 1:]) * g[:, 1:]
-        _, found, first = _first_stop(b, 1.0 - q, (q < 1.0) & (lam + k[1:] > 0.0))
+        found, first = _first_stop(b, 1.0 - q, (q < 1.0) & (lam + k[1:] > 0.0))
         rows = np.arange(len(first))
         tails = b[rows, first] / (1.0 - q[rows, first - 1])
     return np.where(found, first, count), np.where(found, tails, math.inf), coeffs
@@ -404,43 +404,40 @@ def psi_series_stack(seq, lams, z, x_rows) -> list[PsiSeriesResult]:
     """Partial sums of sum_n (lambda)_n/n! P_n(x) z^n for C configurations,
     each truncated where a proved bound on its tail falls below the rounding
     of the sum itself: one result per row.  Row c sums with table c of the
-    stack seq and lambda lams[c] at the points z, or its own row z[c], and
-    x_rows[c]; a table of its own is the stack of one, with one row.
+    stack seq and lambda lams[c] at the points z and x_rows[c]; a table of
+    its own is the stack of one, with one row.
 
-    z is a scalar or 1-D array shared by every row, or a (C, Z) array with
-    one row of points per configuration (a (1, Z) array is shared too); the
-    rows of x_rows are scalars or 1-D arrays of one length.  Arrays give a
-    row the (Z, X) grid of every pair.
+    z is a scalar or 1-D array shared by every row; the rows of x_rows are
+    scalars or 1-D arrays of one length.  Arrays give a row the (Z, X) grid
+    of every pair.
 
-    Each row's term count N is fixed before any summation, with r = max|z|
-    over the row: the first count whose proved tail bound is at most 2^-53
-    of a bound on the sum (see _truncation), tail_bound being that
-    bound; if no count up to min(SERIES_CAP, table length + 1) qualifies,
-    all are summed and tail_bound is inf.  One eval_monic call then runs
-    the recurrence over the stacked (C, X) points up to the largest N, and
-    each row sums its own first N terms in a product (c_n z^n) @ P, so
-    every row equals its own stack of one bit for bit (one product over
-    zero-padded rows would not: BLAS may split a longer sum differently).
-    Within a row, a grid element equals a call at its own point only
-    within the two calls' bounds and rounding: a narrower x range may give
-    a smaller N.  A non-finite x of any row raises ParameterError first.
+    Each row's term count N is fixed before any summation, with r = max|z|:
+    the first count whose proved tail bound is at most 2^-53 of a bound on
+    the sum (see _truncation), tail_bound being that bound; if no count up
+    to min(SERIES_CAP, table length + 1) qualifies, all are summed and
+    tail_bound is inf.  One eval_monic call then runs the recurrence over
+    the stacked (C, X) points up to the largest N, and each row sums its own
+    first N terms in a product (c_n z^n) @ P, so every row equals its own
+    stack of one bit for bit (one product over zero-padded rows would not:
+    BLAS may split a longer sum differently).  Within a row, a grid element
+    equals a call at its own point only within the two calls' bounds and
+    rounding: a narrower x range may give a smaller N.  A non-finite x of
+    any row raises ParameterError first.
     """
     rows = np.asarray(x_rows, dtype=float)
     xs = _points(seq, rows.reshape(len(rows), -1))
     if len(xs) != len(rows):
         raise ParameterError(f"a table of its own takes one row of x, got {len(rows)}")
     zs = np.asarray(z, dtype=complex)
-    z_row = zs.shape[1:] if zs.ndim == 2 else zs.shape
-    # one row of z per configuration, a shared row repeated
-    z_rows = np.full((len(xs), math.prod(z_row)), zs.reshape(-1, math.prod(z_row)))
-    counts, bounds, coeffs = _truncation(seq, lams, xs, np.abs(z_rows).max(axis=1))
+    r = np.full(len(xs), np.abs(zs).max())
+    counts, bounds, coeffs = _truncation(seq, lams, xs, r)
     size = int(counts.max())
     p = eval_monic(seq, size - 1, xs)
-    powers = np.vander(z_rows.ravel(), size, increasing=True).reshape(z_rows.shape + (size,))
-    shape = z_row + rows.shape[1:]
+    powers = np.vander(zs.ravel(), size, increasing=True)
+    shape = zs.shape + rows.shape[1:]
     results = []
     for row, (count, bound) in enumerate(zip(counts.tolist(), bounds.tolist())):
-        values = (powers[row, :, :count] * coeffs[row, :count]) @ p[:count, row]
+        values = (powers[:, :count] * coeffs[row, :count]) @ p[:count, row]
         results.append(PsiSeriesResult(
             as_shape(values, shape), bound, count,
             as_shape(bound <= _TAIL_WARN_FACTOR * np.abs(values), shape)))

@@ -16,9 +16,15 @@ its normalized coefficients, and the degree argument that forces an E of
 degree 3 to 6 down to degree 2.  A few small helpers give quantities that
 several tests read: norms, moments and the standardization of a table.
 
-The Gauss duplication formula in log-gamma form checks libm's lgamma and
-reads no configuration; the package checks duplication in its Pochhammer
-form (identities.pochhammer_ratio_check) at each configuration's lambda.
+The special-function identities of lambda alone read no configuration's
+closed form or table, so verify runs none of them; they are oracles here,
+for one lambda at a time: the Gauss duplication formula in log-gamma form
+and in Pochhammer form, the binomial (1F0) series, the Gegenbauer
+generating function and its two scaled forms, the Jacobi 2F1 generating
+function and its collapse from a genuine 2F1 series.  The series sides sum
+with the package's psi_series_stack (a stack of one) or, for 2F1 and 1F0,
+term by term under a tail bound; the monic Gegenbauer table is written
+here.
 
 The series oracles run one term at a time where the package uses arrays:
 the coefficients (lambda)_n / n! by their ratio recurrence, the growth
@@ -38,6 +44,7 @@ import numpy as np
 import scipy.integrate
 
 from opgf import (
+    DomainError,
     Family,
     InconsistencyError,
     JacobiSzegoSequence,
@@ -45,8 +52,11 @@ from opgf import (
     ParameterError,
     family_sequence,
     gauss_quadrature,
+    psi_series_stack,
 )
 from opgf.families import support_interval, validate_params
+from opgf.genfun import SERIES_CAP, as_shape
+from opgf.identities import _principal_power, jacobi_sequence
 from opgf.riccati import _coeff_at, _quadratic_fit, _quadratic_roots, _symmetric_omega2_fit
 
 _QUAD_TOL = 1e-12
@@ -182,7 +192,7 @@ def newton_gauss_rule(seq: JacobiSzegoSequence, order: int, start) -> tuple:
     omegas = seq.omegas[:order + 1].astype(np.longdouble)
     root = np.sqrt(omegas)
     x = np.asarray(start, dtype=np.longdouble)
-    for _ in range(4):
+    for _ in range(2):
         p_prev, p, d_prev, d = (np.zeros_like(x), np.ones_like(x),
                                 np.zeros_like(x), np.zeros_like(x))
         for j in range(order):
@@ -397,6 +407,186 @@ def duplication_check(a: float) -> float:
     lhs = 0.5 * math.log(math.pi) + math.lgamma(2.0 * a)
     rhs = (2.0 * a - 1.0) * math.log(2.0) + math.lgamma(a) + math.lgamma(a + 0.5)
     return abs(lhs - rhs)
+
+
+def rising_table(a: float, n: int) -> np.ndarray:
+    """(a)_0 .. (a)_n, each the product of its predecessor and a + k."""
+    table = np.ones(n + 1)
+    np.cumprod(a + np.arange(n, dtype=float), out=table[1:])
+    return table
+
+
+def pochhammer_ratio_check(lam: float, n):
+    """Relative residual of (2 lam - 1)_{2n} / (lam - 1/2)_n = 4^n (lam)_n.
+
+    For n >= 1 the left side is taken with the common factor 2 lam - 1 =
+    2 (lam - 1/2) cancelled, as 2 (2 lam)_{2n-1} / (lam + 1/2)_{n-1}, so the
+    check is defined for every lambda > 0, lambda = 1/2 included.  n is an
+    int or a 1-D array of them; the products are read from one table per
+    symbol, so an array gives exactly the residuals of one call per n.
+    """
+    if lam <= 0.0:
+        raise ParameterError(f"lambda must be > 0, got {lam}")
+    ns = np.asarray(n)
+    if np.any(ns < 0):
+        raise ParameterError(f"n must be >= 0, got {n}")
+    top = max(int(ns.max()), 1)
+    k = np.maximum(ns, 1)
+    lhs = np.where(ns == 0, 1.0, 2.0 * rising_table(2.0 * lam, 2 * top)[2 * k - 1]
+                   / rising_table(lam + 0.5, top)[k - 1])
+    rhs = 4.0**ns * rising_table(lam, top)[ns]
+    return as_shape(np.abs(lhs - rhs) / np.abs(rhs), ns.shape)
+
+
+def hypergeometric_sum(upper: tuple, lower: tuple, w: float, cap: int = 2048) -> float:
+    """sum_n t_n with t_0 = 1 and t_{n+1} / t_n = w prod_i (upper_i + n) /
+    (lower_i + n), upper and lower of one length (lower holds the 1 of n!),
+    one term at a time.
+
+    It stops at the first K >= 1 whose tail bound is at most 2^-53
+    |sum_{n<K} t_n|: when every lower_i + K > 0 each factor (a + n)/(b + n)
+    is monotone in n >= K and tends to 1, so |t_{n+1}/t_n| <= R_K = |w|
+    prod_i max(1, |upper_i + K| / (lower_i + K)) and the tail is at most
+    |t_K| / (1 - R_K) where R_K < 1.  With no such K it sums cap terms.
+    """
+    total, term = 0.0, 1.0
+    for k in range(1, cap):  # term is t_{k-1}
+        n = float(k - 1)
+        total += term
+        term *= math.prod(a + n for a in upper) * w / math.prod(b + n for b in lower)
+        if all(b + k > 0.0 for b in lower):
+            slack = 1.0 - abs(w) * math.prod(max(1.0, abs(a + k) / abs(b + k))
+                                             for a, b in zip(upper, lower))
+            if abs(term) <= 2.0**-53 * abs(total) * slack:
+                return total
+    return total + term
+
+
+def gauss_2f1(upper: tuple, lower: float, argument):
+    """Plain 2F1 series sum_n (u1)_n (u2)_n / ((l)_n n!) * argument^n by
+    hypergeometric_sum, for a float argument or each element of an array.
+    The series needs |argument| < 1 and a lower parameter that is not a
+    non-positive integer."""
+    args = np.asarray(argument, dtype=float)
+    if np.any(np.abs(args) >= 1.0):
+        raise DomainError(f"2F1 series needs |argument| < 1, got {argument}")
+    if lower <= 0.0 and math.floor(lower) == lower:
+        raise ParameterError(f"lower parameter {lower} is a non-positive integer")
+    values = [hypergeometric_sum(upper, (lower, 1.0), w) for w in args.ravel().tolist()]
+    return as_shape(values, args.shape)
+
+
+def one_f_zero_reduction(lam: float, y):
+    """Residual of the binomial series sum_n (lam)_n y^n / n! = (1-y)^(-lam),
+    for a float y or each element of an array, by hypergeometric_sum."""
+    ys = np.asarray(y, dtype=float)
+    if np.any(np.abs(ys) >= 1.0):
+        raise DomainError(f"|y| must be < 1, got {y}")
+    residuals = [abs(hypergeometric_sum((lam,), (1.0,), v) - (1.0 - v) ** -lam)
+                 for v in ys.ravel().tolist()]
+    return as_shape(residuals, ys.shape)
+
+
+def gegenbauer_sequence(lam, size: int) -> JacobiSzegoSequence:
+    """Monic Gegenbauer coefficients, weight (1-x^2)^(lam-1/2), for
+    n = 0 .. size - 1, a table for a float lam and the stack of C tables for
+    a 1-D array of C.  omega_1 = 1 / (2 (1 + lam)) is the tail formula at
+    n = 1 with the factor lam cancelled, so it stays finite as lam -> 0."""
+    lam = np.asarray(lam, dtype=float)[..., None]
+    n2 = np.maximum(np.arange(size, dtype=float), 2.0)
+    omegas = n2 * (n2 + 2.0 * lam - 1.0) / (4.0 * (n2 + lam) * (n2 + lam - 1.0))
+    omegas[..., :1] = 1.0
+    omegas[..., 1:2] = 1.0 / (2.0 * (1.0 + lam))
+    return JacobiSzegoSequence(np.zeros(omegas.shape), omegas)
+
+
+def _series_identity(lam, seq, z, x, z_scale, x_scale, closed):
+    """|series - closed| of a generating-function identity on the (Z, X) grid
+    of z and x, scalars or 1-D arrays (scalars give a float).  The series
+    sums (lam)_n/n! P_n(x / x_scale) (z_scale z)^n with the table seq, one
+    psi_series_stack call; closed(z, x) is the closed side on arrays that
+    broadcast to the grid."""
+    zs, xs = np.asarray(z), np.asarray(x, dtype=float)
+    series = psi_series_stack(seq, [lam], z_scale * zs.ravel(), [xs.ravel() / x_scale])[0]
+    values = closed(zs.reshape(-1, 1), xs.reshape(1, -1))
+    return as_shape(np.abs(series.value - values), zs.shape + xs.shape)
+
+
+def gegenbauer_gf_check(lam: float, z, x):
+    """Residual of sum_n 2^n (lam)_n/n! C_n(x) z^n = (1 - 2zx + z^2)^(-lam)."""
+    if np.any(np.abs(np.asarray(x)) > 1.0):
+        raise ParameterError(f"|x| must be <= 1, got {x}")
+    if np.any(np.abs(np.asarray(z)) > 0.3):
+        raise DomainError(f"|z| must be <= 0.3, got {np.abs(z).max()}")
+    return _series_identity(lam, gegenbauer_sequence(lam, SERIES_CAP), z, x, 2.0, 1.0,
+                            lambda zg, xg: _principal_power(1.0 - 2.0 * zg * xg + zg * zg, -lam))
+
+
+def tilde_gegenbauer_identity(lam: float, z, x):
+    """Residual of the scaled Gegenbauer generating function (sym1's psi).
+
+    The polynomials are sqrt(2(1+lam))^n C_n(x / sqrt(2(1+lam))) and the
+    closed form is (1 - zx + (1+lam) z^2 / 2)^(-lam).
+    """
+    scale = math.sqrt(2.0 * (1.0 + lam))
+    return _series_identity(lam, gegenbauer_sequence(lam, SERIES_CAP), z, x, scale, scale,
+                            lambda zg, xg: _principal_power(
+                                1.0 - zg * xg + 0.5 * (1.0 + lam) * zg * zg, -lam))
+
+
+def family2_identity(lam: float, z, x):
+    """Residual of the second symmetric family's generating function.
+
+    The polynomials carry Gegenbauer parameter lam - 1 (scale sqrt(2 lam))
+    while the series coefficient keeps (lam)_n; the closed form is
+    (1 - lam z^2/2) / (1 - zx + lam z^2/2)^lam.
+    """
+    if lam <= 0.5:
+        raise ParameterError(f"lambda must be > 1/2, got {lam}")
+    if abs(lam - 1.0) < 1e-9:
+        raise ParameterError("lambda = 1 is excluded for the second symmetric family")
+    scale = math.sqrt(2.0 * lam)
+    return _series_identity(lam, gegenbauer_sequence(lam - 1.0, SERIES_CAP), z, x, scale, scale,
+                            lambda zg, xg: (1.0 - 0.5 * lam * zg * zg) * _principal_power(
+                                1.0 - zg * xg + 0.5 * lam * zg * zg, -lam))
+
+
+def jacobi_2f1_gf_check(lam: float, t, y):
+    """Residual of sum_n (lam)_n/n! p_n^{(l-1/2, l-3/2)}(y) (2t)^n
+    = (1+t)/(1 + t^2 - 2ty)^lam."""
+    if np.any(np.abs(np.asarray(t)) >= 0.3):
+        raise DomainError(f"|t| must be < 0.3, got {t}")
+    if np.any(np.abs(np.asarray(y)) >= 1.0):
+        raise DomainError(f"|y| must be < 1, got {y}")
+    seq = jacobi_sequence(lam - 0.5, lam - 1.5, SERIES_CAP)
+    return _series_identity(lam, seq, t, y, 2.0, 1.0, lambda tg, yg: (
+        1.0 + tg) * (1.0 + tg * tg - 2.0 * tg * yg) ** (-lam))
+
+
+def two_f_one_collapse_check(lam: float, t, y):
+    """Residual of the hypergeometric prefactor form against its collapse.
+
+    With (alf, bet) = (lam-1/2, lam-3/2) the first numerator parameter
+    (alf+bet+1)/2 equals the denominator parameter bet+1, so
+
+        (1+t)^(-(alf+bet+1)) 2F1((alf+bet+1)/2, (alf+bet+2)/2; bet+1; w)
+
+    with w = 2(y+1)t/(1+t)^2 reduces to (1+t)/(1 + t^2 - 2ty)^lam.  The left
+    side is summed as a genuine 2F1 series (no term cancellation assumed),
+    on the (T, Y) grid of t and y, floats or 1-D arrays.
+    """
+    if np.any(np.abs(t) >= 0.3):
+        raise DomainError(f"|t| must be < 0.3, got {t}")
+    if np.any(np.abs(y) >= 1.0):
+        raise DomainError(f"|y| must be < 1, got {y}")
+    alf, bet = lam - 0.5, lam - 1.5
+    tg = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
+    yg = np.atleast_1d(np.asarray(y, dtype=float))
+    w = 2.0 * (yg + 1.0) * tg / (1.0 + tg) ** 2
+    lhs = (1.0 + tg) ** -(alf + bet + 1.0) * gauss_2f1(
+        (0.5 * (alf + bet + 1.0), 0.5 * (alf + bet + 2.0)), bet + 1.0, w)
+    rhs = (1.0 + tg) * (1.0 + tg * tg - 2.0 * tg * yg) ** -lam
+    return as_shape(np.abs(lhs - rhs), np.shape(t) + np.shape(y))
 
 
 def pochhammer_over_factorial(lam: float) -> Iterator[float]:

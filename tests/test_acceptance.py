@@ -30,23 +30,20 @@ from opgf import (
 )
 from opgf import cli
 from opgf.families import support_interval
-from opgf.identities import (
-    family2_identity,
-    gegenbauer_gf_check,
-    gf3_equivalence,
-    jacobi_2f1_gf_check,
-    jacobi_shift_check,
-    one_f_zero_reduction,
-    pochhammer_ratio_check,
-    tilde_gegenbauer_identity,
-)
+from opgf.identities import gf3_equivalence, jacobi_shift_check
 from reference import (
     degree_bound_check,
     duplication_check,
+    family2_identity,
     gauss_rule,
+    gegenbauer_gf_check,
+    jacobi_2f1_gf_check,
     norm_squared,
+    one_f_zero_reduction,
+    pochhammer_ratio_check,
     stieltjes_from_quadrature,
     symmetric_omega2_quadratic,
+    tilde_gegenbauer_identity,
 )
 
 CLASSIFICATION_LAMBDAS = [float(v) for v in np.linspace(0.56, 3.0, 20)]

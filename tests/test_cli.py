@@ -44,9 +44,8 @@ class TestVerify:
         assert report["lambda"] == 2.0
         assert report["all_passed"] is True
         names = {c["name"] for c in report["checks"]}
-        assert {"series-vs-closed", "moment-m0", "moment-m1", "moment-m2",
-                "riccati-residual-f", "riccati-residual-u", "moment-ode",
-                "pochhammer-ratio"} <= names
+        assert names == {"series-vs-closed", "moment-m0", "moment-m1", "moment-m2",
+                         "riccati-residual-f", "riccati-residual-u", "moment-ode"}
         for check in report["checks"]:
             assert check["passed"] == (check["max_residual"] <= check["tolerance"])
             assert check["points_tested"] >= 1
@@ -59,8 +58,7 @@ class TestVerify:
         report = json.loads(out.read_text())
         names = [c["name"] for c in report["checks"]]
         assert names == ["series-vs-closed", "moment-m0", "moment-m1", "moment-m2",
-                         "riccati-residual-f", "riccati-residual-u", "moment-ode",
-                         "pochhammer-ratio", "binomial-1f0"]
+                         "riccati-residual-f", "riccati-residual-u", "moment-ode"]
 
     def test_invalid_lambda_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -272,28 +270,17 @@ def test_one_closed_form_and_one_table_per_configuration(argv, configs, tmp_path
 
 
 # The configurations each identity call of a full sweep stacks: one call per
-# identity over the campaign's configurations of its family (ten
-# non-symmetric, five each of sym1 and sym2), or over its distinct lambdas
-# for the identities of lambda alone (six in the sweep, free Meixner having
-# lambda = 1, and five among the non-symmetric configurations).
+# identity over the campaign's ten non-symmetric configurations.
 IDENTITY_STACKS = {
-    "pochhammer_ratio_check": [6],
-    "one_f_zero_reduction": [6],
-    "gegenbauer_gf_check": [5],
-    "tilde_gegenbauer_identity": [5],
-    "family2_identity": [5],
     "jacobi_shift_check": [10],
-    "jacobi_2f1_gf_check": [5],
-    "two_f_one_collapse_check": [5],
     "gf3_equivalence": [10],
 }
 # psi_series_stack rows per sweep: series-vs-closed over the 23
-# configurations, then gegenbauer-gf, scaled-gegenbauer-gf,
-# shifted-parameter-gf and jacobi-2f1-gf over five each.
-SERIES_STACKS = [23, 5, 5, 5, 5]
-# eval_monic tables per sweep: each series pass above, then jacobi-shift's
+# configurations.
+SERIES_STACKS = [23]
+# eval_monic tables per sweep: the series pass above, then jacobi-shift's
 # catalog and oracle sides over the ten non-symmetric configurations.
-MONIC_STACKS = [23, 5, 5, 5, 10, 10, 5]
+MONIC_STACKS = [23, 10, 10]
 
 
 # The closed-form checks, each one call over the stack of the campaign's
@@ -303,26 +290,17 @@ STACKED_CHECKS = ((genfun, "psi_closed"), (genfun, "psi_family_moments"),
                   (riccati, "residual_moment_ode"))
 
 
-def stack_size(arg):
-    """The configurations a stacked identity call holds: the closed forms of
-    a (stack of) closed form(s), the lambdas of a 1-D sequence, None for a
-    float."""
-    if isinstance(arg, genfun.GenFunClosedForm):
-        return len(stack_families(arg))
-    return len(arg) if np.ndim(arg) == 1 else None
-
-
 def test_sweep_evaluates_each_lambda_identity_once(tmp_path, monkeypatch):
     # one stacked series pass, one call over the 23 closed forms per
-    # closed-form check, one call per identity over the configurations (or
-    # distinct lambdas) it checks, and nothing kept from one sweep to the next
+    # closed-form check, one call per identity over the configurations it
+    # checks, and nothing kept from one sweep to the next
     calls, stack_rows, closed_rows = {}, [], {}
 
     def counted(name):
         fn = getattr(identities, name)
 
         def wrapper(*args, **kwargs):
-            calls.setdefault(name, []).append(stack_size(args[0]))
+            calls.setdefault(name, []).append(len(stack_families(args[0])))
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(identities, name, wrapper)
@@ -668,14 +646,11 @@ IDENTITY_STEP_CONFIGS = [(Family.SYM1, 0.6, None, None), (Family.SYM1, 1.5, None
 
 
 @pytest.mark.parametrize("name, bad_lam, failing", [
-    # one call over the sym1 configurations
-    ("tilde_gegenbauer_identity", 1.5, [1]),
-    # one call over the distinct non-symmetric lambdas
-    ("jacobi_2f1_gf_check", 2.0, [3, 4]),
-    # one call over the stack of non-symmetric closed forms
+    # each one call over the stack of non-symmetric closed forms, which
+    # holds lambda = 2 twice and 1.5 once
+    ("jacobi_shift_check", 2.0, [3, 4]),
+    ("jacobi_shift_check", 1.5, [2]),
     ("gf3_equivalence", 1.5, [2]),
-    # one call over the campaign's distinct lambdas
-    ("pochhammer_ratio_check", 2.0, [3, 4, 5]),
 ])
 def test_identity_error_stays_with_its_configuration(name, bad_lam, failing, monkeypatch):
     # an identity that raises at one lambda makes the campaign raise that
@@ -684,8 +659,7 @@ def test_identity_error_stays_with_its_configuration(name, bad_lam, failing, mon
     identity = getattr(identities, name)
 
     def failing_identity(stack, *args):
-        lams = stack.lam if isinstance(stack, genfun.GenFunClosedForm) else stack
-        if bad_lam in np.ravel(lams):
+        if bad_lam in np.ravel(stack.lam):
             raise ParameterError(f"{name} at {bad_lam}")
         return identity(stack, *args)
 
@@ -727,8 +701,8 @@ def test_stack_only_error_gives_the_reports_of_campaigns_of_one(monkeypatch):
 
 @pytest.mark.parametrize("lam", ["1e-300", "1e-20", "0.05"])
 def test_tiny_sym1_lambda_gives_a_passing_report(lam, tmp_path):
-    # omega_1 of the Gegenbauer tables is 1 / (2 (1 + lambda)), finite and
-    # free of a 0/0 however small lambda is
+    # the sym1 table, closed form and series stay finite and free of a 0/0
+    # however small lambda is
     out = tmp_path / "tiny_lambda.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

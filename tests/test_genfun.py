@@ -605,33 +605,6 @@ class TestPsiSeriesStack:
             psi_series_stack(seq, [2.0], 0.1, [x])
         assert str(single.value) == str(stacked.value) == message
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        configs=st.lists(documented_configs(), min_size=1, max_size=5),
-        scales=st.lists(st.floats(0.1, 3.0), min_size=5, max_size=5),
-        radius=st.floats(0.01, 0.1),
-    )
-    def test_per_row_z_matches_one_call_per_configuration(self, configs, scales, radius):
-        # one row of z per configuration, as the scaled identities sum them:
-        # each row keeps its own r = max|z| and equals its own psi_series
-        zs = np.array(circle_points(radius, 8))
-        seqs = [measures.family_sequence(*c, size=genfun.SERIES_CAP) for c in configs]
-        lams = [get_closed_form(*c).lam for c in configs]
-        z_rows = np.array(scales[:len(configs)])[:, None] * zs
-        x_rows = [np.linspace(*families.support_interval(*c), 5) for c in configs]
-        stack = psi_series_stack(JacobiSzegoSequence.stack(seqs), lams, z_rows, x_rows)
-        for seq, lam, z_row, xs, stacked in zip(seqs, lams, z_rows, x_rows, stack):
-            assert_same_series(stacked, psi_series(seq, lam, z_row, xs))
-
-    def test_one_shared_z_row_equals_a_1d_z(self):
-        seqs = [get_sequence(*c) for c in SWEEP_CONFIGS[:3]]
-        rows = [[0.1, -0.2], [0.0, 0.3], [0.2, 0.4]]
-        zs = circle_points(0.05, 4)
-        stack = JacobiSzegoSequence.stack(seqs)
-        shared = psi_series_stack(stack, [0.6, 0.75, 1.5], zs, rows)
-        for one, row in zip(shared, psi_series_stack(stack, [0.6, 0.75, 1.5], [zs], rows)):
-            assert_same_series(row, one)
-
     def test_tables_of_different_lengths_are_refused(self):
         seqs = [get_sequence(Family.SYM1, 2.0, None, None),
                 measures.family_sequence(Family.SYM1, 2.0, size=50)]
@@ -744,20 +717,16 @@ class TestCertifiedTruncation:
         assert series.tail_bound <= genfun.UNIT_ROUNDOFF * sum(b[:count])
         assert tail(count - 1) > genfun.UNIT_ROUNDOFF * sum(b[:count - 1])
 
-    @pytest.mark.parametrize("per_row", [False, True], ids=["shared_r", "r_per_row"])
-    def test_stacked_rows_truncate_as_their_own_stack(self, per_row):
+    def test_stacked_rows_truncate_as_their_own_stack(self):
         # n_terms, tail_bound and value of each row of the sweep stack equal
-        # its stack of one, with one shared r and with one r per row
+        # its stack of one
         seqs = [measures.family_sequence(*c, size=genfun.SERIES_CAP) for c in SWEEP_CONFIGS]
         lams = [get_closed_form(*c).lam for c in SWEEP_CONFIGS]
         rows = [np.linspace(*families.support_interval(*c), 11) for c in SWEEP_CONFIGS]
         zs = np.array(circle_points(0.1, 8))
-        if per_row:
-            zs = np.linspace(0.5, 3.0, len(seqs))[:, None] * zs
         stack = psi_series_stack(JacobiSzegoSequence.stack(seqs), lams, zs, rows)
         for c, stacked in enumerate(stack):
-            z = zs[c] if per_row else zs
-            assert_same_series(stacked, psi_series(seqs[c], lams[c], z, rows[c]))
+            assert_same_series(stacked, psi_series(seqs[c], lams[c], zs, rows[c]))
 
     @pytest.mark.parametrize("lam", [1e-300, 0.6, 2.5, 40.0])
     def test_coefficients_are_the_ratio_recurrence(self, lam):
@@ -770,24 +739,22 @@ class TestCertifiedTruncation:
         assert coeffs[0].tolist() == expected
 
     def test_counts_follow_the_recurrence_majorant(self, tmp_path, monkeypatch):
-        # every series row of the sweep at |z| = 0.1 and 0.3, identity rows
-        # included, takes the count of the recurrence majorant M_n or one
-        # more, and is capped exactly when that rule caps it
+        # every series row of the sweep at |z| = 0.1 and 0.3 takes the count
+        # of the recurrence majorant M_n or one more, and is capped exactly
+        # when that rule caps it
         rows = []
 
         def recording(stack, lams, z, x_rows):
             results = psi_series_stack(stack, lams, z, x_rows)
-            # r = max|z| over the shared z, or over each row of a (C, Z) z
-            r = np.abs(z).max(axis=-1) if np.ndim(z) == 2 else np.abs(z).max()
             seqs = [stack.rows(c) for c in range(len(stack.alphas))]
-            rows.extend(zip(seqs, lams, np.broadcast_to(r, len(seqs)).tolist(),
+            rows.extend(zip(seqs, lams, [float(np.abs(z).max())] * len(seqs),
                             np.reshape(x_rows, (len(seqs), -1)).tolist(), results))
             return results
 
         monkeypatch.setattr(genfun, "psi_series_stack", recording)
         for zmax in ("0.1", "0.3"):
             assert cli.main(["verify", "--zmax", zmax, "--out", str(tmp_path / "r.json")]) == 0
-        assert len(rows) == 2 * 43
+        assert len(rows) == 2 * 23
         for seq, lam, r, xs, series in rows:
             count, bound = recurrence_term_count(seq, lam, xs, r, genfun.SERIES_CAP)
             assert series.n_terms in (count, count + 1)

@@ -22,38 +22,32 @@ from opgf import (
 )
 from opgf import genfun
 from opgf.families import support_interval
-from opgf.identities import (
-    HypergeometricParams,
-    _rising_table,
-    family2_identity,
-    gauss_2f1,
-    gegenbauer_gf_check,
-    gegenbauer_sequence,
-    gf3_equivalence,
-    jacobi_2f1_gf_check,
-    jacobi_sequence,
-    jacobi_shift_check,
-    one_f_zero_reduction,
-    pochhammer_ratio_check,
-    tilde_gegenbauer_identity,
-    two_f_one_collapse_check,
-)
-from opgf.families import support_interval
+from opgf.identities import gf3_equivalence, jacobi_sequence, jacobi_shift_check
 from opgf.recurrence import JacobiSzegoSequence, eval_monic
 from reference import (
     duplication_check,
+    family2_identity,
+    gauss_2f1,
+    gegenbauer_gf_check,
     gegenbauer_omega,
+    gegenbauer_sequence,
+    jacobi_2f1_gf_check,
     jacobi_alpha,
     jacobi_omega,
+    one_f_zero_reduction,
     pochhammer_over_factorial,
+    pochhammer_ratio_check,
+    rising_table,
     standardized,
     stieltjes_from_quadrature,
+    tilde_gegenbauer_identity,
+    two_f_one_collapse_check,
 )
 
 
 def pochhammer(lam: float, n: int) -> float:
     """(lam)_n from the rising-factorial table pochhammer_ratio_check reads."""
-    return float(_rising_table(lam, n)[n])
+    return float(rising_table(lam, n)[n])
 
 
 class TestPochhammer:
@@ -418,18 +412,17 @@ class TestJacobi2F1:
 class TestHypergeometric:
     def test_params_validation(self):
         with pytest.raises(DomainError):
-            HypergeometricParams(upper=(1.0, 2.0), lower=1.5, argument=1.0)
+            gauss_2f1((1.0, 2.0), 1.5, 1.0)
         with pytest.raises(ParameterError):
-            HypergeometricParams(upper=(1.0, 2.0), lower=-1.0, argument=0.3)
+            gauss_2f1((1.0, 2.0), -1.0, 0.3)
         with pytest.raises(ParameterError):
-            HypergeometricParams(upper=(1.0, 2.0), lower=0.0, argument=0.3)
+            gauss_2f1((1.0, 2.0), 0.0, 0.3)
 
     def test_series_against_scipy(self):
         for upper, lower, arg in (((0.5, 1.3), 2.1, 0.4), ((1.0, 1.0), 0.7, -0.6),
                                   ((2.5, 0.3), 1.9, 0.25)):
-            params = HypergeometricParams(upper=upper, lower=lower, argument=arg)
             expected = scipy.special.hyp2f1(upper[0], upper[1], lower, arg)
-            assert gauss_2f1(params) == pytest.approx(expected, rel=1e-12)
+            assert gauss_2f1(upper, lower, arg) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("lam", LAMBDA_SWEEP)
     def test_array_matches_mpmath(self, lam):
@@ -438,18 +431,16 @@ class TestHypergeometric:
         t = np.array([-0.15, -0.1, 0.1, 0.15])[:, None]
         w = (2.0 * (np.array([-0.4, 0.0, 0.4, 0.8]) + 1.0) * t / (1.0 + t) ** 2).ravel()
         upper, lower = (0.5 * (alf + bet + 1.0), 0.5 * (alf + bet + 2.0)), bet + 1.0
-        values = gauss_2f1(HypergeometricParams(upper=upper, lower=lower, argument=w))
+        values = gauss_2f1(upper, lower, w)
         with mpmath.workdps(40):
             exact = np.array([mpmath.hyp2f1(upper[0], upper[1], lower, float(arg))
                               for arg in w], dtype=float)
         assert np.all(np.abs(values - exact) <= 1e-14 * np.abs(exact))
 
     def test_scalar_argument_gives_a_float(self):
-        params = HypergeometricParams(upper=(0.5, 1.3), lower=2.1, argument=0.4)
-        assert type(gauss_2f1(params)) is float
+        assert type(gauss_2f1((0.5, 1.3), 2.1, 0.4)) is float
         with pytest.raises(DomainError):
-            HypergeometricParams(upper=(1.0, 2.0), lower=1.5,
-                                 argument=np.array([0.2, -1.0]))
+            gauss_2f1((1.0, 2.0), 1.5, np.array([0.2, -1.0]))
 
     def test_collapse_grid_is_one_call(self):
         ts, ys = [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
@@ -568,11 +559,6 @@ class TestTinyLambdaGegenbauer:
         assert tilde_gegenbauer_identity(lam, [0.02, 0.02j], xs).max() <= 1e-10
 
 
-def sym_rows(family, lams, count=5):
-    """count support points of each configuration of one symmetric family."""
-    return [np.linspace(*support_interval(family, lam), count) for lam in lams]
-
-
 def assert_rows_are_single_calls(stacked, singles):
     # bit for bit, shape included
     assert len(stacked) == len(singles)
@@ -624,44 +610,38 @@ class TestStackedSequences:
         assert jacobi_sequence(np.array([alf]), np.array([bet]), 3).omegas[0, 1] == expected
 
 
-class TestStackedIdentities:
-    """Every row of a mixed stack equals its own stack-of-one call."""
+class TestIdentitiesOfLambdaAlone:
+    """The bounds the identities of lambda alone keep at each lambda of a
+    mixed set, tiny and non-integer lambdas among them."""
 
     ZS = [0.1, 0.05, 0.1j, complex(-0.05, 0.05)]
 
-    def test_gegenbauer_gf(self):
-        zs, xs = [0.25, 0.1, 0.1j, complex(-0.1, 0.1)], [-1.0, -0.5, 0.0, 0.5, 1.0]
-        stacked = gegenbauer_gf_check(SYM1_STACK, zs, xs)
-        assert stacked.shape == (5, 4, 5)
-        assert_rows_are_single_calls(
-            stacked, [gegenbauer_gf_check(lam, zs, xs) for lam in SYM1_STACK])
-        # one row of x per configuration
-        rows = [np.linspace(-1.0, 1.0, 5) * (0.5 + 0.1 * c) for c in range(5)]
-        assert_rows_are_single_calls(
-            gegenbauer_gf_check(SYM1_STACK, zs, rows),
-            [gegenbauer_gf_check(lam, zs, x) for lam, x in zip(SYM1_STACK, rows)])
+    @pytest.mark.parametrize("lam", SYM1_STACK)
+    def test_gegenbauer_gfs(self, lam):
+        assert gegenbauer_gf_check(lam, [0.25, 0.1, 0.1j, complex(-0.1, 0.1)],
+                                   [-1.0, -0.5, 0.0, 0.5, 1.0]).max() <= 1e-10
+        xs = np.linspace(*support_interval(Family.SYM1, lam), 5)
+        assert tilde_gegenbauer_identity(lam, self.ZS, xs).max() <= 1e-10
 
-    def test_scaled_gegenbauer_gf(self):
-        rows = sym_rows(Family.SYM1, SYM1_STACK)
-        stacked = tilde_gegenbauer_identity(SYM1_STACK, self.ZS, rows)
-        assert stacked.shape == (5, 4, 5)
-        assert_rows_are_single_calls(stacked, [
-            tilde_gegenbauer_identity(lam, self.ZS, x) for lam, x in zip(SYM1_STACK, rows)])
-        assert stacked.max() <= 1e-10
+    @pytest.mark.parametrize("lam", SYM2_STACK)
+    def test_shifted_parameter_gf(self, lam):
+        xs = np.linspace(*support_interval(Family.SYM2, lam), 5)
+        assert family2_identity(lam, self.ZS, xs).max() <= 1e-10
 
-    def test_shifted_parameter_gf(self):
-        rows = sym_rows(Family.SYM2, SYM2_STACK)
-        stacked = family2_identity(SYM2_STACK, self.ZS, rows)
-        assert stacked.shape == (5, 4, 5)
-        assert_rows_are_single_calls(stacked, [
-            family2_identity(lam, self.ZS, x) for lam, x in zip(SYM2_STACK, rows)])
-        assert stacked.max() <= 1e-10
+    @pytest.mark.parametrize("lam", [lam for _, lam in NONSYM_STACK] + [0.75])
+    def test_jacobi_2f1_and_its_collapse(self, lam):
+        ts, ys = [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
+        assert jacobi_2f1_gf_check(lam, ts, ys).max() <= 1e-10
+        assert two_f_one_collapse_check(lam, ts, ys).max() <= 1e-10
 
-    def test_shifted_parameter_gf_refuses_any_bad_lambda(self):
-        with pytest.raises(ParameterError):
-            family2_identity([2.0, 1.0], 0.1, [[0.0], [0.0]])
-        with pytest.raises(ParameterError):
-            family2_identity([0.4, 2.0], 0.1, [[0.0], [0.0]])
+    @pytest.mark.parametrize("lam", LAMBDA_STACK)
+    def test_pochhammer_ratio_and_binomial(self, lam):
+        assert pochhammer_ratio_check(lam, np.arange(21)).max() <= 1e-12
+        assert one_f_zero_reduction(lam, [-0.5, -0.25, 0.0, 0.25, 0.5]).max() <= 1e-11
+
+
+class TestStackedIdentities:
+    """Every row of a mixed stack equals its own stack-of-one call."""
 
     def nonsym_stack(self):
         configs = [(family, lam, None, None) for family, lam in NONSYM_STACK]
@@ -687,51 +667,3 @@ class TestStackedIdentities:
         assert_rows_are_single_calls(
             stacked, [gf3_equivalence(cf, zs, x) for cf, x in zip(cfs, rows)])
         assert stacked.max() <= 1e-12
-
-    @pytest.mark.parametrize("check", [jacobi_2f1_gf_check, two_f_one_collapse_check])
-    def test_jacobi_2f1_and_its_collapse(self, check):
-        lams = [lam for _, lam in NONSYM_STACK] + [0.75]
-        ts, ys = [-0.15, -0.1, 0.1, 0.15], [-0.4, 0.0, 0.4, 0.8]
-        stacked = check(lams, ts, ys)
-        assert stacked.shape == (6, 4, 4)
-        assert_rows_are_single_calls(stacked, [check(lam, ts, ys) for lam in lams])
-        assert stacked.max() <= 1e-10
-
-    def test_pochhammer_ratio(self):
-        ns = np.arange(21)
-        stacked = pochhammer_ratio_check(LAMBDA_STACK, ns)
-        assert stacked.shape == (7, 21)
-        assert_rows_are_single_calls(
-            stacked, [pochhammer_ratio_check(lam, ns) for lam in LAMBDA_STACK])
-        assert pochhammer_ratio_check([0.6, 2.5], 4).tolist() == [
-            pochhammer_ratio_check(0.6, 4), pochhammer_ratio_check(2.5, 4)]
-        with pytest.raises(ParameterError):
-            pochhammer_ratio_check([1.0, 0.0], ns)
-
-    def test_binomial_1f0(self):
-        ys = [-0.5, -0.25, 0.0, 0.25, 0.5]
-        stacked = one_f_zero_reduction(LAMBDA_STACK, ys)
-        assert stacked.shape == (7, 5)
-        assert_rows_are_single_calls(
-            stacked, [one_f_zero_reduction(lam, ys) for lam in LAMBDA_STACK])
-        assert stacked.max() <= 1e-11
-
-    def test_stack_of_one_keeps_the_axis(self):
-        assert gegenbauer_gf_check([1.5], 0.1, 0.5).shape == (1,)
-        assert type(gegenbauer_gf_check(1.5, 0.1, 0.5)) is float
-        assert_rows_are_single_calls(two_f_one_collapse_check([1.6], 0.1, [0.2, 0.4]),
-                                     [two_f_one_collapse_check(1.6, 0.1, [0.2, 0.4])])
-
-    def test_2f1_rows_of_parameters(self):
-        # R parameter sets at once: row r equals the call with set r alone
-        lower = np.array([2.1, 0.7, 1.9])
-        args = np.array([[0.4, -0.6], [0.25, 0.1]])
-        params = HypergeometricParams(upper=(np.array([0.5, 1.0, 2.5]), 1.3),
-                                      lower=lower, argument=args)
-        values = gauss_2f1(params)
-        assert values.shape == (3, 2, 2)
-        for row, a, low in zip(values, [0.5, 1.0, 2.5], lower.tolist()):
-            single = HypergeometricParams(upper=(a, 1.3), lower=low, argument=args)
-            assert row.tobytes() == gauss_2f1(single).tobytes()
-        with pytest.raises(ParameterError):
-            HypergeometricParams(upper=(1.0, 2.0), lower=np.array([1.5, -2.0]), argument=0.3)

@@ -91,11 +91,6 @@ def arguments(owner, name, change):
     return owner, name, lambda original: lambda *args: original(*change(*args))
 
 
-def constant(owner, name, value):
-    """owner.<name> set to value."""
-    return owner, name, lambda _: value
-
-
 def scaled_from(start, factor):
     """An array's entries from index start on along the first axis, times factor."""
     def change(values):
@@ -110,13 +105,6 @@ def scaled_weight(rule):
     weights = rule.weights.copy()
     weights[..., weights.shape[-1] // 2] *= 1.0 + 1e-8
     return measures.QuadratureRule(rule.nodes, weights)
-
-
-def rising_off(symbols):
-    """A table of Pochhammer symbols whose (a)_n, n >= 1, are off by 1e-10."""
-    symbols = symbols.copy()
-    symbols[..., 1:] *= 1.0 + 1e-10
-    return symbols
 
 
 def loose_stop(original):
@@ -134,7 +122,6 @@ MUTATIONS = {
     "table-nonsym-minus-omega-from-5": [table(Family.NONSYM_MINUS, 5, omega=1.0 + 1e-6)],
     "table-free-meixner-omega-from-5": [table(Family.FREE_MEIXNER, 5, omega=1.0 + 1e-6)],
     "table-nonsym-plus-alpha1": [table(Family.NONSYM_PLUS, 1, alpha=1e-6)],
-    "gegenbauer-omega-from-5": [classical("gegenbauer_sequence", 5, omega=1.0 + 1e-6)],
     "jacobi-alpha-from-5": [classical("jacobi_sequence", 5, alpha=1e-6)],
     "closed-sym1-c2": [closed(Family.SYM1, c2=1.0 + 1e-8)],
     "closed-sym2-d2": [closed(Family.SYM2, d2=1.0 + 1e-8)],
@@ -146,9 +133,6 @@ MUTATIONS = {
     "first-stop-threshold": [(genfun, "_first_stop", loose_stop)],
     "truncation-g-halved": [arguments(genfun, "_truncation",
                                       lambda seq, lams, xs, r: (seq, lams, xs, 0.5 * r))],
-    "hypergeometric-8-terms": [constant(identities, "_HYPER_FIRST", 8),
-                               constant(identities, "_HYPER_CAP", 8)],
-    "rising-table": [results(identities, "_rising_table", rising_off)],
     "gauss-weight": [results(measures, "gauss_quadrature", scaled_weight)],
 }
 

@@ -16,8 +16,14 @@ from opgf import (
     eval_monic,
 )
 from opgf.families import support_interval
-from opgf.identities import gegenbauer_sequence, jacobi_sequence
-from reference import gauss_rule, norm_squared, standardized, stieltjes_from_quadrature
+from opgf.identities import jacobi_sequence
+from reference import (
+    gauss_rule,
+    gegenbauer_sequence,
+    norm_squared,
+    standardized,
+    stieltjes_from_quadrature,
+)
 
 
 def free_meixner_seq(a, b):
