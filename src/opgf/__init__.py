@@ -34,7 +34,6 @@ from .genfun import (
     PsiSeriesResult,
     closed_form,
     psi_analytic,
-    psi_closed,
     psi_family_moments,
     psi_series_stack,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "family_sequence",
     "gauss_quadrature",
     "closed_form",
-    "psi_closed",
     "psi_analytic",
     "psi_series_stack",
     "psi_family_moments",

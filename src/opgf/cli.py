@@ -16,7 +16,7 @@ configurations, or the one configuration of --family.  It builds one closed
 form and one coefficient table per configuration, stacks the tables once,
 and then runs the rows of _checks, one check at a time.  The closed-form
 checks are one call each for all configurations: series-vs-closed is one
-psi_series_stack pass and one psi_closed call over the stack of closed
+psi_series_stack pass and one psi_analytic call over the stack of closed
 forms, and so are the moments (one batched Gauss rule), both Riccati
 residuals and the moment ODE.  The two identities of the non-symmetric
 families are one call each over their configurations.  Nothing is kept
@@ -167,7 +167,7 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
     The tables of the runs are stacked once, here: a check over several of
     them reads their rows, over one its own table.
 
-    series-vs-closed is one psi_series_stack pass and one psi_closed call
+    series-vs-closed is one psi_series_stack pass and one psi_analytic call
     over the stack of closed forms, and the moments, both Riccati residuals
     and the moment ODE are one call each over that stack.  The two identities,
     jacobi-shift and psi-prefactor-form, are one call each over the stack of
@@ -192,7 +192,7 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
     def series(live):
         xs = [run.xs for run in live]
         values = genfun.psi_series_stack(seqs(live), [run.cf.lam for run in live], zs, xs)
-        closed = _rows(live, genfun.psi_closed(_closed_forms(live), zs, xs))
+        closed = _rows(live, genfun.psi_analytic(_closed_forms(live), zs, xs))
         return _worst(live, closed - _rows(live, [row.value for row in values]))
 
     def moments(live):

@@ -11,15 +11,14 @@ z*f(z) = 1 + c1 z + c2 z^2 and N(z) = z^lambda/u(z) = 1 + d1 z + d2 z^2 are
 quadratics for every family, so psi = N(z) / (1 + (c1 - x) z + c2 z^2)^lambda
 tends to 1 as z -> 0.
 
-Two evaluators are provided.  ``psi_closed`` is the literal product
-u(z) * exp(lambda*Log(f(z)-x)) and refuses the branch cut of either factor.
-``psi_analytic`` evaluates the equivalent factorization
+The closed side is ``psi_analytic``, the factorization
 
     N(z) / (z*f(z) - z*x)^lambda
 
-whose power argument stays near 1 for small |z|; it agrees with psi_closed
-off the negative real axis and continues the series across the cut, which is
-what moment checks at negative real z need.
+of the literal product 1 / (u(z) (f(z) - x)^lambda).  Its power argument
+stays near 1 for small |z|: it does not overflow where the product's factors
+do at large lambda, and it continues the series across the negative real z
+axis, which the moment checks at negative real z need.
 
 The series side is ``psi_series_stack``, a truncation with a proved tail
 bound, for a stack of coefficient tables at once: one array step counts
@@ -27,7 +26,7 @@ every row's terms, and one recurrence pass serves them all.  A single
 configuration is the stack of one.
 
 The closed side stacks the same way.  ``stack_closed_forms`` turns C closed
-forms into one whose fields are (C, 1) columns; psi_closed, psi_analytic,
+forms into one whose fields are (C, 1) columns; psi_analytic,
 psi_family_moments and the residuals of ``riccati`` then evaluate all C
 configurations in one call, with a leading configuration axis, and a closed
 form of its own is evaluated as the stack of one; where a check also reads
@@ -69,11 +68,9 @@ class GenFunClosedForm:
     Two quadratics carry the whole family: z f(z) = 1 + c1 z + c2 z^2
     (zf_coeffs) and N(z) = z^lambda / u(z) = 1 + d1 z + d2 z^2
     (numerator_coeffs), so psi(z, x) = N(z) / (1 + (c1 - x) z + c2 z^2)^lambda.
-    The methods take a scalar or a numpy array of z, elementwise.
-    excludes_negative_axis marks the families whose u carries the branch cut
-    of z^lambda (all but free Meixner, where lambda = 1).  A stack of C
-    closed forms (stack_closed_forms) holds every field as a (C, 1) column,
-    so the methods give a (C, Z) array at a 1-D z.
+    The methods take a scalar or a numpy array of z, elementwise.  A stack
+    of C closed forms (stack_closed_forms) holds every field as a (C, 1)
+    column, so the methods give a (C, Z) array at a 1-D z.
     """
 
     family: Family
@@ -85,7 +82,6 @@ class GenFunClosedForm:
     zf_coeffs: tuple[float, float, float]
     numerator_coeffs: tuple[float, float, float]
     domain_radius: float
-    excludes_negative_axis: bool
 
     def f(self, z):
         _, c1, c2 = self.zf_coeffs
@@ -146,7 +142,6 @@ def closed_form(family, lam=None, a=None, b=None) -> GenFunClosedForm:
         omega2=families.omega2_value(family, lam, a, b),
         zf_coeffs=(1.0, c1, c2), numerator_coeffs=(1.0, d1, d2),
         domain_radius=0.9 * min(_nearest_zero(c1, c2), _nearest_zero(d1, d2)),
-        excludes_negative_axis=family is not Family.FREE_MEIXNER,
     )
 
 
@@ -154,9 +149,9 @@ def stack_closed_forms(cfs) -> GenFunClosedForm:
     """The closed forms cfs as one stack of C configurations: every field is
     a (C, 1) column, and each coefficient tuple a tuple of columns.
 
-    psi_closed, psi_analytic, psi_family_moments and the riccati residuals
-    take a stack wherever they take a closed form and give a result with a
-    leading axis of length C whose row c is bit for bit the call with cfs[c].
+    psi_analytic, psi_family_moments and the riccati residuals take a stack
+    wherever they take a closed form and give a result with a leading axis
+    of length C whose row c is bit for bit the call with cfs[c].
     """
     cfs = list(cfs)
     columns = np.array([(cf.lam, cf.alpha1, cf.omega2, cf.domain_radius,
@@ -167,7 +162,6 @@ def stack_closed_forms(cfs) -> GenFunClosedForm:
         family=family, lam=columns[0], a=a, b=b, alpha1=columns[1], omega2=columns[2],
         zf_coeffs=tuple(columns[4:7]), numerator_coeffs=tuple(columns[7:10]),
         domain_radius=columns[3],
-        excludes_negative_axis=np.array([[cf.excludes_negative_axis] for cf in cfs]),
     )
 
 
@@ -246,7 +240,7 @@ def _finite_x_guard(x) -> tuple:
 
 
 def _grid(cf: GenFunClosedForm, z, x) -> tuple:
-    """psi_closed's layout: z as a 1-D complex axis, x as (1, X) floats,
+    """psi_analytic's layout: z as a 1-D complex axis, x as (1, X) floats,
     (C, 1, X) for a stack of C with one row of x per configuration, and the
     result's shape.
 
@@ -266,49 +260,19 @@ def as_shape(values, shape):
     return values.item() if values.ndim == 0 else values
 
 
-def psi_closed(cf: GenFunClosedForm, z, x):
-    """psi(z, x) = 1 / (u(z) * exp(lambda * Log(f(z) - x))), principal branch.
-
-    z and x are scalars or 1-D arrays laid out as in a row of
-    psi_series_stack: arrays give the (Z, X) grid, scalars a complex.  For a
-    stack of C closed forms x has one row per configuration and the result
-    a leading axis of length C.  At a non-finite x, outside the domain
-    radius, on the closed negative real z axis of a family that excludes it,
-    at z = 0, where f(z) = x and where f(z) - x is on the branch cut the call
-    raises, for the first such point in z-major order (of the first
-    configuration that has one), the error a scalar call there raises.
-    """
-    zs, xs, shape = _grid(cf, z, x)
-    zg = zs[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 raises below
-        w = cf.f(zs)[..., None] - xs
-    negative_axis = cf.excludes_negative_axis & (zs.imag == 0.0) & (zs.real <= 0.0)
-    radius, radius_error = radius_guard(cf, zs)
-    raise_first((zg, xs, w), [
-        _finite_x_guard(xs),
-        (radius[..., None], radius_error),
-        (negative_axis[..., None], lambda zk, *_: DomainError(
-            f"z = {zk} lies on the closed negative real axis, excluded for "
-            f"{_at_first(negative_axis, cf.family).value}")),
-        (zg == 0, lambda *_: DomainError("z = 0 is a pole of f")),
-        (w == 0, lambda zk, xk, _: SingularityError(
-            f"f(z) - x vanishes at z = {zk}, x = {xk}")),
-        ((w.imag == 0.0) & (w.real < 0.0), lambda zk, xk, wk: BranchCutError(
-            f"f(z) - x = {wk.real:.6g} lies on the branch cut (z = {zk}, x = {xk})",
-            z=zk, x=xk)),
-    ])
-    values = 1.0 / (cf.u(zs)[..., None] * np.exp(_lift(cf.lam) * np.log(w)))
-    return as_shape(values, shape)
-
-
 def psi_analytic(cf: GenFunClosedForm, z, x):
-    """psi via the factorization that is analytic at z = 0.
+    """psi(z, x) = N(z) / (z f(z) - z x)^lambda, N(z) = z^lambda / u(z).
 
-    Evaluates N(z) / (z f(z) - z x)^lambda with N(z) = z^lambda / u(z); the
-    power argument tends to 1 as z -> 0, so this continues the series across
-    the negative real z axis as long as z f(z) - z x stays off the
-    non-positive reals.  psi(0, x) = N(0) = 1.  z and x are laid out, stacks
-    are taken, and bad points raise, as in psi_closed.
+    The power argument tends to 1 as z -> 0, so psi(0, x) = 1, and the
+    series is continued across the negative real z axis wherever
+    z f(z) - z x stays off the non-positive reals.  z and x are scalars or
+    1-D arrays laid out as a row of psi_series_stack: arrays give the
+    (Z, X) grid, scalars a complex.  For a stack of C closed forms x has
+    one row per configuration and the result a leading axis of length C.
+    At a non-finite x, outside the domain radius, where z f(z) - z x
+    vanishes or lies on the branch cut the call raises, for the first such
+    point in z-major order (of the first configuration that has one), the
+    error a scalar call there raises.
     """
     zs, xs, shape = _grid(cf, z, x)
     zg = zs[:, None]

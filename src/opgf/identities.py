@@ -3,8 +3,8 @@
 jacobi_shift_check compares a non-symmetric family's coefficient table with
 the scaled and shifted classical monic Jacobi polynomials, and
 gf3_equivalence the rational-prefactor display of its generating function
-with the product evaluation of its psi.  Each returns residual magnitudes;
-the caller compares them against the documented tolerance.  Both read the
+with psi_analytic's value of its psi.  Each returns residuals relative to
+max(1, |reference|), for the caller's documented tolerance.  Both read the
 configuration's closed form, and jacobi_shift_check its table: an identity
 of lambda alone would certify nothing about a configuration, so those live
 among the test oracles (tests/reference.py).
@@ -101,9 +101,10 @@ def jacobi_shift_check(cf: genfun.GenFunClosedForm, seq, n_max: int, x) -> np.nd
 
 
 def gf3_equivalence(cf: genfun.GenFunClosedForm, z, x):
-    """Residual between the rational-prefactor closed form of one
-    non-symmetric family's generating function and the product evaluation
-    of its psi, on the (Z, X) grid of 1-D z and x (scalars give a scalar).
+    """|display - psi| / max(1, |psi|), scaled as jacobi_shift_check, between
+    the rational-prefactor closed form of one non-symmetric family's
+    generating function and psi_analytic's psi, on the (Z, X) grid of 1-D z
+    and x (scalars give a scalar).
     For a stack of C closed forms x has one row per configuration and the
     grid a leading axis of length C, from one psi_analytic call.
 
@@ -120,4 +121,5 @@ def gf3_equivalence(cf: genfun.GenFunClosedForm, z, x):
     ratio = lam * lam / (2.0 * lam - 1.0)
     w = 1.0 - zg * (xs - sgn / root) + ratio * zg * zg
     closed = sgn * (lam / root) * (zg + sgn * root / lam) * _principal_power(w, -lam)
-    return np.abs(genfun.as_shape(closed, shape) - genfun.psi_analytic(cf, z, x))
+    psi = genfun.psi_analytic(cf, z, x)
+    return np.abs(genfun.as_shape(closed, shape) - psi) / np.maximum(1.0, np.abs(psi))

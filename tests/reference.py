@@ -3,10 +3,12 @@
 They compute the same quantities as the package by an independent route:
 adaptive Gauss-Kronrod integration against each family's Beta density,
 normalized in log-gamma form (the package stores no density and builds its
-Gauss rules from the recurrence alone), the classical monic Gegenbauer and
-Jacobi recurrence coefficients one index at a time (the package tabulates
-them as arrays), and recurrence coefficients recovered from a Gauss rule by
-the discrete Stieltjes procedure (the package writes them in closed form).
+Gauss rules from the recurrence alone), psi's closed form as the literal
+product 1 / (u(z) (f(z) - x)^lambda) at one point (the package evaluates a
+factorization of it), the classical monic Gegenbauer and Jacobi recurrence
+coefficients one index at a time (the package tabulates them as arrays),
+and recurrence coefficients recovered from a Gauss rule by the discrete
+Stieltjes procedure (the package writes them in closed form).
 A Gauss rule is also refined in np.longdouble by Newton's method on the
 recurrence, with Christoffel weights (the package takes eigenvectors).
 
@@ -36,6 +38,7 @@ A configuration is a tuple (family, lambda, a, b), as in conftest.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from typing import Callable, Iterator
@@ -487,17 +490,15 @@ def one_f_zero_reduction(lam: float, y):
     return as_shape(residuals, ys.shape)
 
 
-def gegenbauer_sequence(lam, size: int) -> JacobiSzegoSequence:
+def gegenbauer_sequence(lam: float, size: int) -> JacobiSzegoSequence:
     """Monic Gegenbauer coefficients, weight (1-x^2)^(lam-1/2), for
-    n = 0 .. size - 1, a table for a float lam and the stack of C tables for
-    a 1-D array of C.  omega_1 = 1 / (2 (1 + lam)) is the tail formula at
+    n = 0 .. size - 1.  omega_1 = 1 / (2 (1 + lam)) is the tail formula at
     n = 1 with the factor lam cancelled, so it stays finite as lam -> 0."""
-    lam = np.asarray(lam, dtype=float)[..., None]
     n2 = np.maximum(np.arange(size, dtype=float), 2.0)
     omegas = n2 * (n2 + 2.0 * lam - 1.0) / (4.0 * (n2 + lam) * (n2 + lam - 1.0))
-    omegas[..., :1] = 1.0
-    omegas[..., 1:2] = 1.0 / (2.0 * (1.0 + lam))
-    return JacobiSzegoSequence(np.zeros(omegas.shape), omegas)
+    omegas[:1] = 1.0
+    omegas[1:2] = 1.0 / (2.0 * (1.0 + lam))
+    return JacobiSzegoSequence(np.zeros(size), omegas)
 
 
 def _series_identity(lam, seq, z, x, z_scale, x_scale, closed):
@@ -587,6 +588,14 @@ def two_f_one_collapse_check(lam: float, t, y):
         (0.5 * (alf + bet + 1.0), 0.5 * (alf + bet + 2.0)), bet + 1.0, w)
     rhs = (1.0 + tg) * (1.0 + tg * tg - 2.0 * tg * yg) ** -lam
     return as_shape(np.abs(lhs - rhs), np.shape(t) + np.shape(y))
+
+
+def psi_closed(cf, z, x: float) -> complex:
+    """psi(z, x) = 1 / (u(z) (f(z) - x)^lambda) at one point, as the literal
+    product of the closed form cf, principal branch, with no guards: the
+    route that psi_analytic's factorization replaces."""
+    z = complex(z)
+    return 1.0 / (complex(cf.u(z)) * cmath.exp(cf.lam * cmath.log(cf.f(z) - x)))
 
 
 def pochhammer_over_factorial(lam: float) -> Iterator[float]:

@@ -19,7 +19,6 @@ from opgf import (
     coefficients,
     eval_monic,
     family_sequence,
-    psi_closed,
     psi_family_moments,
     psi_series_stack,
     residual_f,
@@ -41,6 +40,7 @@ from reference import (
     norm_squared,
     one_f_zero_reduction,
     pochhammer_ratio_check,
+    psi_closed,
     stieltjes_from_quadrature,
     symmetric_omega2_quadratic,
     tilde_gegenbauer_identity,

@@ -47,10 +47,9 @@ EXITS = [0] * 15 + [2, 2]
 
 # Defs that no command enters, each with a test that calls it.
 NOT_RUN_BY_COMMANDS = {
-    "errors.BranchCutError.__init__":
-        "test_genfun.py::TestPsiClosed::test_branch_cut_reported_for_free_meixner",
-    "genfun._at_first": "test_genfun.py::TestPsiClosed::test_outside_domain",
-    "genfun.radius_guard.<locals>.error": "test_genfun.py::TestPsiClosed::test_outside_domain",
+    "errors.BranchCutError.__init__": "test_genfun.py::TestPsiAnalytic::test_branch_cut_reported",
+    "genfun._at_first": "test_genfun.py::TestPsiAnalytic::test_outside_domain",
+    "genfun.radius_guard.<locals>.error": "test_genfun.py::TestPsiAnalytic::test_outside_domain",
 }
 
 

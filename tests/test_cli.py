@@ -228,18 +228,17 @@ def test_one_array_call_per_check(family, lam, a, b, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("closed_form", "psi_closed", "psi_analytic"):
+    for name in ("closed_form", "psi_analytic"):
         counted(genfun, name)
     for name in ("residual_f", "residual_u", "residual_moment_ode"):
         counted(riccati, name)
     report = run_campaign([(family, lam, a, b)], zmax=0.1, grid=16, tol=1e-9)[0]
     assert report["all_passed"]
-    # psi-prefactor-form evaluates one more psi_analytic grid on the
-    # non-symmetric families
+    # series-vs-closed and the moments evaluate one psi_analytic grid each,
+    # and psi-prefactor-form one more on the non-symmetric families
     extra = 1 if family.nonsymmetric else 0
     assert calls["closed_form"] == 1
-    assert calls["psi_closed"] == 1
-    assert calls["psi_analytic"] == 1 + extra
+    assert calls["psi_analytic"] == 2 + extra
     assert calls["residual_moment_ode"] == 1
     assert calls["residual_f"] <= 2
     assert calls["residual_u"] <= 2
@@ -284,10 +283,13 @@ MONIC_STACKS = [23, 10, 10]
 
 
 # The closed-form checks, each one call over the stack of the campaign's
-# closed forms.
-STACKED_CHECKS = ((genfun, "psi_closed"), (genfun, "psi_family_moments"),
+# closed forms.  psi_analytic serves series-vs-closed, then the moments
+# inside psi_family_moments, then psi-prefactor-form over the ten
+# non-symmetric configurations.
+STACKED_CHECKS = ((genfun, "psi_analytic"), (genfun, "psi_family_moments"),
                   (riccati, "residual_f"), (riccati, "residual_u"),
                   (riccati, "residual_moment_ode"))
+CLOSED_ROWS = {name: [23] for _, name in STACKED_CHECKS} | {"psi_analytic": [23, 23, 10]}
 
 
 def test_sweep_evaluates_each_lambda_identity_once(tmp_path, monkeypatch):
@@ -343,7 +345,7 @@ def test_sweep_evaluates_each_lambda_identity_once(tmp_path, monkeypatch):
         assert calls == IDENTITY_STACKS
         assert stack_rows == SERIES_STACKS
         assert monic_rows == MONIC_STACKS
-        assert closed_rows == {name: [23] for _, name in STACKED_CHECKS}
+        assert closed_rows == CLOSED_ROWS
 
 
 def test_sweep_reports_equal_single_family_reports(tmp_path):

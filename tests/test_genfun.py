@@ -22,7 +22,6 @@ from opgf import (
     closed_form,
     eval_monic,
     psi_analytic,
-    psi_closed,
     psi_family_moments,
     psi_series_stack,
 )
@@ -31,6 +30,7 @@ from reference import (
     gauss_rule,
     growth_factors,
     pochhammer_over_factorial,
+    psi_closed,
     recurrence_term_count,
     stieltjes_from_quadrature,
 )
@@ -83,7 +83,7 @@ class TestClosedForm:
         assert cf.f(0.1) == pytest.approx(10.1)
         assert cf.u(0.1) == pytest.approx(0.1)
         for x in (-1.5, 0.0, 1.0):
-            assert psi_closed(cf, 0.1, x) == pytest.approx(
+            assert psi_analytic(cf, 0.1, x) == pytest.approx(
                 1.0 / (1.0 - 0.1 * x + 0.01), rel=1e-14
             )
 
@@ -233,64 +233,8 @@ class TestClosedFormData:
         assert np.abs(numeric - cf.u_log_deriv(zs)).max() <= 1e-6 * np.abs(numeric).max()
 
 
-class TestPsiClosed:
-    def test_tends_to_one(self):
-        for config in IDENTITY_SWEEP[:8]:
-            cf = get_closed_form(*config)
-            v5, v6 = psi_closed(cf, 1e-5, 0.3), psi_closed(cf, 1e-6, 0.3)
-            extrapolated = (1e-5 * v6 - 1e-6 * v5) / (1e-5 - 1e-6)
-            assert abs(extrapolated - 1.0) <= 1e-8
-
-    def test_sym1_example(self):
-        cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        assert psi_closed(cf, 0.1, 0.0) == pytest.approx(
-            1.0 / 1.015**2, rel=1e-13
-        )
-
-    def test_free_meixner_example(self):
-        cf = get_closed_form(Family.FREE_MEIXNER, None, 0.0, 0.0)
-        assert psi_closed(cf, 0.1, 1.0) == pytest.approx(1.0 / 0.91, rel=1e-13)
-
-    def test_outside_domain(self):
-        cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        with pytest.raises(DomainError):
-            psi_closed(cf, 0.9, 0.0)
-
-    def test_negative_axis_excluded_for_power_families(self):
-        cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        assert cf.excludes_negative_axis
-        with pytest.raises(DomainError):
-            psi_closed(cf, -0.05, 0.0)
-
-    def test_branch_cut_reported_for_free_meixner(self):
-        # u is rational here, so negative real z reaches the power's cut.
-        cf = get_closed_form(Family.FREE_MEIXNER, None, 0.0, 0.0)
-        assert not cf.excludes_negative_axis
-        with pytest.raises(BranchCutError) as excinfo:
-            psi_closed(cf, -0.1, 0.5)
-        assert excinfo.value.z == pytest.approx(-0.1)
-        assert excinfo.value.x == pytest.approx(0.5)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        angle=st.floats(0.05, 3.0),
-        radius=st.floats(0.01, 0.1),
-        xfrac=st.floats(0.05, 0.95),
-        config=st.sampled_from(IDENTITY_SWEEP),
-    )
-    def test_conjugate_symmetry(self, angle, radius, xfrac, config):
-        cf = get_closed_form(*config)
-        lo, hi = families.support_interval(*config)
-        x = lo + xfrac * (hi - lo)
-        z = radius * cmath.exp(1j * angle)
-        for fn in (psi_closed, psi_analytic):
-            left = fn(cf, z.conjugate(), x)
-            right = fn(cf, z, x).conjugate()
-            assert left == pytest.approx(right, rel=1e-14, abs=1e-15)
-
-
 class TestGridClosedForms:
-    @pytest.mark.parametrize("fn", [psi_closed, psi_analytic])
+    @pytest.mark.parametrize("fn", [psi_analytic])
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_grid_matches_pointwise(self, config, fn):
         # one grid call against one scalar call per (z, x) pair
@@ -308,17 +252,16 @@ class TestGridClosedForms:
     def test_mixed_scalar_and_grid_axes(self):
         cf = get_closed_form(Family.SYM2, 1.5, None, None)
         zs, xs = circle_points(0.1, 4), [-1.0, 0.5]
-        for fn in (psi_closed, psi_analytic):
-            grid = fn(cf, zs, xs)
-            assert fn(cf, zs[1], xs).tolist() == grid[1].tolist()
-            assert fn(cf, zs, xs[0]).tolist() == grid[:, 0].tolist()
+        grid = psi_analytic(cf, zs, xs)
+        assert psi_analytic(cf, zs[1], xs).tolist() == grid[1].tolist()
+        assert psi_analytic(cf, zs, xs[0]).tolist() == grid[:, 0].tolist()
 
     def test_analytic_is_one_at_zero_in_a_grid(self):
         cf = get_closed_form(Family.NONSYM_PLUS, 0.6, None, None)
         grid = psi_analytic(cf, [0.0, -0.05], [0.0, 1.0])
         assert grid[0].tolist() == [1.0, 1.0]
 
-    @pytest.mark.parametrize("fn", [psi_closed, psi_analytic])
+    @pytest.mark.parametrize("fn", [psi_analytic])
     @pytest.mark.parametrize("zs, xs, named", [
         (0.1, math.nan, "nan"),
         (0.1, math.inf, "inf"),
@@ -337,18 +280,18 @@ class TestGridClosedForms:
         assert str(series_error.value) == str(excinfo.value)
 
     @pytest.mark.parametrize("fn, config, zs, xs", [
-        # an excluded negative-axis point before an out-of-radius one
-        (psi_closed, (Family.SYM1, 2.0, None, None), [0.05j, -0.05, 0.9], [0.0, 1.0]),
-        # out of radius before the negative axis
-        (psi_closed, (Family.SYM1, 2.0, None, None), [0.05, 0.9, -0.05], [0.0, 1.0]),
-        # z = 0 is a pole of f where the negative axis is allowed
-        (psi_closed, (Family.FREE_MEIXNER, None, 0.0, 0.0), [0.05, 0.0, 0.95], [0.0]),
-        # branch cut at the second x of the second z, before a radius error
-        (psi_closed, (Family.FREE_MEIXNER, None, 0.0, 0.0), [0.05, -0.1, 0.95],
-         [0.5, 0.0]),
-        # f(0.5) = 2.5 exactly
-        (psi_closed, (Family.FREE_MEIXNER, None, 0.0, 0.0), [0.05, 0.5, -0.1],
-         [0.0, 2.5]),
+        # at z = 0.5, 1 - 3z + 1.5 z^2 = -0.125 and 1 - 2.75 z + 1.5 z^2 = 0
+        # exactly: the first bad x raises, whichever guard it meets
+        (psi_analytic, (Family.SYM1, 2.0, None, None), [0.05, 0.5], [3.0, 2.75]),
+        (psi_analytic, (Family.SYM1, 2.0, None, None), [0.05, 0.5], [2.75, 3.0]),
+        # 1 + 3z + 1.5 z^2 = -0.125 at z = -0.5: a branch cut on the negative
+        # axis, before a radius error
+        (psi_analytic, (Family.SYM1, 2.0, None, None), [0.05, -0.5, 0.9], [0.0, -3.0]),
+        # psi(0, x) = 1, and the radius error comes first
+        (psi_analytic, (Family.FREE_MEIXNER, None, 0.0, 0.0), [0.05, 0.0, 0.95], [0.0]),
+        # out of radius before a later z's branch cut
+        (psi_analytic, (Family.FREE_MEIXNER, None, 0.0, 0.0), [0.05, 0.95, 0.5],
+         [0.0, 3.0]),
         # a (z, x) error at the last x of a z precedes the next z's radius error
         (psi_analytic, (Family.FREE_MEIXNER, None, 0.0, 0.0), [0.5, 0.95], [0.0, 3.0]),
         # 1 - 2.5 z + z^2 vanishes at z = 0.5
@@ -367,8 +310,55 @@ class TestGridClosedForms:
 
 
 class TestPsiAnalytic:
+    def test_tends_to_one(self):
+        for config in IDENTITY_SWEEP[:8]:
+            cf = get_closed_form(*config)
+            v5, v6 = psi_analytic(cf, 1e-5, 0.3), psi_analytic(cf, 1e-6, 0.3)
+            extrapolated = (1e-5 * v6 - 1e-6 * v5) / (1e-5 - 1e-6)
+            assert abs(extrapolated - 1.0) <= 1e-8
+
+    def test_sym1_example(self):
+        cf = get_closed_form(Family.SYM1, 2.0, None, None)
+        assert psi_analytic(cf, 0.1, 0.0) == pytest.approx(
+            1.0 / 1.015**2, rel=1e-13
+        )
+
+    def test_free_meixner_example(self):
+        cf = get_closed_form(Family.FREE_MEIXNER, None, 0.0, 0.0)
+        assert psi_analytic(cf, 0.1, 1.0) == pytest.approx(1.0 / 0.91, rel=1e-13)
+
+    def test_outside_domain(self):
+        cf = get_closed_form(Family.SYM1, 2.0, None, None)
+        with pytest.raises(DomainError):
+            psi_analytic(cf, 0.9, 0.0)
+
+    def test_branch_cut_reported(self):
+        # 1 - 3z + z^2 = -0.25 at z = 0.5: the power's cut, inside the radius
+        cf = get_closed_form(Family.FREE_MEIXNER, None, 0.0, 0.0)
+        with pytest.raises(BranchCutError) as excinfo:
+            psi_analytic(cf, 0.5, 3.0)
+        assert excinfo.value.z == pytest.approx(0.5)
+        assert excinfo.value.x == pytest.approx(3.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        angle=st.floats(0.05, 3.0),
+        radius=st.floats(0.01, 0.1),
+        xfrac=st.floats(0.05, 0.95),
+        config=st.sampled_from(IDENTITY_SWEEP),
+    )
+    def test_conjugate_symmetry(self, angle, radius, xfrac, config):
+        cf = get_closed_form(*config)
+        lo, hi = families.support_interval(*config)
+        x = lo + xfrac * (hi - lo)
+        z = radius * cmath.exp(1j * angle)
+        left = psi_analytic(cf, z.conjugate(), x)
+        right = psi_analytic(cf, z, x).conjugate()
+        assert left == pytest.approx(right, rel=1e-14, abs=1e-15)
+
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_matches_psi_closed_off_axis(self, config):
+        # the factorization against the literal product of the oracle
         cf = get_closed_form(*config)
         lo, hi = families.support_interval(*config)
         for z in circle_points(0.1, 8):
@@ -858,7 +848,7 @@ def stacked_checks(cf, seqs, zmax, xs_rows):
     ode_z = np.array([s * zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
     coeffs = riccati.coefficients(cf.lam, cf.alpha1, cf.omega2)
     return {
-        "psi_closed": [psi_closed(cf, circle_points(zmax, 8), xs_rows)],
+        "psi_analytic": [psi_analytic(cf, circle_points(zmax, 8), xs_rows)],
         "psi_family_moments": list(psi_family_moments(seqs, cf, z_real)),
         "residual_f": [riccati.residual_f(cf, coeffs, z_circles)],
         "residual_u": [riccati.residual_u(cf, z_circles)],
@@ -914,7 +904,7 @@ class TestStackedClosedForms:
         assert stack.family[:, 0].tolist() == [cf.family for cf in cfs]
         assert stack.f(np.array([0.1, 0.05j])).shape == (3, 2)
 
-    @pytest.mark.parametrize("fn", ["psi_closed", "psi_analytic", "residual_f",
+    @pytest.mark.parametrize("fn", ["psi_analytic", "residual_f",
                                     "residual_u", "psi_family_moments"])
     def test_error_is_the_first_failing_configurations(self, fn):
         # z = 0.3 lies inside sym1's radius and outside free Meixner's at
@@ -926,7 +916,6 @@ class TestStackedClosedForms:
         seqs = [get_sequence(*c) for c in configs]
         z = [0.1, 0.3]
         calls = {
-            "psi_closed": lambda cf, tables, rows: psi_closed(cf, z, rows),
             "psi_analytic": lambda cf, tables, rows: psi_analytic(cf, z, rows),
             "residual_f": lambda cf, tables, rows: riccati.residual_f(
                 cf, riccati.coefficients(cf.lam, cf.alpha1, cf.omega2), z),
@@ -943,19 +932,6 @@ class TestStackedClosedForms:
             call(genfun.stack_closed_forms(cfs), JacobiSzegoSequence.stack(seqs), [[0.0]] * 3)
         assert str(stacked.value) == str(own.value)
         assert "free-meixner" in str(own.value)
-
-    def test_negative_axis_error_names_the_excluding_family(self):
-        # free Meixner allows the negative axis, and at x = -30 its f(z) - x
-        # stays off the branch cut; sym2 excludes the axis
-        cfs = [get_closed_form(Family.FREE_MEIXNER, None, 0.0, 0.0),
-               get_closed_form(Family.SYM2, 1.5, None, None)]
-        psi_closed(cfs[0], -0.05, -30.0)
-        with pytest.raises(DomainError) as own:
-            psi_closed(cfs[1], -0.05, 0.0)
-        with pytest.raises(DomainError) as stacked:
-            psi_closed(genfun.stack_closed_forms(cfs), -0.05, [-30.0, 0.0])
-        assert str(stacked.value) == str(own.value)
-        assert str(own.value).endswith("excluded for sym2")
 
     def test_refuses_mismatched_tables(self):
         configs = [(Family.SYM1, 2.0, None, None), (Family.FREE_MEIXNER, None, 0.0, -1.0)]

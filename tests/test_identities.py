@@ -18,7 +18,6 @@ from opgf import (
     closed_form,
     family_sequence,
     psi_analytic,
-    psi_closed,
 )
 from opgf import genfun
 from opgf.families import support_interval
@@ -37,6 +36,7 @@ from reference import (
     one_f_zero_reduction,
     pochhammer_over_factorial,
     pochhammer_ratio_check,
+    psi_closed,
     rising_table,
     standardized,
     stieltjes_from_quadrature,
@@ -577,17 +577,6 @@ LAMBDA_STACK = [1e-300, 0.05, 0.5, 0.51, 1.0, 2.5, 7.3]
 
 class TestStackedSequences:
     LAMS = np.array(LAMBDA_SWEEP + (0.51, 0.9411396126919265, 20.0, 1e6))
-
-    def test_gegenbauer_stack_rows_are_the_tables_of_each_lambda(self):
-        # the parameters of the two symmetric identities: lambda (sym1, at any
-        # lambda > 0) and lambda - 1 (sym2, lambda > 1/2)
-        for lams in (np.concatenate([self.LAMS, [1e-300, 0.05]]), self.LAMS - 1.0):
-            stack = gegenbauer_sequence(lams, 200)
-            assert stack.omegas.shape == (lams.size, 200)
-            for c, lam in enumerate(lams.tolist()):
-                own = gegenbauer_sequence(lam, 200)
-                assert np.array_equal(stack.alphas[c], own.alphas)
-                assert np.array_equal(stack.omegas[c], own.omegas)
 
     def test_jacobi_stack_rows_are_the_tables_of_each_pair(self):
         for alf, bet in ((self.LAMS - 0.5, self.LAMS - 1.5), (self.LAMS - 1.5, self.LAMS - 0.5)):

@@ -127,7 +127,7 @@ MUTATIONS = {
     "closed-sym2-d2": [closed(Family.SYM2, d2=1.0 + 1e-8)],
     "closed-free-meixner-omega2": [closed(Family.FREE_MEIXNER, omega2=1.0 + 1e-8)],
     "closed-nonsym-plus-d1": [closed(Family.NONSYM_PLUS, d1=1.0 + 1e-8)],
-    "psi-closed-value": [results(genfun, "psi_closed", lambda psi: psi * (1.0 + 1e-8))],
+    "psi-analytic-value": [results(genfun, "psi_analytic", lambda psi: psi * (1.0 + 1e-8))],
     "eval-monic-from-degree-5": [results(genfun, "eval_monic",
                                          scaled_from(5, 1.0 + 1e-6))],
     "first-stop-threshold": [(genfun, "_first_stop", loose_stop)],
