@@ -18,12 +18,13 @@ Each family is a standardized (mean-0, variance-1) compactly supported law:
 A law is represented by its Jacobi-Szego coefficient table (family_sequence)
 alone, and gauss_quadrature is the one route from a table, or a stack of
 them, to Gauss rules (Golub and Welsch, 1969).  Above DENSE_EIGH_MAX_ORDER
-nodes the table picks the solver: a symmetric table's rule comes from a
-matrix of half its order, a table constant from alpha_1 and omega_2 on (free
-Meixner at a != 0) has its rule in closed form, in O(n), and any other table
-takes LAPACK's eigenvectors, or from NEWTON_RULE_MIN_ORDER nodes on its
-eigenvalues, one Newton step and Christoffel weights (nonsym+-, and free
-Meixner past the closed form's ratio guard), if that rule passes a moment
+nodes the table picks the solver: a table constant from alpha_1 and omega_2
+on (free Meixner at a != 0) has its rule in closed form, in O(n), a
+symmetric table's rule comes from a matrix of half its order, and any other
+table's from LAPACK's eigenvectors.  Where that eigenvector matrix would
+have NEWTON_RULE_MIN_ORDER rows (699 nodes for a symmetric table), and for
+free Meixner past the closed form's ratio guard, the eigenvalues alone, one
+Newton step and Christoffel weights give the rule if it passes a moment
 check.  On every route an extreme weight below the smallest double is 0.
 No density or normalization constant is stored: the rule needs only the
 recurrence, so it exists wherever the table is finite.
@@ -273,8 +274,9 @@ def _closed_form_table(alphas, omegas):
                 and omegas[2] <= CLOSED_FORM_MAX_OMEGA_RATIO * omegas[1])
 
 
-# Lowest order at which a table with some alpha != 0 and no closed form tries
-# _newton_rule before eigh_tridiagonal: below it LAPACK's eigenvectors are the
+# Lowest order of the eigenvector matrix LAPACK would compute (the Gauss order,
+# or ceil(order / 2) for a table with every alpha 0) at which a table with no
+# closed form tries _newton_rule first: below it LAPACK's eigenvectors are the
 # faster route (crossover 320-360 nodes on nonsym-plus, one BLAS thread).
 NEWTON_RULE_MIN_ORDER = 350
 # _newton_rule accepts its rule when the sums of w, w x and w x^2 match omega_0
@@ -286,6 +288,42 @@ NEWTON_RULE_MOMENT_TOL = 1e-10
 # grow by 2^31 a degree to overflow in between, and then the rule fails its
 # moment check.
 RESCALE_DEGREES = 16
+
+
+def _half_size_matrix(omegas):
+    """(root, k, diag, offdiag) of a table with every alpha 0, whose Jacobi
+    matrix permutes (even/odd) to [[0, B], [B^T, 0]], B bidiagonal (Golub and
+    Kahan, 1965): T = B B^T / 4^k, of order ceil(n / 2), has the diagonal
+    w_{2i} + w_{2i+1} and the off-diagonal root_{2i+1} root_{2i+2}, with w =
+    (0, omega_1 .. omega_{n-1}, 0[, 0]) / 4^k and root = sqrt(w); 4^k keeps T
+    from overflowing, and row i of B^T is root_{2i+1} e_i + root_{2i+2} e_{i+1}."""
+    odd, k = omegas.size % 2, np.frexp(omegas.max())[1] // 2
+    w = np.ldexp(np.concatenate(([0.0], omegas[1:], [0.0] * (1 + odd))), -2 * k)
+    root = np.sqrt(w)
+    return root, k, w[0:-1:2] + w[1::2], root[1:-2:2] * root[2:-1:2]
+
+
+def _half_size_rule(omegas):
+    """Gauss rule of a table with every alpha 0 from the eigenvectors of T
+    (_half_size_matrix): each eigenpair (theta, u) gives the nodes +-2^k
+    ||B^T u|| (sqrt(theta) loses the small ones) of weight u_0^2 / 2, and an
+    odd order's zero mode the node 0.0 of weight u_0^2.  B^T u is formed in
+    place, 64 rows at a time, so u is the one matrix of T's order."""
+    odd = omegas.size % 2
+    root, k, diag, offdiag = _half_size_matrix(omegas)
+    u = _eigh(diag, offdiag)[1]
+    first = u[0] ** 2
+    # row r of B^T u is a_r u_r + b_r u_{r+1} (u_m = 0): a block reads the
+    # first row of the next one before that is overwritten
+    a, b = root[1::2, None], root[2:-1:2, None]
+    for start in range(0, u.shape[0], 64):
+        below = b[start:start + 64] * u[start + 1:start + 65]
+        u[start:start + 64] *= a[start:start + 64]
+        u[start:start + below.shape[0]] += below
+    u *= u
+    sigma, half = np.ldexp(np.sqrt(np.add.reduce(u, axis=0))[odd:], k), first[odd:] / 2
+    return (np.concatenate((-sigma[::-1], [0.0] * odd, sigma)),
+            np.concatenate((half[::-1], first[:odd], half)))
 
 
 def _newton_rule(alphas, omegas):
@@ -301,11 +339,20 @@ def _newton_rule(alphas, omegas):
     the degrees.  Every RESCALE_DEGREES degrees a node's p, p', S and T are
     divided by a power of 2 that brings max(|p|, |p'|) below 1, so the extreme
     nodes get their Newton step too, and a weight below the smallest double
-    underflows to 0 with no overflow on the way."""
+    underflows to 0 with no overflow on the way.  A table with every alpha 0
+    passes over its nodes >= 0 alone, 2^k sqrt(theta) from the eigenvalues of
+    its half-size matrix (_half_size_matrix) and an odd order's node 0.0,
+    which the Newton step keeps, and the rule is mirrored."""
     import scipy.linalg
 
     offdiag = np.sqrt(omegas[1:])
-    x = scipy.linalg.eigvalsh_tridiagonal(alphas, offdiag)
+    symmetric, odd = not alphas.any(), alphas.size % 2
+    if symmetric:
+        _, power, diag, half_offdiag = _half_size_matrix(omegas)
+        theta = scipy.linalg.eigvalsh_tridiagonal(diag, half_offdiag)
+        x = np.concatenate(([0.0] * odd, np.ldexp(np.sqrt(theta[odd:]), power)))
+    else:
+        x = scipy.linalg.eigvalsh_tridiagonal(alphas, offdiag)
     # b_j with b_0 = 0, and 1 / b_{j+1} with 1 for b_n, as q = b_n p_n
     root, inverse = [0.0, *offdiag.tolist()], [*(1.0 / offdiag).tolist(), 1.0]
     # rows (p_j, p_j') in cur, (p_{j-1}, p_{j-1}') in prev, and (S, T) in sums
@@ -328,6 +375,9 @@ def _newton_rule(alphas, omegas):
         step = q / dq
         nodes = x - step
         weights = np.ldexp((1.0 + 2.0 * step * t / s) / s, -2 * exponent)
+        if symmetric:
+            nodes = np.concatenate((-nodes[odd:][::-1], nodes))
+            weights = np.concatenate((weights[odd:][::-1], weights))
         powers = np.vander(nodes, 3, increasing=True)
         moments, absolute = powers.T @ weights, np.abs(powers).T @ weights
     exact = [1.0, alphas[0], alphas[0] ** 2 + omegas[1]]
@@ -339,33 +389,29 @@ def _newton_rule(alphas, omegas):
 def _rule(alphas, omegas):
     """Nodes and weights of Jacobi matrices: a stack up to DENSE_EIGH_MAX_ORDER,
     one table above it.  There a constant-tail table (_closed_form_table) has
-    its rule in closed form (_constant_tail_rule), and a table with every
-    alpha 0 permutes (even/odd) to [[0, B], [B^T, 0]], B bidiagonal (Golub and
-    Kahan, 1965); each eigenpair (theta, u) of T = B B^T / 4^k, of order
-    ceil(order / 2), gives the nodes +-2^k ||B^T u|| (sqrt(theta) loses the
-    small ones) of weight u_0^2 / 2, and an odd order's zero mode the node 0.0
-    of weight u_0^2.  Any other table takes eigh_tridiagonal's eigenvectors,
-    but from NEWTON_RULE_MIN_ORDER on it tries _newton_rule first, and only a
-    rule that fails its moment check (a table with atoms) falls back."""
+    its rule in closed form (_constant_tail_rule).  A table whose eigenvector
+    matrix (of the Gauss order, or ceil(order / 2) for a table with every
+    alpha 0) has at least NEWTON_RULE_MIN_ORDER rows, so a symmetric one from
+    order 699, tries _newton_rule first, and so does a table with some alpha
+    != 0 whose omega_2 exceeds CLOSED_FORM_MAX_OMEGA_RATIO omega_1, where
+    LAPACK's weights are wrong (free Meixner at a = 0.5, b = 1e300 reads sum
+    w x^2 = 3 for 1).  Otherwise, or when that rule fails its moment check (a
+    table with atoms), a table with every alpha 0 takes _half_size_rule, and
+    any other eigh_tridiagonal's eigenvectors."""
     order = alphas.shape[-1]
     if order > DENSE_EIGH_MAX_ORDER and _closed_form_table(alphas, omegas):
         return _constant_tail_rule(alphas[0], alphas[1], omegas[1], omegas[2], order)
-    if order >= NEWTON_RULE_MIN_ORDER and alphas.any():
+    symmetric = not alphas.any()
+    rows = (order + 1) // 2 if symmetric else order
+    if rows >= NEWTON_RULE_MIN_ORDER or (order > DENSE_EIGH_MAX_ORDER and not symmetric and
+                                         omegas[2] > CLOSED_FORM_MAX_OMEGA_RATIO * omegas[1]):
         rule = _newton_rule(alphas, omegas)
         if rule is not None:
             return rule
-    if order <= DENSE_EIGH_MAX_ORDER or alphas.any():
+    if order <= DENSE_EIGH_MAX_ORDER or not symmetric:
         nodes, vectors = _eigh(alphas, np.sqrt(omegas[..., 1:]))
         return nodes, vectors[..., 0, :] ** 2
-    odd, k = order % 2, np.frexp(omegas.max())[1] // 2  # w = omega / 4^k: T cannot overflow
-    w = np.ldexp(np.concatenate(([0.0], omegas[1:], [0.0] * (1 + odd))), -2 * k)
-    root = np.sqrt(w)
-    u = _eigh(w[0:-1:2] + w[1::2], root[1:-2:2] * root[2:-1:2])[1]
-    v = np.vstack((u, np.zeros_like(u[0])))  # u_m = 0
-    sigma = np.linalg.norm(root[1::2, None] * v[:-1] + root[2::2, None] * v[1:], axis=0)
-    sigma, half = np.ldexp(sigma[odd:], k), u[0, odd:] ** 2 / 2
-    return (np.concatenate((-sigma[::-1], [0.0] * odd, sigma)),
-            np.concatenate((half[::-1], u[0, :odd] ** 2, half)))
+    return _half_size_rule(omegas)
 
 
 def gauss_quadrature(seq: JacobiSzegoSequence, order: int) -> QuadratureRule:
@@ -376,10 +422,12 @@ def gauss_quadrature(seq: JacobiSzegoSequence, order: int) -> QuadratureRule:
     weights are the squared first components of the normalized eigenvectors
     (total mass omega_0 = 1).  Up to DENSE_EIGH_MAX_ORDER one batched dense
     eigh serves every row, bit for bit each row's own rule; larger orders
-    solve row by row, a row with every alpha 0 from a matrix of half the
-    order, a constant-tail row in closed form, and from NEWTON_RULE_MIN_ORDER
-    on any other row from its eigenvalues and Christoffel weights unless that
-    rule fails its moment check (see _rule).  On every route an extreme
+    solve row by row: a constant-tail row in closed form, a row with every
+    alpha 0 from a matrix of half the order, any other from LAPACK's
+    eigenvectors, and a row whose eigenvector matrix would have
+    NEWTON_RULE_MIN_ORDER rows, or past the closed form's ratio guard, from
+    its eigenvalues and Christoffel weights unless that rule fails its
+    moment check (see _rule).  On every route an extreme
     weight below the smallest double is 0.  order must lie in 1 .. N; a
     non-finite coefficient among the first `order`, or an omega <= 0, raises
     the error of the first row that has one before either solver runs.

@@ -19,8 +19,9 @@ TESTS = Path(__file__).resolve().parent
 # both sides of lambda = 1 and below 1/2, a dense and a tridiagonal Gauss
 # export and a symmetric one past the dense order, a non-symmetric export at
 # the Newton rule's order and one with atoms above it, which falls back to
-# the tridiagonal solver, two inputs that exit 2 and one unwritable output
-# that exits 3.
+# the tridiagonal solver, a symmetric export at the Newton rule's order, one
+# past the closed form's ratio guard below that order, two inputs that exit 2
+# and one unwritable output that exits 3.
 COMMANDS = [
     ["verify"],
     ["verify", "--family", "sym1", "--lambda", "2"],
@@ -40,10 +41,14 @@ COMMANDS = [
      "--order", str(NEWTON_RULE_MIN_ORDER)],
     ["quadrature", "--family", "free-meixner", "--a", "1e5", "--b", "1e9",
      "--order", "400"],
+    ["quadrature", "--family", "sym2", "--lambda", "2",
+     "--order", str(2 * NEWTON_RULE_MIN_ORDER - 1)],
+    ["quadrature", "--family", "free-meixner", "--a", "0.5", "--b", "1e300",
+     "--order", "100"],
     ["verify", "--family", "sym2", "--lambda", "0.4"],
     ["quadrature", "--family", "sym1", "--lambda", "1e200", "--order", "24"],
 ]
-EXITS = [0] * 15 + [2, 2]
+EXITS = [0] * 17 + [2, 2]
 
 # Defs that no command enters, each with a test that calls it.
 NOT_RUN_BY_COMMANDS = {

@@ -2,6 +2,7 @@
 and the Beta density oracle of tests/reference.py with its normalization."""
 import math
 import warnings
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -407,11 +408,39 @@ SYMMETRIC_CONFIGS = (
     (Family.FREE_MEIXNER, None, -0.0, 0.0),
 )
 SYMMETRIC_ORDERS = list(range(DENSE_EIGH_MAX_ORDER + 1, 65)) + [101, 999, 1000]
+# the first order whose half-size matrix has NEWTON_RULE_MIN_ORDER rows
+SYMMETRIC_NEWTON_MIN_ORDER = 2 * NEWTON_RULE_MIN_ORDER - 1
+SYMMETRIC_NEWTON_ORDERS = [SYMMETRIC_NEWTON_MIN_ORDER, 999, 1000]
+
+
+@lru_cache(maxsize=None)
+def symmetric_reference(config, order):
+    """newton_gauss_rule from the nodes >= 0 of a symmetric table's rule: the
+    rule is exactly antisymmetric, so this half is all of it."""
+    seq = family_sequence(*config, size=order + 1)
+    return newton_gauss_rule(seq, order, gauss_quadrature(seq, order).nodes[order // 2:])
+
+
+def assert_no_worse(nodes, weights, rival_nodes, rival_weights, reference):
+    """Nodes no worse than the rival's against the long-double reference, or
+    within one ulp of max|x|; weights of at least 1e-7 no worse, or within
+    1.5e-11 relative."""
+    ref_nodes, ref_weights = reference
+    scale = float(np.abs(ref_nodes).max())
+    assert float(np.abs(nodes - ref_nodes).max()) <= max(
+        float(np.abs(rival_nodes - ref_nodes).max()), float(np.spacing(scale)))
+    big = ref_weights >= 1e-7
+
+    def error(w):
+        return float(np.abs(w[big] / ref_weights[big] - 1.0).max())
+
+    assert error(weights) <= max(error(rival_weights), 1.5e-11)
 
 
 class TestSymmetricRules:
     """Above DENSE_EIGH_MAX_ORDER a table with every alpha_n = 0 takes its
-    rule from the half-size matrix B B^T."""
+    rule from the half-size matrix B B^T: from its eigenvectors, and from its
+    eigenvalues and the Newton rule once it has NEWTON_RULE_MIN_ORDER rows."""
 
     @pytest.mark.parametrize("order", SYMMETRIC_ORDERS)
     @pytest.mark.parametrize("config", SYMMETRIC_CONFIGS)
@@ -432,13 +461,59 @@ class TestSymmetricRules:
     @pytest.mark.parametrize("config", SYMMETRIC_CONFIGS)
     def test_rule_matches_extended_precision(self, config, order):
         # nodes taken as sqrt(theta), theta an eigenvalue of B B^T, err by up
-        # to 2e-14 of max|x| at orders 999 and 1000 and fail the node bound
-        seq = family_sequence(*config, size=order + 1)
-        rule = gauss_quadrature(seq, order)
-        nodes, weights = newton_gauss_rule(seq, order, rule.nodes)
+        # to 2e-14 of max|x| at orders 999 and 1000 and fail the node bound:
+        # the eigenvector route takes ||B^T u||, the Newton rule a Newton step
+        rule = gauss_quadrature(family_sequence(*config, size=order), order)
+        nodes, weights = symmetric_reference(config, order)
+        half = slice(order // 2, None)
         scale = float(np.abs(nodes).max())
-        assert float(np.abs(rule.nodes - nodes).max()) <= 3e-15 * scale
-        assert float(np.abs(rule.weights / weights - 1.0).max()) <= 1e-10
+        assert float(np.abs(rule.nodes[half] - nodes).max()) <= 3e-15 * scale
+        assert float(np.abs(rule.weights[half] / weights - 1.0).max()) <= 1e-10
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+                        reason="np.longdouble is a plain double here")
+    @pytest.mark.parametrize("order", SYMMETRIC_NEWTON_ORDERS)
+    @pytest.mark.parametrize("config", SYMMETRIC_CONFIGS + ((Family.SYM2, 0.51, None, None),
+                                                            (Family.SYM1, 1e4, None, None)))
+    def test_newton_rule_is_no_worse_than_the_half_size_route(self, config, order):
+        # the Newton rule passes its moment check and meets the criterion of
+        # TestNewtonRules against _half_size_rule; sym2 at lambda = 0.51,
+        # order 999 reads 1.3e-11 for the weights, against 7.3e-12 for the
+        # half-size route
+        seq = family_sequence(*config, size=order)
+        rule = gauss_quadrature(seq, order)
+        newton = measures._newton_rule(seq.alphas, seq.omegas)
+        assert newton is not None and np.array_equal(rule.weights, newton[1])
+        nodes, weights = measures._half_size_rule(seq.omegas)
+        half = slice(order // 2, None)
+        assert_no_worse(rule.nodes[half], rule.weights[half], nodes[half], weights[half],
+                        symmetric_reference(config, order))
+
+    def test_route_changes_at_the_threshold(self):
+        # one order below it the rule is _half_size_rule's bit for bit, and at
+        # it the Newton rule's
+        order = SYMMETRIC_NEWTON_MIN_ORDER
+        seq = family_sequence(Family.SYM1, 2.0, size=order)
+        below = gauss_quadrature(seq, order - 1)
+        nodes, weights = measures._half_size_rule(seq.omegas[:order - 1])
+        assert np.array_equal(below.nodes, nodes) and np.array_equal(below.weights, weights)
+        at = gauss_quadrature(seq, order)
+        nodes, weights = measures._newton_rule(seq.alphas, seq.omegas)
+        assert np.array_equal(at.nodes, nodes) and np.array_equal(at.weights, weights)
+        assert not np.array_equal(at.weights, measures._half_size_rule(seq.omegas)[1])
+
+    def test_table_with_atoms_falls_back_to_the_half_size_route(self):
+        # free Meixner at a = 0, b = -0.9 has atoms at +-1/sqrt(0.9), outside
+        # its band: the Newton rule fails its moment check, and the rule is
+        # _half_size_rule's, bit for bit
+        seq = family_sequence(Family.FREE_MEIXNER, a=0.0, b=-0.9, size=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert measures._newton_rule(seq.alphas, seq.omegas) is None
+            rule = gauss_quadrature(seq, 1000)
+        nodes, weights = measures._half_size_rule(seq.omegas)
+        assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+        assert len(free_meixner_atoms(0.0, -0.9)) == 2
 
     @pytest.mark.parametrize("order", [40, 101])
     @pytest.mark.parametrize("b", [8e307, 1.7e308])
@@ -521,15 +596,18 @@ class TestConstantTailRules:
 
     @pytest.mark.parametrize("b", [1e8 - 1.0, 1e300, 1.7e308])
     def test_tail_beyond_the_ratio_keeps_the_tridiagonal_solver(self, b):
-        # omega_2 > CLOSED_FORM_MAX_OMEGA_RATIO omega_1 keeps eigh_tridiagonal,
-        # bit for bit, and 1e8 - 1 is the largest b below it
+        # omega_2 > CLOSED_FORM_MAX_OMEGA_RATIO omega_1 skips the closed form,
+        # and 1e8 - 1 is the largest b below it.  Past it the Newton rule is
+        # tried, and eigh_tridiagonal is kept, bit for bit, where that rule
+        # fails its moment check: at b = 1.7e308, where x^2 overflows
         seq = family_sequence(Family.FREE_MEIXNER, a=0.5, b=b, size=64)
         rule = gauss_quadrature(seq, 64)
-        closed = measures._closed_form_table(seq.alphas, seq.omegas)
-        assert closed is (b < 1e8)
+        assert measures._closed_form_table(seq.alphas, seq.omegas) is (b < 1e8)
+        kept = b > 1e300
+        assert (measures._newton_rule(seq.alphas, seq.omegas) is None) is kept
         nodes, vecs = scipy.linalg.eigh_tridiagonal(seq.alphas, np.sqrt(seq.omegas[1:]))
-        assert np.array_equal(rule.nodes, nodes) is not closed
-        assert np.array_equal(rule.weights, vecs[0] ** 2) is not closed
+        assert np.array_equal(rule.nodes, nodes) is kept
+        assert np.array_equal(rule.weights, vecs[0] ** 2) is kept
 
     def test_csv_rows_match_the_per_row_format(self):
         # one % operation over the rows gives the per-row f-string's bytes on
@@ -559,7 +637,8 @@ class TestNewtonRules:
     """From NEWTON_RULE_MIN_ORDER on, a table with some alpha != 0 and no
     closed form takes its nodes from eigvalsh_tridiagonal and one Newton
     step, and its weights from corrected Christoffel sums, unless that rule
-    fails its moment check."""
+    fails its moment check; so does one past the closed form's ratio guard
+    from DENSE_EIGH_MAX_ORDER + 1 on."""
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
                         reason="np.longdouble is a plain double here")
@@ -575,21 +654,13 @@ class TestNewtonRules:
         # 5.1e-12 on nonsym-minus and 1.7e-11 on nonsym-plus
         plus = family_sequence(Family.NONSYM_PLUS, lam, size=order + 1)
         ref_nodes, ref_weights = newton_gauss_rule(plus, order, gauss_quadrature(plus, order).nodes)
-        for family, nodes, weights in [
-                (Family.NONSYM_PLUS, ref_nodes, ref_weights),
-                (Family.NONSYM_MINUS, -ref_nodes[::-1], ref_weights[::-1])]:
+        for family, reference in [
+                (Family.NONSYM_PLUS, (ref_nodes, ref_weights)),
+                (Family.NONSYM_MINUS, (-ref_nodes[::-1], ref_weights[::-1]))]:
             seq = family_sequence(family, lam, size=order)
             rule = gauss_quadrature(seq, order)
             assert (np.diff(rule.nodes) > 0.0).all()
-            lapack_nodes, lapack_weights = tridiagonal_rule(seq, order)
-            scale = float(np.abs(nodes).max())
-            node_error = float(np.abs(rule.nodes - nodes).max())
-            assert node_error <= max(float(np.abs(lapack_nodes - nodes).max()),
-                                     float(np.spacing(scale)))
-            big = weights >= 1e-7
-            weight_error = float(np.abs(rule.weights[big] / weights[big] - 1.0).max())
-            assert weight_error <= max(float(np.abs(lapack_weights[big] / weights[big] - 1.0).max()),
-                                       1.5e-11)
+            assert_no_worse(rule.nodes, rule.weights, *tridiagonal_rule(seq, order), reference)
 
     @pytest.mark.parametrize("family", [Family.NONSYM_PLUS, Family.NONSYM_MINUS])
     def test_route_starts_at_the_threshold(self, family):
@@ -631,6 +702,21 @@ class TestNewtonRules:
         assert rule.weights[0] == rule.weights[-1] == 0.0
         assert lapack_weights[0] == lapack_weights[-1] == 0.0
         assert (np.diff(rule.nodes) > 0.0).all() and rule.weights.min() == 0.0
+
+    @pytest.mark.parametrize("order", [DENSE_EIGH_MAX_ORDER + 1, 32, 100, NEWTON_RULE_MIN_ORDER - 1])
+    def test_huge_tail_takes_the_newton_rule_below_the_threshold(self, order):
+        # past the closed form's ratio guard the Newton rule is tried at every
+        # order above DENSE_EIGH_MAX_ORDER: at a = 0.5, b = 1e300
+        # eigh_tridiagonal's rule reads sum w x^2 = 3, the Newton rule 1
+        seq = family_sequence(Family.FREE_MEIXNER, a=0.5, b=1e300, size=order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rule = gauss_quadrature(seq, order)
+        nodes, weights = measures._newton_rule(seq.alphas, seq.omegas)
+        assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+        assert math.fsum(rule.weights * rule.nodes**2) == pytest.approx(1.0, abs=1e-13)
+        nodes, weights = tridiagonal_rule(seq, order)
+        assert math.fsum(weights * nodes**2) == pytest.approx(3.0, abs=1e-13)
 
     @pytest.mark.parametrize("b, newton", [(1e300, True), (1.7e308, False)])
     def test_huge_tail_past_the_ratio_guard(self, b, newton):
