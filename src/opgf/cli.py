@@ -18,9 +18,9 @@ and then runs the rows of _checks, one check at a time.  The closed-form
 checks are one call each for all configurations: series-vs-closed is one
 psi_series_stack pass and one psi_analytic call over the stack of closed
 forms, and so are the moments (one batched Gauss rule), both Riccati
-residuals and the moment ODE.  The two identities of the non-symmetric
-families are one call each over their configurations.  Nothing is kept
-from one command to the next.
+residuals and the moment ODE.  The two identities are one call each over
+their configurations: every Beta law's table, and the non-symmetric
+prefactor form.  Nothing is kept from one command to the next.
 
 If a campaign of several configurations raises, it is run again
 configuration by configuration, and so raises the error that such a loop
@@ -169,9 +169,10 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
 
     series-vs-closed is one psi_series_stack pass and one psi_analytic call
     over the stack of closed forms, and the moments, both Riccati residuals
-    and the moment ODE are one call each over that stack.  The two identities,
-    jacobi-shift and psi-prefactor-form, are one call each over the stack of
-    the non-symmetric closed forms.  Every check reads its configuration's
+    and the moment ODE are one call each over that stack.  The identities
+    beta-law-table (each whole table against its Beta law) and
+    psi-prefactor-form are one call each over the stack of the families they
+    check.  Every check reads its configuration's
     closed form or table: an identity of lambda alone could certify nothing
     about the configuration, and none is a row.
     """
@@ -185,9 +186,6 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
 
     def seqs(live):  # laid out as _closed_forms lays out the closed forms
         return live[0].seq if len(live) == 1 else tables.rows([runs.index(r) for r in live])
-
-    def xs5(live):
-        return [run.xs5 for run in live]
 
     def series(live):
         xs = [run.xs for run in live]
@@ -215,6 +213,7 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
         return [max(r1.max(), r2.max()) for r1, r2 in zip(first, second)]
 
     every, nonsym = tuple(Family), (Family.NONSYM_PLUS, Family.NONSYM_MINUS)
+    beta = tuple(family for family in Family if family is not Family.FREE_MEIXNER)
     return [
         ([("series-vs-closed", len(zs) * 11, tol)], every, series),
         ([("moment-m0", len(zs_real), 1e-10), ("moment-m1", len(zs_real), 1e-9),
@@ -223,10 +222,11 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
         ([("riccati-residual-u", len(zs_two_circles), 1e-11)], every, lambda live: _worst(
             live, riccati.residual_u(_closed_forms(live), zs_two_circles))),
         ([("moment-ode", 2 * len(ode_zs), 1e-7)], every, moment_ode),
-        ([("jacobi-shift", 11 * 5, 1e-9)], nonsym, lambda live: _worst(
-            live, identities.jacobi_shift_check(_closed_forms(live), seqs(live), 10, xs5(live)))),
+        ([("beta-law-table", 2 * genfun.SERIES_CAP - 1, 1e-12)], beta, lambda live: _worst(
+            live, identities.beta_law_table_check(_closed_forms(live), seqs(live)))),
         ([("psi-prefactor-form", len(gf3_zs) * 5, 1e-12)], nonsym, lambda live: _worst(
-            live, identities.gf3_equivalence(_closed_forms(live), gf3_zs, xs5(live)))),
+            live, identities.gf3_equivalence(_closed_forms(live), gf3_zs,
+                                             [run.xs5 for run in live]))),
     ]
 
 

@@ -123,3 +123,14 @@ def support_interval(family, lam, a=None, b=None):
         return -(1.0 + 2.0 * lam) / r, (2.0 * lam - 1.0) / r
     half = 2.0 * math.sqrt(1.0 + b)
     return a - half, a + half
+
+
+def beta_exponents(family, lam):
+    """(e_hi, e_lo) of the Beta law (hi - x)^e_hi (x - lo)^e_lo on
+    support_interval: the Jacobi parameters (alf, bet) of its map onto
+    [-1, 1].  Free Meixner, which has no Beta law, raises ParameterError."""
+    family = Family(family)
+    if family is Family.FREE_MEIXNER:
+        raise ParameterError("free-meixner is not a Beta law")
+    return (lam - (0.5 if family in (Family.SYM1, Family.NONSYM_PLUS) else 1.5),
+            lam - (0.5 if family in (Family.SYM1, Family.NONSYM_MINUS) else 1.5))

@@ -1,13 +1,13 @@
-"""Identities that tie the non-symmetric families to classical forms.
+"""Identities that tie the classified families to classical forms.
 
-jacobi_shift_check compares a non-symmetric family's coefficient table with
-the scaled and shifted classical monic Jacobi polynomials, and
-gf3_equivalence the rational-prefactor display of its generating function
-with psi_analytic's value of its psi.  Each returns residuals relative to
-max(1, |reference|), for the caller's documented tolerance.  Both read the
-configuration's closed form, and jacobi_shift_check its table: an identity
-of lambda alone would certify nothing about a configuration, so those live
-among the test oracles (tests/reference.py).
+beta_law_table_check compares a Beta law's whole coefficient table with
+the classical monic Jacobi table mapped onto its support, and
+gf3_equivalence the rational-prefactor display of a non-symmetric
+generating function with psi_analytic's value of its psi.  Each returns
+relative residuals for the caller's tolerance.  Both read the
+configuration's closed form, and beta_law_table_check its table: an
+identity of lambda alone would certify nothing about a configuration, so
+those live among the test oracles (tests/reference.py).
 
 Each check takes a closed form of its own or a stack of C closed forms
 (genfun.stack_closed_forms), with a table or a stack of C tables; a stack
@@ -25,8 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import families, genfun
-from .errors import ParameterError
-from .recurrence import JacobiSzegoSequence, eval_monic
+from .recurrence import JacobiSzegoSequence
 
 
 # ----------------------------------------------------------------------------
@@ -68,43 +67,29 @@ def _nonsym_signs(cf: genfun.GenFunClosedForm) -> np.ndarray:
     return np.reshape([families.nonsym_sign(tag) for tag in tags], np.shape(cf.lam))
 
 
-def jacobi_shift_check(cf: genfun.GenFunClosedForm, seq, n_max: int, x) -> np.ndarray:
-    """Relative residuals between the polynomials P_0 .. P_{n_max} of the
-    first n_max coefficients of seq and the scaled-shifted classical monic
-    Jacobi forms of the non-symmetric family of cf, as an (n_max + 1, X)
-    grid over the 1-D array of points x.  For a stack of C closed forms seq
-    is a stack of C tables, x has one row per configuration and the grid a
-    leading axis of length C; one recurrence pass serves every row.
-
-    For nonsym-plus: P_n(x) = k^n p_n^{(l-1/2, l-3/2)}((sqrt(2l-1) x - 1)/(2l))
-    with k = 2l/sqrt(2l-1); for nonsym-minus the parameters swap and the
-    shift reflects, matching p_n at (sqrt(2l-1) x + 1)/(2l).  Another
-    family, or a table shorter than n_max, raises ParameterError.
-    """
-    sign, lam = _nonsym_signs(cf), cf.lam
-    if n_max < 0:
-        raise ParameterError(f"n_max must be >= 0, got {n_max}")
+def beta_law_table_check(cf: genfun.GenFunClosedForm, seq) -> np.ndarray:
+    """The N residuals |delta alpha_n| / h, then the N - 1 |delta omega_n| /
+    omega_n, between the table seq and its Beta law's: the Jacobi table of
+    families.beta_exponents(cf) mapped onto [c - h, c + h] = support_interval
+    by alpha_n = c + h alpha_n^J and omega_n = h^2 omega_n^J (n >= 1).  A
+    stack of C closed forms takes a stack of C tables and gives a leading
+    axis of length C.  Free Meixner raises ParameterError."""
     lead = genfun._table_lead(seq, cf)
-    xs = np.asarray(x, dtype=float).reshape(lead + (-1,))
-    root = np.sqrt(2.0 * lam - 1.0)
-    ys = (root * xs - sign) / (2.0 * lam)
-    shift = np.where(sign > 0.0, 0.5, 1.5)  # alf = lam - 1/2 for nonsym-plus
-    alf, bet = (np.reshape(lam - s, lead) for s in (shift, 2.0 - shift))
-    catalog = eval_monic(seq, n_max, xs)
-    oracle = eval_monic(jacobi_sequence(alf, bet, n_max), n_max, ys)
-    # the floats a per-point k**n gives
-    ks = np.ravel(2.0 * lam / root).tolist()
-    scale = np.array([[k**n for k in ks] for n in range(n_max + 1)]).reshape((-1,) + lead)
-    oracle = scale[..., None] * oracle
-    residual = np.abs(catalog - oracle) / np.maximum(1.0, np.abs(oracle))
-    return np.moveaxis(residual, 0, len(lead))
+    laws = [families.beta_exponents(tag, lam) + families.support_interval(tag, lam) for tag, lam
+            in zip(np.ravel(np.asarray(cf.family, dtype=object)), np.ravel(cf.lam).tolist())]
+    alf, bet, lo, hi = np.moveaxis(np.reshape(laws, lead + (4,)), -1, 0)
+    law = jacobi_sequence(alf, bet, seq.alphas.shape[-1])
+    centre, half = (0.5 * (lo + hi))[..., None], (0.5 * (hi - lo))[..., None]
+    omegas = seq.omegas[..., 1:]
+    return np.concatenate((np.abs(seq.alphas - (centre + half * law.alphas)) / half,
+                           np.abs(omegas - half * half * law.omegas[..., 1:]) / omegas), axis=-1)
 
 
 def gf3_equivalence(cf: genfun.GenFunClosedForm, z, x):
-    """|display - psi| / max(1, |psi|), scaled as jacobi_shift_check, between
-    the rational-prefactor closed form of one non-symmetric family's
-    generating function and psi_analytic's psi, on the (Z, X) grid of 1-D z
-    and x (scalars give a scalar).
+    """|display - psi| / max(1, |psi|) between the rational-prefactor closed
+    form of one non-symmetric family's generating function and
+    psi_analytic's psi, on the (Z, X) grid of 1-D z and x (scalars give a
+    scalar).
     For a stack of C closed forms x has one row per configuration and the
     grid a leading axis of length C, from one psi_analytic call.
 

@@ -23,11 +23,11 @@ on (free Meixner at a != 0) has its rule in closed form, in O(n), a
 symmetric table's rule comes from a matrix of half its order, and any other
 table's from LAPACK's eigenvectors.  Where that eigenvector matrix would
 have NEWTON_RULE_MIN_ORDER rows (699 nodes for a symmetric table), and for
-free Meixner past the closed form's ratio guard, the eigenvalues alone, one
-Newton step and Christoffel weights give the rule if it passes a moment
-check.  On every route an extreme weight below the smallest double is 0.
-No density or normalization constant is stored: the rule needs only the
-recurrence, so it exists wherever the table is finite.
+free Meixner past the closed form's ratio guard at any order, the
+eigenvalues alone, one Newton step and Christoffel weights give the rule if
+it passes a moment check.  On every route an extreme weight below the
+smallest double is 0.  No density or normalization constant is stored: the
+rule needs only the recurrence, so it exists wherever the table is finite.
 """
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ from .families import Family
 from .recurrence import JacobiSzegoSequence
 
 # Largest order of a matrix numpy's dense eigh solves (a Gauss order, or half
-# a symmetric one), so that verify, classify and small exports never import
-# scipy: the dense O(n^3) solver is the faster one up to about 30 nodes.
+# a symmetric one), so that verify, classify and small exports need no scipy
+# short of the ratio guard: dense O(n^3) is the faster one up to ~30 nodes.
 DENSE_EIGH_MAX_ORDER = 30
 
 
@@ -392,18 +392,18 @@ def _rule(alphas, omegas):
     its rule in closed form (_constant_tail_rule).  A table whose eigenvector
     matrix (of the Gauss order, or ceil(order / 2) for a table with every
     alpha 0) has at least NEWTON_RULE_MIN_ORDER rows, so a symmetric one from
-    order 699, tries _newton_rule first, and so does a table with some alpha
-    != 0 whose omega_2 exceeds CLOSED_FORM_MAX_OMEGA_RATIO omega_1, where
-    LAPACK's weights are wrong (free Meixner at a = 0.5, b = 1e300 reads sum
-    w x^2 = 3 for 1).  Otherwise, or when that rule fails its moment check (a
-    table with atoms), a table with every alpha 0 takes _half_size_rule, and
-    any other eigh_tridiagonal's eigenvectors."""
+    order 699, tries _newton_rule first, and so does a table of its own of
+    order >= 3 whose omega_2 exceeds CLOSED_FORM_MAX_OMEGA_RATIO omega_1,
+    where the eigenvector routes' weights are wrong (free Meixner at b =
+    1e300 reads sum w x^2 = 3 for 1).  Otherwise, or when that rule fails its
+    moment check (a table with atoms), a larger table with every alpha 0
+    takes _half_size_rule, and any other _eigh's eigenvectors."""
     order = alphas.shape[-1]
     if order > DENSE_EIGH_MAX_ORDER and _closed_form_table(alphas, omegas):
         return _constant_tail_rule(alphas[0], alphas[1], omegas[1], omegas[2], order)
     symmetric = not alphas.any()
     rows = (order + 1) // 2 if symmetric else order
-    if rows >= NEWTON_RULE_MIN_ORDER or (order > DENSE_EIGH_MAX_ORDER and not symmetric and
+    if rows >= NEWTON_RULE_MIN_ORDER or (alphas.ndim == 1 and order >= 3 and
                                          omegas[2] > CLOSED_FORM_MAX_OMEGA_RATIO * omegas[1]):
         rule = _newton_rule(alphas, omegas)
         if rule is not None:
@@ -421,13 +421,13 @@ def gauss_quadrature(seq: JacobiSzegoSequence, order: int) -> QuadratureRule:
     Nodes are the eigenvalues of the order x order symmetric Jacobi matrix;
     weights are the squared first components of the normalized eigenvectors
     (total mass omega_0 = 1).  Up to DENSE_EIGH_MAX_ORDER one batched dense
-    eigh serves every row, bit for bit each row's own rule; larger orders
-    solve row by row: a constant-tail row in closed form, a row with every
-    alpha 0 from a matrix of half the order, any other from LAPACK's
-    eigenvectors, and a row whose eigenvector matrix would have
-    NEWTON_RULE_MIN_ORDER rows, or past the closed form's ratio guard, from
-    its eigenvalues and Christoffel weights unless that rule fails its
-    moment check (see _rule).  On every route an extreme
+    eigh serves every row, bit for bit each row's own rule short of the
+    ratio guard; larger orders solve row by row: a constant-tail row in
+    closed form, a row with every alpha 0 from a matrix of half the order,
+    any other from LAPACK's eigenvectors, and a row whose eigenvector matrix
+    would have NEWTON_RULE_MIN_ORDER rows, or a table of its own past the
+    ratio guard, from its eigenvalues and Christoffel weights unless that
+    rule fails its moment check (see _rule).  On every route an extreme
     weight below the smallest double is 0.  order must lie in 1 .. N; a
     non-finite coefficient among the first `order`, or an omega <= 0, raises
     the error of the first row that has one before either solver runs.

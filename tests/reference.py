@@ -177,9 +177,10 @@ def norm_squared(seq: JacobiSzegoSequence, n: int) -> float:
 
 def newton_gauss_rule(seq: JacobiSzegoSequence, order: int, start) -> tuple:
     """Gauss rule of `order` nodes in np.longdouble: Newton's method on the
-    orthonormal recurrence from the nodes `start`, rescaled by a power of 2 at
-    every step (the ratio p / p' is all Newton reads), and weights z_0^2 /
-    |z|^2 from the eigenvector z of the Jacobi matrix at each node.
+    orthonormal recurrence from the nodes `start`, rescaled by a power of 2
+    every 16 degrees (the ratio p / p' is all Newton reads, and long double's
+    range holds 16 degrees of growth), and weights z_0^2 / |z|^2 from the
+    eigenvector z of the Jacobi matrix at each node.
 
     z comes from the twisted factorization of J - x I (Parlett and Dhillon,
     1997): from the top down to index r by the pivots of the factorization
@@ -199,12 +200,13 @@ def newton_gauss_rule(seq: JacobiSzegoSequence, order: int, start) -> tuple:
         p_prev, p, d_prev, d = (np.zeros_like(x), np.ones_like(x),
                                 np.zeros_like(x), np.zeros_like(x))
         for j in range(order):
+            if j % 16 == 0:
+                scale = -np.frexp(np.maximum(np.abs(p), np.abs(d)))[1]
+                p_prev, p, d_prev, d = (np.ldexp(v, scale) for v in (p_prev, p, d_prev, d))
             b = root[j] if j else 0.0
             t = x - alphas[j]
             p_prev, p, d_prev, d = (p, (t * p - b * p_prev) / root[j + 1],
                                     d, (p + t * d - b * d_prev) / root[j + 1])
-            scale = -np.frexp(np.maximum(np.abs(p), np.abs(d)))[1]
-            p_prev, p, d_prev, d = (np.ldexp(v, scale) for v in (p_prev, p, d_prev, d))
         x = x - p / d
     shifted = alphas[None, :] - x[:, None]
     top, bottom = np.empty_like(shifted), np.empty_like(shifted)

@@ -29,7 +29,7 @@ from opgf import (
 )
 from opgf import cli
 from opgf.families import support_interval
-from opgf.identities import gf3_equivalence, jacobi_shift_check
+from opgf.identities import beta_law_table_check, gf3_equivalence
 from reference import (
     degree_bound_check,
     duplication_check,
@@ -217,19 +217,16 @@ def test_criterion_08_identity_suite():
             for z in (-0.05, 0.05, 0.1):
                 for x in (-0.5, 0.0, 0.5, 1.5):
                     worst_gf = max(worst_gf, gf3_equivalence(cf, z, x))
-    worst_shift = max(
-        jacobi_shift_check(get_closed_form(family, lam, None, None),
-                           get_sequence(family, lam, None, None), 10,
-                           [-0.4, 0.2, 0.9]).max()
-        for lam in (0.8, 1.8, 2.5)
-        for family in nonsymmetric
+    worst_table = max(
+        beta_law_table_check(get_closed_form(*config), get_sequence(*config)).max()
+        for config in SWEEP_CONFIGS if config[0] is not Family.FREE_MEIXNER
     )
     passed = worst_dup <= 1e-12 and worst_poch <= 1e-12 and worst_1f0 <= 1e-11 \
-        and worst_gf <= 1e-10 and worst_shift <= 1e-9
+        and worst_gf <= 1e-10 and worst_table <= 1e-12
     report(8, "special-function identity suite", passed,
            f"duplication {worst_dup:.1e} (1e-12), pochhammer {worst_poch:.1e} "
            f"(1e-12), 1F0 {worst_1f0:.1e} (1e-11), gf identities {worst_gf:.1e} "
-           f"(1e-10), jacobi shift {worst_shift:.1e} (1e-9)")
+           f"(1e-10), Beta-law tables {worst_table:.1e} (1e-12)")
 
 
 def test_criterion_09_orthogonality():

@@ -45,7 +45,8 @@ class TestVerify:
         assert report["all_passed"] is True
         names = {c["name"] for c in report["checks"]}
         assert names == {"series-vs-closed", "moment-m0", "moment-m1", "moment-m2",
-                         "riccati-residual-f", "riccati-residual-u", "moment-ode"}
+                         "riccati-residual-f", "riccati-residual-u", "moment-ode",
+                         "beta-law-table"}
         for check in report["checks"]:
             assert check["passed"] == (check["max_residual"] <= check["tolerance"])
             assert check["points_tested"] >= 1
@@ -269,17 +270,17 @@ def test_one_closed_form_and_one_table_per_configuration(argv, configs, tmp_path
 
 
 # The configurations each identity call of a full sweep stacks: one call per
-# identity over the campaign's ten non-symmetric configurations.
+# identity, beta-law-table's over the campaign's twenty configurations of a
+# Beta law, psi-prefactor-form's over its ten non-symmetric ones.
 IDENTITY_STACKS = {
-    "jacobi_shift_check": [10],
+    "beta_law_table_check": [20],
     "gf3_equivalence": [10],
 }
 # psi_series_stack rows per sweep: series-vs-closed over the 23
 # configurations.
 SERIES_STACKS = [23]
-# eval_monic tables per sweep: the series pass above, then jacobi-shift's
-# catalog and oracle sides over the ten non-symmetric configurations.
-MONIC_STACKS = [23, 10, 10]
+# eval_monic tables per sweep: the series pass above, and nothing else.
+MONIC_STACKS = [23]
 
 
 # The closed-form checks, each one call over the stack of the campaign's
@@ -334,8 +335,7 @@ def test_sweep_evaluates_each_lambda_identity_once(tmp_path, monkeypatch):
         monic_rows.append(len(seqs.alphas))
         return eval_monic(seqs, n_max, x)
 
-    for module in (genfun, identities):
-        monkeypatch.setattr(module, "eval_monic", counted_monic)
+    monkeypatch.setattr(genfun, "eval_monic", counted_monic)
     for _ in range(2):
         calls.clear()
         stack_rows.clear()
@@ -648,10 +648,11 @@ IDENTITY_STEP_CONFIGS = [(Family.SYM1, 0.6, None, None), (Family.SYM1, 1.5, None
 
 
 @pytest.mark.parametrize("name, bad_lam, failing", [
-    # each one call over the stack of non-symmetric closed forms, which
-    # holds lambda = 2 twice and 1.5 once
-    ("jacobi_shift_check", 2.0, [3, 4]),
-    ("jacobi_shift_check", 1.5, [2]),
+    # each one call over its stack of closed forms: beta-law-table's holds
+    # all six configurations, lambda = 2 three times and 1.5 twice, and
+    # psi-prefactor-form's the non-symmetric ones, lambda = 1.5 once
+    ("beta_law_table_check", 2.0, [3, 4, 5]),
+    ("beta_law_table_check", 1.5, [1, 2]),
     ("gf3_equivalence", 1.5, [2]),
 ])
 def test_identity_error_stays_with_its_configuration(name, bad_lam, failing, monkeypatch):

@@ -20,10 +20,12 @@ from opgf import (
     psi_analytic,
 )
 from opgf import genfun
-from opgf.families import support_interval
-from opgf.identities import gf3_equivalence, jacobi_sequence, jacobi_shift_check
+from opgf.families import beta_exponents, support_interval
+from opgf.genfun import SERIES_CAP
+from opgf.identities import beta_law_table_check, gf3_equivalence, jacobi_sequence
 from opgf.recurrence import JacobiSzegoSequence, eval_monic
 from reference import (
+    beta_law,
     duplication_check,
     family2_identity,
     gauss_2f1,
@@ -315,75 +317,81 @@ class TestFamily2:
 
 NONSYM = {"plus": Family.NONSYM_PLUS, "minus": Family.NONSYM_MINUS}
 OTHER_FAMILIES = ((Family.SYM1, 2.0, None, None), (Family.FREE_MEIXNER, None, 0.5, 0.25))
+BETA_FAMILIES = (Family.SYM1, Family.SYM2, Family.NONSYM_PLUS, Family.NONSYM_MINUS)
 
 
-def shift_check(sign, lam, n_max, x):
-    """jacobi_shift_check on the closed form and table of a nonsym family."""
-    family = NONSYM[sign]
-    return jacobi_shift_check(get_closed_form(family, lam, None, None),
-                              get_sequence(family, lam, None, None), n_max, x)
+def table_check(family, lam):
+    """beta_law_table_check on the closed form and table of a Beta law."""
+    return beta_law_table_check(get_closed_form(family, lam, None, None),
+                                get_sequence(family, lam, None, None))
 
 
 def gf3(sign, lam, z, x):
     return gf3_equivalence(get_closed_form(NONSYM[sign], lam, None, None), z, x)
 
 
-class TestJacobiShift:
-    def test_degree_zero(self):
-        assert shift_check("plus", 2.0, 1, [1.3])[0, 0] == 0.0
-
-    def test_degree_one_is_x(self):
-        # P_1(x) = x on both sides (standardized mean)
-        assert shift_check("plus", 2.0, 1, [0.8])[1, 0] <= 1e-15
-        assert shift_check("minus", 2.0, 1, [0.8])[1, 0] <= 1e-15
-
-    def test_degree_five_minus(self):
-        assert shift_check("minus", 1.8, 5, [0.5])[5, 0] <= 1e-9
-
-    def test_sweep(self):
-        for lam in (0.8, 1.8, 2.5):
-            for sign in ("plus", "minus"):
-                grid = shift_check(sign, lam, 10, [-0.4, 0.2, 0.9])
-                assert grid.shape == (11, 3)
-                assert grid.max() <= 1e-9
-
-    @pytest.mark.parametrize("config", OTHER_FAMILIES, ids=["sym1", "free-meixner"])
-    def test_refuses_other_families(self, config):
-        with pytest.raises(ParameterError):
-            jacobi_shift_check(get_closed_form(*config), get_sequence(*config), 3, [0.5])
-
-    def test_short_table(self):
-        cf = get_closed_form(Family.NONSYM_PLUS, 2.0, None, None)
-        seq = family_sequence(Family.NONSYM_PLUS, 2.0, size=5)
-        assert jacobi_shift_check(cf, seq, 5, [0.5]).shape == (6, 1)
-        with pytest.raises(ParameterError):
-            jacobi_shift_check(cf, seq, 10, [0.5])
-
-    def test_needs_a_coefficient(self):
-        with pytest.raises(ParameterError):
-            shift_check("plus", 2.0, 0, [0.5])
+class TestBetaLawTable:
+    @pytest.mark.parametrize("lam", [0.51, 0.6, 2.0, 7.3, 40.0])
+    @pytest.mark.parametrize("family", BETA_FAMILIES)
+    def test_exponents_match_the_density_oracle(self, family, lam):
+        # reference.beta_law keeps its own transcription of the exponents
+        (e_lo, e_hi), _, _ = beta_law(family, lam)
+        assert beta_exponents(family, lam) == (e_hi, e_lo)
 
     @pytest.mark.parametrize("lam", LAMBDA_SWEEP)
-    @pytest.mark.parametrize("sign", ["plus", "minus"])
-    def test_grid_equals_scalar_evaluation(self, lam, sign):
-        # every (n, x) entry bit-equal to the one-point evaluation: a scalar
-        # recurrence run per x for each side, k^n as a Python float power
-        family = NONSYM[sign]
+    @pytest.mark.parametrize("family", BETA_FAMILIES)
+    def test_sweep(self, family, lam):
+        residuals = table_check(family, lam)
+        assert residuals.shape == (2 * SERIES_CAP - 1,)
+        assert residuals.max() <= 1e-12
+
+    @pytest.mark.parametrize("family, lam", [(Family.SYM1, 0.05)] + [
+        (family, lam) for family in BETA_FAMILIES for lam in (0.51, 20.0, 1e4, 1e8, 1e12)])
+    def test_edge_and_large_lambdas(self, family, lam):
+        # the domain's edge draws and large lambda agree to a few ulps
+        assert table_check(family, lam).max() <= 4e-15
+
+    def test_refuses_free_meixner(self):
+        config = (Family.FREE_MEIXNER, None, 0.5, 0.25)
+        with pytest.raises(ParameterError, match="free-meixner is not a Beta law"):
+            beta_law_table_check(get_closed_form(*config), get_sequence(*config))
+        with pytest.raises(ParameterError):
+            beta_exponents(Family.FREE_MEIXNER, 1.0)
+
+    def test_other_law_fails(self):
+        # sym2's table read against sym1's law, and nonsym-minus's against
+        # nonsym-plus's, are far off
+        sym2 = get_sequence(Family.SYM2, 2.0, None, None)
+        assert beta_law_table_check(get_closed_form(Family.SYM1, 2.0, None, None),
+                                    sym2).max() > 1e-2
+        minus = get_sequence(Family.NONSYM_MINUS, 2.0, None, None)
+        assert beta_law_table_check(get_closed_form(Family.NONSYM_PLUS, 2.0, None, None),
+                                    minus).max() > 1e-2
+
+    def test_short_table_is_the_prefix(self):
+        # a table of 5 entries gives the residuals of the 200-entry table's
+        # first 5 alphas and first 4 omegas past omega_0, bit for bit
+        cf = get_closed_form(Family.NONSYM_PLUS, 2.0, None, None)
+        short = beta_law_table_check(cf, family_sequence(Family.NONSYM_PLUS, 2.0, size=5))
+        full = table_check(Family.NONSYM_PLUS, 2.0)
+        assert short.shape == (9,)
+        assert short.tolist() == full[:5].tolist() + full[SERIES_CAP:SERIES_CAP + 4].tolist()
+
+    @pytest.mark.parametrize("lam", LAMBDA_SWEEP)
+    @pytest.mark.parametrize("family", BETA_FAMILIES)
+    def test_entries_equal_per_index_evaluation(self, family, lam):
+        # every residual bit-equal to the per-index Jacobi formulas mapped
+        # onto the support, with the exponents of the density oracle
+        (bet, alf), _, _ = beta_law(family, lam)
         lo, hi = support_interval(family, lam)
-        xs = np.linspace(lo, hi, 5)
-        root = math.sqrt(2.0 * lam - 1.0)
-        k, shift = 2.0 * lam / root, (-1.0 if sign == "plus" else 1.0)
-        alf, bet = (lam - 0.5, lam - 1.5) if sign == "plus" else (lam - 1.5, lam - 0.5)
-        catalog = family_sequence(family, lam, size=10)
-        oracle = jacobi_sequence(alf, bet, 10)
-        grid = shift_check(sign, lam, 10, xs)
-        assert grid.shape == (11, 5)
-        for j, x in enumerate(xs.tolist()):
-            y = (root * x + shift) / (2.0 * lam)
-            pairs = zip(eval_monic(catalog, 10, x), eval_monic(oracle, 10, y))
-            for n, (p, q) in enumerate(pairs):
-                expected = abs(p - k**n * q) / max(1.0, abs(k**n * q))
-                assert grid[n, j] == expected
+        centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        seq = get_sequence(family, lam, None, None)
+        alphas, omegas = seq.alphas.tolist(), seq.omegas.tolist()
+        expected = [abs(a - (centre + half * jacobi_alpha(n, alf, bet))) / half
+                    for n, a in enumerate(alphas)]
+        expected += [abs(w - half * half * jacobi_omega(n, alf, bet)) / w
+                     for n, w in enumerate(omegas) if n]
+        assert table_check(family, lam).tolist() == expected
 
 
 class TestJacobi2F1:
@@ -639,14 +647,18 @@ class TestStackedIdentities:
         rows = [np.linspace(*support_interval(*config), 5) for config in configs]
         return cfs, seqs, rows
 
-    def test_jacobi_shift(self):
-        cfs, seqs, rows = self.nonsym_stack()
-        stacked = jacobi_shift_check(genfun.stack_closed_forms(cfs),
-                                     JacobiSzegoSequence.stack(seqs), 10, rows)
-        assert stacked.shape == (5, 11, 5)
-        assert_rows_are_single_calls(stacked, [
-            jacobi_shift_check(cf, seq, 10, x) for cf, seq, x in zip(cfs, seqs, rows)])
-        assert stacked.max() <= 1e-9
+    def test_beta_law_table(self):
+        configs = ([(Family.SYM1, lam, None, None) for lam in SYM1_STACK]
+                   + [(Family.SYM2, lam, None, None) for lam in SYM2_STACK]
+                   + [(family, lam, None, None) for family, lam in NONSYM_STACK])
+        cfs = [get_closed_form(*config) for config in configs]
+        seqs = [get_sequence(*config) for config in configs]
+        stacked = beta_law_table_check(genfun.stack_closed_forms(cfs),
+                                       JacobiSzegoSequence.stack(seqs))
+        assert stacked.shape == (15, 2 * SERIES_CAP - 1)
+        assert_rows_are_single_calls(
+            stacked, [beta_law_table_check(cf, seq) for cf, seq in zip(cfs, seqs)])
+        assert stacked.max() <= 1e-12
 
     def test_psi_prefactor_form(self):
         cfs, _, rows = self.nonsym_stack()

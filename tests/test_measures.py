@@ -637,8 +637,8 @@ class TestNewtonRules:
     """From NEWTON_RULE_MIN_ORDER on, a table with some alpha != 0 and no
     closed form takes its nodes from eigvalsh_tridiagonal and one Newton
     step, and its weights from corrected Christoffel sums, unless that rule
-    fails its moment check; so does one past the closed form's ratio guard
-    from DENSE_EIGH_MAX_ORDER + 1 on."""
+    fails its moment check; so does a table of its own past the closed
+    form's ratio guard, at every order from 3."""
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
                         reason="np.longdouble is a plain double here")
@@ -703,12 +703,17 @@ class TestNewtonRules:
         assert lapack_weights[0] == lapack_weights[-1] == 0.0
         assert (np.diff(rule.nodes) > 0.0).all() and rule.weights.min() == 0.0
 
-    @pytest.mark.parametrize("order", [DENSE_EIGH_MAX_ORDER + 1, 32, 100, NEWTON_RULE_MIN_ORDER - 1])
-    def test_huge_tail_takes_the_newton_rule_below_the_threshold(self, order):
-        # past the closed form's ratio guard the Newton rule is tried at every
-        # order above DENSE_EIGH_MAX_ORDER: at a = 0.5, b = 1e300
-        # eigh_tridiagonal's rule reads sum w x^2 = 3, the Newton rule 1
-        seq = family_sequence(Family.FREE_MEIXNER, a=0.5, b=1e300, size=order)
+    @pytest.mark.parametrize("a, order", [
+        (a, order) for a in (0.0, 0.5) for order in
+        (DENSE_EIGH_MAX_ORDER, DENSE_EIGH_MAX_ORDER + 1, 32, 100, NEWTON_RULE_MIN_ORDER - 1)
+    ] + [(0.0, 400)])
+    def test_huge_tail_takes_the_newton_rule_below_the_threshold(self, a, order):
+        # past the closed form's ratio guard a table of its own tries the
+        # Newton rule at every order, symmetric or not: at b = 1e300
+        # eigh_tridiagonal's rule reads sum w x^2 = 3, and so did the routes
+        # these tables took before, dense eigh at order 30 and, at a = 0, the
+        # half-size route at 100 and 400 (2 at 349); the Newton rule reads 1
+        seq = family_sequence(Family.FREE_MEIXNER, a=a, b=1e300, size=order)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rule = gauss_quadrature(seq, order)

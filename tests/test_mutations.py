@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opgf import Family, cli, genfun, identities, measures
+from opgf import Family, cli, families, genfun, identities, measures
 from opgf.recurrence import JacobiSzegoSequence
 
 MATRIX = Path(__file__).with_name("mutation_matrix.json")
@@ -81,6 +81,15 @@ def closed(family, **scale):
     return genfun, "closed_form", make
 
 
+def exponents_of(family, source):
+    """families.beta_exponents giving family the exponents of source."""
+    def make(original):
+        def mutated(fam, lam):
+            return original(source if Family(fam) is family else fam, lam)
+        return mutated
+    return families, "beta_exponents", make
+
+
 def results(owner, name, change):
     """owner.<name> with change applied to each result it returns."""
     return owner, name, lambda original: lambda *args: change(original(*args))
@@ -123,6 +132,7 @@ MUTATIONS = {
     "table-free-meixner-omega-from-5": [table(Family.FREE_MEIXNER, 5, omega=1.0 + 1e-6)],
     "table-nonsym-plus-alpha1": [table(Family.NONSYM_PLUS, 1, alpha=1e-6)],
     "jacobi-alpha-from-5": [classical("jacobi_sequence", 5, alpha=1e-6)],
+    "sym2-exponents-of-sym1": [exponents_of(Family.SYM2, Family.SYM1)],
     "closed-sym1-c2": [closed(Family.SYM1, c2=1.0 + 1e-8)],
     "closed-sym2-d2": [closed(Family.SYM2, d2=1.0 + 1e-8)],
     "closed-free-meixner-omega2": [closed(Family.FREE_MEIXNER, omega2=1.0 + 1e-8)],
