@@ -13,14 +13,15 @@ Every command exits 3 when it cannot write its output file.
 
 A verify command is one campaign (run_campaign): the sweep's 23
 configurations, or the one configuration of --family.  It builds one closed
-form and one coefficient table per configuration, stacks the tables once,
-and then runs the rows of _checks, one check at a time.  The closed-form
-checks are one call each for all configurations: series-vs-closed is one
-psi_series_stack pass and one psi_analytic call over the stack of closed
-forms, and so are the moments (one batched Gauss rule), both Riccati
-residuals and the moment ODE.  The two identities are one call each over
-their configurations: every Beta law's table, and the non-symmetric
-prefactor form.  Nothing is kept from one command to the next.
+form and one coefficient table per configuration and then runs the rows of
+_checks, one check at a time.  Each check is one call over the
+configurations it checks, laid out by _stack: one configuration's own closed
+form and table, or one stack of each for several, whose row c is bit for bit
+configuration c's own call.  series-vs-closed is one psi_series_stack pass
+and one psi_analytic call, and the moments (one Gauss rule per row), both
+Riccati residuals, the moment ODE and the two identities (every Beta law's
+table, and the non-symmetric prefactor form) are one call each.  Nothing is
+kept from one command to the next.
 
 If a campaign of several configurations raises, it is run again
 configuration by configuration, and so raises the error that such a loop
@@ -82,7 +83,6 @@ class _Run:
     so far."""
 
     def __init__(self, family, lam, a, b, zmax: float, grid: int):
-        self.params = (family, lam, a, b)
         self.checks: list[dict] = []
         cf = genfun.closed_form(family, lam, a, b)
         if not 0.0 < zmax < cf.domain_radius:
@@ -95,12 +95,12 @@ class _Run:
         self.cf = cf
         self.seq = measures.family_sequence(cf.family, cf.lam, cf.a, cf.b,
                                             size=genfun.SERIES_CAP)
-        self.lo, self.hi = families.support_interval(cf.family, cf.lam, cf.a, cf.b)
-        self.xs = list(np.linspace(self.lo, self.hi, 11))
-        self.xs5 = np.linspace(self.lo, self.hi, 5)
+        lo, hi = families.support_interval(cf.family, cf.lam, cf.a, cf.b)
+        self.xs = list(np.linspace(lo, hi, 11))
+        self.xs5 = np.linspace(lo, hi, 5)
 
     def report(self) -> dict:
-        _, _, a, b = self.params
+        a, b = self.cf.a, self.cf.b
         return {
             "schema": SCHEMA_VERSION,
             "tool_version": __version__,
@@ -120,14 +120,24 @@ def _circle(radius: float, grid: int) -> list:
             for t in (k * math.pi / grid for k in range(grid))]
 
 
+def _stack(live) -> tuple:
+    """The closed forms and tables of the runs live: one run's own closed
+    form, whose Python-float fields numpy combines with complex points
+    without casts, and table; several runs' as one stack of each."""
+    if len(live) == 1:
+        return live[0].cf, live[0].seq
+    return (genfun.stack_closed_forms(run.cf for run in live),
+            JacobiSzegoSequence.stack([run.seq for run in live]))
+
+
 def _stacked(runs, records, families_checked, evaluate) -> None:
     """The check records of one row of _checks for every run whose family is
     in families_checked: their worst residuals are the run's row of one call
-    evaluate(live) over all of those runs."""
+    evaluate(live, *_stack(live)) over all of those runs."""
     live = [run for run in runs if run.cf.family in families_checked]
     if not live:
         return
-    for run, row in zip(live, _rows(live, evaluate(live))):
+    for run, row in zip(live, _rows(live, evaluate(live, *_stack(live)))):
         for (name, points, tolerance), residual in zip(records, row, strict=True):
             run.checks.append({
                 "name": name,
@@ -136,15 +146,6 @@ def _stacked(runs, records, families_checked, evaluate) -> None:
                 "tolerance": float(tolerance),
                 "passed": bool(residual <= tolerance),
             })
-
-
-def _closed_forms(runs):
-    """The runs' closed forms as one stack.  One run keeps its own closed
-    form, the stack of one without the leading axis, whose Python-float
-    fields numpy combines with complex points without casts."""
-    if len(runs) == 1:
-        return runs[0].cf
-    return genfun.stack_closed_forms(run.cf for run in runs)
 
 
 def _rows(runs, values) -> np.ndarray:
@@ -157,22 +158,20 @@ def _worst(runs, values) -> np.ndarray:
     return np.abs(_rows(runs, values)).max(axis=1)
 
 
-def _checks(zmax: float, grid: int, tol: float, runs) -> list:
+def _checks(zmax: float, grid: int, tol: float) -> list:
     """The campaign's checks in report order, one row (records, families,
     evaluate) per check.  records lists the (name, points, tolerance) of
     the row's check records, three for the moments and one for every other
-    check; the row checks the runs whose family is in families; evaluate(live)
-    is one call over those runs that gives each run one worst residual per
+    check; the row checks the runs whose family is in families; evaluate(live,
+    cf, seq) is one call over those runs, with their closed forms cf and
+    tables seq laid out by _stack, that gives each run one worst residual per
     record.  tol is the tolerance of series-vs-closed, the others are pinned.
-    The tables of the runs are stacked once, here: a check over several of
-    them reads their rows, over one its own table.
 
     series-vs-closed is one psi_series_stack pass and one psi_analytic call
-    over the stack of closed forms, and the moments, both Riccati residuals
-    and the moment ODE are one call each over that stack.  The identities
-    beta-law-table (each whole table against its Beta law) and
-    psi-prefactor-form are one call each over the stack of the families they
-    check.  Every check reads its configuration's
+    over the stack, and the moments, both Riccati residuals and the moment
+    ODE are one call each.  The identities beta-law-table (each whole table
+    against its Beta law) and psi-prefactor-form are one call each over the
+    stack of the families they check.  Every check reads its configuration's
     closed form or table: an identity of lambda alone could certify nothing
     about the configuration, and none is a row.
     """
@@ -182,34 +181,25 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
     ode_zs = np.array([s * zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
     gf3_zs = [-0.5 * zmax, 0.5 * zmax, zmax]
 
-    tables = JacobiSzegoSequence.stack([run.seq for run in runs]) if len(runs) > 1 else None
-
-    def seqs(live):  # laid out as _closed_forms lays out the closed forms
-        return live[0].seq if len(live) == 1 else tables.rows([runs.index(r) for r in live])
-
-    def series(live):
+    def series(live, cf, seq):
         xs = [run.xs for run in live]
-        values = genfun.psi_series_stack(seqs(live), [run.cf.lam for run in live], zs, xs)
-        closed = _rows(live, genfun.psi_analytic(_closed_forms(live), zs, xs))
+        values = genfun.psi_series_stack(seq, [run.cf.lam for run in live], zs, xs)
+        closed = _rows(live, genfun.psi_analytic(cf, zs, xs))
         return _worst(live, closed - _rows(live, [row.value for row in values]))
 
-    def moments(live):
-        cf = _closed_forms(live)
-        m0, m1, m2 = (_rows(live, m) for m in genfun.psi_family_moments(
-            seqs(live), cf, zs_real))
+    def moments(live, cf, seq):
+        m0, m1, m2 = (_rows(live, m) for m in genfun.psi_family_moments(seq, cf, zs_real))
         m2_claim = (0.5 * cf.lam * (cf.lam + 1.0) * cf.omega2 * zs_real * zs_real
                     + cf.lam * cf.alpha1 * zs_real + 1.0)
         return np.stack([_worst(live, m0 - 1.0), _worst(live, m1 - cf.lam * zs_real),
                          _worst(live, m2 - m2_claim)], axis=1)
 
-    def riccati_f(live):
-        cf = _closed_forms(live)
+    def riccati_f(live, cf, seq):
         coeffs = riccati.coefficients(cf.lam, cf.alpha1, cf.omega2)
         return _worst(live, riccati.residual_f(cf, coeffs, zs_two_circles))
 
-    def moment_ode(live):
-        first, second = (_rows(live, r) for r in riccati.residual_moment_ode(
-            _closed_forms(live), seqs(live), ode_zs))
+    def moment_ode(live, cf, seq):
+        first, second = (_rows(live, r) for r in riccati.residual_moment_ode(cf, seq, ode_zs))
         return [max(r1.max(), r2.max()) for r1, r2 in zip(first, second)]
 
     every, nonsym = tuple(Family), (Family.NONSYM_PLUS, Family.NONSYM_MINUS)
@@ -219,14 +209,13 @@ def _checks(zmax: float, grid: int, tol: float, runs) -> list:
         ([("moment-m0", len(zs_real), 1e-10), ("moment-m1", len(zs_real), 1e-9),
           ("moment-m2", len(zs_real), 1e-9)], every, moments),
         ([("riccati-residual-f", len(zs_two_circles), 1e-11)], every, riccati_f),
-        ([("riccati-residual-u", len(zs_two_circles), 1e-11)], every, lambda live: _worst(
-            live, riccati.residual_u(_closed_forms(live), zs_two_circles))),
+        ([("riccati-residual-u", len(zs_two_circles), 1e-11)], every,
+         lambda live, cf, seq: _worst(live, riccati.residual_u(cf, zs_two_circles))),
         ([("moment-ode", 2 * len(ode_zs), 1e-7)], every, moment_ode),
-        ([("beta-law-table", 2 * genfun.SERIES_CAP - 1, 1e-12)], beta, lambda live: _worst(
-            live, identities.beta_law_table_check(_closed_forms(live), seqs(live)))),
-        ([("psi-prefactor-form", len(gf3_zs) * 5, 1e-12)], nonsym, lambda live: _worst(
-            live, identities.gf3_equivalence(_closed_forms(live), gf3_zs,
-                                             [run.xs5 for run in live]))),
+        ([("beta-law-table", 2 * genfun.SERIES_CAP - 1, 1e-12)], beta,
+         lambda live, cf, seq: _worst(live, identities.beta_law_table_check(cf, seq))),
+        ([("psi-prefactor-form", len(gf3_zs) * 5, 1e-12)], nonsym, lambda live, cf, seq: _worst(
+            live, identities.gf3_equivalence(cf, gf3_zs, [run.xs5 for run in live]))),
     ]
 
 
@@ -235,7 +224,7 @@ def run_campaign(configs, zmax: float, grid: int, tol: float) -> list[dict]:
     check by check, one row of _checks at a time.
 
     Each configuration builds one closed form and one coefficient table,
-    which all its checks read (stacked once).  tol must be finite and > 0.
+    which all its checks read (_stack).  tol must be finite and > 0.
     If anything raises in a campaign of several configurations, each
     configuration is run again as a campaign of its own, in order: that
     loop raises the first failing configuration's first error, and gives
@@ -246,7 +235,7 @@ def run_campaign(configs, zmax: float, grid: int, tol: float) -> list[dict]:
     configs = list(configs)
     try:
         runs = [_Run(*config, zmax, grid) for config in configs]
-        for check in _checks(zmax, grid, tol, runs):
+        for check in _checks(zmax, grid, tol):
             _stacked(runs, *check)
     except Exception:
         if len(configs) == 1:

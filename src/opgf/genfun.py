@@ -320,7 +320,7 @@ def _truncation(seq, lams, xs, r) -> tuple:
     """Term counts N, tail bounds and coefficient rows c_n = (lambda)_n/n!,
     n <= count = min(SERIES_CAP, table length + 1), of every row of
     psi_series_stack at once (row c: table c of seq, lams[c], finite points
-    xs[c] of a (C, X) array, r[c] >= |z|).  c_n is one cumprod of ratios.
+    xs[c] of a (C, X) array; one r >= |z|).  c_n is one cumprod of ratios.
 
     With D_n = max |x - alpha_n| over the row, M_0 = 1 and M_{n+1} = D_n M_n
     + |omega_n| M_{n-1} bound |P_n(x)| (triangle inequality).  With Dbar_n,
@@ -346,7 +346,7 @@ def _truncation(seq, lams, xs, r) -> tuple:
     count = min(SERIES_CAP, alphas.shape[1] + 1)
     d = np.maximum(xs.max(axis=1)[:, None] - alphas, alphas - xs.min(axis=1)[:, None])
     d_bar, w_bar = (np.maximum.accumulate(a[:, ::-1], axis=1)[:, ::-1] for a in (d, abs(omegas)))
-    rho = (0.5 * r[:, None]) * (d_bar + np.sqrt(d_bar * d_bar + 4.0 * w_bar))
+    rho = (0.5 * r) * (d_bar + np.sqrt(d_bar * d_bar + 4.0 * w_bar))
     # g_0 .. g_count, the table's last entry standing in past its end
     g = np.take(rho, np.arange(count + 1), axis=1, mode="clip")
     k = np.arange(count + 1.0)
@@ -393,8 +393,7 @@ def psi_series_stack(seq, lams, z, x_rows) -> list[PsiSeriesResult]:
     if len(xs) != len(rows):
         raise ParameterError(f"a table of its own takes one row of x, got {len(rows)}")
     zs = np.asarray(z, dtype=complex)
-    r = np.full(len(xs), np.abs(zs).max())
-    counts, bounds, coeffs = _truncation(seq, lams, xs, r)
+    counts, bounds, coeffs = _truncation(seq, lams, xs, np.abs(zs).max())
     size = int(counts.max())
     p = eval_monic(seq, size - 1, xs)
     powers = np.vander(zs.ravel(), size, increasing=True)

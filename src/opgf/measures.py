@@ -16,18 +16,20 @@ Each family is a standardized (mean-0, variance-1) compactly supported law:
                 atoms at the real zeros of 1 + a x + b x^2.
 
 A law is represented by its Jacobi-Szego coefficient table (family_sequence)
-alone, and gauss_quadrature is the one route from a table, or a stack of
-them, to Gauss rules (Golub and Welsch, 1969).  Above DENSE_EIGH_MAX_ORDER
-nodes the table picks the solver: a table constant from alpha_1 and omega_2
-on (free Meixner at a != 0) has its rule in closed form, in O(n), a
-symmetric table's rule comes from a matrix of half its order, and any other
+alone, and gauss_quadrature, the only code that knows stacks, is the one
+route from a table or a stack of them to Gauss rules (Golub and Welsch,
+1969): one batched dense eigh up to DENSE_EIGH_MAX_ORDER nodes unless a row
+is past the closed form's ratio guard, and otherwise each row as a table of
+its own.  Above DENSE_EIGH_MAX_ORDER a table constant from alpha_1 and
+omega_2 on (free Meixner at a != 0) has its rule in closed form, in O(n), a
+symmetric table's comes from a matrix of half its order, and any other
 table's from LAPACK's eigenvectors.  Where that eigenvector matrix would
-have NEWTON_RULE_MIN_ORDER rows (699 nodes for a symmetric table), and for
-free Meixner past the closed form's ratio guard at any order, the
-eigenvalues alone, one Newton step and Christoffel weights give the rule if
-it passes a moment check.  On every route an extreme weight below the
-smallest double is 0.  No density or normalization constant is stored: the
-rule needs only the recurrence, so it exists wherever the table is finite.
+have NEWTON_RULE_MIN_ORDER rows (699 nodes for a symmetric table), and past
+the ratio guard at any order, the eigenvalues alone, one Newton step and
+Christoffel weights give the rule if it passes a moment check.  On every
+route an extreme weight below the smallest double is 0.  No density or
+normalization constant is stored: the rule needs only the recurrence, so it
+exists wherever the table is finite.
 """
 from __future__ import annotations
 
@@ -42,8 +44,8 @@ from .families import Family
 from .recurrence import JacobiSzegoSequence
 
 # Largest order of a matrix numpy's dense eigh solves (a Gauss order, or half
-# a symmetric one), so that verify, classify and small exports need no scipy
-# short of the ratio guard: dense O(n^3) is the faster one up to ~30 nodes.
+# a symmetric one), so that verify, classify and small exports need no scipy:
+# dense O(n^3) is the faster one up to ~30 nodes.
 DENSE_EIGH_MAX_ORDER = 30
 
 
@@ -386,31 +388,36 @@ def _newton_rule(alphas, omegas):
     return None
 
 
+def _past_ratio_guard(omegas) -> bool:
+    """Whether a table of order >= 3, or any row of a stack, has omega_2 above
+    CLOSED_FORM_MAX_OMEGA_RATIO omega_1, where the eigenvector routes'
+    weights are wrong (free Meixner at b = 1e300 reads sum w x^2 = 3 for 1)."""
+    return omegas.shape[-1] >= 3 and bool(
+        (omegas[..., 2] > CLOSED_FORM_MAX_OMEGA_RATIO * omegas[..., 1]).any())
+
+
 def _rule(alphas, omegas):
-    """Nodes and weights of Jacobi matrices: a stack up to DENSE_EIGH_MAX_ORDER,
-    one table above it.  There a constant-tail table (_closed_form_table) has
-    its rule in closed form (_constant_tail_rule).  A table whose eigenvector
+    """Nodes and weights of one table's Jacobi matrix.  Above
+    DENSE_EIGH_MAX_ORDER a constant-tail table (_closed_form_table) has its
+    rule in closed form (_constant_tail_rule).  A table whose eigenvector
     matrix (of the Gauss order, or ceil(order / 2) for a table with every
     alpha 0) has at least NEWTON_RULE_MIN_ORDER rows, so a symmetric one from
-    order 699, tries _newton_rule first, and so does a table of its own of
-    order >= 3 whose omega_2 exceeds CLOSED_FORM_MAX_OMEGA_RATIO omega_1,
-    where the eigenvector routes' weights are wrong (free Meixner at b =
-    1e300 reads sum w x^2 = 3 for 1).  Otherwise, or when that rule fails its
-    moment check (a table with atoms), a larger table with every alpha 0
-    takes _half_size_rule, and any other _eigh's eigenvectors."""
-    order = alphas.shape[-1]
+    order 699, tries _newton_rule first, and so does a table past the ratio
+    guard (_past_ratio_guard) at any order.  Otherwise, or when that rule
+    fails its moment check (a table with atoms), a larger table with every
+    alpha 0 takes _half_size_rule, and any other _eigh's eigenvectors."""
+    order = alphas.size
     if order > DENSE_EIGH_MAX_ORDER and _closed_form_table(alphas, omegas):
         return _constant_tail_rule(alphas[0], alphas[1], omegas[1], omegas[2], order)
     symmetric = not alphas.any()
     rows = (order + 1) // 2 if symmetric else order
-    if rows >= NEWTON_RULE_MIN_ORDER or (alphas.ndim == 1 and order >= 3 and
-                                         omegas[2] > CLOSED_FORM_MAX_OMEGA_RATIO * omegas[1]):
+    if rows >= NEWTON_RULE_MIN_ORDER or _past_ratio_guard(omegas):
         rule = _newton_rule(alphas, omegas)
         if rule is not None:
             return rule
     if order <= DENSE_EIGH_MAX_ORDER or not symmetric:
-        nodes, vectors = _eigh(alphas, np.sqrt(omegas[..., 1:]))
-        return nodes, vectors[..., 0, :] ** 2
+        nodes, vectors = _eigh(alphas, np.sqrt(omegas[1:]))
+        return nodes, vectors[0] ** 2
     return _half_size_rule(omegas)
 
 
@@ -420,17 +427,18 @@ def gauss_quadrature(seq: JacobiSzegoSequence, order: int) -> QuadratureRule:
 
     Nodes are the eigenvalues of the order x order symmetric Jacobi matrix;
     weights are the squared first components of the normalized eigenvectors
-    (total mass omega_0 = 1).  Up to DENSE_EIGH_MAX_ORDER one batched dense
-    eigh serves every row, bit for bit each row's own rule short of the
-    ratio guard; larger orders solve row by row: a constant-tail row in
-    closed form, a row with every alpha 0 from a matrix of half the order,
-    any other from LAPACK's eigenvectors, and a row whose eigenvector matrix
-    would have NEWTON_RULE_MIN_ORDER rows, or a table of its own past the
-    ratio guard, from its eigenvalues and Christoffel weights unless that
-    rule fails its moment check (see _rule).  On every route an extreme
-    weight below the smallest double is 0.  order must lie in 1 .. N; a
-    non-finite coefficient among the first `order`, or an omega <= 0, raises
-    the error of the first row that has one before either solver runs.
+    (total mass omega_0 = 1).  Up to DENSE_EIGH_MAX_ORDER, with no row past
+    the ratio guard (_past_ratio_guard), one batched dense eigh serves every
+    row; otherwise each row takes its own route (see _rule): a constant-tail
+    row in closed form, a row with every alpha 0 from a matrix of half the
+    order, any other from LAPACK's eigenvectors, and a row whose eigenvector
+    matrix would have NEWTON_RULE_MIN_ORDER rows, or a row past the ratio
+    guard, from its eigenvalues and Christoffel weights unless that rule
+    fails its moment check.  So each row is bit for bit its own rule.  On
+    every route an extreme weight below the smallest double is 0.  order
+    must lie in 1 .. N; a non-finite coefficient among the first `order`, or
+    an omega <= 0, raises the error of the first row that has one before
+    either solver runs.
     """
     if order < 1:
         raise ParameterError(f"order must be >= 1, got {order}")
@@ -453,8 +461,9 @@ def gauss_quadrature(seq: JacobiSzegoSequence, order: int) -> QuadratureRule:
         raise NumericalBreakdownError(
             f"omega_{n} <= 0: the measure has fewer than {order} support points", index=n)
     try:
-        if order <= DENSE_EIGH_MAX_ORDER:
-            nodes, weights = _rule(diag, omegas)
+        if order <= DENSE_EIGH_MAX_ORDER and not _past_ratio_guard(omegas):
+            nodes, vectors = _eigh(diag, np.sqrt(omegas[..., 1:]))
+            weights = vectors[..., 0, :] ** 2
         else:
             rules = [_rule(d, w) for d, w in
                      zip(diag.reshape(-1, order), omegas.reshape(-1, order))]

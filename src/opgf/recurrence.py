@@ -55,10 +55,6 @@ class JacobiSzegoSequence:
         """A list of tables of their own, of one length, as one stack."""
         return cls(np.array([t.alphas for t in tables]), np.array([t.omegas for t in tables]))
 
-    def rows(self, index) -> JacobiSzegoSequence:
-        """Row index of the stack as a table, or a list of rows as a stack."""
-        return JacobiSzegoSequence(self.alphas[index], self.omegas[index])
-
 
 def eval_monic(seq: JacobiSzegoSequence, n_max: int, x) -> np.ndarray:
     """P_0 .. P_{n_max} at x by running the recurrence upward, of shape

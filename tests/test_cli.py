@@ -363,6 +363,14 @@ def test_sweep_reports_equal_single_family_reports(tmp_path):
         expected = json.loads(single.read_text())
         del expected["wall_time_ms"]
         assert report == expected
+    # so do the moment records of a free Meixner row past the Gauss rules'
+    # ratio guard beside sym1; at this zmax the other records overflow
+    configs = [(Family.SYM1, 2.0, None, None), (Family.FREE_MEIXNER, None, 0.5, 1e300)]
+    with np.errstate(all="ignore"):
+        stacked = run_campaign(configs, 4.5e-151, 16, 1e-9)[1]["checks"]
+        own = run_campaign(configs[1:], 4.5e-151, 16, 1e-9)[0]["checks"]
+    assert [record["name"] for record in stacked[1:4]] == ["moment-m0", "moment-m1", "moment-m2"]
+    assert stacked[1:4] == own[1:4]
 
 
 def stack_families(cf):
@@ -602,7 +610,7 @@ def test_readme_checks_table_matches_the_campaign():
     # defaults --zmax 0.1 --grid 16 --tol 1e-9, row for row
     assert readme_checks_table() == [
         (name, set(families), points, tolerance)
-        for records, families, _ in cli._checks(0.1, 16, 1e-9, [])
+        for records, families, _ in cli._checks(0.1, 16, 1e-9)
         for name, points, tolerance in records]
 
 

@@ -723,7 +723,7 @@ class TestCertifiedTruncation:
         # the summation coefficients c_0 .. c_200 of one cumprod equal the
         # products (lambda)_n / n! taken one ratio at a time, bit for bit
         seq = get_sequence(Family.SYM1, 2.0, None, None)
-        _, _, coeffs = genfun._truncation(seq, [lam], np.zeros((1, 1)), np.array([0.1]))
+        _, _, coeffs = genfun._truncation(seq, [lam], np.zeros((1, 1)), 0.1)
         expected = list(itertools.islice(pochhammer_over_factorial(lam), 201))
         assert coeffs.shape == (1, 201)
         assert coeffs[0].tolist() == expected
@@ -736,7 +736,7 @@ class TestCertifiedTruncation:
 
         def recording(stack, lams, z, x_rows):
             results = psi_series_stack(stack, lams, z, x_rows)
-            seqs = [stack.rows(c) for c in range(len(stack.alphas))]
+            seqs = [JacobiSzegoSequence(a, w) for a, w in zip(stack.alphas, stack.omegas)]
             rows.extend(zip(seqs, lams, [float(np.abs(z).max())] * len(seqs),
                             np.reshape(x_rows, (len(seqs), -1)).tolist(), results))
             return results

@@ -331,20 +331,28 @@ class TestGaussQuadrature:
         assert gauss_quadrature(seq, 2).nodes == pytest.approx([-1.0, 1.0])
 
 
+# sym1 beside a free Meixner row past the closed form's ratio guard, whose
+# own rule is the Newton rule at every order
+RATIO_GUARD_STACK = ((Family.SYM1, 2.0, None, None), (Family.FREE_MEIXNER, None, 0.5, 1e300))
+
+
 class TestStackedRules:
-    @pytest.mark.parametrize("order",
-                             list(range(1, DENSE_EIGH_MAX_ORDER + 1)) + [31, 40, 60, 61, 62])
-    def test_stack_rows_are_their_own_rules(self, order):
-        # one batched dense eigh up to DENSE_EIGH_MAX_ORDER, row by row above
-        # it: row c of the sweep stack is bit for bit table c's own rule; above
-        # it, a non-symmetric row is scipy's tridiagonal rule, bit for bit,
-        # except free Meixner at a != 0, whose closed form matches the
-        # long-double reference, and the symmetric rows' half-size matrices
-        # change solver past 60
-        seqs = [get_sequence(*config) for config in SWEEP_CONFIGS]
+    @pytest.mark.parametrize("configs, order", [
+        pytest.param(SWEEP_CONFIGS, order, id=str(order))
+        for order in list(range(1, DENSE_EIGH_MAX_ORDER + 1)) + [31, 40, 60, 61, 62]
+    ] + [pytest.param(RATIO_GUARD_STACK, order, id=f"past-ratio-guard-{order}")
+         for order in (3, 24, 30)])
+    def test_stack_rows_are_their_own_rules(self, configs, order):
+        # one batched dense eigh up to DENSE_EIGH_MAX_ORDER unless a row is
+        # past the ratio guard, row by row otherwise: row c of the stack is
+        # bit for bit table c's own rule; above it, a non-symmetric row is
+        # scipy's tridiagonal rule, bit for bit, except free Meixner at
+        # a != 0, whose closed form matches the long-double reference, and the
+        # symmetric rows' half-size matrices change solver past 60
+        seqs = [get_sequence(*config) for config in configs]
         rules = gauss_quadrature(JacobiSzegoSequence.stack(seqs), order)
         assert rules.nodes.shape == rules.weights.shape == (len(seqs), order)
-        for (family, _, a, _), seq, nodes, weights in zip(SWEEP_CONFIGS, seqs, rules.nodes,
+        for (family, _, a, _), seq, nodes, weights in zip(configs, seqs, rules.nodes,
                                                           rules.weights):
             own = gauss_quadrature(seq, order)
             assert np.array_equal(nodes, own.nodes)
