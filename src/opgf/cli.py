@@ -19,9 +19,9 @@ configurations it checks, laid out by _stack: one configuration's own closed
 form and table, or one stack of each for several, whose row c is bit for bit
 configuration c's own call.  series-vs-closed is one psi_series_stack pass
 and one psi_analytic call, and the moments (one Gauss rule per row), both
-Riccati residuals, the moment ODE and the two identities (every Beta law's
-table, and the non-symmetric prefactor form) are one call each.  Nothing is
-kept from one command to the next.
+Riccati residuals, the m2 moment identity and the identity of every Beta
+law's table are one call each.  Nothing is kept from one command to the
+next.
 
 If a campaign of several configurations raises, it is run again
 configuration by configuration, and so raises the error that such a loop
@@ -97,7 +97,6 @@ class _Run:
                                             size=genfun.SERIES_CAP)
         lo, hi = families.support_interval(cf.family, cf.lam, cf.a, cf.b)
         self.xs = list(np.linspace(lo, hi, 11))
-        self.xs5 = np.linspace(lo, hi, 5)
 
     def report(self) -> dict:
         a, b = self.cf.a, self.cf.b
@@ -169,17 +168,16 @@ def _checks(zmax: float, grid: int, tol: float) -> list:
 
     series-vs-closed is one psi_series_stack pass and one psi_analytic call
     over the stack, and the moments, both Riccati residuals and the moment
-    ODE are one call each.  The identities beta-law-table (each whole table
-    against its Beta law) and psi-prefactor-form are one call each over the
-    stack of the families they check.  Every check reads its configuration's
-    closed form or table: an identity of lambda alone could certify nothing
-    about the configuration, and none is a row.
+    ODE (the m2 identity) are one call each.  beta-law-table (each whole
+    table against its Beta law) is one call over the stack of the families
+    it checks.  Every check reads its configuration's closed form or table:
+    an identity of lambda alone could certify nothing about the
+    configuration, and none is a row.
     """
     zs = _circle(zmax, grid)
     zs_real = np.array([s * zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)])
     zs_two_circles = _circle(0.5 * zmax, grid) + _circle(zmax, grid)
     ode_zs = np.array([s * zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
-    gf3_zs = [-0.5 * zmax, 0.5 * zmax, zmax]
 
     def series(live, cf, seq):
         xs = [run.xs for run in live]
@@ -198,11 +196,7 @@ def _checks(zmax: float, grid: int, tol: float) -> list:
         coeffs = riccati.coefficients(cf.lam, cf.alpha1, cf.omega2)
         return _worst(live, riccati.residual_f(cf, coeffs, zs_two_circles))
 
-    def moment_ode(live, cf, seq):
-        first, second = (_rows(live, r) for r in riccati.residual_moment_ode(cf, seq, ode_zs))
-        return [max(r1.max(), r2.max()) for r1, r2 in zip(first, second)]
-
-    every, nonsym = tuple(Family), (Family.NONSYM_PLUS, Family.NONSYM_MINUS)
+    every = tuple(Family)
     beta = tuple(family for family in Family if family is not Family.FREE_MEIXNER)
     return [
         ([("series-vs-closed", len(zs) * 11, tol)], every, series),
@@ -211,11 +205,10 @@ def _checks(zmax: float, grid: int, tol: float) -> list:
         ([("riccati-residual-f", len(zs_two_circles), 1e-11)], every, riccati_f),
         ([("riccati-residual-u", len(zs_two_circles), 1e-11)], every,
          lambda live, cf, seq: _worst(live, riccati.residual_u(cf, zs_two_circles))),
-        ([("moment-ode", 2 * len(ode_zs), 1e-7)], every, moment_ode),
+        ([("moment-ode", len(ode_zs), 1e-7)], every,
+         lambda live, cf, seq: _worst(live, riccati.residual_moment_ode(cf, seq, ode_zs))),
         ([("beta-law-table", 2 * genfun.SERIES_CAP - 1, 1e-12)], beta,
          lambda live, cf, seq: _worst(live, identities.beta_law_table_check(cf, seq))),
-        ([("psi-prefactor-form", len(gf3_zs) * 5, 1e-12)], nonsym, lambda live, cf, seq: _worst(
-            live, identities.gf3_equivalence(cf, gf3_zs, [run.xs5 for run in live]))),
     ]
 
 

@@ -239,21 +239,6 @@ def _finite_x_guard(x) -> tuple:
         f"x must be finite, got {xk}")
 
 
-def _grid(cf: GenFunClosedForm, z, x) -> tuple:
-    """psi_analytic's layout: z as a 1-D complex axis, x as (1, X) floats,
-    (C, 1, X) for a stack of C with one row of x per configuration, and the
-    result's shape.
-
-    Closed-form values at z, of shape (Z,) or (C, Z), take a trailing axis
-    to meet x.  A scalar is evaluated as a length-1 array, so a scalar call
-    rounds exactly like the same point of a grid call; as_shape drops the
-    axis."""
-    lead = _stack_shape(cf)
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    xs = np.asarray(x, dtype=float).reshape(lead + (1, -1))
-    return zs, xs, lead + np.shape(z) + np.shape(x)[len(lead):]
-
-
 def as_shape(values, shape):
     """values reshaped to shape, a Python scalar for shape ()."""
     values = np.reshape(values, shape)
@@ -274,8 +259,12 @@ def psi_analytic(cf: GenFunClosedForm, z, x):
     point in z-major order (of the first configuration that has one), the
     error a scalar call there raises.
     """
-    zs, xs, shape = _grid(cf, z, x)
+    # a scalar is evaluated as a length-1 array, so a scalar call rounds
+    # exactly like the same point of a grid call; as_shape drops the axis
+    lead = _stack_shape(cf)
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
     zg = zs[:, None]
+    xs = np.asarray(x, dtype=float).reshape(lead + (1, -1))
     c0, c1, c2 = (_lift(c) for c in cf.zf_coeffs)
     with np.errstate(invalid="ignore"):  # a non-finite x raises below
         w = c0 + (c1 - xs) * zg + c2 * zg * zg
@@ -291,7 +280,7 @@ def psi_analytic(cf: GenFunClosedForm, z, x):
     ])
     values = np.where(zg == 0, 1.0 + 0.0j, cf.numerator(zs)[..., None]
                       / np.exp(_lift(cf.lam) * np.log(w)))
-    return as_shape(values, shape)
+    return as_shape(values, lead + np.shape(z) + np.shape(x)[len(lead):])
 
 
 class PsiSeriesResult(NamedTuple):

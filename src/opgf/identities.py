@@ -1,16 +1,14 @@
 """Identities that tie the classified families to classical forms.
 
 beta_law_table_check compares a Beta law's whole coefficient table with
-the classical monic Jacobi table mapped onto its support, and
-gf3_equivalence the rational-prefactor display of a non-symmetric
-generating function with psi_analytic's value of its psi.  Each returns
-relative residuals for the caller's tolerance.  Both read the
-configuration's closed form, and beta_law_table_check its table: an
-identity of lambda alone would certify nothing about a configuration, so
-those live among the test oracles (tests/reference.py).
+the classical monic Jacobi table mapped onto its support, and returns
+relative residuals for the caller's tolerance.  It reads the
+configuration's closed form and table: an identity of lambda alone would
+certify nothing about a configuration, so those live among the test
+oracles (tests/reference.py).
 
-Each check takes a closed form of its own or a stack of C closed forms
-(genfun.stack_closed_forms), with a table or a stack of C tables; a stack
+The check takes a closed form of its own with its table, or a stack of C
+closed forms (genfun.stack_closed_forms) with a stack of C tables; a stack
 gives a result with a leading axis of length C from one evaluation, whose
 row c is bit for bit the call with the c-th closed form alone.
 
@@ -56,17 +54,6 @@ def jacobi_sequence(alf, bet, size: int) -> JacobiSzegoSequence:
     return JacobiSzegoSequence(alphas, omegas)
 
 
-def _principal_power(w, expo):
-    return np.exp(expo * np.log(np.asarray(w, dtype=complex)))
-
-
-def _nonsym_signs(cf: genfun.GenFunClosedForm) -> np.ndarray:
-    """nonsym_sign of cf's families, laid out as cf.lam; another family
-    raises ParameterError."""
-    tags = np.ravel(np.asarray(cf.family, dtype=object))
-    return np.reshape([families.nonsym_sign(tag) for tag in tags], np.shape(cf.lam))
-
-
 def beta_law_table_check(cf: genfun.GenFunClosedForm, seq) -> np.ndarray:
     """The N residuals |delta alpha_n| / h, then the N - 1 |delta omega_n| /
     omega_n, between the table seq and its Beta law's: the Jacobi table of
@@ -83,28 +70,3 @@ def beta_law_table_check(cf: genfun.GenFunClosedForm, seq) -> np.ndarray:
     omegas = seq.omegas[..., 1:]
     return np.concatenate((np.abs(seq.alphas - (centre + half * law.alphas)) / half,
                            np.abs(omegas - half * half * law.omegas[..., 1:]) / omegas), axis=-1)
-
-
-def gf3_equivalence(cf: genfun.GenFunClosedForm, z, x):
-    """|display - psi| / max(1, |psi|) between the rational-prefactor closed
-    form of one non-symmetric family's generating function and
-    psi_analytic's psi, on the (Z, X) grid of 1-D z and x (scalars give a
-    scalar).
-    For a stack of C closed forms x has one row per configuration and the
-    grid a leading axis of length C, from one psi_analytic call.
-
-    For the nonsym-plus closed form cf the display is
-        (l/r) (z + r/l) [1 - z(x - 1/r) + l^2 z^2 / r^2]^(-l),  r = sqrt(2l-1),
-    checked against psi_analytic(cf, z, x); for nonsym-minus the signs of r
-    in the display flip.  Another family raises ParameterError.
-    """
-    # z keeps its own dtype: the display is formed in reals for a real z
-    _, xs, shape = genfun._grid(cf, z, x)
-    zg = np.atleast_1d(z)[:, None]
-    sgn, lam = genfun._lift(_nonsym_signs(cf)), genfun._lift(cf.lam)
-    root = np.sqrt(2.0 * lam - 1.0)
-    ratio = lam * lam / (2.0 * lam - 1.0)
-    w = 1.0 - zg * (xs - sgn / root) + ratio * zg * zg
-    closed = sgn * (lam / root) * (zg + sgn * root / lam) * _principal_power(w, -lam)
-    psi = genfun.psi_analytic(cf, z, x)
-    return np.abs(genfun.as_shape(closed, shape) - psi) / np.maximum(1.0, np.abs(psi))

@@ -18,6 +18,10 @@ points to extract the exact linear/quadratic dependence on each unknown, and
 solve with the numerically stable quadratic formula.  The solved closed forms
 then act as independent oracles in the test suite.
 
+residual_f, residual_u and residual_moment_ode evaluate a family's closed
+form in the Riccati equation, in the equation of u'/u and in the m2 moment
+identity, which also reads the coefficient table.
+
 The matching kernel (coefficients, _poly_mul, _matching_residual) is plain
 arithmetic on short tuples, with no array overhead.  Halvings are written
 x / 2 and constants are integer literals, so the same code runs exactly on
@@ -156,24 +160,24 @@ def residual_u(cf: genfun.GenFunClosedForm, z):
     return genfun.as_shape(residual, genfun._stack_shape(cf) + np.shape(z))
 
 
-def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence,
-                        z) -> tuple:
-    """Residuals of the two first-order moment identities.
+def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence, z):
+    """Residual of the m2 moment identity
 
-    First:  d/dz [u (f - lambda z)]            = (1 - lambda) u f'
-    Second: d/dz [(lambda z f - m2) u]         = lambda (1 - lambda) z u f'
+        d/dz [(lambda z f - m2) u] = lambda (1 - lambda) z u f'
 
     with m2(z) = lambda(lambda+1)/2 omega_2 z^2 + lambda alpha_1 z + 1 taken
-    from alpha_1 and omega_2 of the coefficient table seq.  Each left side
-    is differentiated in closed form by the product rule
+    from alpha_1 and omega_2 of the coefficient table seq.  The left side is
+    differentiated in closed form by the product rule
     (u h)' = u (h u'/u + h'), with u'/u = u_log_deriv and f' = f_prime; the
-    residuals are absolute.  z is a float or a 1-D array of reals, and each
-    residual comes back in z's shape (a scalar is evaluated as the length-1
-    array).  For a stack of C closed forms seq is a stack of C tables and
-    each residual has a leading axis of length C.  A point outside the
-    domain radius, or z = 0, raises for the first one (of the first
-    configuration that has one) the error a scalar call there raises; a
-    table of fewer than 3 entries raises ParameterError.
+    residual is absolute.  (The other first-order identity,
+    d/dz [u (f - lambda z)] = (1 - lambda) u f', is residual_u's times
+    u (f - lambda z), and is not repeated here.)  z is a float or a 1-D
+    array of reals, and the residual comes back in z's shape (a scalar is
+    evaluated as the length-1 array).  For a stack of C closed forms seq is
+    a stack of C tables and the residual has a leading axis of length C.
+    A point outside the domain radius, or z = 0, raises for the first one
+    (of the first configuration that has one) the error a scalar call there
+    raises; a table of fewer than 3 entries raises ParameterError.
     """
     lead = genfun._table_lead(seq, cf)
     if seq.omegas.shape[-1] < 3:
@@ -185,16 +189,12 @@ def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence,
         (zs == 0, lambda _: DomainError("z = 0 is a branch point of u")),
     ])
     lam, a1, w2 = cf.lam, seq.alphas[..., 1:2], seq.omegas[..., 2:3]
-    u, log_deriv = cf.u(zs), cf.u_log_deriv(zs)
-    fz, fpz = cf.f(zs), cf.f_prime(zs)
+    u, fz, fpz = cf.u(zs), cf.f(zs), cf.f_prime(zs)
     m2 = 0.5 * lam * (lam + 1.0) * w2 * zs * zs + lam * a1 * zs + 1.0
     m2_prime = lam * (lam + 1.0) * w2 * zs + lam * a1
-    h1, h1_prime = fz - lam * zs, fpz - lam
-    h2, h2_prime = lam * zs * fz - m2, lam * fz + lam * zs * fpz - m2_prime
-    r_first = np.abs(u * (h1 * log_deriv + h1_prime) - (1.0 - lam) * u * fpz)
-    r_second = np.abs(u * (h2 * log_deriv + h2_prime) - lam * (1.0 - lam) * zs * u * fpz)
-    shape = lead + np.shape(z)
-    return genfun.as_shape(r_first, shape), genfun.as_shape(r_second, shape)
+    h, h_prime = lam * zs * fz - m2, lam * fz + lam * zs * fpz - m2_prime
+    residual = np.abs(u * (h * cf.u_log_deriv(zs) + h_prime) - lam * (1.0 - lam) * zs * u * fpz)
+    return genfun.as_shape(residual, lead + np.shape(z))
 
 
 # ----------------------------------------------------------------------------

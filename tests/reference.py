@@ -5,8 +5,11 @@ adaptive Gauss-Kronrod integration against each family's Beta density,
 normalized in log-gamma form (the package stores no density and builds its
 Gauss rules from the recurrence alone), psi's closed form as the literal
 product 1 / (u(z) (f(z) - x)^lambda) at one point (the package evaluates a
-factorization of it), the classical monic Gegenbauer and Jacobi recurrence
-coefficients one index at a time (the package tabulates them as arrays),
+factorization of it), the non-symmetric families' psi as the paper's
+rational-prefactor display (the package evaluates
+N(z) / (1 + (c1 - x) z + c2 z^2)^lambda from its closed form), the
+classical monic Gegenbauer and Jacobi recurrence coefficients one index at
+a time (the package tabulates them as arrays),
 and recurrence coefficients recovered from a Gauss rule by the discrete
 Stieltjes procedure (the package writes them in closed form).
 A Gauss rule is also refined in np.longdouble by Newton's method on the
@@ -59,7 +62,7 @@ from opgf import (
 )
 from opgf.families import support_interval, validate_params
 from opgf.genfun import SERIES_CAP, as_shape
-from opgf.identities import _principal_power, jacobi_sequence
+from opgf.identities import jacobi_sequence
 from opgf.riccati import _coeff_at, _quadratic_fit, _quadratic_roots, _symmetric_omega2_fit
 
 _QUAD_TOL = 1e-12
@@ -503,6 +506,10 @@ def gegenbauer_sequence(lam: float, size: int) -> JacobiSzegoSequence:
     return JacobiSzegoSequence(np.zeros(size), omegas)
 
 
+def _principal_power(w, expo):
+    return np.exp(expo * np.log(np.asarray(w, dtype=complex)))
+
+
 def _series_identity(lam, seq, z, x, z_scale, x_scale, closed):
     """|series - closed| of a generating-function identity on the (Z, X) grid
     of z and x, scalars or 1-D arrays (scalars give a float).  The series
@@ -590,6 +597,19 @@ def two_f_one_collapse_check(lam: float, t, y):
         (0.5 * (alf + bet + 1.0), 0.5 * (alf + bet + 2.0)), bet + 1.0, w)
     rhs = (1.0 + tg) * (1.0 + tg * tg - 2.0 * tg * yg) ** -lam
     return as_shape(np.abs(lhs - rhs), np.shape(t) + np.shape(y))
+
+
+def nonsym_prefactor_psi(sign: float, lam: float, z, x: float) -> complex:
+    """psi(z, x) of the non-symmetric family of sign (+1 for nonsym-plus, -1
+    for nonsym-minus) at one point, as the rational-prefactor display
+
+        sgn (l/r) (z + sgn r/l) [1 - z(x - sgn/r) + l^2 z^2 / r^2]^(-l),
+
+    r = sqrt(2l - 1), principal branch: the paper's form, transcribed apart
+    from the package's coefficients."""
+    root = math.sqrt(2.0 * lam - 1.0)
+    w = 1.0 - z * (x - sign / root) + lam * lam / (2.0 * lam - 1.0) * z * z
+    return complex(sign * (lam / root) * (z + sign * root / lam) * _principal_power(w, -lam))
 
 
 def psi_closed(cf, z, x: float) -> complex:

@@ -235,11 +235,9 @@ def test_one_array_call_per_check(family, lam, a, b, monkeypatch):
         counted(riccati, name)
     report = run_campaign([(family, lam, a, b)], zmax=0.1, grid=16, tol=1e-9)[0]
     assert report["all_passed"]
-    # series-vs-closed and the moments evaluate one psi_analytic grid each,
-    # and psi-prefactor-form one more on the non-symmetric families
-    extra = 1 if family.nonsymmetric else 0
+    # series-vs-closed and the moments evaluate one psi_analytic grid each
     assert calls["closed_form"] == 1
-    assert calls["psi_analytic"] == 2 + extra
+    assert calls["psi_analytic"] == 2
     assert calls["residual_moment_ode"] == 1
     assert calls["residual_f"] <= 2
     assert calls["residual_u"] <= 2
@@ -269,12 +267,10 @@ def test_one_closed_form_and_one_table_per_configuration(argv, configs, tmp_path
     assert calls == {"family_sequence": configs, "closed_form": configs}
 
 
-# The configurations each identity call of a full sweep stacks: one call per
-# identity, beta-law-table's over the campaign's twenty configurations of a
-# Beta law, psi-prefactor-form's over its ten non-symmetric ones.
+# The configurations each identity call of a full sweep stacks: one call,
+# beta-law-table's over the campaign's twenty configurations of a Beta law.
 IDENTITY_STACKS = {
     "beta_law_table_check": [20],
-    "gf3_equivalence": [10],
 }
 # psi_series_stack rows per sweep: series-vs-closed over the 23
 # configurations.
@@ -285,12 +281,11 @@ MONIC_STACKS = [23]
 
 # The closed-form checks, each one call over the stack of the campaign's
 # closed forms.  psi_analytic serves series-vs-closed, then the moments
-# inside psi_family_moments, then psi-prefactor-form over the ten
-# non-symmetric configurations.
+# inside psi_family_moments.
 STACKED_CHECKS = ((genfun, "psi_analytic"), (genfun, "psi_family_moments"),
                   (riccati, "residual_f"), (riccati, "residual_u"),
                   (riccati, "residual_moment_ode"))
-CLOSED_ROWS = {name: [23] for _, name in STACKED_CHECKS} | {"psi_analytic": [23, 23, 10]}
+CLOSED_ROWS = {name: [23] for _, name in STACKED_CHECKS} | {"psi_analytic": [23, 23]}
 
 
 def test_sweep_evaluates_each_lambda_identity_once(tmp_path, monkeypatch):
@@ -656,12 +651,12 @@ IDENTITY_STEP_CONFIGS = [(Family.SYM1, 0.6, None, None), (Family.SYM1, 1.5, None
 
 
 @pytest.mark.parametrize("name, bad_lam, failing", [
-    # each one call over its stack of closed forms: beta-law-table's holds
-    # all six configurations, lambda = 2 three times and 1.5 twice, and
-    # psi-prefactor-form's the non-symmetric ones, lambda = 1.5 once
+    # one call over the stack of closed forms: beta-law-table's holds all
+    # six configurations, lambda = 2 three times, 1.5 twice and 0.6, the
+    # first, once
     ("beta_law_table_check", 2.0, [3, 4, 5]),
     ("beta_law_table_check", 1.5, [1, 2]),
-    ("gf3_equivalence", 1.5, [2]),
+    ("beta_law_table_check", 0.6, [0]),
 ])
 def test_identity_error_stays_with_its_configuration(name, bad_lam, failing, monkeypatch):
     # an identity that raises at one lambda makes the campaign raise that

@@ -852,7 +852,7 @@ def stacked_checks(cf, seqs, zmax, xs_rows):
         "psi_family_moments": list(psi_family_moments(seqs, cf, z_real)),
         "residual_f": [riccati.residual_f(cf, coeffs, z_circles)],
         "residual_u": [riccati.residual_u(cf, z_circles)],
-        "residual_moment_ode": list(riccati.residual_moment_ode(cf, seqs, ode_z)),
+        "residual_moment_ode": [riccati.residual_moment_ode(cf, seqs, ode_z)],
     }
 
 

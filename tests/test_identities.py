@@ -22,7 +22,7 @@ from opgf import (
 from opgf import genfun
 from opgf.families import beta_exponents, support_interval
 from opgf.genfun import SERIES_CAP
-from opgf.identities import beta_law_table_check, gf3_equivalence, jacobi_sequence
+from opgf.identities import beta_law_table_check, jacobi_sequence
 from opgf.recurrence import JacobiSzegoSequence, eval_monic
 from reference import (
     beta_law,
@@ -35,6 +35,7 @@ from reference import (
     jacobi_2f1_gf_check,
     jacobi_alpha,
     jacobi_omega,
+    nonsym_prefactor_psi,
     one_f_zero_reduction,
     pochhammer_over_factorial,
     pochhammer_ratio_check,
@@ -316,7 +317,6 @@ class TestFamily2:
 
 
 NONSYM = {"plus": Family.NONSYM_PLUS, "minus": Family.NONSYM_MINUS}
-OTHER_FAMILIES = ((Family.SYM1, 2.0, None, None), (Family.FREE_MEIXNER, None, 0.5, 0.25))
 BETA_FAMILIES = (Family.SYM1, Family.SYM2, Family.NONSYM_PLUS, Family.NONSYM_MINUS)
 
 
@@ -327,7 +327,11 @@ def table_check(family, lam):
 
 
 def gf3(sign, lam, z, x):
-    return gf3_equivalence(get_closed_form(NONSYM[sign], lam, None, None), z, x)
+    """|psi - display| / max(1, |psi|) at one point between psi_analytic's
+    psi of a non-symmetric closed form and the rational-prefactor display."""
+    psi = psi_analytic(get_closed_form(NONSYM[sign], lam, None, None), z, x)
+    display = nonsym_prefactor_psi(1.0 if sign == "plus" else -1.0, lam, z, x)
+    return abs(psi - display) / max(1.0, abs(psi))
 
 
 class TestBetaLawTable:
@@ -503,32 +507,33 @@ class TestGf3:
             for x in (lo, hi):
                 assert gf3(sign, 0.51, 0.05, x) <= 1e-12
 
-    @pytest.mark.parametrize("config", OTHER_FAMILIES, ids=["sym1", "free-meixner"])
-    def test_refuses_other_families(self, config):
-        with pytest.raises(ParameterError):
-            gf3_equivalence(get_closed_form(*config), 0.1, 0.0)
-
     @pytest.mark.parametrize("sign", ["plus", "minus"])
     def test_grid_matches_points(self, sign):
+        # one grid call gives, bit for bit, the scalar call at each point,
+        # and each point agrees with the display
+        cf = get_closed_form(NONSYM[sign], 1.2, None, None)
         zs, xs = [-0.05, 0.05, 0.1], [-0.5, 0.0, 0.5, 1.5]
-        grid = gf3(sign, 1.2, zs, xs)
+        grid = psi_analytic(cf, zs, xs)
         assert grid.shape == (3, 4)
         for i, z in enumerate(zs):
             for j, x in enumerate(xs):
-                assert abs(grid[i, j] - gf3(sign, 1.2, z, x)) <= 1e-15
+                assert grid[i, j] == psi_analytic(cf, z, x)
+                assert gf3(sign, 1.2, z, x) <= 1e-12
 
-    def test_one_closed_form_per_call(self, monkeypatch):
-        # the caller's closed form is the only one
-        cf = get_closed_form(Family.NONSYM_PLUS, 2.0, None, None)
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return closed_form(*args, **kwargs)
-
-        monkeypatch.setattr(genfun, "closed_form", counting)
-        gf3_equivalence(cf, [-0.05, 0.05, 0.1], np.linspace(-1.0, 2.0, 5))
-        assert calls == []
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_coefficients_are_the_displays(self, sign):
+        # c1 = sgn/r, c2 = lambda^2/r^2 and d1 = sgn lambda/r, r = sqrt(2 lambda - 1),
+        # each coefficient on its own; the other sign's closed form is not
+        # the display
+        lam, sgn = 1.2, 1.0 if sign == "plus" else -1.0
+        root = math.sqrt(2.0 * lam - 1.0)
+        cf = get_closed_form(NONSYM[sign], lam, None, None)
+        assert cf.zf_coeffs == pytest.approx((1.0, sgn / root, lam * lam / root ** 2),
+                                             rel=1e-15)
+        assert cf.numerator_coeffs == pytest.approx((1.0, sgn * lam / root, 0.0), rel=1e-15)
+        other = get_closed_form(NONSYM["minus" if sign == "plus" else "plus"], lam, None, None)
+        assert abs(psi_analytic(other, 0.1, 0.5)
+                   - nonsym_prefactor_psi(sgn, lam, 0.1, 0.5)) > 1e-3
 
 
 class TestSubstitutionChain:
@@ -640,13 +645,6 @@ class TestIdentitiesOfLambdaAlone:
 class TestStackedIdentities:
     """Every row of a mixed stack equals its own stack-of-one call."""
 
-    def nonsym_stack(self):
-        configs = [(family, lam, None, None) for family, lam in NONSYM_STACK]
-        cfs = [get_closed_form(*config) for config in configs]
-        seqs = [get_sequence(*config) for config in configs]
-        rows = [np.linspace(*support_interval(*config), 5) for config in configs]
-        return cfs, seqs, rows
-
     def test_beta_law_table(self):
         configs = ([(Family.SYM1, lam, None, None) for lam in SYM1_STACK]
                    + [(Family.SYM2, lam, None, None) for lam in SYM2_STACK]
@@ -661,10 +659,17 @@ class TestStackedIdentities:
         assert stacked.max() <= 1e-12
 
     def test_psi_prefactor_form(self):
-        cfs, _, rows = self.nonsym_stack()
+        # psi_analytic over the non-symmetric stack, one x row per
+        # configuration, against the rational-prefactor display
+        configs = [(family, lam, None, None) for family, lam in NONSYM_STACK]
+        cfs = [get_closed_form(*config) for config in configs]
+        rows = [np.linspace(*support_interval(*config), 5) for config in configs]
         zs = [-0.05, 0.05, 0.1]
-        stacked = gf3_equivalence(genfun.stack_closed_forms(cfs), zs, rows)
+        stacked = psi_analytic(genfun.stack_closed_forms(cfs), zs, rows)
         assert stacked.shape == (5, 3, 5)
         assert_rows_are_single_calls(
-            stacked, [gf3_equivalence(cf, zs, x) for cf, x in zip(cfs, rows)])
-        assert stacked.max() <= 1e-12
+            stacked, [psi_analytic(cf, zs, x) for cf, x in zip(cfs, rows)])
+        for (family, lam), psi, xs in zip(NONSYM_STACK, stacked, rows):
+            sgn = 1.0 if family is Family.NONSYM_PLUS else -1.0
+            display = np.array([[nonsym_prefactor_psi(sgn, lam, z, x) for x in xs] for z in zs])
+            assert np.max(np.abs(psi - display) / np.maximum(1.0, np.abs(psi))) <= 1e-12

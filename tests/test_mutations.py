@@ -137,6 +137,8 @@ MUTATIONS = {
     "closed-sym2-d2": [closed(Family.SYM2, d2=1.0 + 1e-8)],
     "closed-free-meixner-omega2": [closed(Family.FREE_MEIXNER, omega2=1.0 + 1e-8)],
     "closed-nonsym-plus-d1": [closed(Family.NONSYM_PLUS, d1=1.0 + 1e-8)],
+    "closed-nonsym-minus-c1": [closed(Family.NONSYM_MINUS, c1=1.0 + 1e-8)],
+    "closed-nonsym-plus-c2": [closed(Family.NONSYM_PLUS, c2=1.0 + 1e-8)],
     "psi-analytic-value": [results(genfun, "psi_analytic", lambda psi: psi * (1.0 + 1e-8))],
     "eval-monic-from-degree-5": [results(genfun, "eval_monic",
                                          scaled_from(5, 1.0 + 1e-6))],

@@ -135,28 +135,27 @@ class TestResidualU:
 
 
 class TestResidualMomentOde:
-    def test_free_meixner_first_identity_trivial(self):
-        # at lambda = 1 the right side vanishes and u (f - z) is constant
+    def test_free_meixner_identity_trivial(self):
+        # at lambda = 1 the right side vanishes and (z f - m2) u, zero at
+        # z = 0, stays zero: the table's alpha_1 and omega_2 are z f's c1, c2
         cf = get_closed_form(Family.FREE_MEIXNER, None, 0.5, 0.25)
         seq = get_sequence(Family.FREE_MEIXNER, None, 0.5, 0.25)
-        r1, _ = residual_moment_ode(cf, seq, 0.07)
-        assert r1 <= 1e-10
+        assert residual_moment_ode(cf, seq, 0.07) <= 1e-10
+        assert seq.alphas[1] == pytest.approx(cf.zf_coeffs[1], rel=1e-14)
+        assert seq.omegas[2] == pytest.approx(cf.zf_coeffs[2], rel=1e-14)
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
-    def test_both_residuals_small(self, config):
+    def test_residual_small(self, config):
         cf = get_closed_form(*config)
         seq = get_sequence(*config)
         for z in (-0.1, -0.05, 0.05, 0.1):
-            r1, r2 = residual_moment_ode(cf, seq, z)
-            assert r1 <= 1e-7
-            assert r2 <= 1e-7
+            assert residual_moment_ode(cf, seq, z) <= 1e-7
 
     def test_radius_domain_guard(self):
         # every point inside the domain radius evaluates, up to its edge
         cf = get_closed_form(Family.SYM1, 2.0, None, None)
         seq = get_sequence(Family.SYM1, 2.0, None, None)
-        r1, r2 = residual_moment_ode(cf, seq, cf.domain_radius - 1e-9)
-        assert math.isfinite(r1) and math.isfinite(r2)
+        assert math.isfinite(residual_moment_ode(cf, seq, cf.domain_radius - 1e-9))
         for z in (cf.domain_radius, -cf.domain_radius):
             with pytest.raises(DomainError, match="outside the domain radius"):
                 residual_moment_ode(cf, seq, z)
@@ -168,27 +167,24 @@ class TestResidualMomentOde:
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_sweep_residuals_at_rounding(self, config):
         # differentiated in closed form, only the rounding of u and f remains
-        r1, r2 = residual_moment_ode(get_closed_form(*config), get_sequence(*config),
-                                     np.array(self.ODE_ZS))
-        assert r1.max() <= 1e-12
-        assert r2.max() <= 1e-12
+        residual = residual_moment_ode(get_closed_form(*config), get_sequence(*config),
+                                       np.array(self.ODE_ZS))
+        assert residual.max() <= 1e-12
 
     @pytest.mark.parametrize("entry", ["alpha_1", "omega_2"])
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
-    def test_second_identity_sees_a_wrong_table(self, config, entry):
-        # m2 reads alpha_1 and omega_2 from the table; the first identity
-        # reads neither
+    def test_sees_a_wrong_table(self, config, entry):
+        # m2 reads alpha_1 and omega_2 from the table
         seq = get_sequence(*config)
         alphas, omegas = seq.alphas.copy(), seq.omegas.copy()
         if entry == "alpha_1":
             alphas[1] += 1e-6
         else:
             omegas[2] += 1e-6
-        r1, r2 = residual_moment_ode(get_closed_form(*config),
-                                     JacobiSzegoSequence(alphas, omegas),
-                                     np.array(self.ODE_ZS))
-        assert r1.max() <= 1e-12
-        assert r2.max() > 1e-10
+        residual = residual_moment_ode(get_closed_form(*config),
+                                       JacobiSzegoSequence(alphas, omegas),
+                                       np.array(self.ODE_ZS))
+        assert residual.max() > 1e-10
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_refuses_a_short_table(self, size):
@@ -255,13 +251,12 @@ class TestGridResiduals:
         # a scalar is evaluated as the length-1 grid, elementwise
         cf = get_closed_form(*config)
         seq = get_sequence(*config)
-        r1, r2 = residual_moment_ode(cf, seq, np.array(self.REAL_POINTS))
-        assert r1.shape == r2.shape == (6,)
+        grid = residual_moment_ode(cf, seq, np.array(self.REAL_POINTS))
+        assert grid.shape == (6,)
         for k, z in enumerate(self.REAL_POINTS):
-            p1, p2 = residual_moment_ode(cf, seq, z)
-            assert isinstance(p1, float) and isinstance(p2, float)
-            assert r1[k] == p1
-            assert r2[k] == p2
+            point = residual_moment_ode(cf, seq, z)
+            assert isinstance(point, float)
+            assert grid[k] == point
 
     @pytest.mark.parametrize("zs", [[0.05, 0.0, 5.0], [0.05j, 5.0, 0.0]])
     def test_residual_f_first_bad_point(self, zs):
