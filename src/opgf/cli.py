@@ -17,11 +17,11 @@ form and one coefficient table per configuration and then runs the rows of
 _checks, one check at a time.  Each check is one call over the
 configurations it checks, laid out by _stack: one configuration's own closed
 form and table, or one stack of each for several, whose row c is bit for bit
-configuration c's own call.  series-vs-closed is one psi_series_stack pass
-and one psi_analytic call, and the moments (one Gauss rule per row), both
-Riccati residuals, the m2 moment identity and the identity of every Beta
-law's table are one call each.  Nothing is kept from one command to the
-next.
+configuration c's own call, made once per set of families checked.
+series-vs-closed is one psi_series_stack pass and one psi_analytic call,
+and the moments (one Gauss rule per row), the coefficient identities of
+both Riccati equations and the m2 moment ODE, and the identity of every
+Beta law's table are one call each.  Nothing is kept between commands.
 
 If a campaign of several configurations raises, it is run again
 configuration by configuration, and so raises the error that such a loop
@@ -112,13 +112,6 @@ class _Run:
         }
 
 
-def _circle(radius: float, grid: int) -> list:
-    """grid points radius * e^(i k pi / grid), k = 0 .. grid-1: the upper half
-    circle, never touching pi (the branch cut direction)."""
-    return [radius * complex(math.cos(t), math.sin(t))
-            for t in (k * math.pi / grid for k in range(grid))]
-
-
 def _stack(live) -> tuple:
     """The closed forms and tables of the runs live: one run's own closed
     form, whose Python-float fields numpy combines with complex points
@@ -129,14 +122,17 @@ def _stack(live) -> tuple:
             JacobiSzegoSequence.stack([run.seq for run in live]))
 
 
-def _stacked(runs, records, families_checked, evaluate) -> None:
+def _stacked(runs, stacks, records, families_checked, evaluate) -> None:
     """The check records of one row of _checks for every run whose family is
     in families_checked: their worst residuals are the run's row of one call
-    evaluate(live, *_stack(live)) over all of those runs."""
+    evaluate(live, *stacks[families_checked]) over all of those runs, where
+    stacks keeps _stack(live) for each families tuple once it is laid out."""
     live = [run for run in runs if run.cf.family in families_checked]
     if not live:
         return
-    for run, row in zip(live, _rows(live, evaluate(live, *_stack(live)))):
+    if families_checked not in stacks:
+        stacks[families_checked] = _stack(live)
+    for run, row in zip(live, _rows(live, evaluate(live, *stacks[families_checked]))):
         for (name, points, tolerance), residual in zip(records, row, strict=True):
             run.checks.append({
                 "name": name,
@@ -168,16 +164,15 @@ def _checks(zmax: float, grid: int, tol: float) -> list:
 
     series-vs-closed is one psi_series_stack pass and one psi_analytic call
     over the stack, and the moments, both Riccati residuals and the moment
-    ODE (the m2 identity) are one call each.  beta-law-table (each whole
-    table against its Beta law) is one call over the stack of the families
-    it checks.  Every check reads its configuration's closed form or table:
-    an identity of lambda alone could certify nothing about the
-    configuration, and none is a row.
+    ODE (the m2 identity; these three read no point) are one call each.
+    beta-law-table (each whole table against its Beta law) is one call over
+    the stack of the families it checks.  Every check reads its
+    configuration's closed form or table: an identity of lambda alone could
+    certify nothing about the configuration, and none is a row.
     """
-    zs = _circle(zmax, grid)
+    # the upper half circle zmax e^(i k pi / grid), never touching pi (the branch cut)
+    zs = [zmax * complex(math.cos(t), math.sin(t)) for t in (k * math.pi / grid for k in range(grid))]
     zs_real = np.array([s * zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)])
-    zs_two_circles = _circle(0.5 * zmax, grid) + _circle(zmax, grid)
-    ode_zs = np.array([s * zmax for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)])
 
     def series(live, cf, seq):
         xs = [run.xs for run in live]
@@ -192,21 +187,19 @@ def _checks(zmax: float, grid: int, tol: float) -> list:
         return np.stack([_worst(live, m0 - 1.0), _worst(live, m1 - cf.lam * zs_real),
                          _worst(live, m2 - m2_claim)], axis=1)
 
-    def riccati_f(live, cf, seq):
-        coeffs = riccati.coefficients(cf.lam, cf.alpha1, cf.omega2)
-        return _worst(live, riccati.residual_f(cf, coeffs, zs_two_circles))
-
     every = tuple(Family)
     beta = tuple(family for family in Family if family is not Family.FREE_MEIXNER)
     return [
         ([("series-vs-closed", len(zs) * 11, tol)], every, series),
         ([("moment-m0", len(zs_real), 1e-10), ("moment-m1", len(zs_real), 1e-9),
           ("moment-m2", len(zs_real), 1e-9)], every, moments),
-        ([("riccati-residual-f", len(zs_two_circles), 1e-11)], every, riccati_f),
-        ([("riccati-residual-u", len(zs_two_circles), 1e-11)], every,
-         lambda live, cf, seq: _worst(live, riccati.residual_u(cf, zs_two_circles))),
-        ([("moment-ode", len(ode_zs), 1e-7)], every,
-         lambda live, cf, seq: _worst(live, riccati.residual_moment_ode(cf, seq, ode_zs))),
+        # the five coefficients of each degree-4 identity
+        ([("riccati-residual-f", 5, riccati.IDENTITY_BOUND)], every,
+         lambda live, cf, seq: _worst(live, riccati.residual_f(cf))),
+        ([("riccati-residual-u", 5, riccati.IDENTITY_BOUND)], every,
+         lambda live, cf, seq: _worst(live, riccati.residual_u(cf))),
+        ([("moment-ode", 5, riccati.IDENTITY_BOUND)], every,
+         lambda live, cf, seq: _worst(live, riccati.residual_moment_ode(cf, seq))),
         ([("beta-law-table", 2 * genfun.SERIES_CAP - 1, 1e-12)], beta,
          lambda live, cf, seq: _worst(live, identities.beta_law_table_check(cf, seq))),
     ]
@@ -227,9 +220,9 @@ def run_campaign(configs, zmax: float, grid: int, tol: float) -> list[dict]:
         raise ParameterError(f"tol must be a finite number > 0, got {tol}")
     configs = list(configs)
     try:
-        runs = [_Run(*config, zmax, grid) for config in configs]
+        runs, stacks = [_Run(*config, zmax, grid) for config in configs], {}
         for check in _checks(zmax, grid, tol):
-            _stacked(runs, *check)
+            _stacked(runs, stacks, *check)
     except Exception:
         if len(configs) == 1:
             raise

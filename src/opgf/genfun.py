@@ -68,9 +68,9 @@ class GenFunClosedForm:
     Two quadratics carry the whole family: z f(z) = 1 + c1 z + c2 z^2
     (zf_coeffs) and N(z) = z^lambda / u(z) = 1 + d1 z + d2 z^2
     (numerator_coeffs), so psi(z, x) = N(z) / (1 + (c1 - x) z + c2 z^2)^lambda.
-    The methods take a scalar or a numpy array of z, elementwise.  A stack
+    numerator takes a scalar or a numpy array of z, elementwise.  A stack
     of C closed forms (stack_closed_forms) holds every field as a (C, 1)
-    column, so the methods give a (C, Z) array at a 1-D z.
+    column, so numerator gives a (C, Z) array at a 1-D z.
     """
 
     family: Family
@@ -83,24 +83,10 @@ class GenFunClosedForm:
     numerator_coeffs: tuple[float, float, float]
     domain_radius: float
 
-    def f(self, z):
-        _, c1, c2 = self.zf_coeffs
-        return 1.0 / z + c1 + c2 * z
-
-    def f_prime(self, z):
-        return self.zf_coeffs[2] - 1.0 / (z * z)
-
     def numerator(self, z):
         """N(z) = z^lambda / u(z), analytic at 0 with N(0) = 1."""
         d0, d1, d2 = self.numerator_coeffs
         return d0 + d1 * z + d2 * z * z
-
-    def u(self, z):
-        return np.power(np.asarray(z, dtype=complex), self.lam) / self.numerator(z)
-
-    def u_log_deriv(self, z):
-        _, d1, d2 = self.numerator_coeffs
-        return self.lam / z - (d1 + 2.0 * d2 * z) / self.numerator(z)
 
 
 def _nearest_zero(c1: float, c2: float) -> float:

@@ -91,7 +91,7 @@ def family_sequence(family, lam=None, a=None, b=None, *, size: int) -> JacobiSze
         elif family.nonsymmetric:
             sign = families.nonsym_sign(family)
             root = math.sqrt(2.0 * lam - 1.0)
-            alphas = sign * (1.0 - lam * (lam - 1.0) / ((n1 + lam - 1.0) * (n1 + lam))) / root
+            alphas = sign * n1 * (n1 + 2.0 * lam - 1.0) / ((n1 + lam - 1.0) * (n1 + lam)) / root
             omegas = lam * lam * n2 * (n2 + 2.0 * lam - 2.0) / (
                 (2.0 * lam - 1.0) * (n2 + lam - 1.0) ** 2
             )

@@ -18,9 +18,9 @@ points to extract the exact linear/quadratic dependence on each unknown, and
 solve with the numerically stable quadratic formula.  The solved closed forms
 then act as independent oracles in the test suite.
 
-residual_f, residual_u and residual_moment_ode evaluate a family's closed
-form in the Riccati equation, in the equation of u'/u and in the m2 moment
-identity, which also reads the coefficient table.
+residual_f, residual_u and residual_moment_ode match the coefficients of
+the Riccati equation, the equation of u'/u and the m2 moment identity (which
+also reads the table), each cleared of denominators, on _Running values.
 
 The matching kernel (coefficients, _poly_mul, _matching_residual) is plain
 arithmetic on short tuples, with no array overhead.  Halvings are written
@@ -38,11 +38,9 @@ import numpy as np
 
 from . import families, genfun
 from .errors import (
-    DomainError,
     InconsistencyError,
     ParameterError,
     RedirectToFreeMeixner,
-    SingularityError,
 )
 from .families import Family
 from .recurrence import JacobiSzegoSequence
@@ -58,10 +56,15 @@ class RiccatiCoefficients:
     q2: tuple
     q1: tuple
     r1: tuple
-    q2_tilde: tuple
     lam: float
     alpha1: float
     omega2: float
+
+    @property
+    def q2_tilde(self) -> tuple:
+        """Q~_2 = R_1 - Q_1^2 / 4 - (lambda+1)/2 omega_2 Q_2, formed when read."""
+        return tuple([r - s / 4 - (self.lam + 1) / 2 * self.omega2 * q
+                      for r, s, q in zip(self.r1, _poly_mul(self.q1, self.q1), self.q2)])
 
 
 @dataclass(frozen=True)
@@ -85,11 +88,11 @@ class ClassificationSolution:
 
 def _poly_mul(a, b) -> list:
     """Product of two ascending coefficient sequences; each coefficient is
-    summed from 0 in ascending index of a."""
-    out = [0] * (len(a) + len(b) - 1)
+    summed in ascending index of a, from its first product."""
+    out = [None] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] += x * y
+            out[i + j] = x * y if out[i + j] is None else out[i + j] + x * y
     return out
 
 
@@ -103,98 +106,114 @@ def coefficients(lam: float, alpha1: float, omega2: float) -> RiccatiCoefficient
     q2 = (-1, -lam * alpha1, lam * (lam - (lam + 1) / 2 * omega2))
     q1 = (alpha1, (lam + 1) * omega2)
     r1 = (-1, 0, lam / 2 * (lam + 1) * omega2)
-    q2_tilde = tuple([r - s / 4 - (lam + 1) / 2 * omega2 * q
-                      for r, s, q in zip(r1, _poly_mul(q1, q1), q2)])
-    return RiccatiCoefficients(
-        q2=q2, q1=q1, r1=r1, q2_tilde=q2_tilde,
-        lam=lam, alpha1=alpha1, omega2=omega2,
-    )
+    return RiccatiCoefficients(q2=q2, q1=q1, r1=r1, lam=lam, alpha1=alpha1, omega2=omega2)
 
 
-def _polyval_ascending(coeffs, z):
-    out = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        out = out * z + c
-    return out
+# A term of a coefficient below multiplies at most two rounded entries of a
+# closed form or table (each within 12 roundings of exact) in at most 12
+# more roundings, so a correct configuration reads at most gamma_36 ~ 2^5.2
+# u (Higham, ch. 3); the rows allow 2^10 u.
+IDENTITY_BOUND = 2**10 * genfun.UNIT_ROUNDOFF
 
 
-def residual_f(cf: genfun.GenFunClosedForm, coeffs: RiccatiCoefficients, z):
-    """Q_2(z) f'(z) - f(z)^2 + Q_1(z) f(z) - R_1(z); ~0 on every family.
+class _Running:
+    """A value beside its running-error scale, the sum of the magnitudes of
+    its terms (Higham, ch. 3): sums add scales and products multiply them,
+    so coefficients and _poly_mul, run on these, carry every coefficient's
+    scale.  value and scale are floats, Fractions or (C, 1) columns."""
 
-    z is a scalar or a 1-D array (residuals of the same shape).  For a stack
-    of C closed forms, coeffs holds their coefficients as columns and the
-    residuals have a leading axis of length C.  A bad point (outside the
-    domain radius, or z = 0) raises, for the first one (of the first
-    configuration that has one), the error a scalar call there raises.
-    """
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    genfun.raise_first((zs,), [
-        genfun.radius_guard(cf, zs),
-        (zs == 0, lambda _: DomainError("z = 0 is a pole of f")),
-    ])
-    fz = cf.f(zs)
-    residual = (
-        _polyval_ascending(coeffs.q2, zs) * cf.f_prime(zs)
-        - fz * fz
-        + _polyval_ascending(coeffs.q1, zs) * fz
-        - _polyval_ascending(coeffs.r1, zs)
-    )
-    return genfun.as_shape(residual, genfun._stack_shape(cf) + np.shape(z))
+    __slots__ = ("value", "scale")
 
+    def __init__(self, value, scale):
+        self.value, self.scale = value, scale
 
-def residual_u(cf: genfun.GenFunClosedForm, z):
-    """u'(z)/u(z) - lambda (1 - f'(z)) / (f(z) - lambda z); ~0 on every family.
+    @staticmethod
+    def of(x):
+        return x if x.__class__ is _Running else _Running(x, abs(x))
 
-    z is a scalar or a 1-D array; stacks are taken, and bad points raise, as
-    in residual_f.
-    """
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 raises below
-        denom = cf.f(zs) - cf.lam * zs
-    genfun.raise_first((zs,), [
-        genfun.radius_guard(cf, zs),
-        (zs == 0, lambda _: DomainError("z = 0 is a branch point of u")),
-        (np.abs(denom) < 1e-14, lambda zk: SingularityError(f"f(z) = lambda z at z = {zk}")),
-    ])
-    residual = cf.u_log_deriv(zs) - cf.lam * (1.0 - cf.f_prime(zs)) / denom
-    return genfun.as_shape(residual, genfun._stack_shape(cf) + np.shape(z))
+    flat = property(lambda self: np.ravel(self.value))  # coefficients checks lambda > 0
+
+    def __add__(self, other):
+        other = _Running.of(other)
+        return _Running(self.value + other.value, self.scale + other.scale)
+
+    def __sub__(self, other):
+        other = _Running.of(other)
+        return _Running(self.value - other.value, self.scale + other.scale)
+
+    def __mul__(self, other):
+        other = _Running.of(other)
+        return _Running(self.value * other.value, self.scale * other.scale)
+
+    def __truediv__(self, other):  # by a positive constant
+        return _Running(self.value / other, self.scale / other)
+
+    def __neg__(self):
+        return _Running(-self.value, self.scale)
+
+    __radd__, __rmul__ = __add__, __mul__
 
 
-def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence, z):
-    """Residual of the m2 moment identity
+def _scaled(coeffs, lead) -> np.ndarray:
+    """|value| / scale of each _Running coefficient, on a last axis after the
+    leading axes lead: 0 where every term is 0, 1 (the most it can read)
+    where the scale overflows and the terms cannot be compared."""
+    ratios = np.array([abs(c.value) / (c.scale + (c.scale == 0)) for c in coeffs])
+    finite = np.array([c.scale for c in coeffs]) < math.inf
+    return np.where(finite, ratios, 1.0).T.reshape(lead + (-1,))
 
-        d/dz [(lambda z f - m2) u] = lambda (1 - lambda) z u f'
 
-    with m2(z) = lambda(lambda+1)/2 omega_2 z^2 + lambda alpha_1 z + 1 taken
-    from alpha_1 and omega_2 of the coefficient table seq.  The left side is
-    differentiated in closed form by the product rule
-    (u h)' = u (h u'/u + h'), with u'/u = u_log_deriv and f' = f_prime; the
-    residual is absolute.  (The other first-order identity,
-    d/dz [u (f - lambda z)] = (1 - lambda) u f', is residual_u's times
-    u (f - lambda z), and is not repeated here.)  z is a float or a 1-D
-    array of reals, and the residual comes back in z's shape (a scalar is
-    evaluated as the length-1 array).  For a stack of C closed forms seq is
-    a stack of C tables and the residual has a leading axis of length C.
-    A point outside the domain radius, or z = 0, raises for the first one
-    (of the first configuration that has one) the error a scalar call there
-    raises; a table of fewer than 3 entries raises ParameterError.
-    """
+def _closed(cf) -> tuple:
+    """lambda, F = z f, N = z^lambda / u, z^2 f' = z F' - F and
+    z N u'/u = lambda N - z N' of the closed form cf, as _Running values."""
+    lam = _Running.of(cf.lam)
+    zf, num = ([_Running.of(c) for c in p] for p in (cf.zf_coeffs, cf.numerator_coeffs))
+    return lam, zf, num, (-zf[0], 0, zf[2]), [(lam - k) * d for k, d in enumerate(num)]
+
+
+def residual_f(cf: genfun.GenFunClosedForm) -> np.ndarray:
+    """The Riccati equation of cf, with its own lambda, alpha_1 and omega_2,
+    as the identity of degree 4 Q_2 (z F' - F) - F^2 + z Q_1 F - z^2 R_1 = 0
+    (F = z f): its 5 coefficients over their running-error scales, on a last
+    axis after an axis of length C for a stack of C."""
+    lam, zf, _, z2f_prime, _ = _closed(cf)
+    co = coefficients(lam, _Running.of(cf.alpha1), _Running.of(cf.omega2))
+    terms = zip(_poly_mul(co.q2, z2f_prime), _poly_mul(zf, zf),
+                (0, *_poly_mul(co.q1, zf)), (0, 0, *co.r1))
+    return _scaled([q - s + p - r for q, s, p, r in terms], genfun._stack_shape(cf))
+
+
+def residual_u(cf: genfun.GenFunClosedForm) -> np.ndarray:
+    """u'/u = lambda (1 - f') / (f - lambda z) of cf as the identity of degree
+    4 (lambda N - z N') M - lambda N (z^2 - z F' + F) = 0 (N = z^lambda / u,
+    M = F - lambda z^2), scaled and laid out as residual_f's."""
+    lam, zf, num, _, zn_logu = _closed(cf)
+    terms = zip(_poly_mul(zn_logu, (zf[0], zf[1], zf[2] - lam)),
+                _poly_mul(num, (zf[0], 0, -(zf[2] - 1))))
+    return _scaled([p - lam * q for p, q in terms], genfun._stack_shape(cf))
+
+
+def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence) -> np.ndarray:
+    """The m2 moment identity d/dz [(lambda z f - m2) u] = lambda (1 - lambda)
+    z u f', m2 = lambda(lambda+1)/2 omega_2 z^2 + lambda alpha_1 z + 1 with
+    alpha_1, omega_2 of the table seq (a stack of C tables for a stack of C),
+    as the identity of degree 4 h (lambda N - z N') + z N h' - lambda (1 -
+    lambda) N (z F' - F) = 0 (h = lambda F - m2), scaled and laid out as
+    residual_f's.  A table of fewer than 3 entries raises ParameterError."""
     lead = genfun._table_lead(seq, cf)
     if seq.omegas.shape[-1] < 3:
         raise ParameterError(f"the moment ODE reads alpha_1 and omega_2, but the table has "
                              f"{seq.omegas.shape[-1]} entries")
-    zs = np.atleast_1d(np.asarray(z, dtype=float))
-    genfun.raise_first((zs,), [
-        genfun.radius_guard(cf, zs),
-        (zs == 0, lambda _: DomainError("z = 0 is a branch point of u")),
-    ])
-    lam, a1, w2 = cf.lam, seq.alphas[..., 1:2], seq.omegas[..., 2:3]
-    u, fz, fpz = cf.u(zs), cf.f(zs), cf.f_prime(zs)
-    m2 = 0.5 * lam * (lam + 1.0) * w2 * zs * zs + lam * a1 * zs + 1.0
-    m2_prime = lam * (lam + 1.0) * w2 * zs + lam * a1
-    h, h_prime = lam * zs * fz - m2, lam * fz + lam * zs * fpz - m2_prime
-    residual = np.abs(u * (h * cf.u_log_deriv(zs) + h_prime) - lam * (1.0 - lam) * zs * u * fpz)
-    return genfun.as_shape(residual, lead + np.shape(z))
+    a1, w2 = seq.alphas[..., 1:2], seq.omegas[..., 2:3]
+    if not lead:  # a table's entries as Python numbers, as a closed form's fields
+        a1, w2 = a1.tolist()[0], w2.tolist()[0]
+    lam, zf, num, z2f_prime, zn_logu = _closed(cf)
+    a1, w2 = _Running.of(a1), _Running.of(w2)
+    h = (lam * zf[0] - 1, lam * zf[1] - lam * a1, lam * zf[2] - lam * (lam + 1) / 2 * w2)
+    factor = -(lam * (lam - 1))  # lambda (1 - lambda)
+    terms = zip(_poly_mul(h, zn_logu), (0, *_poly_mul(num, (h[1], 2 * h[2]))),
+                _poly_mul(num, z2f_prime))
+    return _scaled([p + q - factor * r for p, q, r in terms], lead)
 
 
 # ----------------------------------------------------------------------------

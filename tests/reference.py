@@ -4,9 +4,11 @@ They compute the same quantities as the package by an independent route:
 adaptive Gauss-Kronrod integration against each family's Beta density,
 normalized in log-gamma form (the package stores no density and builds its
 Gauss rules from the recurrence alone), psi's closed form as the literal
-product 1 / (u(z) (f(z) - x)^lambda) at one point (the package evaluates a
-factorization of it), the non-symmetric families' psi as the paper's
-rational-prefactor display (the package evaluates
+product 1 / (u(z) (f(z) - x)^lambda) at one point, with f and u written
+here from the closed form's quadratics (the package evaluates a
+factorization of it, and its Riccati and moment-ODE checks match
+polynomial coefficients without evaluating f or u), the non-symmetric
+families' psi as the paper's rational-prefactor display (the package evaluates
 N(z) / (1 + (c1 - x) z + c2 z^2)^lambda from its closed form), the
 classical monic Gegenbauer and Jacobi recurrence coefficients one index at
 a time (the package tabulates them as arrays),
@@ -612,12 +614,25 @@ def nonsym_prefactor_psi(sign: float, lam: float, z, x: float) -> complex:
     return complex(sign * (lam / root) * (z + sign * root / lam) * _principal_power(w, -lam))
 
 
+def closed_f(cf, z):
+    """f(z) = 1/z + c1 + c2 z of the closed form cf (z f = 1 + c1 z + c2 z^2),
+    elementwise at a scalar or array z."""
+    _, c1, c2 = cf.zf_coeffs
+    return 1.0 / z + c1 + c2 * z
+
+
+def closed_u(cf, z):
+    """u(z) = z^lambda / N(z) of the closed form cf, principal branch,
+    elementwise at a scalar or array z."""
+    return np.power(np.asarray(z, dtype=complex), cf.lam) / cf.numerator(z)
+
+
 def psi_closed(cf, z, x: float) -> complex:
     """psi(z, x) = 1 / (u(z) (f(z) - x)^lambda) at one point, as the literal
     product of the closed form cf, principal branch, with no guards: the
     route that psi_analytic's factorization replaces."""
     z = complex(z)
-    return 1.0 / (complex(cf.u(z)) * cmath.exp(cf.lam * cmath.log(cf.f(z) - x)))
+    return 1.0 / (complex(closed_u(cf, z)) * cmath.exp(cf.lam * cmath.log(closed_f(cf, z) - x)))
 
 
 def pochhammer_over_factorial(lam: float) -> Iterator[float]:

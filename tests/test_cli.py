@@ -717,6 +717,21 @@ def test_tiny_sym1_lambda_gives_a_passing_report(lam, tmp_path):
     assert json.loads(out.read_text())["all_passed"] is True
 
 
+@pytest.mark.parametrize("args", [
+    ["--grid", "4", "--zmax", "1e-300"],
+    ["--family", "sym1", "--lambda", "2", "--grid", "4", "--zmax", "5e-324"],
+    ["--family", "sym1", "--lambda", "2", "--grid", "4", "--zmax", "1e-323"],
+], ids=["sweep-1e-300", "sym1-5e-324", "sym1-1e-323"])
+def test_tiny_zmax_gives_a_passing_report(args, tmp_path):
+    # the Riccati and moment-ODE rows evaluate no z: no 1/z overflows, and
+    # no point of theirs rounds to z = 0
+    out = tmp_path / "tiny_zmax.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["verify", *args, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["all_passed"] is True
+
+
 def test_huge_free_meixner_a_names_a_finite_radius(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert run(["verify", "--family", "free-meixner", "--a", "1e160", "--b", "0",

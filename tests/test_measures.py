@@ -16,6 +16,7 @@ from opgf import (
     NumericalBreakdownError,
     ParameterError,
     RedirectToFreeMeixner,
+    closed_form,
     eval_monic,
     family_sequence,
     gauss_quadrature,
@@ -206,6 +207,15 @@ class TestRecurrenceOf:
         for n in range(8):
             assert minus.alphas[n] == pytest.approx(-seq.alphas[n], abs=0)
             assert minus.omegas[n] == seq.omegas[n]
+
+    @pytest.mark.parametrize("family", [Family.NONSYM_PLUS, Family.NONSYM_MINUS])
+    @pytest.mark.parametrize("lam", [1e4, 1e8, 1e12])
+    def test_nonsym_alpha1_at_large_lambda_is_the_closed_forms(self, family, lam):
+        # the bracket n (n + 2 lambda - 1) / ((n + lambda - 1)(n + lambda))
+        # has no cancellation, where 1 - lambda (lambda - 1) / (...) had
+        alpha1 = family_sequence(family, lam, size=3).alphas[1]
+        expected = closed_form(family, lam).alpha1
+        assert abs(alpha1 - expected) <= 2 * np.spacing(abs(expected))
 
 
 class TestGaussQuadrature:

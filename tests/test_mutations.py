@@ -139,6 +139,7 @@ MUTATIONS = {
     "closed-nonsym-plus-d1": [closed(Family.NONSYM_PLUS, d1=1.0 + 1e-8)],
     "closed-nonsym-minus-c1": [closed(Family.NONSYM_MINUS, c1=1.0 + 1e-8)],
     "closed-nonsym-plus-c2": [closed(Family.NONSYM_PLUS, c2=1.0 + 1e-8)],
+    "closed-zf-c1-1e-12": [closed(Family.NONSYM_PLUS, c1=1.0 + 1e-12)],
     "psi-analytic-value": [results(genfun, "psi_analytic", lambda psi: psi * (1.0 + 1e-8))],
     "eval-monic-from-degree-5": [results(genfun, "eval_monic",
                                          scaled_from(5, 1.0 + 1e-6))],

@@ -3,18 +3,17 @@ import cmath
 import dataclasses
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import SWEEP_CONFIGS, get_closed_form, get_sequence
 from opgf import (
-    DomainError,
     Family,
-    OpgfError,
     ParameterError,
     RedirectToFreeMeixner,
-    SingularityError,
+    closed_form,
     coefficients,
     nonsymmetric_omega2_roots,
     residual_f,
@@ -25,10 +24,12 @@ from opgf import (
     solve_symmetric,
 )
 from opgf.families import alpha1_value, omega2_value
+from opgf.genfun import UNIT_ROUNDOFF
 from opgf.measures import family_sequence
 from opgf.recurrence import JacobiSzegoSequence
-from opgf.riccati import _matching_residual
+from opgf.riccati import IDENTITY_BOUND, _matching_residual
 from reference import (
+    closed_f,
     degree_bound_check,
     gauss_rule,
     stieltjes_from_quadrature,
@@ -36,8 +37,6 @@ from reference import (
 )
 
 LAMBDA_GRID = [v for v in np.linspace(0.56, 3.0, 20)]
-# lambda = 1 rows of the identity sweep are carried by the free Meixner family
-IDENTITY_SWEEP = SWEEP_CONFIGS + ((Family.FREE_MEIXNER, None, 0.0, 0.0),)
 
 
 def polyval_ascending(coeffs, z):
@@ -86,90 +85,104 @@ class TestCoefficients:
             coefficients(0.0, 0.0, 1.0)
 
 
+# The bound that a correct configuration's scaled coefficients meet here,
+# far below the rows' IDENTITY_BOUND: a few roundings of each term.
+ROUNDING = 4 * UNIT_ROUNDOFF
+
+
+def fraction_closed_form(family, lam=None, a=None, b=None):
+    """The closed form and the first three table entries of a family whose
+    data are rational at rational lambda (sym1, sym2, free Meixner), in
+    exact fractions.Fraction arithmetic, from the paper's formulas."""
+    if family is Family.SYM1:
+        c1, c2, d1, d2, alpha1, omega2 = 0, (1 + lam) / 2, 0, 0, 0, (2 * lam + 1) / (lam + 2)
+    elif family is Family.SYM2:
+        c1, c2, d1, d2, alpha1, omega2 = 0, lam / 2, 0, -lam / 2, 0, (2 * lam - 1) / (lam + 1)
+    else:
+        lam, c1, c2, d1, d2, alpha1, omega2 = 1, a, 1 + b, a, b, a, 1 + b
+    lam, alpha1, omega2 = Fraction(lam), Fraction(alpha1), Fraction(omega2)
+    cf = dataclasses.replace(get_closed_form(Family.SYM1, 2.0, None, None), family=family,
+                             lam=lam, alpha1=alpha1, omega2=omega2,
+                             zf_coeffs=(Fraction(1), Fraction(c1), Fraction(c2)),
+                             numerator_coeffs=(Fraction(1), Fraction(d1), Fraction(d2)))
+    table = SimpleNamespace(alphas=np.array([Fraction(0), alpha1, alpha1], dtype=object),
+                            omegas=np.array([Fraction(1), Fraction(1), omega2], dtype=object))
+    return cf, table
+
+
+@pytest.mark.parametrize("config", [
+    (Family.SYM1, Fraction(2), None, None), (Family.SYM1, Fraction(1, 3), None, None),
+    (Family.SYM2, Fraction(3, 2), None, None), (Family.SYM2, Fraction(7, 5), None, None),
+    (Family.FREE_MEIXNER, None, Fraction(1, 2), Fraction(1, 4)),
+    (Family.FREE_MEIXNER, None, Fraction(-3, 7), Fraction(-1)),
+])
+def test_residuals_exactly_zero_on_fractions(config):
+    # the kernel is plain arithmetic, so exact data give exact zeros
+    cf, table = fraction_closed_form(*config)
+    for residual in (residual_f(cf), residual_u(cf), residual_moment_ode(cf, table)):
+        assert residual.shape == (5,)
+        assert all(type(r) is Fraction and r == 0 for r in residual)
+
+
 class TestResidualF:
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_zero_on_families(self, config):
-        cf = get_closed_form(*config)
-        co = coefficients(cf.lam, cf.alpha1, cf.omega2)
-        for z in (0.1 + 0.05j, 0.05, 0.02 - 0.07j):
-            assert abs(residual_f(cf, co, z)) <= 1e-12
+        residual = residual_f(get_closed_form(*config))
+        assert residual.shape == (5,)
+        assert residual.max() <= ROUNDING
 
     def test_free_meixner_example(self):
-        cf = get_closed_form(Family.FREE_MEIXNER, None, 0.5, 0.25)
-        co = coefficients(1.0, 0.5, 1.25)
-        assert abs(residual_f(cf, co, 0.1)) <= 1e-12
+        assert residual_f(get_closed_form(Family.FREE_MEIXNER, None, 0.5, 0.25)).max() == 0.0
 
     def test_perturbed_omega2_detected(self):
         cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        co = coefficients(2.0, 0.0, 1.25 + 0.1)
-        assert abs(residual_f(cf, co, 0.1 + 0.05j)) > 1e-4
+        assert residual_f(dataclasses.replace(cf, omega2=1.25 + 0.1)).max() > 1e-3
 
-    def test_domain_checks(self):
-        cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        co = coefficients(2.0, 0.0, 1.25)
-        with pytest.raises(DomainError):
-            residual_f(cf, co, 0.0)
-        with pytest.raises(DomainError):
-            residual_f(cf, co, 5.0)
+    @pytest.mark.parametrize("family", [Family.SYM1, Family.NONSYM_PLUS])
+    @pytest.mark.parametrize("lam", [1e4, 1e12, 1e100])
+    def test_large_lambda_at_rounding(self, family, lam):
+        # the scale of Q_2's z^2 coefficient carries its cancellation
+        assert residual_f(closed_form(family, lam)).max() <= ROUNDING
 
 
 class TestResidualU:
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_zero_on_families(self, config):
-        cf = get_closed_form(*config)
-        for z in (0.1, 0.05 + 0.02j, 0.02j - 0.05):
-            assert abs(residual_u(cf, z)) <= 1e-11
+        residual = residual_u(get_closed_form(*config))
+        assert residual.shape == (5,)
+        assert residual.max() <= ROUNDING
 
     def test_free_meixner_semicircle(self):
-        cf = get_closed_form(Family.FREE_MEIXNER, None, 0.0, 0.0)
-        assert abs(residual_u(cf, 0.2)) <= 1e-13
+        assert residual_u(get_closed_form(Family.FREE_MEIXNER, None, 0.0, 0.0)).max() == 0.0
 
-    def test_singularity_error(self):
-        # f(z) = lambda z happens outside the conservative radius, so widen it
-        # artificially to exercise the guard.
-        cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        wide = dataclasses.replace(cf, domain_radius=3.0)
-        z_sing = math.sqrt(2.0)  # (1-lam)/2 z^2 + 1 = 0 at lam = 2
-        with pytest.raises(SingularityError):
-            residual_u(wide, z_sing)
+    def test_overflowing_terms_read_one(self):
+        # past b ~ 1.3e154 the degree-4 terms overflow a double: the
+        # coefficients they reach cannot be compared and read 1, not NaN
+        residual = residual_u(closed_form(Family.FREE_MEIXNER, None, 0.5, 1e200))
+        assert residual.max() == 1.0
 
 
 class TestResidualMomentOde:
     def test_free_meixner_identity_trivial(self):
-        # at lambda = 1 the right side vanishes and (z f - m2) u, zero at
-        # z = 0, stays zero: the table's alpha_1 and omega_2 are z f's c1, c2
+        # at lambda = 1 the right side vanishes and h = z f - m2 is 0: the
+        # table's alpha_1 and omega_2 are z f's c1, c2
         cf = get_closed_form(Family.FREE_MEIXNER, None, 0.5, 0.25)
         seq = get_sequence(Family.FREE_MEIXNER, None, 0.5, 0.25)
-        assert residual_moment_ode(cf, seq, 0.07) <= 1e-10
+        assert residual_moment_ode(cf, seq).max() == 0.0
         assert seq.alphas[1] == pytest.approx(cf.zf_coeffs[1], rel=1e-14)
         assert seq.omegas[2] == pytest.approx(cf.zf_coeffs[2], rel=1e-14)
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_residual_small(self, config):
-        cf = get_closed_form(*config)
-        seq = get_sequence(*config)
-        for z in (-0.1, -0.05, 0.05, 0.1):
-            assert residual_moment_ode(cf, seq, z) <= 1e-7
-
-    def test_radius_domain_guard(self):
-        # every point inside the domain radius evaluates, up to its edge
-        cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        seq = get_sequence(Family.SYM1, 2.0, None, None)
-        assert math.isfinite(residual_moment_ode(cf, seq, cf.domain_radius - 1e-9))
-        for z in (cf.domain_radius, -cf.domain_radius):
-            with pytest.raises(DomainError, match="outside the domain radius"):
-                residual_moment_ode(cf, seq, z)
-        with pytest.raises(DomainError, match="z = 0"):
-            residual_moment_ode(cf, seq, 0.0)
-
-    ODE_ZS = [s * 0.1 for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)]  # verify's at --zmax 0.1
+        residual = residual_moment_ode(get_closed_form(*config), get_sequence(*config))
+        assert residual.shape == (5,)
+        assert residual.max() <= IDENTITY_BOUND
 
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_sweep_residuals_at_rounding(self, config):
-        # differentiated in closed form, only the rounding of u and f remains
-        residual = residual_moment_ode(get_closed_form(*config), get_sequence(*config),
-                                       np.array(self.ODE_ZS))
-        assert residual.max() <= 1e-12
+        # no point enters: only the rounding of the closed form and table
+        residual = residual_moment_ode(get_closed_form(*config), get_sequence(*config))
+        assert residual.max() <= ROUNDING
 
     @pytest.mark.parametrize("entry", ["alpha_1", "omega_2"])
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
@@ -182,106 +195,30 @@ class TestResidualMomentOde:
         else:
             omegas[2] += 1e-6
         residual = residual_moment_ode(get_closed_form(*config),
-                                       JacobiSzegoSequence(alphas, omegas),
-                                       np.array(self.ODE_ZS))
-        assert residual.max() > 1e-10
+                                       JacobiSzegoSequence(alphas, omegas))
+        assert residual.max() > IDENTITY_BOUND
+
+    def test_sees_a_relative_alpha1_change_at_lambda_40(self):
+        # |u| ~ |z|^40 no longer hides the table: alpha_1 (1 + 1e-6) fails
+        config = (Family.NONSYM_PLUS, 40.0, None, None)
+        seq = family_sequence(*config, size=3)
+        alphas = seq.alphas.copy()
+        alphas[1] *= 1.0 + 1e-6
+        residual = residual_moment_ode(closed_form(*config), JacobiSzegoSequence(alphas, seq.omegas))
+        assert residual.max() > 1e3 * IDENTITY_BOUND
+        assert residual_moment_ode(closed_form(*config), seq).max() <= ROUNDING
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_refuses_a_short_table(self, size):
         cf = get_closed_form(Family.SYM1, 2.0, None, None)
         with pytest.raises(ParameterError, match="omega_2"):
-            residual_moment_ode(cf, family_sequence(Family.SYM1, 2.0, size=size), 0.05)
+            residual_moment_ode(cf, family_sequence(Family.SYM1, 2.0, size=size))
 
     def test_three_entries_suffice(self):
-        cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        full = residual_moment_ode(cf, get_sequence(Family.SYM1, 2.0, None, None), 0.05)
-        assert residual_moment_ode(cf, family_sequence(Family.SYM1, 2.0, size=3), 0.05) == full
-
-
-def first_scalar_error(fn, zs):
-    """The error a per-point loop over zs meets first (None if none)."""
-    for z in zs:
-        try:
-            fn(z)
-        except OpgfError as exc:
-            return exc
-    return None
-
-
-def assert_raises_as_scalar(fn, zs):
-    expected = first_scalar_error(fn, zs)
-    assert expected is not None
-    with pytest.raises(type(expected)) as excinfo:
-        fn(np.array(zs))
-    assert str(excinfo.value) == str(expected)
-
-
-class TestGridResiduals:
-    """An array of z gives each point's residual from one call: within a
-    few ulp of the largest term the residual cancels, and a bad point raises
-    the first error a per-point loop would."""
-
-    TWO_CIRCLES = [r * cmath.exp(1j * k * math.pi / 16) for r in (0.05, 0.1)
-                   for k in range(16)]
-    REAL_POINTS = [s * 0.1 for s in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)]
-
-    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
-    def test_residual_f_matches_pointwise(self, config):
-        cf = get_closed_form(*config)
-        co = coefficients(cf.lam, cf.alpha1, cf.omega2)
-        grid = residual_f(cf, co, self.TWO_CIRCLES)
-        assert grid.shape == (32,)
-        for z, value in zip(self.TWO_CIRCLES, grid):
-            point = residual_f(cf, co, z)
-            assert isinstance(point, complex)
-            assert abs(value - point) <= 4 * np.spacing(abs(cf.f(z)) ** 2)
-
-    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
-    def test_residual_u_matches_pointwise(self, config):
-        cf = get_closed_form(*config)
-        grid = residual_u(cf, self.TWO_CIRCLES)
-        assert grid.shape == (32,)
-        for z, value in zip(self.TWO_CIRCLES, grid):
-            point = residual_u(cf, z)
-            assert isinstance(point, complex)
-            assert abs(value - point) <= 4 * np.spacing(abs(cf.u_log_deriv(z)))
-
-    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
-    def test_moment_ode_matches_pointwise(self, config):
-        # a scalar is evaluated as the length-1 grid, elementwise
-        cf = get_closed_form(*config)
-        seq = get_sequence(*config)
-        grid = residual_moment_ode(cf, seq, np.array(self.REAL_POINTS))
-        assert grid.shape == (6,)
-        for k, z in enumerate(self.REAL_POINTS):
-            point = residual_moment_ode(cf, seq, z)
-            assert isinstance(point, float)
-            assert grid[k] == point
-
-    @pytest.mark.parametrize("zs", [[0.05, 0.0, 5.0], [0.05j, 5.0, 0.0]])
-    def test_residual_f_first_bad_point(self, zs):
-        cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        co = coefficients(2.0, 0.0, 1.25)
-        assert_raises_as_scalar(lambda z: residual_f(cf, co, z), zs)
-
-    @pytest.mark.parametrize("radius, zs", [
-        (None, [0.05, 0.0, 5.0]),
-        (None, [0.05j, 5.0, 0.0]),
-        # f(z) = lambda z at z = sqrt(2), reachable with a widened radius
-        (3.0, [0.1, math.sqrt(2.0), 0.0]),
-    ])
-    def test_residual_u_first_bad_point(self, radius, zs):
-        cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        if radius is not None:
-            cf = dataclasses.replace(cf, domain_radius=radius)
-        assert_raises_as_scalar(lambda z: residual_u(cf, z), zs)
-
-    def test_moment_ode_first_bad_point(self):
-        cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        seq = get_sequence(Family.SYM1, 2.0, None, None)
-        edge = cf.domain_radius
-        for zs in ([0.05, 0.0, edge], [-0.05, edge, 0.0]):
-            assert_raises_as_scalar(lambda z: residual_moment_ode(cf, seq, z), zs)
+        cf = get_closed_form(Family.NONSYM_MINUS, 2.5, None, None)
+        full = residual_moment_ode(cf, get_sequence(Family.NONSYM_MINUS, 2.5, None, None))
+        short = residual_moment_ode(cf, family_sequence(Family.NONSYM_MINUS, 2.5, size=3))
+        assert np.array_equal(short, full)
 
 
 class TestSolveSymmetric:
@@ -551,7 +488,7 @@ class TestFreeMeixnerUniqueness:
     @staticmethod
     def h(a, b, z):
         cf = get_closed_form(Family.FREE_MEIXNER, None, a, b)
-        return cf.f(z) - 0.5 * polyval_ascending(coefficients(1.0, a, 1.0 + b).q1, z) - 1.0 / z
+        return closed_f(cf, z) - 0.5 * polyval_ascending(coefficients(1.0, a, 1.0 + b).q1, z) - 1.0 / z
 
     def test_semicircle_all_zero(self):
         assert max(abs(self.h(0.0, 0.0, z)) for z in self.ZS) <= 1e-14
@@ -574,8 +511,8 @@ class TestFreeMeixnerUniqueness:
                        - polyval_ascending(co.q2_tilde, z))
             assert abs(reduced) <= 1e-12 * abs(g * g)
             f = g + 0.5 * polyval_ascending(co.q1, z)
-            assert f == pytest.approx(cf.f(z), rel=1e-13)
-        assert abs(residual_f(cf, co, 0.1)) <= 1e-12
+            assert f == pytest.approx(closed_f(cf, z), rel=1e-13)
+        assert residual_f(cf).max() == 0.0
 
 
 def h_initial(config):
