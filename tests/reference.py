@@ -6,8 +6,9 @@ normalized in log-gamma form (the package stores no density and builds its
 Gauss rules from the recurrence alone), psi's closed form as the literal
 product 1 / (u(z) (f(z) - x)^lambda) at one point, with f and u written
 here from the closed form's quadratics (the package evaluates a
-factorization of it, and its Riccati and moment-ODE checks match
-polynomial coefficients without evaluating f or u), the non-symmetric
+factorization of it), the Riccati, u'/u and m2 moment equations sampled
+at points (the package matches the polynomial coefficients of each,
+cleared of denominators, without evaluating f or u), the non-symmetric
 families' psi as the paper's rational-prefactor display (the package evaluates
 N(z) / (1 + (c1 - x) z + c2 z^2)^lambda from its closed form), the
 classical monic Gegenbauer and Jacobi recurrence coefficients one index at
@@ -625,6 +626,58 @@ def closed_u(cf, z):
     """u(z) = z^lambda / N(z) of the closed form cf, principal branch,
     elementwise at a scalar or array z."""
     return np.power(np.asarray(z, dtype=complex), cf.lam) / cf.numerator(z)
+
+
+def _relative(terms) -> np.ndarray:
+    """|sum of terms| / sum of |terms|, elementwise: 0 where every term is 0."""
+    total = sum(np.abs(t) for t in terms)
+    return np.abs(sum(terms)) / np.where(total == 0, 1.0, total)
+
+
+def riccati_point_residual(cf, z) -> np.ndarray:
+    """The Riccati equation Q_2 f' = f^2 - Q_1 f + R_1 of cf at the points z,
+    with Q_2, Q_1 and R_1 written out from the paper in cf's own lambda,
+    alpha_1 and omega_2: its residual relative to its terms, elementwise."""
+    z = np.asarray(z, dtype=complex)
+    lam, a1, w2 = cf.lam, cf.alpha1, cf.omega2
+    f, f_prime = closed_f(cf, z), cf.zf_coeffs[2] - 1.0 / (z * z)
+    q2 = -1.0 - lam * a1 * z + lam * (lam - 0.5 * (lam + 1.0) * w2) * z * z
+    q1 = a1 + (lam + 1.0) * w2 * z
+    r1 = -1.0 + 0.5 * lam * (lam + 1.0) * w2 * z * z
+    return _relative([q2 * f_prime, -f * f, q1 * f, -r1])
+
+
+def _log_derivative_u(cf, z):
+    """u'/u = lambda / z - N'/N of u = z^lambda / N."""
+    _, d1, d2 = cf.numerator_coeffs
+    return cf.lam / z - (d1 + 2.0 * d2 * z) / cf.numerator(z)
+
+
+def u_point_residual(cf, z) -> np.ndarray:
+    """u'/u = lambda (1 - f') / (f - lambda z) of cf at the points z, relative
+    to its two sides, elementwise."""
+    z = np.asarray(z, dtype=complex)
+    f_prime = cf.zf_coeffs[2] - 1.0 / (z * z)
+    return _relative([_log_derivative_u(cf, z),
+                      -cf.lam * (1.0 - f_prime) / (closed_f(cf, z) - cf.lam * z)])
+
+
+def moment_ode_point_residual(cf, seq, z) -> np.ndarray:
+    """d/dz [(lambda z f - m2) u] = lambda (1 - lambda) z u f' of cf and the
+    table seq at the points z, m2 = lambda (lambda+1)/2 omega_2 z^2 + lambda
+    alpha_1 z + 1 with the table's alpha_1 and omega_2: divided by u and
+    relative to its terms, elementwise."""
+    z = np.asarray(z, dtype=complex)
+    lam, a1, w2 = cf.lam, seq.alphas[1], seq.omegas[2]
+    _, c1, c2 = cf.zf_coeffs
+    log_u = _log_derivative_u(cf, z)
+    # h = lambda z f - m2 enters by its two parts, so that their rounding is
+    # weighed against them where h itself is 0 (lambda = 1)
+    lam_zf, lam_zf_prime = lam * (1.0 + c1 * z + c2 * z * z), lam * (c1 + 2.0 * c2 * z)
+    m2 = 0.5 * lam * (lam + 1.0) * w2 * z * z + lam * a1 * z + 1.0
+    m2_prime = lam * (lam + 1.0) * w2 * z + lam * a1
+    return _relative([lam_zf_prime, -m2_prime, lam_zf * log_u, -m2 * log_u,
+                      -lam * (1.0 - lam) * z * (c2 - 1.0 / (z * z))])
 
 
 def psi_closed(cf, z, x: float) -> complex:

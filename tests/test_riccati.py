@@ -32,11 +32,16 @@ from reference import (
     closed_f,
     degree_bound_check,
     gauss_rule,
+    moment_ode_point_residual,
+    riccati_point_residual,
     stieltjes_from_quadrature,
     symmetric_omega2_quadratic,
+    u_point_residual,
 )
 
 LAMBDA_GRID = [v for v in np.linspace(0.56, 3.0, 20)]
+# lambda = 1 rows of the identity sweep are carried by the free Meixner family
+IDENTITY_SWEEP = SWEEP_CONFIGS + ((Family.FREE_MEIXNER, None, 0.0, 0.0),)
 
 
 def polyval_ascending(coeffs, z):
@@ -219,6 +224,69 @@ class TestResidualMomentOde:
         full = residual_moment_ode(cf, get_sequence(Family.NONSYM_MINUS, 2.5, None, None))
         short = residual_moment_ode(cf, family_sequence(Family.NONSYM_MINUS, 2.5, size=3))
         assert np.array_equal(short, full)
+
+
+class TestPointwiseEquations:
+    """Each row's identity is its equation with the denominators cleared: on
+    a closed form or table with one entry moved by 1e-6, the row and the
+    equation sampled at two circles (tests/reference.py) both fail, and on
+    the true ones both read at rounding."""
+
+    TWO_CIRCLES = np.array([r * cmath.exp(1j * k * math.pi / 16) for r in (0.05, 0.1)
+                            for k in range(16)])
+    POINT_ROUNDING = 16 * UNIT_ROUNDOFF
+
+    @staticmethod
+    def moved(cf, field):
+        """cf with the z^2 coefficient of one of its quadratics raised by 1e-6."""
+        one, first, second = getattr(cf, field)
+        return dataclasses.replace(cf, **{field: (one, first, second + 1e-6)})
+
+    @staticmethod
+    def moved_table(seq):
+        alphas = seq.alphas.copy()
+        alphas[1] += 1e-6
+        return JacobiSzegoSequence(alphas, seq.omegas)
+
+    def assert_at_rounding(self, row, points):
+        assert row.max() <= ROUNDING
+        assert points.max() <= self.POINT_ROUNDING
+
+    def assert_fails(self, row, points):
+        assert row.max() > IDENTITY_BOUND
+        assert points.min() > 1e3 * self.POINT_ROUNDING
+
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
+    def test_residual_f_matches_pointwise(self, config):
+        cf = get_closed_form(*config)
+        self.assert_at_rounding(residual_f(cf), riccati_point_residual(cf, self.TWO_CIRCLES))
+
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
+    def test_residual_f_fails_with_pointwise(self, config):
+        cf = self.moved(get_closed_form(*config), "zf_coeffs")
+        self.assert_fails(residual_f(cf), riccati_point_residual(cf, self.TWO_CIRCLES))
+
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
+    def test_residual_u_matches_pointwise(self, config):
+        cf = get_closed_form(*config)
+        self.assert_at_rounding(residual_u(cf), u_point_residual(cf, self.TWO_CIRCLES))
+
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
+    def test_residual_u_fails_with_pointwise(self, config):
+        cf = self.moved(get_closed_form(*config), "numerator_coeffs")
+        self.assert_fails(residual_u(cf), u_point_residual(cf, self.TWO_CIRCLES))
+
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
+    def test_moment_ode_matches_pointwise(self, config):
+        cf, seq = get_closed_form(*config), get_sequence(*config)
+        self.assert_at_rounding(residual_moment_ode(cf, seq),
+                                moment_ode_point_residual(cf, seq, self.TWO_CIRCLES))
+
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
+    def test_moment_ode_fails_with_pointwise(self, config):
+        cf, seq = get_closed_form(*config), self.moved_table(get_sequence(*config))
+        self.assert_fails(residual_moment_ode(cf, seq),
+                          moment_ode_point_residual(cf, seq, self.TWO_CIRCLES))
 
 
 class TestSolveSymmetric:
