@@ -32,7 +32,9 @@ from .recurrence import JacobiSzegoSequence
 # The table evaluates the standard tail formulas (alpha_n for n >= 1,
 # omega_n for n >= 2) at n1 = max(n, 1) and n2 = max(n, 2), as
 # measures.family_sequence does, and writes the head over the result; the
-# parameters enter as a length-1 array or a (C, 1) column beside n.
+# parameters enter as a length-1 array or a (C, 1) column beside n.  Each
+# formula is a product of ratios of O(1) (or 1 / (s + 3)), so nothing
+# overflows where a product of four factors of size s would (s^4 at s = 2e77).
 
 
 def jacobi_sequence(alf, bet, size: int) -> JacobiSzegoSequence:
@@ -42,15 +44,13 @@ def jacobi_sequence(alf, bet, size: int) -> JacobiSzegoSequence:
     n = np.arange(size, dtype=float)
     n1, n2 = np.maximum(n, 1.0), np.maximum(n, 2.0)
     s1, s2 = 2.0 * n1 + alf + bet, 2.0 * n2 + alf + bet
-    alphas = (bet * bet - alf * alf) / (s1 * (s1 + 2.0))
-    omegas = (4.0 * n2 * (n2 + alf) * (n2 + bet) * (n2 + alf + bet)
-              / (s2 * s2 * (s2 + 1.0) * (s2 - 1.0)))
+    alphas = (bet - alf) / s1 * ((bet + alf) / (s1 + 2.0))
+    omegas = (4.0 * (n2 / s2) * ((n2 + alf) / s2) * ((n2 + bet) / (s2 + 1.0))
+              * ((n2 + alf + bet) / (s2 - 1.0)))
     s = alf + bet
     alphas[..., :1] = (bet - alf) / (s + 2.0)
-    # (s + 2) ** 2 by a float's pow, as the scalar formula: numpy's square can differ by an ulp
-    square = ((s + 2.0).astype(object) ** 2).astype(float)
     omegas[..., :1] = 1.0
-    omegas[..., 1:2] = 4.0 * (alf + 1.0) * (bet + 1.0) / (square * (s + 3.0))
+    omegas[..., 1:2] = 4.0 * ((alf + 1.0) / (s + 2.0)) * ((bet + 1.0) / (s + 2.0)) / (s + 3.0)
     return JacobiSzegoSequence(alphas, omegas)
 
 

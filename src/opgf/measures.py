@@ -21,10 +21,10 @@ route from a table or a stack of them to Gauss rules (Golub and Welsch,
 1969): one batched dense eigh up to DENSE_EIGH_MAX_ORDER nodes unless a row
 is past the closed form's ratio guard, and otherwise each row as a table of
 its own.  Above DENSE_EIGH_MAX_ORDER a table constant from alpha_1 and
-omega_2 on (free Meixner at a != 0) has its rule in closed form, in O(n), a
+omega_2 on (free Meixner) has its rule in closed form, in O(n), a
 symmetric table's comes from a matrix of half its order, and any other
 table's from LAPACK's eigenvectors.  Where that eigenvector matrix would
-have NEWTON_RULE_MIN_ORDER rows (699 nodes for a symmetric table), and past
+have NEWTON_RULE_MIN_ORDER rows (399 nodes for a symmetric table), and past
 the ratio guard at any order, the eigenvalues alone, one Newton step and
 Christoffel weights give the rule if it passes a moment check.  On every
 route an extreme weight below the smallest double is 0.  No density or
@@ -224,11 +224,12 @@ def _constant_tail_rule(alpha0, alpha, omega1, omega2, n):
     edge, where that cancels), and outside the band the sinh analogue.
 
     The left half is solved mirrored (s -> -s, t -> pi - t), never from a
-    rounded t.  An inner node of interval j is found in its phase p = nt - j pi
-    in (0, pi), where f(p) = u sin p - r sin (p - t) falls from r sin(j pi/n)
-    > 0 to -r sin((j+1) pi/n) < 0: Newton's method from the atan2 fixed point
-    of f = (u - r cos t) sin p + r sin t cos p, kept in the bracket by
-    bisection."""
+    rounded t, or at s = 0 is the right half mirrored (an odd order's middle
+    y 0.0: exactly antisymmetric at alpha = 0).  An inner node of interval j
+    is found in its phase p = nt - j pi in (0, pi), where f(p) = u sin p -
+    r sin (p - t) falls from r sin(j pi/n) > 0 to -r sin((j+1) pi/n) < 0:
+    Newton's method from the atan2 fixed point of f = (u - r cos t) sin p +
+    r sin t cos p, kept in the bracket by bisection."""
     c = math.sqrt(omega2)
     s, r = (alpha - alpha0) / c, omega1 / omega2
     half = n // 2
@@ -264,23 +265,26 @@ def _constant_tail_rule(alpha0, alpha, omega1, omega2, n):
     (right_y, right_w), (left_y, left_w) = _edge_node(s, r, n), _edge_node(-s, r, n)
     right, left = slice(half - 2, None, -1), slice(half - 1, None)
     y = np.concatenate(([-left_y], -inner_y[left], inner_y[right], [right_y]))
-    return alpha + c * y, np.concatenate(([left_w], inner_w[left], inner_w[right], [right_w]))
+    w = np.concatenate(([left_w], inner_w[left], inner_w[right], [right_w]))
+    if s == 0.0:
+        y[:half], w[:half] = -y[:n - half - 1:-1], w[:n - half - 1:-1]
+        y[half:n - half] = 0.0
+    return alpha + c * y, w
 
 
 def _closed_form_table(alphas, omegas):
     """A table for _constant_tail_rule: constant from alpha_1 and omega_2 on,
-    not every alpha 0 (that takes the half-size route, exactly antisymmetric)
-    and omega_2 at most CLOSED_FORM_MAX_OMEGA_RATIO omega_1."""
-    return bool(alphas.any() and (alphas[2:] == alphas[1]).all()
+    with omega_2 at most CLOSED_FORM_MAX_OMEGA_RATIO omega_1."""
+    return bool((alphas[2:] == alphas[1]).all()
                 and (omegas[3:] == omegas[2]).all()
                 and omegas[2] <= CLOSED_FORM_MAX_OMEGA_RATIO * omegas[1])
 
 
 # Lowest order of the eigenvector matrix LAPACK would compute (the Gauss order,
 # or ceil(order / 2) for a table with every alpha 0) at which a table with no
-# closed form tries _newton_rule first: below it LAPACK's eigenvectors are the
-# faster route (crossover 320-360 nodes on nonsym-plus, one BLAS thread).
-NEWTON_RULE_MIN_ORDER = 350
+# closed form tries _newton_rule (O(n) memory) first: from 200 rows LAPACK's
+# m x m matrix and m^2 workspace add 0.3-0.7 MB to peak memory an export.
+NEWTON_RULE_MIN_ORDER = 200
 # _newton_rule accepts its rule when the sums of w, w x and w x^2 match omega_0
 # = 1, alpha_0 and alpha_0^2 + omega_1 to this multiple of the sums of w, w |x|
 # and w x^2, the scale of their rounding.  nonsym+- reach 7.1e-13 (lambda <=
@@ -402,7 +406,7 @@ def _rule(alphas, omegas):
     rule in closed form (_constant_tail_rule).  A table whose eigenvector
     matrix (of the Gauss order, or ceil(order / 2) for a table with every
     alpha 0) has at least NEWTON_RULE_MIN_ORDER rows, so a symmetric one from
-    order 699, tries _newton_rule first, and so does a table past the ratio
+    order 399, tries _newton_rule first, and so does a table past the ratio
     guard (_past_ratio_guard) at any order.  Otherwise, or when that rule
     fails its moment check (a table with atoms), a larger table with every
     alpha 0 takes _half_size_rule, and any other _eigh's eigenvectors."""
@@ -432,13 +436,13 @@ def gauss_quadrature(seq: JacobiSzegoSequence, order: int) -> QuadratureRule:
     row; otherwise each row takes its own route (see _rule): a constant-tail
     row in closed form, a row with every alpha 0 from a matrix of half the
     order, any other from LAPACK's eigenvectors, and a row whose eigenvector
-    matrix would have NEWTON_RULE_MIN_ORDER rows, or a row past the ratio
-    guard, from its eigenvalues and Christoffel weights unless that rule
-    fails its moment check.  So each row is bit for bit its own rule.  On
-    every route an extreme weight below the smallest double is 0.  order
-    must lie in 1 .. N; a non-finite coefficient among the first `order`, or
-    an omega <= 0, raises the error of the first row that has one before
-    either solver runs.
+    matrix would have NEWTON_RULE_MIN_ORDER rows (200 nodes, 399 with every
+    alpha 0), or a row past the ratio guard, from its eigenvalues and
+    Christoffel weights unless that rule fails its moment check.  So each
+    row is bit for bit its own rule.  On every route an extreme weight below
+    the smallest double is 0.  order must lie in 1 .. N; a non-finite
+    coefficient among the first `order`, or an omega <= 0, raises the error
+    of the first row that has one before either solver runs.
     """
     if order < 1:
         raise ParameterError(f"order must be >= 1, got {order}")

@@ -214,25 +214,30 @@ def newton_gauss_rule(seq: JacobiSzegoSequence, order: int, start) -> tuple:
             p_prev, p, d_prev, d = (p, (t * p - b * p_prev) / root[j + 1],
                                     d, (p + t * d - b * d_prev) / root[j + 1])
         x = x - p / d
-    shifted = alphas[None, :] - x[:, None]
+    # (degree, node) arrays, so that each step of the factorization reads a
+    # contiguous row
+    shifted = alphas[:, None] - x[None, :]
     top, bottom = np.empty_like(shifted), np.empty_like(shifted)
-    top[:, 0], bottom[:, -1] = shifted[:, 0], shifted[:, -1]
+    top[0], bottom[-1] = shifted[0], shifted[-1]
     tiny = np.longdouble("1e-2000")  # stands in for a zero pivot (the node 0.0 of a symmetric law)
     for j in range(order):
         if j:
-            top[:, j] = shifted[:, j] - omegas[j] / top[:, j - 1]
-            bottom[:, -1 - j] = shifted[:, -1 - j] - omegas[order - j] / bottom[:, order - j]
-        top[:, j] = np.where(top[:, j] == 0.0, tiny, top[:, j])
-        bottom[:, -1 - j] = np.where(bottom[:, -1 - j] == 0.0, tiny, bottom[:, -1 - j])
-    twist = np.argmin(np.abs(top + bottom - shifted), axis=1)[:, None]
+            top[j] = shifted[j] - omegas[j] / top[j - 1]
+            bottom[-1 - j] = shifted[-1 - j] - omegas[order - j] / bottom[order - j]
+        top[j] = np.where(top[j] == 0.0, tiny, top[j])
+        bottom[-1 - j] = np.where(bottom[-1 - j] == 0.0, tiny, bottom[-1 - j])
+    twist = np.argmin(np.abs(top + bottom - shifted), axis=0)
     # log |z_j / z_{j+1}| above the twist, log |z_{j+1} / z_j| below it
-    above = np.arange(order - 1)[None, :] < twist
-    up = np.where(above, np.log(root[None, 1:order] / np.abs(top[:, :-1])), 0.0)
-    down = np.where(above, 0.0, np.log(root[None, 1:order] / np.abs(bottom[:, 1:])))
+    above = np.arange(order - 1)[:, None] < twist
+    up, down = np.zeros((2, order - 1, x.size), dtype=np.longdouble)
+    np.log(root[1:order, None] / np.abs(top[:-1]), out=up, where=above)
+    np.log(root[1:order, None] / np.abs(bottom[1:]), out=down, where=~above)
     log_z = np.zeros_like(shifted)
-    log_z[:, :-1] = np.cumsum(up[:, ::-1], axis=1)[:, ::-1]
-    log_z[:, 1:] += np.cumsum(down, axis=1)
-    return x, 1.0 / np.exp(2.0 * (log_z - log_z[:, :1])).sum(axis=1)
+    log_z[:-1] = np.cumsum(up[::-1], axis=0)[::-1]
+    log_z[1:] += np.cumsum(down, axis=0)
+    # each node's sum over a contiguous row, which numpy sums pairwise
+    squares = np.ascontiguousarray(np.exp(2.0 * (log_z - log_z[:1])).T)
+    return x, 1.0 / squares.sum(axis=1)
 
 
 def csv_rows(rule) -> str:
@@ -394,7 +399,7 @@ def jacobi_alpha(n: int, alf: float, bet: float) -> float:
     if n == 0:
         return (bet - alf) / (alf + bet + 2.0)
     s = 2.0 * n + alf + bet
-    return (bet * bet - alf * alf) / (s * (s + 2.0))
+    return (bet - alf) / s * ((bet + alf) / (s + 2.0))
 
 
 def jacobi_omega(n: int, alf: float, bet: float) -> float:
@@ -403,12 +408,10 @@ def jacobi_omega(n: int, alf: float, bet: float) -> float:
         return 1.0
     if n == 1:
         s = alf + bet
-        return 4.0 * (alf + 1.0) * (bet + 1.0) / ((s + 2.0) ** 2 * (s + 3.0))
+        return 4.0 * ((alf + 1.0) / (s + 2.0)) * ((bet + 1.0) / (s + 2.0)) / (s + 3.0)
     s = 2.0 * n + alf + bet
-    return (
-        4.0 * n * (n + alf) * (n + bet) * (n + alf + bet)
-        / (s * s * (s + 1.0) * (s - 1.0))
-    )
+    return (4.0 * (n / s) * ((n + alf) / s) * ((n + bet) / (s + 1.0))
+            * ((n + alf + bet) / (s - 1.0)))
 
 
 def duplication_check(a: float) -> float:

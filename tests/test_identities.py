@@ -350,9 +350,12 @@ class TestBetaLawTable:
         assert residuals.max() <= 1e-12
 
     @pytest.mark.parametrize("family, lam", [(Family.SYM1, 0.05)] + [
-        (family, lam) for family in BETA_FAMILIES for lam in (0.51, 20.0, 1e4, 1e8, 1e12)])
+        (family, lam) for family in BETA_FAMILIES
+        for lam in (0.51, 20.0, 1e4, 1e8, 1e12, 1e77, 1e100)])
     def test_edge_and_large_lambdas(self, family, lam):
-        # the domain's edge draws and large lambda agree to a few ulps
+        # the domain's edge draws and large lambda agree to a few ulps; at
+        # lambda = 1e77 and 1e100 a product of four factors of size s = 2n +
+        # alpha + beta would overflow (s^4 > 1e308)
         assert table_check(family, lam).max() <= 4e-15
 
     def test_refuses_free_meixner(self):
@@ -601,13 +604,12 @@ class TestStackedSequences:
                 assert np.array_equal(stack.omegas[c], own.omegas)
 
     def test_jacobi_omega1_rounds_as_float_arithmetic(self):
-        # nonsym-minus at this lambda: numpy's square of (s + 2) differs in
-        # the last bit from a float's ** 2, which the table keeps
+        # nonsym-minus at this lambda: omega_1 of a table and of a stack of
+        # one round as the scalar product of ratios
         lam = 0.9411396126919265
         alf, bet = lam - 1.5, lam - 0.5
         s = alf + bet
-        assert (np.array([s + 2.0]) ** 2)[0] != (s + 2.0) ** 2
-        expected = 4.0 * (alf + 1.0) * (bet + 1.0) / ((s + 2.0) ** 2 * (s + 3.0))
+        expected = 4.0 * ((alf + 1.0) / (s + 2.0)) * ((bet + 1.0) / (s + 2.0)) / (s + 3.0)
         assert jacobi_sequence(alf, bet, 3).omegas[1] == expected
         assert jacobi_sequence(np.array([alf]), np.array([bet]), 3).omegas[0, 1] == expected
 

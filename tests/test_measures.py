@@ -428,7 +428,7 @@ SYMMETRIC_CONFIGS = (
 SYMMETRIC_ORDERS = list(range(DENSE_EIGH_MAX_ORDER + 1, 65)) + [101, 999, 1000]
 # the first order whose half-size matrix has NEWTON_RULE_MIN_ORDER rows
 SYMMETRIC_NEWTON_MIN_ORDER = 2 * NEWTON_RULE_MIN_ORDER - 1
-SYMMETRIC_NEWTON_ORDERS = [SYMMETRIC_NEWTON_MIN_ORDER, 999, 1000]
+SYMMETRIC_NEWTON_ORDERS = [SYMMETRIC_NEWTON_MIN_ORDER, 698, 999, 1000]
 
 
 @lru_cache(maxsize=None)
@@ -495,43 +495,58 @@ class TestSymmetricRules:
                                                             (Family.SYM1, 1e4, None, None)))
     def test_newton_rule_is_no_worse_than_the_half_size_route(self, config, order):
         # the Newton rule passes its moment check and meets the criterion of
-        # TestNewtonRules against _half_size_rule; sym2 at lambda = 0.51,
-        # order 999 reads 1.3e-11 for the weights, against 7.3e-12 for the
-        # half-size route
+        # TestNewtonRules against _half_size_rule, and it is the rule of every
+        # table but free Meixner's, which has its rule in closed form
+        # (TestConstantTailRules); sym2 at lambda = 0.51 reads 1.3e-11 for
+        # the weights at order 999, against 7.3e-12 for the half-size route,
+        # and 6.1e-12 at order 698, against 2.8e-11
         seq = family_sequence(*config, size=order)
         rule = gauss_quadrature(seq, order)
         newton = measures._newton_rule(seq.alphas, seq.omegas)
-        assert newton is not None and np.array_equal(rule.weights, newton[1])
+        assert newton is not None
+        if not measures._closed_form_table(seq.alphas, seq.omegas):
+            assert np.array_equal(rule.nodes, newton[0])
+            assert np.array_equal(rule.weights, newton[1])
         nodes, weights = measures._half_size_rule(seq.omegas)
         half = slice(order // 2, None)
-        assert_no_worse(rule.nodes[half], rule.weights[half], nodes[half], weights[half],
+        assert_no_worse(newton[0][half], newton[1][half], nodes[half], weights[half],
                         symmetric_reference(config, order))
 
     def test_route_changes_at_the_threshold(self):
-        # one order below it the rule is _half_size_rule's bit for bit, and at
-        # it the Newton rule's
+        # two orders below it (a half-size matrix of NEWTON_RULE_MIN_ORDER - 1
+        # rows) the rule is _half_size_rule's bit for bit, and at it the
+        # Newton rule's
         order = SYMMETRIC_NEWTON_MIN_ORDER
         seq = family_sequence(Family.SYM1, 2.0, size=order)
-        below = gauss_quadrature(seq, order - 1)
-        nodes, weights = measures._half_size_rule(seq.omegas[:order - 1])
-        assert np.array_equal(below.nodes, nodes) and np.array_equal(below.weights, weights)
+        for below_order in (order - 2, order - 1):
+            below = gauss_quadrature(seq, below_order)
+            nodes, weights = measures._half_size_rule(seq.omegas[:below_order])
+            assert np.array_equal(below.nodes, nodes) and np.array_equal(below.weights, weights)
         at = gauss_quadrature(seq, order)
         nodes, weights = measures._newton_rule(seq.alphas, seq.omegas)
         assert np.array_equal(at.nodes, nodes) and np.array_equal(at.weights, weights)
         assert not np.array_equal(at.weights, measures._half_size_rule(seq.omegas)[1])
 
     def test_table_with_atoms_falls_back_to_the_half_size_route(self):
-        # free Meixner at a = 0, b = -0.9 has atoms at +-1/sqrt(0.9), outside
-        # its band: the Newton rule fails its moment check, and the rule is
-        # _half_size_rule's, bit for bit
+        # free Meixner's table at a = 0, b = -0.9, which has atoms at
+        # +-1/sqrt(0.9) outside its band, with omega_2 = 0.2 for 0.1, so that
+        # it has no closed form and keeps two nodes outside the band: the
+        # Newton rule fails its moment check from a half-size matrix of
+        # NEWTON_RULE_MIN_ORDER rows on, and the rule is _half_size_rule's,
+        # bit for bit
         seq = family_sequence(Family.FREE_MEIXNER, a=0.0, b=-0.9, size=1000)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert measures._newton_rule(seq.alphas, seq.omegas) is None
-            rule = gauss_quadrature(seq, 1000)
-        nodes, weights = measures._half_size_rule(seq.omegas)
-        assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+        omegas = seq.omegas.copy()
+        omegas[2] = 0.2
+        seq = JacobiSzegoSequence(seq.alphas, omegas)
         assert len(free_meixner_atoms(0.0, -0.9)) == 2
+        for order in (SYMMETRIC_NEWTON_MIN_ORDER, 698, 1000):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert measures._newton_rule(seq.alphas[:order], seq.omegas[:order]) is None
+                rule = gauss_quadrature(seq, order)
+            nodes, weights = measures._half_size_rule(seq.omegas[:order])
+            assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+            assert -rule.nodes[0] == rule.nodes[-1] > 2.0 * math.sqrt(0.1)
 
     @pytest.mark.parametrize("order", [40, 101])
     @pytest.mark.parametrize("b", [8e307, 1.7e308])
@@ -556,10 +571,12 @@ def edge_threshold(b, side, order):
 
 
 # free Meixner (a, b) with 0, 1 and 2 atoms, a band of width 6e-5 (b = -1 +
-# 1e-9), a tail 1e6 times omega_1 and |a| far beyond the band; and (b, side)
-# of the edge thresholds, where a is solved from b and the order
+# 1e-9), a tail 1e6 times omega_1, |a| far beyond the band and a = 0 with 0
+# and 2 atoms; and (b, side) of the edge thresholds, where a is solved from b
+# and the order
 CONSTANT_TAIL_LAWS = [(0.5, 0.25), (0.9, 0.1), (-0.7, 0.9), (0.3, -0.5), (0.9, -0.5),
-                      (-0.95, -0.85), (0.5, -1.0 + 1e-9), (0.5, 1e6), (30.0, 0.5), (-1e3, -0.5)]
+                      (-0.95, -0.85), (0.5, -1.0 + 1e-9), (0.5, 1e6), (30.0, 0.5), (-1e3, -0.5),
+                      (0.0, 0.5), (0.0, -0.9), (0.0, 3.0)]
 CONSTANT_TAIL_THRESHOLDS = [(-0.5, 1), (0.25, -1), (3.0, 1)]
 CONSTANT_TAIL_ORDERS = [31, 32, 64, 101, 999, 1000]
 
@@ -574,9 +591,20 @@ def constant_tail_cases():
 
 
 class TestConstantTailRules:
-    """Above DENSE_EIGH_MAX_ORDER a table constant from alpha_1 and omega_2 on,
-    with some alpha != 0, takes its rule in closed form (free Meixner at a !=
-    0, b <= 1e8 - 1)."""
+    """Above DENSE_EIGH_MAX_ORDER a table constant from alpha_1 and omega_2 on
+    takes its rule in closed form (free Meixner at b <= 1e8 - 1)."""
+
+    @pytest.mark.parametrize("order", [101, 1000])
+    @pytest.mark.parametrize("b", [0.5, -0.9, 3.0])
+    def test_rule_at_a_zero_is_exactly_antisymmetric(self, b, order):
+        # at a = 0 (alpha = alpha_0) the right half is mirrored, so an odd
+        # order's middle node is 0.0 and no other node is 0
+        rule = gauss_quadrature(family_sequence(Family.FREE_MEIXNER, a=0.0, b=b, size=order),
+                                order)
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.array_equal(rule.weights, rule.weights[::-1])
+        assert (rule.nodes == 0.0).sum() == order % 2
+        assert np.signbit(rule.nodes).sum() == order // 2
 
     @pytest.mark.parametrize("a, b, order, edge", constant_tail_cases())
     def test_rule_matches_extended_precision(self, a, b, order, edge):
@@ -707,6 +735,26 @@ class TestNewtonRules:
             nodes, weights = tridiagonal_rule(seq, 400)
             assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
 
+    @pytest.mark.parametrize("order", [NEWTON_RULE_MIN_ORDER, 349])
+    def test_table_with_atoms_falls_back_to_the_tridiagonal_rule(self, order):
+        # free Meixner's table at a = 0.9, b = -0.5, which has an atom left of
+        # its band, with omega_2 = 0.6 for 0.5, so that it has no closed form
+        # and keeps a node outside the band: from NEWTON_RULE_MIN_ORDER on the
+        # Newton rule fails its moment check, and the rule is
+        # eigh_tridiagonal's, bit for bit
+        seq = family_sequence(Family.FREE_MEIXNER, a=0.9, b=-0.5, size=order)
+        omegas = seq.omegas.copy()
+        omegas[2] = 0.6
+        seq = JacobiSzegoSequence(seq.alphas, omegas)
+        assert len(free_meixner_atoms(0.9, -0.5)) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert measures._newton_rule(seq.alphas, seq.omegas) is None
+            rule = gauss_quadrature(seq, order)
+        nodes, weights = tridiagonal_rule(seq, order)
+        assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+        assert rule.nodes[0] < 0.9 - 2.0 * math.sqrt(0.5)
+
     def test_overflowing_extreme_weights_are_zero_without_a_warning(self):
         # at lambda = 1e4 the extreme weights are below 1e-500: the rescaled
         # recurrence underflows them to 0, as eigh_tridiagonal gives 0
@@ -730,7 +778,8 @@ class TestNewtonRules:
         # Newton rule at every order, symmetric or not: at b = 1e300
         # eigh_tridiagonal's rule reads sum w x^2 = 3, and so did the routes
         # these tables took before, dense eigh at order 30 and, at a = 0, the
-        # half-size route at 100 and 400 (2 at 349); the Newton rule reads 1
+        # half-size route at 100 and 400 (2 at 199 and 349); the Newton rule
+        # reads 1
         seq = family_sequence(Family.FREE_MEIXNER, a=a, b=1e300, size=order)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
