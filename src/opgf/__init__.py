@@ -40,11 +40,9 @@ from .genfun import (
 from .riccati import (
     ClassificationSolution,
     RiccatiCoefficients,
+    coefficient_residuals,
     coefficients,
     nonsymmetric_omega2_roots,
-    residual_f,
-    residual_moment_ode,
-    residual_u,
     solve_nonsymmetric,
     solve_symmetric,
 )
@@ -68,9 +66,7 @@ __all__ = [
     "psi_series_stack",
     "psi_family_moments",
     "coefficients",
-    "residual_f",
-    "residual_u",
-    "residual_moment_ode",
+    "coefficient_residuals",
     "solve_symmetric",
     "solve_nonsymmetric",
     "nonsymmetric_omega2_roots",

@@ -19,8 +19,8 @@ configurations it checks, laid out by _stack: one configuration's own closed
 form and table, or one stack of each for several, whose row c is bit for bit
 configuration c's own call, made once per set of families checked.
 series-vs-closed is one psi_series_stack pass and one psi_analytic call,
-and the moments (one Gauss rule per row), the coefficient identities of
-both Riccati equations and the m2 moment ODE, and the identity of every
+and the moments (one Gauss rule per row), the three coefficient identities
+(both Riccati equations and the m2 moment ODE), and the identity of every
 Beta law's table are one call each.  Nothing is kept between commands.
 
 If a campaign of several configurations raises, it is run again
@@ -39,7 +39,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -57,17 +56,15 @@ SWEEP_MEIXNER = ((0.0, 0.0), (0.5, 0.25), (-1.0, -0.5))
 
 def _write_atomic(path: str, text: str) -> None:
     """Write text to path through a temporary file in its directory, which
-    replaces path only once it is written in full.  The file takes the mode
-    open(path, "w") gives a new file under the current umask; mkstemp's is
-    owner-only.  As with open(path, "w"), a symlinked path keeps its link
-    and the link's target gets the text."""
+    replaces path only once it is written in full.  The file is created as
+    open(path, "w") creates a new one, mode 0o666 under the current umask,
+    which the process keeps throughout; its name does not grow with path's,
+    so that any name path may take leaves it room.  As with open(path, "w"),
+    a symlinked path keeps its link and the link's target gets the text."""
     path = os.path.realpath(path)
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(path), f"{os.getpid()}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -156,15 +153,17 @@ def _worst(runs, values) -> np.ndarray:
 def _checks(zmax: float, grid: int, tol: float) -> list:
     """The campaign's checks in report order, one row (records, families,
     evaluate) per check.  records lists the (name, points, tolerance) of
-    the row's check records, three for the moments and one for every other
-    check; the row checks the runs whose family is in families; evaluate(live,
-    cf, seq) is one call over those runs, with their closed forms cf and
-    tables seq laid out by _stack, that gives each run one worst residual per
-    record.  tol is the tolerance of series-vs-closed, the others are pinned.
+    the row's check records, three for the moments and for the coefficient
+    identities and one for every other check; the row checks the runs whose
+    family is in families; evaluate(live, cf, seq) is one call over those
+    runs, with their closed forms cf and tables seq laid out by _stack,
+    that gives each run one worst residual per record.  tol is the
+    tolerance of series-vs-closed, the others are pinned.
 
     series-vs-closed is one psi_series_stack pass and one psi_analytic call
-    over the stack, and the moments, both Riccati residuals and the moment
-    ODE (the m2 identity; these three read no point) are one call each.
+    over the stack, and the moments and the three coefficient identities
+    (both Riccati residuals and the m2 moment ODE, which read no point) are
+    one call each.
     beta-law-table (each whole table against its Beta law) is one call over
     the stack of the families it checks.  Every check reads its
     configuration's closed form or table: an identity of lambda alone could
@@ -194,12 +193,10 @@ def _checks(zmax: float, grid: int, tol: float) -> list:
         ([("moment-m0", len(zs_real), 1e-10), ("moment-m1", len(zs_real), 1e-9),
           ("moment-m2", len(zs_real), 1e-9)], every, moments),
         # the five coefficients of each degree-4 identity
-        ([("riccati-residual-f", 5, riccati.IDENTITY_BOUND)], every,
-         lambda live, cf, seq: _worst(live, riccati.residual_f(cf))),
-        ([("riccati-residual-u", 5, riccati.IDENTITY_BOUND)], every,
-         lambda live, cf, seq: _worst(live, riccati.residual_u(cf))),
-        ([("moment-ode", 5, riccati.IDENTITY_BOUND)], every,
-         lambda live, cf, seq: _worst(live, riccati.residual_moment_ode(cf, seq))),
+        ([(name, 5, riccati.IDENTITY_BOUND) for name in
+          ("riccati-residual-f", "riccati-residual-u", "moment-ode")], every,
+         lambda live, cf, seq: np.stack(
+             [_worst(live, r) for r in riccati.coefficient_residuals(cf, seq)], axis=1)),
         ([("beta-law-table", 2 * genfun.SERIES_CAP - 1, 1e-12)], beta,
          lambda live, cf, seq: _worst(live, identities.beta_law_table_check(cf, seq))),
     ]

@@ -27,7 +27,7 @@ configuration is the stack of one.
 
 The closed side stacks the same way.  ``stack_closed_forms`` turns C closed
 forms into one whose fields are (C, 1) columns; psi_analytic,
-psi_family_moments and the residuals of ``riccati`` then evaluate all C
+psi_family_moments and ``riccati.coefficient_residuals`` then evaluate all C
 configurations in one call, with a leading configuration axis, and a closed
 form of its own is evaluated as the stack of one; where a check also reads
 tables, their layout follows the closed forms'.  Each row equals its own
@@ -135,9 +135,9 @@ def stack_closed_forms(cfs) -> GenFunClosedForm:
     """The closed forms cfs as one stack of C configurations: every field is
     a (C, 1) column, and each coefficient tuple a tuple of columns.
 
-    psi_analytic, psi_family_moments and the riccati residuals take a stack
-    wherever they take a closed form and give a result with a leading axis
-    of length C whose row c is bit for bit the call with cfs[c].
+    psi_analytic, psi_family_moments and riccati.coefficient_residuals take
+    a stack wherever they take a closed form and give results with a leading
+    axis of length C whose row c is bit for bit the call with cfs[c].
     """
     cfs = list(cfs)
     columns = np.array([(cf.lam, cf.alpha1, cf.omega2, cf.domain_radius,
@@ -264,8 +264,17 @@ def psi_analytic(cf: GenFunClosedForm, z, x):
             f"z*(f(z) - x) = {wk.real:.6g} lies on the branch cut (z = {zk}, x = {xk})",
             z=zk, x=xk)),
     ])
+    # near z = 0, log w from d = w - 1 rather than from the rounded w, whose
+    # rounding lambda multiplies; where |d| >= 1/2 (|w| may be small) log(w)
+    # is kept, bit for bit
+    d = (c1 - xs) * zg + c2 * zg * zg
+    far = np.abs(d) >= 0.5
+    d[far] = 0.0
+    log_w = (0.5 * np.log1p(2.0 * d.real + d.real * d.real + d.imag * d.imag)
+             + 1j * np.arctan2(d.imag, 1.0 + d.real))
+    log_w[far] = np.log(w[far])
     values = np.where(zg == 0, 1.0 + 0.0j, cf.numerator(zs)[..., None]
-                      / np.exp(_lift(cf.lam) * np.log(w)))
+                      / np.exp(_lift(cf.lam) * log_w))
     return as_shape(values, lead + np.shape(z) + np.shape(x)[len(lead):])
 
 

@@ -18,9 +18,9 @@ points to extract the exact linear/quadratic dependence on each unknown, and
 solve with the numerically stable quadratic formula.  The solved closed forms
 then act as independent oracles in the test suite.
 
-residual_f, residual_u and residual_moment_ode match the coefficients of
-the Riccati equation, the equation of u'/u and the m2 moment identity (which
-also reads the table), each cleared of denominators, on _Running values.
+coefficient_residuals matches the coefficients of the Riccati equation,
+the equation of u'/u and the m2 moment identity (which also reads the
+table), each cleared of denominators, on one set of _Running values.
 
 The matching kernel (coefficients, _poly_mul, _matching_residual) is plain
 arithmetic on short tuples, with no array overhead.  Halvings are written
@@ -163,43 +163,24 @@ def _scaled(coeffs, lead) -> np.ndarray:
     return np.where(finite, ratios, 1.0).T.reshape(lead + (-1,))
 
 
-def _closed(cf) -> tuple:
-    """lambda, F = z f, N = z^lambda / u, z^2 f' = z F' - F and
-    z N u'/u = lambda N - z N' of the closed form cf, as _Running values."""
-    lam = _Running.of(cf.lam)
-    zf, num = ([_Running.of(c) for c in p] for p in (cf.zf_coeffs, cf.numerator_coeffs))
-    return lam, zf, num, (-zf[0], 0, zf[2]), [(lam - k) * d for k, d in enumerate(num)]
+def coefficient_residuals(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence) -> tuple:
+    """The three identities of degree 4 in z that the closed form cf and its
+    table seq (a stack of C tables for a stack of C) satisfy, each cleared
+    of denominators (F = z f, N = z^lambda / u, M = F - lambda z^2):
 
+    - the Riccati equation with cf's own lambda, alpha_1 and omega_2,
+      Q_2 (z F' - F) - F^2 + z Q_1 F - z^2 R_1 = 0;
+    - u'/u = lambda (1 - f') / (f - lambda z),
+      (lambda N - z N') M - lambda N (z^2 - z F' + F) = 0;
+    - the m2 moment identity d/dz [(lambda z f - m2) u] = lambda (1 -
+      lambda) z u f', m2 = lambda(lambda+1)/2 omega_2 z^2 + lambda alpha_1
+      z + 1 with the table's alpha_1 and omega_2, h (lambda N - z N') +
+      z N h' - lambda (1 - lambda) N (z F' - F) = 0 (h = lambda F - m2).
 
-def residual_f(cf: genfun.GenFunClosedForm) -> np.ndarray:
-    """The Riccati equation of cf, with its own lambda, alpha_1 and omega_2,
-    as the identity of degree 4 Q_2 (z F' - F) - F^2 + z Q_1 F - z^2 R_1 = 0
-    (F = z f): its 5 coefficients over their running-error scales, on a last
-    axis after an axis of length C for a stack of C."""
-    lam, zf, _, z2f_prime, _ = _closed(cf)
-    co = coefficients(lam, _Running.of(cf.alpha1), _Running.of(cf.omega2))
-    terms = zip(_poly_mul(co.q2, z2f_prime), _poly_mul(zf, zf),
-                (0, *_poly_mul(co.q1, zf)), (0, 0, *co.r1))
-    return _scaled([q - s + p - r for q, s, p, r in terms], genfun._stack_shape(cf))
-
-
-def residual_u(cf: genfun.GenFunClosedForm) -> np.ndarray:
-    """u'/u = lambda (1 - f') / (f - lambda z) of cf as the identity of degree
-    4 (lambda N - z N') M - lambda N (z^2 - z F' + F) = 0 (N = z^lambda / u,
-    M = F - lambda z^2), scaled and laid out as residual_f's."""
-    lam, zf, num, _, zn_logu = _closed(cf)
-    terms = zip(_poly_mul(zn_logu, (zf[0], zf[1], zf[2] - lam)),
-                _poly_mul(num, (zf[0], 0, -(zf[2] - 1))))
-    return _scaled([p - lam * q for p, q in terms], genfun._stack_shape(cf))
-
-
-def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence) -> np.ndarray:
-    """The m2 moment identity d/dz [(lambda z f - m2) u] = lambda (1 - lambda)
-    z u f', m2 = lambda(lambda+1)/2 omega_2 z^2 + lambda alpha_1 z + 1 with
-    alpha_1, omega_2 of the table seq (a stack of C tables for a stack of C),
-    as the identity of degree 4 h (lambda N - z N') + z N h' - lambda (1 -
-    lambda) N (z F' - F) = 0 (h = lambda F - m2), scaled and laid out as
-    residual_f's.  A table of fewer than 3 entries raises ParameterError."""
+    Returns their 5 coefficients over their running-error scales, as three
+    arrays with a last axis of length 5 after an axis of length C for a
+    stack of C.  A table of fewer than 3 entries raises ParameterError.
+    """
     lead = genfun._table_lead(seq, cf)
     if seq.omegas.shape[-1] < 3:
         raise ParameterError(f"the moment ODE reads alpha_1 and omega_2, but the table has "
@@ -207,13 +188,22 @@ def residual_moment_ode(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence) -
     a1, w2 = seq.alphas[..., 1:2], seq.omegas[..., 2:3]
     if not lead:  # a table's entries as Python numbers, as a closed form's fields
         a1, w2 = a1.tolist()[0], w2.tolist()[0]
-    lam, zf, num, z2f_prime, zn_logu = _closed(cf)
-    a1, w2 = _Running.of(a1), _Running.of(w2)
+    a1, w2, lam = _Running.of(a1), _Running.of(w2), _Running.of(cf.lam)
+    zf, num = ([_Running.of(c) for c in p] for p in (cf.zf_coeffs, cf.numerator_coeffs))
+    # z^2 f' = z F' - F and z N u'/u = lambda N - z N'
+    z2f_prime, zn_logu = (-zf[0], 0, zf[2]), [(lam - k) * d for k, d in enumerate(num)]
+    co = coefficients(lam, _Running.of(cf.alpha1), _Running.of(cf.omega2))
+    f = [q - s + p - r for q, s, p, r in zip(
+        _poly_mul(co.q2, z2f_prime), _poly_mul(zf, zf), (0, *_poly_mul(co.q1, zf)),
+        (0, 0, *co.r1))]
+    u = [p - lam * q for p, q in zip(_poly_mul(zn_logu, (zf[0], zf[1], zf[2] - lam)),
+                                     _poly_mul(num, (zf[0], 0, -(zf[2] - 1))))]
     h = (lam * zf[0] - 1, lam * zf[1] - lam * a1, lam * zf[2] - lam * (lam + 1) / 2 * w2)
     factor = -(lam * (lam - 1))  # lambda (1 - lambda)
-    terms = zip(_poly_mul(h, zn_logu), (0, *_poly_mul(num, (h[1], 2 * h[2]))),
-                _poly_mul(num, z2f_prime))
-    return _scaled([p + q - factor * r for p, q, r in terms], lead)
+    ode = [p + q - factor * r for p, q, r in zip(
+        _poly_mul(h, zn_logu), (0, *_poly_mul(num, (h[1], 2 * h[2]))),
+        _poly_mul(num, z2f_prime))]
+    return tuple(np.split(_scaled(f + u + ode, lead), 3, axis=-1))
 
 
 # ----------------------------------------------------------------------------

@@ -16,14 +16,12 @@ import numpy as np
 from conftest import LAMBDA_SWEEP, SWEEP_CONFIGS, get_closed_form, get_sequence
 from opgf import (
     Family,
+    coefficient_residuals,
     eval_monic,
     family_sequence,
     psi_analytic,
     psi_family_moments,
     psi_series_stack,
-    residual_f,
-    residual_moment_ode,
-    residual_u,
     solve_nonsymmetric,
     solve_symmetric,
 )
@@ -107,10 +105,9 @@ def test_criterion_03_riccati_residuals():
     # each identity's five coefficients, over their running-error scales
     worst_f = worst_u = worst_ode = 0.0
     for config in SWEEP_CONFIGS:
-        cf = get_closed_form(*config)
-        worst_f = max(worst_f, residual_f(cf).max())
-        worst_u = max(worst_u, residual_u(cf).max())
-        worst_ode = max(worst_ode, residual_moment_ode(cf, get_sequence(*config)).max())
+        f, u, ode = coefficient_residuals(get_closed_form(*config), get_sequence(*config))
+        worst_f, worst_u, worst_ode = (max(worst_f, f.max()), max(worst_u, u.max()),
+                                       max(worst_ode, ode.max()))
     passed = max(worst_f, worst_u, worst_ode) <= IDENTITY_BOUND
     report(3, "first-order equation residuals", passed,
            f"f-residual {worst_f:.2e}, u-residual {worst_u:.2e}, moment-ode {worst_ode:.2e} "

@@ -231,16 +231,36 @@ def test_one_array_call_per_check(family, lam, a, b, monkeypatch):
 
     for name in ("closed_form", "psi_analytic"):
         counted(genfun, name)
-    for name in ("residual_f", "residual_u", "residual_moment_ode"):
-        counted(riccati, name)
+    counted(riccati, "coefficient_residuals")
     report = run_campaign([(family, lam, a, b)], zmax=0.1, grid=16, tol=1e-9)[0]
     assert report["all_passed"]
     # series-vs-closed and the moments evaluate one psi_analytic grid each
     assert calls["closed_form"] == 1
     assert calls["psi_analytic"] == 2
-    assert calls["residual_moment_ode"] == 1
-    assert calls["residual_f"] <= 2
-    assert calls["residual_u"] <= 2
+    assert calls["coefficient_residuals"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "nonsym-plus", "--lambda", "2"],
+    ["verify"],
+], ids=["nonsym-plus", "sweep"])
+def test_one_coefficient_residuals_call_per_campaign(argv, tmp_path, monkeypatch):
+    # the three coefficient records of every configuration come from one
+    # call over the campaign's stack
+    calls = []
+    coefficient_residuals = riccati.coefficient_residuals
+
+    def counted(cf, seq):
+        calls.append(len(stack_families(cf)))
+        return coefficient_residuals(cf, seq)
+
+    monkeypatch.setattr(riccati, "coefficient_residuals", counted)
+    assert run([*argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == [1 if len(argv) > 1 else 23]
+    report = json.loads((tmp_path / "report.json").read_text())
+    for one in report.get("reports", [report]):
+        names = [c["name"] for c in one["checks"]]
+        assert names[4:7] == ["riccati-residual-f", "riccati-residual-u", "moment-ode"]
 
 
 @pytest.mark.parametrize("argv, configs", [
@@ -283,8 +303,7 @@ MONIC_STACKS = [23]
 # closed forms.  psi_analytic serves series-vs-closed, then the moments
 # inside psi_family_moments.
 STACKED_CHECKS = ((genfun, "psi_analytic"), (genfun, "psi_family_moments"),
-                  (riccati, "residual_f"), (riccati, "residual_u"),
-                  (riccati, "residual_moment_ode"))
+                  (riccati, "coefficient_residuals"))
 CLOSED_ROWS = {name: [23] for _, name in STACKED_CHECKS} | {"psi_analytic": [23, 23]}
 
 
@@ -377,16 +396,16 @@ def stack_families(cf):
 def test_campaign_raises_what_a_per_configuration_loop_meets_first(order, monkeypatch):
     # a check error of the first configuration beats a set-up error of the
     # second, as in a loop that runs each configuration to the end in turn;
-    # the moment ODE is one call over the stack of closed forms, which fails
-    # whenever it holds sym1
-    moment_ode = riccati.residual_moment_ode
+    # the coefficient identities are one call over the stack of closed
+    # forms, which fails whenever it holds sym1
+    coefficient_residuals = riccati.coefficient_residuals
 
     def failing(cf, *args):
         if Family.SYM1 in stack_families(cf):
             raise ParameterError("moment-ode of sym1")
-        return moment_ode(cf, *args)
+        return coefficient_residuals(cf, *args)
 
-    monkeypatch.setattr(riccati, "residual_moment_ode", failing)
+    monkeypatch.setattr(riccati, "coefficient_residuals", failing)
     configs = [(Family.SYM1, 2.0, None, None), (Family.SYM2, 0.3, None, None)]
     if order == "setup-error-first":
         configs.reverse()
@@ -619,26 +638,27 @@ def test_public_names_resolve():
 
 
 def test_stacked_step_error_stays_with_its_configuration(monkeypatch):
-    # sym2 makes the stacked residual_f call fail, sym1 fails only later in
-    # the moment ODE: a loop that runs each configuration to the end in turn
-    # meets sym1's error first, and so must the campaign
-    residual_f, moment_ode = riccati.residual_f, riccati.residual_moment_ode
+    # sym2 makes the stacked coefficient_residuals call fail, sym1 fails
+    # only later in beta-law-table: a loop that runs each configuration to
+    # the end in turn meets sym1's error first, and so must the campaign
+    coefficient_residuals = riccati.coefficient_residuals
+    beta_law_table_check = identities.beta_law_table_check
 
-    def failing_f(cf, *args):
+    def failing_residuals(cf, *args):
         if Family.SYM2 in stack_families(cf):
             raise ParameterError("residual-f of sym2")
-        return residual_f(cf, *args)
+        return coefficient_residuals(cf, *args)
 
-    def failing_ode(cf, *args):
+    def failing_table(cf, *args):
         if Family.SYM1 in stack_families(cf):
-            raise ParameterError("moment-ode of sym1")
-        return moment_ode(cf, *args)
+            raise ParameterError("beta-law-table of sym1")
+        return beta_law_table_check(cf, *args)
 
-    monkeypatch.setattr(riccati, "residual_f", failing_f)
-    monkeypatch.setattr(riccati, "residual_moment_ode", failing_ode)
+    monkeypatch.setattr(riccati, "coefficient_residuals", failing_residuals)
+    monkeypatch.setattr(identities, "beta_law_table_check", failing_table)
     configs = [(Family.SYM1, 2.0, None, None), (Family.SYM2, 1.5, None, None),
                (Family.NONSYM_PLUS, 2.0, None, None)]
-    with pytest.raises(ParameterError, match="^moment-ode of sym1$"):
+    with pytest.raises(ParameterError, match="^beta-law-table of sym1$"):
         run_campaign(configs, 0.1, 16, 1e-9)
     with pytest.raises(ParameterError, match="^residual-f of sym2$"):
         run_campaign(configs[1:], 0.1, 16, 1e-9)
@@ -689,15 +709,15 @@ def test_stack_only_error_gives_the_reports_of_campaigns_of_one(monkeypatch):
     # stacked ones record for record
     configs = list(cli._sweep_configs())
     stacked = run_campaign(configs, 0.1, 16, 1e-9)
-    residual_u, raised = riccati.residual_u, []
+    coefficient_residuals, raised = riccati.coefficient_residuals, []
 
     def stack_only_failure(cf, *args):
         if np.size(cf.lam) > 1:
             raised.append(np.size(cf.lam))
             raise ParameterError("residual-u of a stack")
-        return residual_u(cf, *args)
+        return coefficient_residuals(cf, *args)
 
-    monkeypatch.setattr(riccati, "residual_u", stack_only_failure)
+    monkeypatch.setattr(riccati, "coefficient_residuals", stack_only_failure)
     reports = run_campaign(configs, 0.1, 16, 1e-9)
     assert raised == [len(configs)]
     assert len(reports) == len(configs) == 23
@@ -790,6 +810,29 @@ def test_every_output_takes_the_mode_of_a_plain_write(tmp_path):
     finally:
         os.umask(previous)
     assert [stat.S_IMODE(out.stat().st_mode) for out in outs] == [0o644] * 3
+
+
+def test_outputs_leave_the_process_umask_alone(tmp_path, monkeypatch):
+    # os.umask can only be read by setting it, for every thread of the
+    # process: the writes take the umask from os.open's mode instead
+    def no_umask(*args):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    commands = [["verify", "--family", "sym1", "--lambda", "2"], ["classify", "--lambda", "2"],
+                ["quadrature", "--family", "sym1", "--lambda", "2", "--order", "4"]]
+    for k, command in enumerate(commands):
+        assert run([*command, "--out", str(tmp_path / f"out{k}")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out0", "out1", "out2"]
+
+
+def test_output_name_of_the_longest_length_is_written(tmp_path):
+    # a name of 255 bytes is one open(path, "w") can create, and the
+    # temporary file's name must not grow with it
+    out = tmp_path / ("o" * 250 + ".json")
+    assert run(["classify", "--lambda", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["lambda"] == 2.0
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
 @pytest.mark.parametrize("command", [

@@ -302,7 +302,42 @@ class TestGridClosedForms:
             assert (excinfo.value.z, excinfo.value.x) == (expected.z, expected.x)
 
 
+def mp_psi(cf, z, x) -> complex:
+    """N(z) / (1 + (c1 - x) z + c2 z^2)^lambda at 50 digits, on the closed
+    form's own (rounded) coefficients and lambda."""
+    with mpmath.workdps(50):
+        c0, c1, c2, d0, d1, d2, lam, x = (mpmath.mpf(float(v)) for v in (
+            *cf.zf_coeffs, *cf.numerator_coeffs, cf.lam, x))
+        z = mpmath.mpc(complex(z))
+        return complex((d0 + d1 * z + d2 * z * z) / (c0 + (c1 - x) * z + c2 * z * z) ** lam)
+
+
 class TestPsiAnalytic:
+    @pytest.mark.parametrize("lam, z", [(1e4, 1e-9), (1e6, 1e-12), (1e8, 1e-15), (1e14, 1e-24)])
+    def test_large_lambda_near_zero_against_mpmath(self, lam, z):
+        # log w is taken from d = w - 1, not from the rounded w = 1 + d,
+        # whose rounding lambda would multiply: log(w) read 3.8e-10 relative
+        # at lambda = 1e8 and 1.4e-3 at 1e14
+        cf = closed_form(Family.SYM1, lam)
+        hi = families.support_interval(Family.SYM1, lam, None, None)[1]
+        exact = mp_psi(cf, z, hi)
+        assert abs(psi_analytic(cf, z, hi) - exact) <= 4 * genfun.UNIT_ROUNDOFF * abs(exact)
+
+    @pytest.mark.parametrize("lam, zmax", [(20.0, 0.27), (2.0, 0.73)])
+    def test_near_the_domain_edge_no_worse_than_log_w(self, lam, zmax):
+        # near the edge |w| is small and |d| >= 1/2, where log(w) is kept:
+        # log1p of the same d there read 1.9e-12 relative at lambda = 20
+        # (log(w): 1.1e-13) and 2.5e-13 at lambda = 2 (log(w): 2.2e-14)
+        cf = closed_form(Family.SYM1, lam)
+        zs = np.array([zmax * cmath.exp(1j * k * math.pi / 32) for k in range(32)])
+        xs = np.linspace(*families.support_interval(Family.SYM1, lam, None, None), 41)
+        exact = np.array([[mp_psi(cf, z, x) for x in xs] for z in zs])
+        c0, c1, c2 = cf.zf_coeffs
+        w = c0 + (c1 - xs) * zs[:, None] + c2 * zs[:, None] * zs[:, None]
+        log_w = cf.numerator(zs)[:, None] / np.exp(lam * np.log(w))
+        relative = np.abs(psi_analytic(cf, zs, xs) - exact) / np.abs(exact)
+        assert relative.max() <= (np.abs(log_w - exact) / np.abs(exact)).max()
+
     def test_tends_to_one(self):
         for config in IDENTITY_SWEEP[:8]:
             cf = get_closed_form(*config)
@@ -840,9 +875,7 @@ def stacked_checks(cf, seqs, zmax, xs_rows):
     return {
         "psi_analytic": [psi_analytic(cf, circle_points(zmax, 8), xs_rows)],
         "psi_family_moments": list(psi_family_moments(seqs, cf, z_real)),
-        "residual_f": [riccati.residual_f(cf)],
-        "residual_u": [riccati.residual_u(cf)],
-        "residual_moment_ode": [riccati.residual_moment_ode(cf, seqs)],
+        "coefficient_residuals": list(riccati.coefficient_residuals(cf, seqs)),
     }
 
 
@@ -930,7 +963,7 @@ class TestStackedClosedForms:
             psi_family_moments(JacobiSzegoSequence.stack(seqs), stack, 0.05)
         with pytest.raises(ParameterError, match=r"leading shape \(1,\) for closed forms of "
                                                  r"leading shape \(2,\)"):
-            riccati.residual_moment_ode(stack, JacobiSzegoSequence.stack(seqs[:1]))
+            riccati.coefficient_residuals(stack, JacobiSzegoSequence.stack(seqs[:1]))
         # a table of its own goes with a closed form of its own only
         with pytest.raises(ParameterError, match=r"leading shape \(\) for closed forms of "
                                                  r"leading shape \(1,\)"):

@@ -14,11 +14,9 @@ from opgf import (
     ParameterError,
     RedirectToFreeMeixner,
     closed_form,
+    coefficient_residuals,
     coefficients,
     nonsymmetric_omega2_roots,
-    residual_f,
-    residual_moment_ode,
-    residual_u,
     riccati,
     solve_nonsymmetric,
     solve_symmetric,
@@ -124,46 +122,64 @@ def fraction_closed_form(family, lam=None, a=None, b=None):
 def test_residuals_exactly_zero_on_fractions(config):
     # the kernel is plain arithmetic, so exact data give exact zeros
     cf, table = fraction_closed_form(*config)
-    for residual in (residual_f(cf), residual_u(cf), residual_moment_ode(cf, table)):
+    for residual in coefficient_residuals(cf, table):
         assert residual.shape == (5,)
         assert all(type(r) is Fraction and r == 0 for r in residual)
+
+
+def residual_f(config, cf=None):
+    """The Riccati row of coefficient_residuals at config, with its own
+    closed form unless cf is given, and its table's first three entries."""
+    cf = closed_form(*config) if cf is None else cf
+    return coefficient_residuals(cf, family_sequence(*config, size=3))[0]
+
+
+def residual_u(config):
+    """The u'/u row of coefficient_residuals at config."""
+    return coefficient_residuals(closed_form(*config), family_sequence(*config, size=3))[1]
+
+
+def residual_moment_ode(cf, seq):
+    """The moment-ODE row of coefficient_residuals."""
+    return coefficient_residuals(cf, seq)[2]
 
 
 class TestResidualF:
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_zero_on_families(self, config):
-        residual = residual_f(get_closed_form(*config))
+        residual = residual_f(config)
         assert residual.shape == (5,)
         assert residual.max() <= ROUNDING
 
     def test_free_meixner_example(self):
-        assert residual_f(get_closed_form(Family.FREE_MEIXNER, None, 0.5, 0.25)).max() == 0.0
+        assert residual_f((Family.FREE_MEIXNER, None, 0.5, 0.25)).max() == 0.0
 
     def test_perturbed_omega2_detected(self):
-        cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        assert residual_f(dataclasses.replace(cf, omega2=1.25 + 0.1)).max() > 1e-3
+        config = (Family.SYM1, 2.0, None, None)
+        cf = dataclasses.replace(get_closed_form(*config), omega2=1.25 + 0.1)
+        assert residual_f(config, cf).max() > 1e-3
 
     @pytest.mark.parametrize("family", [Family.SYM1, Family.NONSYM_PLUS])
     @pytest.mark.parametrize("lam", [1e4, 1e12, 1e100])
     def test_large_lambda_at_rounding(self, family, lam):
         # the scale of Q_2's z^2 coefficient carries its cancellation
-        assert residual_f(closed_form(family, lam)).max() <= ROUNDING
+        assert residual_f((family, lam, None, None)).max() <= ROUNDING
 
 
 class TestResidualU:
     @pytest.mark.parametrize("config", SWEEP_CONFIGS)
     def test_zero_on_families(self, config):
-        residual = residual_u(get_closed_form(*config))
+        residual = residual_u(config)
         assert residual.shape == (5,)
         assert residual.max() <= ROUNDING
 
     def test_free_meixner_semicircle(self):
-        assert residual_u(get_closed_form(Family.FREE_MEIXNER, None, 0.0, 0.0)).max() == 0.0
+        assert residual_u((Family.FREE_MEIXNER, None, 0.0, 0.0)).max() == 0.0
 
     def test_overflowing_terms_read_one(self):
         # past b ~ 1.3e154 the degree-4 terms overflow a double: the
         # coefficients they reach cannot be compared and read 1, not NaN
-        residual = residual_u(closed_form(Family.FREE_MEIXNER, None, 0.5, 1e200))
+        residual = residual_u((Family.FREE_MEIXNER, None, 0.5, 1e200))
         assert residual.max() == 1.0
 
 
@@ -219,6 +235,15 @@ class TestResidualMomentOde:
         with pytest.raises(ParameterError, match="omega_2"):
             residual_moment_ode(cf, family_sequence(Family.SYM1, 2.0, size=size))
 
+    def test_short_table_error_comes_first(self):
+        # all three identities are one call, which refuses a short table
+        # before coefficients reads lambda
+        cf = dataclasses.replace(get_closed_form(Family.SYM1, 2.0, None, None), lam=-1.0)
+        with pytest.raises(ParameterError, match="lambda must be > 0"):
+            coefficient_residuals(cf, get_sequence(Family.SYM1, 2.0, None, None))
+        with pytest.raises(ParameterError, match="omega_2"):
+            coefficient_residuals(cf, family_sequence(Family.SYM1, 2.0, size=2))
+
     def test_three_entries_suffice(self):
         cf = get_closed_form(Family.NONSYM_MINUS, 2.5, None, None)
         full = residual_moment_ode(cf, get_sequence(Family.NONSYM_MINUS, 2.5, None, None))
@@ -259,22 +284,25 @@ class TestPointwiseEquations:
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_residual_f_matches_pointwise(self, config):
         cf = get_closed_form(*config)
-        self.assert_at_rounding(residual_f(cf), riccati_point_residual(cf, self.TWO_CIRCLES))
+        self.assert_at_rounding(residual_f(config, cf),
+                                riccati_point_residual(cf, self.TWO_CIRCLES))
 
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_residual_f_fails_with_pointwise(self, config):
         cf = self.moved(get_closed_form(*config), "zf_coeffs")
-        self.assert_fails(residual_f(cf), riccati_point_residual(cf, self.TWO_CIRCLES))
+        self.assert_fails(residual_f(config, cf), riccati_point_residual(cf, self.TWO_CIRCLES))
 
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_residual_u_matches_pointwise(self, config):
         cf = get_closed_form(*config)
-        self.assert_at_rounding(residual_u(cf), u_point_residual(cf, self.TWO_CIRCLES))
+        self.assert_at_rounding(coefficient_residuals(cf, get_sequence(*config))[1],
+                                u_point_residual(cf, self.TWO_CIRCLES))
 
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_residual_u_fails_with_pointwise(self, config):
         cf = self.moved(get_closed_form(*config), "numerator_coeffs")
-        self.assert_fails(residual_u(cf), u_point_residual(cf, self.TWO_CIRCLES))
+        self.assert_fails(coefficient_residuals(cf, get_sequence(*config))[1],
+                          u_point_residual(cf, self.TWO_CIRCLES))
 
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_moment_ode_matches_pointwise(self, config):
@@ -580,7 +608,7 @@ class TestFreeMeixnerUniqueness:
             assert abs(reduced) <= 1e-12 * abs(g * g)
             f = g + 0.5 * polyval_ascending(co.q1, z)
             assert f == pytest.approx(closed_f(cf, z), rel=1e-13)
-        assert residual_f(cf).max() == 0.0
+        assert residual_f((Family.FREE_MEIXNER, None, a, b), cf).max() == 0.0
 
 
 def h_initial(config):
