@@ -5,7 +5,8 @@ Subcommands:
     opgf verify      run the identity/residual checks for one family (or the
                      whole sweep when --family is omitted) and write a JSON
                      report; exit 0 iff every check passed, 1 on check
-                     failure (report still written), 2 on bad parameters.
+                     failure (report still written), 2 on bad parameters
+                     or a residual that is not finite (no report).
     opgf classify    write all classification branches for a given lambda.
     opgf quadrature  export a Gauss rule as CSV.
 
@@ -28,8 +29,9 @@ configuration by configuration, and so raises the error that such a loop
 meets first.
 
 Reports are deterministic for fixed inputs except the wall_time_ms field;
-json.dumps writes each number by its shortest round-trip repr, and refuses
-a non-finite one.
+json.dumps writes each number by its shortest round-trip repr.  cmd_verify
+raises NumericalBreakdownError on the first non-finite residual before the
+report is written, so a non-finite value never reaches json.dumps.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ import time
 import numpy as np
 
 from . import __version__, families, genfun, identities, measures, riccati
-from .errors import OpgfError, ParameterError, RedirectToFreeMeixner
+from .errors import NumericalBreakdownError, OpgfError, ParameterError, RedirectToFreeMeixner
 from .families import Family
 from .recurrence import JacobiSzegoSequence
 
@@ -181,7 +183,8 @@ def _checks(zmax: float, grid: int, tol: float) -> list:
 
     def moments(live, cf, seq):
         m0, m1, m2 = (_rows(live, m) for m in genfun.psi_family_moments(seq, cf, zs_real))
-        m2_claim = (0.5 * cf.lam * (cf.lam + 1.0) * cf.omega2 * zs_real * zs_real
+        # lambda z and (lambda + 1) z stay finite where lambda (lambda + 1) overflows
+        m2_claim = (0.5 * (cf.lam * zs_real) * ((cf.lam + 1.0) * zs_real) * cf.omega2
                     + cf.lam * cf.alpha1 * zs_real + 1.0)
         return np.stack([_worst(live, m0 - 1.0), _worst(live, m1 - cf.lam * zs_real),
                          _worst(live, m2 - m2_claim)], axis=1)
@@ -253,6 +256,12 @@ def cmd_verify(args) -> int:
                                args.zmax, args.grid, args.tol)[0]
         all_passed = payload["all_passed"]
         payload["wall_time_ms"] = int(1000 * (time.perf_counter() - start))
+    for report in payload.get("reports", [payload]):
+        for check in report["checks"]:
+            if not math.isfinite(check["max_residual"]):
+                raise NumericalBreakdownError(
+                    f"{check['name']} of {report['family']} reads {check['max_residual']}: "
+                    "no report of a non-finite residual")
     _write_atomic(args.out, json.dumps(payload, allow_nan=False) + "\n")
     status = "all checks passed" if all_passed else "CHECK FAILURES (see report)"
     print(f"opgf verify: {status}; report written to {args.out}")

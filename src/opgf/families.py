@@ -3,12 +3,15 @@
 Every measure here is standardized (mean 0, variance 1), so alpha_0 = 0 and
 omega_1 = 1.  A family is pinned down by lambda (the power in the generating
 function) except for the free Meixner family, which lives at lambda = 1 and
-carries the two parameters (a, b) of its constant recurrence tail.
+carries the two parameters (a, b) of its constant recurrence tail.  Each
+family's tail is written once, in table_entries, for tables and closed forms.
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
+
+import numpy as np
 
 from .errors import ParameterError, RedirectToFreeMeixner
 
@@ -26,10 +29,6 @@ class Family(str, Enum):
     NONSYM_PLUS = "nonsym-plus"
     NONSYM_MINUS = "nonsym-minus"
     FREE_MEIXNER = "free-meixner"
-
-    @property
-    def symmetric(self) -> bool:
-        return self in (Family.SYM1, Family.SYM2)
 
     @property
     def nonsymmetric(self) -> bool:
@@ -84,26 +83,25 @@ def validate_params(family, lam=None, a=None, b=None):
     return lam, None, None
 
 
-def omega2_value(family, lam, a=None, b=None) -> float:
-    """Closed-form omega_2 of the family."""
+def table_entries(family, lam, a, b, n1, n2):
+    """(alpha_n at n = n1 >= 1, omega_n at n = n2 >= 2) of the family's
+    Jacobi-Szego table, for floats or arrays n1 and n2; the head alpha_0 = 0,
+    omega_1 = 1 is the caller's.  Each entry is a product of ratios of O(1),
+    so it is finite wherever n + 2 lambda is; free Meixner's tail is
+    constant, np.full(shape, a) and np.full(shape, 1 + b)."""
     family = Family(family)
     if family is Family.SYM1:
-        return (2.0 * lam + 1.0) / (lam + 2.0)
+        return 0.0 * n1, ((1.0 + lam) / (n2 + lam) * (0.5 * n2)
+                          * ((n2 + 2.0 * lam - 1.0) / (n2 + lam - 1.0)))
     if family is Family.SYM2:
-        return (2.0 * lam - 1.0) / (lam + 1.0)
+        return 0.0 * n1, (lam / (n2 + lam - 1.0) * (0.5 * n2)
+                          * ((n2 + 2.0 * lam - 3.0) / (n2 + lam - 2.0)))
     if family.nonsymmetric:
-        return 2.0 * lam**3 / ((lam + 1.0) ** 2 * (lam - 0.5))
-    return 1.0 + b
-
-
-def alpha1_value(family, lam, a=None, b=None) -> float:
-    """Closed-form alpha_1 of the family (0 for the symmetric ones)."""
-    family = Family(family)
-    if family.symmetric:
-        return 0.0
-    if family.nonsymmetric:
-        return nonsym_sign(family) * 2.0 / ((lam + 1.0) * math.sqrt(2.0 * lam - 1.0))
-    return float(a)
+        ratio = lam / (n2 + lam - 1.0)
+        return (nonsym_sign(family) * (n1 / (n1 + lam - 1.0)) * ((n1 + 2.0 * lam - 1.0) / (n1 + lam))
+                / math.sqrt(2.0 * lam - 1.0),
+                ratio * ratio * n2 * ((n2 + 2.0 * lam - 2.0) / (2.0 * lam - 1.0)))
+    return np.full(np.shape(n1), a), np.full(np.shape(n2), 1.0 + b)
 
 
 def support_interval(family, lam, a=None, b=None):

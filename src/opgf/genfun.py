@@ -9,7 +9,8 @@ where (lambda)_n is the Pochhammer symbol, P_n are the monic orthogonal
 polynomials of the measure, and powers take the principal branch.  Both
 z*f(z) = 1 + c1 z + c2 z^2 and N(z) = z^lambda/u(z) = 1 + d1 z + d2 z^2 are
 quadratics for every family, so psi = N(z) / (1 + (c1 - x) z + c2 z^2)^lambda
-tends to 1 as z -> 0.
+tends to 1 as z -> 0.  A closed form's alpha_1 and omega_2 are its table's,
+bit for bit: both come from families.table_entries.
 
 The closed side is ``psi_analytic``, the factorization
 
@@ -107,9 +108,10 @@ def _nearest_zero(c1: float, c2: float) -> float:
 
 def closed_form(family, lam=None, a=None, b=None) -> GenFunClosedForm:
     """Closed-form data of a family: z f(z) = 1 + c1 z + c2 z^2 and
-    z^lambda / u(z) = 1 + d1 z + d2 z^2.  The domain radius is 0.9 times the
-    smallest |zero| of the two quadratics, the zeros of f and the poles of u
-    nearest 0."""
+    z^lambda / u(z) = 1 + d1 z + d2 z^2, and alpha_1, omega_2 as the
+    family's table has them.  The domain radius is 0.9 times the smallest
+    |zero| of the two quadratics, the zeros of f and the poles of u nearest
+    0."""
     family = Family(family)
     lam, a, b = families.validate_params(family, lam, a, b)
     if family is Family.SYM1:
@@ -119,13 +121,12 @@ def closed_form(family, lam=None, a=None, b=None) -> GenFunClosedForm:
     elif family.nonsymmetric:
         sign = families.nonsym_sign(family)
         root = math.sqrt(2.0 * lam - 1.0)
-        c1, c2, d1, d2 = sign / root, lam * lam / (2.0 * lam - 1.0), sign * lam / root, 0.0
+        c1, c2, d1, d2 = sign / root, lam * (lam / (2.0 * lam - 1.0)), sign * lam / root, 0.0
     else:
         c1, c2, d1, d2 = a, 1.0 + b, a, b
+    alpha1, omega2 = (float(v) for v in families.table_entries(family, lam, a, b, 1.0, 2.0))
     return GenFunClosedForm(
-        family=family, lam=lam, a=a, b=b,
-        alpha1=families.alpha1_value(family, lam, a, b),
-        omega2=families.omega2_value(family, lam, a, b),
+        family=family, lam=lam, a=a, b=b, alpha1=alpha1, omega2=omega2,
         zf_coeffs=(1.0, c1, c2), numerator_coeffs=(1.0, d1, d2),
         domain_radius=0.9 * min(_nearest_zero(c1, c2), _nearest_zero(d1, d2)),
     )

@@ -15,10 +15,11 @@ Each family is a standardized (mean-0, variance-1) compactly supported law:
                 alpha_n = a (n >= 1), omega_n = 1 + b (n >= 2); it may carry
                 atoms at the real zeros of 1 + a x + b x^2.
 
-A law is represented by its Jacobi-Szego coefficient table (family_sequence)
-alone, and gauss_quadrature, the only code that knows stacks, is the one
-route from a table or a stack of them to Gauss rules (Golub and Welsch,
-1969): one batched dense eigh up to DENSE_EIGH_MAX_ORDER nodes unless a row
+A law is represented by its Jacobi-Szego coefficient table (family_sequence,
+families.table_entries tabulated under the standardized head) alone, and
+gauss_quadrature, the only code that knows stacks, is the one route from a
+table or a stack of them to Gauss rules (Golub and Welsch, 1969): one
+batched dense eigh up to DENSE_EIGH_MAX_ORDER nodes unless a row
 is past the closed form's ratio guard, and otherwise each row as a table of
 its own.  Above DENSE_EIGH_MAX_ORDER a table constant from alpha_1 and
 omega_2 on (free Meixner) has its rule in closed form, in O(n), a
@@ -75,29 +76,11 @@ def family_sequence(family, lam=None, a=None, b=None, *, size: int) -> JacobiSze
     # The tail formulas hold for alpha_n, n >= 1, and omega_n, n >= 2, and
     # some divide by zero below that (sym2 at lambda = 2, n = 0), so they
     # are evaluated at n1 = max(n, 1) and n2 = max(n, 2) and the standardized
-    # head is written over the result.  At huge lambda they overflow to inf
-    # and nan, silently: the callers' guards report the non-finite entries.
-    n1, n2 = np.maximum(n, 1.0), np.maximum(n, 2.0)
-    alphas = np.zeros(size)
+    # head is written over the result.  Where n + 2 lambda overflows they are
+    # inf or nan, silently: the callers' guards report the non-finite entries.
     with np.errstate(over="ignore", invalid="ignore"):
-        if family is Family.SYM1:
-            omegas = (1.0 + lam) * n2 * (n2 + 2.0 * lam - 1.0) / (
-                2.0 * (n2 + lam) * (n2 + lam - 1.0)
-            )
-        elif family is Family.SYM2:
-            omegas = lam * n2 * (n2 + 2.0 * lam - 3.0) / (
-                2.0 * (n2 + lam - 1.0) * (n2 + lam - 2.0)
-            )
-        elif family.nonsymmetric:
-            sign = families.nonsym_sign(family)
-            root = math.sqrt(2.0 * lam - 1.0)
-            alphas = sign * n1 * (n1 + 2.0 * lam - 1.0) / ((n1 + lam - 1.0) * (n1 + lam)) / root
-            omegas = lam * lam * n2 * (n2 + 2.0 * lam - 2.0) / (
-                (2.0 * lam - 1.0) * (n2 + lam - 1.0) ** 2
-            )
-        else:
-            alphas = np.full(size, a)
-            omegas = np.full(size, 1.0 + b)
+        alphas, omegas = families.table_entries(family, lam, a, b, np.maximum(n, 1.0),
+                                                np.maximum(n, 2.0))
     alphas[:1] = 0.0
     omegas[:2] = 1.0
     return JacobiSzegoSequence(alphas, omegas)

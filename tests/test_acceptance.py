@@ -154,7 +154,7 @@ def test_criterion_05_recurrence_cross_validation():
                         abs(recovered.omegas[n] - catalog.omegas[n]))
         if family is not Family.FREE_MEIXNER:
             lam = config[1]
-            if family.symmetric:
+            if family in (Family.SYM1, Family.SYM2):
                 sol = solve_symmetric(lam)[0 if family is Family.SYM1 else 1]
             else:
                 sol = solve_nonsymmetric(lam)[1][0 if family is Family.NONSYM_PLUS else 1]

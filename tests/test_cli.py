@@ -576,32 +576,59 @@ def test_small_commands_leave_out_scipy(tmp_path):
         assert loaded[-1][0] == 0 and "scipy.linalg" in loaded[-1][1]
 
 
-@pytest.mark.parametrize("lam, order, message", [
-    ("1e154", 24, "omega_2 = nan is not finite: no Gauss rule of order 24"),
-    ("1e200", 24, "omega_2 = nan is not finite: no Gauss rule of order 24"),
-    ("1e200", 100, "omega_2 = nan is not finite: no Gauss rule of order 100"),
-], ids=["1e154", "1e200-order24", "1e200-order100"])
-def test_quadrature_at_huge_lambda_exits_2_with_a_message(lam, order, message, tmp_path):
-    # documented (sym1 takes any lambda > 0) but beyond double precision:
-    # one line on stderr, with no RuntimeWarning before it even when
-    # warnings are errors
+def test_quadrature_at_huge_lambda_exits_2_with_a_message(tmp_path):
+    # documented (sym1 takes any lambda > 0) but beyond double precision,
+    # where n + 2 lambda overflows: one line on stderr, with no
+    # RuntimeWarning before it even when warnings are errors
     env = dict(os.environ, PYTHONPATH=str(Path(opgf.__file__).resolve().parents[1]))
     result = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "opgf", "quadrature",
-         "--family", "sym1", "--lambda", lam, "--order", str(order),
+         "--family", "sym1", "--lambda", "1e308", "--order", "24",
          "--out", str(tmp_path / "rule.csv")],
         env=env, capture_output=True, text=True)
     assert result.returncode == 2
-    assert result.stderr == f"opgf quadrature: {message}\n"
+    assert result.stderr == ("opgf quadrature: omega_2 = inf is not finite: "
+                             "no Gauss rule of order 24\n")
 
 
-@pytest.mark.parametrize("lam", ["1e16", "1e18", "1e20", "1e80", "1e100", "1e150"])
+@pytest.mark.parametrize("lam", ["1e16", "1e18", "1e20", "1e80", "1e100", "1e150", "1e154",
+                                 "1e200", "1e300"])
 def test_quadrature_at_large_lambda_still_exports(lam, tmp_path):
-    # the rule needs only the recurrence, which stays finite here
+    # the rule needs only the recurrence, which stays finite here: its
+    # entries are products of ratios of O(1); a RuntimeWarning would be an
+    # error
     out = tmp_path / "rule.csv"
-    assert run(["quadrature", "--family", "sym1", "--lambda", lam, "--order", "24",
-                "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 2 + 24
+    for order in (24, 100):
+        assert run(["quadrature", "--family", "sym1", "--lambda", lam, "--order", str(order),
+                    "--out", str(out)]) == 0
+        rule = np.loadtxt(out, delimiter=",", skiprows=2)
+        assert rule.shape == (order, 2) and np.isfinite(rule).all()
+
+
+@pytest.mark.parametrize("family, lam", [("sym1", 1e160), ("nonsym-minus", 1e155)])
+def test_moment_m2_claim_stays_finite_at_huge_lambda(family, lam):
+    # the claim multiplies (lambda z) ((lambda + 1) z), where lambda (lambda +
+    # 1) alone overflowed
+    report, = run_campaign([(Family(family), lam, None, None)], 1e-300, 4, 1e-9)
+    m2, = (check for check in report["checks"] if check["name"] == "moment-m2")
+    assert m2["passed"] and math.isfinite(m2["max_residual"])
+
+
+def test_verify_with_a_non_finite_residual_exits_2_with_one_line(tmp_path):
+    # the series of sym2 at lambda = 1e200 is not finite (its recurrence
+    # overflows, with RuntimeWarnings, ignored here): the command names the
+    # check, the family and the value, and writes no report
+    env = dict(os.environ, PYTHONPATH=str(Path(opgf.__file__).resolve().parents[1]))
+    out = tmp_path / "report.json"
+    result = subprocess.run(
+        [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "opgf", "verify",
+         "--family", "sym2", "--lambda", "1e200", "--zmax", "1e-300", "--grid", "4",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stderr == ("opgf verify: series-vs-closed of sym2 reads nan: "
+                             "no report of a non-finite residual\n")
+    assert not out.exists()
 
 
 def readme_checks_table():

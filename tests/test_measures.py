@@ -217,6 +217,27 @@ class TestRecurrenceOf:
         expected = closed_form(family, lam).alpha1
         assert abs(alpha1 - expected) <= 2 * np.spacing(abs(expected))
 
+    @staticmethod
+    def assert_closed_form_reads_the_table(config):
+        cf, seq = closed_form(*config), family_sequence(*config, size=3)
+        assert (cf.alpha1, cf.omega2) == (seq.alphas[1], seq.omegas[2]), config
+        assert type(cf.alpha1) is float and type(cf.omega2) is float
+        assert math.isfinite(cf.alpha1) and math.isfinite(cf.omega2), config
+
+    @pytest.mark.parametrize("config", SWEEP_CONFIGS)
+    def test_closed_form_reads_the_tables_alpha1_and_omega2(self, config):
+        # one formula for both, so they agree bit for bit
+        self.assert_closed_form_reads_the_table(config)
+
+    @pytest.mark.parametrize("family", [Family.SYM1, Family.SYM2, Family.NONSYM_PLUS,
+                                        Family.NONSYM_MINUS])
+    def test_closed_form_reads_the_tables_entries_up_to_1e307(self, family):
+        # lambda = 1e-300 (sym1) or 10 up to 1e307, where (1 + lambda) n (n +
+        # 2 lambda - 1) and lambda^3 overflowed
+        for k in range(-300 if family is Family.SYM1 else 1, 308):
+            if k:
+                self.assert_closed_form_reads_the_table((family, float(f"1e{k}"), None, None))
+
 
 class TestGaussQuadrature:
     def test_order_one_single_node_at_mean(self):
@@ -283,17 +304,18 @@ class TestGaussQuadrature:
                 gauss_quadrature(seq, order)
 
     @pytest.mark.parametrize("family, last", [
-        (Family.SYM1, 153), (Family.SYM2, 153),
-        (Family.NONSYM_PLUS, 102), (Family.NONSYM_MINUS, 102),
+        (Family.SYM1, 307), (Family.SYM2, 307),
+        (Family.NONSYM_PLUS, 307), (Family.NONSYM_MINUS, 307),
     ])
     def test_rule_at_huge_lambda_is_the_gauss_hermite_limit(self, family, last):
-        # at lambda = 1e1 .. 1e170 the order-24 rule exists exactly while the
-        # table is finite, up to 1e<last>, and from 1e18 on it is the
-        # lambda -> infinity limit, the standard normal's Gauss-Hermite rule
+        # at lambda = 1e1 .. 1e308 the order-24 rule exists exactly while the
+        # table is finite, up to 1e<last> (n + 2 lambda overflows at 1e308),
+        # and from 1e18 on it is the lambda -> infinity limit, the standard
+        # normal's Gauss-Hermite rule
         x, w = np.polynomial.hermite.hermgauss(24)
         nodes, weights = math.sqrt(2.0) * x, w / math.sqrt(math.pi)
         exported = []
-        for k in range(1, 171):
+        for k in range(1, 309):
             try:
                 rule = gauss_quadrature(family_sequence(family, float(f"1e{k}"), size=24), 24)
             except NumericalBreakdownError:

@@ -21,7 +21,6 @@ from opgf import (
     solve_nonsymmetric,
     solve_symmetric,
 )
-from opgf.families import alpha1_value, omega2_value
 from opgf.genfun import UNIT_ROUNDOFF
 from opgf.measures import family_sequence
 from opgf.recurrence import JacobiSzegoSequence
@@ -488,14 +487,15 @@ class TestSolutionProperties:
     def test_solver_catalog_stieltjes_agreement(self, family, lam):
         # three routes to (alpha_1, omega_2) agree to 1e-8
         seq = stieltjes_from_quadrature(gauss_rule((family, lam, None, None), 20), 4)
-        if family.symmetric:
+        if family in (Family.SYM1, Family.SYM2):
             branch = 0 if family is Family.SYM1 else 1
             sol = solve_symmetric(lam)[branch]
         else:
             branch = 0 if family is Family.NONSYM_PLUS else 1
             sol = solve_nonsymmetric(lam)[1][branch]
-        assert sol.omega2 == pytest.approx(omega2_value(family, lam), rel=1e-12)
-        assert sol.alpha1 == pytest.approx(alpha1_value(family, lam), abs=1e-12)
+        table = family_sequence(family, lam, size=3)
+        assert sol.omega2 == pytest.approx(table.omegas[2], rel=1e-12)
+        assert sol.alpha1 == pytest.approx(table.alphas[1], abs=1e-12)
         assert seq.omegas[2] == pytest.approx(sol.omega2, abs=1e-8)
         assert seq.alphas[1] == pytest.approx(sol.alpha1, abs=1e-8)
 
