@@ -9,9 +9,9 @@ probability measures, the generating function
 both as a truncated series and in closed form, re-derives the families by
 polynomial coefficient matching in the underlying Riccati equation, and
 checks each configuration's closed form and coefficient table against the
-identities that read them (moments, the Riccati equations and the m2
-moment ODE, and each Beta law's table against the classical Jacobi table)
-at desk scale.
+identities that read them (moments, the Riccati equation and the equation
+of u'/u, and each Beta law's table against the classical Jacobi table) at
+desk scale.
 """
 
 __version__ = "0.1.0"

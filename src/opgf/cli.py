@@ -20,8 +20,8 @@ configurations it checks, laid out by _stack: one configuration's own closed
 form and table, or one stack of each for several, whose row c is bit for bit
 configuration c's own call, made once per set of families checked.
 series-vs-closed is one psi_series_stack pass and one psi_analytic call,
-and the moments (one Gauss rule per row), the three coefficient identities
-(both Riccati equations and the m2 moment ODE), and the identity of every
+and the moments (one Gauss rule per row), the two coefficient identities
+(the Riccati equation and the equation of u'/u), and the identity of every
 Beta law's table are one call each.  Nothing is kept between commands.
 
 If a campaign of several configurations raises, it is run again
@@ -155,7 +155,7 @@ def _worst(runs, values) -> np.ndarray:
 def _checks(zmax: float, grid: int, tol: float) -> list:
     """The campaign's checks in report order, one row (records, families,
     evaluate) per check.  records lists the (name, points, tolerance) of
-    the row's check records, three for the moments and for the coefficient
+    the row's check records, three for the moments, two for the coefficient
     identities and one for every other check; the row checks the runs whose
     family is in families; evaluate(live, cf, seq) is one call over those
     runs, with their closed forms cf and tables seq laid out by _stack,
@@ -163,9 +163,9 @@ def _checks(zmax: float, grid: int, tol: float) -> list:
     tolerance of series-vs-closed, the others are pinned.
 
     series-vs-closed is one psi_series_stack pass and one psi_analytic call
-    over the stack, and the moments and the three coefficient identities
-    (both Riccati residuals and the m2 moment ODE, which read no point) are
-    one call each.
+    over the stack, and the moments and the two coefficient identities
+    (both Riccati residuals, which read no point and no table) are one call
+    each.
     beta-law-table (each whole table against its Beta law) is one call over
     the stack of the families it checks.  Every check reads its
     configuration's closed form or table: an identity of lambda alone could
@@ -197,9 +197,9 @@ def _checks(zmax: float, grid: int, tol: float) -> list:
           ("moment-m2", len(zs_real), 1e-9)], every, moments),
         # the five coefficients of each degree-4 identity
         ([(name, 5, riccati.IDENTITY_BOUND) for name in
-          ("riccati-residual-f", "riccati-residual-u", "moment-ode")], every,
+          ("riccati-residual-f", "riccati-residual-u")], every,
          lambda live, cf, seq: np.stack(
-             [_worst(live, r) for r in riccati.coefficient_residuals(cf, seq)], axis=1)),
+             [_worst(live, r) for r in riccati.coefficient_residuals(cf)], axis=1)),
         ([("beta-law-table", 2 * genfun.SERIES_CAP - 1, 1e-12)], beta,
          lambda live, cf, seq: _worst(live, identities.beta_law_table_check(cf, seq))),
     ]

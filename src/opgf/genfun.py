@@ -30,10 +30,10 @@ The closed side stacks the same way.  ``stack_closed_forms`` turns C closed
 forms into one whose fields are (C, 1) columns; psi_analytic,
 psi_family_moments and ``riccati.coefficient_residuals`` then evaluate all C
 configurations in one call, with a leading configuration axis, and a closed
-form of its own is evaluated as the stack of one; where a check also reads
-tables, their layout follows the closed forms'.  Each row equals its own
-configuration's call bit for bit, and a bad point raises the error of the
-first configuration that has one.
+form of its own is evaluated as the stack of one; the moments, which also
+read tables, take them laid out as the closed forms are.  Each row equals
+its own configuration's call bit for bit, and a bad point raises the error
+of the first configuration that has one.
 """
 from __future__ import annotations
 

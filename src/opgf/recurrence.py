@@ -47,7 +47,7 @@ class JacobiSzegoSequence:
         if len(shape) not in (1, 2) or shape[-1] == 0 or shape != self.omegas.shape:
             raise ParameterError(f"alphas and omegas must be of one shape (N,) or (C, N) with "
                                  f"N >= 1, got shapes {shape} and {self.omegas.shape}")
-        if (abs(self.omegas[..., 0] - 1.0) > _STANDARD_TOL).any():
+        if not (abs(self.omegas[..., 0] - 1.0) <= _STANDARD_TOL).all():  # <= is False for NaN
             raise ParameterError("omega_0 must be 1 by convention")
 
     @classmethod

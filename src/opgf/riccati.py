@@ -18,9 +18,9 @@ points to extract the exact linear/quadratic dependence on each unknown, and
 solve with the numerically stable quadratic formula.  The solved closed forms
 then act as independent oracles in the test suite.
 
-coefficient_residuals matches the coefficients of the Riccati equation,
-the equation of u'/u and the m2 moment identity (which also reads the
-table), each cleared of denominators, on one set of _Running values.
+coefficient_residuals matches the coefficients of the Riccati equation and
+the equation of u'/u, each cleared of denominators, on one set of _Running
+values; the m2 moment ODE follows from the two.
 
 The matching kernel (coefficients, _poly_mul, _matching_residual) is plain
 arithmetic on short tuples, with no array overhead.  Halvings are written
@@ -43,7 +43,6 @@ from .errors import (
     RedirectToFreeMeixner,
 )
 from .families import Family
-from .recurrence import JacobiSzegoSequence
 
 _VALID_OMEGA2_MIN = 1e-9  # below this the measure degenerates to finite support
 
@@ -110,9 +109,9 @@ def coefficients(lam: float, alpha1: float, omega2: float) -> RiccatiCoefficient
 
 
 # A term of a coefficient below multiplies at most two rounded entries of a
-# closed form or table (each within 12 roundings of exact) in at most 12
-# more roundings, so a correct configuration reads at most gamma_36 ~ 2^5.2
-# u (Higham, ch. 3); the rows allow 2^10 u.
+# closed form (each within 12 roundings of exact) in at most 12 more
+# roundings, so a correct configuration reads at most gamma_36 ~ 2^5.2 u
+# (Higham, ch. 3); the rows allow 2^10 u.
 IDENTITY_BOUND = 2**10 * genfun.UNIT_ROUNDOFF
 
 
@@ -163,32 +162,26 @@ def _scaled(coeffs, lead) -> np.ndarray:
     return np.where(finite, ratios, 1.0).T.reshape(lead + (-1,))
 
 
-def coefficient_residuals(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence) -> tuple:
-    """The three identities of degree 4 in z that the closed form cf and its
-    table seq (a stack of C tables for a stack of C) satisfy, each cleared
-    of denominators (F = z f, N = z^lambda / u, M = F - lambda z^2):
+def coefficient_residuals(cf: genfun.GenFunClosedForm) -> tuple:
+    """The two identities of degree 4 in z that the closed form cf (or a
+    stack of C) satisfies, each cleared of denominators (F = z f,
+    N = z^lambda / u, M = F - lambda z^2):
 
     - the Riccati equation with cf's own lambda, alpha_1 and omega_2,
       Q_2 (z F' - F) - F^2 + z Q_1 F - z^2 R_1 = 0;
     - u'/u = lambda (1 - f') / (f - lambda z),
-      (lambda N - z N') M - lambda N (z^2 - z F' + F) = 0;
-    - the m2 moment identity d/dz [(lambda z f - m2) u] = lambda (1 -
-      lambda) z u f', m2 = lambda(lambda+1)/2 omega_2 z^2 + lambda alpha_1
-      z + 1 with the table's alpha_1 and omega_2, h (lambda N - z N') +
-      z N h' - lambda (1 - lambda) N (z F' - F) = 0 (h = lambda F - m2).
+      (lambda N - z N') M - lambda N (z^2 - z F' + F) = 0.
 
-    Returns their 5 coefficients over their running-error scales, as three
+    The m2 moment ODE, cleared the same way, is (h u - lambda N f) / M of
+    these two (f and u, h = lambda F - m2) for any lambda, alpha_1, omega_2,
+    F and N, so it certifies nothing of its own.
+
+    Returns their 5 coefficients over their running-error scales, as two
     arrays with a last axis of length 5 after an axis of length C for a
-    stack of C.  A table of fewer than 3 entries raises ParameterError.
+    stack of C.
     """
-    lead = genfun._table_lead(seq, cf)
-    if seq.omegas.shape[-1] < 3:
-        raise ParameterError(f"the moment ODE reads alpha_1 and omega_2, but the table has "
-                             f"{seq.omegas.shape[-1]} entries")
-    a1, w2 = seq.alphas[..., 1:2], seq.omegas[..., 2:3]
-    if not lead:  # a table's entries as Python numbers, as a closed form's fields
-        a1, w2 = a1.tolist()[0], w2.tolist()[0]
-    a1, w2, lam = _Running.of(a1), _Running.of(w2), _Running.of(cf.lam)
+    lead = genfun._stack_shape(cf)
+    lam = _Running.of(cf.lam)
     zf, num = ([_Running.of(c) for c in p] for p in (cf.zf_coeffs, cf.numerator_coeffs))
     # z^2 f' = z F' - F and z N u'/u = lambda N - z N'
     z2f_prime, zn_logu = (-zf[0], 0, zf[2]), [(lam - k) * d for k, d in enumerate(num)]
@@ -198,12 +191,7 @@ def coefficient_residuals(cf: genfun.GenFunClosedForm, seq: JacobiSzegoSequence)
         (0, 0, *co.r1))]
     u = [p - lam * q for p, q in zip(_poly_mul(zn_logu, (zf[0], zf[1], zf[2] - lam)),
                                      _poly_mul(num, (zf[0], 0, -(zf[2] - 1))))]
-    h = (lam * zf[0] - 1, lam * zf[1] - lam * a1, lam * zf[2] - lam * (lam + 1) / 2 * w2)
-    factor = -(lam * (lam - 1))  # lambda (1 - lambda)
-    ode = [p + q - factor * r for p, q, r in zip(
-        _poly_mul(h, zn_logu), (0, *_poly_mul(num, (h[1], 2 * h[2]))),
-        _poly_mul(num, z2f_prime))]
-    return tuple(np.split(_scaled(f + u + ode, lead), 3, axis=-1))
+    return tuple(np.split(_scaled(f + u, lead), 2, axis=-1))
 
 
 # ----------------------------------------------------------------------------

@@ -66,7 +66,14 @@ from opgf import (
 from opgf.families import support_interval, validate_params
 from opgf.genfun import SERIES_CAP, as_shape
 from opgf.identities import jacobi_sequence
-from opgf.riccati import _coeff_at, _quadratic_fit, _quadratic_roots, _symmetric_omega2_fit
+from opgf.riccati import (
+    _coeff_at,
+    _poly_mul,
+    _quadratic_fit,
+    _quadratic_roots,
+    _symmetric_omega2_fit,
+    coefficients,
+)
 
 _QUAD_TOL = 1e-12
 
@@ -665,22 +672,28 @@ def u_point_residual(cf, z) -> np.ndarray:
                       -cf.lam * (1.0 - f_prime) / (closed_f(cf, z) - cf.lam * z)])
 
 
-def moment_ode_point_residual(cf, seq, z) -> np.ndarray:
-    """d/dz [(lambda z f - m2) u] = lambda (1 - lambda) z u f' of cf and the
-    table seq at the points z, m2 = lambda (lambda+1)/2 omega_2 z^2 + lambda
-    alpha_1 z + 1 with the table's alpha_1 and omega_2: divided by u and
-    relative to its terms, elementwise."""
-    z = np.asarray(z, dtype=complex)
-    lam, a1, w2 = cf.lam, seq.alphas[1], seq.omegas[2]
-    _, c1, c2 = cf.zf_coeffs
-    log_u = _log_derivative_u(cf, z)
-    # h = lambda z f - m2 enters by its two parts, so that their rounding is
-    # weighed against them where h itself is 0 (lambda = 1)
-    lam_zf, lam_zf_prime = lam * (1.0 + c1 * z + c2 * z * z), lam * (c1 + 2.0 * c2 * z)
-    m2 = 0.5 * lam * (lam + 1.0) * w2 * z * z + lam * a1 * z + 1.0
-    m2_prime = lam * (lam + 1.0) * w2 * z + lam * a1
-    return _relative([lam_zf_prime, -m2_prime, lam_zf * log_u, -m2 * log_u,
-                      -lam * (1.0 - lam) * z * (c2 - 1.0 / (z * z))])
+def coefficient_identities(lam, alpha1, omega2, zf, num) -> tuple:
+    """The Riccati identity, the u'/u identity and the m2 moment ODE of the
+    quadratics F = zf and N = num, each cleared of denominators as
+    riccati.coefficient_residuals clears its identities, as ascending
+    coefficient lists of degree 4 in z: exact on fractions.Fraction inputs.
+    The moment ODE d/dz [(lambda z f - m2) u] = lambda (1 - lambda) z u f',
+    m2 = lambda (lambda+1)/2 omega_2 z^2 + lambda alpha_1 z + 1, reads
+    h (lambda N - z N') + z N h' - lambda (1 - lambda) N (z F' - F) = 0
+    with h = lambda F - m2."""
+    co = coefficients(lam, alpha1, omega2)
+    # z^2 f' = z F' - F and z N u'/u = lambda N - z N'
+    z2f_prime, zn_logu = (-zf[0], 0, zf[2]), [(lam - k) * d for k, d in enumerate(num)]
+    f = [q - s + p - r for q, s, p, r in zip(
+        _poly_mul(co.q2, z2f_prime), _poly_mul(zf, zf), (0, *_poly_mul(co.q1, zf)),
+        (0, 0, *co.r1))]
+    u = [p - lam * q for p, q in zip(_poly_mul(zn_logu, (zf[0], zf[1], zf[2] - lam)),
+                                     _poly_mul(num, (zf[0], 0, -(zf[2] - 1))))]
+    h = (lam * zf[0] - 1, lam * zf[1] - lam * alpha1, lam * zf[2] - lam * (lam + 1) / 2 * omega2)
+    ode = [p + q - lam * (1 - lam) * r for p, q, r in zip(
+        _poly_mul(h, zn_logu), (0, *_poly_mul(num, (h[1], 2 * h[2]))),
+        _poly_mul(num, z2f_prime))]
+    return f, u, ode
 
 
 def psi_closed(cf, z, x: float) -> complex:

@@ -45,8 +45,7 @@ class TestVerify:
         assert report["all_passed"] is True
         names = {c["name"] for c in report["checks"]}
         assert names == {"series-vs-closed", "moment-m0", "moment-m1", "moment-m2",
-                         "riccati-residual-f", "riccati-residual-u", "moment-ode",
-                         "beta-law-table"}
+                         "riccati-residual-f", "riccati-residual-u", "beta-law-table"}
         for check in report["checks"]:
             assert check["passed"] == (check["max_residual"] <= check["tolerance"])
             assert check["points_tested"] >= 1
@@ -59,7 +58,7 @@ class TestVerify:
         report = json.loads(out.read_text())
         names = [c["name"] for c in report["checks"]]
         assert names == ["series-vs-closed", "moment-m0", "moment-m1", "moment-m2",
-                         "riccati-residual-f", "riccati-residual-u", "moment-ode"]
+                         "riccati-residual-f", "riccati-residual-u"]
 
     def test_invalid_lambda_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -118,9 +117,9 @@ class TestVerify:
         ("--family", "sym2", "--lambda", "0.55", "--zmax", "0.02"),
         ("--family", "sym1", "--lambda", "0.2", "--zmax", "0.03"),
     ])
-    def test_small_zmax_moment_ode_passes(self, tmp_path, args):
-        # the moment ODE is differentiated in closed form, so points near the
-        # z^(lambda-1) behaviour at 0 are checked as accurately as far ones
+    def test_small_zmax_passes(self, tmp_path, args):
+        # points near the z^(lambda-1) behaviour at 0 are checked as
+        # accurately as far ones
         out = tmp_path / "small_zmax.json"
         assert run(["verify", *args, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["all_passed"] is True
@@ -132,7 +131,7 @@ class TestVerify:
                     "--out", str(out)])
         assert code in (0, 1)
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-        assert checks["moment-ode"]["passed"] is True
+        assert checks["moment-m2"]["passed"] is True
 
     def test_parser_shared_between_calls(self, tmp_path):
         # the parser is built once; a second call must not see the first
@@ -245,14 +244,14 @@ def test_one_array_call_per_check(family, lam, a, b, monkeypatch):
     ["verify"],
 ], ids=["nonsym-plus", "sweep"])
 def test_one_coefficient_residuals_call_per_campaign(argv, tmp_path, monkeypatch):
-    # the three coefficient records of every configuration come from one
+    # the two coefficient records of every configuration come from one
     # call over the campaign's stack
     calls = []
     coefficient_residuals = riccati.coefficient_residuals
 
-    def counted(cf, seq):
+    def counted(cf):
         calls.append(len(stack_families(cf)))
-        return coefficient_residuals(cf, seq)
+        return coefficient_residuals(cf)
 
     monkeypatch.setattr(riccati, "coefficient_residuals", counted)
     assert run([*argv, "--out", str(tmp_path / "report.json")]) == 0
@@ -260,7 +259,7 @@ def test_one_coefficient_residuals_call_per_campaign(argv, tmp_path, monkeypatch
     report = json.loads((tmp_path / "report.json").read_text())
     for one in report.get("reports", [report]):
         names = [c["name"] for c in one["checks"]]
-        assert names[4:7] == ["riccati-residual-f", "riccati-residual-u", "moment-ode"]
+        assert names[4:6] == ["riccati-residual-f", "riccati-residual-u"]
 
 
 @pytest.mark.parametrize("argv, configs", [
@@ -400,10 +399,10 @@ def test_campaign_raises_what_a_per_configuration_loop_meets_first(order, monkey
     # forms, which fails whenever it holds sym1
     coefficient_residuals = riccati.coefficient_residuals
 
-    def failing(cf, *args):
+    def failing(cf):
         if Family.SYM1 in stack_families(cf):
-            raise ParameterError("moment-ode of sym1")
-        return coefficient_residuals(cf, *args)
+            raise ParameterError("residual-u of sym1")
+        return coefficient_residuals(cf)
 
     monkeypatch.setattr(riccati, "coefficient_residuals", failing)
     configs = [(Family.SYM1, 2.0, None, None), (Family.SYM2, 0.3, None, None)]
@@ -411,7 +410,7 @@ def test_campaign_raises_what_a_per_configuration_loop_meets_first(order, monkey
         configs.reverse()
     with pytest.raises(ParameterError) as excinfo:
         run_campaign(configs, 0.1, 16, 1e-9)
-    expected = ("moment-ode of sym1" if order == "check-error-first"
+    expected = ("residual-u of sym1" if order == "check-error-first"
                 else "sym2 requires lambda > 1/2")
     assert str(excinfo.value).startswith(expected)
 
@@ -671,10 +670,10 @@ def test_stacked_step_error_stays_with_its_configuration(monkeypatch):
     coefficient_residuals = riccati.coefficient_residuals
     beta_law_table_check = identities.beta_law_table_check
 
-    def failing_residuals(cf, *args):
+    def failing_residuals(cf):
         if Family.SYM2 in stack_families(cf):
             raise ParameterError("residual-f of sym2")
-        return coefficient_residuals(cf, *args)
+        return coefficient_residuals(cf)
 
     def failing_table(cf, *args):
         if Family.SYM1 in stack_families(cf):
@@ -738,11 +737,11 @@ def test_stack_only_error_gives_the_reports_of_campaigns_of_one(monkeypatch):
     stacked = run_campaign(configs, 0.1, 16, 1e-9)
     coefficient_residuals, raised = riccati.coefficient_residuals, []
 
-    def stack_only_failure(cf, *args):
+    def stack_only_failure(cf):
         if np.size(cf.lam) > 1:
             raised.append(np.size(cf.lam))
             raise ParameterError("residual-u of a stack")
-        return coefficient_residuals(cf, *args)
+        return coefficient_residuals(cf)
 
     monkeypatch.setattr(riccati, "coefficient_residuals", stack_only_failure)
     reports = run_campaign(configs, 0.1, 16, 1e-9)

@@ -875,7 +875,7 @@ def stacked_checks(cf, seqs, zmax, xs_rows):
     return {
         "psi_analytic": [psi_analytic(cf, circle_points(zmax, 8), xs_rows)],
         "psi_family_moments": list(psi_family_moments(seqs, cf, z_real)),
-        "coefficient_residuals": list(riccati.coefficient_residuals(cf, seqs)),
+        "coefficient_residuals": list(riccati.coefficient_residuals(cf)),
     }
 
 
@@ -963,7 +963,7 @@ class TestStackedClosedForms:
             psi_family_moments(JacobiSzegoSequence.stack(seqs), stack, 0.05)
         with pytest.raises(ParameterError, match=r"leading shape \(1,\) for closed forms of "
                                                  r"leading shape \(2,\)"):
-            riccati.coefficient_residuals(stack, JacobiSzegoSequence.stack(seqs[:1]))
+            psi_family_moments(JacobiSzegoSequence.stack(seqs[:1]), stack, 0.05)
         # a table of its own goes with a closed form of its own only
         with pytest.raises(ParameterError, match=r"leading shape \(\) for closed forms of "
                                                  r"leading shape \(1,\)"):

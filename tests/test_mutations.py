@@ -131,10 +131,12 @@ MUTATIONS = {
     "table-nonsym-minus-omega-from-5": [table(Family.NONSYM_MINUS, 5, omega=1.0 + 1e-6)],
     "table-free-meixner-omega-from-5": [table(Family.FREE_MEIXNER, 5, omega=1.0 + 1e-6)],
     "table-nonsym-plus-alpha1": [table(Family.NONSYM_PLUS, 1, alpha=1e-6)],
+    "table-free-meixner-alpha1": [table(Family.FREE_MEIXNER, 1, alpha=1e-6)],
     "jacobi-alpha-from-5": [classical("jacobi_sequence", 5, alpha=1e-6)],
     "sym2-exponents-of-sym1": [exponents_of(Family.SYM2, Family.SYM1)],
     "closed-sym1-c2": [closed(Family.SYM1, c2=1.0 + 1e-8)],
     "closed-sym2-d2": [closed(Family.SYM2, d2=1.0 + 1e-8)],
+    "closed-sym2-d2-1e-12": [closed(Family.SYM2, d2=1.0 + 1e-12)],
     "closed-free-meixner-omega2": [closed(Family.FREE_MEIXNER, omega2=1.0 + 1e-8)],
     "closed-nonsym-plus-d1": [closed(Family.NONSYM_PLUS, d1=1.0 + 1e-8)],
     "closed-nonsym-minus-c1": [closed(Family.NONSYM_MINUS, c1=1.0 + 1e-8)],

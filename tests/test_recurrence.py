@@ -176,6 +176,15 @@ class TestSequenceInvariants:
         with pytest.raises(ParameterError):
             JacobiSzegoSequence([0.0, 0.0], [2.0, 1.0])
 
+    @pytest.mark.parametrize("omega0", [math.nan, math.inf, -math.inf])
+    def test_omega0_not_finite_refused(self, omega0):
+        # omega_0 = NaN compares False against any tolerance; accepted, it
+        # would make every P_n of degree >= 1 NaN
+        with pytest.raises(ParameterError, match="omega_0 must be 1"):
+            JacobiSzegoSequence([0.0, 0.0, 0.0], [omega0, 1.0, 0.5])
+        with pytest.raises(ParameterError, match="omega_0 must be 1"):
+            JacobiSzegoSequence([[0.0, 0.0]] * 2, [[1.0, 1.0], [omega0, 1.0]])
+
     def test_tables_of_one_length(self):
         with pytest.raises(ParameterError):
             JacobiSzegoSequence([0.0, 0.0], [1.0])

@@ -3,12 +3,13 @@ import cmath
 import dataclasses
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SWEEP_CONFIGS, get_closed_form, get_sequence
+from conftest import SWEEP_CONFIGS, get_closed_form
 from opgf import (
     Family,
     ParameterError,
@@ -23,13 +24,12 @@ from opgf import (
 )
 from opgf.genfun import UNIT_ROUNDOFF
 from opgf.measures import family_sequence
-from opgf.recurrence import JacobiSzegoSequence
-from opgf.riccati import IDENTITY_BOUND, _matching_residual
+from opgf.riccati import IDENTITY_BOUND, _matching_residual, _poly_mul
 from reference import (
     closed_f,
+    coefficient_identities,
     degree_bound_check,
     gauss_rule,
-    moment_ode_point_residual,
     riccati_point_residual,
     stieltjes_from_quadrature,
     symmetric_omega2_quadratic,
@@ -93,23 +93,20 @@ ROUNDING = 4 * UNIT_ROUNDOFF
 
 
 def fraction_closed_form(family, lam=None, a=None, b=None):
-    """The closed form and the first three table entries of a family whose
-    data are rational at rational lambda (sym1, sym2, free Meixner), in
-    exact fractions.Fraction arithmetic, from the paper's formulas."""
+    """The closed form of a family whose data are rational at rational
+    lambda (sym1, sym2, free Meixner), in exact fractions.Fraction
+    arithmetic, from the paper's formulas."""
     if family is Family.SYM1:
         c1, c2, d1, d2, alpha1, omega2 = 0, (1 + lam) / 2, 0, 0, 0, (2 * lam + 1) / (lam + 2)
     elif family is Family.SYM2:
         c1, c2, d1, d2, alpha1, omega2 = 0, lam / 2, 0, -lam / 2, 0, (2 * lam - 1) / (lam + 1)
     else:
         lam, c1, c2, d1, d2, alpha1, omega2 = 1, a, 1 + b, a, b, a, 1 + b
-    lam, alpha1, omega2 = Fraction(lam), Fraction(alpha1), Fraction(omega2)
-    cf = dataclasses.replace(get_closed_form(Family.SYM1, 2.0, None, None), family=family,
-                             lam=lam, alpha1=alpha1, omega2=omega2,
-                             zf_coeffs=(Fraction(1), Fraction(c1), Fraction(c2)),
-                             numerator_coeffs=(Fraction(1), Fraction(d1), Fraction(d2)))
-    table = SimpleNamespace(alphas=np.array([Fraction(0), alpha1, alpha1], dtype=object),
-                            omegas=np.array([Fraction(1), Fraction(1), omega2], dtype=object))
-    return cf, table
+    return dataclasses.replace(get_closed_form(Family.SYM1, 2.0, None, None), family=family,
+                               lam=Fraction(lam), alpha1=Fraction(alpha1),
+                               omega2=Fraction(omega2),
+                               zf_coeffs=(Fraction(1), Fraction(c1), Fraction(c2)),
+                               numerator_coeffs=(Fraction(1), Fraction(d1), Fraction(d2)))
 
 
 @pytest.mark.parametrize("config", [
@@ -120,27 +117,44 @@ def fraction_closed_form(family, lam=None, a=None, b=None):
 ])
 def test_residuals_exactly_zero_on_fractions(config):
     # the kernel is plain arithmetic, so exact data give exact zeros
-    cf, table = fraction_closed_form(*config)
-    for residual in coefficient_residuals(cf, table):
+    residuals = coefficient_residuals(fraction_closed_form(*config))
+    assert len(residuals) == 2
+    for residual in residuals:
         assert residual.shape == (5,)
         assert all(type(r) is Fraction and r == 0 for r in residual)
 
 
+FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=50)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.fractions(min_value=Fraction(1, 50), max_value=5, max_denominator=50),
+       c1=FRACTIONS, c2=FRACTIONS, d1=FRACTIONS, d2=FRACTIONS, alpha1=FRACTIONS,
+       omega2=FRACTIONS)
+def test_moment_ode_follows_from_the_two_identities(lam, c1, c2, d1, d2, alpha1, omega2):
+    # why verify has no moment-ode row: with M = F - lambda z^2 and
+    # h = lambda F - m2, ode M = h u - lambda N f holds exactly at any
+    # lambda, alpha_1, omega_2 and quadratics F, N, family values or not, so
+    # the ODE holds wherever the Riccati and u'/u identities do
+    zf, num = (1, c1, c2), (1, d1, d2)
+    f, u, ode = coefficient_identities(lam, alpha1, omega2, zf, num)
+    m = (1, c1, c2 - lam)
+    h = (lam - 1, lam * c1 - lam * alpha1, lam * c2 - lam * (lam + 1) / 2 * omega2)
+    combination = [p - q + lam * r for p, q, r in zip(
+        _poly_mul(ode, m), _poly_mul(h, u), _poly_mul(num, f), strict=True)]
+    assert len(combination) == 7
+    assert all(c == 0 for c in combination), combination
+
+
 def residual_f(config, cf=None):
     """The Riccati row of coefficient_residuals at config, with its own
-    closed form unless cf is given, and its table's first three entries."""
-    cf = closed_form(*config) if cf is None else cf
-    return coefficient_residuals(cf, family_sequence(*config, size=3))[0]
+    closed form unless cf is given."""
+    return coefficient_residuals(closed_form(*config) if cf is None else cf)[0]
 
 
 def residual_u(config):
     """The u'/u row of coefficient_residuals at config."""
-    return coefficient_residuals(closed_form(*config), family_sequence(*config, size=3))[1]
-
-
-def residual_moment_ode(cf, seq):
-    """The moment-ODE row of coefficient_residuals."""
-    return coefficient_residuals(cf, seq)[2]
+    return coefficient_residuals(closed_form(*config))[1]
 
 
 class TestResidualF:
@@ -182,79 +196,11 @@ class TestResidualU:
         assert residual.max() == 1.0
 
 
-class TestResidualMomentOde:
-    def test_free_meixner_identity_trivial(self):
-        # at lambda = 1 the right side vanishes and h = z f - m2 is 0: the
-        # table's alpha_1 and omega_2 are z f's c1, c2
-        cf = get_closed_form(Family.FREE_MEIXNER, None, 0.5, 0.25)
-        seq = get_sequence(Family.FREE_MEIXNER, None, 0.5, 0.25)
-        assert residual_moment_ode(cf, seq).max() == 0.0
-        assert seq.alphas[1] == pytest.approx(cf.zf_coeffs[1], rel=1e-14)
-        assert seq.omegas[2] == pytest.approx(cf.zf_coeffs[2], rel=1e-14)
-
-    @pytest.mark.parametrize("config", SWEEP_CONFIGS)
-    def test_residual_small(self, config):
-        residual = residual_moment_ode(get_closed_form(*config), get_sequence(*config))
-        assert residual.shape == (5,)
-        assert residual.max() <= IDENTITY_BOUND
-
-    @pytest.mark.parametrize("config", SWEEP_CONFIGS)
-    def test_sweep_residuals_at_rounding(self, config):
-        # no point enters: only the rounding of the closed form and table
-        residual = residual_moment_ode(get_closed_form(*config), get_sequence(*config))
-        assert residual.max() <= ROUNDING
-
-    @pytest.mark.parametrize("entry", ["alpha_1", "omega_2"])
-    @pytest.mark.parametrize("config", SWEEP_CONFIGS)
-    def test_sees_a_wrong_table(self, config, entry):
-        # m2 reads alpha_1 and omega_2 from the table
-        seq = get_sequence(*config)
-        alphas, omegas = seq.alphas.copy(), seq.omegas.copy()
-        if entry == "alpha_1":
-            alphas[1] += 1e-6
-        else:
-            omegas[2] += 1e-6
-        residual = residual_moment_ode(get_closed_form(*config),
-                                       JacobiSzegoSequence(alphas, omegas))
-        assert residual.max() > IDENTITY_BOUND
-
-    def test_sees_a_relative_alpha1_change_at_lambda_40(self):
-        # |u| ~ |z|^40 no longer hides the table: alpha_1 (1 + 1e-6) fails
-        config = (Family.NONSYM_PLUS, 40.0, None, None)
-        seq = family_sequence(*config, size=3)
-        alphas = seq.alphas.copy()
-        alphas[1] *= 1.0 + 1e-6
-        residual = residual_moment_ode(closed_form(*config), JacobiSzegoSequence(alphas, seq.omegas))
-        assert residual.max() > 1e3 * IDENTITY_BOUND
-        assert residual_moment_ode(closed_form(*config), seq).max() <= ROUNDING
-
-    @pytest.mark.parametrize("size", [1, 2])
-    def test_refuses_a_short_table(self, size):
-        cf = get_closed_form(Family.SYM1, 2.0, None, None)
-        with pytest.raises(ParameterError, match="omega_2"):
-            residual_moment_ode(cf, family_sequence(Family.SYM1, 2.0, size=size))
-
-    def test_short_table_error_comes_first(self):
-        # all three identities are one call, which refuses a short table
-        # before coefficients reads lambda
-        cf = dataclasses.replace(get_closed_form(Family.SYM1, 2.0, None, None), lam=-1.0)
-        with pytest.raises(ParameterError, match="lambda must be > 0"):
-            coefficient_residuals(cf, get_sequence(Family.SYM1, 2.0, None, None))
-        with pytest.raises(ParameterError, match="omega_2"):
-            coefficient_residuals(cf, family_sequence(Family.SYM1, 2.0, size=2))
-
-    def test_three_entries_suffice(self):
-        cf = get_closed_form(Family.NONSYM_MINUS, 2.5, None, None)
-        full = residual_moment_ode(cf, get_sequence(Family.NONSYM_MINUS, 2.5, None, None))
-        short = residual_moment_ode(cf, family_sequence(Family.NONSYM_MINUS, 2.5, size=3))
-        assert np.array_equal(short, full)
-
-
 class TestPointwiseEquations:
     """Each row's identity is its equation with the denominators cleared: on
-    a closed form or table with one entry moved by 1e-6, the row and the
-    equation sampled at two circles (tests/reference.py) both fail, and on
-    the true ones both read at rounding."""
+    a closed form with one entry moved by 1e-6, the row and the equation
+    sampled at two circles (tests/reference.py) both fail, and on the true
+    one both read at rounding."""
 
     TWO_CIRCLES = np.array([r * cmath.exp(1j * k * math.pi / 16) for r in (0.05, 0.1)
                             for k in range(16)])
@@ -265,12 +211,6 @@ class TestPointwiseEquations:
         """cf with the z^2 coefficient of one of its quadratics raised by 1e-6."""
         one, first, second = getattr(cf, field)
         return dataclasses.replace(cf, **{field: (one, first, second + 1e-6)})
-
-    @staticmethod
-    def moved_table(seq):
-        alphas = seq.alphas.copy()
-        alphas[1] += 1e-6
-        return JacobiSzegoSequence(alphas, seq.omegas)
 
     def assert_at_rounding(self, row, points):
         assert row.max() <= ROUNDING
@@ -294,26 +234,14 @@ class TestPointwiseEquations:
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_residual_u_matches_pointwise(self, config):
         cf = get_closed_form(*config)
-        self.assert_at_rounding(coefficient_residuals(cf, get_sequence(*config))[1],
+        self.assert_at_rounding(coefficient_residuals(cf)[1],
                                 u_point_residual(cf, self.TWO_CIRCLES))
 
     @pytest.mark.parametrize("config", IDENTITY_SWEEP)
     def test_residual_u_fails_with_pointwise(self, config):
         cf = self.moved(get_closed_form(*config), "numerator_coeffs")
-        self.assert_fails(coefficient_residuals(cf, get_sequence(*config))[1],
+        self.assert_fails(coefficient_residuals(cf)[1],
                           u_point_residual(cf, self.TWO_CIRCLES))
-
-    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
-    def test_moment_ode_matches_pointwise(self, config):
-        cf, seq = get_closed_form(*config), get_sequence(*config)
-        self.assert_at_rounding(residual_moment_ode(cf, seq),
-                                moment_ode_point_residual(cf, seq, self.TWO_CIRCLES))
-
-    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
-    def test_moment_ode_fails_with_pointwise(self, config):
-        cf, seq = get_closed_form(*config), self.moved_table(get_sequence(*config))
-        self.assert_fails(residual_moment_ode(cf, seq),
-                          moment_ode_point_residual(cf, seq, self.TWO_CIRCLES))
 
 
 class TestSolveSymmetric:
