@@ -672,6 +672,24 @@ def u_point_residual(cf, z) -> np.ndarray:
                       -cf.lam * (1.0 - f_prime) / (closed_f(cf, z) - cf.lam * z)])
 
 
+def moment_ode_point_residual(cf, z) -> np.ndarray:
+    """d/dz [(lambda z f - m2) u] = lambda (1 - lambda) z u f' of cf at the
+    points z, m2 = lambda (lambda+1)/2 omega_2 z^2 + lambda alpha_1 z + 1
+    with cf's own alpha_1 and omega_2: divided by u and relative to its
+    terms, elementwise."""
+    z = np.asarray(z, dtype=complex)
+    lam, a1, w2 = cf.lam, cf.alpha1, cf.omega2
+    _, c1, c2 = cf.zf_coeffs
+    log_u = _log_derivative_u(cf, z)
+    # h = lambda z f - m2 enters by its two parts, so that their rounding is
+    # weighed against them where h itself is 0 (lambda = 1)
+    lam_zf, lam_zf_prime = lam * (1.0 + c1 * z + c2 * z * z), lam * (c1 + 2.0 * c2 * z)
+    m2 = 0.5 * lam * (lam + 1.0) * w2 * z * z + lam * a1 * z + 1.0
+    m2_prime = lam * (lam + 1.0) * w2 * z + lam * a1
+    return _relative([lam_zf_prime, -m2_prime, lam_zf * log_u, -m2 * log_u,
+                      -lam * (1.0 - lam) * z * (c2 - 1.0 / (z * z))])
+
+
 def coefficient_identities(lam, alpha1, omega2, zf, num) -> tuple:
     """The Riccati identity, the u'/u identity and the m2 moment ODE of the
     quadratics F = zf and N = num, each cleared of denominators as

@@ -14,9 +14,12 @@ from opgf import (
     Family,
     ParameterError,
     RedirectToFreeMeixner,
+    cli,
     closed_form,
     coefficient_residuals,
     coefficients,
+    genfun,
+    measures,
     nonsymmetric_omega2_roots,
     riccati,
     solve_nonsymmetric,
@@ -24,12 +27,14 @@ from opgf import (
 )
 from opgf.genfun import UNIT_ROUNDOFF
 from opgf.measures import family_sequence
+from opgf.recurrence import JacobiSzegoSequence
 from opgf.riccati import IDENTITY_BOUND, _matching_residual, _poly_mul
 from reference import (
     closed_f,
     coefficient_identities,
     degree_bound_check,
     gauss_rule,
+    moment_ode_point_residual,
     riccati_point_residual,
     stieltjes_from_quadrature,
     symmetric_omega2_quadratic,
@@ -242,6 +247,83 @@ class TestPointwiseEquations:
         cf = self.moved(get_closed_form(*config), "numerator_coeffs")
         self.assert_fails(coefficient_residuals(cf)[1],
                           u_point_residual(cf, self.TWO_CIRCLES))
+
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
+    def test_moment_ode_matches_pointwise(self, config):
+        # the m2 moment ODE is (h u - lambda N f) / M of the two rows, so
+        # where both read at rounding it holds at the points too
+        cf = get_closed_form(*config)
+        self.assert_at_rounding(np.maximum(*coefficient_residuals(cf)),
+                                moment_ode_point_residual(cf, self.TWO_CIRCLES))
+
+    @pytest.mark.parametrize("config", IDENTITY_SWEEP)
+    def test_moment_ode_fails_with_pointwise(self, config):
+        # and where it fails, the Riccati row, which reads the same alpha_1,
+        # fails with it
+        cf = get_closed_form(*config)
+        cf = dataclasses.replace(cf, alpha1=cf.alpha1 + 1e-6)
+        self.assert_fails(coefficient_residuals(cf)[0],
+                          moment_ode_point_residual(cf, self.TWO_CIRCLES))
+
+
+class TestMomentOdeEntries:
+    """verify has no moment-ode row: the alpha_1 and omega_2 that the m2
+    moment ODE read, the table's and the closed form's, are read by the
+    rows that stay.  Each test moves one entry by 1e-6 in a campaign of one
+    configuration and reads which checks fail."""
+
+    @staticmethod
+    def failed(config, monkeypatch, owner, name, move):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: move(original(*args, **kwargs)))
+        report, = cli.run_campaign([config], 0.1, 16, 1e-9)
+        return {c["name"] for c in report["checks"] if not c["passed"]}
+
+    @staticmethod
+    def moved_table(entry, change):
+        def move(seq):
+            alphas, omegas = seq.alphas.copy(), seq.omegas.copy()
+            if entry == "alpha_1":
+                alphas[1] = change(alphas[1])
+            else:
+                omegas[2] = change(omegas[2])
+            return JacobiSzegoSequence(alphas, omegas)
+        return move
+
+    def test_free_meixner_identity_trivial(self):
+        # at lambda = 1 the right side vanishes and h = z f - m2 is 0: the
+        # closed form's alpha_1 and omega_2 are z f's c1, c2
+        cf = get_closed_form(Family.FREE_MEIXNER, None, 0.5, 0.25)
+        assert (cf.alpha1, cf.omega2) == pytest.approx(cf.zf_coeffs[1:], rel=1e-14)
+        assert moment_ode_point_residual(cf, TestPointwiseEquations.TWO_CIRCLES).max() \
+            <= TestPointwiseEquations.POINT_ROUNDING
+
+    @pytest.mark.parametrize("entry", ["alpha_1", "omega_2"])
+    @pytest.mark.parametrize("config", SWEEP_CONFIGS)
+    def test_sees_a_wrong_table(self, config, entry, monkeypatch):
+        # m2's claim, from the closed form, fails on the moved table's
+        # measure; the coefficient rows read no table
+        failed = self.failed(config, monkeypatch, measures, "family_sequence",
+                             self.moved_table(entry, lambda v: v + 1e-6))
+        assert "moment-m2" in failed
+        assert not failed & {"riccati-residual-f", "riccati-residual-u"}
+
+    def test_sees_a_relative_alpha1_change_at_lambda_40(self, monkeypatch):
+        # |u| ~ |z|^40 does not hide the table: alpha_1 (1 + 1e-6) fails
+        failed = self.failed((Family.NONSYM_PLUS, 40.0, None, None), monkeypatch, measures,
+                             "family_sequence",
+                             self.moved_table("alpha_1", lambda v: v * (1.0 + 1e-6)))
+        assert {"moment-m0", "moment-m1", "moment-m2"} <= failed
+
+    @pytest.mark.parametrize("entry", ["alpha1", "omega2"])
+    @pytest.mark.parametrize("config", SWEEP_CONFIGS)
+    def test_sees_a_wrong_closed_form(self, config, entry, monkeypatch):
+        # the Riccati row and m2's claim read the closed form's entries, and
+        # no other check fails
+        def move(cf):
+            return dataclasses.replace(cf, **{entry: getattr(cf, entry) + 1e-6})
+        assert self.failed(config, monkeypatch, genfun, "closed_form", move) == {
+            "moment-m2", "riccati-residual-f"}
 
 
 class TestSolveSymmetric:
