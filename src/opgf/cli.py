@@ -24,9 +24,9 @@ and the moments (one Gauss rule per row), the two coefficient identities
 (the Riccati equation and the equation of u'/u), and the identity of every
 Beta law's table are one call each.  Nothing is kept between commands.
 
-If a campaign of several configurations raises, it is run again
-configuration by configuration, and so raises the error that such a loop
-meets first.
+A campaign raises the first error it meets: every configuration's parameter
+error in order, before any check runs, then the error of the first row of
+_checks that raises, which names the first configuration that has one.
 
 Reports are deterministic for fixed inputs except the wall_time_ms field;
 json.dumps writes each number by its shortest round-trip repr.  cmd_verify
@@ -171,8 +171,11 @@ def _checks(zmax: float, grid: int, tol: float) -> list:
     configuration's closed form or table: an identity of lambda alone could
     certify nothing about the configuration, and none is a row.
     """
-    # the upper half circle zmax e^(i k pi / grid), never touching pi (the branch cut)
-    zs = [zmax * complex(math.cos(t), math.sin(t)) for t in (k * math.pi / grid for k in range(grid))]
+    # the upper half circle zmax e^(i k pi / grid), never touching pi (the branch cut);
+    # a point whose np.abs (radius_guard's modulus) passes zmax steps inward an ulp a part
+    zs = np.array([zmax * complex(math.cos(t), math.sin(t)) for t in np.arange(grid) * math.pi / grid])
+    while (outside := np.abs(zs) > zmax).any():
+        zs[outside] = np.nextafter(zs[outside].view(float), 0.0).view(complex)
     zs_real = np.array([s * zmax for s in (-1.0, -0.5, -0.2, 0.2, 0.5, 1.0)])
 
     def series(live, cf, seq):
@@ -210,23 +213,16 @@ def run_campaign(configs, zmax: float, grid: int, tol: float) -> list[dict]:
     check by check, one row of _checks at a time.
 
     Each configuration builds one closed form and one coefficient table,
-    which all its checks read (_stack).  tol must be finite and > 0.
-    If anything raises in a campaign of several configurations, each
-    configuration is run again as a campaign of its own, in order: that
-    loop raises the first failing configuration's first error, and gives
-    the stacked reports otherwise.  A campaign of one raises its error.
+    which all its checks read (_stack), so the first configuration with a
+    parameter error raises it before any check runs.  Each row is then one
+    call over its stack, and the first row that raises raises its error.
+    tol must be finite and > 0.
     """
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"tol must be a finite number > 0, got {tol}")
-    configs = list(configs)
-    try:
-        runs, stacks = [_Run(*config, zmax, grid) for config in configs], {}
-        for check in _checks(zmax, grid, tol):
-            _stacked(runs, stacks, *check)
-    except Exception:
-        if len(configs) == 1:
-            raise
-        return [run_campaign([config], zmax, grid, tol)[0] for config in configs]
+    runs, stacks = [_Run(*config, zmax, grid) for config in configs], {}
+    for check in _checks(zmax, grid, tol):
+        _stacked(runs, stacks, *check)
     return [run.report() for run in runs]
 
 
@@ -242,20 +238,18 @@ def cmd_verify(args) -> int:
     start = time.perf_counter()
     if args.family is None:
         reports = run_campaign(_sweep_configs(), args.zmax, args.grid, args.tol)
-        all_passed = all(r["all_passed"] for r in reports)
         payload = {
             "schema": SCHEMA_VERSION,
             "tool_version": __version__,
             "campaign": "full-sweep",
             "reports": reports,
-            "all_passed": all_passed,
-            "wall_time_ms": int(1000 * (time.perf_counter() - start)),
+            "all_passed": all(r["all_passed"] for r in reports),
         }
     else:
         payload = run_campaign([(Family(args.family), args.lam, args.a, args.b)],
                                args.zmax, args.grid, args.tol)[0]
-        all_passed = payload["all_passed"]
-        payload["wall_time_ms"] = int(1000 * (time.perf_counter() - start))
+    payload["wall_time_ms"] = int(1000 * (time.perf_counter() - start))
+    all_passed = payload["all_passed"]
     for report in payload.get("reports", [payload]):
         for check in report["checks"]:
             if not math.isfinite(check["max_residual"]):

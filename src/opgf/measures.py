@@ -22,12 +22,12 @@ table or a stack of them to Gauss rules (Golub and Welsch, 1969): one
 batched dense eigh up to DENSE_EIGH_MAX_ORDER nodes unless a row
 is past the closed form's ratio guard, and otherwise each row as a table of
 its own.  Above DENSE_EIGH_MAX_ORDER a table constant from alpha_1 and
-omega_2 on (free Meixner) has its rule in closed form, in O(n), a
-symmetric table's comes from a matrix of half its order, and any other
-table's from LAPACK's eigenvectors.  Where that eigenvector matrix would
-have NEWTON_RULE_MIN_ORDER rows (399 nodes for a symmetric table), and past
-the ratio guard at any order, the eigenvalues alone, one Newton step and
-Christoffel weights give the rule if it passes a moment check.  On every
+omega_2 on (free Meixner, within two guards) has its rule in closed form, in
+O(n), a symmetric table's comes from a matrix of half its order, and any
+other table's from LAPACK's eigenvectors.  Where that eigenvector matrix
+would have NEWTON_RULE_MIN_ORDER rows (399 nodes for a symmetric table), and
+past the ratio guard at any order, the eigenvalues alone, one Newton step
+and Christoffel weights give the rule if it passes a moment check.  On every
 route an extreme weight below the smallest double is 0.  No density or
 normalization constant is stored: the rule needs only the recurrence, so it
 exists wherever the table is finite.
@@ -115,6 +115,10 @@ def _eigh(diag, offdiag):
 # long-double reference: 1.2e-10 against 3e-11 relative at omega_2 = 1e10
 # omega_1, order 32).
 CLOSED_FORM_MAX_OMEGA_RATIO = 1e8
+# So does one whose |alpha_1 - alpha_0| exceeds this multiple of sqrt(omega_1): its
+# node alpha + c y of the atom near alpha_0 cancels to about |alpha - alpha_0| eps
+# (free Meixner moments 1e-8 off at |a| = 1e8, LAPACK's within 1.8e-15 to 1e150).
+CLOSED_FORM_MAX_SHIFT = 2e3
 
 
 def _band_weights(sin_n, sin_m, u, sums, r, scale):
@@ -257,10 +261,11 @@ def _constant_tail_rule(alpha0, alpha, omega1, omega2, n):
 
 def _closed_form_table(alphas, omegas):
     """A table for _constant_tail_rule: constant from alpha_1 and omega_2 on,
-    with omega_2 at most CLOSED_FORM_MAX_OMEGA_RATIO omega_1."""
+    within CLOSED_FORM_MAX_OMEGA_RATIO and CLOSED_FORM_MAX_SHIFT."""
     return bool((alphas[2:] == alphas[1]).all()
                 and (omegas[3:] == omegas[2]).all()
-                and omegas[2] <= CLOSED_FORM_MAX_OMEGA_RATIO * omegas[1])
+                and omegas[2] <= CLOSED_FORM_MAX_OMEGA_RATIO * omegas[1]
+                and abs(alphas[1] - alphas[0]) <= CLOSED_FORM_MAX_SHIFT * math.sqrt(omegas[1]))
 
 
 # Lowest order of the eigenvector matrix LAPACK would compute (the Gauss order,

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import opgf
-from opgf import Family, ParameterError, cli, genfun, identities, measures, riccati
+from opgf import (Family, NumericalBreakdownError, ParameterError, cli, genfun, identities,
+                  measures, riccati)
 from opgf.cli import main, run_campaign
 from opgf.recurrence import eval_monic
 
@@ -392,11 +393,11 @@ def stack_families(cf):
 
 
 @pytest.mark.parametrize("order", ["check-error-first", "setup-error-first"])
-def test_campaign_raises_what_a_per_configuration_loop_meets_first(order, monkeypatch):
-    # a check error of the first configuration beats a set-up error of the
-    # second, as in a loop that runs each configuration to the end in turn;
-    # the coefficient identities are one call over the stack of closed
-    # forms, which fails whenever it holds sym1
+def test_campaign_raises_set_up_errors_before_check_errors(order, monkeypatch):
+    # every configuration is set up before any check runs, so sym2's set-up
+    # error beats a check error of sym1 in either order; the coefficient
+    # identities are one call over the stack of closed forms, which fails
+    # whenever it holds sym1
     coefficient_residuals = riccati.coefficient_residuals
 
     def failing(cf):
@@ -408,11 +409,8 @@ def test_campaign_raises_what_a_per_configuration_loop_meets_first(order, monkey
     configs = [(Family.SYM1, 2.0, None, None), (Family.SYM2, 0.3, None, None)]
     if order == "setup-error-first":
         configs.reverse()
-    with pytest.raises(ParameterError) as excinfo:
+    with pytest.raises(ParameterError, match="^sym2 requires lambda > 1/2"):
         run_campaign(configs, 0.1, 16, 1e-9)
-    expected = ("residual-u of sym1" if order == "check-error-first"
-                else "sym2 requires lambda > 1/2")
-    assert str(excinfo.value).startswith(expected)
 
 
 class TestClassify:
@@ -665,8 +663,8 @@ def test_public_names_resolve():
 
 def test_stacked_step_error_stays_with_its_configuration(monkeypatch):
     # sym2 makes the stacked coefficient_residuals call fail, sym1 fails
-    # only later in beta-law-table: a loop that runs each configuration to
-    # the end in turn meets sym1's error first, and so must the campaign
+    # only later in beta-law-table: the campaign raises the error of the
+    # first row that raises, which names sym2
     coefficient_residuals = riccati.coefficient_residuals
     beta_law_table_check = identities.beta_law_table_check
 
@@ -684,10 +682,9 @@ def test_stacked_step_error_stays_with_its_configuration(monkeypatch):
     monkeypatch.setattr(identities, "beta_law_table_check", failing_table)
     configs = [(Family.SYM1, 2.0, None, None), (Family.SYM2, 1.5, None, None),
                (Family.NONSYM_PLUS, 2.0, None, None)]
-    with pytest.raises(ParameterError, match="^beta-law-table of sym1$"):
-        run_campaign(configs, 0.1, 16, 1e-9)
-    with pytest.raises(ParameterError, match="^residual-f of sym2$"):
-        run_campaign(configs[1:], 0.1, 16, 1e-9)
+    for campaign in (configs, configs[1:]):
+        with pytest.raises(ParameterError, match="^residual-f of sym2$"):
+            run_campaign(campaign, 0.1, 16, 1e-9)
 
 
 IDENTITY_STEP_CONFIGS = [(Family.SYM1, 0.6, None, None), (Family.SYM1, 1.5, None, None),
@@ -729,26 +726,76 @@ def test_identity_error_stays_with_its_configuration(name, bad_lam, failing, mon
         run_campaign([config], 0.1, 16, 1e-9)[0] for config in passing]
 
 
-def test_stack_only_error_gives_the_reports_of_campaigns_of_one(monkeypatch):
-    # a stacked step that raises only on stacks of more than one row sends
-    # the sweep through its campaigns of one, whose reports equal the
-    # stacked ones record for record
-    configs = list(cli._sweep_configs())
-    stacked = run_campaign(configs, 0.1, 16, 1e-9)
+def test_stack_only_error_raises_from_its_one_call(monkeypatch):
+    # a stacked step that raises only on stacks of more than one row makes
+    # the sweep raise its error, from the one call over the stack; no
+    # configuration is run again on its own
     coefficient_residuals, raised = riccati.coefficient_residuals, []
 
     def stack_only_failure(cf):
+        raised.append(np.size(cf.lam))
         if np.size(cf.lam) > 1:
-            raised.append(np.size(cf.lam))
             raise ParameterError("residual-u of a stack")
         return coefficient_residuals(cf)
 
     monkeypatch.setattr(riccati, "coefficient_residuals", stack_only_failure)
-    reports = run_campaign(configs, 0.1, 16, 1e-9)
-    assert raised == [len(configs)]
-    assert len(reports) == len(configs) == 23
-    for report, config, expected in zip(reports, configs, stacked, strict=True):
-        assert report == run_campaign([config], 0.1, 16, 1e-9)[0] == expected
+    with pytest.raises(ParameterError, match="^residual-u of a stack$"):
+        run_campaign(cli._sweep_configs(), 0.1, 16, 1e-9)
+    assert raised == [23]
+
+
+# the smallest domain radius of the sweep (free Meixner at a = -1, b = -0.5)
+# less one ulp: a half-circle point there whose np.abs rounded up to the
+# radius would raise DomainError
+SWEEP_EDGE_ZMAX = 0.6588457268119895
+
+
+@pytest.mark.parametrize("grid", [4, 7, 16, 33, 64])
+def test_sweep_one_ulp_inside_the_smallest_radius_raises_nothing(grid, monkeypatch):
+    # every half-circle point lies within zmax by np.abs, the modulus that
+    # radius_guard tests, so the stacked sweep gives its reports
+    assert SWEEP_EDGE_ZMAX == math.nextafter(min(
+        genfun.closed_form(*config).domain_radius for config in cli._sweep_configs()), 0.0)
+    psi_analytic, points = genfun.psi_analytic, []
+
+    def recorded(cf, z, x):
+        points.append(np.asarray(z))
+        return psi_analytic(cf, z, x)
+
+    monkeypatch.setattr(genfun, "psi_analytic", recorded)
+    reports = run_campaign(cli._sweep_configs(), SWEEP_EDGE_ZMAX, grid, 1e-9)
+    assert len(reports) == 23
+    circle, = (z for z in points if z.size == grid)
+    assert (np.abs(circle) <= SWEEP_EDGE_ZMAX).all()
+
+
+@pytest.mark.parametrize("config", list(cli._sweep_configs()),
+                         ids=lambda config: "-".join(str(getattr(v, "value", v)) for v in config))
+def test_family_one_ulp_inside_its_radius_gives_a_report(config, tmp_path):
+    # at zmax = nextafter(radius, 0) each sweep configuration's --family
+    # command writes a report, passing or failing, at every grid
+    family, lam, a, b = config
+    zmax = math.nextafter(genfun.closed_form(*config).domain_radius, 0.0)
+    argv = ["verify", "--family", family.value, "--zmax", repr(zmax)]
+    argv += ([f"--a={a!r}", f"--b={b!r}"] if family is Family.FREE_MEIXNER
+             else ["--lambda", repr(lam)])
+    out = tmp_path / "edge.json"
+    for grid in (4, 5, 7, 16, 33):
+        assert run([*argv, "--grid", str(grid), "--out", str(out)]) in (0, 1)
+        assert json.loads(out.read_text())["family"] == family.value
+        out.unlink()
+
+
+def test_campaign_of_a_two_point_law_and_a_larger_one_raises():
+    # the moments of a campaign are one Gauss rule of one order, 24 here, so
+    # a two-point free Meixner law (b = -1) beside a law of at least 24
+    # support points raises the rule's error; each verifies on its own
+    configs = [(Family.FREE_MEIXNER, None, 0.5, -1.0), (Family.SYM1, 2.0, None, None)]
+    with pytest.raises(NumericalBreakdownError, match="fewer than 24 support points"):
+        run_campaign(configs, 0.1, 16, 1e-9)
+    for config in configs:
+        report, = run_campaign([config], 0.1, 16, 1e-9)
+        assert report["all_passed"]
 
 
 @pytest.mark.parametrize("lam", ["1e-300", "1e-20", "0.05"])

@@ -1,5 +1,6 @@
 """Tests for the measure catalog: supports, coefficient tables, Gauss rules,
 and the Beta density oracle of tests/reference.py with its normalization."""
+import itertools
 import math
 import warnings
 from functools import lru_cache
@@ -676,6 +677,27 @@ class TestConstantTailRules:
         nodes, vecs = scipy.linalg.eigh_tridiagonal(seq.alphas, np.sqrt(seq.omegas[1:]))
         assert np.array_equal(rule.nodes, nodes) is kept
         assert np.array_equal(rule.weights, vecs[0] ** 2) is kept
+
+    @pytest.mark.parametrize("b", [0.0, 0.25, -0.5])
+    @pytest.mark.parametrize("a", [1e4, 1e5, 1e8, 1e20, 1e100, 1e150])
+    def test_far_atom_skips_the_closed_form(self, a, b):
+        # |alpha_1 - alpha_0| / sqrt(omega_2) above CLOSED_FORM_MAX_SHIFT,
+        # where the closed form's node of the atom near alpha_0 = 0 would
+        # cancel: every rule has the law's mass, mean 0 and variance 1
+        for sign, order in itertools.product((1.0, -1.0), (31, 40, 1000)):
+            seq = family_sequence(Family.FREE_MEIXNER, a=sign * a, b=b, size=order)
+            assert not measures._closed_form_table(seq.alphas, seq.omegas)
+            rule = gauss_quadrature(seq, order)
+            moments = np.vander(rule.nodes, 3, increasing=True).T @ rule.weights
+            np.testing.assert_allclose(moments, [1.0, 0.0, 1.0], rtol=0, atol=1e-13)
+
+    def test_farthest_atom_export_keeps_its_mean(self):
+        # at a = 1e300 the band's nodes carry weights below the smallest
+        # double, and the atom takes the whole mass at the mean 0
+        seq = family_sequence(Family.FREE_MEIXNER, a=1e300, b=0.0, size=40)
+        rule = gauss_quadrature(seq, 40)
+        assert (rule.nodes[0], rule.weights[0]) == (0.0, 1.0)
+        assert (rule.weights[1:] == 0.0).all()
 
     def test_csv_rows_match_the_per_row_format(self):
         # one % operation over the rows gives the per-row f-string's bytes on

@@ -5,9 +5,9 @@ verify campaign reaches it (DeMillo, Lipton and Sayward, 1978), runs the
 full sweep in process and records the sorted names of the checks that fail,
 or "raises <ErrorType>" when the campaign raises.  The expected matrix is
 the fixture mutation_matrix.json, and a changed set fails the test.  The
-fixture also holds two findings derived from the matrix and the check names
-of sweep_structure.json: the checks that no mutation fails, and the
-mutations that no check catches.
+fixture also holds three findings derived from the matrix and the check
+names of sweep_structure.json: the checks that no mutation fails, the checks
+that no mutation fails alone, and the mutations that no check catches.
 
 Rewrite the fixture after a deliberate change with
 
@@ -132,6 +132,7 @@ MUTATIONS = {
     "table-free-meixner-omega-from-5": [table(Family.FREE_MEIXNER, 5, omega=1.0 + 1e-6)],
     "table-nonsym-plus-alpha1": [table(Family.NONSYM_PLUS, 1, alpha=1e-6)],
     "table-free-meixner-alpha1": [table(Family.FREE_MEIXNER, 1, alpha=1e-6)],
+    "table-free-meixner-alpha-1e-8": [table(Family.FREE_MEIXNER, 1, alpha=1e-8)],
     "jacobi-alpha-from-5": [classical("jacobi_sequence", 5, alpha=1e-6)],
     "sym2-exponents-of-sym1": [exponents_of(Family.SYM2, Family.SYM1)],
     "closed-sym1-c2": [closed(Family.SYM1, c2=1.0 + 1e-8)],
@@ -167,13 +168,16 @@ def caught(changes=()) -> str | list:
 
 
 def findings(matrix) -> dict:
-    """The checks of the sweep that no mutation of matrix fails, and its
-    mutations that no check catches."""
+    """The checks of the sweep that no mutation of matrix fails, those that
+    no mutation fails alone, and its mutations that no check catches."""
     checks = {name for report in json.loads(SWEEP_STRUCTURE.read_text())
               for name, _, _ in report["checks"]}
-    failed = {name for row in matrix.values() if isinstance(row, list) for name in row}
+    rows = [row for row in matrix.values() if isinstance(row, list)]
+    failed = {name for row in rows for name in row}
+    alone = {row[0] for row in rows if len(row) == 1}
     return {
         "checks_no_mutation_fails": sorted(checks - failed),
+        "checks_no_mutation_of_their_own": sorted(checks - alone),
         "mutations_no_check_catches": sorted(name for name, row in matrix.items() if not row),
     }
 
